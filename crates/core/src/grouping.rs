@@ -50,26 +50,6 @@ impl Group {
             iou: 0.0,
         }
     }
-
-    /// Per-member residual unicast bytes: `S_i - S_m` (never negative).
-    pub fn residual_bytes(&self, member_bytes: &[f64]) -> Vec<f64> {
-        self.members
-            .iter()
-            .map(|&u| (member_bytes[u] - self.multicast_bytes).max(0.0))
-            .collect()
-    }
-
-    /// Per-member residual unicast bytes written into `out` — the
-    /// allocation-free form of [`Group::residual_bytes`] for hot paths
-    /// that price the same groups every frame.
-    pub fn residual_bytes_into(&self, member_bytes: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(
-            self.members
-                .iter()
-                .map(|&u| (member_bytes[u] - self.multicast_bytes).max(0.0)),
-        );
-    }
 }
 
 /// Everything the planner needs for one frame.
@@ -150,7 +130,9 @@ impl GroupPlanner {
             }
             t += group.multicast_bytes * 8.0 / (group.multicast_rate_mbps * 1e6);
         }
-        for (&u, residual) in group.members.iter().zip(group.residual_bytes(member_bytes)) {
+        for &u in &group.members {
+            // Residual unicast bytes `S_i - S_m` (never negative).
+            let residual = (member_bytes[u] - group.multicast_bytes).max(0.0);
             if residual <= 0.0 {
                 continue;
             }
@@ -161,14 +143,6 @@ impl GroupPlanner {
             t += residual * 8.0 / (r * 1e6);
         }
         t
-    }
-
-    /// Total estimated time of a set of groups.
-    fn plan_time_s(groups: &[Group], member_bytes: &[f64], unicast_rate: &[f64]) -> f64 {
-        groups
-            .iter()
-            .map(|g| Self::group_time_s(g, member_bytes, unicast_rate))
-            .sum()
     }
 
     /// Builds the group plan for one frame.
@@ -207,8 +181,14 @@ impl GroupPlanner {
         // the original (i, j) order for determinism.
         let all_maps = inputs.maps;
         let min_iou = self.config.min_merge_iou;
+        let time_of = |g: &Group| Self::group_time_s(g, &member_bytes, inputs.unicast_rate_mbps);
+        let mut times: Vec<f64> = Vec::with_capacity(n);
         loop {
-            let current_time = Self::plan_time_s(&groups, &member_bytes, inputs.unicast_rate_mbps);
+            // Every current group's time, computed once per round instead
+            // of once per candidate.
+            times.clear();
+            times.extend(groups.iter().map(time_of));
+            let current_time: f64 = times.iter().sum();
 
             let pairs: Vec<(usize, usize)> = (0..groups.len())
                 .flat_map(|i| ((i + 1)..groups.len()).map(move |j| (i, j)))
@@ -250,15 +230,16 @@ impl GroupPlanner {
                     multicast_rate_mbps: r_m,
                     iou,
                 };
-                // Build the hypothetical plan.
-                let mut trial: Vec<Group> = groups
+                // The hypothetical plan's time: the groups left unmerged,
+                // in index order, then the candidate — summed left to
+                // right, the order a materialized trial plan would use.
+                let t: f64 = times
                     .iter()
                     .enumerate()
                     .filter(|&(k, _)| k != i && k != j)
-                    .map(|(_, g)| g.clone())
-                    .collect();
-                trial.push(candidate.clone());
-                let t = Self::plan_time_s(&trial, &member_bytes, inputs.unicast_rate_mbps);
+                    .map(|(_, &t)| t)
+                    .chain(std::iter::once(time_of(&candidate)))
+                    .sum();
                 if t < current_time {
                     match &best {
                         Some((_, _, _, bt)) if *bt <= t => {}
@@ -278,8 +259,8 @@ impl GroupPlanner {
             }
         }
 
-        groups.sort_by_key(|g| g.members.clone());
-        let estimated_time_s = Self::plan_time_s(&groups, &member_bytes, inputs.unicast_rate_mbps);
+        groups.sort_by(|a, b| a.members.cmp(&b.members));
+        let estimated_time_s: f64 = groups.iter().map(time_of).sum();
         let feasible = estimated_time_s <= self.config.frame_interval_s();
         GroupPlan {
             groups,
@@ -314,16 +295,18 @@ mod tests {
         assert_eq!(g.multicast_bytes, 0.0);
         assert_eq!(g.multicast_rate_mbps, 0.0);
         assert_eq!(g.iou, 0.0);
-        // The into-variant matches the allocating form and reuses `out`.
+    }
+
+    #[test]
+    fn residuals_are_clamped_at_zero() {
+        // Member 2 needs less than the shared payload: no negative time.
         let g = Group {
             multicast_bytes: 40.0,
+            multicast_rate_mbps: 8.0,
             ..Group::unpriced(vec![0, 2])
         };
-        let member_bytes = [100.0, 0.0, 30.0];
-        let mut out = Vec::with_capacity(2);
-        g.residual_bytes_into(&member_bytes, &mut out);
-        assert_eq!(out, g.residual_bytes(&member_bytes));
-        assert_eq!(out, [60.0, 0.0]); // clamped at zero
+        let t = GroupPlanner::group_time_s(&g, &[100.0, 0.0, 30.0], &[8.0, 8.0, 8.0]);
+        assert_eq!(t, 40.0 * 8.0 / 8e6 + 60.0 * 8.0 / 8e6);
     }
 
     fn map_of(ids: &[i32]) -> VisibilityMap {

@@ -10,8 +10,8 @@
 // clearer than iterator chains in this module.
 #![allow(clippy::needless_range_loop)]
 
-use volcast_geom::{Complex, Vec3};
-use volcast_mmwave::{Channel, Codebook, MultiLobeDesigner, SweepEngine, SweepRx};
+use volcast_geom::Vec3;
+use volcast_mmwave::{BeamDesign, Channel, Codebook, MultiLobeDesigner, SweepEngine, SweepRx};
 use volcast_viewport::{iou, VisibilityMap};
 
 /// Assignment of users to APs.
@@ -64,14 +64,17 @@ impl<'a> MultiApCoordinator<'a> {
         let n_aps = self.channels.len();
         assert_eq!(n_users, maps.len());
         let mut user_ap = vec![usize::MAX; n_users];
+        let designers: Vec<MultiLobeDesigner<'_>> = (0..n_aps)
+            .map(|a| MultiLobeDesigner::new(self.channels[a], self.codebooks[a]))
+            .collect();
         if n_users == 0 {
-            return self.finalize(positions, user_ap, Vec::new());
+            return self.finalize(&designers, positions, user_ap, Vec::new());
         }
 
         // Per (ap, user) best-sector RSS.
-        let rss: Vec<Vec<f64>> = (0..n_aps)
-            .map(|a| {
-                let designer = MultiLobeDesigner::new(self.channels[a], self.codebooks[a]);
+        let rss: Vec<Vec<f64>> = designers
+            .iter()
+            .map(|designer| {
                 (0..n_users)
                     .map(|u| {
                         let (_, r) = designer.best_common_sector(&[positions[u]], &[]);
@@ -146,11 +149,12 @@ impl<'a> MultiApCoordinator<'a> {
             members[best_ap].push(u);
         }
         let user_rss_dbm = (0..n_users).map(|u| rss[user_ap[u]][u]).collect();
-        self.finalize(positions, user_ap, user_rss_dbm)
+        self.finalize(&designers, positions, user_ap, user_rss_dbm)
     }
 
     fn finalize(
         &self,
+        designers: &[MultiLobeDesigner<'_>],
         positions: &[Vec3],
         user_ap: Vec<usize>,
         user_rss_dbm: Vec<f64>,
@@ -169,8 +173,7 @@ impl<'a> MultiApCoordinator<'a> {
                 beams.push(None);
                 continue;
             }
-            let designer = MultiLobeDesigner::new(self.channels[a], self.codebooks[a]);
-            let beam = designer.design(&users, &[]);
+            let beam = designers[a].design(&users, &[]);
             ap_common_rss_dbm[a] = Some(beam.common_rss_dbm());
             beams.push(Some((beam, users)));
         }
@@ -207,24 +210,6 @@ impl<'a> MultiApCoordinator<'a> {
     }
 }
 
-/// One AP's designed group beam inside an [`EpochCoordinator`], kept in
-/// reusable buffers instead of freshly-allocated `GroupBeam`s.
-#[derive(Debug, Default)]
-struct BeamSlot {
-    /// AP serves at least one user this epoch.
-    active: bool,
-    /// Custom multi-lobe beam beat the best common sector.
-    customized: bool,
-    /// Best common sector index (valid when `!customized`).
-    sector: usize,
-    /// Custom combined weights (valid when `customized`).
-    weights: Vec<Complex>,
-    /// Per-member RSS (dBm) under the best common sector, member order.
-    default_rss: Vec<f64>,
-    /// Per-member RSS (dBm) under the custom beam, member order.
-    custom_rss: Vec<f64>,
-}
-
 /// Scratch-backed re-association engine for the campus hot path.
 ///
 /// Produces results bit-identical to [`MultiApCoordinator::assign`] with
@@ -247,10 +232,8 @@ pub struct EpochCoordinator {
     rss: Vec<f64>,
     /// Per-AP member lists (local user indices, ascending).
     ap_users: Vec<Vec<usize>>,
-    /// Per-AP designed beams.
-    beams: Vec<BeamSlot>,
-    /// Joint-sweep scratch.
-    tmp: Vec<f64>,
+    /// Per-AP designed beams (meaningful where `ap_users[a]` is non-empty).
+    beams: Vec<BeamDesign>,
 }
 
 impl EpochCoordinator {
@@ -272,7 +255,7 @@ impl EpochCoordinator {
         let n_users = positions.len();
         if self.ap_users.len() < n_aps {
             self.ap_users.resize_with(n_aps, Vec::new);
-            self.beams.resize_with(n_aps, BeamSlot::default);
+            self.beams.resize_with(n_aps, BeamDesign::default);
         }
         let need = n_aps * n_users;
         if self.rxs.len() < need {
@@ -283,9 +266,6 @@ impl EpochCoordinator {
         self.user_ap.resize(n_users, usize::MAX);
         self.user_rss_dbm.clear();
         self.min_interference_margin_db = f64::INFINITY;
-        for slot in &mut self.beams {
-            slot.active = false;
-        }
         if n_users == 0 {
             return;
         }
@@ -361,35 +341,11 @@ impl EpochCoordinator {
         }
         for (a, engine) in engines.iter().enumerate() {
             let members = &self.ap_users[a];
-            let slot = &mut self.beams[a];
-            slot.active = !members.is_empty();
             if members.is_empty() {
-                continue;
+                continue; // idle AP
             }
             let row = &mut self.rxs[a * n_users..(a + 1) * n_users];
-            let idx = engine.best_joint(row, members, &mut self.tmp, &mut slot.default_rss);
-            slot.sector = idx;
-            if members.len() == 1 {
-                slot.customized = false;
-                continue;
-            }
-            let default_min = slot
-                .default_rss
-                .iter()
-                .fold(f64::INFINITY, |m, &r| m.min(r));
-            let BeamSlot {
-                weights,
-                custom_rss,
-                customized,
-                ..
-            } = slot;
-            engine.combine_into(row, members, weights);
-            custom_rss.clear();
-            for &u in members {
-                custom_rss.push(row[u].eval_weights(weights));
-            }
-            let custom_min = custom_rss.iter().fold(f64::INFINITY, |m, &r| m.min(r));
-            *customized = custom_min > default_min;
+            engine.design(row, members, &mut self.beams[a]);
         }
 
         // Interference margin, in the original loop order: victim APs
@@ -398,25 +354,19 @@ impl EpochCoordinator {
         // for default beams, a direct weight eval for custom ones.
         let mut min_margin = f64::INFINITY;
         for a in 0..n_aps {
-            if !self.beams[a].active {
-                continue;
-            }
             for idx in 0..self.ap_users[a].len() {
                 let victim = self.ap_users[a][idx];
-                let desired = if self.beams[a].customized {
-                    self.beams[a].custom_rss[idx]
-                } else {
-                    self.beams[a].default_rss[idx]
-                };
+                let desired = self.beams[a].member_rss_dbm[idx];
                 for (b, engine) in engines.iter().enumerate() {
-                    if a == b || !self.beams[b].active {
+                    if a == b || self.ap_users[b].is_empty() {
                         continue;
                     }
                     let rx = &mut self.rxs[b * n_users + victim];
-                    let leak = if self.beams[b].customized {
-                        rx.eval_weights(&self.beams[b].weights)
+                    let beam = &self.beams[b];
+                    let leak = if beam.customized {
+                        rx.eval_weights(&beam.weights)
                     } else {
-                        rx.eval_sector(engine, self.beams[b].sector)
+                        rx.eval_sector(engine, beam.sector)
                     };
                     min_margin = min_margin.min(desired - leak);
                 }
@@ -426,6 +376,9 @@ impl EpochCoordinator {
             min_margin = f64::INFINITY;
         }
         self.min_interference_margin_db = min_margin;
+        // The association sweeps and leakage evals above ran outside any
+        // design: book their tallies once per epoch.
+        SweepEngine::flush_counts(&mut self.rxs[..need]);
     }
 }
 

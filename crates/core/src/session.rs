@@ -29,7 +29,10 @@ use crate::mitigation::{BlockageMitigator, MitigationAction, MitigationMode};
 use crate::player::PlayerKind;
 use crate::qoe::QoeReport;
 use crate::rate_adapt::{AbrPolicy, Distress, FecRung, GroupState, RateAdapter};
-use volcast_mmwave::{Blocker, Channel, Codebook, McsTable, MultiLobeDesigner};
+use std::cell::RefCell;
+use std::collections::HashMap;
+use volcast_geom::Vec3;
+use volcast_mmwave::{BeamDesign, Blocker, Channel, Codebook, McsTable, SweepEngine, SweepRx};
 use volcast_net::{
     AcMac, AdMac, BacklogPolicy, FaultConfig, FaultPlan, MacModel, SimTime, Simulator,
     TransmissionPlan, TxItem, Wifi5Channel,
@@ -79,6 +82,76 @@ impl MacModel for MacDispatch<'_> {
             MacDispatch::Ad(m) => m.goodput_mbps(phy_mbps, n_active),
             MacDispatch::Ac(m) => m.goodput_mbps(phy_mbps, n_active),
         }
+    }
+}
+
+/// Frame-scoped multicast beam state of a mmWave Volcast session: every
+/// user's receiver is prepared once per frame, and every distinct member
+/// set is designed at most once per frame — the grouping search probes the
+/// same candidate sets repeatedly, and the scheduler afterwards reads the
+/// winners' `customized` bit from the same memo.
+struct GroupBeams<'a> {
+    engine: SweepEngine<'a>,
+    mcs: &'a McsTable,
+    /// `false` (ablation): groups ride the best common default sector.
+    custom_beams: bool,
+    /// One receiver slot per user, re-prepared in place every frame.
+    rxs: Vec<SweepRx>,
+    /// Sorted member set -> (multicast PHY rate in Mbps, customized);
+    /// cleared, not reallocated, every frame.
+    memo: HashMap<Vec<usize>, (f64, bool)>,
+    design: BeamDesign,
+    /// Joint-sweep scratch of the `!custom_beams` path.
+    tmp: Vec<f64>,
+}
+
+impl<'a> GroupBeams<'a> {
+    fn new(engine: SweepEngine<'a>, mcs: &'a McsTable, custom_beams: bool, users: usize) -> Self {
+        GroupBeams {
+            engine,
+            mcs,
+            custom_beams,
+            rxs: (0..users).map(|_| SweepRx::new()).collect(),
+            memo: HashMap::new(),
+            design: BeamDesign::default(),
+            tmp: Vec::new(),
+        }
+    }
+
+    /// Starts a frame: prepares user `u`'s receiver at `positions[u]`
+    /// against *all* bodies, group members included (joining a group does
+    /// not move anyone's body; each receiver's own cylinder is dropped by
+    /// the channel's endpoint guard), and forgets last frame's designs.
+    fn begin_frame(&mut self, positions: impl Iterator<Item = Vec3>, bodies: &[Blocker]) {
+        for (rx, pos) in self.rxs.iter_mut().zip(positions) {
+            rx.prepare(&self.engine, pos, bodies);
+        }
+        self.memo.clear();
+    }
+
+    /// `(multicast rate, customized)` of a member set under its group
+    /// beam, designed on the first request of the frame.
+    fn group(&mut self, members: &[usize]) -> (f64, bool) {
+        if let Some(&known) = self.memo.get(members) {
+            return known;
+        }
+        let design = &mut self.design;
+        if self.custom_beams {
+            self.engine.design(&mut self.rxs, members, design);
+        } else {
+            design.customized = false;
+            let rss = &mut design.member_rss_dbm;
+            design.sector = self
+                .engine
+                .best_joint(&mut self.rxs, members, &mut self.tmp, rss);
+            SweepEngine::flush_counts(&mut self.rxs);
+        }
+        let entry = (
+            self.mcs.multicast_rate_mbps(&design.member_rss_dbm),
+            design.customized,
+        );
+        self.memo.insert(members.to_vec(), entry);
+        entry
     }
 }
 
@@ -301,7 +374,17 @@ impl StreamingSession {
         let interval = cfg.frame_interval_s();
         let grid = CellGrid::new(cfg.cell_size);
         let planner = GroupPlanner::new(cfg);
-        let designer = MultiLobeDesigner::new(&self.channel, &self.codebook);
+        // Multicast beams exist only where the scheduler forms groups over
+        // a beam-steered radio.
+        let group_beams =
+            (matches!(self.params.player, PlayerKind::Volcast) && !is_wifi5).then(|| {
+                RefCell::new(GroupBeams::new(
+                    SweepEngine::new(&self.channel, &self.codebook),
+                    &self.mcs,
+                    self.params.custom_beams,
+                    n,
+                ))
+            });
         let mitigator = BlockageMitigator::new(self.params.mitigation);
         let forecaster = BlockageForecaster::new(self.channel.array.position);
         let mut joint = JointPredictor::new(n, cfg.predictor_window, Default::default());
@@ -750,36 +833,23 @@ impl StreamingSession {
                     }
                 }
                 PlayerKind::Volcast => {
-                    let positions: Vec<_> = planning_poses.iter().map(|p| p.position).collect();
-                    // Beam designs are deterministic per member set within
-                    // a frame; memoize them — the greedy grouping search
-                    // probes the same candidate sets repeatedly.
-                    let rate_cache: std::cell::RefCell<std::collections::HashMap<Vec<usize>, f64>> =
-                        std::cell::RefCell::new(std::collections::HashMap::new());
-                    let group_rate = |members: &[usize]| -> f64 {
-                        if is_wifi5 {
+                    if let Some(beams) = &group_beams {
+                        beams
+                            .borrow_mut()
+                            .begin_frame(planning_poses.iter().map(|p| p.position), &all_blockers);
+                    }
+                    // `(multicast rate, customized beam)` of a member set.
+                    let group_beam = |members: &[usize]| -> (f64, bool) {
+                        match &group_beams {
+                            Some(beams) => beams.borrow_mut().group(members),
                             // Group-addressed frames at the legacy basic
-                            // rate — why ac multicast doesn't pay off.
-                            return self.wifi5.multicast_basic_rate_mbps;
+                            // rate — why ac multicast doesn't pay off —
+                            // on a radio with no beams to customize.
+                            None => (self.wifi5.multicast_basic_rate_mbps, false),
                         }
-                        if let Some(&r) = rate_cache.borrow().get(members) {
-                            return r;
-                        }
-                        let pts: Vec<_> = members.iter().map(|&u| positions[u]).collect();
-                        // All bodies block — including other group members
-                        // (joining a group does not move anyone's body).
-                        // Each receiver's own cylinder is excluded by the
-                        // channel's endpoint guard.
-                        let min_rss = if self.params.custom_beams {
-                            designer.design(&pts, &all_blockers).common_rss_dbm()
-                        } else {
-                            let (_, rss) = designer.best_common_sector(&pts, &all_blockers);
-                            rss.into_iter().fold(f64::INFINITY, f64::min)
-                        };
-                        let r = self.mcs.phy_rate_mbps(min_rss);
-                        rate_cache.borrow_mut().insert(members.to_vec(), r);
-                        r
                     };
+                    // The planner calls this serially, for groups of 2+.
+                    let group_rate = |members: &[usize]| group_beam(members).0;
                     // Unit (analysis-density) byte needs per member.
                     let member_unit: Vec<f64> = maps
                         .iter()
@@ -864,13 +934,7 @@ impl StreamingSession {
                             let mut base_idx = None;
                             if group_active {
                                 multicast_groups += 1;
-                                if self.params.custom_beams && !is_wifi5 {
-                                    let pts: Vec<_> =
-                                        g.members.iter().map(|&u| positions[u]).collect();
-                                    if designer.design(&pts, &all_blockers).customized {
-                                        customized_groups += 1;
-                                    }
-                                }
+                                customized_groups += group_beam(&g.members).1 as usize;
                                 plan.items.push(
                                     TxItem::multicast(
                                         g.members.clone(),
@@ -1077,13 +1141,7 @@ impl StreamingSession {
 
                             if group_active {
                                 multicast_groups += 1;
-                                if self.params.custom_beams {
-                                    let pts: Vec<_> =
-                                        g.members.iter().map(|&u| positions[u]).collect();
-                                    if designer.design(&pts, &all_blockers).customized {
-                                        customized_groups += 1;
-                                    }
-                                }
+                                customized_groups += group_beam(&g.members).1 as usize;
                                 plan.items.push(TxItem::multicast(
                                     g.members.clone(),
                                     shared_bytes,

@@ -1,0 +1,175 @@
+//! The session's group-beam path — frame-scoped receivers, one design per
+//! member set per frame — must not move a single simulated outcome.
+//!
+//! The fault matrix, `fig2a`, `table1_sessions` and the `ext_*` outputs pin
+//! Volcast + mmWave runs with custom beams; the hashes here (taken at the
+//! commit before the session moved onto `SweepEngine`) cover the
+//! combinations they miss. Thread count and tracing are process-global, so
+//! the tests share one lock.
+
+use std::sync::Mutex;
+use volcast_core::session::{quick_session_with_device, DeliveryMode, RadioKind};
+use volcast_core::{PlayerKind, StreamingSession};
+use volcast_util::hash::fnv1a;
+use volcast_util::json::ToJson;
+use volcast_util::{obs, par};
+use volcast_viewport::DeviceClass;
+
+static GLOBAL_KNOBS: Mutex<()> = Mutex::new(());
+
+/// Four clustered phone users: real multicast groups every frame.
+fn session(radio: RadioKind, delivery: DeliveryMode, custom_beams: bool) -> StreamingSession {
+    let mut s = quick_session_with_device(PlayerKind::Volcast, 4, 12, 42, DeviceClass::Phone);
+    s.params.analysis_points = 4_000;
+    s.params.radio = radio;
+    s.params.delivery = delivery;
+    s.params.custom_beams = custom_beams;
+    s
+}
+
+#[test]
+fn outcomes_match_the_exhaustive_designer_era() {
+    use DeliveryMode::{Layered, Single};
+    use RadioKind::{MmWave, Wifi5};
+    let _guard = GLOBAL_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
+    let orig = par::thread_count();
+    // (name, radio, delivery, custom beams, 5 GHz groupcast rate, hash)
+    for (name, radio, delivery, custom_beams, groupcast_mbps, want) in [
+        (
+            "sector-only",
+            MmWave,
+            Single,
+            false,
+            None,
+            0x1eb31bc08a1a8d9bu64,
+        ),
+        (
+            "sector-only layered",
+            MmWave,
+            Layered,
+            false,
+            None,
+            0xebf7bed2bf0bd4ed,
+        ),
+        (
+            "layered, no faults",
+            MmWave,
+            Layered,
+            true,
+            None,
+            0xc24a82446b84726a,
+        ),
+        // At the legacy basic rate no group ever forms on 5 GHz...
+        ("wifi5", Wifi5, Single, true, None, 0x450e631299995e29),
+        // ...so also run it with groupcast fast enough to be used.
+        (
+            "wifi5 grouped",
+            Wifi5,
+            Single,
+            true,
+            Some(2_000.0),
+            0xa3b82990fea00b00,
+        ),
+        (
+            "wifi5 grouped layered",
+            Wifi5,
+            Layered,
+            true,
+            Some(2_000.0),
+            0xa0d006c69684a4b4,
+        ),
+    ] {
+        for threads in [1, 4] {
+            par::set_thread_count(threads);
+            let mut s = session(radio, delivery, custom_beams);
+            if let Some(rate) = groupcast_mbps {
+                s.wifi5.multicast_basic_rate_mbps = rate;
+            }
+            let mut out = s.run().unwrap();
+            if radio == Wifi5 {
+                // The one field this radio's outcome was wrong in before
+                // (see `wifi5_has_no_customized_beams`).
+                out.customized_beam_fraction = 0.0;
+            }
+            let got = fnv1a(out.to_json().to_json_string().as_bytes());
+            assert_eq!(got, want, "{name} at {threads} threads: {got:#018x}");
+        }
+    }
+    par::set_thread_count(orig);
+}
+
+/// A 5 GHz radio has no beams to customize. Make legacy multicast
+/// attractive so groups do form, then check that neither delivery mode
+/// reports (or, with tracing on, runs) a 60 GHz beam design.
+#[test]
+fn wifi5_has_no_customized_beams() {
+    let _guard = GLOBAL_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
+    let was_enabled = obs::enabled();
+    obs::set_enabled(true);
+    for delivery in [DeliveryMode::Single, DeliveryMode::Layered] {
+        obs::reset();
+        let mut s = session(RadioKind::Wifi5, delivery, true);
+        s.wifi5.multicast_basic_rate_mbps = 2_000.0;
+        let out = s.run().unwrap();
+        assert!(
+            out.multicast_byte_fraction > 0.1,
+            "{delivery:?}: no groups formed ({})",
+            out.multicast_byte_fraction
+        );
+        assert_eq!(out.customized_beam_fraction, 0.0, "{delivery:?}");
+        let snap = obs::snapshot();
+        assert!(
+            snap.counters
+                .iter()
+                .all(|c| !c.name.starts_with("mmwave.designer.")),
+            "{delivery:?}: a beam design ran on the 5 GHz radio"
+        );
+    }
+    obs::set_enabled(was_enabled);
+    obs::reset();
+}
+
+/// No member set is designed twice in a frame. The exhaustive-designer
+/// session memoized rates per set but designed every active multicast
+/// group a second time to read its `customized` bit: on this fault-free
+/// run it recorded `PARENT_DESIGNS` designs, i.e. (distinct member sets
+/// probed per frame, summed) + (active groups). The active groups are the
+/// samples of `session.group_size`, so the distinct-set count follows.
+#[test]
+fn every_member_set_is_designed_once_per_frame() {
+    const PARENT_DESIGNS: u64 = 120;
+    let _guard = GLOBAL_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
+    let was_enabled = obs::enabled();
+    obs::set_enabled(true);
+    let orig = par::thread_count();
+    for threads in [1, 4] {
+        par::set_thread_count(threads);
+        obs::reset();
+        session(RadioKind::MmWave, DeliveryMode::Single, true)
+            .run()
+            .unwrap();
+        let snap = obs::snapshot();
+        let counter = |name: &str| {
+            snap.counters
+                .iter()
+                .find(|c| c.name == name)
+                .map_or(0, |c| c.value)
+        };
+        let active_groups = snap
+            .histograms
+            .iter()
+            .find(|h| h.name == "session.group_size")
+            .map_or(0, |h| h.count);
+        assert!(active_groups > 0, "no multicast group formed");
+        assert_eq!(
+            counter("mmwave.designer.designs"),
+            PARENT_DESIGNS - active_groups,
+            "at {threads} threads"
+        );
+        // Receivers are prepared once per user per frame, never per design.
+        assert_eq!(counter("mmwave.designer.path_cache_misses"), 4 * 12);
+    }
+    par::set_thread_count(orig);
+    obs::set_enabled(was_enabled);
+    obs::reset();
+}

@@ -16,6 +16,8 @@
 //! - [`multilobe`]: the paper's customized multi-lobe beam synthesis
 //!   (`w = (Δ2·w1 + Δ1·w2) / (Δ1 + Δ2)`, power-normalized, generalized to
 //!   k users),
+//! - [`sweep`]: the bound-pruned, allocation-free sector sweeps and the
+//!   group-beam design decision every caller runs,
 //! - [`beamsearch`]: sector-sweep beam search with its latency model
 //!   (5-20 ms re-search cost on blockage).
 //!
@@ -43,6 +45,8 @@ pub mod channel;
 pub mod codebook;
 pub mod mcs;
 pub mod multilobe;
+#[cfg(test)]
+mod reference;
 pub mod sweep;
 
 pub use array::{AntennaWeights, PlanarArray, SteeringSample};
@@ -51,4 +55,4 @@ pub use channel::{Blocker, Channel, Path, PreparedRx, Room};
 pub use codebook::Codebook;
 pub use mcs::{McsEntry, McsTable};
 pub use multilobe::{combine_weights, combine_weights_multi, MultiLobeDesigner};
-pub use sweep::{SweepEngine, SweepRx};
+pub use sweep::{BeamDesign, SweepEngine, SweepRx};

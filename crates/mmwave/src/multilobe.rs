@@ -15,12 +15,10 @@
 //! weights each user's beam by the inverse of their RSS share.
 
 use crate::array::AntennaWeights;
-use crate::channel::{Blocker, Channel, Path, PreparedRx};
+use crate::channel::{Blocker, Channel};
 use crate::codebook::Codebook;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use crate::sweep::{BeamDesign, SweepEngine, SweepRx};
 use volcast_geom::Vec3;
-use volcast_util::{obs, par};
 
 /// The paper's two-user combination: `w = (Δ2·w1 + Δ1·w2)/(Δ1+Δ2)`,
 /// normalized to unit transmit power. `rss1`/`rss2` are linear powers
@@ -61,6 +59,11 @@ pub fn combine_weights_multi(beams: &[(AntennaWeights, f64)]) -> AntennaWeights 
 /// higher common (minimum) RSS. The paper notes that when all users already
 /// share a strong default sector, the default beam should be used directly.
 ///
+/// This is the allocating convenience front of [`SweepEngine`]: every call
+/// prepares its members from scratch and returns owned results. Callers
+/// that design many groups over the same receivers (the session's frame
+/// loop, the campus) hold [`SweepRx`] slots and call the engine directly.
+///
 /// ```
 /// use volcast_mmwave::{Channel, Codebook, MultiLobeDesigner};
 /// use volcast_geom::Vec3;
@@ -74,28 +77,9 @@ pub fn combine_weights_multi(beams: &[(AntennaWeights, f64)]) -> AntennaWeights 
 /// assert!(beam.customized);
 /// assert!(beam.common_rss_dbm() > -68.0); // multicast-capable
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MultiLobeDesigner<'a> {
-    /// The propagation channel (owns the array geometry).
-    pub channel: &'a Channel,
-    /// The default sector codebook swept by the hardware.
-    pub codebook: &'a Codebook,
-    /// Memoized [`Channel::paths`] per receiver position. Path enumeration
-    /// is pure room geometry, and the shared borrow of `channel` keeps that
-    /// geometry frozen for the designer's whole lifetime, so entries can
-    /// never go stale. Keyed by the position's raw f64 bits; `Mutex` so a
-    /// shared designer can serve parallel trials.
-    path_cache: Mutex<HashMap<[u64; 3], Arc<Vec<Path>>>>,
-}
-
-impl Clone for MultiLobeDesigner<'_> {
-    fn clone(&self) -> Self {
-        MultiLobeDesigner {
-            channel: self.channel,
-            codebook: self.codebook,
-            path_cache: Mutex::new(self.path_cache.lock().unwrap().clone()),
-        }
-    }
+    engine: SweepEngine<'a>,
 }
 
 /// The outcome of a group beam design.
@@ -123,136 +107,58 @@ impl<'a> MultiLobeDesigner<'a> {
     /// Creates a designer over a channel and codebook.
     pub fn new(channel: &'a Channel, codebook: &'a Codebook) -> Self {
         MultiLobeDesigner {
-            channel,
-            codebook,
-            path_cache: Mutex::new(HashMap::new()),
+            engine: SweepEngine::new(channel, codebook),
         }
     }
 
-    /// Propagation paths to `rx`, memoized per position.
-    fn cached_paths(&self, rx: Vec3) -> Arc<Vec<Path>> {
-        let key = [rx.x.to_bits(), rx.y.to_bits(), rx.z.to_bits()];
-        // The lock is held across the compute, so each unique position is
-        // enumerated exactly once — which also makes the hit/miss counters
-        // below independent of the worker budget.
-        let mut cache = self.path_cache.lock().unwrap();
-        if let Some(paths) = cache.get(&key) {
-            obs::inc("mmwave.designer.path_cache_hits");
-            return paths.clone();
-        }
-        obs::inc("mmwave.designer.path_cache_misses");
-        let paths = Arc::new(self.channel.paths(rx));
-        cache.insert(key, paths.clone());
-        paths
-    }
-
-    /// One member prepared for codebook sweeps: memoized paths, blockage
-    /// and steering resolved once instead of once per sector.
-    fn prepare_member(&self, m: Vec3, blockers: &[Blocker]) -> PreparedRx {
-        self.channel
-            .prepare_rx_paths(&self.cached_paths(m), m, blockers)
-    }
-
-    /// The sector sweep over prepared members. Sectors are evaluated in
-    /// parallel; the argmax runs serially in sector order afterwards, so
-    /// the strict `>` keeps the first-best sector exactly as the serial
-    /// sweep did.
-    fn best_sector_prepared(&self, prepared: &[PreparedRx]) -> (usize, Vec<f64>) {
-        obs::inc("mmwave.designer.sweeps");
-        obs::add(
-            "mmwave.designer.sectors_swept",
-            self.codebook.sectors.len() as u64,
-        );
-        let per_sector: Vec<Vec<f64>> = par::par_map(&self.codebook.sectors, |sector| {
-            prepared.iter().map(|p| p.rss_dbm(sector)).collect()
-        });
-        let mut best_idx = 0usize;
-        let mut best_min = f64::NEG_INFINITY;
-        let mut best_rss = vec![f64::NEG_INFINITY; prepared.len()];
-        for (i, rss) in per_sector.into_iter().enumerate() {
-            let min = rss.iter().copied().fold(f64::INFINITY, f64::min);
-            if min > best_min {
-                best_min = min;
-                best_idx = i;
-                best_rss = rss;
-            }
-        }
-        (best_idx, best_rss)
+    /// Freshly prepared receivers for `members`, plus their index list.
+    fn prepare(&self, members: &[Vec3], blockers: &[Blocker]) -> (Vec<SweepRx>, Vec<usize>) {
+        let rxs = members
+            .iter()
+            .map(|&m| {
+                let mut rx = SweepRx::new();
+                rx.prepare(&self.engine, m, blockers);
+                rx
+            })
+            .collect();
+        (rxs, (0..members.len()).collect())
     }
 
     /// Best *default-codebook* sector for the group: maximizes the minimum
     /// member RSS. Returns (weights index, per-member RSS).
     pub fn best_common_sector(&self, members: &[Vec3], blockers: &[Blocker]) -> (usize, Vec<f64>) {
-        let prepared: Vec<PreparedRx> = members
-            .iter()
-            .map(|&m| self.prepare_member(m, blockers))
-            .collect();
-        self.best_sector_prepared(&prepared)
-    }
-
-    /// The custom combination over already-prepared members.
-    fn custom_beam_prepared(&self, prepared: &[PreparedRx]) -> AntennaWeights {
-        let per_user: Vec<(AntennaWeights, f64)> = prepared
-            .iter()
-            .map(|p| {
-                // Individually best sector for this member (the AP knows it
-                // from the sector sweep / predicted 6DoF motion).
-                let (idx, rss) = self.best_sector_prepared(std::slice::from_ref(p));
-                let w = self.codebook.sectors[idx].clone();
-                (w, crate::calib::dbm_to_mw(rss[0]))
-            })
-            .collect();
-        combine_weights_multi(&per_user)
+        let (mut rxs, idx) = self.prepare(members, blockers);
+        let (mut tmp, mut rss) = (Vec::new(), Vec::new());
+        let sector = self.engine.best_joint(&mut rxs, &idx, &mut tmp, &mut rss);
+        SweepEngine::flush_counts(&mut rxs);
+        (sector, rss)
     }
 
     /// Designs the custom multi-lobe beam for the group: combine each
-    /// member's individually-best sector, weighted by measured RSS.
+    /// member's individually-best sector (the AP knows it from the sector
+    /// sweep / predicted 6DoF motion), weighted by measured RSS.
     pub fn custom_beam(&self, members: &[Vec3], blockers: &[Blocker]) -> AntennaWeights {
-        let prepared: Vec<PreparedRx> = members
-            .iter()
-            .map(|&m| self.prepare_member(m, blockers))
-            .collect();
-        self.custom_beam_prepared(&prepared)
+        let (mut rxs, idx) = self.prepare(members, blockers);
+        let mut w = Vec::new();
+        self.engine.combine_into(&mut rxs, &idx, &mut w);
+        SweepEngine::flush_counts(&mut rxs);
+        AntennaWeights { w }
     }
 
     /// Full group beam design: returns whichever of (best common default
     /// sector, customized multi-lobe beam) yields the higher common RSS.
     pub fn design(&self, members: &[Vec3], blockers: &[Blocker]) -> GroupBeam {
-        assert!(!members.is_empty());
-        let _span = obs::span("mmwave.designer.design");
-        obs::inc("mmwave.designer.designs");
-        let prepared: Vec<PreparedRx> = members
-            .iter()
-            .map(|&m| self.prepare_member(m, blockers))
-            .collect();
-        let (idx, default_rss) = self.best_sector_prepared(&prepared);
-        let default_min = default_rss.iter().copied().fold(f64::INFINITY, f64::min);
-
-        if members.len() == 1 {
-            return GroupBeam {
-                weights: self.codebook.sectors[idx].clone(),
-                member_rss_dbm: default_rss,
-                customized: false,
-            };
-        }
-
-        let custom = self.custom_beam_prepared(&prepared);
-        let custom_rss: Vec<f64> = prepared.iter().map(|p| p.rss_dbm(&custom)).collect();
-        let custom_min = custom_rss.iter().copied().fold(f64::INFINITY, f64::min);
-
-        if custom_min > default_min {
-            obs::inc("mmwave.designer.customized");
-            GroupBeam {
-                weights: custom,
-                member_rss_dbm: custom_rss,
-                customized: true,
-            }
-        } else {
-            GroupBeam {
-                weights: self.codebook.sectors[idx].clone(),
-                member_rss_dbm: default_rss,
-                customized: false,
-            }
+        let (mut rxs, idx) = self.prepare(members, blockers);
+        let mut design = BeamDesign::default();
+        self.engine.design(&mut rxs, &idx, &mut design);
+        GroupBeam {
+            weights: if design.customized {
+                AntennaWeights { w: design.weights }
+            } else {
+                self.engine.codebook().sectors[design.sector].clone()
+            },
+            member_rss_dbm: design.member_rss_dbm,
+            customized: design.customized,
         }
     }
 }

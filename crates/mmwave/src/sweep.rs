@@ -1,4 +1,6 @@
-//! Allocation-free, bound-pruned codebook sweeps for the campus hot path.
+//! Allocation-free, bound-pruned codebook sweeps and group-beam design:
+//! the one production implementation behind the session, the campus and
+//! the [`MultiLobeDesigner`] convenience front.
 //!
 //! A full sector sweep evaluates every codebook sector against every usable
 //! propagation path — 48 complex dot products of 32 elements per receiver.
@@ -18,21 +20,22 @@
 //! transcendentals. The bounds carry explicit floating-point safety margins
 //! so a pruned sector is *guaranteed* (not just likely) to lose against the
 //! best exact value seen so far — the pruned sweep returns **bit-identical**
-//! winners and RSS values to [`MultiLobeDesigner::best_common_sector`],
-//! which existing tests and the campus outcome hash pin down.
+//! winners and RSS values to the exhaustive scan, which the crate's
+//! test-only `reference` module keeps as the oracle and the pinned session
+//! and campus outcome hashes pin down.
 //!
-//! Everything here reuses caller-owned buffers: after warm-up, sweeps
-//! allocate nothing, which the campus epoch loop's counting-allocator gate
-//! relies on.
+//! Everything here reuses caller-owned buffers: after warm-up, sweeps and
+//! designs allocate nothing, which the campus epoch loop's
+//! counting-allocator gate relies on.
 //!
-//! [`MultiLobeDesigner::best_common_sector`]:
-//!     crate::MultiLobeDesigner::best_common_sector
+//! [`MultiLobeDesigner`]: crate::MultiLobeDesigner
 
 use crate::array::element_pattern;
 use crate::calib;
 use crate::channel::{Blocker, Channel, Path};
 use crate::codebook::Codebook;
 use volcast_geom::{Complex, Vec3};
+use volcast_util::obs;
 
 /// Per-sector trig table: sin/cos of `ψ`-halves at the sector direction,
 /// plus the sector's maximum per-element weight magnitude (the `s` in the
@@ -61,7 +64,7 @@ struct SectorTrig {
 /// exact-only mode: every sector bound is `+∞`, nothing is pruned, and the
 /// sweep degenerates to the plain exhaustive scan — still bit-identical,
 /// just not faster.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SweepEngine<'a> {
     channel: &'a Channel,
     codebook: &'a Codebook,
@@ -165,6 +168,7 @@ impl<'a> SweepEngine<'a> {
         let mut best = f64::NEG_INFINITY;
         for s in 0..rx.bounds.len() {
             if rx.bounds[s] <= thr {
+                rx.sectors_pruned += 1;
                 continue;
             }
             let v = rx.eval_sector(self, s);
@@ -217,11 +221,13 @@ impl<'a> SweepEngine<'a> {
         let mut thr = calib::dbm_to_mw(seed_min) * (1.0 - 1e-9);
         let mut best_idx = 0usize;
         let mut best_min = f64::NEG_INFINITY;
+        let mut pruned = 0u64;
         'sectors: for s in 0..nsec {
             // Prune: the sector loses if any single member's bound already
             // cannot beat the best min seen so far.
             for &mi in members {
                 if rxs[mi].bounds[s] <= thr {
+                    pruned += 1;
                     continue 'sectors;
                 }
             }
@@ -248,17 +254,21 @@ impl<'a> SweepEngine<'a> {
                 }
             }
         }
+        // A joint sweep's pruned sectors are booked on its first member.
+        if let Some(&first) = members.first() {
+            rxs[first].sectors_pruned += pruned;
+        }
         best_idx
     }
 
     /// The custom multi-lobe combination for a member set, written into
-    /// `acc` — bit-identical to `combine_weights_multi` over each member's
-    /// individually-best sector weighted by its linear RSS (the program
-    /// behind [`MultiLobeDesigner::custom_beam`]). Member bests come from
-    /// the [`SweepEngine::best_sector`] cache, so after an assign-phase
-    /// sweep this costs only the accumulation itself.
+    /// `acc` — bit-identical to [`combine_weights_multi`] over each
+    /// member's individually-best sector weighted by its linear RSS.
+    /// Member bests come from the [`SweepEngine::best_sector`] cache, so
+    /// after an assign-phase sweep (or an earlier design with the same
+    /// member) this costs only the accumulation itself.
     ///
-    /// [`MultiLobeDesigner::custom_beam`]: crate::MultiLobeDesigner::custom_beam
+    /// [`combine_weights_multi`]: crate::combine_weights_multi
     pub fn combine_into(&self, rxs: &mut [SweepRx], members: &[usize], acc: &mut Vec<Complex>) {
         acc.clear();
         acc.resize(self.elements, Complex::ZERO);
@@ -277,6 +287,85 @@ impl<'a> SweepEngine<'a> {
                 *c = c.scale(s);
             }
         }
+    }
+
+    /// Full group beam design (§4.2) over prepared receivers: whichever of
+    /// (best common default sector, customized multi-lobe beam) yields the
+    /// higher common RSS, written into `out`'s reused buffers. This is the
+    /// one design decision in the tree — the session, the campus and
+    /// [`MultiLobeDesigner::design`] all run it — and it owns the
+    /// `mmwave.designer.*` metrics, emitted once per design computed.
+    ///
+    /// [`MultiLobeDesigner::design`]: crate::MultiLobeDesigner::design
+    pub fn design(&self, rxs: &mut [SweepRx], members: &[usize], out: &mut BeamDesign) {
+        assert!(!members.is_empty(), "cannot design a beam for nobody");
+        let _span = obs::span("mmwave.designer.design");
+        out.sector = self.best_joint(rxs, members, &mut out.scratch, &mut out.member_rss_dbm);
+        out.customized = false;
+        if members.len() >= 2 {
+            let default_min = out.common_rss_dbm();
+            self.combine_into(rxs, members, &mut out.weights);
+            out.scratch.clear();
+            out.scratch
+                .extend(members.iter().map(|&mi| rxs[mi].eval_weights(&out.weights)));
+            let custom_min = out.scratch.iter().copied().fold(f64::INFINITY, f64::min);
+            if custom_min > default_min {
+                out.customized = true;
+                std::mem::swap(&mut out.scratch, &mut out.member_rss_dbm);
+            }
+        }
+        if obs::enabled() {
+            obs::inc("mmwave.designer.designs");
+            if out.customized {
+                obs::inc("mmwave.designer.customized");
+            }
+            // Every member was served from an already-prepared receiver
+            // (the misses are counted by `SweepRx::prepare`).
+            obs::add("mmwave.designer.path_cache_hits", members.len() as u64);
+            Self::emit_counts(members.iter().map(|&mi| rxs[mi].take_counts()));
+        }
+    }
+
+    /// Moves the receivers' pending `mmwave.sweep.*` tallies into `obs`.
+    /// [`SweepEngine::design`] does this for its members; a caller that
+    /// sweeps receivers no design touches flushes them itself, once per
+    /// batch, so the sector loop never sees an atomic.
+    pub fn flush_counts(rxs: &mut [SweepRx]) {
+        Self::emit_counts(rxs.iter_mut().map(SweepRx::take_counts));
+    }
+
+    fn emit_counts(counts: impl Iterator<Item = (u64, u64)>) {
+        let (evals, pruned) = counts.fold((0, 0), |(e, p), (de, dp)| (e + de, p + dp));
+        obs::add("mmwave.sweep.sector_evals", evals);
+        obs::add("mmwave.sweep.sectors_pruned", pruned);
+    }
+}
+
+/// A designed group beam in reusable buffers — the allocation-free
+/// counterpart of [`GroupBeam`](crate::multilobe::GroupBeam), filled by
+/// [`SweepEngine::design`].
+#[derive(Debug, Default)]
+pub struct BeamDesign {
+    /// Whether the custom multi-lobe beam beat the default codebook.
+    pub customized: bool,
+    /// Best common sector: the transmit beam when `!customized`.
+    pub sector: usize,
+    /// The custom combined weights: the transmit beam when `customized`
+    /// (stale otherwise).
+    pub weights: Vec<Complex>,
+    /// Per-member RSS (dBm) under the chosen beam, in member order.
+    pub member_rss_dbm: Vec<f64>,
+    /// The losing beam's per-member RSS / joint-sweep scratch.
+    scratch: Vec<f64>,
+}
+
+impl BeamDesign {
+    /// The group's common RSS: the minimum across members.
+    pub fn common_rss_dbm(&self) -> f64 {
+        self.member_rss_dbm
+            .iter()
+            .copied()
+            .fold(f64::INFINITY, f64::min)
     }
 }
 
@@ -309,6 +398,11 @@ pub struct SweepRx {
     cache: Vec<f64>,
     /// Cached [`SweepEngine::best_sector`] result.
     best: Option<(usize, f64)>,
+    /// Exact sector evaluations computed / sectors skipped by a bound since
+    /// the last [`SweepEngine::flush_counts`] — plain tallies, so sweeps
+    /// touch no atomic.
+    sector_evals: u64,
+    sectors_pruned: u64,
 }
 
 impl SweepRx {
@@ -321,6 +415,7 @@ impl SweepRx {
     /// enumerates paths, caches their steering rows and trig tables, and
     /// computes every sector's RSS upper bound. Clears the exact cache.
     pub fn prepare(&mut self, engine: &SweepEngine, pos: Vec3, blockers: &[Blocker]) {
+        obs::inc("mmwave.designer.path_cache_misses");
         let channel = engine.channel;
         let array = &channel.array;
         channel.paths_into(pos, &mut self.paths_tmp);
@@ -398,8 +493,8 @@ impl SweepRx {
     }
 
     /// Exact RSS (dBm) of an arbitrary weight vector against the prepared
-    /// paths — the same float program as [`PreparedRx::rss_dbm`], operation
-    /// for operation.
+    /// paths — the same float program as [`PreparedRx::rss_dbm`] (and hence
+    /// [`Channel::rss_dbm`]), operation for operation.
     ///
     /// [`PreparedRx::rss_dbm`]: crate::PreparedRx::rss_dbm
     pub fn eval_weights(&self, weights: &[Complex]) -> f64 {
@@ -430,7 +525,16 @@ impl SweepRx {
         }
         let v = self.eval_weights(&engine.codebook.sectors[s].w);
         self.cache[s] = v;
+        self.sector_evals += 1;
         v
+    }
+
+    /// Takes (and zeroes) the pending `(sector_evals, sectors_pruned)`.
+    fn take_counts(&mut self) -> (u64, u64) {
+        (
+            std::mem::take(&mut self.sector_evals),
+            std::mem::take(&mut self.sectors_pruned),
+        )
     }
 
     /// The cached [`SweepEngine::best_sector`] result, if one was computed
@@ -450,7 +554,7 @@ mod tests {
     use super::*;
     use crate::array::AntennaWeights;
     use crate::channel::Room;
-    use crate::multilobe::MultiLobeDesigner;
+    use crate::reference;
     use crate::PlanarArray;
     use volcast_util::rng::Rng;
 
@@ -488,7 +592,6 @@ mod tests {
     fn singleton_sweep_is_bit_identical() {
         for (ci, channel) in setups().into_iter().enumerate() {
             let codebook = Codebook::default_for(&channel.array);
-            let designer = MultiLobeDesigner::new(&channel, &codebook);
             let engine = SweepEngine::new(&channel, &codebook);
             assert!(
                 !engine.sectors.is_empty(),
@@ -498,7 +601,8 @@ mod tests {
             let mut rx = SweepRx::new();
             let mut pruned = 0usize;
             for pos in random_positions(&channel, &mut rng, 80) {
-                let (want_idx, want_rss) = designer.best_common_sector(&[pos], &[]);
+                let (want_idx, want_rss) =
+                    reference::best_common_sector(&channel, &codebook, &[pos], &[]);
                 rx.prepare(&engine, pos, &[]);
                 let (got_idx, got_dbm) = engine.best_sector(&mut rx);
                 assert_eq!(got_idx, want_idx, "sector index diverged at {pos:?}");
@@ -520,7 +624,6 @@ mod tests {
     fn singleton_sweep_matches_with_blockers() {
         let channel = Channel::default_setup();
         let codebook = Codebook::default_for(&channel.array);
-        let designer = MultiLobeDesigner::new(&channel, &codebook);
         let engine = SweepEngine::new(&channel, &codebook);
         let mut rng = Rng::seed_from_u64(7);
         let mut rx = SweepRx::new();
@@ -545,7 +648,8 @@ mod tests {
                     height: 1.7,
                 },
             ];
-            let (want_idx, want_rss) = designer.best_common_sector(&[pos], &blockers);
+            let (want_idx, want_rss) =
+                reference::best_common_sector(&channel, &codebook, &[pos], &blockers);
             rx.prepare(&engine, pos, &blockers);
             let (got_idx, got_dbm) = engine.best_sector(&mut rx);
             assert_eq!(got_idx, want_idx);
@@ -557,14 +661,14 @@ mod tests {
     fn joint_sweep_is_bit_identical() {
         for (ci, channel) in setups().into_iter().enumerate() {
             let codebook = Codebook::default_for(&channel.array);
-            let designer = MultiLobeDesigner::new(&channel, &codebook);
             let engine = SweepEngine::new(&channel, &codebook);
             let mut rng = Rng::seed_from_u64(0xBEEF + ci as u64);
             let mut tmp = Vec::new();
             let mut rss = Vec::new();
             for group_size in [2usize, 3, 5, 8] {
                 let positions = random_positions(&channel, &mut rng, group_size);
-                let (want_idx, want_rss) = designer.best_common_sector(&positions, &[]);
+                let (want_idx, want_rss) =
+                    reference::best_common_sector(&channel, &codebook, &positions, &[]);
                 let mut rxs: Vec<SweepRx> = positions
                     .iter()
                     .map(|&p| {
@@ -588,13 +692,12 @@ mod tests {
     fn combine_matches_custom_beam() {
         let channel = Channel::default_setup();
         let codebook = Codebook::default_for(&channel.array);
-        let designer = MultiLobeDesigner::new(&channel, &codebook);
         let engine = SweepEngine::new(&channel, &codebook);
         let mut rng = Rng::seed_from_u64(99);
         let mut acc = Vec::new();
         for group_size in [2usize, 3, 4] {
             let positions = random_positions(&channel, &mut rng, group_size);
-            let want = designer.custom_beam(&positions, &[]);
+            let want = reference::custom_beam(&channel, &codebook, &positions, &[]);
             let mut rxs: Vec<SweepRx> = positions
                 .iter()
                 .map(|&p| {
@@ -629,18 +732,101 @@ mod tests {
         codebook.sectors[5] = AntennaWeights {
             w: vec![Complex::ZERO; n],
         };
-        let designer = MultiLobeDesigner::new(&channel, &codebook);
         let engine = SweepEngine::new(&channel, &codebook);
         assert!(engine.sectors.is_empty(), "should detect the mismatch");
         let mut rng = Rng::seed_from_u64(3);
         let mut rx = SweepRx::new();
         for pos in random_positions(&channel, &mut rng, 20) {
-            let (want_idx, want_rss) = designer.best_common_sector(&[pos], &[]);
+            let (want_idx, want_rss) =
+                reference::best_common_sector(&channel, &codebook, &[pos], &[]);
             rx.prepare(&engine, pos, &[]);
             let (got_idx, got_dbm) = engine.best_sector(&mut rx);
             assert_eq!(got_idx, want_idx);
             assert_eq!(got_dbm.to_bits(), want_rss[0].to_bits());
         }
+    }
+
+    /// The session's inputs: random member positions plus an "all bodies"
+    /// blocker list — one body standing on every member (which the
+    /// channel's endpoint guard must drop for that member only) and 0–8
+    /// bystanders. The engine's design must equal the exhaustive reference
+    /// bit for bit, from fresh receivers and from slots re-prepared in
+    /// place after serving an unrelated group.
+    #[test]
+    fn design_is_bit_identical_to_reference_with_member_bodies() {
+        let mut unstructured = Codebook::default_for(&Channel::default_setup().array);
+        let n = unstructured.sectors[5].w.len();
+        unstructured.sectors[5] = AntennaWeights {
+            w: vec![Complex::ZERO; n],
+        };
+        let mut cases: Vec<(Channel, Codebook)> = setups()
+            .into_iter()
+            .map(|ch| {
+                let cb = Codebook::default_for(&ch.array);
+                (ch, cb)
+            })
+            .collect();
+        cases.push((Channel::default_setup(), unstructured));
+
+        let mut customized = 0usize;
+        for (ci, (channel, codebook)) in cases.iter().enumerate() {
+            let engine = SweepEngine::new(channel, codebook);
+            let mut rng = Rng::seed_from_u64(0xDE51 + ci as u64);
+            let mut reused: Vec<SweepRx> = (0..6).map(|_| SweepRx::new()).collect();
+            let mut out = BeamDesign::default();
+            let mut out_reused = BeamDesign::default();
+            for round in 0..12 {
+                let group_size = 1 + round % 6;
+                let positions = random_positions(channel, &mut rng, group_size);
+                let bystanders = rng.gen_range(0..9usize);
+                let blockers: Vec<Blocker> = positions
+                    .iter()
+                    .copied()
+                    .chain(random_positions(channel, &mut rng, bystanders))
+                    .map(Blocker::person)
+                    .collect();
+                let want = reference::design(channel, codebook, &positions, &blockers);
+                customized += want.customized as usize;
+
+                let mut fresh: Vec<SweepRx> = positions
+                    .iter()
+                    .map(|&p| {
+                        let mut rx = SweepRx::new();
+                        rx.prepare(&engine, p, &blockers);
+                        rx
+                    })
+                    .collect();
+                let members: Vec<usize> = (0..group_size).collect();
+                engine.design(&mut fresh, &members, &mut out);
+                // The reused slots still hold the previous round's state
+                // (caches, bests, bounds) until `prepare` rewrites them.
+                for (rx, &p) in reused.iter_mut().zip(&positions) {
+                    rx.prepare(&engine, p, &blockers);
+                }
+                engine.design(&mut reused, &members, &mut out_reused);
+
+                for got in [&out, &out_reused] {
+                    let ctx = format!("setup {ci} round {round} size {group_size}");
+                    assert_eq!(got.customized, want.customized, "{ctx}");
+                    let weights: &[Complex] = if got.customized {
+                        &got.weights
+                    } else {
+                        &codebook.sectors[got.sector].w
+                    };
+                    assert_eq!(weights.len(), want.weights.w.len(), "{ctx}");
+                    for (g, w) in weights.iter().zip(&want.weights.w) {
+                        assert_eq!(g.re.to_bits(), w.re.to_bits(), "{ctx}");
+                        assert_eq!(g.im.to_bits(), w.im.to_bits(), "{ctx}");
+                    }
+                    assert_eq!(got.member_rss_dbm.len(), want.member_rss_dbm.len());
+                    for (g, w) in got.member_rss_dbm.iter().zip(&want.member_rss_dbm) {
+                        assert_eq!(g.to_bits(), w.to_bits(), "{ctx}: {g} vs {w}");
+                    }
+                }
+            }
+        }
+        // Both outcomes of the decision must have been exercised.
+        assert!(customized > 4 && customized < 40, "{customized} customized");
     }
 
     #[test]

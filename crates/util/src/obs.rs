@@ -6,7 +6,7 @@
 //! substrate that lets a run *explain itself*: hot paths record counters,
 //! high-watermark gauges, log-scale histograms and wall-clock spans under
 //! hierarchical names (`session.frames`, `net.sim.dropped_items`,
-//! `mmwave.designer.sweeps`, `codec.cells_encoded`), and a
+//! `mmwave.sweep.sector_evals`, `codec.cells_encoded`), and a
 //! [`MetricsSnapshot`] exports the totals through the in-tree JSON layer.
 //!
 //! ## Enablement and disabled-path cost
@@ -41,7 +41,7 @@
 //! ## Naming scheme
 //!
 //! Dot-separated, `layer.component.metric`, lowercase with underscores:
-//! `session.stalls`, `net.plan.airtime_us`, `mmwave.designer.path_cache_hits`,
+//! `session.stalls`, `net.plan.airtime_us`, `mmwave.designer.designs`,
 //! `codec.cell_bytes`, `viewport.visibility.maps`. Histogram names carry
 //! their unit as a suffix (`_us`, `_bytes`); span histograms are kept in a
 //! separate section and always record nanoseconds.
@@ -516,6 +516,7 @@ mod tests {
     #[test]
     fn totals_are_thread_count_invariant() {
         let _g = TEST_LOCK.lock().unwrap();
+        let _knob = par::tests::knob_lock();
         let orig = par::thread_count();
         let items: Vec<u64> = (0..97).collect();
         let mut reference: Option<String> = None;

@@ -293,11 +293,21 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// The worker budget is process-global and these tests both set it
+    /// and assert on it, while the harness runs them concurrently: every
+    /// test that touches the knob holds this lock.
+    pub(crate) fn knob_lock() -> MutexGuard<'static, ()> {
+        static KNOB: Mutex<()> = Mutex::new(());
+        KNOB.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn par_map_matches_serial_map() {
+        let _knob = knob_lock();
         let items: Vec<u64> = (0..257).collect();
         let serial: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(x) ^ 7).collect();
         for threads in [1, 2, 4, 8] {
@@ -309,6 +319,7 @@ mod tests {
 
     #[test]
     fn par_map_indexed_passes_indices_in_order() {
+        let _knob = knob_lock();
         set_thread_count(4);
         let items = vec!["x"; 100];
         let out = par_map_indexed(&items, |i, _| i);
@@ -317,6 +328,7 @@ mod tests {
 
     #[test]
     fn empty_and_singleton_inputs() {
+        let _knob = knob_lock();
         set_thread_count(4);
         assert_eq!(par_map(&[] as &[u32], |&x| x), Vec::<u32>::new());
         assert_eq!(par_map(&[5u32], |&x| x + 1), vec![6]);
@@ -325,6 +337,7 @@ mod tests {
 
     #[test]
     fn chunked_matches_map_for_all_chunk_sizes() {
+        let _knob = knob_lock();
         set_thread_count(4);
         let items: Vec<i64> = (-40..60).collect();
         let serial: Vec<i64> = items.iter().map(|&x| 3 * x - 1).collect();
@@ -337,6 +350,7 @@ mod tests {
 
     #[test]
     fn par_for_each_mut_matches_serial_at_every_thread_count() {
+        let _knob = knob_lock();
         let serial: Vec<u64> = (0..257u64).map(|x| x.wrapping_mul(x) ^ 7).collect();
         for threads in [1, 2, 4, 8] {
             set_thread_count(threads);
@@ -352,6 +366,7 @@ mod tests {
 
     #[test]
     fn par_for_each_mut_empty_and_singleton() {
+        let _knob = knob_lock();
         set_thread_count(4);
         let mut empty: Vec<u32> = Vec::new();
         par_for_each_mut(&mut empty, |_, _| unreachable!());
@@ -362,6 +377,7 @@ mod tests {
 
     #[test]
     fn par_for_each_mut_nested_runs_serially() {
+        let _knob = knob_lock();
         set_thread_count(4);
         let outer: Vec<u32> = (0..8).collect();
         let out = par_map(&outer, |&x| {
@@ -378,6 +394,7 @@ mod tests {
 
     #[test]
     fn par_for_each_mut_panics_propagate() {
+        let _knob = knob_lock();
         set_thread_count(4);
         let mut items: Vec<u32> = (0..64).collect();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -392,6 +409,7 @@ mod tests {
 
     #[test]
     fn panics_propagate_to_caller() {
+        let _knob = knob_lock();
         set_thread_count(4);
         let items: Vec<u32> = (0..64).collect();
         let result = std::panic::catch_unwind(|| {
@@ -409,6 +427,7 @@ mod tests {
 
     #[test]
     fn nested_regions_run_serially_and_correctly() {
+        let _knob = knob_lock();
         set_thread_count(4);
         let outer: Vec<u32> = (0..8).collect();
         let out = par_map(&outer, |&x| {
@@ -429,6 +448,7 @@ mod tests {
 
     #[test]
     fn regions_are_reusable_and_budget_is_stable() {
+        let _knob = knob_lock();
         set_thread_count(3);
         for round in 0..20 {
             let items: Vec<usize> = (0..50).collect();
@@ -441,6 +461,7 @@ mod tests {
 
     #[test]
     fn thread_count_is_at_least_one() {
+        let _knob = knob_lock();
         assert!(thread_count() >= 1);
         set_thread_count(0); // clamped
         assert_eq!(thread_count(), 1);

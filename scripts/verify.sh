@@ -113,4 +113,11 @@ grep -q "outcome hash 0x671fa175dde52bf0" "$tmp_cmp1" || {
 }
 rm -f "$tmp_cmp1" "$tmp_cmp8"
 
+echo "==> benchmark smoke (builds benchmark/ against crates/*, self-tests, tiny sizes)"
+# benchmark/ is its own workspace, so nothing above compiles it: an API
+# drift in crates/* would otherwise surface only when the pipeline runs
+# the benchmark. Every pass also checks its outputs (thread invariance,
+# tracing changes nothing, conservation) and exits non-zero on a failure.
+sh benchmark/run.sh --smoke > /dev/null
+
 echo "verify: all checks passed"
