@@ -4,33 +4,32 @@
 //! in parallel per epoch, with roaming users handing off between rooms at
 //! epoch barriers — at the headline 10,000-user / 100-AP / 300-frame
 //! scale, and reports simulation throughput (users/sec), per-AP airtime,
-//! and handoff counts into `BENCH_campus.json` at the repository root.
+//! and handoff counts.
 //!
 //! Everything printed to **stdout** is deterministic: the configuration,
 //! the aggregate `CampusOutcome` metrics, and the FNV-1a hash of its
 //! serialized form are byte-identical at `VOLCAST_THREADS=1` and `=8` (or
-//! any other worker count). Wall-clock throughput goes to **stderr** and
-//! into the JSON report only.
+//! any other worker count). Wall-clock throughput goes to **stderr** only;
+//! the ratcheted throughput number is the `campus` workload of
+//! `benchmark/`.
 //!
 //! Flags (all optional):
 //!
 //! ```text
 //! cargo run --release -p volcast-bench --bin campus -- \
 //!     [--users N] [--aps N] [--frames N] [--epoch N] [--seed N] \
-//!     [--faults SPEC] [--report PATH]
+//!     [--faults SPEC]
 //! ```
 //!
 //! `--aps` must be even (two per room); the room grid is chosen as the
 //! most square factorization of `aps / 2`. `--faults ''` disables the
-//! default fault spec. `--report ''` skips writing the JSON report (so
-//! smoke configurations don't clobber the committed full-scale baseline);
-//! any other value overrides the output path.
+//! default fault spec.
 
 use std::time::Instant;
 use volcast_core::campus::{Campus, CampusParams};
 use volcast_net::FaultConfig;
 use volcast_util::hash::fnv1a;
-use volcast_util::json::{JsonValue, ToJson};
+use volcast_util::json::ToJson;
 
 /// Default fault spec: light outage/loss churn so campus-sized (>64-user)
 /// fault plans are exercised on every run.
@@ -122,11 +121,6 @@ fn main() {
     // Deterministic summary (the thread-invariance contract is on stdout).
     let airtime_mean = volcast_bench::mean(&out.per_ap_airtime_s);
     let airtime_max = out.per_ap_airtime_s.iter().cloned().fold(0.0f64, f64::max);
-    let airtime_min = out
-        .per_ap_airtime_s
-        .iter()
-        .cloned()
-        .fold(f64::INFINITY, f64::min);
     println!("  handoffs            {:>10}", out.handoffs);
     println!("  reassociations      {:>10}", out.reassociations);
     println!("  regroup exclusions  {:>10}", out.regroup_exclusions);
@@ -153,48 +147,12 @@ fn main() {
     let hash = fnv1a(out.to_json().to_json_string().as_bytes());
     println!("\noutcome hash 0x{hash:016x}");
 
-    // Wall-clock throughput: stderr + JSON only (never stdout).
+    // Wall-clock throughput: stderr only (never stdout).
     let user_frames_per_sec = (users * frames) as f64 / run_s;
     let users_per_sec = users as f64 / run_s;
     eprintln!(
         "built in {build_s:.2} s, ran in {run_s:.2} s \
          ({users_per_sec:.0} users/sec, {user_frames_per_sec:.0} user-frames/sec)"
     );
-
-    let host_threads = std::thread::available_parallelism()
-        .map(|n| n.get() as u64)
-        .unwrap_or(1);
-    // The full per-AP airtime array lives in `outcome` (it is part of the
-    // hashed CampusOutcome); the top level carries summary stats only, so
-    // a 1000-AP report does not serialize the array twice.
-    let report = JsonValue::Obj(vec![
-        ("users".into(), (users as u64).to_json()),
-        ("aps".into(), (aps as u64).to_json()),
-        ("frames".into(), (frames as u64).to_json()),
-        ("epoch_frames".into(), (epoch_frames as u64).to_json()),
-        ("seed".into(), seed.to_json()),
-        ("fault_spec".into(), fault_spec.to_json()),
-        ("host_threads".into(), host_threads.to_json()),
-        ("build_s".into(), build_s.to_json()),
-        ("run_s".into(), run_s.to_json()),
-        ("users_per_sec".into(), users_per_sec.to_json()),
-        ("user_frames_per_sec".into(), user_frames_per_sec.to_json()),
-        ("handoffs".into(), out.handoffs.to_json()),
-        ("per_ap_airtime_mean_s".into(), airtime_mean.to_json()),
-        ("per_ap_airtime_max_s".into(), airtime_max.to_json()),
-        ("per_ap_airtime_min_s".into(), airtime_min.to_json()),
-        ("outcome".into(), out.to_json()),
-        ("outcome_hash".into(), format!("0x{hash:016x}").to_json()),
-    ]);
-    let path = flag(&args, "--report")
-        .unwrap_or_else(|| format!("{}/../../BENCH_campus.json", env!("CARGO_MANIFEST_DIR")));
-    if path.is_empty() {
-        eprintln!("report writing disabled (--report '')");
-    } else {
-        match std::fs::write(&path, report.to_json_string()) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
-    }
     volcast_bench::dump_obs("campus");
 }

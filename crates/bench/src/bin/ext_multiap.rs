@@ -10,7 +10,9 @@
 
 use volcast_bench::{mean, Context};
 use volcast_geom::Vec3;
-use volcast_mmwave::{Channel, Codebook, McsTable, MultiLobeDesigner, PlanarArray, Room};
+use volcast_mmwave::{
+    Channel, Codebook, McsTable, MultiLobeDesigner, PlanarArray, Room, SweepEngine,
+};
 use volcast_pointcloud::{CellGrid, SyntheticBody};
 use volcast_viewport::{VisibilityComputer, VisibilityOptions};
 
@@ -27,6 +29,12 @@ fn main() {
         PlanarArray::airfide(pos2, Vec3::new(0.0, 1.3, 0.0) - pos2),
     );
     let codebook2 = Codebook::default_for(&channel2.array);
+
+    let engines = [
+        SweepEngine::new(&ctx.channel, &ctx.codebook),
+        SweepEngine::new(&channel2, &codebook2),
+    ];
+    let mut coord = volcast_core::EpochCoordinator::new();
 
     let body = SyntheticBody::default();
     let grid = CellGrid::new(0.5);
@@ -63,20 +71,13 @@ fn main() {
 
         // Two APs: coordinator splits users, each AP multicasts its group;
         // both transmit concurrently (spatial reuse).
-        let coord = volcast_core::MultiApCoordinator::new(
-            vec![&ctx.channel, &channel2],
-            vec![&ctx.codebook, &codebook2],
-        );
-        let assignment = coord.assign(&positions, &maps);
-        let mut aggregate = 0.0;
-        for (ap, rss) in assignment.ap_common_rss_dbm.iter().enumerate() {
-            if let Some(r) = rss {
-                let _ = ap;
-                aggregate += mcs.phy_rate_mbps(*r);
-            }
-        }
+        coord.assign_similar(&engines, &positions, &maps, 0.4);
+        let aggregate: f64 = (0..engines.len())
+            .filter_map(|ap| coord.ap_common_rss_dbm(ap))
+            .map(|r| mcs.phy_rate_mbps(r))
+            .sum();
         dual_rates.push(aggregate);
-        margins.push(assignment.min_interference_margin_db);
+        margins.push(coord.min_interference_margin_db);
     }
 
     println!("Ext E: multi-AP coordination, 8 users, multicast common-MCS capacity\n");

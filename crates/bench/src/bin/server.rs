@@ -7,13 +7,13 @@
 //! offered load, per-client send queues with backpressure, viewport-trace
 //! replay as per-client link quality, and deterministic network faults
 //! (mid-chunk disconnects, reorder-free loss, AP stalls, decode
-//! overruns). Reports p50/p99 frame-delivery latency into
-//! `BENCH_server.json` at the repository root.
+//! overruns). Reports p50/p99 frame-delivery latency.
 //!
 //! Everything printed to **stdout** is deterministic and byte-identical
 //! at `VOLCAST_THREADS=1` and `=8` (or any other worker count) — the
 //! outcome hash is the witness `scripts/verify.sh` diffs. Wall-clock
-//! numbers go to **stderr** and the JSON report only.
+//! numbers go to **stderr** only; the ratcheted throughput number is the
+//! `server` workload of `benchmark/`.
 //!
 //! Flags (all optional):
 //!
@@ -30,7 +30,6 @@ use volcast_core::{ServerParams, SessionServer};
 use volcast_net::{FaultConfig, StreamWriter};
 use volcast_pointcloud::codec::{CodecConfig, GopEncoder};
 use volcast_pointcloud::synthetic::SyntheticBody;
-use volcast_util::json::{JsonValue, ToJson};
 use volcast_viewport::UserStudy;
 
 /// Default fault spec: enough churn to exercise reconnects, loss
@@ -144,59 +143,11 @@ fn main() {
     println!("  mean latency        {:>10.3} ms", out.mean_latency_ms);
     println!("\noutcome hash 0x{:016x}", out.outcome_hash);
 
-    // Wall-clock throughput: stderr + JSON only (never stdout).
+    // Wall-clock throughput: stderr only (never stdout).
     let client_frames_per_sec = (out.admitted * frames) as f64 / run_s;
     eprintln!(
         "encoded in {encode_s:.2} s, served in {run_s:.2} s \
          ({client_frames_per_sec:.0} client-frames/sec)"
     );
-
-    let host_threads = std::thread::available_parallelism()
-        .map(|n| n.get() as u64)
-        .unwrap_or(1);
-    let report = JsonValue::Obj(vec![
-        ("clients".into(), (clients as u64).to_json()),
-        ("admit_cap".into(), (cap as u64).to_json()),
-        ("frames".into(), (frames as u64).to_json()),
-        ("points".into(), (points as u64).to_json()),
-        ("seed".into(), seed.to_json()),
-        ("base_rate".into(), (base_rate as u64).to_json()),
-        ("host_threads".into(), host_threads.to_json()),
-        ("fault_spec".into(), fault_spec.to_json()),
-        ("encode_s".into(), encode_s.to_json()),
-        ("run_s".into(), run_s.to_json()),
-        (
-            "client_frames_per_sec".into(),
-            client_frames_per_sec.to_json(),
-        ),
-        ("admitted".into(), (out.admitted as u64).to_json()),
-        ("rejected".into(), (out.rejected as u64).to_json()),
-        ("delivered_frames".into(), out.delivered_frames.to_json()),
-        ("dropped_frames".into(), out.dropped_frames.to_json()),
-        (
-            "undelivered_frames".into(),
-            out.undelivered_frames.to_json(),
-        ),
-        ("reconnects".into(), out.reconnects.to_json()),
-        ("bytes_sent".into(), out.bytes_sent.to_json()),
-        (
-            "p50_latency_ms".into(),
-            (out.p50_latency_ms as u64).to_json(),
-        ),
-        (
-            "p99_latency_ms".into(),
-            (out.p99_latency_ms as u64).to_json(),
-        ),
-        ("mean_latency_ms".into(), out.mean_latency_ms.to_json()),
-        (
-            "outcome_hash".into(),
-            format!("0x{:016x}", out.outcome_hash).to_json(),
-        ),
-    ]);
-    let path = format!("{}/../../BENCH_server.json", env!("CARGO_MANIFEST_DIR"));
-    match std::fs::write(&path, report.to_json_string()) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
     volcast_bench::dump_obs("server");
 }

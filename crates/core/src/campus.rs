@@ -61,6 +61,7 @@
 //! assert_eq!(a.aps, 4);
 //! ```
 
+use crate::config::AIRTIME_BUDGET_INTERVALS;
 use crate::error::VolcastError;
 use crate::grouping::Group;
 use crate::multi_ap::EpochCoordinator;
@@ -86,10 +87,6 @@ const FRAME_BYTES: f64 = Ladder::PLANNING_FRAME_BYTES;
 /// Fraction of a member's payload covered by the group's multicast burst
 /// (nominal §4.2 viewport overlap for co-located viewers).
 const MULTICAST_SHARE: f64 = 0.6;
-
-/// Per-AP, per-frame airtime admission budget as a multiple of the frame
-/// interval (mirrors the session layer's bounded-retransmit budget).
-const AIRTIME_BUDGET_X: f64 = 3.0;
 
 /// Configuration of a campus run.
 #[derive(Debug, Clone, PartialEq)]
@@ -757,7 +754,7 @@ impl Campus {
                 });
             }
 
-            let budget_s = AIRTIME_BUDGET_X * interval_s;
+            let budget_s = AIRTIME_BUDGET_INTERVALS * interval_s;
             while plans.len() < frames_in_epoch {
                 plans.push(TransmissionPlan::new());
             }

@@ -2,6 +2,14 @@
 
 use volcast_geom::CameraIntrinsics;
 
+/// Per-frame airtime admission budget, in frame intervals. A burst (or a
+/// frame's plan plus a retransmit) slower than this can never catch up —
+/// the client buffer is shallower than the backlog it creates — while
+/// sub-30-FPS operation (1-3 intervals, the paper's 10-25 FPS rows) still
+/// fits. Shared by the session's admission control and bounded retransmit
+/// and by the campus' per-AP clamp.
+pub(crate) const AIRTIME_BUDGET_INTERVALS: f64 = 3.0;
+
 /// Configuration shared by the streaming pipeline components.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {

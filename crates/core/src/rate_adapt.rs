@@ -83,6 +83,10 @@ pub struct Distress {
     pub level: u32,
 }
 
+/// Where [`Distress::raise`] saturates: past it the ladder has no further
+/// rung to engage, and a recovered link relaxes back to calm in six frames.
+const DISTRESS_CAP: u32 = 6;
+
 impl Distress {
     /// A fault-free user.
     pub fn calm() -> Distress {
@@ -92,6 +96,18 @@ impl Distress {
     /// Wraps a session-tracked distress level.
     pub fn new(level: u32) -> Distress {
         Distress { level }
+    }
+
+    /// A fault cost this user something: `steps` is 2 for a hard hit (an
+    /// outage, an unrepaired loss, a stall) and 1 for one the FEC rung
+    /// absorbed. Saturates at 6.
+    pub fn raise(&mut self, steps: u32) {
+        self.level = (self.level + steps).min(DISTRESS_CAP);
+    }
+
+    /// A clean frame: the link earns back one level, down to calm.
+    pub fn relax(&mut self) {
+        self.level = self.level.saturating_sub(1);
     }
 }
 
@@ -429,6 +445,35 @@ mod tests {
         assert!(d.actions.contains(&RateAction::Regroup));
         let stable = plan(&a, 0, &inputs(5.0, 1000.0, 1000.0, false), 1.0, 1.0);
         assert!(!stable.actions.contains(&RateAction::Regroup));
+    }
+
+    #[test]
+    fn distress_saturates_and_matches_the_ladder_arithmetic() {
+        let mut d = Distress::calm();
+        d.relax();
+        assert_eq!(d, Distress::calm());
+        for expected in [2, 4, 6, 6] {
+            d.raise(2);
+            assert_eq!(d.level, expected);
+        }
+        d.relax();
+        d.raise(1);
+        d.raise(1);
+        assert_eq!(d.level, 6);
+        // The session (hard hit +2 / clean frame -1) and the server (also
+        // +1 for a loss its parity absorbed) step through the same
+        // arithmetic: `min(level + k, 6)` up, saturating `- 1` down.
+        let (mut d, mut level) = (Distress::calm(), 0u32);
+        for event in [2, 2, 0, 1, 2, 2, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 2] {
+            if event == 0 {
+                d.relax();
+                level = level.saturating_sub(1);
+            } else {
+                d.raise(event);
+                level = (level + event).min(6);
+            }
+            assert_eq!(d, Distress::new(level));
+        }
     }
 
     #[test]

@@ -442,7 +442,7 @@ impl SessionServer {
         let mut in_flight_layers: usize = 1;
         let mut in_flight_parity: u64 = 0;
         let mut fec_shield = false;
-        let mut distress: u32 = 0;
+        let mut distress = Distress::calm();
         let mut subscribed = false;
 
         for t in arrival..sim_ticks {
@@ -477,7 +477,7 @@ impl SessionServer {
                     }
                 }
                 if layers > 1 {
-                    distress = (distress + 2).min(6);
+                    distress.raise(2);
                 }
                 if phase == Phase::Manifest {
                     manifest_left = manifest_bytes;
@@ -544,7 +544,7 @@ impl SessionServer {
                                         layered: true,
                                         fixed: None,
                                     },
-                                    &Distress::new(distress),
+                                    &distress,
                                 );
                                 let send = 1 + (d.enhancements as usize).min(layers - 1);
                                 let payload: u64 =
@@ -580,11 +580,11 @@ impl SessionServer {
                             if fec_shield {
                                 fec_shield = false;
                                 out.fec_absorbed_ticks += 1;
-                                distress = (distress + 1).min(6);
+                                distress.raise(1);
                                 left - sent
                             } else {
                                 if layers > 1 {
-                                    distress = (distress + 2).min(6);
+                                    distress.raise(2);
                                 }
                                 left
                             }
@@ -607,7 +607,7 @@ impl SessionServer {
                                 if in_flight_layers < layers {
                                     out.partial_frames += 1;
                                 }
-                                distress = distress.saturating_sub(1);
+                                distress.relax();
                             }
                             in_flight = None;
                         } else {

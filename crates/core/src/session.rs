@@ -1,28 +1,33 @@
 //! End-to-end multi-user streaming sessions.
 //!
-//! [`StreamingSession`] drives the full per-frame pipeline of the paper's
-//! system over the simulated substrates:
+//! [`StreamingSession::run`] drives the paper's cross-layer loop over the
+//! simulated substrates, one named stage after another per frame:
 //!
-//! 1. observe user poses (from traces) into the joint multi-user predictor
-//!    and the per-user link trackers,
-//! 2. predict poses one horizon ahead; forecast body blockages from the
-//!    predicted multi-user geometry and steer beams accordingly (proactive
-//!    mode pre-steers to the best surviving path; reactive mode serves one
-//!    stale frame and pays a full sweep),
-//! 3. build per-user visibility maps over the frame's cell partition,
-//! 4. adapt quality per user (buffer-only / throughput-only / cross-layer),
-//! 5. group users by viewport similarity (`T_m(k)` model) and design the
-//!    group beams (default sectors or customized multi-lobe),
-//! 6. schedule multicast + residual unicast bursts and execute them on the
-//!    802.11ad MAC model,
-//! 7. account client buffers, decode time, stalls, and QoE.
+//! 1. **observe** user poses (from traces) into the joint multi-user
+//!    predictor, and the bodies that can block a link,
+//! 2. **forecast** poses one horizon ahead and who is body-blocked, and
+//!    mitigate each blockage onset (proactive mode pre-steers to the best
+//!    surviving path and prefetches; reactive mode serves one stale frame
+//!    and pays a full sweep),
+//! 3. **link rates**: the serving beam's RSS and unicast PHY rate per user,
+//! 4. **visibility** maps per user over the frame's cell partition,
+//! 5. **decide** quality, enhancement layers and FEC rung per user
+//!    (buffer-only / throughput-only / cross-layer ABR under the
+//!    degradation ladder's distress clamp),
+//! 6. **plan**: group users by viewport similarity (`T_m(k)` model), design
+//!    the group beams, and schedule multicast + unicast bursts — as
+//!    single-stream payloads or base + enhancement layers,
+//! 7. **recover**: bounded retransmit of lost bursts, AP-stall handling,
+//! 8. **replay** the plan on the 802.11ad/ac MAC model,
+//! 9. **playout and adapt**: client buffers, decode time, stalls, QoE,
+//!    distress, and the ABR's throughput feedback.
 //!
 //! The same pipeline runs the two baselines: **vanilla** (full frames,
 //! unicast) and **multi-user ViVo** (visibility-culled, unicast), so every
 //! comparison in the bench harness shares one code path.
 
 use crate::bandwidth::CrossLayerInputs;
-use crate::config::SystemConfig;
+use crate::config::{SystemConfig, AIRTIME_BUDGET_INTERVALS};
 use crate::error::VolcastError;
 use crate::grouping::{Group, GroupPlanner, GroupingInputs};
 use crate::mitigation::{BlockageMitigator, MitigationAction, MitigationMode};
@@ -31,17 +36,20 @@ use crate::qoe::QoeReport;
 use crate::rate_adapt::{AbrPolicy, Distress, FecRung, GroupState, RateAdapter};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use volcast_geom::Vec3;
+use volcast_geom::{Pose, Vec3};
 use volcast_mmwave::{BeamDesign, Blocker, Channel, Codebook, McsTable, SweepEngine, SweepRx};
 use volcast_net::{
-    AcMac, AdMac, BacklogPolicy, FaultConfig, FaultPlan, MacModel, SimTime, Simulator,
-    TransmissionPlan, TxItem, Wifi5Channel,
+    AcMac, AdMac, BacklogPolicy, FaultConfig, FaultPlan, FrameFaults, MacModel, PlanTiming,
+    SimTime, Simulator, TransmissionPlan, TxItem, Wifi5Channel,
 };
-use volcast_pointcloud::{CellGrid, DecodeModel, QualityLevel, VideoSequence};
+use volcast_pointcloud::codec::GopEncoder;
+use volcast_pointcloud::{
+    CellGrid, CellInfo, DecodeModel, PointCloud, QualityLevel, VideoSequence,
+};
 use volcast_util::{obs, par};
 use volcast_viewport::{
     size_index, BlockageEvent, BlockageForecaster, DeviceClass, JointPredictor, Trace,
-    TraceGenerator, VisibilityComputer, VisibilityOptions,
+    TraceGenerator, VisibilityComputer, VisibilityMap, VisibilityOptions,
 };
 
 /// Which radio the session runs over.
@@ -187,10 +195,6 @@ pub struct SessionParams {
     pub faults: Option<FaultConfig>,
     /// Single-stream or layered progressive delivery.
     pub delivery: DeliveryMode,
-    /// Also octree-encode each GOP of analysis frames (batched, parallel).
-    /// Measurement-only: codec counters land in `volcast_util::obs` when
-    /// tracing is on, and the session outcome is unchanged.
-    pub encode_gop: bool,
 }
 
 impl Default for SessionParams {
@@ -209,7 +213,6 @@ impl Default for SessionParams {
             radio: RadioKind::MmWave,
             faults: None,
             delivery: DeliveryMode::Single,
-            encode_gop: false,
         }
     }
 }
@@ -335,6 +338,30 @@ impl StreamingSession {
     /// traces (no users, an empty trace), or an out-of-range fault
     /// configuration.
     pub fn run(&mut self) -> Result<SessionOutcome, VolcastError> {
+        let fault_plan = self.checked_fault_plan()?;
+        let p = Pipeline::new(self, &fault_plan);
+        let mut a = Arena::new(&p);
+        for f in 0..self.params.frames {
+            let _frame_span = obs::span("session.frame");
+            obs::inc("session.frames");
+            let faults = p.frame_faults(f);
+            p.observe(f, &mut a);
+            p.forecast(f, faults, &mut a);
+            p.link_rates(faults, &mut a);
+            p.visibility(f, &mut a);
+            p.decide(&mut a);
+            p.plan(faults, &mut a);
+            p.recover(faults, &mut a);
+            let timing = p.replay(&mut a);
+            p.playout(faults, &timing, &mut a);
+        }
+        p.finish(a)
+    }
+
+    /// Validates parameters and traces, then materializes the fault
+    /// schedule: one shared, immutable plan consulted by the frame loop
+    /// and the pipelined replay.
+    fn checked_fault_plan(&self) -> Result<FaultPlan, VolcastError> {
         self.params.validate()?;
         if self.traces.is_empty() {
             return Err(VolcastError::InvalidTraces("no user traces".into()));
@@ -349,1160 +376,1179 @@ impl StreamingSession {
                 "walker {w} has an empty trace"
             )));
         }
-        let n = self.traces.len();
-        // The fault schedule is materialized up front: one shared, immutable
-        // plan consulted by the frame loop and the pipelined replay.
-        let fault_plan = match &self.params.faults {
-            Some(cfg) => {
-                FaultPlan::generate(*cfg, self.params.frames, n).map_err(VolcastError::Net)?
-            }
-            None => FaultPlan::quiet(),
-        };
-        // The degradation ladder only engages on faulted runs, so fault-free
-        // sessions behave bit-identically to a build without this module.
-        let have_faults = !fault_plan.is_quiet();
-        let mac: MacDispatch<'_> = match self.params.radio {
-            RadioKind::MmWave => MacDispatch::Ad(&self.mac),
-            RadioKind::Wifi5 => MacDispatch::Ac(&self.ac_mac),
-        };
-        let is_wifi5 = self.params.radio == RadioKind::Wifi5;
-        // Layered progressive delivery needs the layered bitstream and the
-        // multicast scheduler: volcast-player sessions only.
-        let layered = self.params.delivery == DeliveryMode::Layered
-            && matches!(self.params.player, PlayerKind::Volcast);
-        let cfg = self.params.config;
+        match &self.params.faults {
+            Some(cfg) => FaultPlan::generate(*cfg, self.params.frames, self.traces.len())
+                .map_err(VolcastError::Net),
+            None => Ok(FaultPlan::quiet()),
+        }
+    }
+}
+
+/// Everything a run owns that changes: the state carried from frame to
+/// frame, the per-frame scratch each stage hands to the next, and the
+/// outcome tallies. Allocated once; the per-frame vectors are cleared
+/// (never freed) every frame, so the steady-state loop does not churn the
+/// allocator.
+struct Arena {
+    // --- carried across frames ---
+    joint: JointPredictor,
+    adapter: RateAdapter,
+    qoe: QoeReport,
+    /// Client buffer depth in frames (starts with a 2-frame startup buffer).
+    buffers: Vec<f64>,
+    /// Last frame's `blocked_now` (the two swap after `decide`).
+    blocked_prev: Vec<bool>,
+    /// Degradation-ladder state (see DESIGN.md): per-user distress drives
+    /// the quality fall-down, the FEC rung and the enhancement watermark.
+    distress: Vec<Distress>,
+    /// Analysis clouds are produced a GOP (one second of frames) at a
+    /// time: each slot generates its frame independently, so the batch
+    /// sweeps across the `par` workers while staying byte-identical to
+    /// per-frame generation at any thread count.
+    gop: GopEncoder,
+    /// Every frame's plan, for the pipelined replay.
+    plans: Vec<TransmissionPlan>,
+
+    // --- observe ---
+    poses: Vec<Pose>,
+    walker_pos: Vec<Vec3>,
+    /// Bodies that block links. Layout: users first, then walkers.
+    all_blockers: Vec<Blocker>,
+    // --- forecast ---
+    planning_poses: Vec<Pose>,
+    blocked_now: Vec<bool>,
+    blockage_events: Vec<BlockageEvent>,
+    mitigation_actions: Vec<MitigationAction>,
+    beam_outage: Vec<f64>,
+    extra_prefetch: Vec<usize>,
+    /// Reactive systems detect a blockage by failing: the victim's burst
+    /// goes out on the stale beam at the old MCS and is lost.
+    wasted_tx: Vec<bool>,
+    // --- link rates ---
+    rss: Vec<f64>,
+    unicast_phy: Vec<f64>,
+    // --- visibility ---
+    analysis_cloud: PointCloud,
+    partition: Vec<CellInfo>,
+    maps: Vec<VisibilityMap>,
+    /// Analysis-density size of every partition cell.
+    unit_sizes: Vec<f64>,
+    /// Analysis-density bytes each user's viewport needs.
+    member_unit: Vec<f64>,
+    needed_fraction: Vec<f64>,
+    // --- decide ---
+    qualities: Vec<QualityLevel>,
+    fec_rungs: Vec<FecRung>,
+    // --- plan ---
+    plan: TransmissionPlan,
+    groups: Vec<Group>,
+    /// Quality actually delivered (grouped users may be pulled down to
+    /// group quality, deferred enhancements to the base).
+    effective_quality: Vec<QualityLevel>,
+    /// Users the scheduler could not serve this frame.
+    unserved: Vec<bool>,
+    needed_bytes: Vec<f64>,
+    /// Beam-switch outage not yet charged to one of the user's bursts.
+    outage_pending: Vec<f64>,
+    /// Whether any of the user's scheduled bursts carries parity: such
+    /// users repair a single loss locally and skip the retransmit rung.
+    fec_protected: Vec<bool>,
+    /// Which plan item holds the user's base layer, for base-only partial
+    /// rendering. Only the layered plan arm ever sets one.
+    base_item_idx: Vec<Option<usize>>,
+    // --- recover ---
+    retransmitted: Vec<bool>,
+
+    tally: Tally,
+}
+
+/// Running sums behind the [`SessionOutcome`] aggregates.
+#[derive(Default)]
+struct Tally {
+    total_bytes: f64,
+    multicast_bytes: f64,
+    frame_time_sum: f64,
+    group_size_sum: f64,
+    group_count: usize,
+    multicast_groups: usize,
+    customized_groups: usize,
+    blocked_user_frames: usize,
+    pred_err_sum: f64,
+    pred_err_count: usize,
+    fault_user_frames: usize,
+    recovered_user_frames: usize,
+}
+
+impl Arena {
+    fn new(p: &Pipeline<'_>) -> Arena {
+        let n = p.n;
+        Arena {
+            joint: JointPredictor::new(n, p.cfg.predictor_window, Default::default()),
+            adapter: RateAdapter::new(p.s.params.abr, n),
+            qoe: QoeReport::new(n),
+            buffers: vec![2.0; n],
+            blocked_prev: vec![false; n],
+            distress: vec![Distress::calm(); n],
+            gop: GopEncoder::new(),
+            plans: Vec::with_capacity(p.s.params.frames),
+            poses: Vec::with_capacity(n),
+            walker_pos: Vec::with_capacity(p.s.walkers.len()),
+            all_blockers: Vec::new(),
+            planning_poses: Vec::with_capacity(n),
+            blocked_now: Vec::with_capacity(n),
+            blockage_events: Vec::with_capacity(n),
+            mitigation_actions: Vec::with_capacity(n),
+            beam_outage: vec![0.0; n],
+            extra_prefetch: vec![0; n],
+            wasted_tx: vec![false; n],
+            rss: Vec::new(),
+            unicast_phy: Vec::with_capacity(n),
+            analysis_cloud: PointCloud::new(),
+            partition: Vec::new(),
+            maps: Vec::new(),
+            unit_sizes: Vec::new(),
+            member_unit: Vec::with_capacity(n),
+            needed_fraction: Vec::with_capacity(n),
+            qualities: Vec::with_capacity(n),
+            fec_rungs: Vec::with_capacity(n),
+            plan: TransmissionPlan::new(),
+            groups: Vec::new(),
+            effective_quality: Vec::with_capacity(n),
+            unserved: vec![false; n],
+            needed_bytes: vec![0.0; n],
+            outage_pending: Vec::with_capacity(n),
+            fec_protected: vec![false; n],
+            base_item_idx: vec![None; n],
+            retransmitted: vec![false; n],
+            tally: Tally::default(),
+        }
+    }
+}
+
+/// How one delivery candidate plays out against the client buffer.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Playout {
+    on_time: bool,
+    stall_s: f64,
+    /// The buffer's next value, in frames.
+    buffer: f64,
+}
+
+/// Playout bookkeeping for a frame that is ready `t_eff` seconds into its
+/// slot (infinite: it never arrives) at a client holding `buf` frames.
+fn classify(t_eff: f64, buf: f64, interval: f64, buf_cap: f64) -> Playout {
+    let played = |buffer: f64| Playout {
+        on_time: true,
+        stall_s: 0.0,
+        buffer,
+    };
+    let stalled = |stall_s: f64| Playout {
+        on_time: false,
+        stall_s,
+        buffer: 0.0,
+    };
+    if !t_eff.is_finite() {
+        // Undeliverable frame: play from buffer if possible.
+        if buf >= 1.0 {
+            played(buf - 1.0)
+        } else {
+            stalled(interval)
+        }
+    } else if t_eff <= interval {
+        // Spare airtime prefetches ahead.
+        let spare = (interval - t_eff) / interval;
+        played((buf + spare).min(buf_cap))
+    } else {
+        let deficit = (t_eff - interval) / interval; // frames
+        if buf >= deficit {
+            played(buf - deficit)
+        } else {
+            stalled((deficit - buf) * interval)
+        }
+    }
+}
+
+/// Graceful degradation, rung 3: multicast re-planning. A member in an
+/// injected outage cannot receive the group's burst — drop them from their
+/// group so the multicast item doesn't (falsely) mark them complete, and
+/// carry them on as zero-priced singletons whose unicast leg the admission
+/// control defers while the outage lasts. The surviving members'
+/// shared-byte figure is kept (the overlap of a subset is a superset — the
+/// planner's price is a safe underestimate of the sharing). Groups stay a
+/// partition of the users, in canonical (member-sorted) order.
+fn sever_outaged(groups: &mut Vec<Group>, faults: &FrameFaults) {
+    if faults.outage.is_empty() {
+        return;
+    }
+    let mut severed: Vec<usize> = Vec::new();
+    for g in groups.iter_mut() {
+        if g.members.iter().any(|&u| faults.outage_for(u)) {
+            severed.extend(g.members.iter().filter(|&&u| faults.outage_for(u)));
+            g.members.retain(|&u| !faults.outage_for(u));
+            obs::inc("session.degrade.regrouped_groups");
+        }
+    }
+    groups.retain(|g| !g.members.is_empty());
+    severed.sort_unstable();
+    groups.extend(severed.into_iter().map(|u| Group::unpriced(vec![u])));
+    groups.sort_by(|a, b| a.members.cmp(&b.members));
+}
+
+/// A plan-stage arm: lays one planner group onto the medium.
+type GroupArm<'a> = fn(&Pipeline<'a>, &Group, QualityLevel, &mut Arena);
+
+/// What a run reads but never changes: the session's substrates plus
+/// everything derived once from its parameters. Its methods are the
+/// stages of the frame loop, in the order [`StreamingSession::run`] calls
+/// them.
+struct Pipeline<'a> {
+    s: &'a StreamingSession,
+    n: usize,
+    cfg: SystemConfig,
+    interval: f64,
+    /// Admission control: the scheduler never admits a burst whose airtime
+    /// alone exceeds this (see `config::AIRTIME_BUDGET_INTERVALS`);
+    /// deeply faded MCS0-trickle bursts are deferred instead of poisoning
+    /// every other user's frame.
+    airtime_budget_s: f64,
+    mac: MacDispatch<'a>,
+    is_wifi5: bool,
+    mcs_table: &'a McsTable,
+    fault_plan: &'a FaultPlan,
+    /// The degradation ladder only engages on faulted runs, so fault-free
+    /// sessions behave bit-identically to a build without it.
+    have_faults: bool,
+    /// Layered progressive delivery needs the layered bitstream and the
+    /// multicast scheduler: volcast-player sessions only. Read where the
+    /// plan is built; everything downstream reads what the plan produced.
+    layered: bool,
+    /// Layered streams buffer twice as deep: a prefetched base frame is
+    /// quality-invariant (the enhancement decision is made at play time,
+    /// not fetch time), so progressive delivery can hold twice the
+    /// single-stream motion-to-photon window without the quality-switch
+    /// waste that caps single-stream prefetch — the SVC deep-buffer
+    /// argument, and the mechanism by which the FEC ladder's goodput
+    /// savings convert into stall headroom.
+    buf_cap: f64,
+    /// Layered delivery feeds the ABR the unicast path only: the
+    /// multicast base is server-scheduled (not an ABR-controlled flow) and
+    /// rides the group's slowest common beam, so blending it in would
+    /// anchor every member's throughput estimate to the group floor and
+    /// starve the enhancement budget.
+    feedback_unicast_only: bool,
+    grid: CellGrid,
+    planner: GroupPlanner,
+    mitigator: BlockageMitigator,
+    forecaster: BlockageForecaster,
+    /// Multicast beams exist only where the scheduler forms groups over a
+    /// beam-steered radio.
+    group_beams: Option<RefCell<GroupBeams<'a>>>,
+    gop_len: usize,
+}
+
+impl<'a> Pipeline<'a> {
+    fn new(s: &'a StreamingSession, fault_plan: &'a FaultPlan) -> Self {
+        let n = s.traces.len();
+        let cfg = s.params.config;
         let interval = cfg.frame_interval_s();
-        let grid = CellGrid::new(cfg.cell_size);
-        let planner = GroupPlanner::new(cfg);
-        // Multicast beams exist only where the scheduler forms groups over
-        // a beam-steered radio.
-        let group_beams =
-            (matches!(self.params.player, PlayerKind::Volcast) && !is_wifi5).then(|| {
+        let is_wifi5 = s.params.radio == RadioKind::Wifi5;
+        let volcast = matches!(s.params.player, PlayerKind::Volcast);
+        let layered = s.params.delivery == DeliveryMode::Layered && volcast;
+        let buffer_capacity = cfg.buffer_capacity_frames as f64;
+        Pipeline {
+            s,
+            n,
+            cfg,
+            interval,
+            airtime_budget_s: AIRTIME_BUDGET_INTERVALS * interval,
+            mac: if is_wifi5 {
+                MacDispatch::Ac(&s.ac_mac)
+            } else {
+                MacDispatch::Ad(&s.mac)
+            },
+            is_wifi5,
+            mcs_table: if is_wifi5 { &s.vht } else { &s.mcs },
+            fault_plan,
+            have_faults: !fault_plan.is_quiet(),
+            layered,
+            buf_cap: if layered {
+                2.0 * buffer_capacity
+            } else {
+                buffer_capacity
+            },
+            feedback_unicast_only: layered,
+            grid: CellGrid::new(cfg.cell_size),
+            planner: GroupPlanner::new(cfg),
+            mitigator: BlockageMitigator::new(s.params.mitigation),
+            forecaster: BlockageForecaster::new(s.channel.array.position),
+            group_beams: (volcast && !is_wifi5).then(|| {
                 RefCell::new(GroupBeams::new(
-                    SweepEngine::new(&self.channel, &self.codebook),
-                    &self.mcs,
-                    self.params.custom_beams,
+                    SweepEngine::new(&s.channel, &s.codebook),
+                    &s.mcs,
+                    s.params.custom_beams,
                     n,
                 ))
-            });
-        let mitigator = BlockageMitigator::new(self.params.mitigation);
-        let forecaster = BlockageForecaster::new(self.channel.array.position);
-        let mut joint = JointPredictor::new(n, cfg.predictor_window, Default::default());
-        let mut adapter = RateAdapter::new(self.params.abr, n);
-        let mut qoe = QoeReport::new(n);
-        let mut buffers = vec![2.0f64; n]; // frames of startup buffer
-        let mut blocked_prev = vec![false; n];
-
-        // Double-buffered / reusable per-frame state: allocated once here,
-        // cleared (never freed) every frame, so the steady-state loop does
-        // not churn the allocator. `blocked_prev`/`blocked_now` swap roles
-        // at the end of each frame's quality decisions.
-        let mut poses: Vec<volcast_geom::Pose> = Vec::with_capacity(n);
-        let mut planning_poses: Vec<volcast_geom::Pose> = Vec::with_capacity(n);
-        let mut walker_pos: Vec<volcast_geom::Vec3> = Vec::with_capacity(self.walkers.len());
-        let mut all_blockers: Vec<Blocker> = Vec::new();
-        let mut blocked_now: Vec<bool> = Vec::with_capacity(n);
-        let mut beam_outage = vec![0.0f64; n];
-        let mut extra_prefetch = vec![0usize; n];
-        let mut wasted_tx = vec![false; n];
-        let mut unicast_phy: Vec<f64> = Vec::with_capacity(n);
-        let mut unit_sizes: Vec<f64> = Vec::new();
-        let mut needed_fraction: Vec<f64> = Vec::with_capacity(n);
-        let mut qualities: Vec<QualityLevel> = Vec::with_capacity(n);
-        let mut effective_quality: Vec<QualityLevel> = Vec::with_capacity(n);
-        let mut unserved = vec![false; n];
-        let mut needed_bytes = vec![0.0f64; n];
-        let mut outage_pending: Vec<f64> = Vec::with_capacity(n);
-        let mut analysis_cloud = volcast_pointcloud::PointCloud::new();
-        // Analysis clouds are produced a GOP (one second of frames) at a
-        // time: each slot generates its frame independently, so the batch
-        // sweeps across the `par` workers while staying byte-identical to
-        // the old per-frame generation at any thread count. With
-        // `encode_gop` set the same sweep also octree-encodes every frame
-        // (codec stats go to `obs`; outcomes are unaffected).
-        let gop_len = (cfg.target_fps.round() as usize).max(1);
-        let mut gop = volcast_pointcloud::codec::GopEncoder::new();
-        let gop_cfg = volcast_pointcloud::codec::CodecConfig::default();
-        // Degradation-ladder state (see DESIGN.md §11): per-user distress
-        // counters drive the quality fall-down, `retransmitted` marks users
-        // whose lost payload was re-sent within the frame's airtime budget.
-        let mut distress = vec![0u32; n];
-        let mut retransmitted = vec![false; n];
-        // Layered-delivery state: per-user FEC rung from the delivery
-        // decision, whether any of the user's scheduled bursts carries
-        // parity (such users repair a single loss locally and never need
-        // the retransmit rung) and which plan item holds their base layer
-        // (for base-only partial rendering).
-        let mut fec_rungs: Vec<FecRung> = Vec::with_capacity(n);
-        let mut fec_protected = vec![false; n];
-        let mut base_item_idx: Vec<Option<usize>> = vec![None; n];
-        // Blockage-mitigation scratch: onset events and planned actions,
-        // reused across frames.
-        let mut blockage_events: Vec<BlockageEvent> = Vec::with_capacity(n);
-        let mut mitigation_actions: Vec<MitigationAction> = Vec::with_capacity(n);
-        let mut fault_user_frames = 0usize;
-        let mut recovered_user_frames = 0usize;
-
-        let mut total_bytes = 0.0f64;
-        let mut multicast_bytes = 0.0f64;
-        let mut frame_time_sum = 0.0f64;
-        let mut group_size_sum = 0.0f64;
-        let mut group_count = 0usize;
-        let mut multicast_groups = 0usize;
-        let mut customized_groups = 0usize;
-        let mut blocked_user_frames = 0usize;
-        let mut pred_err_sum = 0.0f64;
-        let mut pred_err_count = 0usize;
-        let mut all_plans: Vec<TransmissionPlan> = Vec::with_capacity(self.params.frames);
-
-        for f in 0..self.params.frames {
-            let _frame_span = obs::span("session.frame");
-            obs::inc("session.frames");
-            let fault_now = fault_plan.at(f);
-            if have_faults && obs::enabled() && !fault_now.is_quiet() {
-                obs::add(
-                    "session.faults.outage_user_frames",
-                    fault_now.outage.count() as u64,
-                );
-                obs::add(
-                    "session.faults.blockage_user_frames",
-                    fault_now.blockage.count() as u64,
-                );
-                obs::add(
-                    "session.faults.loss_user_frames",
-                    fault_now.loss.count() as u64,
-                );
-                obs::add(
-                    "session.faults.decode_overruns",
-                    fault_now.decode_overrun.count() as u64,
-                );
-                if fault_now.ap_stall {
-                    obs::inc("session.faults.ap_stall_frames");
-                }
-            }
-            // --- 1. observe current poses ------------------------------
-            poses.clear();
-            poses.extend((0..n).map(|u| self.traces[u].pose(f)));
-            joint.observe_frame(&poses);
-
-            // Bodies of the *other* users and of ambient walkers block
-            // each link. Blocker list layout: users first, then walkers.
-            walker_pos.clear();
-            walker_pos.extend(self.walkers.iter().map(|w| w.pose(f).position));
-            all_blockers.clear();
-            if self.params.body_blockage {
-                all_blockers.extend(
-                    poses
-                        .iter()
-                        .map(|p| Blocker::person(p.position))
-                        .chain(walker_pos.iter().map(|&p| Blocker::person(p))),
-                );
-            }
-            let blockers_excl = |u: usize| -> Vec<Blocker> {
-                all_blockers
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| i != u)
-                    .map(|(_, b)| *b)
-                    .collect()
-            };
-
-            // --- 2. prediction + blockage handling ----------------------
-            // Planning poses double-buffer: either this frame's joint
-            // prediction or (fallback) a copy of the observed poses, built
-            // in place — the old per-frame `poses.clone()` is gone.
-            let have_prediction = self.params.use_prediction
-                && joint.predict_frame_into(cfg.prediction_horizon, &mut planning_poses);
-            if have_prediction {
-                let future = f + cfg.prediction_horizon;
-                if future < self.params.frames {
-                    for (u, p) in planning_poses.iter().enumerate() {
-                        let truth = self.traces[u].pose(future);
-                        pred_err_sum += (p.position - truth.position).norm();
-                        pred_err_count += 1;
-                    }
-                }
-            } else {
-                planning_poses.clear();
-                planning_poses.extend_from_slice(&poses);
-            }
-
-            // Which users' LoS is blocked *right now* by another body
-            // (co-viewers or ambient walkers).
-            blocked_now.clear();
-            blocked_now.extend((0..n).map(|u| {
-                self.params.body_blockage
-                    && ((0..n).any(|v| {
-                        v != u && forecaster.is_blocked(poses[u].position, poses[v].position)
-                    }) || walker_pos
-                        .iter()
-                        .any(|&w| forecaster.is_blocked(poses[u].position, w)))
-            }));
-            // Injected blockage episodes: a phantom body parks on the
-            // user's LoS. It enters both the mitigation logic (via
-            // `blocked_now`) and the channel itself (the rss closure below
-            // drops a blocker onto the path), so the whole proactive /
-            // reactive machinery reacts exactly as for an organic body.
-            if have_faults && !fault_now.blockage.is_empty() {
-                for (u, b) in blocked_now.iter_mut().enumerate() {
-                    *b |= fault_now.blockage_for(u);
-                }
-            }
-            let blocked_count = blocked_now.iter().filter(|&&b| b).count();
-            blocked_user_frames += blocked_count;
-            obs::add("session.blocked_user_frames", blocked_count as u64);
-
-            // Mitigation: charge a beam-switch outage on the clear->blocked
-            // transition, sized by the mode (full reactive sweep vs the
-            // small proactive switch). Proactive mode also prefetched ahead
-            // of the onset; model that as a buffer bonus at the transition.
-            beam_outage.fill(0.0);
-            extra_prefetch.fill(0);
-            // Reactive systems detect a blockage by failing: the victim's
-            // burst goes out on the stale beam at the old MCS and is lost,
-            // wasting that airtime before the re-search even starts.
-            wasted_tx.fill(false);
-            blockage_events.clear();
-            if !is_wifi5 {
-                // No beams at 5 GHz: nothing to switch or waste.
-                blockage_events.extend((0..n).filter(|&u| blocked_now[u] && !blocked_prev[u]).map(
-                    |u| BlockageEvent {
-                        victim: u,
-                        blocker: usize::MAX, // unattributed (organic or injected)
-                        onset_frames: 0,
-                    },
-                ));
-            }
-            mitigator.plan_into(&blockage_events, &mut mitigation_actions);
-            for a in &mitigation_actions {
-                beam_outage[a.user] = a.beam_outage_s;
-                match self.params.mitigation {
-                    MitigationMode::Proactive => {
-                        extra_prefetch[a.user] = a.prefetch_frames;
-                        obs::add("session.prefetch_frames", a.prefetch_frames as u64);
-                    }
-                    MitigationMode::Reactive => {
-                        wasted_tx[a.user] = true;
-                        obs::inc("session.wasted_tx");
-                    }
-                }
-            }
-
-            // The serving beam's RSS per user. Proactive users are already
-            // on the best surviving path; reactive users spend the first
-            // blocked frame on the stale LoS beam before re-searching.
-            // Links are independent given the frame's poses and blockers,
-            // so they are evaluated in parallel (input order preserved).
-            let rss: Vec<f64> = par::par_map_indexed(&poses, |u, _| {
-                {
-                    let injected_blockage = have_faults && fault_now.blockage_for(u);
-                    if is_wifi5 {
-                        // Log-distance 5 GHz link; bodies shadow mildly.
-                        let d = self.channel.array.position.distance(poses[u].position);
-                        let shadows = if self.params.body_blockage {
-                            all_blockers
-                                .iter()
-                                .enumerate()
-                                .filter(|&(i, b)| {
-                                    i != u && forecaster.is_blocked(poses[u].position, b.center)
-                                })
-                                .count()
-                        } else {
-                            0
-                        } + injected_blockage as usize;
-                        return self.wifi5.rss_dbm(d, shadows);
-                    }
-                    let mut bl = blockers_excl(u);
-                    if injected_blockage {
-                        // The phantom body stands mid-path between the AP
-                        // and the user: guaranteed LoS intersection.
-                        bl.push(Blocker::person(
-                            self.channel.array.position.lerp(poses[u].position, 0.5),
-                        ));
-                    }
-                    if blocked_now[u] {
-                        match self.params.mitigation {
-                            MitigationMode::Proactive => {
-                                self.channel.rss_best_beam(poses[u].position, &bl)
-                            }
-                            MitigationMode::Reactive => {
-                                if blocked_prev[u] {
-                                    self.channel.rss_best_beam(poses[u].position, &bl)
-                                } else {
-                                    self.channel.rss_dedicated_beam(poses[u].position, &bl)
-                                }
-                            }
-                        }
-                    } else {
-                        self.channel.rss_dedicated_beam(poses[u].position, &bl)
-                    }
-                }
-            });
-            // Injected link outage: the PHY collapses outright, below every
-            // MCS sensitivity. Downstream this zeroes the user's rate, so
-            // admission control defers their bursts and the degradation
-            // ladder (buffer playback, regrouping) takes over.
-            let rss: Vec<f64> = if have_faults && !fault_now.outage.is_empty() {
-                rss.iter()
-                    .enumerate()
-                    .map(|(u, &r)| if fault_now.outage_for(u) { -100.0 } else { r })
-                    .collect()
-            } else {
-                rss
-            };
-            let mcs_table = if is_wifi5 { &self.vht } else { &self.mcs };
-            unicast_phy.clear();
-            unicast_phy.extend(rss.iter().map(|&r| mcs_table.phy_rate_mbps(r)));
-
-            // --- 3. visibility maps ------------------------------------
-            if f % gop_len == 0 {
-                let len = gop_len.min(self.params.frames - f);
-                if self.params.encode_gop {
-                    gop.encode_video_gop_into(
-                        &self.video,
-                        f as u64,
-                        len,
-                        self.params.analysis_points,
-                        &gop_cfg,
-                    );
-                } else {
-                    gop.generate_gop(&self.video, f as u64, len, self.params.analysis_points);
-                }
-            }
-            gop.frame_points(f % gop_len)
-                .to_cloud_into(&mut analysis_cloud);
-            let partition = grid.partition(&analysis_cloud);
-            // Per-user maps are independent; the fan-out is the frame
-            // step's biggest cost at scale (one frustum + occlusion pass
-            // per user over the whole partition).
-            let maps: Vec<_> = par::par_map_indexed(&planning_poses, |u, pose| {
-                let options = match self.params.player {
-                    PlayerKind::Vanilla => VisibilityOptions::vanilla(),
-                    _ => VisibilityOptions {
-                        intrinsics: self.traces[u].device.intrinsics(),
-                        ..VisibilityOptions::vivo()
-                    },
-                };
-                VisibilityComputer::new(options).compute(pose, &grid, &partition)
-            });
-
-            // --- 4. quality decisions ----------------------------------
-            // Unit (analysis-density) sizes: one per partition cell, plus
-            // the id-keyed index shared by every per-user byte query below.
-            unit_sizes.clear();
-            unit_sizes.extend(partition.iter().map(|c| c.point_count as f64));
-            let unit_index = size_index(&partition, &unit_sizes);
-            let total_points: f64 = unit_sizes.iter().sum();
-            needed_fraction.clear();
-            needed_fraction.extend((0..n).map(|u| match self.params.player {
-                PlayerKind::Vanilla => 1.0,
-                _ => {
-                    if total_points <= 0.0 {
-                        1.0
-                    } else {
-                        maps[u].required_bytes_indexed(&unit_index) / total_points
-                    }
-                }
-            }));
-
-            // One unified delivery decision per user: the ABR target (or
-            // the session's pinned quality), the degradation ladder's
-            // rung-1 quality clamp, and — for layered delivery — the
-            // enhancement-layer count and proactive-FEC rung, all from
-            // [`RateAdapter::plan_delivery`]. Fault-free runs have zero
-            // distress everywhere, so the clamp is the identity.
-            qualities.clear();
-            fec_rungs.clear();
-            for u in 0..n {
-                let inputs = CrossLayerInputs {
-                    measured_throughput_mbps: 0.0,
-                    buffer_frames: buffers[u],
-                    blockage_forecast: match self.params.mitigation {
-                        MitigationMode::Proactive => blocked_now[u],
-                        // Reactive ABRs only see the collapse after
-                        // it has already cost them a frame.
-                        MitigationMode::Reactive => blocked_prev[u],
-                    },
-                    predicted_phy_rate_mbps: adapter.predictors[u]
-                        .link
-                        .predicted_rss_dbm(cfg.prediction_horizon)
-                        .map_or(unicast_phy[u], |r| mcs_table.phy_rate_mbps(r)),
-                    current_phy_rate_mbps: unicast_phy[u],
-                };
-                let decision = adapter.plan_delivery(
-                    &GroupState {
-                        user: u,
-                        inputs: &inputs,
-                        share: 1.0 / n as f64,
-                        needed_fraction: needed_fraction[u],
-                        layered,
-                        fixed: self.params.fixed_quality,
-                    },
-                    &Distress::new(distress[u]),
-                );
-                let delivered = decision.quality();
-                if have_faults && delivered != decision.target_quality {
-                    obs::inc("session.degrade.quality_clamps");
-                }
-                qualities.push(delivered);
-                fec_rungs.push(decision.fec);
-            }
-            // Quality decisions were the last reader of both blockage
-            // buffers; roll them forward (this frame's `blocked_now`
-            // becomes next frame's `blocked_prev`) without cloning.
-            std::mem::swap(&mut blocked_prev, &mut blocked_now);
-
-            // --- 5. per-user byte requirements --------------------------
-            let scale_for = |q: QualityLevel| -> f64 {
-                let quality = self.video.quality(q);
-                quality.points_per_frame as f64 / self.params.analysis_points as f64
-                    * quality.bytes_per_point()
-            };
-            // Grouping plans with cell sizes at the lowest active quality;
-            // each formed group is then re-priced at its own members'
-            // minimum quality (shared cells must be decodable by all
-            // members), and residuals at each member's own quality.
-            let planning_quality = qualities.iter().copied().min().unwrap_or(QualityLevel::Low);
-            // Effective per-user quality actually delivered this frame
-            // (grouped volcast users may be pulled down to group quality).
-            effective_quality.clear();
-            effective_quality.extend_from_slice(&qualities);
-            // Users the scheduler could not serve this frame (outage).
-            unserved.fill(false);
-            // Zero-need users are trivially served.
-            needed_bytes.fill(0.0);
-            // Layered bookkeeping: which plan item carries each user's
-            // base layer, and who is parity-protected this frame.
-            fec_protected.fill(false);
-            base_item_idx.fill(None);
-
-            // --- 6. plan: groups + beams --------------------------------
-            // Admission control: the scheduler never admits a burst whose
-            // airtime alone exceeds a few frame intervals — a frame that
-            // slow can never catch up (the buffer is shallower than the
-            // backlog it creates) and would only starve the service
-            // period. Sub-30-FPS operation (bursts of 1-3 intervals, the
-            // paper's 10-25 FPS rows) is still admitted; deeply faded
-            // MCS0-trickle bursts (>10 intervals) are deferred instead of
-            // poisoning every other user's frame.
-            let admit = |bytes: f64, phy: f64| -> bool {
-                phy > 0.0 && mac.airtime_s(bytes, phy, n) <= 3.0 * interval
-            };
-            let mut plan = TransmissionPlan::new();
-            // Lost reactive bursts: transmitted at the pre-blockage rate
-            // (stale beam, clear-channel MCS) but never received. They are
-            // queued first — the AP doesn't yet know the link is dead.
-            for u in 0..n {
-                if wasted_tx[u] {
-                    let clear_rss = self.channel.rss_dedicated_beam(poses[u].position, &[]);
-                    let stale_phy = mcs_table.phy_rate_mbps(clear_rss);
-                    // Conservative: the AP aborts after ~a quarter of the
-                    // frame's worth of unacknowledged MPDUs.
-                    let probe_bytes = stale_phy * 1e6 / 8.0 * (interval * 0.25);
-                    if admit(probe_bytes, stale_phy) {
-                        plan.items.push(TxItem::unicast(u, probe_bytes, stale_phy));
-                    }
-                }
-            }
-            let mut groups_this_frame: Vec<Group> = Vec::new();
-            match self.params.player {
-                PlayerKind::Vanilla => {
-                    for u in 0..n {
-                        let q = self.video.quality(qualities[u]);
-                        needed_bytes[u] = q.full_frame_bytes();
-                        if !admit(needed_bytes[u], unicast_phy[u]) {
-                            unserved[u] = true; // outage/too slow: defer
-                            continue;
-                        }
-                        let mut item = TxItem::unicast(u, needed_bytes[u], unicast_phy[u]);
-                        item.beam_switch_s = beam_outage[u];
-                        plan.items.push(item);
-                    }
-                }
-                PlayerKind::Vivo => {
-                    for u in 0..n {
-                        needed_bytes[u] =
-                            maps[u].required_bytes_indexed(&unit_index) * scale_for(qualities[u]);
-                        if !admit(needed_bytes[u], unicast_phy[u]) {
-                            unserved[u] = needed_bytes[u] > 0.0;
-                            continue;
-                        }
-                        let mut item = TxItem::unicast(u, needed_bytes[u], unicast_phy[u]);
-                        item.beam_switch_s = beam_outage[u];
-                        plan.items.push(item);
-                    }
-                }
-                PlayerKind::Volcast => {
-                    if let Some(beams) = &group_beams {
-                        beams
-                            .borrow_mut()
-                            .begin_frame(planning_poses.iter().map(|p| p.position), &all_blockers);
-                    }
-                    // `(multicast rate, customized beam)` of a member set.
-                    let group_beam = |members: &[usize]| -> (f64, bool) {
-                        match &group_beams {
-                            Some(beams) => beams.borrow_mut().group(members),
-                            // Group-addressed frames at the legacy basic
-                            // rate — why ac multicast doesn't pay off —
-                            // on a radio with no beams to customize.
-                            None => (self.wifi5.multicast_basic_rate_mbps, false),
-                        }
-                    };
-                    // The planner calls this serially, for groups of 2+.
-                    let group_rate = |members: &[usize]| group_beam(members).0;
-                    // Unit (analysis-density) byte needs per member.
-                    let member_unit: Vec<f64> = maps
-                        .iter()
-                        .map(|m| m.required_bytes_indexed(&unit_index))
-                        .collect();
-                    outage_pending.clear();
-                    outage_pending.extend_from_slice(&beam_outage);
-                    if layered {
-                        // --- layered progressive delivery ---------------
-                        // The base layer rides the similarity-driven
-                        // multicast groups of §4.2, priced at the ladder's
-                        // floor quality: the planner forms groups under the
-                        // T_m transmission-time model with base-scale cell
-                        // sizes, each group multicasts its members' shared
-                        // cells once over the best common beam, and the
-                        // unshared remainder of every member's base plus
-                        // any enhancement layers ride unicast, admitted per
-                        // RSS/airtime budget. Distressed users' bursts
-                        // carry proactive XOR parity so a single lost
-                        // chunk repairs locally instead of costing the
-                        // retransmit rung its airtime.
-                        let base_scale = scale_for(QualityLevel::Low);
-                        let cell_sizes: Vec<f64> =
-                            unit_sizes.iter().map(|s| s * base_scale).collect();
-                        let mut gp = planner.plan(&GroupingInputs {
-                            maps: &maps,
-                            partition: &partition,
-                            cell_sizes: &cell_sizes,
-                            unicast_rate_mbps: &unicast_phy,
-                            multicast_rate_mbps: &group_rate,
-                        });
-                        // Rung 3 (multicast re-planning) applies unchanged:
-                        // outaged members are severed from their groups and
-                        // carried as singletons — see the single-stream arm
-                        // below for the rationale.
-                        if have_faults && !fault_now.outage.is_empty() {
-                            let mut severed: Vec<usize> = Vec::new();
-                            for g in &mut gp.groups {
-                                if g.members.iter().any(|&u| fault_now.outage_for(u)) {
-                                    severed.extend(
-                                        g.members.iter().filter(|&&u| fault_now.outage_for(u)),
-                                    );
-                                    g.members.retain(|&u| !fault_now.outage_for(u));
-                                    obs::inc("session.degrade.regrouped_groups");
-                                }
-                            }
-                            gp.groups.retain(|g| !g.members.is_empty());
-                            severed.sort_unstable();
-                            for u in severed {
-                                gp.groups.push(Group {
-                                    members: vec![u],
-                                    multicast_bytes: 0.0,
-                                    multicast_rate_mbps: 0.0,
-                                    iou: 0.0,
-                                });
-                            }
-                            gp.groups.sort_by(|a, b| a.members.cmp(&b.members));
-                        }
-                        for g in &gp.groups {
-                            // The shared base rides at the members' highest
-                            // FEC rung: one lost reception anywhere in the
-                            // group repairs locally.
-                            let base_fec = g.members.iter().map(|&u| fec_rungs[u]).fold(
-                                FecRung::Off,
-                                |a, b| {
-                                    if b.overhead() > a.overhead() {
-                                        b
-                                    } else {
-                                        a
-                                    }
-                                },
-                            );
-                            // The planner priced this group at base scale,
-                            // so its shared-byte figure IS the multicast
-                            // base payload — no repricing needed.
-                            let shared_base = g.multicast_bytes;
-                            let base_parity = shared_base * base_fec.overhead();
-                            let group_active = g.members.len() >= 2
-                                && shared_base > 0.0
-                                && g.multicast_rate_mbps > 0.0
-                                && admit(shared_base + base_parity, g.multicast_rate_mbps);
-                            let mut base_idx = None;
-                            if group_active {
-                                multicast_groups += 1;
-                                customized_groups += group_beam(&g.members).1 as usize;
-                                plan.items.push(
-                                    TxItem::multicast(
-                                        g.members.clone(),
-                                        shared_base,
-                                        g.multicast_rate_mbps,
-                                    )
-                                    .with_parity(base_parity),
-                                );
-                                base_idx = Some(plan.items.len() - 1);
-                                multicast_bytes += shared_base;
-                                obs::add("session.multicast_bytes", shared_base.max(0.0) as u64);
-                                obs::add(
-                                    "session.layered.base_multicast_bytes",
-                                    shared_base.max(0.0) as u64,
-                                );
-                                obs::record("session.group_size", g.members.len() as u64);
-                            }
-                            for &u in &g.members {
-                                let own_full = member_unit[u] * scale_for(qualities[u]);
-                                needed_bytes[u] = own_full;
-                                if unicast_phy[u] <= 0.0 {
-                                    unserved[u] = own_full > 0.0;
-                                    continue;
-                                }
-                                let base_own = member_unit[u] * base_scale;
-                                let base_shared = if group_active {
-                                    shared_base.min(base_own)
-                                } else {
-                                    0.0
-                                };
-                                if group_active {
-                                    base_item_idx[u] = base_idx;
-                                    if base_parity > 0.0 {
-                                        fec_protected[u] = true;
-                                    }
-                                }
-                                // Unshared remainder of the base, unicast.
-                                let base_rest = (base_own - base_shared).max(0.0);
-                                if base_rest > 0.0 {
-                                    let parity = base_rest * fec_rungs[u].overhead();
-                                    if admit(base_rest + parity, unicast_phy[u]) {
-                                        let mut item =
-                                            TxItem::unicast(u, base_rest, unicast_phy[u])
-                                                .with_parity(parity);
-                                        item.beam_switch_s = outage_pending[u];
-                                        outage_pending[u] = 0.0;
-                                        plan.items.push(item);
-                                        if base_item_idx[u].is_none() {
-                                            base_item_idx[u] = Some(plan.items.len() - 1);
-                                        }
-                                        if parity > 0.0 {
-                                            fec_protected[u] = true;
-                                        }
-                                    } else if group_active {
-                                        // The shared slice still renders a
-                                        // coarse frame — degrade, don't drop.
-                                        effective_quality[u] = QualityLevel::Low;
-                                        needed_bytes[u] = base_shared;
-                                        obs::inc("session.layered.enhancements_deferred");
-                                        continue;
-                                    } else {
-                                        unserved[u] = true;
-                                        continue;
-                                    }
-                                }
-                                let enh_bytes = (own_full - base_own).max(0.0);
-                                if enh_bytes <= 0.0 {
-                                    continue; // base-only target: done
-                                }
-                                let parity = enh_bytes * fec_rungs[u].overhead();
-                                // Enhancements are optional upgrades: they
-                                // ride only when the client holds enough
-                                // buffer that a slipped enhancement can
-                                // never stall playout — and distress
-                                // deepens the required reserve, so a user
-                                // coming out of a fault window streams
-                                // cheap base-only frames (whose spare
-                                // airtime refills the buffer fastest)
-                                // until a cushion for the next window is
-                                // in place. Cold-started clients join at
-                                // base quality immediately and upgrade
-                                // once buffered — progressive delivery's
-                                // fast-join story.
-                                let reserve = (1.0 + f64::from(distress[u]))
-                                    .max(cfg.buffer_capacity_frames as f64);
-                                if !admit(enh_bytes + parity, unicast_phy[u])
-                                    || buffers[u] < reserve
-                                {
-                                    // The base still renders, so the user
-                                    // degrades instead of going unserved.
-                                    effective_quality[u] = QualityLevel::Low;
-                                    needed_bytes[u] = base_own;
-                                    obs::inc("session.layered.enhancements_deferred");
-                                    continue;
-                                }
-                                let mut item = TxItem::unicast(u, enh_bytes, unicast_phy[u])
-                                    .with_parity(parity);
-                                item.beam_switch_s = outage_pending[u];
-                                outage_pending[u] = 0.0;
-                                plan.items.push(item);
-                                if parity > 0.0 {
-                                    fec_protected[u] = true;
-                                }
-                                obs::inc("session.layered.enhancement_items");
-                            }
-                        }
-                        groups_this_frame = gp.groups;
-                    } else {
-                        let cell_sizes: Vec<f64> = unit_sizes
-                            .iter()
-                            .map(|s| s * scale_for(planning_quality))
-                            .collect();
-                        let mut gp = planner.plan(&GroupingInputs {
-                            maps: &maps,
-                            partition: &partition,
-                            cell_sizes: &cell_sizes,
-                            unicast_rate_mbps: &unicast_phy,
-                            multicast_rate_mbps: &group_rate,
-                        });
-                        // Graceful degradation, rung 3: multicast re-planning.
-                        // A member in an injected outage cannot receive the
-                        // group's burst — drop them from their group so the
-                        // multicast item doesn't (falsely) mark them complete,
-                        // and carry them on as singletons whose unicast leg the
-                        // admission control defers while the outage lasts. The
-                        // surviving members' shared-byte figure is kept (the
-                        // overlap of a subset is a superset — the planner's
-                        // price is a safe underestimate of the sharing), and
-                        // the `beneficial` re-check below still applies.
-                        if have_faults && !fault_now.outage.is_empty() {
-                            let mut severed: Vec<usize> = Vec::new();
-                            for g in &mut gp.groups {
-                                if g.members.iter().any(|&u| fault_now.outage_for(u)) {
-                                    severed.extend(
-                                        g.members.iter().filter(|&&u| fault_now.outage_for(u)),
-                                    );
-                                    g.members.retain(|&u| !fault_now.outage_for(u));
-                                    obs::inc("session.degrade.regrouped_groups");
-                                }
-                            }
-                            gp.groups.retain(|g| !g.members.is_empty());
-                            severed.sort_unstable();
-                            for u in severed {
-                                gp.groups.push(Group {
-                                    members: vec![u],
-                                    multicast_bytes: 0.0,
-                                    multicast_rate_mbps: 0.0,
-                                    iou: 0.0,
-                                });
-                            }
-                            gp.groups.sort_by(|a, b| a.members.cmp(&b.members));
-                        }
-                        for g in &gp.groups {
-                            // Shared cells are encoded at the group's minimum
-                            // member quality; singletons keep their own.
-                            let group_q = g
-                                .members
-                                .iter()
-                                .map(|&u| qualities[u])
-                                .min()
-                                .unwrap_or(planning_quality);
-                            let overlap_unit =
-                                g.multicast_bytes / scale_for(planning_quality).max(1e-12);
-                            let shared_bytes = overlap_unit * scale_for(group_q);
-
-                            // The planner priced this group at the global
-                            // minimum quality; re-check the merge at the
-                            // group's actual quality and against admission —
-                            // if the repriced multicast no longer beats plain
-                            // unicast (or cannot fit a slot), dissolve it.
-                            let beneficial = g.members.len() >= 2
-                                && g.multicast_bytes > 0.0
-                                && g.multicast_rate_mbps > 0.0
-                                && {
-                                    let merged_t = shared_bytes / g.multicast_rate_mbps
-                                        + g.members
-                                            .iter()
-                                            .map(|&u| {
-                                                let own = member_unit[u] * scale_for(qualities[u]);
-                                                let residual = (own - shared_bytes).max(0.0);
-                                                if unicast_phy[u] > 0.0 {
-                                                    residual / unicast_phy[u]
-                                                } else {
-                                                    0.0
-                                                }
-                                            })
-                                            .sum::<f64>();
-                                    let unicast_t = g
-                                        .members
-                                        .iter()
-                                        .map(|&u| {
-                                            let own = member_unit[u] * scale_for(qualities[u]);
-                                            if unicast_phy[u] > 0.0 {
-                                                own / unicast_phy[u]
-                                            } else {
-                                                f64::INFINITY
-                                            }
-                                        })
-                                        .sum::<f64>();
-                                    merged_t <= unicast_t
-                                };
-                            let group_active =
-                                beneficial && admit(shared_bytes, g.multicast_rate_mbps);
-
-                            if group_active {
-                                multicast_groups += 1;
-                                customized_groups += group_beam(&g.members).1 as usize;
-                                plan.items.push(TxItem::multicast(
-                                    g.members.clone(),
-                                    shared_bytes,
-                                    g.multicast_rate_mbps,
-                                ));
-                                multicast_bytes += shared_bytes;
-                                obs::add("session.multicast_bytes", shared_bytes.max(0.0) as u64);
-                                obs::record("session.group_size", g.members.len() as u64);
-                            }
-
-                            for &u in &g.members {
-                                if group_active {
-                                    effective_quality[u] = effective_quality[u].min(group_q);
-                                }
-                                let own_bytes = member_unit[u] * scale_for(qualities[u]);
-                                let shared = if group_active { shared_bytes } else { 0.0 };
-                                let residual = (own_bytes - shared).max(0.0);
-                                needed_bytes[u] = own_bytes;
-                                if residual <= 0.0 {
-                                    continue; // fully covered by the multicast
-                                }
-                                if !admit(residual, unicast_phy[u]) {
-                                    // The user's frame cannot complete this
-                                    // slot; don't burn airtime on a partial
-                                    // delivery they cannot render.
-                                    unserved[u] = true;
-                                    continue;
-                                }
-                                let mut item = TxItem::unicast(u, residual, unicast_phy[u]);
-                                item.beam_switch_s = outage_pending[u];
-                                outage_pending[u] = 0.0; // charge once
-                                plan.items.push(item);
-                            }
-                        }
-                        groups_this_frame = gp.groups;
-                    }
-                }
-            }
-
-            // --- 7. execute + account ----------------------------------
-            // Graceful degradation, rung 2: bounded retransmit. A user
-            // whose scheduled delivery will be lost (corrupted past the
-            // MAC's retry budget) gets exactly one re-send, paid for with a
-            // backoff surcharge and admitted only while the whole frame
-            // still fits the 3x-interval airtime window. Beyond the
-            // budget, the loss stands and the buffer absorbs it instead.
-            retransmitted.fill(false);
-            if have_faults && !fault_now.loss.is_empty() && !fault_now.ap_stall {
-                let backoff_s = 0.1 * interval;
-                for u in 0..n {
-                    if !fault_now.loss_for(u)
-                        || fault_now.outage_for(u)
-                        || unserved[u]
-                        || needed_bytes[u] <= 0.0
-                    {
-                        continue;
-                    }
-                    if fec_protected[u] {
-                        // The FEC rung already paid for this loss up
-                        // front: the parity riding with the user's bursts
-                        // rebuilds the lost chunk locally — no retransmit
-                        // airtime, no backoff.
-                        obs::inc("session.degrade.fec_recoveries");
-                        continue;
-                    }
-                    let frame_air: f64 = plan
-                        .items
-                        .iter()
-                        .map(|i| i.beam_switch_s + mac.airtime_s(i.wire_bytes(), i.phy_mbps, n))
-                        .sum();
-                    let retx_air = mac.airtime_s(needed_bytes[u], unicast_phy[u], n);
-                    if frame_air.is_finite()
-                        && retx_air.is_finite()
-                        && frame_air + backoff_s + retx_air <= 3.0 * interval
-                    {
-                        let mut item = TxItem::unicast(u, needed_bytes[u], unicast_phy[u]);
-                        item.beam_switch_s = backoff_s; // MAC backoff before the re-send
-                        plan.items.push(item);
-                        retransmitted[u] = true;
-                        obs::inc("session.degrade.retransmits");
-                    } else {
-                        obs::inc("session.degrade.retransmits_deferred");
-                    }
-                }
-            }
-            // Injected AP stall: the AP transmits nothing this frame.
-            // Clear the plan (no airtime is burned) and mark every user
-            // with pending payload unserved, so they play from buffer —
-            // stall recovery without a panic, never a wedged queue.
-            if have_faults && fault_now.ap_stall {
-                plan.items.clear();
-                // Nothing flew: no base layer to fall back on, no parity.
-                base_item_idx.fill(None);
-                fec_protected.fill(false);
-                for u in 0..n {
-                    unserved[u] = needed_bytes[u] > 0.0;
-                }
-            }
-            let timing = plan.execute(&mac, n, n);
-            if obs::enabled() {
-                obs::add("session.scheduled_items", plan.items.len() as u64);
-                obs::add("session.planned_bytes", plan.total_bytes().max(0.0) as u64);
-                obs::add(
-                    "session.unserved_user_frames",
-                    unserved.iter().filter(|&&b| b).count() as u64,
-                );
-                if timing.total_s.is_finite() {
-                    obs::record("session.frame_airtime_us", (timing.total_s * 1e6) as u64);
-                }
-            }
-            total_bytes += plan.total_bytes();
-            frame_time_sum += if timing.total_s.is_finite() {
-                timing.total_s
-            } else {
-                interval * 4.0 // charge a saturated slot for outage frames
-            };
-            for g in &groups_this_frame {
-                group_size_sum += g.members.len() as f64;
-                group_count += 1;
-            }
-            if !matches!(self.params.player, PlayerKind::Volcast) {
-                group_size_sum += n as f64; // n singleton groups
-                group_count += n;
-            }
-
-            // Layered streams buffer deeper: a prefetched base frame is
-            // quality-invariant (the enhancement decision is made at play
-            // time, not fetch time), so progressive delivery can hold twice
-            // the single-stream motion-to-photon window without the
-            // quality-switch waste that caps single-stream prefetch — the
-            // SVC deep-buffer argument, and the mechanism by which the FEC
-            // ladder's goodput savings convert into stall headroom.
-            let buf_cap = if layered {
-                2.0 * cfg.buffer_capacity_frames as f64
-            } else {
-                cfg.buffer_capacity_frames as f64
-            };
-            for u in 0..n {
-                let q_u = effective_quality[u];
-                // Proactive mitigation prefetched ahead of the onset using
-                // earlier frames' spare airtime (the paper: "prefetch the
-                // content and schedule the future cells in the current
-                // time slot"). The blockage reserve may exceed the normal
-                // motion-to-photon buffer cap: during a forecast outage
-                // the client accepts staler predicted-viewport cells over
-                // a stall. Half the pushed frames are credited (the other
-                // half render with out-of-date viewports and are wasted).
-                let reserve = extra_prefetch[u] as f64 * 0.5;
-                buffers[u] = (buffers[u] + reserve).min(buf_cap + reserve);
-
-                // An injected loss without a successful retransmit means the
-                // airtime was burned but nothing decodable arrived — unless
-                // the burst carried proactive parity: a single erasure then
-                // rebuilds locally and the frame completes.
-                let lost =
-                    have_faults && fault_now.loss_for(u) && !retransmitted[u] && !fec_protected[u];
-                let delivery = if needed_bytes[u] <= 0.0 {
-                    0.0 // nothing visible: trivially delivered
-                } else if unserved[u] || wasted_tx[u] || lost {
-                    f64::INFINITY
-                } else {
-                    timing.user_completion_s[u].unwrap_or(f64::INFINITY)
-                };
-                let mut decode_t = self
-                    .decode
-                    .frame_decode_time(self.video.quality(q_u).points_per_frame);
-                if have_faults && fault_now.decode_overrun_for(u) {
-                    // The client misses its decode slot (thermal throttling,
-                    // background work): charge at least a slot and a half.
-                    decode_t = decode_t.max(1.5 * interval);
-                }
-                let t_eff = delivery.max(decode_t);
-
-                // Playout bookkeeping for one delivery candidate: on-time
-                // flag, stall seconds, and the buffer's next value.
-                let classify = |t_eff: f64, buf: f64| -> (bool, f64, f64) {
-                    if !t_eff.is_finite() {
-                        // Undeliverable frame: play from buffer if possible.
-                        if buf >= 1.0 {
-                            (true, 0.0, buf - 1.0)
-                        } else {
-                            (false, interval, 0.0)
-                        }
-                    } else if t_eff <= interval {
-                        // Spare airtime prefetches ahead.
-                        let spare = (interval - t_eff) / interval;
-                        (true, 0.0, (buf + spare).min(buf_cap))
-                    } else {
-                        let deficit = (t_eff - interval) / interval; // frames
-                        if buf >= deficit {
-                            (true, 0.0, buf - deficit)
-                        } else {
-                            (false, (deficit - buf) * interval, 0.0)
-                        }
-                    }
-                };
-                let (mut on_time, mut stall_s, mut next_buf) = classify(t_eff, buffers[u]);
-                let mut rendered_q = q_u;
-                // Layered partial render: when the full layer stack misses
-                // its slot, fall back to the base layer — a coarse frame on
-                // time beats a stall. (A lost or wasted burst took the base
-                // down with it; those cannot fall back.)
-                if layered && !on_time && needed_bytes[u] > 0.0 && !lost && !wasted_tx[u] {
-                    if let Some(i) = base_item_idx[u] {
-                        let mut base_decode = self.decode.frame_decode_time(
-                            self.video.quality(QualityLevel::Low).points_per_frame,
-                        );
-                        if have_faults && fault_now.decode_overrun_for(u) {
-                            base_decode = base_decode.max(1.5 * interval);
-                        }
-                        let t_base = timing.item_completion_s[i].max(base_decode);
-                        let (b_on, b_stall, b_buf) = classify(t_base, buffers[u]);
-                        if b_on || b_stall < stall_s {
-                            on_time = b_on;
-                            stall_s = b_stall;
-                            next_buf = b_buf;
-                            rendered_q = QualityLevel::Low;
-                            if b_on {
-                                obs::inc("session.layered.partial_renders");
-                            }
-                        }
-                    }
-                }
-                buffers[u] = next_buf;
-                qoe.users[u].record_frame(on_time, stall_s, rendered_q);
-                if obs::enabled() {
-                    if !on_time {
-                        obs::inc("session.stalls");
-                        obs::record("session.stall_us", (stall_s * 1e6) as u64);
-                    }
-                    obs::gauge("session.buffer_frames_peak", buffers[u]);
-                }
-
-                // Ladder bookkeeping: count fault hits and how many the
-                // degradation machinery absorbed, and roll the per-user
-                // distress counter that drives next frame's quality clamp.
-                if have_faults {
-                    let hit = fault_now.ap_stall
-                        || fault_now.outage_for(u)
-                        || fault_now.blockage_for(u)
-                        || fault_now.loss_for(u)
-                        || fault_now.decode_overrun_for(u);
-                    if hit {
-                        fault_user_frames += 1;
-                        if on_time {
-                            recovered_user_frames += 1;
-                        }
-                    }
-                    // Hard faults raise distress even when absorbed (the
-                    // link has not proven itself); soft ones only when they
-                    // actually cost a stall.
-                    let hard = fault_now.ap_stall || fault_now.outage_for(u) || lost;
-                    distress[u] = if hard || (hit && !on_time) {
-                        (distress[u] + 2).min(6)
-                    } else {
-                        distress[u].saturating_sub(1)
-                    };
-                    if obs::enabled() {
-                        obs::gauge("session.degrade.distress_peak", distress[u] as f64);
-                    }
-                }
-
-                // Feed the adapter's cross-layer predictor with this user's
-                // *delivery rate* (bytes over the airtime actually spent on
-                // their items), the quantity an ABR can measure. Layered
-                // delivery measures the unicast path only: the multicast
-                // base is server-scheduled (not an ABR-controlled flow) and
-                // rides the group's slowest common beam, so blending it in
-                // would anchor every member's throughput estimate to the
-                // group floor and starve the enhancement budget.
-                let (user_bytes, user_airtime): (f64, f64) = plan
-                    .items
-                    .iter()
-                    .filter(|i| {
-                        i.receivers().contains(&u) && (!layered || i.receivers().len() == 1)
-                    })
-                    .map(|i| (i.bytes, mac.airtime_s(i.wire_bytes(), i.phy_mbps, n)))
-                    .fold((0.0, 0.0), |(b, t), (ib, it)| (b + ib, t + it));
-                let tput = if user_airtime > 0.0 && user_airtime.is_finite() {
-                    user_bytes * 8.0 / (user_airtime * 1e6)
-                } else {
-                    0.0
-                };
-                if layered && user_airtime <= 0.0 && base_item_idx[u].is_some() {
-                    // Base-only frame: the unicast path was idle, not slow.
-                    // Track the RSS trend but keep the throughput EWMA.
-                    adapter.predictors[u].link.observe(rss[u]);
-                } else {
-                    adapter.observe(u, tput, rss[u]);
-                }
-            }
-            // The plan's last reader was the accounting loop above; hand it
-            // to the replay log by move instead of the former clone.
-            all_plans.push(plan);
+            }),
+            gop_len: (cfg.target_fps.round() as usize).max(1),
         }
+    }
 
-        qoe.duration_s = self.params.frames as f64 * interval;
-
-        // Pipelined network-only replay (see SessionOutcome docs), under
-        // the same fault schedule the frame loop saw.
-        let sim = Simulator::new(
-            &mac,
-            n,
-            n,
-            SimTime::from_secs(interval),
-            BacklogPolicy::Drop,
-        )
-        .map_err(VolcastError::Net)?
-        .with_faults(&fault_plan);
-        let outcomes_ed = sim.run(&all_plans);
-        let deadline = SimTime::from_secs(interval);
-        let mut on_time = 0usize;
-        let mut addressed = 0usize;
-        for (f, o) in outcomes_ed.iter().enumerate() {
-            for u in 0..n {
-                // Only count users the frame's plan actually addressed.
-                if all_plans[f]
-                    .items
-                    .iter()
-                    .any(|i| i.receivers().contains(&u))
-                {
-                    addressed += 1;
-                    if o.on_time(u, deadline) {
-                        on_time += 1;
-                    }
-                }
+    /// The faults injected this frame (the quiet frame on fault-free runs).
+    fn frame_faults(&self, f: usize) -> &'a FrameFaults {
+        let faults = self.fault_plan.at(f);
+        if obs::enabled() && !faults.is_quiet() {
+            obs::add(
+                "session.faults.outage_user_frames",
+                faults.outage.count() as u64,
+            );
+            obs::add(
+                "session.faults.blockage_user_frames",
+                faults.blockage.count() as u64,
+            );
+            obs::add(
+                "session.faults.loss_user_frames",
+                faults.loss.count() as u64,
+            );
+            obs::add(
+                "session.faults.decode_overruns",
+                faults.decode_overrun.count() as u64,
+            );
+            if faults.ap_stall {
+                obs::inc("session.faults.ap_stall_frames");
             }
         }
-        let pipelined_on_time_ratio = if addressed > 0 {
-            on_time as f64 / addressed as f64
+        faults
+    }
+
+    /// Stage 1 — observe: current poses into the joint predictor, and the
+    /// bodies (other users, ambient walkers) that can block a link.
+    fn observe(&self, f: usize, a: &mut Arena) {
+        a.poses.clear();
+        a.poses.extend(self.s.traces.iter().map(|t| t.pose(f)));
+        a.joint.observe_frame(&a.poses);
+        a.walker_pos.clear();
+        a.walker_pos
+            .extend(self.s.walkers.iter().map(|w| w.pose(f).position));
+        a.all_blockers.clear();
+        if self.s.params.body_blockage {
+            a.all_blockers.extend(
+                a.poses
+                    .iter()
+                    .map(|p| p.position)
+                    .chain(a.walker_pos.iter().copied())
+                    .map(Blocker::person),
+            );
+        }
+    }
+
+    /// Stage 2 — forecast and mitigate: planning poses one horizon ahead
+    /// (or, as fallback, the observed ones), who is body-blocked right
+    /// now, and what the mitigation mode does about each onset.
+    fn forecast(&self, f: usize, faults: &FrameFaults, a: &mut Arena) {
+        let horizon = self.cfg.prediction_horizon;
+        let have_prediction = self.s.params.use_prediction
+            && a.joint.predict_frame_into(horizon, &mut a.planning_poses);
+        if have_prediction {
+            let future = f + horizon;
+            if future < self.s.params.frames {
+                for (p, trace) in a.planning_poses.iter().zip(&self.s.traces) {
+                    a.tally.pred_err_sum += (p.position - trace.pose(future).position).norm();
+                    a.tally.pred_err_count += 1;
+                }
+            }
         } else {
-            1.0
-        };
+            a.planning_poses.clear();
+            a.planning_poses.extend_from_slice(&a.poses);
+        }
 
-        Ok(SessionOutcome {
-            qoe,
-            mean_frame_time_s: frame_time_sum / self.params.frames.max(1) as f64,
-            multicast_byte_fraction: if total_bytes > 0.0 {
-                multicast_bytes / total_bytes
+        // Which users' LoS is blocked *right now* by another body
+        // (co-viewers or ambient walkers) — or by an injected blockage
+        // episode: a phantom body parked on the LoS. It enters both the
+        // mitigation logic (here) and the channel itself (`link_rates`
+        // drops a blocker onto the path), so the whole proactive /
+        // reactive machinery reacts exactly as for an organic body.
+        let (poses, walkers) = (&a.poses, &a.walker_pos);
+        a.blocked_now.clear();
+        a.blocked_now.extend((0..self.n).map(|u| {
+            let blocked_by = |body: Vec3| self.forecaster.is_blocked(poses[u].position, body);
+            self.s.params.body_blockage
+                && ((0..self.n).any(|v| v != u && blocked_by(poses[v].position))
+                    || walkers.iter().any(|&w| blocked_by(w)))
+                || faults.blockage_for(u)
+        }));
+        let blocked_count = a.blocked_now.iter().filter(|&&b| b).count();
+        a.tally.blocked_user_frames += blocked_count;
+        obs::add("session.blocked_user_frames", blocked_count as u64);
+
+        // Mitigation: charge a beam-switch outage on the clear->blocked
+        // transition, sized by the mode (full reactive sweep vs the small
+        // proactive switch). Proactive mode also prefetched ahead of the
+        // onset; model that as a buffer bonus at the transition.
+        a.beam_outage.fill(0.0);
+        a.extra_prefetch.fill(0);
+        a.wasted_tx.fill(false);
+        a.blockage_events.clear();
+        if !self.is_wifi5 {
+            // No beams at 5 GHz: nothing to switch or waste.
+            let onsets = (0..self.n).filter(|&u| a.blocked_now[u] && !a.blocked_prev[u]);
+            a.blockage_events.extend(onsets.map(|u| BlockageEvent {
+                victim: u,
+                blocker: usize::MAX, // unattributed (organic or injected)
+                onset_frames: 0,
+            }));
+        }
+        self.mitigator
+            .plan_into(&a.blockage_events, &mut a.mitigation_actions);
+        for act in &a.mitigation_actions {
+            a.beam_outage[act.user] = act.beam_outage_s;
+            match self.s.params.mitigation {
+                MitigationMode::Proactive => {
+                    a.extra_prefetch[act.user] = act.prefetch_frames;
+                    obs::add("session.prefetch_frames", act.prefetch_frames as u64);
+                }
+                MitigationMode::Reactive => {
+                    a.wasted_tx[act.user] = true;
+                    obs::inc("session.wasted_tx");
+                }
+            }
+        }
+    }
+
+    /// Stage 3 — link rates: the serving beam's RSS and unicast PHY rate
+    /// per user. Proactive users are already on the best surviving path;
+    /// reactive users spend the first blocked frame on the stale LoS beam
+    /// before re-searching. Links are independent given the frame's poses
+    /// and blockers, so they are evaluated in parallel (input order
+    /// preserved).
+    fn link_rates(&self, faults: &FrameFaults, a: &mut Arena) {
+        let (s, forecaster, is_wifi5) = (self.s, self.forecaster, self.is_wifi5);
+        let (poses, blockers) = (&a.poses, &a.all_blockers);
+        let (blocked_now, blocked_prev) = (&a.blocked_now, &a.blocked_prev);
+        let ap = s.channel.array.position;
+        a.rss = par::par_map_indexed(poses, |u, pose| {
+            let pos = pose.position;
+            let injected_blockage = faults.blockage_for(u);
+            let others = blockers.iter().enumerate().filter(|&(i, _)| i != u);
+            if is_wifi5 {
+                // Log-distance 5 GHz link; bodies shadow mildly.
+                let shadows = others
+                    .filter(|(_, b)| forecaster.is_blocked(pos, b.center))
+                    .count();
+                return s
+                    .wifi5
+                    .rss_dbm(ap.distance(pos), shadows + injected_blockage as usize);
+            }
+            let mut bl: Vec<Blocker> = others.map(|(_, b)| *b).collect();
+            if injected_blockage {
+                // The phantom body stands mid-path between the AP and the
+                // user: guaranteed LoS intersection.
+                bl.push(Blocker::person(ap.lerp(pos, 0.5)));
+            }
+            let searched = match s.params.mitigation {
+                MitigationMode::Proactive => true,
+                MitigationMode::Reactive => blocked_prev[u],
+            };
+            if blocked_now[u] && searched {
+                s.channel.rss_best_beam(pos, &bl)
             } else {
-                0.0
-            },
-            mean_group_size: if group_count > 0 {
-                group_size_sum / group_count as f64
+                s.channel.rss_dedicated_beam(pos, &bl)
+            }
+        });
+        // Injected link outage: the PHY collapses outright, below every
+        // MCS sensitivity. Downstream this zeroes the user's rate, so
+        // admission control defers their bursts and the degradation ladder
+        // (buffer playback, regrouping) takes over.
+        for (u, r) in a.rss.iter_mut().enumerate() {
+            if faults.outage_for(u) {
+                *r = -100.0;
+            }
+        }
+        a.unicast_phy.clear();
+        a.unicast_phy
+            .extend(a.rss.iter().map(|&r| self.mcs_table.phy_rate_mbps(r)));
+    }
+
+    /// Stage 4 — visibility: the frame's cell partition, every user's
+    /// visibility map over it (at the planning pose), and the byte needs
+    /// they imply at analysis density.
+    fn visibility(&self, f: usize, a: &mut Arena) {
+        let s = self.s;
+        if f.is_multiple_of(self.gop_len) {
+            let len = self.gop_len.min(s.params.frames - f);
+            a.gop
+                .generate_gop(&s.video, f as u64, len, s.params.analysis_points);
+        }
+        a.gop
+            .frame_points(f % self.gop_len)
+            .to_cloud_into(&mut a.analysis_cloud);
+        a.partition = self.grid.partition(&a.analysis_cloud);
+        // Per-user maps are independent; the fan-out is the frame step's
+        // biggest cost at scale (one frustum + occlusion pass per user
+        // over the whole partition).
+        let (grid, partition) = (&self.grid, &a.partition);
+        a.maps = par::par_map_indexed(&a.planning_poses, |u, pose| {
+            let options = match s.params.player {
+                PlayerKind::Vanilla => VisibilityOptions::vanilla(),
+                _ => VisibilityOptions {
+                    intrinsics: s.traces[u].device.intrinsics(),
+                    ..VisibilityOptions::vivo()
+                },
+            };
+            VisibilityComputer::new(options).compute(pose, grid, partition)
+        });
+
+        a.unit_sizes.clear();
+        a.unit_sizes
+            .extend(a.partition.iter().map(|c| c.point_count as f64));
+        let unit_index = size_index(&a.partition, &a.unit_sizes);
+        a.member_unit.clear();
+        a.member_unit
+            .extend(a.maps.iter().map(|m| m.required_bytes_indexed(&unit_index)));
+        let total_points: f64 = a.unit_sizes.iter().sum();
+        let culls = !matches!(s.params.player, PlayerKind::Vanilla) && total_points > 0.0;
+        a.needed_fraction.clear();
+        a.needed_fraction.extend(a.member_unit.iter().map(|unit| {
+            if culls {
+                unit / total_points
             } else {
                 1.0
-            },
-            customized_beam_fraction: if multicast_groups > 0 {
-                customized_groups as f64 / multicast_groups as f64
+            }
+        }));
+    }
+
+    /// Stage 5 — decide: one unified delivery decision per user — the ABR
+    /// target (or the session's pinned quality), the degradation ladder's
+    /// rung-1 quality clamp, and (layered) the enhancement-layer count and
+    /// proactive-FEC rung, all from [`RateAdapter::plan_delivery`].
+    /// Fault-free runs have zero distress everywhere, so the clamp is the
+    /// identity.
+    fn decide(&self, a: &mut Arena) {
+        a.qualities.clear();
+        a.fec_rungs.clear();
+        for u in 0..self.n {
+            let inputs = CrossLayerInputs {
+                measured_throughput_mbps: 0.0,
+                buffer_frames: a.buffers[u],
+                blockage_forecast: match self.s.params.mitigation {
+                    MitigationMode::Proactive => a.blocked_now[u],
+                    // Reactive ABRs only see the collapse after it has
+                    // already cost them a frame.
+                    MitigationMode::Reactive => a.blocked_prev[u],
+                },
+                predicted_phy_rate_mbps: a.adapter.predictors[u]
+                    .link
+                    .predicted_rss_dbm(self.cfg.prediction_horizon)
+                    .map_or(a.unicast_phy[u], |r| self.mcs_table.phy_rate_mbps(r)),
+                current_phy_rate_mbps: a.unicast_phy[u],
+            };
+            let decision = a.adapter.plan_delivery(
+                &GroupState {
+                    user: u,
+                    inputs: &inputs,
+                    share: 1.0 / self.n as f64,
+                    needed_fraction: a.needed_fraction[u],
+                    layered: self.layered,
+                    fixed: self.s.params.fixed_quality,
+                },
+                &a.distress[u],
+            );
+            let delivered = decision.quality();
+            if self.have_faults && delivered != decision.target_quality {
+                obs::inc("session.degrade.quality_clamps");
+            }
+            a.qualities.push(delivered);
+            a.fec_rungs.push(decision.fec);
+        }
+        // The decisions were the last reader of both blockage buffers;
+        // this frame's `blocked_now` becomes next frame's `blocked_prev`.
+        std::mem::swap(&mut a.blocked_prev, &mut a.blocked_now);
+    }
+
+    /// Bytes per analysis-density point at quality `q`: cell byte sizes
+    /// are rescaled to the chosen quality's full density.
+    fn scale_for(&self, q: QualityLevel) -> f64 {
+        let quality = self.s.video.quality(q);
+        quality.points_per_frame as f64 / self.s.params.analysis_points as f64
+            * quality.bytes_per_point()
+    }
+
+    /// The user's whole visible payload at their decided quality.
+    fn own_bytes(&self, a: &Arena, u: usize) -> f64 {
+        a.member_unit[u] * self.scale_for(a.qualities[u])
+    }
+
+    fn admit(&self, bytes: f64, phy_mbps: f64) -> bool {
+        phy_mbps > 0.0 && self.mac.airtime_s(bytes, phy_mbps, self.n) <= self.airtime_budget_s
+    }
+
+    /// `(multicast rate, customized beam)` of a member set.
+    fn group_beam(&self, members: &[usize]) -> (f64, bool) {
+        match &self.group_beams {
+            Some(beams) => beams.borrow_mut().group(members),
+            // Group-addressed frames at the legacy basic rate — why ac
+            // multicast doesn't pay off — on a radio with no beams to
+            // customize.
+            None => (self.s.wifi5.multicast_basic_rate_mbps, false),
+        }
+    }
+
+    /// Schedules a unicast burst of `bytes` (plus parity at the user's FEC
+    /// rung) for `u` if it passes admission, returning its plan index. The
+    /// user's pending beam-switch outage is charged to the first burst
+    /// only.
+    fn push_unicast_leg(&self, a: &mut Arena, u: usize, bytes: f64) -> Option<usize> {
+        let parity = bytes * a.fec_rungs[u].overhead();
+        if !self.admit(bytes + parity, a.unicast_phy[u]) {
+            return None;
+        }
+        let mut item = TxItem::unicast(u, bytes, a.unicast_phy[u]).with_parity(parity);
+        item.beam_switch_s = std::mem::take(&mut a.outage_pending[u]);
+        a.plan.items.push(item);
+        if parity > 0.0 {
+            a.fec_protected[u] = true;
+        }
+        Some(a.plan.items.len() - 1)
+    }
+
+    /// Schedules group `g`'s shared payload as one multicast burst,
+    /// returning its plan index.
+    fn push_multicast(&self, a: &mut Arena, g: &Group, bytes: f64, parity: f64) -> usize {
+        a.tally.multicast_groups += 1;
+        a.tally.customized_groups += self.group_beam(&g.members).1 as usize;
+        a.plan.items.push(
+            TxItem::multicast(g.members.clone(), bytes, g.multicast_rate_mbps).with_parity(parity),
+        );
+        a.tally.multicast_bytes += bytes;
+        obs::add("session.multicast_bytes", bytes.max(0.0) as u64);
+        obs::record("session.group_size", g.members.len() as u64);
+        a.plan.items.len() - 1
+    }
+
+    /// Stage 6 — plan: the frame's transmission plan. Baseline players
+    /// unicast every user's payload; volcast groups users by viewport
+    /// similarity, multicasts what each group shares and unicasts the
+    /// rest — as one single-stream payload per user or as base +
+    /// enhancement layers, the only place the delivery mode matters.
+    fn plan(&self, faults: &FrameFaults, a: &mut Arena) {
+        a.effective_quality.clear();
+        a.effective_quality.extend_from_slice(&a.qualities);
+        a.unserved.fill(false);
+        a.needed_bytes.fill(0.0); // zero-need users are trivially served
+        a.fec_protected.fill(false);
+        a.base_item_idx.fill(None);
+        a.outage_pending.clear();
+        a.outage_pending.extend_from_slice(&a.beam_outage);
+
+        // Lost reactive bursts: transmitted at the pre-blockage rate
+        // (stale beam, clear-channel MCS) but never received. They are
+        // queued first — the AP doesn't yet know the link is dead.
+        for u in (0..self.n).filter(|&u| a.wasted_tx[u]) {
+            let clear_rss = self.s.channel.rss_dedicated_beam(a.poses[u].position, &[]);
+            let stale_phy = self.mcs_table.phy_rate_mbps(clear_rss);
+            // Conservative: the AP aborts after ~a quarter of the frame's
+            // worth of unacknowledged MPDUs.
+            let probe_bytes = stale_phy * 1e6 / 8.0 * (self.interval * 0.25);
+            if self.admit(probe_bytes, stale_phy) {
+                a.plan
+                    .items
+                    .push(TxItem::unicast(u, probe_bytes, stale_phy));
+            }
+        }
+
+        if !matches!(self.s.params.player, PlayerKind::Volcast) {
+            // Vanilla fetches full frames, ViVo the visible cells; both
+            // unicast. A burst admission rejects (outage, too slow) is
+            // deferred and the user goes unserved.
+            for u in 0..self.n {
+                let needed = match self.s.params.player {
+                    PlayerKind::Vanilla => self.s.video.quality(a.qualities[u]).full_frame_bytes(),
+                    _ => self.own_bytes(a, u),
+                };
+                a.needed_bytes[u] = needed;
+                if self.push_unicast_leg(a, u, needed).is_none() {
+                    a.unserved[u] = needed > 0.0;
+                }
+            }
+            return;
+        }
+
+        if let Some(beams) = &self.group_beams {
+            beams
+                .borrow_mut()
+                .begin_frame(a.planning_poses.iter().map(|p| p.position), &a.all_blockers);
+        }
+        // The planner prices cells at one quality for everyone: layered
+        // delivery multicasts the base, so at the ladder's floor;
+        // single-stream at the lowest quality any user decided (each
+        // formed group is then re-priced at its own members' minimum).
+        let (plan_quality, arm): (QualityLevel, GroupArm<'a>) = if self.layered {
+            (QualityLevel::Low, Self::layered_group)
+        } else {
+            let lowest = a.qualities.iter().copied().min();
+            (lowest.unwrap_or(QualityLevel::Low), Self::single_group)
+        };
+        let scale = self.scale_for(plan_quality);
+        let cell_sizes: Vec<f64> = a.unit_sizes.iter().map(|s| s * scale).collect();
+        // The planner calls this serially, for groups of 2+.
+        let group_rate = |members: &[usize]| self.group_beam(members).0;
+        let mut groups = self
+            .planner
+            .plan(&GroupingInputs {
+                maps: &a.maps,
+                partition: &a.partition,
+                cell_sizes: &cell_sizes,
+                unicast_rate_mbps: &a.unicast_phy,
+                multicast_rate_mbps: &group_rate,
+            })
+            .groups;
+        sever_outaged(&mut groups, faults);
+        for g in &groups {
+            arm(self, g, plan_quality, a);
+        }
+        a.groups = groups;
+    }
+
+    /// Single-stream arm: the group multicasts its shared cells at the
+    /// members' minimum quality (they must be decodable by all), each
+    /// member's residual rides unicast at their own quality.
+    fn single_group(&self, g: &Group, plan_quality: QualityLevel, a: &mut Arena) {
+        let group_q = (g.members.iter().map(|&u| a.qualities[u]).min()).unwrap_or(plan_quality);
+        let overlap_unit = g.multicast_bytes / self.scale_for(plan_quality).max(1e-12);
+        let shared_bytes = overlap_unit * self.scale_for(group_q);
+
+        // The planner priced this group at the global minimum quality;
+        // re-check the merge at the group's actual quality and against
+        // admission — if the repriced multicast no longer beats plain
+        // unicast (or cannot fit a slot), dissolve it.
+        let beneficial =
+            g.members.len() >= 2 && g.multicast_bytes > 0.0 && g.multicast_rate_mbps > 0.0 && {
+                // `S/r` of a unicast leg to `u` (the `T_m(k)` model's
+                // terms); an unreachable member makes plain unicast
+                // infinitely slow but adds nothing to the merged plan.
+                let air = |u: usize, bytes: f64, unreachable: f64| match a.unicast_phy[u] {
+                    phy if phy > 0.0 => bytes / phy,
+                    _ => unreachable,
+                };
+                let residual = |u| (self.own_bytes(a, u) - shared_bytes).max(0.0);
+                let merged_t = shared_bytes / g.multicast_rate_mbps
+                    + (g.members.iter().map(|&u| air(u, residual(u), 0.0))).sum::<f64>();
+                let unicast_t = (g.members.iter())
+                    .map(|&u| air(u, self.own_bytes(a, u), f64::INFINITY))
+                    .sum::<f64>();
+                merged_t <= unicast_t
+            };
+        let group_active = beneficial && self.admit(shared_bytes, g.multicast_rate_mbps);
+        if group_active {
+            self.push_multicast(a, g, shared_bytes, 0.0);
+        }
+        for &u in &g.members {
+            if group_active {
+                a.effective_quality[u] = a.effective_quality[u].min(group_q);
+            }
+            let own_bytes = self.own_bytes(a, u);
+            let shared = if group_active { shared_bytes } else { 0.0 };
+            a.needed_bytes[u] = own_bytes;
+            // A residual of zero is fully covered by the multicast. One
+            // that cannot complete this slot is not sent at all: no
+            // airtime burned on a partial delivery they cannot render.
+            let residual = (own_bytes - shared).max(0.0);
+            if residual > 0.0 && self.push_unicast_leg(a, u, residual).is_none() {
+                a.unserved[u] = true;
+            }
+        }
+    }
+
+    /// Layered arm: the base layer rides the group's multicast — priced by
+    /// the planner at base scale, so its shared-byte figure IS the base
+    /// payload — at the members' highest FEC rung (one lost reception
+    /// anywhere in the group repairs locally); the unshared remainder of
+    /// every member's base plus any enhancement layers ride unicast.
+    /// Distressed users' bursts carry proactive XOR parity so a single
+    /// lost chunk repairs locally instead of costing the retransmit rung
+    /// its airtime.
+    fn layered_group(&self, g: &Group, base_quality: QualityLevel, a: &mut Arena) {
+        let base_scale = self.scale_for(base_quality);
+        let base_fec = g
+            .members
+            .iter()
+            .map(|&u| a.fec_rungs[u])
+            .fold(FecRung::Off, |hi, rung| {
+                if rung.overhead() > hi.overhead() {
+                    rung
+                } else {
+                    hi
+                }
+            });
+        let shared_base = g.multicast_bytes;
+        let base_parity = shared_base * base_fec.overhead();
+        let group_active = g.members.len() >= 2
+            && shared_base > 0.0
+            && g.multicast_rate_mbps > 0.0
+            && self.admit(shared_base + base_parity, g.multicast_rate_mbps);
+        let base_idx = group_active.then(|| {
+            obs::add(
+                "session.layered.base_multicast_bytes",
+                shared_base.max(0.0) as u64,
+            );
+            self.push_multicast(a, g, shared_base, base_parity)
+        });
+        for &u in &g.members {
+            let own_full = self.own_bytes(a, u);
+            a.needed_bytes[u] = own_full;
+            if a.unicast_phy[u] <= 0.0 {
+                a.unserved[u] = own_full > 0.0;
+                continue;
+            }
+            let base_own = a.member_unit[u] * base_scale;
+            let base_shared = if group_active {
+                shared_base.min(base_own)
             } else {
                 0.0
-            },
-            blocked_user_frames,
-            mean_prediction_error_m: if pred_err_count > 0 {
-                pred_err_sum / pred_err_count as f64
+            };
+            a.base_item_idx[u] = base_idx;
+            if group_active && base_parity > 0.0 {
+                a.fec_protected[u] = true;
+            }
+            // Unshared remainder of the base, unicast.
+            let base_rest = (base_own - base_shared).max(0.0);
+            if base_rest > 0.0 {
+                match self.push_unicast_leg(a, u, base_rest) {
+                    Some(i) => a.base_item_idx[u] = a.base_item_idx[u].or(Some(i)),
+                    None if group_active => {
+                        // The shared slice still renders a coarse frame —
+                        // degrade, don't drop.
+                        a.effective_quality[u] = base_quality;
+                        a.needed_bytes[u] = base_shared;
+                        obs::inc("session.layered.enhancements_deferred");
+                        continue;
+                    }
+                    None => {
+                        a.unserved[u] = true;
+                        continue;
+                    }
+                }
+            }
+            let enh_bytes = (own_full - base_own).max(0.0);
+            if enh_bytes <= 0.0 {
+                continue; // base-only target: done
+            }
+            // Enhancements are optional upgrades: they ride only when the
+            // client holds enough buffer that a slipped enhancement can
+            // never stall playout — and distress deepens the required
+            // reserve, so a user coming out of a fault window streams
+            // cheap base-only frames (whose spare airtime refills the
+            // buffer fastest) until a cushion for the next window is in
+            // place. Cold-started clients join at base quality immediately
+            // and upgrade once buffered — progressive delivery's fast-join
+            // story.
+            let reserve =
+                (1.0 + f64::from(a.distress[u].level)).max(self.cfg.buffer_capacity_frames as f64);
+            if a.buffers[u] < reserve || self.push_unicast_leg(a, u, enh_bytes).is_none() {
+                // The base still renders, so the user degrades instead of
+                // going unserved.
+                a.effective_quality[u] = base_quality;
+                a.needed_bytes[u] = base_own;
+                obs::inc("session.layered.enhancements_deferred");
             } else {
-                0.0
-            },
-            pipelined_on_time_ratio,
-            fault_user_frames,
-            recovered_user_frames,
+                obs::inc("session.layered.enhancement_items");
+            }
+        }
+    }
+
+    /// Stage 7 — recover: what the plan does about this frame's injected
+    /// loss and AP stall.
+    fn recover(&self, faults: &FrameFaults, a: &mut Arena) {
+        // Graceful degradation, rung 2: bounded retransmit. A user whose
+        // scheduled delivery will be lost (corrupted past the MAC's retry
+        // budget) gets exactly one re-send, paid for with a backoff
+        // surcharge and admitted only while the whole frame still fits the
+        // airtime budget. Beyond the budget, the loss stands and the
+        // buffer absorbs it instead.
+        a.retransmitted.fill(false);
+        if !faults.loss.is_empty() && !faults.ap_stall {
+            let backoff_s = 0.1 * self.interval;
+            let airtime = |i: &TxItem| self.mac.airtime_s(i.wire_bytes(), i.phy_mbps, self.n);
+            for u in 0..self.n {
+                if !faults.loss_for(u)
+                    || faults.outage_for(u)
+                    || a.unserved[u]
+                    || a.needed_bytes[u] <= 0.0
+                {
+                    continue;
+                }
+                if a.fec_protected[u] {
+                    // The FEC rung already paid for this loss up front:
+                    // the parity riding with the user's bursts rebuilds
+                    // the lost chunk locally — no retransmit airtime, no
+                    // backoff.
+                    obs::inc("session.degrade.fec_recoveries");
+                    continue;
+                }
+                let resend = TxItem::unicast(u, a.needed_bytes[u], a.unicast_phy[u]);
+                let frame_air: f64 = (a.plan.items.iter())
+                    .map(|i| i.beam_switch_s + airtime(i))
+                    .sum();
+                let retx_air = airtime(&resend);
+                if frame_air.is_finite()
+                    && retx_air.is_finite()
+                    && frame_air + backoff_s + retx_air <= self.airtime_budget_s
+                {
+                    a.plan.items.push(TxItem {
+                        beam_switch_s: backoff_s, // MAC backoff before the re-send
+                        ..resend
+                    });
+                    a.retransmitted[u] = true;
+                    obs::inc("session.degrade.retransmits");
+                } else {
+                    obs::inc("session.degrade.retransmits_deferred");
+                }
+            }
+        }
+        // Injected AP stall: the AP transmits nothing this frame. Clear
+        // the plan (no airtime is burned: no base layer to fall back on,
+        // no parity) and mark every user with pending payload unserved,
+        // so they play from buffer — stall recovery without a panic,
+        // never a wedged queue.
+        if faults.ap_stall {
+            a.plan.items.clear();
+            a.base_item_idx.fill(None);
+            a.fec_protected.fill(false);
+            for (unserved, &needed) in a.unserved.iter_mut().zip(&a.needed_bytes) {
+                *unserved = needed > 0.0;
+            }
+        }
+    }
+
+    /// Stage 8 — replay: the plan's airtime on the MAC model, and the
+    /// frame's share of the outcome tallies.
+    fn replay(&self, a: &mut Arena) -> PlanTiming {
+        let timing = a.plan.execute(&self.mac, self.n, self.n);
+        if obs::enabled() {
+            obs::add("session.scheduled_items", a.plan.items.len() as u64);
+            obs::add(
+                "session.planned_bytes",
+                a.plan.total_bytes().max(0.0) as u64,
+            );
+            obs::add(
+                "session.unserved_user_frames",
+                a.unserved.iter().filter(|&&b| b).count() as u64,
+            );
+            if timing.total_s.is_finite() {
+                obs::record("session.frame_airtime_us", (timing.total_s * 1e6) as u64);
+            }
+        }
+        a.tally.total_bytes += a.plan.total_bytes();
+        a.tally.frame_time_sum += if timing.total_s.is_finite() {
+            timing.total_s
+        } else {
+            self.interval * 4.0 // charge a saturated slot for outage frames
+        };
+        for g in &a.groups {
+            a.tally.group_size_sum += g.members.len() as f64;
+            a.tally.group_count += 1;
+        }
+        if !matches!(self.s.params.player, PlayerKind::Volcast) {
+            a.tally.group_size_sum += self.n as f64; // n singleton groups
+            a.tally.group_count += self.n;
+        }
+        timing
+    }
+
+    /// Client decode time of a frame at quality `q`. A decode overrun
+    /// (thermal throttling, background work) makes the client miss its
+    /// slot: charge at least a slot and a half.
+    fn decode_time(&self, q: QualityLevel, overrun: bool) -> f64 {
+        let points = self.s.video.quality(q).points_per_frame;
+        let t = self.s.decode.frame_decode_time(points);
+        if overrun {
+            t.max(1.5 * self.interval)
+        } else {
+            t
+        }
+    }
+
+    /// Stage 9 — playout and adapt: every user's frame against their
+    /// buffer (on time, stalled, or rendered from the base layer), the
+    /// distress ladder's bookkeeping, and the ABR's throughput feedback.
+    /// The frame's plan then joins the replay log.
+    fn playout(&self, faults: &FrameFaults, timing: &PlanTiming, a: &mut Arena) {
+        for u in 0..self.n {
+            // An injected loss without a successful retransmit means the
+            // airtime was burned but nothing decodable arrived — unless
+            // the burst carried proactive parity: a single erasure then
+            // rebuilds locally and the frame completes.
+            let lost = faults.loss_for(u) && !a.retransmitted[u] && !a.fec_protected[u];
+            let on_time = self.render(u, lost, faults, timing, a);
+            if self.have_faults {
+                self.roll_distress(u, lost, on_time, faults, a);
+            }
+            self.feed_adapter(u, a);
+        }
+        a.plans.push(std::mem::take(&mut a.plan));
+    }
+
+    /// Plays user `u`'s frame out of the buffer and records it; returns
+    /// whether it rendered on time.
+    fn render(
+        &self,
+        u: usize,
+        lost: bool,
+        faults: &FrameFaults,
+        timing: &PlanTiming,
+        a: &mut Arena,
+    ) -> bool {
+        // Proactive mitigation prefetched ahead of the onset using earlier
+        // frames' spare airtime (the paper: "prefetch the content and
+        // schedule the future cells in the current time slot"). The
+        // blockage reserve may exceed the normal motion-to-photon buffer
+        // cap: during a forecast outage the client accepts staler
+        // predicted-viewport cells over a stall. Half the pushed frames
+        // are credited (the other half render with out-of-date viewports
+        // and are wasted).
+        let reserve = a.extra_prefetch[u] as f64 * 0.5;
+        let buf = (a.buffers[u] + reserve).min(self.buf_cap + reserve);
+
+        let broken = a.unserved[u] || a.wasted_tx[u] || lost;
+        let delivery = if a.needed_bytes[u] <= 0.0 {
+            0.0 // nothing visible: trivially delivered
+        } else if broken {
+            f64::INFINITY
+        } else {
+            timing.user_completion_s[u].unwrap_or(f64::INFINITY)
+        };
+        let overrun = faults.decode_overrun_for(u);
+        let play = |t_eff: f64| classify(t_eff, buf, self.interval, self.buf_cap);
+        let mut rendered_q = a.effective_quality[u];
+        let mut out = play(delivery.max(self.decode_time(rendered_q, overrun)));
+        // Partial render: when the full layer stack misses its slot, fall
+        // back to the base layer — a coarse frame on time beats a stall.
+        // (A lost or wasted burst took the base down with it; those
+        // cannot fall back.)
+        let can_fall_back = !out.on_time && a.needed_bytes[u] > 0.0 && !lost && !a.wasted_tx[u];
+        if let Some(i) = a.base_item_idx[u].filter(|_| can_fall_back) {
+            let base_q = QualityLevel::Low;
+            let base = play(timing.item_completion_s[i].max(self.decode_time(base_q, overrun)));
+            if base.on_time || base.stall_s < out.stall_s {
+                out = base;
+                rendered_q = base_q;
+                if base.on_time {
+                    obs::inc("session.layered.partial_renders");
+                }
+            }
+        }
+        a.buffers[u] = out.buffer;
+        a.qoe.users[u].record_frame(out.on_time, out.stall_s, rendered_q);
+        if obs::enabled() {
+            if !out.on_time {
+                obs::inc("session.stalls");
+                obs::record("session.stall_us", (out.stall_s * 1e6) as u64);
+            }
+            obs::gauge("session.buffer_frames_peak", a.buffers[u]);
+        }
+        out.on_time
+    }
+
+    /// Ladder bookkeeping: count fault hits and how many the degradation
+    /// machinery absorbed, and roll the per-user distress that drives next
+    /// frame's delivery decision.
+    fn roll_distress(
+        &self,
+        u: usize,
+        lost: bool,
+        on_time: bool,
+        faults: &FrameFaults,
+        a: &mut Arena,
+    ) {
+        let hit = faults.ap_stall
+            || faults.outage_for(u)
+            || faults.blockage_for(u)
+            || faults.loss_for(u)
+            || faults.decode_overrun_for(u);
+        if hit {
+            a.tally.fault_user_frames += 1;
+            if on_time {
+                a.tally.recovered_user_frames += 1;
+            }
+        }
+        // Hard faults raise distress even when absorbed (the link has not
+        // proven itself); soft ones only when they actually cost a stall.
+        let hard = faults.ap_stall || faults.outage_for(u) || lost;
+        if hard || (hit && !on_time) {
+            a.distress[u].raise(2);
+        } else {
+            a.distress[u].relax();
+        }
+        if obs::enabled() {
+            obs::gauge("session.degrade.distress_peak", a.distress[u].level as f64);
+        }
+    }
+
+    /// Feeds the adapter's cross-layer predictor with this user's
+    /// *delivery rate* (bytes over the airtime actually spent on their
+    /// items), the quantity an ABR can measure.
+    fn feed_adapter(&self, u: usize, a: &mut Arena) {
+        let unicast_only = self.feedback_unicast_only;
+        let (user_bytes, user_airtime): (f64, f64) = (a.plan.items.iter())
+            .filter(|i| i.receivers().contains(&u) && (!unicast_only || i.receivers().len() == 1))
+            .map(|i| {
+                let airtime = self.mac.airtime_s(i.wire_bytes(), i.phy_mbps, self.n);
+                (i.bytes, airtime)
+            })
+            .fold((0.0, 0.0), |(b, t), (ib, it)| (b + ib, t + it));
+        let tput = if user_airtime > 0.0 && user_airtime.is_finite() {
+            user_bytes * 8.0 / (user_airtime * 1e6)
+        } else {
+            0.0
+        };
+        if user_airtime <= 0.0 && a.base_item_idx[u].is_some() {
+            // Base-only frame: the unicast path was idle, not slow. Track
+            // the RSS trend but keep the throughput EWMA.
+            a.adapter.predictors[u].link.observe(a.rss[u]);
+        } else {
+            a.adapter.observe(u, tput, a.rss[u]);
+        }
+    }
+
+    /// Closes the run: the pipelined network-only replay (see
+    /// [`SessionOutcome::pipelined_on_time_ratio`]) under the same fault
+    /// schedule the frame loop saw, and the aggregate outcome.
+    fn finish(&self, mut a: Arena) -> Result<SessionOutcome, VolcastError> {
+        let frames = self.s.params.frames;
+        a.qoe.duration_s = frames as f64 * self.interval;
+        let deadline = SimTime::from_secs(self.interval);
+        let sim = Simulator::new(&self.mac, self.n, self.n, deadline, BacklogPolicy::Drop)
+            .map_err(VolcastError::Net)?
+            .with_faults(self.fault_plan);
+        let (mut on_time, mut addressed) = (0usize, 0usize);
+        for (plan, outcome) in a.plans.iter().zip(&sim.run(&a.plans)) {
+            for u in 0..self.n {
+                // Only count users the frame's plan actually addressed.
+                if plan.items.iter().any(|i| i.receivers().contains(&u)) {
+                    addressed += 1;
+                    on_time += outcome.on_time(u, deadline) as usize;
+                }
+            }
+        }
+        let ratio = |num: f64, den: f64, empty: f64| if den > 0.0 { num / den } else { empty };
+        Ok(SessionOutcome {
+            qoe: a.qoe,
+            mean_frame_time_s: a.tally.frame_time_sum / frames.max(1) as f64,
+            multicast_byte_fraction: ratio(a.tally.multicast_bytes, a.tally.total_bytes, 0.0),
+            mean_group_size: ratio(a.tally.group_size_sum, a.tally.group_count as f64, 1.0),
+            customized_beam_fraction: ratio(
+                a.tally.customized_groups as f64,
+                a.tally.multicast_groups as f64,
+                0.0,
+            ),
+            blocked_user_frames: a.tally.blocked_user_frames,
+            mean_prediction_error_m: ratio(
+                a.tally.pred_err_sum,
+                a.tally.pred_err_count as f64,
+                0.0,
+            ),
+            pipelined_on_time_ratio: ratio(on_time as f64, addressed as f64, 1.0),
+            fault_user_frames: a.tally.fault_user_frames,
+            recovered_user_frames: a.tally.recovered_user_frames,
         })
     }
 }
@@ -1555,8 +1601,7 @@ volcast_util::impl_json_struct!(SessionParams {
     body_blockage,
     radio,
     faults,
-    delivery,
-    encode_gop
+    delivery
 });
 volcast_util::impl_json_struct!(SessionOutcome {
     qoe,
@@ -1781,6 +1826,159 @@ mod tests {
             layered.qoe.mean_stall_ratio(),
             legacy.qoe.mean_stall_ratio()
         );
+    }
+
+    /// Drives the stages exactly as [`StreamingSession::run`] does,
+    /// showing `inspect` every frame's arena once its plan is final.
+    fn drive(
+        s: &StreamingSession,
+        mut inspect: impl FnMut(&FrameFaults, &Arena),
+    ) -> SessionOutcome {
+        let fault_plan = s.checked_fault_plan().unwrap();
+        let p = Pipeline::new(s, &fault_plan);
+        let mut a = Arena::new(&p);
+        for f in 0..s.params.frames {
+            let faults = p.frame_faults(f);
+            p.observe(f, &mut a);
+            p.forecast(f, faults, &mut a);
+            p.link_rates(faults, &mut a);
+            p.visibility(f, &mut a);
+            p.decide(&mut a);
+            p.plan(faults, &mut a);
+            p.recover(faults, &mut a);
+            inspect(faults, &a);
+            let timing = p.replay(&mut a);
+            p.playout(faults, &timing, &mut a);
+        }
+        p.finish(a).unwrap()
+    }
+
+    fn stormy() -> FaultConfig {
+        FaultConfig {
+            seed: 9,
+            outage_rate: 0.08,
+            outage_frames: 3,
+            loss_rate: 0.2,
+            decode_overrun_rate: 0.1,
+            ap_stall_rate: 0.03,
+            ap_stall_frames: 2,
+            ..Default::default()
+        }
+    }
+
+    /// The post-plan stages read `base_item_idx` and `fec_protected`, not
+    /// the delivery mode: sound only while the single-stream arm never
+    /// sets either — under every fault class, all frames, all users.
+    #[test]
+    fn single_stream_plans_carry_no_base_item_and_no_parity() {
+        let mut s = layered_session(Some(stormy()));
+        s.params.delivery = DeliveryMode::Single;
+        let mut frames = 0;
+        let driven = drive(&s, |_, a| {
+            frames += 1;
+            assert!(a.base_item_idx.iter().all(Option::is_none));
+            assert!(a.fec_protected.iter().all(|&p| !p));
+            assert!(a.plan.items.iter().all(|i| i.parity_bytes == 0.0));
+        });
+        assert_eq!(frames, 30);
+        // The test's stage list is the one `run` executes.
+        assert_eq!(driven, s.run().unwrap());
+
+        // The layered arm does set both (so the asserts above can fail).
+        let (mut based, mut protected) = (false, false);
+        let layered = layered_session(Some(stormy()));
+        let driven = drive(&layered, |_, a| {
+            based |= a.base_item_idx.iter().any(Option::is_some);
+            protected |= a.fec_protected.iter().any(|&p| p);
+        });
+        assert!(based && protected);
+        assert_eq!(driven, layered_session(Some(stormy())).run().unwrap());
+    }
+
+    /// Whatever the faults, each frame's groups are a partition of the
+    /// users in canonical order, and nobody in an outage shares a group.
+    #[test]
+    fn planned_groups_partition_the_users_under_outages() {
+        let mut outaged_frames = 0;
+        for delivery in [DeliveryMode::Single, DeliveryMode::Layered] {
+            let mut s = layered_session(Some(stormy()));
+            s.params.delivery = delivery;
+            drive(&s, |faults, a| {
+                let members: Vec<usize> = a.groups.iter().flat_map(|g| g.members.clone()).collect();
+                let mut sorted = members.clone();
+                sorted.sort_unstable();
+                assert_eq!(sorted, [0, 1, 2], "groups {:?}", a.groups);
+                assert!(a.groups.windows(2).all(|w| w[0].members < w[1].members));
+                for g in a.groups.iter().filter(|g| g.members.len() > 1) {
+                    assert!(!g.members.iter().any(|&u| faults.outage_for(u)));
+                }
+                outaged_frames += !faults.outage.is_empty() as usize;
+            });
+        }
+        assert!(outaged_frames > 0, "the fault schedule injected no outage");
+    }
+
+    #[test]
+    fn sever_outaged_regroups_into_a_canonical_partition() {
+        let group = |members: &[usize], bytes: f64| Group {
+            members: members.to_vec(),
+            multicast_bytes: bytes,
+            multicast_rate_mbps: 1000.0,
+            iou: 0.5,
+        };
+        let planned = vec![
+            group(&[0, 3, 4], 9e4),
+            group(&[1, 2], 5e4),
+            group(&[5], 0.0),
+        ];
+        let mut faults = FrameFaults::default();
+
+        // No outage: untouched.
+        let mut groups = planned.clone();
+        sever_outaged(&mut groups, &faults);
+        assert_eq!(groups, planned);
+
+        // Users 1, 2 (a whole group) and 3 (one of three) go dark.
+        for u in [1, 2, 3] {
+            faults.outage.insert(u);
+        }
+        sever_outaged(&mut groups, &faults);
+        let members: Vec<&[usize]> = groups.iter().map(|g| &g.members[..]).collect();
+        assert_eq!(members, [&[0, 4][..], &[1], &[2], &[3], &[5]]);
+        // Survivors keep the planner's price; the severed ride alone at
+        // zero price.
+        assert_eq!(groups[0], group(&[0, 4], 9e4));
+        for g in &groups[1..4] {
+            assert_eq!(*g, Group::unpriced(g.members.clone()));
+        }
+        assert_eq!(groups[4], planned[2]);
+    }
+
+    #[test]
+    fn classify_covers_the_five_playout_outcomes() {
+        let (interval, cap) = (0.04, 3.0);
+        let play = |t_eff: f64, buf: f64| classify(t_eff, buf, interval, cap);
+        let out = |on_time, stall_s, buffer| Playout {
+            on_time,
+            stall_s,
+            buffer,
+        };
+        // Undeliverable: a buffered frame plays instead; an empty buffer
+        // stalls a whole interval.
+        assert_eq!(play(f64::INFINITY, 1.5), out(true, 0.0, 0.5));
+        assert_eq!(play(f64::INFINITY, 0.9), out(false, interval, 0.0));
+        // Early: the spare airtime prefetches ahead, up to the cap.
+        assert_eq!(play(0.01, 1.0), out(true, 0.0, 1.75));
+        assert_eq!(play(0.01, 2.5), out(true, 0.0, cap));
+        assert_eq!(play(interval, 1.0), out(true, 0.0, 1.0));
+        // Late by half a frame: absorbed by a deep enough buffer...
+        let absorbed = play(0.06, 2.0);
+        assert!(absorbed.on_time && absorbed.stall_s == 0.0);
+        assert!((absorbed.buffer - 1.5).abs() < 1e-12);
+        // ...and a stall for the uncovered remainder otherwise.
+        let stalled = play(0.06, 0.25);
+        assert!(!stalled.on_time && stalled.buffer == 0.0);
+        assert!((stalled.stall_s - 0.25 * interval).abs() < 1e-12);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Deterministic discrete-event WLAN simulator for volcast.
 //!
 //! Event-driven in the smoltcp tradition: explicit integer-nanosecond time,
-//! a deterministic event queue, and poll-style state machines — no async
-//! runtime, no wall-clock dependence, bit-identical runs for a fixed seed.
+//! a deterministic time race over pending arrivals, and poll-style state
+//! machines — no async runtime, no wall-clock dependence, bit-identical
+//! runs for a fixed seed.
 //!
-//! - [`SimTime`] / [`EventQueue`]: the simulation clock and ordered event
-//!   dispatch,
+//! - [`SimTime`]: the simulation clock,
 //! - [`AdMac`] / [`AcMac`]: calibrated airtime models for 802.11ad
 //!   service-period scheduling and 802.11ac contention (Table 1's two
 //!   networks),
@@ -26,14 +26,14 @@
 //!   instead of panicking on malformed or hostile input.
 //!
 //! ```
-//! use volcast_net::{EventQueue, SimTime};
+//! use volcast_net::SimTime;
 //!
-//! // Events pop in time order regardless of insertion order.
-//! let mut q = EventQueue::new();
-//! q.schedule(SimTime::from_millis(2.0), "later");
-//! q.schedule(SimTime::from_millis(1.0), "sooner");
-//! assert_eq!(q.pop(), Some((SimTime::from_millis(1.0), "sooner")));
-//! assert_eq!(q.pop(), Some((SimTime::from_millis(2.0), "later")));
+//! // Time is integer nanoseconds: exact, totally ordered, unit-converted
+//! // only at the edges.
+//! let slot = SimTime::from_millis(2.0);
+//! assert_eq!(slot, SimTime::from_micros(2000.0));
+//! assert!(SimTime::from_millis(1.0) < slot);
+//! assert_eq!(slot.saturating_sub(SimTime::from_secs(1.0)), SimTime::ZERO);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -45,7 +45,6 @@ pub mod fec;
 pub mod link;
 pub mod mac;
 pub mod plan;
-pub mod queue;
 pub mod sim;
 pub mod time;
 pub mod wifi5;
@@ -56,7 +55,6 @@ pub use faults::{FaultConfig, FaultPlan, FrameFaults};
 pub use link::LinkState;
 pub use mac::{AcMac, AdMac, MacModel};
 pub use plan::{PlanTiming, TransmissionPlan, TxItem, TxKind};
-pub use queue::EventQueue;
 pub use sim::{BacklogPolicy, FrameOutcome, SimScratch, Simulator};
 pub use time::SimTime;
 pub use wifi5::Wifi5Channel;

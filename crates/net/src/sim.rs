@@ -3,9 +3,10 @@
 //! [`TransmissionPlan::execute`](crate::plan::TransmissionPlan::execute)
 //! times one frame's schedule in isolation. Real streaming is pipelined:
 //! frame `f+1`'s bursts queue behind whatever is still on the air from
-//! frame `f`. [`Simulator`] runs a sequence of per-frame plans through the
-//! deterministic event queue and reports absolute completion times, with a
-//! choice of backlog policies:
+//! frame `f`. [`Simulator`] runs a sequence of per-frame plans through a
+//! deterministic time race (next frame start, transmission done, AP
+//! resume) and reports absolute completion times, with a choice of backlog
+//! policies:
 //!
 //! - [`BacklogPolicy::Queue`]: late items keep transmitting (progressive
 //!   download semantics); backlog accumulates when the network is

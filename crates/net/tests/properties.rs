@@ -1,8 +1,6 @@
 //! Property tests for the network substrate.
 
-use volcast_net::{
-    AdMac, BacklogPolicy, EventQueue, MacModel, SimTime, Simulator, TransmissionPlan, TxItem,
-};
+use volcast_net::{AdMac, BacklogPolicy, MacModel, SimTime, Simulator, TransmissionPlan, TxItem};
 use volcast_util::prop::prelude::*;
 
 fn arb_plan(max_items: usize) -> impl Strategy<Value = TransmissionPlan> {
@@ -23,22 +21,6 @@ fn arb_plan(max_items: usize) -> impl Strategy<Value = TransmissionPlan> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn event_queue_pops_sorted(times in prop::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime(t), i);
-        }
-        let mut prev = SimTime::ZERO;
-        let mut count = 0;
-        while let Some((t, _)) = q.pop() {
-            prop_assert!(t >= prev);
-            prev = t;
-            count += 1;
-        }
-        prop_assert_eq!(count, times.len());
-    }
 
     #[test]
     fn plan_completions_are_monotone(plan in arb_plan(20)) {

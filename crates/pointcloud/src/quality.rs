@@ -8,10 +8,7 @@
 //!
 //! [`Ladder`] is the canonical QualityLevel → octree-depth / bytes mapping
 //! shared by the codec's layered configuration, the rate adapter, and the
-//! campus simulation's sustainable-load clamp. Before it existed the
-//! mapping logic was duplicated across those layers; the older loose
-//! accessors ([`Quality::of`], [`QualityLadder::best_within`]) are
-//! deprecated in its favor.
+//! campus simulation's sustainable-load clamp.
 
 /// One of the paper's three quality versions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -70,8 +67,9 @@ pub struct Quality {
     pub full_frame_mbps: f64,
 }
 
-/// Paper-calibrated anchors for a level (internal: the un-deprecated
-/// source of truth behind [`Quality::of`] and [`Ladder`]).
+/// Paper-calibrated anchors for a level (the source of truth behind
+/// [`Ladder`]). Bitrates interpolate the paper's 235-364 Mbps range across
+/// the ladder proportionally to point count.
 fn anchor(level: QualityLevel) -> Quality {
     match level {
         QualityLevel::Low => Quality {
@@ -102,15 +100,6 @@ fn idx(level: QualityLevel) -> usize {
 }
 
 impl Quality {
-    /// Paper-calibrated parameters for a level.
-    ///
-    /// Bitrates interpolate the paper's 235-364 Mbps range across the
-    /// ladder proportionally to point count.
-    #[deprecated(note = "use `quality::Ladder::quality` (the canonical mapping)")]
-    pub fn of(level: QualityLevel) -> Quality {
-        anchor(level)
-    }
-
     /// Compressed size of one full frame in bytes at 30 FPS.
     pub fn full_frame_bytes(&self) -> f64 {
         self.full_frame_mbps * 1e6 / 8.0 / 30.0
@@ -145,17 +134,6 @@ impl QualityLadder {
     /// Looks up a level's parameters.
     pub fn get(&self, level: QualityLevel) -> Quality {
         self.levels[idx(level)]
-    }
-
-    /// The highest level whose full-frame bitrate fits within `budget_mbps`,
-    /// or `None` when even Low does not fit.
-    #[deprecated(note = "use `quality::Ladder::best_within` (the canonical mapping)")]
-    pub fn best_within(&self, budget_mbps: f64) -> Option<QualityLevel> {
-        self.levels
-            .iter()
-            .rev()
-            .find(|q| q.full_frame_mbps <= budget_mbps)
-            .map(|q| q.level)
     }
 }
 
@@ -332,11 +310,6 @@ mod tests {
         assert_eq!(l.quality(QualityLevel::Low).full_frame_mbps, 235.0);
         assert_eq!(l.quality(QualityLevel::High).full_frame_mbps, 364.0);
         assert_eq!(l.quality(QualityLevel::High).points_per_frame, 550_000);
-        // The deprecated accessor must keep answering identically.
-        #[allow(deprecated)]
-        for level in QualityLevel::ALL {
-            assert_eq!(Quality::of(level), l.quality(level));
-        }
     }
 
     #[test]
@@ -365,14 +338,6 @@ mod tests {
         assert_eq!(l.best_within(300.0), Some(QualityLevel::Medium));
         assert_eq!(l.best_within(240.0), Some(QualityLevel::Low));
         assert_eq!(l.best_within(100.0), None);
-        // The deprecated QualityLadder accessor answers identically.
-        #[allow(deprecated)]
-        for budget in [400.0, 300.0, 240.0, 100.0] {
-            assert_eq!(
-                QualityLadder::default().best_within(budget),
-                l.best_within(budget)
-            );
-        }
     }
 
     #[test]

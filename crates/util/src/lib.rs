@@ -3,7 +3,7 @@
 //! The dependency-free substrate that keeps the volcast workspace building
 //! hermetically: no registry access, no vendored crates, `CARGO_NET_OFFLINE=true`
 //! always works. Every external crate the workspace once pulled in (`rand`,
-//! `serde`/`serde_json`, `proptest`, `criterion`) is replaced by a small,
+//! `serde`/`serde_json`, `proptest`) is replaced by a small,
 //! deterministic, in-tree equivalent:
 //!
 //! - [`rng`] — a SplitMix64-seeded xoshiro256++ PRNG with the handful of
@@ -18,9 +18,6 @@
 //!   composable [`prop::Strategy`] values (ranges, tuples,
 //!   `prop::collection::vec`, [`prop::any`]), deterministic per-case seeds
 //!   and failure-seed reporting.
-//! - [`timing`] — a plain wall-clock benchmark harness standing in for
-//!   `criterion` (warm-up, fixed sample count, min/median/mean report,
-//!   optional machine-readable JSON records).
 //! - [`par`] — a scoped-thread data-parallel substrate standing in for
 //!   `rayon` (`par_map` / `par_map_indexed` / `chunked`), sized by
 //!   `VOLCAST_THREADS` and bit-for-bit deterministic across thread counts.
@@ -83,4 +80,3 @@ pub mod par;
 pub mod prop;
 pub mod rng;
 pub mod scratch;
-pub mod timing;

@@ -84,8 +84,7 @@ echo "==> server bench is byte-identical at VOLCAST_THREADS=1 and 8"
 # The session server at its full default scale (1200 offered clients,
 # admission cap 1024, 120 frames; runs in well under a second). stdout
 # carries only deterministic metrics and the outcome hash, so a plain
-# diff is the thread-invariance witness — and the run leaves
-# BENCH_server.json regenerated at the canonical scale.
+# diff is the thread-invariance witness.
 tmp_srv1="$(mktemp)"
 tmp_srv8="$(mktemp)"
 VOLCAST_THREADS=1 cargo run -q --release -p volcast-bench --bin server > "$tmp_srv1" 2> /dev/null
@@ -102,9 +101,9 @@ echo "==> campus smoke is byte-identical at VOLCAST_THREADS=1 and 8, hash pinned
 tmp_cmp1="$(mktemp)"
 tmp_cmp8="$(mktemp)"
 VOLCAST_THREADS=1 cargo run -q --release -p volcast-bench --bin campus -- \
-    --users 500 --aps 8 --frames 30 --report '' > "$tmp_cmp1" 2> /dev/null
+    --users 500 --aps 8 --frames 30 > "$tmp_cmp1" 2> /dev/null
 VOLCAST_THREADS=8 cargo run -q --release -p volcast-bench --bin campus -- \
-    --users 500 --aps 8 --frames 30 --report '' > "$tmp_cmp8" 2> /dev/null
+    --users 500 --aps 8 --frames 30 > "$tmp_cmp8" 2> /dev/null
 diff "$tmp_cmp1" "$tmp_cmp8"
 grep -q "outcome hash 0x671fa175dde52bf0" "$tmp_cmp1" || {
     echo "ERROR: campus smoke outcome hash drifted (expected 0x671fa175dde52bf0):" >&2

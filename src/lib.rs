@@ -48,7 +48,7 @@ pub use volcast_viewport as viewport;
 /// mmWave: arrays, codebooks, channel, MCS, multi-lobe beams.
 pub use volcast_mmwave as mmwave;
 
-/// Network simulation: event queue, MAC models, transmission plans.
+/// Network simulation: sim clock, MAC models, transmission plans and their replay.
 pub use volcast_net as net;
 
 /// The streaming system: grouping, adaptation, sessions, QoE.
