@@ -14,6 +14,7 @@
 
 use volcast_core::session::quick_session;
 use volcast_core::{AbrPolicy, MitigationMode, PlayerKind};
+use volcast_pointcloud::VideoSequence;
 
 fn main() {
     let n = 8usize;
@@ -25,6 +26,8 @@ fn main() {
     );
     println!("{}", "-".repeat(76));
 
+    // Every variant streams the same content: one cell manifest.
+    let video = VideoSequence::default();
     let run = |label: &str,
                player: PlayerKind,
                custom_beams: bool,
@@ -35,6 +38,7 @@ fn main() {
         s.params.abr = abr;
         s.params.mitigation = mitigation;
         s.params.analysis_points = 10_000;
+        s.video = video.clone();
         let out = s.run().unwrap();
         println!(
             "{:<34} {:>9.1} {:>9.3} {:>9.2} {:>10.0}%",

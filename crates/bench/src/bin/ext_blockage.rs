@@ -15,7 +15,7 @@
 use volcast_core::session::quick_session_with_device;
 use volcast_core::{MitigationMode, PlayerKind};
 use volcast_geom::{Pose, Vec3};
-use volcast_pointcloud::QualityLevel;
+use volcast_pointcloud::{QualityLevel, VideoSequence};
 use volcast_viewport::{DeviceClass, Trace};
 
 /// A person pacing along the x axis at `z`, crossing every viewer's LoS.
@@ -52,12 +52,15 @@ fn main() {
     );
     println!("{}", "-".repeat(74));
 
+    // Every variant streams the same content: one cell manifest.
+    let video = VideoSequence::default();
     let run = |label: &str, mitigation: MitigationMode, with_walker: bool| {
         let mut s =
             quick_session_with_device(PlayerKind::Volcast, 3, frames, 42, DeviceClass::Phone);
         s.params.mitigation = mitigation;
         s.params.fixed_quality = Some(QualityLevel::Medium);
         s.params.analysis_points = 10_000;
+        s.video = video.clone();
         if with_walker {
             // Crossing between the viewer arc (z ~ 1-2) and the AP wall.
             s.walkers.push(walker(frames, 2.0, 1.2));

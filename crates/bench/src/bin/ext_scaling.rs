@@ -11,7 +11,7 @@
 
 use volcast_core::session::quick_session_with_device;
 use volcast_core::PlayerKind;
-use volcast_pointcloud::QualityLevel;
+use volcast_pointcloud::{QualityLevel, VideoSequence};
 use volcast_viewport::DeviceClass;
 
 fn main() {
@@ -30,6 +30,8 @@ fn main() {
         .iter()
         .flat_map(|&n| players.iter().map(move |&p| (n, p)))
         .collect();
+    // They all stream the same content, so they share its cell manifest.
+    let video = VideoSequence::default();
     let rows: Vec<String> = volcast_util::par::par_map(&configs, |&(n, player)| {
         // Classroom scenario: phone viewers clustered in a frontal
         // arc — the paper's motivating multi-user case, where viewport
@@ -37,6 +39,7 @@ fn main() {
         let mut s = quick_session_with_device(player, n, 90, 42, DeviceClass::Phone);
         s.params.fixed_quality = Some(QualityLevel::High);
         s.params.analysis_points = 10_000;
+        s.video = video.clone();
         let out = s.run().unwrap();
         format!(
             "{:<6} {:<18} {:>9.1} {:>12.3} {:>12.2} {:>11.0}%",

@@ -10,7 +10,7 @@
 
 use volcast_core::session::quick_session_with_device;
 use volcast_core::PlayerKind;
-use volcast_pointcloud::QualityLevel;
+use volcast_pointcloud::{QualityLevel, VideoSequence};
 use volcast_viewport::DeviceClass;
 
 fn main() {
@@ -24,7 +24,10 @@ fn main() {
     );
     println!("{}", "-".repeat(60));
     // Each cell size is an independent seeded session; run them across
-    // threads and print rows in config order.
+    // threads and print rows in config order. All seven sessions stream
+    // the same content, so they share its cell manifest (one entry per
+    // frame and grid).
+    let video = VideoSequence::default();
     let cells = [0.25f64, 0.5, 1.0];
     let cell_rows: Vec<String> = volcast_util::par::par_map(&cells, |&cell| {
         let mut s =
@@ -32,6 +35,7 @@ fn main() {
         s.params.config.cell_size = cell;
         s.params.fixed_quality = Some(QualityLevel::High);
         s.params.analysis_points = 10_000;
+        s.video = video.clone();
         let out = s.run().unwrap();
         format!(
             "{:<10} {:>9.1} {:>12.3} {:>11.0}% {:>12.2}",
@@ -71,6 +75,7 @@ fn main() {
             s.params.config.prediction_horizon = horizon;
             s.params.fixed_quality = Some(QualityLevel::High);
             s.params.analysis_points = 10_000;
+            s.video = video.clone();
             let out = s.run().unwrap();
             format!(
                 "{:<26} {:>9.1} {:>12.3} {:>14.3}",

@@ -18,6 +18,7 @@
 use volcast_core::session::quick_session_with_device;
 use volcast_core::{DeliveryMode, PlayerKind};
 use volcast_net::FaultConfig;
+use volcast_pointcloud::VideoSequence;
 use volcast_util::hash::fnv1a;
 use volcast_util::json::ToJson;
 use volcast_util::obs;
@@ -52,6 +53,8 @@ fn main() {
     );
     println!("{}", "-".repeat(78));
 
+    // All 16 sessions stream the same content: they share its cell manifest.
+    let video = VideoSequence::default();
     let mut legacy: Vec<(f64, f64)> = Vec::new(); // (stall_ratio, quality) per scenario
     for &(name, spec) in SCENARIOS {
         obs::reset();
@@ -59,6 +62,7 @@ fn main() {
         let mut s =
             quick_session_with_device(PlayerKind::Volcast, USERS, FRAMES, 42, DeviceClass::Phone);
         s.params.analysis_points = 8_000;
+        s.video = video.clone();
         if !cfg.is_quiet() {
             s.params.faults = Some(cfg);
         }
@@ -98,6 +102,7 @@ fn main() {
         let mut s =
             quick_session_with_device(PlayerKind::Volcast, USERS, FRAMES, 42, DeviceClass::Phone);
         s.params.analysis_points = 8_000;
+        s.video = video.clone();
         s.params.delivery = DeliveryMode::Layered;
         if !cfg.is_quiet() {
             s.params.faults = Some(cfg);

@@ -14,11 +14,18 @@
 
 use volcast_core::session::quick_session_with_device;
 use volcast_core::{PlayerKind, RadioKind};
-use volcast_pointcloud::QualityLevel;
+use volcast_pointcloud::{QualityLevel, VideoSequence};
 use volcast_viewport::DeviceClass;
 
-fn fps(radio: RadioKind, player: PlayerKind, users: usize, quality: QualityLevel) -> f64 {
+fn fps(
+    video: &VideoSequence,
+    radio: RadioKind,
+    player: PlayerKind,
+    users: usize,
+    quality: QualityLevel,
+) -> f64 {
     let mut s = quick_session_with_device(player, users, 60, 42, DeviceClass::Phone);
+    s.video = video.clone();
     s.params.radio = radio;
     s.params.fixed_quality = Some(quality);
     s.params.analysis_points = 8_000;
@@ -42,8 +49,10 @@ fn main() {
         rows.push(("ad", RadioKind::MmWave, n));
     }
 
+    // Every cell of the table streams the same content: one cell manifest.
+    let video = VideoSequence::default();
     for (net, radio, n) in rows {
-        let cell = |player: PlayerKind, q: QualityLevel| fps(radio, player, n, q);
+        let cell = |player: PlayerKind, q: QualityLevel| fps(&video, radio, player, n, q);
         println!(
             "{:<4} {:>5} | {:>7.1} {:>7.1} {:>7.1} | {:>7.1} {:>7.1} {:>7.1}",
             net,

@@ -36,16 +36,14 @@ use crate::qoe::QoeReport;
 use crate::rate_adapt::{AbrPolicy, Distress, FecRung, GroupState, RateAdapter};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::sync::Arc;
 use volcast_geom::{Pose, Vec3};
 use volcast_mmwave::{BeamDesign, Blocker, Channel, Codebook, McsTable, SweepEngine, SweepRx};
 use volcast_net::{
     AcMac, AdMac, BacklogPolicy, FaultConfig, FaultPlan, FrameFaults, MacModel, PlanTiming,
     SimTime, Simulator, TransmissionPlan, TxItem, Wifi5Channel,
 };
-use volcast_pointcloud::codec::GopEncoder;
-use volcast_pointcloud::{
-    CellGrid, CellInfo, DecodeModel, PointCloud, QualityLevel, VideoSequence,
-};
+use volcast_pointcloud::{CellGrid, CellInfo, DecodeModel, QualityLevel, VideoSequence};
 use volcast_util::{obs, par};
 use volcast_viewport::{
     size_index, BlockageEvent, BlockageForecaster, DeviceClass, JointPredictor, Trace,
@@ -401,11 +399,6 @@ struct Arena {
     /// Degradation-ladder state (see DESIGN.md): per-user distress drives
     /// the quality fall-down, the FEC rung and the enhancement watermark.
     distress: Vec<Distress>,
-    /// Analysis clouds are produced a GOP (one second of frames) at a
-    /// time: each slot generates its frame independently, so the batch
-    /// sweeps across the `par` workers while staying byte-identical to
-    /// per-frame generation at any thread count.
-    gop: GopEncoder,
     /// Every frame's plan, for the pipelined replay.
     plans: Vec<TransmissionPlan>,
 
@@ -428,8 +421,8 @@ struct Arena {
     rss: Vec<f64>,
     unicast_phy: Vec<f64>,
     // --- visibility ---
-    analysis_cloud: PointCloud,
-    partition: Vec<CellInfo>,
+    /// The frame's entry of the video's cell manifest (shared, not owned).
+    partition: Arc<[CellInfo]>,
     maps: Vec<VisibilityMap>,
     /// Analysis-density size of every partition cell.
     unit_sizes: Vec<f64>,
@@ -489,7 +482,6 @@ impl Arena {
             buffers: vec![2.0; n],
             blocked_prev: vec![false; n],
             distress: vec![Distress::calm(); n],
-            gop: GopEncoder::new(),
             plans: Vec::with_capacity(p.s.params.frames),
             poses: Vec::with_capacity(n),
             walker_pos: Vec::with_capacity(p.s.walkers.len()),
@@ -503,8 +495,7 @@ impl Arena {
             wasted_tx: vec![false; n],
             rss: Vec::new(),
             unicast_phy: Vec::with_capacity(n),
-            analysis_cloud: PointCloud::new(),
-            partition: Vec::new(),
+            partition: Arc::from(Vec::new()),
             maps: Vec::new(),
             unit_sizes: Vec::new(),
             member_unit: Vec::with_capacity(n),
@@ -643,7 +634,6 @@ struct Pipeline<'a> {
     /// Multicast beams exist only where the scheduler forms groups over a
     /// beam-steered radio.
     group_beams: Option<RefCell<GroupBeams<'a>>>,
-    gop_len: usize,
 }
 
 impl<'a> Pipeline<'a> {
@@ -689,7 +679,6 @@ impl<'a> Pipeline<'a> {
                     n,
                 ))
             }),
-            gop_len: (cfg.target_fps.round() as usize).max(1),
         }
     }
 
@@ -868,20 +857,15 @@ impl<'a> Pipeline<'a> {
             .extend(a.rss.iter().map(|&r| self.mcs_table.phy_rate_mbps(r)));
     }
 
-    /// Stage 4 — visibility: the frame's cell partition, every user's
-    /// visibility map over it (at the planning pose), and the byte needs
-    /// they imply at analysis density.
+    /// Stage 4 — visibility: the frame's cell partition (read from the
+    /// video's manifest: content is cut into cells ahead of streaming, not
+    /// in the frame loop), every user's visibility map over it (at the
+    /// planning pose), and the byte needs they imply at analysis density.
     fn visibility(&self, f: usize, a: &mut Arena) {
         let s = self.s;
-        if f.is_multiple_of(self.gop_len) {
-            let len = self.gop_len.min(s.params.frames - f);
-            a.gop
-                .generate_gop(&s.video, f as u64, len, s.params.analysis_points);
-        }
-        a.gop
-            .frame_points(f % self.gop_len)
-            .to_cloud_into(&mut a.analysis_cloud);
-        a.partition = self.grid.partition(&a.analysis_cloud);
+        a.partition = s
+            .video
+            .cell_counts(f as u64, s.params.analysis_points, &self.grid);
         // Per-user maps are independent; the fan-out is the frame step's
         // biggest cost at scale (one frustum + occlusion pass per user
         // over the whole partition).

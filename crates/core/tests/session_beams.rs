@@ -10,6 +10,8 @@
 use std::sync::Mutex;
 use volcast_core::session::{quick_session_with_device, DeliveryMode, RadioKind};
 use volcast_core::{PlayerKind, StreamingSession};
+use volcast_net::FaultConfig;
+use volcast_pointcloud::VideoSequence;
 use volcast_util::hash::fnv1a;
 use volcast_util::json::ToJson;
 use volcast_util::{obs, par};
@@ -93,6 +95,48 @@ fn outcomes_match_the_exhaustive_designer_era() {
             }
             let got = fnv1a(out.to_json().to_json_string().as_bytes());
             assert_eq!(got, want, "{name} at {threads} threads: {got:#018x}");
+        }
+    }
+    par::set_thread_count(orig);
+}
+
+/// The video's cell manifest is a memo, not state: whether a session
+/// builds its entries, finds them left by an earlier session on a clone, or
+/// finds them among entries of another analysis density, the outcome is
+/// the same — in both delivery modes, at either thread count.
+#[test]
+fn a_warm_cell_manifest_changes_no_outcome() {
+    let _guard = GLOBAL_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
+    let orig = par::thread_count();
+    let faults = "seed=17,outage=0.02:4,blockage=0.05:3,stall=0.02:2,loss=0.04,decode=0.03";
+    for (delivery, faults) in [
+        (DeliveryMode::Single, None),
+        (DeliveryMode::Layered, Some(faults)),
+    ] {
+        let run = |video: Option<&VideoSequence>, analysis_points: usize| {
+            let mut s = session(RadioKind::MmWave, delivery, true);
+            s.params.analysis_points = analysis_points;
+            s.params.faults = faults.map(|spec| FaultConfig::from_spec(spec).unwrap());
+            if let Some(video) = video {
+                s.video = video.clone();
+            }
+            s.run().unwrap().to_json().to_json_string()
+        };
+        par::set_thread_count(1);
+        let cold = run(None, 4_000);
+        for threads in [1, 4] {
+            par::set_thread_count(threads);
+            let shared = VideoSequence::default();
+            let other_density = VideoSequence::default();
+            run(Some(&other_density), 2_500);
+            for (what, got) in [
+                ("fresh video", run(None, 4_000)),
+                ("first on a shared video", run(Some(&shared), 4_000)),
+                ("second on a shared video", run(Some(&shared), 4_000)),
+                ("after another density", run(Some(&other_density), 4_000)),
+            ] {
+                assert_eq!(got, cold, "{delivery:?}, {what}, {threads} threads");
+            }
         }
     }
     par::set_thread_count(orig);

@@ -1,8 +1,8 @@
 //! The `util::par` determinism contract, end to end: the same seeded
 //! workload must produce *byte-identical* serialized output whether the
-//! substrate runs on 1 worker or 4. The pipeline relies on this so that
-//! `VOLCAST_THREADS` is purely a wall-clock knob — every committed figure
-//! regenerates exactly regardless of the machine's core count.
+//! substrate runs on 1 worker or several. The pipeline relies on this so
+//! that `VOLCAST_THREADS` is purely a wall-clock knob — every committed
+//! figure regenerates exactly regardless of the machine's core count.
 //!
 //! The thread-count knob is process-global, so the tests serialize their
 //! access through a mutex and restore the original count when done.
@@ -17,14 +17,14 @@ use volcast_viewport::{group_iou, DeviceClass, UserStudy, VisibilityComputer, Vi
 
 static THREAD_KNOB: Mutex<()> = Mutex::new(());
 
-/// Runs `work` at 1 worker and at 4 workers and asserts the serialized
+/// Runs `work` at 1 worker and at `workers` and asserts the serialized
 /// outputs are identical bytes.
-fn assert_thread_invariant<F: Fn() -> String>(work: F) {
+fn assert_thread_invariant<F: Fn() -> String>(workers: usize, work: F) {
     let _guard = THREAD_KNOB.lock().unwrap_or_else(|e| e.into_inner());
     let orig = par::thread_count();
     par::set_thread_count(1);
     let serial = work();
-    par::set_thread_count(4);
+    par::set_thread_count(workers);
     let parallel = work();
     par::set_thread_count(orig);
     assert_eq!(serial, parallel, "output depends on VOLCAST_THREADS");
@@ -71,12 +71,23 @@ fn session_json() -> String {
 
 #[test]
 fn iou_sweep_is_thread_count_invariant() {
-    assert_thread_invariant(iou_sweep_json);
+    assert_thread_invariant(4, iou_sweep_json);
 }
 
 #[test]
 fn session_outcome_is_thread_count_invariant() {
-    assert_thread_invariant(session_json);
+    assert_thread_invariant(4, session_json);
+}
+
+/// The shapes the short session misses: more workers than users (8 over
+/// 3), roaming headsets, and more than a second of video.
+#[test]
+fn long_headset_session_is_invariant_at_eight_workers() {
+    assert_thread_invariant(8, || {
+        let mut s = quick_session_with_device(PlayerKind::Volcast, 3, 40, 11, DeviceClass::Headset);
+        s.params.analysis_points = 3_000;
+        s.run().unwrap().to_json().to_json_string()
+    });
 }
 
 /// The observability layer must not weaken the contract: with tracing on,
@@ -89,7 +100,7 @@ fn obs_snapshot_is_thread_count_invariant() {
     use volcast_util::obs;
     let was_enabled = obs::enabled();
     obs::set_enabled(true);
-    assert_thread_invariant(|| {
+    assert_thread_invariant(4, || {
         obs::reset();
         let mut s = quick_session_with_device(PlayerKind::Volcast, 4, 12, 42, DeviceClass::Phone);
         s.params.analysis_points = 4_000;

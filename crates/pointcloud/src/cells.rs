@@ -136,6 +136,86 @@ impl CellGrid {
     }
 }
 
+/// Points per cell without the points: what [`CellGrid::partition`] yields
+/// minus the index vectors, for a caller that streams cell ids and keeps
+/// nothing else. An open-addressed table, so memory follows the number of
+/// *occupied* cells — an array indexed over the body's bounding box would
+/// hold ~10⁹ counters at 1 mm cells, and `cell_size` is only validated
+/// as positive.
+pub(crate) struct CellCounter {
+    /// Power-of-two length; a zero count marks a free slot.
+    slots: Vec<(CellId, usize)>,
+    occupied: usize,
+}
+
+impl CellCounter {
+    const FREE: (CellId, usize) = (CellId { x: 0, y: 0, z: 0 }, 0);
+
+    pub(crate) fn new() -> Self {
+        CellCounter {
+            slots: vec![Self::FREE; 64],
+            occupied: 0,
+        }
+    }
+
+    /// The slot holding `id`, or the free slot where it belongs.
+    #[inline]
+    fn slot_of(slots: &[(CellId, usize)], id: CellId) -> usize {
+        let mask = slots.len() - 1;
+        let h = (id.x as u32 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            ^ (id.y as u32 as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
+            ^ (id.z as u32 as u64).wrapping_mul(0x1656_67B1_9E37_79F9);
+        let mut i = (h >> 32) as usize & mask;
+        while slots[i].1 != 0 && slots[i].0 != id {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// Counts one point in cell `id`.
+    #[inline]
+    pub(crate) fn add(&mut self, id: CellId) {
+        let i = Self::slot_of(&self.slots, id);
+        let slot = &mut self.slots[i];
+        slot.1 += 1;
+        if slot.1 == 1 {
+            slot.0 = id;
+            self.occupied += 1;
+            // Keep the load at or below one half so probes stay short.
+            if self.occupied * 2 > self.slots.len() {
+                self.grow();
+            }
+        }
+    }
+
+    #[cold]
+    fn grow(&mut self) {
+        let doubled = vec![Self::FREE; self.slots.len() * 2];
+        let old = std::mem::replace(&mut self.slots, doubled);
+        for cell in old.into_iter().filter(|s| s.1 > 0) {
+            let i = Self::slot_of(&self.slots, cell.0);
+            self.slots[i] = cell;
+        }
+    }
+
+    /// The non-empty cells sorted by id, as [`CellGrid::partition`] orders
+    /// them, with `point_indices` left empty.
+    pub(crate) fn finish(self) -> Vec<CellInfo> {
+        let mut cells: Vec<CellInfo> = self
+            .slots
+            .into_iter()
+            .filter(|s| s.1 > 0)
+            .map(|(id, point_count)| CellInfo {
+                id,
+                point_count,
+                point_indices: Vec::new(),
+            })
+            .collect();
+        cells.sort_unstable_by_key(|c| c.id);
+        cells
+    }
+}
+
 // JSON serialization (replaces the former serde derives; see volcast-util).
 volcast_util::impl_json_struct!(CellId { x, y, z });
 volcast_util::impl_json_struct!(CellInfo {

@@ -52,10 +52,6 @@ pub struct GopEncoder {
     slots: Vec<Slot>,
     out_pool: Pool<u8>,
     used: usize,
-    /// Whether the current batch's output buffers came from the pool
-    /// (encode batches). Generate-only batches skip the pool entirely so
-    /// they leave no trace — not even an obs gauge.
-    pooled: bool,
 }
 
 impl Default for GopEncoder {
@@ -71,31 +67,23 @@ impl GopEncoder {
             slots: Vec::new(),
             out_pool: Pool::new("codec.gop.out_pool"),
             used: 0,
-            pooled: false,
         }
     }
 
-    /// Prepares `n` slots for a new batch. Encode batches
-    /// (`with_output`) recycle the previous batch's output buffers through
-    /// the pool and hand each active slot a (warm) buffer back;
-    /// generate-only batches never touch the pool, so a pipeline that only
-    /// stages points reports no output-pool gauge.
-    fn begin_batch(&mut self, n: usize, with_output: bool) {
-        if self.pooled {
-            for slot in &mut self.slots[..self.used] {
-                self.out_pool.put(std::mem::take(&mut slot.data));
-            }
+    /// Prepares `n` slots for a new batch: recycles the previous batch's
+    /// output buffers through the pool and hands each active slot a (warm)
+    /// buffer back.
+    fn begin_batch(&mut self, n: usize) {
+        for slot in &mut self.slots[..self.used] {
+            self.out_pool.put(std::mem::take(&mut slot.data));
         }
         while self.slots.len() < n {
             self.slots.push(Slot::new());
         }
-        if with_output {
-            for slot in &mut self.slots[..n] {
-                slot.data = self.out_pool.take();
-                slot.data.clear();
-            }
+        for slot in &mut self.slots[..n] {
+            slot.data = self.out_pool.take();
+            slot.data.clear();
         }
-        self.pooled = with_output;
         self.used = n;
     }
 
@@ -106,7 +94,7 @@ impl GopEncoder {
     /// `Encoder::encode_into(&clouds[i], cfg, ..)` regardless of the
     /// worker count.
     pub fn encode_gop_into(&mut self, clouds: &[PointCloud], cfg: &CodecConfig) {
-        self.begin_batch(clouds.len(), true);
+        self.begin_batch(clouds.len());
         par::par_for_each_mut(&mut self.slots[..clouds.len()], |i, slot| {
             slot.stats = slot.enc.encode_into(&clouds[i], cfg, &mut slot.data);
         });
@@ -126,20 +114,10 @@ impl GopEncoder {
         points: usize,
         cfg: &CodecConfig,
     ) {
-        self.begin_batch(len, true);
+        self.begin_batch(len);
         par::par_for_each_mut(&mut self.slots[..len], |i, slot| {
             video.frame_with_density_soa_into(start + i as u64, points, &mut slot.soa);
             slot.stats = slot.enc.encode_soa_into(&slot.soa, cfg, &mut slot.data);
-        });
-    }
-
-    /// Generates a GOP of analysis frames into the slots' SoA lanes
-    /// without encoding (for pipelines that only need the points). Frame
-    /// `i` is available via [`GopEncoder::frame_points`].
-    pub fn generate_gop(&mut self, video: &VideoSequence, start: u64, len: usize, points: usize) {
-        self.begin_batch(len, false);
-        par::par_for_each_mut(&mut self.slots[..len], |i, slot| {
-            video.frame_with_density_soa_into(start + i as u64, points, &mut slot.soa);
         });
     }
 
@@ -161,11 +139,6 @@ impl GopEncoder {
     /// Frame `i`'s codec statistics from the current batch.
     pub fn frame_stats(&self, i: usize) -> CodecStats {
         self.slots[i].stats
-    }
-
-    /// Frame `i`'s staged points (filled by the video-GOP entry points).
-    pub fn frame_points(&self, i: usize) -> &SoAPoints {
-        &self.slots[i].soa
     }
 }
 
@@ -221,22 +194,6 @@ mod tests {
             let stats = enc.encode_into(&cloud, &cfg, &mut expect);
             assert_eq!(gop.frame_data(i), &expect[..], "frame {i}");
             assert_eq!(gop.frame_stats(i), stats, "frame {i}");
-        }
-    }
-
-    #[test]
-    fn generate_gop_stages_identical_points() {
-        let video = VideoSequence::new(4, 30);
-        let mut gop = GopEncoder::new();
-        gop.generate_gop(&video, 3, 5, 1_000);
-        let mut cloud = PointCloud::new();
-        for i in 0..5 {
-            video.frame_with_density_into(3 + i as u64, 1_000, &mut cloud);
-            let soa = gop.frame_points(i);
-            assert_eq!(soa.len(), cloud.len());
-            for (j, p) in cloud.points.iter().enumerate() {
-                assert_eq!(soa.point(j), *p);
-            }
         }
     }
 

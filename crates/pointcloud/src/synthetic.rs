@@ -225,9 +225,10 @@ impl SyntheticBody {
 
     /// Shared frame sampler: allocates points to capsules proportionally to
     /// surface area (remainder to the last capsule) and hands each sampled
-    /// point to `emit`. All layout-specific frame generators route through
-    /// here so they draw the identical PRNG sequence.
-    fn emit_frame(
+    /// point to `emit`. All layout-specific frame generators (and the cell
+    /// manifest's counters) route through here so they draw the identical
+    /// PRNG sequence.
+    pub(crate) fn emit_frame(
         &self,
         frame_idx: u64,
         target_points: usize,

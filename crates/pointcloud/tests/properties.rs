@@ -1,11 +1,52 @@
 //! Property tests for the point-cloud substrate: codec round-trip fidelity,
-//! SIMD/scalar backend equivalence, cell-partition invariants and
-//! subsampling behaviour.
+//! SIMD/scalar backend equivalence, cell-partition invariants, the cell
+//! manifest's counting rule and subsampling behaviour.
 
+use volcast_geom::Vec3;
 use volcast_pointcloud::codec::simd::{self, Backend, QuantParams};
 use volcast_pointcloud::codec::{decode, encode, CodecConfig, Encoder};
-use volcast_pointcloud::{CellGrid, Point, PointCloud, SoAPoints};
+use volcast_pointcloud::{CellGrid, CellId, Point, PointCloud, SoAPoints, VideoSequence};
 use volcast_util::prop::prelude::*;
+
+/// The manifest's counting rule: `cell_counts` is `CellGrid::partition` of
+/// the materialised frame — every point classified at its `f32`-rounded
+/// position — reduced to `(id, point_count)`.
+fn assert_counts_are_partition_counts(
+    video: &VideoSequence,
+    frame: u64,
+    points: usize,
+    grid: &CellGrid,
+) {
+    let counts = video.cell_counts(frame, points, grid);
+    let got: Vec<(CellId, usize)> = counts.iter().map(|c| (c.id, c.point_count)).collect();
+    let want: Vec<(CellId, usize)> = grid
+        .partition(&video.frame_with_density(frame, points))
+        .iter()
+        .map(|c| (c.id, c.point_count))
+        .collect();
+    assert_eq!(got, want, "frame {frame}, {points} points, {grid:?}");
+    assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "ids not ascending");
+    assert_eq!(got.iter().map(|c| c.1).sum::<usize>(), points);
+    assert!(counts.iter().all(|c| c.point_indices.is_empty()));
+}
+
+/// The corners the random cases may miss: no points, one point, and cells
+/// so small that nearly every point has one of its own — at 1 mm a counter
+/// array indexed over the body's bounding box would need ~10⁹ entries, so
+/// this also holds the counters to memory that follows the occupied cells.
+#[test]
+fn cell_counts_at_the_corners() {
+    let video = VideoSequence::new(5, 300);
+    let shifted = CellGrid::with_origin(0.01, Vec3::new(-0.37, 1.2, 0.505));
+    let sizes = [0.5, 0.01, 0.001].map(CellGrid::new);
+    for grid in sizes.into_iter().chain([shifted]) {
+        for points in [0, 1, 20_000] {
+            assert_counts_are_partition_counts(&video, 17, points, &grid);
+        }
+    }
+    let fine = video.cell_counts(17, 20_000, &CellGrid::new(0.01));
+    assert!(fine.len() > 10_000, "{} cells", fine.len());
+}
 
 fn arb_point(extent: f32) -> impl Strategy<Value = Point> {
     (
@@ -79,6 +120,17 @@ proptest! {
             }
         }
         prop_assert!(seen.iter().all(|&s| s), "point missing from partition");
+    }
+
+    #[test]
+    fn cell_counts_equal_partition_counts(
+        seed in any::<u64>(), frame in 0u64..1_000, points in 0usize..20_001,
+        size in 0.01f64..2.0,
+        ox in -3.0f64..3.0, oy in -3.0f64..3.0, oz in -3.0f64..3.0,
+    ) {
+        let video = VideoSequence::new(seed, 300);
+        let grid = CellGrid::with_origin(size, Vec3::new(ox, oy, oz));
+        assert_counts_are_partition_counts(&video, frame, points, &grid);
     }
 
     #[test]
