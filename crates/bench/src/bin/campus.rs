@@ -26,6 +26,7 @@
 //! default fault spec.
 
 use std::time::Instant;
+use volcast_bench::Flags;
 use volcast_core::campus::{Campus, CampusParams};
 use volcast_net::FaultConfig;
 use volcast_util::hash::fnv1a;
@@ -35,21 +36,8 @@ use volcast_util::json::ToJson;
 /// fault plans are exercised on every run.
 const DEFAULT_FAULTS: &str = "seed=5,outage=0.01:5,loss=0.02,stall=0.005:3";
 
-fn flag(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn parsed<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> T {
-    match flag(args, key) {
-        None => default,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("error: bad value for {key}: '{v}'");
-            std::process::exit(2);
-        }),
-    }
-}
+const USAGE: &str = "usage: campus [--users N] [--aps N] [--frames N] [--epoch N] [--seed N] \
+                     [--faults SPEC]";
 
 /// The most square `(w, h)` with `w * h = rooms` and `w >= h`.
 fn squarest_grid(rooms: usize) -> (usize, usize) {
@@ -61,22 +49,22 @@ fn squarest_grid(rooms: usize) -> (usize, usize) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let users = parsed(&args, "--users", 10_000usize);
-    let aps = parsed(&args, "--aps", 100usize);
-    let frames = parsed(&args, "--frames", 300usize);
-    let epoch_frames = parsed(&args, "--epoch", 10usize);
-    let seed = parsed(&args, "--seed", 42u64);
-    let fault_spec = flag(&args, "--faults").unwrap_or_else(|| DEFAULT_FAULTS.into());
+    let flags = Flags::from_env(USAGE);
+    let users = flags.value("--users", 10_000usize);
+    let aps = flags.value("--aps", 100usize);
+    let frames = flags.value("--frames", 300usize);
+    let epoch_frames = flags.value("--epoch", 10usize);
+    let seed = flags.value("--seed", 42u64);
+    let fault_spec = flags.get("--faults").unwrap_or(DEFAULT_FAULTS).trim();
     if !aps.is_multiple_of(2) || aps == 0 {
         eprintln!("error: --aps must be a positive even number (two APs per room)");
         std::process::exit(2);
     }
     let (grid_w, grid_h) = squarest_grid(aps / 2);
-    let faults = if fault_spec.trim().is_empty() {
+    let faults = if fault_spec.is_empty() {
         None
     } else {
-        Some(FaultConfig::from_spec(&fault_spec).unwrap_or_else(|e| {
+        Some(FaultConfig::from_spec(fault_spec).unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(2);
         }))
@@ -101,7 +89,7 @@ fn main() {
         if fault_spec.is_empty() {
             "off"
         } else {
-            &fault_spec
+            fault_spec
         }
     );
 

@@ -26,6 +26,7 @@
 //! `--faults ''` disables the default fault spec.
 
 use std::time::Instant;
+use volcast_bench::Flags;
 use volcast_core::{ServerParams, SessionServer};
 use volcast_net::{FaultConfig, StreamWriter};
 use volcast_pointcloud::codec::{CodecConfig, GopEncoder};
@@ -36,35 +37,22 @@ use volcast_viewport::UserStudy;
 /// re-sends, stalls, and decode deferrals on every run.
 const DEFAULT_FAULTS: &str = "seed=11,outage=0.01:3,loss=0.02,stall=0.005:2,decode=0.01";
 
-fn flag(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn parsed<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> T {
-    match flag(args, key) {
-        None => default,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("error: bad value for {key}: '{v}'");
-            std::process::exit(2);
-        }),
-    }
-}
+const USAGE: &str = "usage: server [--clients N] [--cap N] [--frames N] [--points N] [--seed N] \
+                     [--base-rate BYTES_PER_TICK] [--faults SPEC]";
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let clients = parsed(&args, "--clients", 1_200usize);
-    let cap = parsed(&args, "--cap", 1_024usize);
-    let frames = parsed(&args, "--frames", 120usize);
-    let points = parsed(&args, "--points", 4_000usize);
-    let seed = parsed(&args, "--seed", 42u64);
-    let base_rate = parsed(&args, "--base-rate", 2_048u32);
-    let fault_spec = flag(&args, "--faults").unwrap_or_else(|| DEFAULT_FAULTS.into());
-    let faults = if fault_spec.trim().is_empty() {
+    let flags = Flags::from_env(USAGE);
+    let clients = flags.value("--clients", 1_200usize);
+    let cap = flags.value("--cap", 1_024usize);
+    let frames = flags.value("--frames", 120usize);
+    let points = flags.value("--points", 4_000usize);
+    let seed = flags.value("--seed", 42u64);
+    let base_rate = flags.value("--base-rate", 2_048u32);
+    let fault_spec = flags.get("--faults").unwrap_or(DEFAULT_FAULTS).trim();
+    let faults = if fault_spec.is_empty() {
         FaultConfig::default()
     } else {
-        FaultConfig::from_spec(&fault_spec).unwrap_or_else(|e| {
+        FaultConfig::from_spec(fault_spec).unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(2);
         })
@@ -76,10 +64,10 @@ fn main() {
     );
     println!(
         "faults: {}\n",
-        if fault_spec.trim().is_empty() {
+        if fault_spec.is_empty() {
             "off"
         } else {
-            &fault_spec
+            fault_spec
         }
     );
 

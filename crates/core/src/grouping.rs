@@ -21,7 +21,7 @@
 use crate::config::SystemConfig;
 use volcast_pointcloud::CellInfo;
 use volcast_util::par;
-use volcast_viewport::{group_iou, overlap_bytes_indexed, size_index, VisibilityMap};
+use volcast_viewport::{group_iou, overlap_bytes, VisibilityMap};
 
 /// A multicast group in a plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,7 +56,8 @@ impl Group {
 pub struct GroupingInputs<'a> {
     /// Per-user visibility maps, indexed by user id.
     pub maps: &'a [VisibilityMap],
-    /// The frame's cell partition.
+    /// The frame's cell partition, ascending by cell id (as
+    /// `CellGrid::partition` and `VideoSequence::cell_counts` return it).
     pub partition: &'a [CellInfo],
     /// Per-cell compressed sizes (bytes), same order as `partition`.
     pub cell_sizes: &'a [f64],
@@ -91,7 +92,7 @@ pub struct GroupPlan {
 /// for x in 0..4 { m1.cells.insert(CellId::new(x, 0, 0), 1.0); }
 /// for x in 1..5 { m2.cells.insert(CellId::new(x, 0, 0), 1.0); }
 /// let partition: Vec<CellInfo> = (0..5)
-///     .map(|x| CellInfo { id: CellId::new(x, 0, 0), point_count: 10, point_indices: vec![] })
+///     .map(|x| CellInfo { id: CellId::new(x, 0, 0), point_count: 10 })
 ///     .collect();
 /// let sizes = vec![50_000.0; 5];
 /// let maps = [m1, m2];
@@ -154,13 +155,11 @@ impl GroupPlanner {
             "rates must cover all users"
         );
 
-        // Per-user total requested bytes S_i, via a cell-id size index so
-        // each map costs O(|map|) instead of a full partition rescan.
-        let sizes_by_id = size_index(inputs.partition, inputs.cell_sizes);
+        // Per-user total requested bytes S_i.
         let member_bytes: Vec<f64> = inputs
             .maps
             .iter()
-            .map(|m| m.required_bytes_indexed(&sizes_by_id))
+            .map(|m| m.required_bytes(inputs.partition, inputs.cell_sizes))
             .collect();
 
         // Start from singletons.
@@ -174,7 +173,7 @@ impl GroupPlanner {
             .collect();
 
         // Greedy merging. Each round scores the pure similarity/overlap of
-        // every candidate pair in parallel (maps and the size index are
+        // every candidate pair in parallel (maps, partition and sizes are
         // Sync), then walks the candidates serially — the multicast-rate
         // callback is a plain `&dyn Fn` (typically memoized through a
         // RefCell, so not Sync) and the first-best selection must follow
@@ -194,7 +193,6 @@ impl GroupPlanner {
                 .flat_map(|i| ((i + 1)..groups.len()).map(move |j| (i, j)))
                 .collect();
             let groups_ref = &groups;
-            let sizes_ref = &sizes_by_id;
             // (members, iou, S_m) per pair; S_m is 0 when the pair fails
             // the similarity gate (the serial pass skips it either way).
             let scored: Vec<(Vec<usize>, f64, f64)> = par::par_map(&pairs, |&(i, j)| {
@@ -210,7 +208,7 @@ impl GroupPlanner {
                 let s_m = if iou < min_iou {
                     0.0
                 } else {
-                    overlap_bytes_indexed(&maps, sizes_ref)
+                    overlap_bytes(&maps, inputs.partition, inputs.cell_sizes)
                 };
                 (members, iou, s_m)
             });
@@ -322,7 +320,6 @@ mod tests {
             .map(|x| CellInfo {
                 id: CellId::new(x, 0, 0),
                 point_count: 100,
-                point_indices: vec![],
             })
             .collect();
         let sizes = vec![100_000.0; n as usize]; // 100 KB per cell

@@ -46,8 +46,8 @@ use volcast_net::{
 use volcast_pointcloud::{CellGrid, CellInfo, DecodeModel, QualityLevel, VideoSequence};
 use volcast_util::{obs, par};
 use volcast_viewport::{
-    size_index, BlockageEvent, BlockageForecaster, DeviceClass, JointPredictor, Trace,
-    TraceGenerator, VisibilityComputer, VisibilityMap, VisibilityOptions,
+    BlockageEvent, BlockageForecaster, DeviceClass, JointPredictor, Trace, TraceGenerator,
+    VisibilityComputer, VisibilityMap, VisibilityOptions,
 };
 
 /// Which radio the session runs over.
@@ -884,10 +884,12 @@ impl<'a> Pipeline<'a> {
         a.unit_sizes.clear();
         a.unit_sizes
             .extend(a.partition.iter().map(|c| c.point_count as f64));
-        let unit_index = size_index(&a.partition, &a.unit_sizes);
         a.member_unit.clear();
-        a.member_unit
-            .extend(a.maps.iter().map(|m| m.required_bytes_indexed(&unit_index)));
+        a.member_unit.extend(
+            a.maps
+                .iter()
+                .map(|m| m.required_bytes(&a.partition, &a.unit_sizes)),
+        );
         let total_points: f64 = a.unit_sizes.iter().sum();
         let culls = !matches!(s.params.player, PlayerKind::Vanilla) && total_points > 0.0;
         a.needed_fraction.clear();

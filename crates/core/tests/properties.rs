@@ -31,7 +31,6 @@ fn universe(cells: i32) -> (Vec<CellInfo>, Vec<f64>) {
         .map(|x| CellInfo {
             id: CellId::new(x, 0, 0),
             point_count: 50,
-            point_indices: vec![],
         })
         .collect();
     let sizes = vec![80_000.0; cells as usize];

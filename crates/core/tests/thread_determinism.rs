@@ -27,6 +27,9 @@ fn assert_thread_invariant<F: Fn() -> String>(workers: usize, work: F) {
     par::set_thread_count(workers);
     let parallel = work();
     par::set_thread_count(orig);
+    // Leave nothing in this thread's obs sink: it flushes when the thread
+    // exits, by which time the next test may be inside its snapshot.
+    volcast_util::obs::reset();
     assert_eq!(serial, parallel, "output depends on VOLCAST_THREADS");
 }
 

@@ -1,13 +1,15 @@
 //! Spatial cell partitioning.
 //!
 //! ViVo-style systems split the point cloud into axis-aligned cubic cells
-//! (the paper uses 25/50/100 cm cells); each cell is independently
-//! prefetchable and decodable, and visibility is decided per cell. The cell
-//! grid is also the unit over which inter-user viewport similarity (IoU of
-//! visibility maps) is computed.
+//! (the paper uses 25/50/100 cm cells) and decide visibility per cell. The
+//! cell grid is also the unit over which inter-user viewport similarity (IoU
+//! of visibility maps) is computed. Everything downstream prices a cell by
+//! its size, so a partition is `(cell, point count)` pairs and nothing else:
+//! [`CellGrid::partition`] counts a cloud in hand, the video's cell manifest
+//! (`VideoSequence::cell_counts`) counts a frame straight off the sampler,
+//! and both end in the same `CellCounter`.
 
-use crate::point::{PointCloud, SoAPoints};
-use std::collections::BTreeMap;
+use crate::point::PointCloud;
 use volcast_geom::{Aabb, Vec3};
 
 /// Identifier of a cell: integer grid coordinates.
@@ -29,14 +31,12 @@ impl CellId {
 }
 
 /// Per-cell statistics from a partition.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CellInfo {
     /// Cell id.
     pub id: CellId,
     /// Number of points that fell in this cell.
     pub point_count: usize,
-    /// Indices into the source cloud's point array.
-    pub point_indices: Vec<u32>,
 }
 
 /// A uniform cubic grid anchored at `origin` with `cell_size`-meter cells.
@@ -89,67 +89,32 @@ impl CellGrid {
     }
 
     /// Partitions a cloud: returns the non-empty cells with their point
-    /// indices, sorted by cell id for determinism.
+    /// counts, sorted by cell id for determinism.
     pub fn partition(&self, cloud: &PointCloud) -> Vec<CellInfo> {
-        let mut map: BTreeMap<CellId, Vec<u32>> = BTreeMap::new();
-        for (i, p) in cloud.points.iter().enumerate() {
-            map.entry(self.cell_of(p.position()))
-                .or_default()
-                .push(i as u32);
+        let mut counter = CellCounter::new();
+        for p in &cloud.points {
+            counter.add(self.cell_of(p.position()));
         }
-        map.into_iter()
-            .map(|(id, point_indices)| CellInfo {
-                id,
-                point_count: point_indices.len(),
-                point_indices,
-            })
-            .collect()
-    }
-
-    /// Extracts the sub-cloud for one cell from a partition entry.
-    pub fn extract(&self, cloud: &PointCloud, info: &CellInfo) -> PointCloud {
-        let mut out = PointCloud::new();
-        self.extract_into(cloud, info, &mut out);
-        out
-    }
-
-    /// Extracts one cell's sub-cloud into `out` (cleared first), reusing
-    /// its allocation across cells/frames.
-    pub fn extract_into(&self, cloud: &PointCloud, info: &CellInfo, out: &mut PointCloud) {
-        out.points.clear();
-        out.points.reserve(info.point_indices.len());
-        out.points
-            .extend(info.point_indices.iter().map(|&i| cloud.points[i as usize]));
-    }
-
-    /// Extracts one cell's sub-cloud straight into SoA storage (cleared
-    /// first). Same points in the same order as
-    /// [`CellGrid::extract_into`], so per-cell encodes are byte-identical
-    /// whichever layout the pipeline uses.
-    pub fn extract_soa_into(&self, cloud: &PointCloud, info: &CellInfo, out: &mut SoAPoints) {
-        out.clear();
-        out.reserve(info.point_indices.len());
-        for &i in &info.point_indices {
-            let p = &cloud.points[i as usize];
-            out.push(p.pos, p.color);
-        }
+        counter.finish()
     }
 }
 
-/// Points per cell without the points: what [`CellGrid::partition`] yields
-/// minus the index vectors, for a caller that streams cell ids and keeps
-/// nothing else. An open-addressed table, so memory follows the number of
+/// Points per cell for a caller that streams cell ids and keeps nothing
+/// else. An open-addressed table, so memory follows the number of
 /// *occupied* cells — an array indexed over the body's bounding box would
 /// hold ~10⁹ counters at 1 mm cells, and `cell_size` is only validated
 /// as positive.
 pub(crate) struct CellCounter {
     /// Power-of-two length; a zero count marks a free slot.
-    slots: Vec<(CellId, usize)>,
+    slots: Vec<CellInfo>,
     occupied: usize,
 }
 
 impl CellCounter {
-    const FREE: (CellId, usize) = (CellId { x: 0, y: 0, z: 0 }, 0);
+    const FREE: CellInfo = CellInfo {
+        id: CellId { x: 0, y: 0, z: 0 },
+        point_count: 0,
+    };
 
     pub(crate) fn new() -> Self {
         CellCounter {
@@ -160,13 +125,13 @@ impl CellCounter {
 
     /// The slot holding `id`, or the free slot where it belongs.
     #[inline]
-    fn slot_of(slots: &[(CellId, usize)], id: CellId) -> usize {
+    fn slot_of(slots: &[CellInfo], id: CellId) -> usize {
         let mask = slots.len() - 1;
         let h = (id.x as u32 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
             ^ (id.y as u32 as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
             ^ (id.z as u32 as u64).wrapping_mul(0x1656_67B1_9E37_79F9);
         let mut i = (h >> 32) as usize & mask;
-        while slots[i].1 != 0 && slots[i].0 != id {
+        while slots[i].point_count != 0 && slots[i].id != id {
             i = (i + 1) & mask;
         }
         i
@@ -177,9 +142,9 @@ impl CellCounter {
     pub(crate) fn add(&mut self, id: CellId) {
         let i = Self::slot_of(&self.slots, id);
         let slot = &mut self.slots[i];
-        slot.1 += 1;
-        if slot.1 == 1 {
-            slot.0 = id;
+        slot.point_count += 1;
+        if slot.point_count == 1 {
+            slot.id = id;
             self.occupied += 1;
             // Keep the load at or below one half so probes stay short.
             if self.occupied * 2 > self.slots.len() {
@@ -192,43 +157,30 @@ impl CellCounter {
     fn grow(&mut self) {
         let doubled = vec![Self::FREE; self.slots.len() * 2];
         let old = std::mem::replace(&mut self.slots, doubled);
-        for cell in old.into_iter().filter(|s| s.1 > 0) {
-            let i = Self::slot_of(&self.slots, cell.0);
+        for cell in old.into_iter().filter(|c| c.point_count > 0) {
+            let i = Self::slot_of(&self.slots, cell.id);
             self.slots[i] = cell;
         }
     }
 
-    /// The non-empty cells sorted by id, as [`CellGrid::partition`] orders
-    /// them, with `point_indices` left empty.
-    pub(crate) fn finish(self) -> Vec<CellInfo> {
-        let mut cells: Vec<CellInfo> = self
-            .slots
-            .into_iter()
-            .filter(|s| s.1 > 0)
-            .map(|(id, point_count)| CellInfo {
-                id,
-                point_count,
-                point_indices: Vec::new(),
-            })
-            .collect();
-        cells.sort_unstable_by_key(|c| c.id);
-        cells
+    /// The non-empty cells sorted by id.
+    pub(crate) fn finish(mut self) -> Vec<CellInfo> {
+        self.slots.retain(|c| c.point_count > 0);
+        self.slots.sort_unstable_by_key(|c| c.id);
+        self.slots
     }
 }
 
 // JSON serialization (replaces the former serde derives; see volcast-util).
 volcast_util::impl_json_struct!(CellId { x, y, z });
-volcast_util::impl_json_struct!(CellInfo {
-    id,
-    point_count,
-    point_indices
-});
+volcast_util::impl_json_struct!(CellInfo { id, point_count });
 volcast_util::impl_json_struct!(CellGrid { origin, cell_size });
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::point::Point;
+    use std::collections::BTreeMap;
 
     fn pt(x: f32, y: f32, z: f32) -> Point {
         Point::new([x, y, z], [0, 0, 0])
@@ -264,6 +216,18 @@ mod tests {
         assert_eq!(g.cell_of(Vec3::new(0.4, 0.0, 0.0)), CellId::new(-1, 0, 0));
     }
 
+    /// The obvious count, kept here because `partition` and the cell
+    /// manifest share `CellCounter` and cannot referee each other.
+    fn naive_partition(grid: &CellGrid, cloud: &PointCloud) -> Vec<CellInfo> {
+        let mut map: BTreeMap<CellId, usize> = BTreeMap::new();
+        for p in &cloud.points {
+            *map.entry(grid.cell_of(p.position())).or_default() += 1;
+        }
+        map.into_iter()
+            .map(|(id, point_count)| CellInfo { id, point_count })
+            .collect()
+    }
+
     #[test]
     fn partition_covers_all_points_once() {
         let cloud = PointCloud::from_points(vec![
@@ -274,47 +238,19 @@ mod tests {
         ]);
         let g = CellGrid::new(0.5);
         let cells = g.partition(&cloud);
-        let total: usize = cells.iter().map(|c| c.point_count).sum();
-        assert_eq!(total, cloud.len());
-        // 3 distinct cells.
-        assert_eq!(cells.len(), 3);
-        // Sorted by id.
-        for w in cells.windows(2) {
-            assert!(w[0].id < w[1].id);
-        }
-    }
-
-    #[test]
-    fn extract_returns_cell_points() {
-        let cloud = PointCloud::from_points(vec![
-            pt(0.1, 0.1, 0.1),
-            pt(0.9, 0.1, 0.1),
-            pt(0.15, 0.1, 0.1),
-        ]);
-        let g = CellGrid::new(0.5);
-        let cells = g.partition(&cloud);
-        let first = cells.iter().find(|c| c.id == CellId::new(0, 0, 0)).unwrap();
-        let sub = g.extract(&cloud, first);
-        assert_eq!(sub.len(), 2);
-        for p in &sub.points {
-            assert!(g.cell_bounds(first.id).contains(p.position()));
-        }
-    }
-
-    #[test]
-    fn extract_soa_matches_aos_extract() {
-        let body = crate::synthetic::SyntheticBody::default();
-        let cloud = body.frame(2, 4_000);
-        let g = CellGrid::new(0.5);
-        let mut soa = SoAPoints::new();
-        for info in &g.partition(&cloud) {
-            g.extract_soa_into(&cloud, info, &mut soa);
-            let aos = g.extract(&cloud, info);
-            assert_eq!(soa.len(), aos.len());
-            for (i, p) in aos.points.iter().enumerate() {
-                assert_eq!(soa.point(i), *p);
-            }
-        }
+        let count = |x, point_count| CellInfo {
+            id: CellId::new(x, 0, 0),
+            point_count,
+        };
+        // 3 distinct cells, sorted by id, every point counted once.
+        assert_eq!(cells, [count(-1, 1), count(0, 2), count(1, 1)]);
+        assert_eq!(cells, naive_partition(&g, &cloud));
+        // Enough occupied cells to grow the counter's table several times.
+        let body = crate::synthetic::SyntheticBody::default().frame(1, 6_000);
+        let fine = CellGrid::with_origin(0.02, Vec3::new(0.3, -0.1, 0.7));
+        let cells = fine.partition(&body);
+        assert!(cells.len() > 1_000, "{} cells", cells.len());
+        assert_eq!(cells, naive_partition(&fine, &body));
     }
 
     #[test]

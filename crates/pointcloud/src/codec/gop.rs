@@ -3,8 +3,8 @@
 //!
 //! Frame pipelines that encode a whole GOP (the ladder streams 30-frame
 //! groups at 30 FPS) waste the frame loop's serial structure: every frame
-//! is independent once its points exist, so generation + encode can sweep
-//! the group across `volcast_util::par` workers. [`GopEncoder`] owns one
+//! is independent once its points exist, so the encodes can sweep the
+//! group across `volcast_util::par` workers. [`GopEncoder`] owns one
 //! encoder arena per GOP slot; slots persist across GOPs at their
 //! high-watermark sizes, so the steady-state batched path is allocation-
 //! free (gated by `tests/codec_alloc.rs`), and each frame's bitstream is
@@ -13,16 +13,14 @@
 //! computes, so results are independent of `VOLCAST_THREADS`.
 
 use super::{CodecConfig, CodecStats, Encoder};
-use crate::point::{PointCloud, SoAPoints};
-use crate::video::VideoSequence;
+use crate::point::PointCloud;
 use volcast_util::par;
 use volcast_util::scratch::Pool;
 
-/// One GOP slot: a private encoder arena plus frame staging, reused across
+/// One GOP slot: a private encoder arena plus its output, reused across
 /// groups.
 struct Slot {
     enc: Encoder,
-    soa: SoAPoints,
     data: Vec<u8>,
     stats: CodecStats,
 }
@@ -31,7 +29,6 @@ impl Slot {
     fn new() -> Self {
         Slot {
             enc: Encoder::new(),
-            soa: SoAPoints::new(),
             data: Vec::new(),
             stats: CodecStats {
                 input_points: 0,
@@ -100,27 +97,6 @@ impl GopEncoder {
         });
     }
 
-    /// Generates and encodes a whole GOP of reduced-density analysis
-    /// frames (`video` frames `start..start + len` at `points` density) in
-    /// one sweep, staging each frame in its slot's SoA lanes.
-    ///
-    /// Equivalent to `frame_with_density_into` + `encode_into` per frame;
-    /// generation and encode both run inside the parallel region.
-    pub fn encode_video_gop_into(
-        &mut self,
-        video: &VideoSequence,
-        start: u64,
-        len: usize,
-        points: usize,
-        cfg: &CodecConfig,
-    ) {
-        self.begin_batch(len);
-        par::par_for_each_mut(&mut self.slots[..len], |i, slot| {
-            video.frame_with_density_soa_into(start + i as u64, points, &mut slot.soa);
-            slot.stats = slot.enc.encode_soa_into(&slot.soa, cfg, &mut slot.data);
-        });
-    }
-
     /// Number of frames in the current batch.
     pub fn len(&self) -> usize {
         self.used
@@ -180,31 +156,13 @@ mod tests {
     }
 
     #[test]
-    fn video_gop_matches_per_frame_pipeline() {
-        let video = VideoSequence::new(9, 30);
-        let cfg = CodecConfig::default();
-        let mut gop = GopEncoder::new();
-        // Start mid-sequence so the wrap-around indexing is exercised too.
-        gop.encode_video_gop_into(&video, 27, 6, 1_500, &cfg);
-        let mut enc = Encoder::new();
-        let mut cloud = PointCloud::new();
-        let mut expect = Vec::new();
-        for i in 0..6 {
-            video.frame_with_density_into(27 + i as u64, 1_500, &mut cloud);
-            let stats = enc.encode_into(&cloud, &cfg, &mut expect);
-            assert_eq!(gop.frame_data(i), &expect[..], "frame {i}");
-            assert_eq!(gop.frame_stats(i), stats, "frame {i}");
-        }
-    }
-
-    #[test]
     fn repeated_batches_recycle_output_buffers() {
-        let video = VideoSequence::new(4, 30);
+        let clouds = gop_clouds(4, 800);
         let cfg = CodecConfig::default();
         let mut gop = GopEncoder::new();
-        gop.encode_video_gop_into(&video, 0, 4, 800, &cfg);
+        gop.encode_gop_into(&clouds, &cfg);
         let first: Vec<Vec<u8>> = (0..4).map(|i| gop.frame_data(i).to_vec()).collect();
-        gop.encode_video_gop_into(&video, 0, 4, 800, &cfg);
+        gop.encode_gop_into(&clouds, &cfg);
         for (i, d) in first.iter().enumerate() {
             assert_eq!(gop.frame_data(i), &d[..]);
         }

@@ -38,9 +38,7 @@
 //! frames into a reused [`LayeredFrame`]/[`PointCloud`] performs zero heap
 //! allocations in steady state.
 
-use super::octree::{
-    build_masks_from, CodecConfig, CodecError, Contexts, Encoder, Input, MAX_DEPTH,
-};
+use super::octree::{build_masks_from, CodecConfig, CodecError, Contexts, Encoder, MAX_DEPTH};
 use super::range::{RangeDecoder, RangeEncoder};
 use super::simd::morton_decode;
 use crate::point::{Point, PointCloud};
@@ -223,8 +221,7 @@ impl LayeredEncoder {
 
         // Full-depth voxelization, shared with the single-stream path —
         // identical voxel set and color sums by construction.
-        self.enc
-            .voxelize(Input::Aos(&cloud.points), bounds, &full_cfg);
+        self.enc.voxelize(&cloud.points, bounds, &full_cfg);
         let (codes, csums) = self.enc.voxelized();
 
         // Aggregate to each layer's depth, deepest first: layer j's voxels

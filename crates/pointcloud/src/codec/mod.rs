@@ -23,7 +23,7 @@
 //! codec working memory (voxel staging, radix/bitmap scratch, contexts,
 //! range coder) persists across frames, making steady-state encode/decode
 //! allocation-free with byte-identical bitstreams. The free
-//! [`encode`]/[`decode`] functions delegate to thread-local instances.
+//! [`encode`]/[`decode`] functions are one-shot: a fresh instance per call.
 //!
 //! The encode hot path (quantization + Morton interleave) runs through the
 //! explicit SIMD kernels in [`simd`], selected at runtime per CPU with a
@@ -49,16 +49,12 @@
 //! assert_eq!(decoded.len(), stats.voxels);
 //! ```
 
-mod cells;
 mod gop;
 mod layered;
 mod octree;
 mod range;
 pub mod simd;
 
-pub use cells::{
-    decode_cells, decode_cells_into, encode_cells, encode_cells_into, total_bytes, EncodedCell,
-};
 pub use gop::GopEncoder;
 pub use layered::{
     LayeredConfig, LayeredDecoder, LayeredEncoder, LayeredFrame, LayeredStats, MAX_LAYERS,

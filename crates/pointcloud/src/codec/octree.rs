@@ -5,13 +5,13 @@
 //! context models, the range coder) as [`ScratchVec`]s, so encoding or
 //! decoding a stream of frames performs **zero heap allocations in steady
 //! state** — every buffer warms to its high-watermark and is reused. The
-//! free [`encode`]/[`decode`] functions delegate to a thread-local instance
+//! free [`encode`]/[`decode`] functions build a fresh instance per call
 //! and stay the convenient entry points; bitstreams are byte-for-byte
 //! identical either way.
 //!
 //! Encode internals (all proven bitstream-identical to the scalar
-//! pre-SoA pipeline by the `bitstream_matches_pre_simd_reference_pipeline`
-//! test and the bench harness's faithful-copy gate):
+//! pre-SIMD pipeline by the `bitstream_matches_pre_simd_reference_pipeline`
+//! test and `tests/seed_reference.rs`):
 //!
 //! - Quantization + Morton encoding run through [`super::simd`] (runtime
 //!   backend dispatch, scalar fallback). For `depth <=`
@@ -29,14 +29,12 @@
 // clearer than iterator chains in this module.
 #![allow(clippy::needless_range_loop)]
 
-use std::cell::RefCell;
-
 use super::range::{BitModel, RangeDecoder, RangeEncoder};
 use super::simd::{
     self, morton_decode, morton_encode, pack_color, Backend, QuantParams, COLOR_SHIFT,
     PACKED_MAX_DEPTH,
 };
-use crate::point::{Point, PointCloud, SoAPoints};
+use crate::point::{Point, PointCloud};
 use volcast_geom::{Aabb, Vec3};
 use volcast_util::obs;
 use volcast_util::scratch::ScratchVec;
@@ -311,22 +309,6 @@ fn emit_flat(
     }
 }
 
-/// Encoder input: AoS or SoA, identical bitstreams (SoA conversion is
-/// value-exact and `SoAPoints::bounds` mirrors `PointCloud::bounds`).
-pub(super) enum Input<'a> {
-    Aos(&'a [Point]),
-    Soa(&'a SoAPoints),
-}
-
-impl Input<'_> {
-    fn len(&self) -> usize {
-        match self {
-            Input::Aos(points) => points.len(),
-            Input::Soa(soa) => soa.len(),
-        }
-    }
-}
-
 /// A reusable octree encoder owning all codec working memory.
 ///
 /// One instance encodes a stream of frames with zero steady-state heap
@@ -392,51 +374,14 @@ impl Encoder {
         }
     }
 
-    /// Encodes `cloud` into `out` (cleared first), returning statistics.
-    ///
-    /// # Panics
-    /// If `cfg.depth` is outside `1..=16` or `cfg.color_bits` outside `1..=8`.
-    pub fn encode_into(
-        &mut self,
-        cloud: &PointCloud,
-        cfg: &CodecConfig,
-        out: &mut Vec<u8>,
-    ) -> CodecStats {
-        let bounds = if cloud.is_empty() {
-            Aabb::new(Vec3::ZERO, Vec3::ZERO)
-        } else {
-            cloud.bounds()
-        };
-        self.encode_common(Input::Aos(&cloud.points), bounds, cfg, out)
-    }
-
-    /// Encodes a SoA cloud into `out` (cleared first). The bitstream is
-    /// byte-identical to [`Encoder::encode_into`] on the AoS equivalent.
-    ///
-    /// # Panics
-    /// If `cfg.depth` is outside `1..=16` or `cfg.color_bits` outside `1..=8`.
-    pub fn encode_soa_into(
-        &mut self,
-        soa: &SoAPoints,
-        cfg: &CodecConfig,
-        out: &mut Vec<u8>,
-    ) -> CodecStats {
-        let bounds = if soa.is_empty() {
-            Aabb::new(Vec3::ZERO, Vec3::ZERO)
-        } else {
-            soa.bounds()
-        };
-        self.encode_common(Input::Soa(soa), bounds, cfg, out)
-    }
-
-    /// Quantizes, deduplicates, and color-merges `input` at `cfg.depth`,
+    /// Quantizes, deduplicates, and color-merges `points` at `cfg.depth`,
     /// leaving the sorted unique Morton codes and per-voxel color sums
     /// readable via [`Encoder::voxelized`]. Shared by the single-stream
     /// emit path and the layered encoder; identical voxel sets either way.
     ///
     /// # Panics
     /// If `cfg.depth` is outside `1..=16` or `cfg.color_bits` outside `1..=8`.
-    pub(super) fn voxelize(&mut self, input: Input<'_>, bounds: Aabb, cfg: &CodecConfig) {
+    pub(super) fn voxelize(&mut self, points: &[Point], bounds: Aabb, cfg: &CodecConfig) {
         assert!(
             cfg.depth >= 1 && cfg.depth <= MAX_DEPTH,
             "depth must be in 1..=16"
@@ -467,12 +412,7 @@ impl Encoder {
             // in input order; color sums are commutative anyway, so the
             // merged stream matches the pair path bit for bit.
             let packed = self.packed.begin();
-            match input {
-                Input::Aos(points) => {
-                    simd::quantize_morton_points(self.backend, points, &q, packed)
-                }
-                Input::Soa(soa) => simd::quantize_morton_soa(self.backend, soa, &q, packed),
-            }
+            simd::quantize_morton_points(self.backend, points, &q, packed);
             if 3 * cfg.depth <= BITMAP_MAX_KEY_BITS && !packed.is_empty() {
                 // Bitmap dedup: the key space is small enough that a flat
                 // occupancy bitmap replaces the sort entirely. Scanning the
@@ -553,20 +493,7 @@ impl Encoder {
                 let z = (((pos[2] as f64 - q.min[2]) * q.scale) as i64).clamp(0, m) as u32;
                 morton_encode(x, y, z, cfg.depth)
             };
-            match input {
-                Input::Aos(points) => {
-                    deep.extend(points.iter().map(|p| (quant(p.pos), pack_color(p.color))));
-                }
-                Input::Soa(soa) => {
-                    deep.reserve(soa.len());
-                    for i in 0..soa.len() {
-                        deep.push((
-                            quant([soa.xs()[i], soa.ys()[i], soa.zs()[i]]),
-                            soa.colors_packed()[i],
-                        ));
-                    }
-                }
-            }
+            deep.extend(points.iter().map(|p| (quant(p.pos), pack_color(p.color))));
             radix_sort(
                 deep,
                 self.deep_tmp.begin(),
@@ -601,16 +528,24 @@ impl Encoder {
         (self.codes.get(), self.csums.get())
     }
 
-    fn encode_common(
+    /// Encodes `cloud` into `out` (cleared first), returning statistics.
+    ///
+    /// # Panics
+    /// If `cfg.depth` is outside `1..=16` or `cfg.color_bits` outside `1..=8`.
+    pub fn encode_into(
         &mut self,
-        input: Input<'_>,
-        bounds: Aabb,
+        cloud: &PointCloud,
         cfg: &CodecConfig,
         out: &mut Vec<u8>,
     ) -> CodecStats {
+        let bounds = if cloud.is_empty() {
+            Aabb::new(Vec3::ZERO, Vec3::ZERO)
+        } else {
+            cloud.bounds()
+        };
         out.clear();
-        let input_points = input.len();
-        self.voxelize(input, bounds, cfg);
+        let input_points = cloud.len();
+        self.voxelize(&cloud.points, bounds, cfg);
         let extent = bounds.extent().max_component().max(1e-6);
         let Encoder {
             codes,
@@ -707,13 +642,14 @@ impl Decoder {
         }
     }
 
-    /// Decodes `encoded`, **appending** the voxel points to `out` (for
-    /// merging multi-cell streams). Returns the number of points appended.
-    pub fn decode_append(
+    /// Decodes `encoded` into `out` (cleared first). Returns the decoded
+    /// point count; on any error `out` is left empty.
+    pub fn decode_into(
         &mut self,
         encoded: &EncodedCloud,
         out: &mut PointCloud,
     ) -> Result<usize, CodecError> {
+        out.points.clear();
         let data = &encoded.data;
         if data.len() < HEADER_LEN {
             return Err(CodecError::TruncatedHeader);
@@ -771,7 +707,6 @@ impl Decoder {
             ));
         }
 
-        let appended_from = out.points.len();
         out.points.reserve(codes.len());
         let shift = 8 - color_bits;
         // Reconstruct quantized colors at bucket centers.
@@ -797,9 +732,9 @@ impl Decoder {
         }
         if dec.is_exhausted() {
             // Truncation hit inside the color stream: the positions were
-            // fine but the colors are garbage. Roll back the append so the
-            // caller never observes a half-decoded cloud.
-            out.points.truncate(appended_from);
+            // fine but the colors are garbage. Roll back so the caller
+            // never observes a half-decoded cloud.
+            out.points.clear();
             return Err(CodecError::CorruptPayload(
                 "range decoder ran past the end of the color stream",
             ));
@@ -807,42 +742,23 @@ impl Decoder {
         obs::inc("codec.clouds_decoded");
         Ok(codes.len())
     }
-
-    /// Decodes `encoded` into `out` (cleared first). Returns the decoded
-    /// point count.
-    pub fn decode_into(
-        &mut self,
-        encoded: &EncodedCloud,
-        out: &mut PointCloud,
-    ) -> Result<usize, CodecError> {
-        out.points.clear();
-        self.decode_append(encoded, out)
-    }
-}
-
-thread_local! {
-    static THREAD_ENCODER: RefCell<Encoder> = RefCell::new(Encoder::new());
-    static THREAD_DECODER: RefCell<Decoder> = RefCell::new(Decoder::new());
 }
 
 /// Encodes a cloud. Returns the bitstream and compression statistics.
 ///
-/// Delegates to a thread-local [`Encoder`], so repeated calls on one thread
-/// reuse the codec's working memory; only the returned bitstream allocates.
+/// One-shot: builds a fresh [`Encoder`] and drops it with the call. A frame
+/// loop should hold its own encoder and reuse the working memory.
 pub fn encode(cloud: &PointCloud, cfg: &CodecConfig) -> (EncodedCloud, CodecStats) {
-    THREAD_ENCODER.with(|enc| enc.borrow_mut().encode(cloud, cfg))
+    Encoder::new().encode(cloud, cfg)
 }
 
 /// Decodes a bitstream back into a voxelized point cloud.
 ///
-/// Delegates to a thread-local [`Decoder`]; only the returned cloud
-/// allocates.
+/// One-shot, like [`encode`]: a fresh [`Decoder`] per call.
 pub fn decode(encoded: &EncodedCloud) -> Result<PointCloud, CodecError> {
-    THREAD_DECODER.with(|dec| {
-        let mut cloud = PointCloud::new();
-        dec.borrow_mut().decode_into(encoded, &mut cloud)?;
-        Ok(cloud)
-    })
+    let mut cloud = PointCloud::new();
+    Decoder::new().decode_into(encoded, &mut cloud)?;
+    Ok(cloud)
 }
 
 fn decode_node(
@@ -914,7 +830,7 @@ mod tests {
         (x, y, z)
     }
 
-    /// The pre-SoA/SIMD encode pipeline (PR 4 shape): scalar f64
+    /// The pre-SIMD encode pipeline (PR 4 shape): scalar f64
     /// quantization, stable comparison sort of (code, color) pairs, run
     /// merge, and the recursive context-coded DFS. Every new-path bitstream
     /// must match this byte for byte.
@@ -1096,7 +1012,7 @@ mod tests {
 
     #[test]
     fn bitstream_matches_pre_simd_reference_pipeline() {
-        // The hard gate for the SoA/SIMD rewrite: every path (AoS, SoA,
+        // The hard gate for the SIMD rewrite: every path (active and
         // forced-scalar backend; shallow packed and deep pair pipelines)
         // must reproduce the old encoder's bytes exactly.
         let body = SyntheticBody::default();
@@ -1117,11 +1033,7 @@ mod tests {
             let expected = reference_encode(&cloud, &cfg);
             let mut got = Vec::new();
             Encoder::new().encode_into(&cloud, &cfg, &mut got);
-            assert_eq!(got, expected, "depth {depth} aos");
-            let soa = SoAPoints::from_cloud(&cloud);
-            let mut got_soa = Vec::new();
-            Encoder::new().encode_soa_into(&soa, &cfg, &mut got_soa);
-            assert_eq!(got_soa, expected, "depth {depth} soa");
+            assert_eq!(got, expected, "depth {depth} active backend");
             let mut got_scalar = Vec::new();
             Encoder::with_backend(Backend::Scalar).encode_into(&cloud, &cfg, &mut got_scalar);
             assert_eq!(got_scalar, expected, "depth {depth} forced scalar");
@@ -1375,12 +1287,12 @@ mod tests {
             };
             let mut out = PointCloud::new();
             out.points.push(full.points[0]);
-            let err = dec.decode_append(&truncated, &mut out).unwrap_err();
+            let err = dec.decode_into(&truncated, &mut out).unwrap_err();
             assert!(
                 matches!(err, CodecError::CorruptPayload(_)),
                 "cut at {cut}: {err}"
             );
-            assert_eq!(out.len(), 1, "cut at {cut} leaked partial points");
+            assert!(out.is_empty(), "cut at {cut} leaked partial points");
         }
     }
 
@@ -1399,7 +1311,7 @@ mod tests {
             // A flip that keeps the stream self-consistent may still decode
             // Ok (integrity is the wire layer's job); what is forbidden is
             // a panic or exceeding the declared voxel budget.
-            if let Ok(n) = dec.decode_append(&EncodedCloud { data: mutated }, &mut out) {
+            if let Ok(n) = dec.decode_into(&EncodedCloud { data: mutated }, &mut out) {
                 assert!(n <= stats.voxels);
             }
         }

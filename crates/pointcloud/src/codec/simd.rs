@@ -31,7 +31,7 @@
 
 use std::sync::OnceLock;
 
-use crate::point::{Point, SoAPoints};
+use crate::point::Point;
 
 /// Deepest octree for which `(code << 24) | color` fits a `u64`
 /// (`3 * 13 + 24 = 63` bits). Deeper trees use the unpacked pair path.
@@ -204,27 +204,11 @@ fn lanes_dispatch(
     }
 }
 
-/// Quantizes, Morton-encodes and packs every point of a SoA cloud into
-/// `out` (cleared and resized first): one `u64` of `(code << 24) | rgb` per
-/// point, in input order. Requires `q.depth <= PACKED_MAX_DEPTH`.
-pub fn quantize_morton_soa(backend: Backend, soa: &SoAPoints, q: &QuantParams, out: &mut Vec<u64>) {
-    debug_assert!(q.depth <= PACKED_MAX_DEPTH);
-    out.clear();
-    out.resize(soa.len(), 0);
-    lanes_dispatch(
-        backend,
-        soa.xs(),
-        soa.ys(),
-        soa.zs(),
-        soa.colors_packed(),
-        q,
-        out,
-    );
-}
-
-/// [`quantize_morton_soa`] for an AoS point slice: chunks of `BLOCK`
-/// points are transposed into stack lanes (safe field reads — the `Point`
-/// padding byte is never touched) and run through the same kernels.
+/// Quantizes, Morton-encodes and packs every point into `out` (cleared and
+/// resized first): one `u64` of `(code << 24) | rgb` per point, in input
+/// order. Requires `q.depth <= PACKED_MAX_DEPTH`. Chunks of `BLOCK` points
+/// are transposed into stack lanes (safe field reads — the `Point` padding
+/// byte is never touched) and run through the lane kernels.
 pub fn quantize_morton_points(
     backend: Backend,
     points: &[Point],
@@ -481,60 +465,44 @@ mod tests {
         }
     }
 
-    fn random_soa(rng: &mut Rng, n: usize) -> SoAPoints {
-        let mut soa = SoAPoints::new();
-        for _ in 0..n {
-            let r = |rng: &mut Rng| (rng.gen_range(0..10_000) as f32) / 1_000.0 - 2.0;
-            soa.push(
-                [r(rng), r(rng), r(rng)],
-                [
-                    rng.gen_range(0..256) as u8,
-                    rng.gen_range(0..256) as u8,
-                    rng.gen_range(0..256) as u8,
-                ],
-            );
-        }
-        soa
+    /// Coordinates in `-2.0..8.0` against [`params`]' 2.75-wide grid, so
+    /// points fall past both edges and both clamps run.
+    fn random_points(rng: &mut Rng, n: usize) -> Vec<Point> {
+        let r = |rng: &mut Rng| (rng.gen_range(0..10_000) as f32) / 1_000.0 - 2.0;
+        let c = |rng: &mut Rng| rng.gen_range(0..256) as u8;
+        (0..n)
+            .map(|_| Point::new([r(rng), r(rng), r(rng)], [c(rng), c(rng), c(rng)]))
+            .collect()
+    }
+
+    /// Packs `points` on the scalar reference and the active backend.
+    fn both(points: &[Point], q: &QuantParams) -> (Vec<u64>, Vec<u64>) {
+        let mut scalar = Vec::new();
+        let mut vector = Vec::new();
+        quantize_morton_points(Backend::Scalar, points, q, &mut scalar);
+        quantize_morton_points(active(), points, q, &mut vector);
+        (scalar, vector)
     }
 
     #[test]
-    fn active_backend_matches_scalar_on_random_lanes() {
+    fn active_backend_matches_scalar_on_random_points() {
         let mut rng = Rng::seed_from_u64(0x51AD);
         for depth in [1u32, 7, 10, PACKED_MAX_DEPTH] {
             let q = params(depth);
-            // Lengths straddle the 4-lane width to exercise the tail.
-            for n in [0usize, 1, 3, 4, 5, 257] {
-                let soa = random_soa(&mut rng, n);
-                let mut scalar = Vec::new();
-                let mut vector = Vec::new();
-                quantize_morton_soa(Backend::Scalar, &soa, &q, &mut scalar);
-                quantize_morton_soa(active(), &soa, &q, &mut vector);
+            // Lengths straddle the 4-lane width to exercise the tail, and
+            // `BLOCK` (one full block + 1, four blocks + a ragged fifth).
+            for n in [0usize, 1, 3, 4, 5, BLOCK, BLOCK + 1, 517] {
+                let (scalar, vector) = both(&random_points(&mut rng, n), &q);
+                assert_eq!(scalar.len(), n);
                 assert_eq!(scalar, vector, "depth={depth} n={n}");
             }
         }
     }
 
     #[test]
-    fn aos_and_soa_inputs_pack_identically() {
-        let mut rng = Rng::seed_from_u64(0xA05);
-        let q = params(9);
-        let soa = random_soa(&mut rng, 517); // > BLOCK, non-multiple tail
-        let mut cloud = crate::point::PointCloud::new();
-        soa.to_cloud_into(&mut cloud);
-        for backend in [Backend::Scalar, active()] {
-            let mut from_soa = Vec::new();
-            let mut from_aos = Vec::new();
-            quantize_morton_soa(backend, &soa, &q, &mut from_soa);
-            quantize_morton_points(backend, &cloud.points, &q, &mut from_aos);
-            assert_eq!(from_soa, from_aos, "{backend:?}");
-        }
-    }
-
-    #[test]
     fn non_finite_coordinates_clamp_identically() {
         let q = params(8);
-        let mut soa = SoAPoints::new();
-        for x in [
+        let mut points: Vec<Point> = [
             f32::NAN,
             f32::INFINITY,
             f32::NEG_INFINITY,
@@ -542,18 +510,14 @@ mod tests {
             1e30,
             -1e30,
             f32::MIN_POSITIVE,
-        ] {
-            soa.push([x, x, x], [1, 2, 3]);
-        }
+        ]
+        .iter()
+        .map(|&x| Point::new([x, x, x], [1, 2, 3]))
+        .collect();
         // Pad past one full vector so the special values go down the SIMD
         // lanes, not just the scalar tail.
-        for _ in 0..8 {
-            soa.push([0.5, 0.5, 0.5], [9, 9, 9]);
-        }
-        let mut scalar = Vec::new();
-        let mut vector = Vec::new();
-        quantize_morton_soa(Backend::Scalar, &soa, &q, &mut scalar);
-        quantize_morton_soa(active(), &soa, &q, &mut vector);
+        points.resize(points.len() + 8, Point::new([0.5, 0.5, 0.5], [9, 9, 9]));
+        let (scalar, vector) = both(&points, &q);
         assert_eq!(scalar, vector);
     }
 
@@ -566,10 +530,9 @@ mod tests {
             depth: PACKED_MAX_DEPTH,
         };
         let m = q.max_q as f32;
-        let mut soa = SoAPoints::new();
-        soa.push([m, m, m], [255, 255, 255]);
         let mut out = Vec::new();
-        quantize_morton_soa(Backend::Scalar, &soa, &q, &mut out);
+        let corner = [Point::new([m, m, m], [255, 255, 255])];
+        quantize_morton_points(Backend::Scalar, &corner, &q, &mut out);
         let code = out[0] >> COLOR_SHIFT;
         assert_eq!(morton_decode(code, q.depth), (q.max_q, q.max_q, q.max_q));
         assert_eq!(out[0] & ((1 << COLOR_SHIFT) - 1), 0xFF_FFFF);

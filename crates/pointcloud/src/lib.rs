@@ -7,8 +7,8 @@
 //! - [`PointCloud`] / [`VideoSequence`]: frames of colored points,
 //! - [`synthetic::SyntheticBody`]: a parametric animated humanoid sampled to
 //!   an exact target density (330K/430K/550K points per frame),
-//! - [`CellGrid`]: the spatial cell partition (25/50/100 cm cells) that makes
-//!   each cell independently prefetchable and decodable, as in ViVo,
+//! - [`CellGrid`]: the spatial cell partition (25/50/100 cm cells, as in
+//!   ViVo) that visibility, IoU and grouping price by per-cell point counts,
 //! - [`codec`]: a real octree geometry codec (quantization + occupancy
 //!   entropy coding with an adaptive binary range coder) standing in for
 //!   Draco, with matching rate behaviour,
@@ -46,7 +46,7 @@ pub mod video;
 
 pub use cells::{CellGrid, CellId, CellInfo};
 pub use decode_model::DecodeModel;
-pub use point::{Point, PointCloud, SoAPoints};
+pub use point::{Point, PointCloud};
 pub use quality::{Ladder, Quality, QualityLadder, QualityLevel};
 pub use synthetic::SyntheticBody;
 pub use video::VideoSequence;

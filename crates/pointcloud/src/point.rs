@@ -130,168 +130,6 @@ impl PointCloud {
     }
 }
 
-/// Struct-of-arrays point storage: separate `x`/`y`/`z` coordinate arrays
-/// plus packed RGB colors (`r | g<<8 | b<<16`).
-///
-/// The codec's hot path (bounds, quantization, Morton encoding) streams one
-/// coordinate lane at a time; SoA keeps each lane contiguous so the SIMD
-/// kernels in [`crate::codec::simd`] load full vectors with no gather or
-/// transpose. Convert from/to the AoS [`PointCloud`] API at the edges with
-/// [`SoAPoints::fill_from_cloud`] / [`SoAPoints::to_cloud_into`]; the
-/// conversions are exact (no value changes in either direction), so
-/// encoding a converted cloud is byte-identical to encoding the original.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SoAPoints {
-    xs: Vec<f32>,
-    ys: Vec<f32>,
-    zs: Vec<f32>,
-    /// Packed colors, one per point: `r | g<<8 | b<<16` (top byte zero).
-    colors: Vec<u32>,
-}
-
-impl SoAPoints {
-    /// An empty SoA cloud.
-    pub fn new() -> Self {
-        SoAPoints::default()
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.xs.len()
-    }
-
-    /// `true` when there are no points.
-    pub fn is_empty(&self) -> bool {
-        self.xs.is_empty()
-    }
-
-    /// Removes all points, retaining the lane allocations.
-    pub fn clear(&mut self) {
-        self.xs.clear();
-        self.ys.clear();
-        self.zs.clear();
-        self.colors.clear();
-    }
-
-    /// Reserves capacity for `additional` more points in every lane.
-    pub fn reserve(&mut self, additional: usize) {
-        self.xs.reserve(additional);
-        self.ys.reserve(additional);
-        self.zs.reserve(additional);
-        self.colors.reserve(additional);
-    }
-
-    /// Appends one point.
-    #[inline]
-    pub fn push(&mut self, pos: [f32; 3], color: [u8; 3]) {
-        self.xs.push(pos[0]);
-        self.ys.push(pos[1]);
-        self.zs.push(pos[2]);
-        self.colors
-            .push(color[0] as u32 | (color[1] as u32) << 8 | (color[2] as u32) << 16);
-    }
-
-    /// The x-coordinate lane.
-    pub fn xs(&self) -> &[f32] {
-        &self.xs
-    }
-
-    /// The y-coordinate lane.
-    pub fn ys(&self) -> &[f32] {
-        &self.ys
-    }
-
-    /// The z-coordinate lane.
-    pub fn zs(&self) -> &[f32] {
-        &self.zs
-    }
-
-    /// The packed color lane (`r | g<<8 | b<<16` per point).
-    pub fn colors_packed(&self) -> &[u32] {
-        &self.colors
-    }
-
-    /// The `i`-th point, reassembled as an AoS [`Point`].
-    pub fn point(&self, i: usize) -> Point {
-        let c = self.colors[i];
-        Point::new(
-            [self.xs[i], self.ys[i], self.zs[i]],
-            [
-                (c & 0xFF) as u8,
-                ((c >> 8) & 0xFF) as u8,
-                ((c >> 16) & 0xFF) as u8,
-            ],
-        )
-    }
-
-    /// Builds from an AoS cloud.
-    pub fn from_cloud(cloud: &PointCloud) -> Self {
-        let mut out = SoAPoints::new();
-        out.fill_from_cloud(cloud);
-        out
-    }
-
-    /// Refills from an AoS cloud (cleared first), reusing lane allocations.
-    pub fn fill_from_cloud(&mut self, cloud: &PointCloud) {
-        self.clear();
-        self.reserve(cloud.len());
-        for p in &cloud.points {
-            self.push(p.pos, p.color);
-        }
-    }
-
-    /// Writes the points back into an AoS cloud (cleared first), reusing its
-    /// allocation. Exact inverse of [`SoAPoints::fill_from_cloud`].
-    pub fn to_cloud_into(&self, out: &mut PointCloud) {
-        out.points.clear();
-        out.points.reserve(self.len());
-        for i in 0..self.len() {
-            out.points.push(self.point(i));
-        }
-    }
-
-    /// Tight axis-aligned bounds, **bit-identical** to
-    /// [`PointCloud::bounds`] on the same points: the same four-lane f32
-    /// accumulator grouping (chunks of 4 points, remainder folded into lane
-    /// 0, lanes folded left) in the same order, so converting a cloud to SoA
-    /// never changes the codec's quantization grid.
-    pub fn bounds(&self) -> Aabb {
-        if self.xs.is_empty() {
-            return Aabb::empty();
-        }
-        let mut lo = [[f32::INFINITY; 3]; 4];
-        let mut hi = [[f32::NEG_INFINITY; 3]; 4];
-        let n = self.xs.len();
-        let n4 = n - n % 4;
-        for i in (0..n4).step_by(4) {
-            for lane in 0..4 {
-                let p = [self.xs[i + lane], self.ys[i + lane], self.zs[i + lane]];
-                for c in 0..3 {
-                    lo[lane][c] = lo[lane][c].min(p[c]);
-                    hi[lane][c] = hi[lane][c].max(p[c]);
-                }
-            }
-        }
-        for i in n4..n {
-            let p = [self.xs[i], self.ys[i], self.zs[i]];
-            for c in 0..3 {
-                lo[0][c] = lo[0][c].min(p[c]);
-                hi[0][c] = hi[0][c].max(p[c]);
-            }
-        }
-        for lane in 1..4 {
-            for c in 0..3 {
-                lo[0][c] = lo[0][c].min(lo[lane][c]);
-                hi[0][c] = hi[0][c].max(hi[lane][c]);
-            }
-        }
-        Aabb {
-            min: Vec3::new(lo[0][0] as f64, lo[0][1] as f64, lo[0][2] as f64),
-            max: Vec3::new(hi[0][0] as f64, hi[0][1] as f64, hi[0][2] as f64),
-        }
-    }
-}
-
 // JSON serialization (replaces the former serde derives; see volcast-util).
 volcast_util::impl_json_struct!(Point { pos, color });
 volcast_util::impl_json_struct!(PointCloud { points });

@@ -11,7 +11,7 @@
 //! human-sized bounding box (~0.5 x 1.8 x 0.4 m), surface-distributed points,
 //! an exact target point count, and temporal coherence across frames.
 
-use crate::point::{Point, PointCloud, SoAPoints};
+use crate::point::{Point, PointCloud};
 use volcast_geom::Vec3;
 use volcast_util::rng::Rng;
 
@@ -211,23 +211,10 @@ impl SyntheticBody {
         });
     }
 
-    /// Generates frame `frame_idx` straight into SoA storage (cleared
-    /// first). Point-for-point identical (same order, same values) to
-    /// [`SyntheticBody::frame_into`]: both run the same sampler over the
-    /// same PRNG sequence, only the destination layout differs.
-    pub fn frame_into_soa(&self, frame_idx: u64, target_points: usize, out: &mut SoAPoints) {
-        out.clear();
-        out.reserve(target_points);
-        self.emit_frame(frame_idx, target_points, |pos, col| {
-            out.push(pos, col);
-        });
-    }
-
     /// Shared frame sampler: allocates points to capsules proportionally to
     /// surface area (remainder to the last capsule) and hands each sampled
-    /// point to `emit`. All layout-specific frame generators (and the cell
-    /// manifest's counters) route through here so they draw the identical
-    /// PRNG sequence.
+    /// point to `emit`. The frame generator and the cell manifest's counters
+    /// both route through here so they draw the identical PRNG sequence.
     pub(crate) fn emit_frame(
         &self,
         frame_idx: u64,
@@ -298,20 +285,6 @@ mod tests {
         for frame in [0u64, 3, 9, 4] {
             body.frame_into(frame, 2_000, &mut reused);
             assert_eq!(reused.points, body.frame(frame, 2_000).points);
-        }
-    }
-
-    #[test]
-    fn frame_into_soa_matches_aos_generation() {
-        let body = SyntheticBody::default();
-        let mut soa = SoAPoints::new();
-        for frame in [0u64, 5, 11] {
-            body.frame_into_soa(frame, 3_000, &mut soa);
-            let aos = body.frame(frame, 3_000);
-            assert_eq!(soa.len(), aos.len());
-            for (i, p) in aos.points.iter().enumerate() {
-                assert_eq!(soa.point(i), *p, "frame {frame} point {i}");
-            }
         }
     }
 

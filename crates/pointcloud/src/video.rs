@@ -1,8 +1,10 @@
-//! Volumetric video sequences: frames + quality ladder + cell sizes.
+//! Volumetric video sequences: frames on demand, the quality ladder, and
+//! the cell manifest (per-frame `(cell, point count)` lists, built once per
+//! video and shared by its clones). Encoding is the codec's job: callers
+//! hand [`VideoSequence::frame`]'s cloud to an `Encoder` they own.
 
 use crate::cells::{CellCounter, CellGrid, CellInfo};
-use crate::codec::{encode, CodecConfig, CodecStats, EncodedCloud, Encoder};
-use crate::point::{Point, PointCloud, SoAPoints};
+use crate::point::{Point, PointCloud};
 use crate::quality::{Quality, QualityLadder, QualityLevel};
 use crate::synthetic::SyntheticBody;
 use std::collections::HashMap;
@@ -53,7 +55,7 @@ impl ManifestKey {
 /// server cuts once ahead of streaming. Clones of a [`VideoSequence`]
 /// share one store. It holds at most `num_frames` × distinct
 /// `(points, grid)` pairs asked for × the body's occupied cells (14–20 at
-/// 50 cm, 48 bytes each: ~0.25 MB for 300 frames) while the video's
+/// 50 cm, 24 bytes each: ~0.12 MB for 300 frames) while the video's
 /// fields are left alone.
 ///
 /// Deliberately not counted in `obs`: whether a request hits depends on
@@ -127,14 +129,6 @@ impl VideoSequence {
             .frame(idx % self.num_frames.max(1), q.points_per_frame)
     }
 
-    /// Generates frame `idx` at `level` quality into `out` (cleared first),
-    /// reusing its allocation across frames.
-    pub fn frame_into(&self, idx: u64, level: QualityLevel, out: &mut PointCloud) {
-        let q = self.ladder.get(level);
-        self.body
-            .frame_into(idx % self.num_frames.max(1), q.points_per_frame, out);
-    }
-
     /// Generates a reduced-density frame for fast analytical experiments
     /// (e.g. visibility statistics, where cell occupancy — not raw density —
     /// matters). `points` is the target count.
@@ -142,53 +136,9 @@ impl VideoSequence {
         self.body.frame(idx % self.num_frames.max(1), points)
     }
 
-    /// Reusable-buffer variant of [`VideoSequence::frame_with_density`].
-    pub fn frame_with_density_into(&self, idx: u64, points: usize, out: &mut PointCloud) {
-        self.body
-            .frame_into(idx % self.num_frames.max(1), points, out);
-    }
-
-    /// SoA variant of [`VideoSequence::frame_with_density_into`]:
-    /// point-for-point identical frames, generated straight into SoA lanes
-    /// for the codec's vectorized encode path.
-    pub fn frame_with_density_soa_into(&self, idx: u64, points: usize, out: &mut SoAPoints) {
-        self.body
-            .frame_into_soa(idx % self.num_frames.max(1), points, out);
-    }
-
-    /// Encodes a frame, returning the bitstream and codec statistics.
-    pub fn encode_frame(
-        &self,
-        idx: u64,
-        level: QualityLevel,
-        cfg: &CodecConfig,
-    ) -> (EncodedCloud, CodecStats) {
-        encode(&self.frame(idx, level), cfg)
-    }
-
-    /// Reusable variant of [`VideoSequence::encode_frame`]: generates the
-    /// frame into `scratch` and encodes it into `out` through the
-    /// caller-owned `enc`. With warmed buffers the whole generate+encode
-    /// step is allocation-free; the bitstream is byte-identical to
-    /// [`VideoSequence::encode_frame`].
-    pub fn encode_frame_into(
-        &self,
-        idx: u64,
-        level: QualityLevel,
-        cfg: &CodecConfig,
-        enc: &mut Encoder,
-        scratch: &mut PointCloud,
-        out: &mut Vec<u8>,
-    ) -> CodecStats {
-        self.frame_into(idx, level, scratch);
-        enc.encode_into(scratch, cfg, out)
-    }
-
     /// The cell manifest entry of frame `idx` at `points` density: the
-    /// non-empty cells of `grid`, sorted by id, each with its point count
-    /// and an empty `point_indices` — exactly
-    /// `grid.partition(&self.frame_with_density(idx, points))` without the
-    /// index vectors.
+    /// non-empty cells of `grid`, sorted by id, each with its point count —
+    /// exactly `grid.partition(&self.frame_with_density(idx, points))`.
     ///
     /// Built on first request and kept: the sampler's points stream
     /// straight into per-cell counters, classified at their `f32`-rounded
@@ -397,37 +347,5 @@ mod tests {
         let parsed = VideoSequence::from_json(&JsonValue::parse(&json).unwrap()).unwrap();
         assert_eq!(parsed.manifest.lock().len(), 0);
         assert_eq!(parsed.to_json().to_json_string(), json);
-    }
-
-    #[test]
-    fn encode_frame_produces_stats() {
-        let mut v = VideoSequence::new(3, 30);
-        v.ladder.levels[0].points_per_frame = 3_000;
-        let (enc, stats) = v.encode_frame(0, QualityLevel::Low, &CodecConfig::default());
-        assert_eq!(stats.input_points, 3_000);
-        assert!(enc.size_bytes() > 0);
-    }
-
-    #[test]
-    fn encode_frame_into_matches_encode_frame() {
-        let mut v = VideoSequence::new(3, 30);
-        v.ladder.levels[0].points_per_frame = 2_000;
-        let cfg = CodecConfig::default();
-        let mut enc = Encoder::new();
-        let mut scratch = PointCloud::new();
-        let mut out = Vec::new();
-        for idx in [0u64, 5, 2] {
-            let stats = v.encode_frame_into(
-                idx,
-                QualityLevel::Low,
-                &cfg,
-                &mut enc,
-                &mut scratch,
-                &mut out,
-            );
-            let (expect, expect_stats) = v.encode_frame(idx, QualityLevel::Low, &cfg);
-            assert_eq!(out, expect.data, "frame {idx}");
-            assert_eq!(stats, expect_stats);
-        }
     }
 }

@@ -7,9 +7,7 @@
 use volcast_pointcloud::codec::{
     CodecConfig, Encoder, GopEncoder, LayeredConfig, LayeredDecoder, LayeredEncoder, LayeredFrame,
 };
-use volcast_pointcloud::{
-    codec::Decoder, codec::EncodedCloud, PointCloud, SyntheticBody, VideoSequence,
-};
+use volcast_pointcloud::{codec::Decoder, codec::EncodedCloud, PointCloud, SyntheticBody};
 use volcast_util::scratch::counting;
 use volcast_util::{obs, par};
 
@@ -127,12 +125,13 @@ fn steady_state_frame_path_does_not_allocate() {
 
     // --- GOP-batched path ------------------------------------------------
     // Same contract for `GopEncoder`: once slots and the output-buffer pool
-    // are warm, whole-GOP generate+encode sweeps are allocation-free. Pin
-    // the worker count to 1 — spawning workers allocates by design, and the
-    // zero-alloc claim is about the per-slot arenas, not thread plumbing
-    // (this also keeps the gate meaningful under VOLCAST_THREADS=4 runs).
+    // are warm, whole-GOP encode sweeps over clouds generated out here are
+    // allocation-free. Pin the worker count to 1 — spawning workers
+    // allocates by design, and the zero-alloc claim is about the per-slot
+    // arenas, not thread plumbing (this also keeps the gate meaningful
+    // under VOLCAST_THREADS=4 runs).
     par::set_thread_count(1);
-    let video = VideoSequence::new(5, FRAMES);
+    let clouds: Vec<PointCloud> = (0..FRAMES).map(|f| body.frame(f, POINTS)).collect();
     // Depth 7 exercises the bitmap-dedup path, the depth-9 `cfg` the radix
     // path; one warm GopEncoder must stay allocation-free across both.
     let cfg7 = CodecConfig {
@@ -143,8 +142,8 @@ fn steady_state_frame_path_does_not_allocate() {
     let gop_pass = |gop: &mut GopEncoder| {
         let mut bytes = 0usize;
         for pass_cfg in [&cfg7, &cfg] {
-            gop.encode_video_gop_into(&video, 0, FRAMES as usize, POINTS, pass_cfg);
-            for i in 0..FRAMES as usize {
+            gop.encode_gop_into(&clouds, pass_cfg);
+            for i in 0..clouds.len() {
                 bytes += gop.frame_data(i).len();
             }
         }

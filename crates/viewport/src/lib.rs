@@ -48,6 +48,6 @@ pub use io::{load_study, save_study};
 pub use joint::JointPredictor;
 pub use predict::{LinearPredictor, MlpPredictor, Predictor};
 pub use roam::RoamingTraceGenerator;
-pub use similarity::{group_iou, iou, overlap_bytes, overlap_bytes_indexed};
+pub use similarity::{group_iou, iou, overlap_bytes};
 pub use traces::{DeviceClass, Trace, TraceGenerator, UserStudy};
-pub use visibility::{size_index, VisibilityComputer, VisibilityMap, VisibilityOptions};
+pub use visibility::{VisibilityComputer, VisibilityMap, VisibilityOptions};

@@ -5,7 +5,7 @@
 //! cells needed by either). This is the signal that drives multicast
 //! grouping.
 
-use crate::visibility::VisibilityMap;
+use crate::visibility::{priced_bytes, VisibilityMap};
 use std::collections::BTreeSet;
 use volcast_pointcloud::{CellId, CellInfo};
 
@@ -79,42 +79,14 @@ pub fn intersection_cells(maps: &[&VisibilityMap]) -> BTreeSet<CellId> {
 /// A cell's multicast cost uses the *maximum* LOD factor any group member
 /// requests, since the multicast copy must satisfy the most demanding user.
 pub fn overlap_bytes(maps: &[&VisibilityMap], partition: &[CellInfo], sizes: &[f64]) -> f64 {
-    let inter = intersection_cells(maps);
-    partition
-        .iter()
-        .zip(sizes)
-        .filter(|(c, _)| inter.contains(&c.id))
-        .map(|(c, &s)| {
-            let lod = maps
-                .iter()
-                .filter_map(|m| m.cells.get(&c.id))
-                .fold(0.0f64, |acc, &l| acc.max(l));
-            s * lod
-        })
-        .sum()
-}
-
-/// [`overlap_bytes`] against a prebuilt
-/// [`size_index`](crate::visibility::size_index), skipping the partition
-/// rescan. Same value: both variants visit the group intersection in
-/// ascending cell-id order.
-pub fn overlap_bytes_indexed(
-    maps: &[&VisibilityMap],
-    sizes_by_id: &std::collections::BTreeMap<CellId, f64>,
-) -> f64 {
-    let inter = intersection_cells(maps);
-    inter
-        .iter()
-        .filter_map(|id| {
-            sizes_by_id.get(id).map(|&s| {
-                let lod = maps
-                    .iter()
-                    .filter_map(|m| m.cells.get(id))
-                    .fold(0.0f64, |acc, &l| acc.max(l));
-                s * lod
-            })
-        })
-        .sum()
+    let max_lods = intersection_cells(maps).into_iter().map(|id| {
+        let lod = maps
+            .iter()
+            .filter_map(|m| m.cells.get(&id))
+            .fold(0.0f64, |acc, &l| acc.max(l));
+        (id, lod)
+    });
+    priced_bytes(partition, sizes, max_lods)
 }
 
 #[cfg(test)]
@@ -241,8 +213,7 @@ mod tests {
     }
 
     #[test]
-    fn indexed_overlap_bytes_matches_scan_exactly() {
-        use crate::visibility::size_index;
+    fn overlap_bytes_matches_the_partition_scan_exactly() {
         let mut a = VisibilityMap::new();
         let mut b = VisibilityMap::new();
         for i in 0..20 {
@@ -251,22 +222,27 @@ mod tests {
                 b.cells.insert(CellId::new(i, 0, 0), 1.0);
             }
         }
+        // Every third cell is missing from the partition.
         let partition: Vec<CellInfo> = (0..20)
+            .filter(|i| i % 3 != 0)
             .map(|i| CellInfo {
                 id: CellId::new(i, 0, 0),
                 point_count: (i as usize + 1) * 10,
-                point_indices: vec![],
             })
             .collect();
         let sizes: Vec<f64> = partition
             .iter()
             .map(|c| c.point_count as f64 * 2.1)
             .collect();
-        let index = size_index(&partition, &sizes);
-        assert_eq!(
-            overlap_bytes(&[&a, &b], &partition, &sizes),
-            overlap_bytes_indexed(&[&a, &b], &index),
-        );
+        let inter = intersection_cells(&[&a, &b]);
+        let scan: f64 = partition
+            .iter()
+            .zip(&sizes)
+            .filter(|(c, _)| inter.contains(&c.id))
+            .map(|(c, &s)| s * a.cells[&c.id].max(b.cells[&c.id]))
+            .sum();
+        assert!(scan > 0.0);
+        assert_eq!(overlap_bytes(&[&a, &b], &partition, &sizes), scan);
     }
 
     #[test]
@@ -279,7 +255,6 @@ mod tests {
         let partition = vec![CellInfo {
             id: CellId::new(0, 0, 0),
             point_count: 10,
-            point_indices: vec![],
         }];
         let sizes = vec![100.0];
         // Multicast must carry the full-density copy (max LOD = 1.0).

@@ -51,44 +51,34 @@ impl VisibilityMap {
         self.cells.keys().copied().collect()
     }
 
-    /// Bytes required to fetch this map's cells, given the partition's
-    /// per-cell sizes (`sizes[i]` corresponds to `cells[i]` of the
-    /// partition). LOD factors scale each cell's cost.
-    ///
-    /// Scans the whole partition; in per-frame loops over many users,
-    /// build a [`size_index`] once and use
-    /// [`VisibilityMap::required_bytes_indexed`] instead.
+    /// Bytes required to fetch this map's cells (the paper's `S_i`), given
+    /// the id-sorted partition's per-cell sizes (`sizes[i]` corresponds to
+    /// `partition[i]`). LOD factors scale each cell's cost.
     pub fn required_bytes(&self, partition: &[CellInfo], sizes: &[f64]) -> f64 {
-        partition
-            .iter()
-            .zip(sizes)
-            .filter_map(|(c, &s)| self.cells.get(&c.id).map(|lod| s * lod))
-            .sum()
-    }
-
-    /// [`VisibilityMap::required_bytes`] against a prebuilt [`size_index`],
-    /// in O(|visible cells|) instead of O(|partition|).
-    ///
-    /// Returns the exact same value: the partition is CellId-sorted and so
-    /// is this map, so both variants visit the intersection in ascending id
-    /// order and the float summation order is unchanged.
-    pub fn required_bytes_indexed(&self, sizes_by_id: &BTreeMap<CellId, f64>) -> f64 {
-        self.cells
-            .iter()
-            .filter_map(|(id, lod)| sizes_by_id.get(id).map(|s| s * lod))
-            .sum()
+        priced_bytes(
+            partition,
+            sizes,
+            self.cells.iter().map(|(&id, &lod)| (id, lod)),
+        )
     }
 }
 
-/// Indexes a partition's per-cell sizes by [`CellId`]: build once per
-/// frame, then share across every per-user
-/// [`VisibilityMap::required_bytes_indexed`] call of that frame.
-pub fn size_index(partition: &[CellInfo], sizes: &[f64]) -> BTreeMap<CellId, f64> {
-    partition
-        .iter()
-        .zip(sizes)
-        .map(|(c, &s)| (c.id, s))
-        .collect()
+/// Sums `size × lod` over the cells of `lods` that `partition` lists. Both
+/// sequences ascend by [`CellId`] (a partition is built that way, a map is
+/// a `BTreeMap`), so one merge pass visits their intersection in ascending
+/// id order — the order every byte total in the system is summed in.
+pub(crate) fn priced_bytes(
+    partition: &[CellInfo],
+    sizes: &[f64],
+    lods: impl Iterator<Item = (CellId, f64)>,
+) -> f64 {
+    debug_assert!(partition.windows(2).all(|w| w[0].id < w[1].id));
+    let mut cells = partition.iter().zip(sizes).peekable();
+    lods.filter_map(|(id, lod)| {
+        while cells.next_if(|(c, _)| c.id < id).is_some() {}
+        cells.next_if(|(c, _)| c.id == id).map(|(_, &s)| s * lod)
+    })
+    .sum()
 }
 
 /// Which ViVo optimizations to apply.
@@ -256,11 +246,10 @@ impl VisibilityComputer {
         grid: &CellGrid,
         dense: &BTreeSet<CellId>,
     ) -> bool {
-        let target_center = target_point;
-        let Some(ray) = Ray::between(eye, target_center) else {
+        let Some(ray) = Ray::between(eye, target_point) else {
             return false;
         };
-        let total_dist = eye.distance(target_center);
+        let total_dist = eye.distance(target_point);
 
         // 3D DDA through the uniform grid.
         let mut cell = grid.cell_of(eye);
@@ -271,7 +260,7 @@ impl VisibilityComputer {
         ];
         let next_boundary = |c: i32, s: i32, axis: usize| -> f64 {
             let edge = if s > 0 { c + 1 } else { c };
-            grid.origin[axis_component(axis)] + edge as f64 * grid.cell_size
+            grid.origin[axis] + edge as f64 * grid.cell_size
         };
         let mut t_max = [0.0f64; 3];
         let mut t_delta = [f64::INFINITY; 3];
@@ -321,10 +310,6 @@ impl VisibilityComputer {
         }
         false
     }
-}
-
-fn axis_component(axis: usize) -> usize {
-    axis
 }
 
 // JSON serialization (replaces the former serde derives; see volcast-util).
@@ -487,21 +472,27 @@ mod tests {
     }
 
     #[test]
-    fn indexed_required_bytes_matches_scan_exactly() {
-        let (grid, cloud) = wall_and_target(-1.0, -3.0);
-        let partition = grid.partition(&cloud);
-        let sizes: Vec<f64> = partition
-            .iter()
-            .map(|c| c.point_count as f64 * 3.7)
-            .collect();
-        let index = size_index(&partition, &sizes);
-        for opts in [VisibilityOptions::vanilla(), VisibilityOptions::vivo()] {
-            let map = VisibilityComputer::new(opts).compute(&viewer_at(3.0), &grid, &partition);
-            assert_eq!(
-                map.required_bytes(&partition, &sizes),
-                map.required_bytes_indexed(&index),
-            );
+    fn required_bytes_sums_the_listed_visible_cells_in_id_order() {
+        let cell = |x, point_count| CellInfo {
+            id: CellId::new(x, 0, 0),
+            point_count,
+        };
+        // The map sees cells 1, 3, 4 and 9; the partition lists 0, 1, 2, 4
+        // and 7: they share 1 and 4, with strays on both sides of each.
+        let partition = [cell(0, 1), cell(1, 2), cell(2, 3), cell(4, 4), cell(7, 5)];
+        let sizes = [0.1, 0.7, 1.9, 1e9, 3.3];
+        let mut map = VisibilityMap::new();
+        for (x, lod) in [(1, 0.3), (3, 1.0), (4, 0.7), (9, 1.0)] {
+            map.cells.insert(CellId::new(x, 0, 0), lod);
         }
+        // Bit-exact, in ascending id order: the naive scan of the partition.
+        let scan: f64 = partition
+            .iter()
+            .zip(&sizes)
+            .filter_map(|(c, &s)| map.cells.get(&c.id).map(|lod| s * lod))
+            .sum();
+        assert_eq!(map.required_bytes(&partition, &sizes), scan);
+        assert_eq!(scan, 0.7 * 0.3 + 1e9 * 0.7);
     }
 
     #[test]

@@ -46,14 +46,21 @@ echo "==> codec round-trip is allocation-free under the counting allocator"
 # tracing on — the test disables obs itself and must stay green anyway.
 VOLCAST_TRACE=1 cargo test --release -q -p volcast-pointcloud --test codec_alloc
 
-echo "==> fig2a regenerates byte-identically at both thread counts"
-tmp_fig2a="$(mktemp)"
+echo "==> every results/<bin>.txt regenerates byte-identically"
+# Each committed capture is the stdout of the bin it is named after; a
+# change that moves any of them must say so by regenerating the file.
+tmp_out="$(mktemp)"
 tmp_obs="$(mktemp -d)"
-trap 'rm -rf "$tmp_fig2a" "$tmp_obs"' EXIT
-VOLCAST_THREADS=1 cargo run -q --release -p volcast-bench --bin fig2a > "$tmp_fig2a"
-diff results/fig2a.txt "$tmp_fig2a"
-VOLCAST_THREADS=4 cargo run -q --release -p volcast-bench --bin fig2a > "$tmp_fig2a"
-diff results/fig2a.txt "$tmp_fig2a"
+trap 'rm -rf "$tmp_out" "$tmp_obs"' EXIT
+for capture in results/*.txt; do
+    bin="$(basename "$capture" .txt)"
+    VOLCAST_THREADS=1 cargo run -q --release -p volcast-bench --bin "$bin" > "$tmp_out"
+    diff "$capture" "$tmp_out"
+done
+
+echo "==> fig2a is the same at four workers"
+VOLCAST_THREADS=4 cargo run -q --release -p volcast-bench --bin fig2a > "$tmp_out"
+diff results/fig2a.txt "$tmp_out"
 
 echo "==> fig2a obs snapshot matches the committed copy at both thread counts"
 # With tracing on, fig2a dumps its deterministic metrics snapshot; it must
@@ -96,8 +103,7 @@ echo "==> campus smoke is byte-identical at VOLCAST_THREADS=1 and 8, hash pinned
 # A fast campus configuration (500 users, 8 APs, 30 frames; ~50 ms) with
 # the outcome hash pinned: the room-epoch hot path — epoch-invariant RSS
 # caching, plan-skeleton reuse, the flattened simulator core — cannot
-# drift without failing this diff. --report '' keeps the committed
-# full-scale BENCH_campus.json untouched.
+# drift without failing this diff. The bin writes no file.
 tmp_cmp1="$(mktemp)"
 tmp_cmp8="$(mktemp)"
 VOLCAST_THREADS=1 cargo run -q --release -p volcast-bench --bin campus -- \

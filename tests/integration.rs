@@ -103,7 +103,6 @@ fn grouping_api_is_usable_standalone() {
         .map(|x| CellInfo {
             id: CellId::new(x, 0, 0),
             point_count: 10,
-            point_indices: vec![],
         })
         .collect();
     let sizes = vec![50_000.0; 5];
