@@ -63,11 +63,8 @@ fn main() {
                 vc.compute(&trace.pose(f), &grid, &partition)
             })
             .collect();
-        let s: Vec<f64> = maps
-            .iter()
-            .map(|m| m.required_bytes(&partition, &sizes))
-            .collect();
-        let s_m = overlap_bytes(&[&maps[0], &maps[1]], &partition, &sizes);
+        let s: Vec<f64> = maps.iter().map(|m| m.required_bytes(&sizes)).collect();
+        let s_m = overlap_bytes(&[&maps[0], &maps[1]], &sizes);
         let positions = [
             ctx.study.traces[a].pose(f).position,
             ctx.study.traces[b].pose(f).position,

@@ -24,18 +24,15 @@ fn vivo_visibility_fraction(ctx: &Context) -> f64 {
     for f in (0..ctx.frames).step_by(30) {
         let cloud = body.frame(f as u64, 20_000);
         let partition = grid.partition(&cloud);
-        let total_points: f64 = partition.iter().map(|c| c.point_count as f64).sum();
+        let points: Vec<f64> = partition.iter().map(|c| c.point_count as f64).collect();
+        let total_points: f64 = points.iter().sum();
         for trace in &ctx.study.traces {
             let vc = VisibilityComputer::new(VisibilityOptions {
                 intrinsics: trace.device.intrinsics(),
                 ..VisibilityOptions::vivo()
             });
             let map = vc.compute(&trace.pose(f), &grid, &partition);
-            let needed: f64 = partition
-                .iter()
-                .filter_map(|c| map.cells.get(&c.id).map(|lod| c.point_count as f64 * lod))
-                .sum();
-            total += needed / total_points;
+            total += map.required_bytes(&points) / total_points;
             count += 1;
         }
     }

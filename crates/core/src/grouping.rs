@@ -14,14 +14,13 @@
 //! `T_m(k) ≤ 1/F`.
 //!
 //! [`GroupPlanner`] implements a greedy agglomerative search: start with
-//! singletons, repeatedly merge the two groups whose union has the highest
-//! IoU, keep the merge when it reduces the estimated total frame time and
-//! stays feasible.
+//! singletons and repeatedly adopt the merge of two sufficiently similar
+//! groups that lowers the estimated total frame time the most, until no
+//! merge lowers it.
 
 use crate::config::SystemConfig;
 use volcast_pointcloud::CellInfo;
-use volcast_util::par;
-use volcast_viewport::{group_iou, overlap_bytes, VisibilityMap};
+use volcast_viewport::VisibilityMap;
 
 /// A multicast group in a plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,10 +53,11 @@ impl Group {
 
 /// Everything the planner needs for one frame.
 pub struct GroupingInputs<'a> {
-    /// Per-user visibility maps, indexed by user id.
+    /// Per-user visibility maps over `partition`, indexed by user id.
     pub maps: &'a [VisibilityMap],
     /// The frame's cell partition, ascending by cell id (as
-    /// `CellGrid::partition` and `VideoSequence::cell_counts` return it).
+    /// `CellGrid::partition` and `VideoSequence::cell_counts` return it):
+    /// the cells the maps rank and `cell_sizes` price.
     pub partition: &'a [CellInfo],
     /// Per-cell compressed sizes (bytes), same order as `partition`.
     pub cell_sizes: &'a [f64],
@@ -86,16 +86,15 @@ pub struct GroupPlan {
 /// use volcast_pointcloud::{CellId, CellInfo};
 /// use volcast_viewport::VisibilityMap;
 ///
-/// // Two users with 3 of 4 cells in common.
-/// let mut m1 = VisibilityMap::new();
-/// let mut m2 = VisibilityMap::new();
-/// for x in 0..4 { m1.cells.insert(CellId::new(x, 0, 0), 1.0); }
-/// for x in 1..5 { m2.cells.insert(CellId::new(x, 0, 0), 1.0); }
+/// // Two users with 3 of 4 cells in common, by rank in a 5-cell partition.
 /// let partition: Vec<CellInfo> = (0..5)
 ///     .map(|x| CellInfo { id: CellId::new(x, 0, 0), point_count: 10 })
 ///     .collect();
 /// let sizes = vec![50_000.0; 5];
-/// let maps = [m1, m2];
+/// let maps = [
+///     VisibilityMap::from_ranks(5, (0..4).map(|rank| (rank, 1.0))),
+///     VisibilityMap::from_ranks(5, (1..5).map(|rank| (rank, 1.0))),
+/// ];
 ///
 /// let plan = GroupPlanner::new(SystemConfig::default()).plan(&GroupingInputs {
 ///     maps: &maps,
@@ -148,113 +147,108 @@ impl GroupPlanner {
 
     /// Builds the group plan for one frame.
     pub fn plan(&self, inputs: &GroupingInputs<'_>) -> GroupPlan {
-        let n = inputs.maps.len();
-        assert_eq!(
-            n,
-            inputs.unicast_rate_mbps.len(),
-            "rates must cover all users"
-        );
+        let (maps, sizes, rates) = (inputs.maps, inputs.cell_sizes, inputs.unicast_rate_mbps);
+        assert_eq!(maps.len(), rates.len(), "rates must cover all users");
+        debug_assert_eq!(inputs.partition.len(), sizes.len());
+        debug_assert!(maps.iter().all(|m| m.cells() == sizes.len()));
 
         // Per-user total requested bytes S_i.
-        let member_bytes: Vec<f64> = inputs
-            .maps
-            .iter()
-            .map(|m| m.required_bytes(inputs.partition, inputs.cell_sizes))
-            .collect();
+        let member_bytes: Vec<f64> = maps.iter().map(|m| m.required_bytes(sizes)).collect();
+        let time_of = |g: &Group| Self::group_time_s(g, &member_bytes, rates);
 
-        // Start from singletons.
-        let mut groups: Vec<Group> = (0..n)
+        // Start from singletons. `views` (each group's merged map) and
+        // `times` run parallel to `groups`.
+        let mut groups: Vec<Group> = (0..maps.len())
             .map(|u| Group {
-                members: vec![u],
-                multicast_bytes: 0.0,
-                multicast_rate_mbps: 0.0,
                 iou: 1.0,
+                ..Group::unpriced(vec![u])
+            })
+            .collect();
+        let mut views: Vec<VisibilityMap> = maps.to_vec();
+        let mut times: Vec<f64> = groups.iter().map(time_of).collect();
+
+        // Two groups merged and the merge's `T_m`; `None` when they fail
+        // the similarity gate, share nothing or have no multicast rate.
+        let score = |a: &Group, va: &VisibilityMap, b: &Group, vb: &VisibilityMap| {
+            let iou = volcast_viewport::iou(va, vb);
+            if iou < self.config.min_merge_iou {
+                return None;
+            }
+            let multicast_bytes = va.shared_bytes(vb, sizes);
+            if multicast_bytes <= 0.0 {
+                return None;
+            }
+            let mut members = [a.members.as_slice(), &b.members].concat();
+            members.sort_unstable();
+            let multicast_rate_mbps = (inputs.multicast_rate_mbps)(&members);
+            if multicast_rate_mbps <= 0.0 {
+                return None;
+            }
+            let merged = Group {
+                members,
+                multicast_bytes,
+                multicast_rate_mbps,
+                iou,
+            };
+            let time = time_of(&merged);
+            Some((merged, time))
+        };
+        // The pair-score table: `table[i][j - i - 1]` scores groups
+        // `i < j`. A score depends on its two groups only, so it lives until
+        // one of them is merged away, and the rate callback is asked once
+        // per member set. Rows are filled and walked in `(i, j)` order: the
+        // first-best selection below depends on it.
+        let mut table: Vec<Vec<Option<(Group, f64)>>> = (0..groups.len())
+            .map(|i| {
+                let row = (i + 1)..groups.len();
+                row.map(|j| score(&groups[i], &views[i], &groups[j], &views[j]))
+                    .collect()
             })
             .collect();
 
-        // Greedy merging. Each round scores the pure similarity/overlap of
-        // every candidate pair in parallel (maps, partition and sizes are
-        // Sync), then walks the candidates serially — the multicast-rate
-        // callback is a plain `&dyn Fn` (typically memoized through a
-        // RefCell, so not Sync) and the first-best selection must follow
-        // the original (i, j) order for determinism.
-        let all_maps = inputs.maps;
-        let min_iou = self.config.min_merge_iou;
-        let time_of = |g: &Group| Self::group_time_s(g, &member_bytes, inputs.unicast_rate_mbps);
-        let mut times: Vec<f64> = Vec::with_capacity(n);
         loop {
-            // Every current group's time, computed once per round instead
-            // of once per candidate.
-            times.clear();
-            times.extend(groups.iter().map(time_of));
             let current_time: f64 = times.iter().sum();
-
-            let pairs: Vec<(usize, usize)> = (0..groups.len())
-                .flat_map(|i| ((i + 1)..groups.len()).map(move |j| (i, j)))
-                .collect();
-            let groups_ref = &groups;
-            // (members, iou, S_m) per pair; S_m is 0 when the pair fails
-            // the similarity gate (the serial pass skips it either way).
-            let scored: Vec<(Vec<usize>, f64, f64)> = par::par_map(&pairs, |&(i, j)| {
-                let mut members: Vec<usize> = groups_ref[i]
-                    .members
-                    .iter()
-                    .chain(&groups_ref[j].members)
-                    .copied()
-                    .collect();
-                members.sort_unstable();
-                let maps: Vec<&VisibilityMap> = members.iter().map(|&u| &all_maps[u]).collect();
-                let iou = group_iou(&maps);
-                let s_m = if iou < min_iou {
-                    0.0
-                } else {
-                    overlap_bytes(&maps, inputs.partition, inputs.cell_sizes)
-                };
-                (members, iou, s_m)
-            });
-
-            let mut best: Option<(usize, usize, Group, f64)> = None;
-            for (&(i, j), (members, iou, s_m)) in pairs.iter().zip(scored) {
-                if iou < min_iou || s_m <= 0.0 {
-                    continue;
-                }
-                let r_m = (inputs.multicast_rate_mbps)(&members);
-                if r_m <= 0.0 {
-                    continue;
-                }
-                let candidate = Group {
-                    members,
-                    multicast_bytes: s_m,
-                    multicast_rate_mbps: r_m,
-                    iou,
-                };
-                // The hypothetical plan's time: the groups left unmerged,
-                // in index order, then the candidate — summed left to
-                // right, the order a materialized trial plan would use.
-                let t: f64 = times
-                    .iter()
-                    .enumerate()
-                    .filter(|&(k, _)| k != i && k != j)
-                    .map(|(_, &t)| t)
-                    .chain(std::iter::once(time_of(&candidate)))
-                    .sum();
-                if t < current_time {
-                    match &best {
-                        Some((_, _, _, bt)) if *bt <= t => {}
-                        _ => best = Some((i, j, candidate, t)),
+            let mut best: Option<(usize, usize, f64)> = None;
+            for (i, row) in table.iter().enumerate() {
+                for (j, scored) in (i + 1..).zip(row) {
+                    let Some((_, merged_time)) = scored else {
+                        continue;
+                    };
+                    // The hypothetical plan's time: the groups left
+                    // unmerged, in index order, then the candidate — summed
+                    // left to right, the order a materialized trial plan
+                    // would use.
+                    let others = times.iter().enumerate().filter(|&(k, _)| k != i && k != j);
+                    let t: f64 = others.map(|(_, &t)| t).chain([*merged_time]).sum();
+                    if t < current_time && best.is_none_or(|(_, _, best_t)| t < best_t) {
+                        best = Some((i, j, t));
                     }
                 }
             }
+            let Some((i, j, _)) = best else { break };
 
-            match best {
-                Some((i, j, merged, _)) => {
-                    // Remove j first (higher index) to keep i valid.
-                    groups.remove(j);
-                    groups.remove(i);
-                    groups.push(merged);
+            let (merged, merged_time) = table[i][j - i - 1].take().expect("best is scored");
+            let mut view = std::mem::take(&mut views[i]);
+            view.merge(&views[j]);
+            // Survivors keep their places and their scores against each
+            // other; `j` goes first so `i` stays valid.
+            for gone in [j, i] {
+                groups.remove(gone);
+                views.remove(gone);
+                times.remove(gone);
+                table.remove(gone);
+                for (k, row) in table.iter_mut().enumerate().take(gone) {
+                    row.remove(gone - k - 1);
                 }
-                None => break,
             }
+            // The merged group goes last: a new column, and an empty row.
+            for (k, row) in table.iter_mut().enumerate() {
+                row.push(score(&groups[k], &views[k], &merged, &view));
+            }
+            table.push(Vec::new());
+            groups.push(merged);
+            views.push(view);
+            times.push(merged_time);
         }
 
         groups.sort_by(|a, b| a.members.cmp(&b.members));
@@ -307,12 +301,9 @@ mod tests {
         assert_eq!(t, 40.0 * 8.0 / 8e6 + 60.0 * 8.0 / 8e6);
     }
 
-    fn map_of(ids: &[i32]) -> VisibilityMap {
-        let mut m = VisibilityMap::new();
-        for &x in ids {
-            m.cells.insert(CellId::new(x, 0, 0), 1.0);
-        }
-        m
+    /// A full-density map over `partition_of(12)`.
+    fn map_of(ranks: &[usize]) -> VisibilityMap {
+        VisibilityMap::from_ranks(12, ranks.iter().map(|&r| (r, 1.0)))
     }
 
     fn partition_of(n: i32) -> (Vec<CellInfo>, Vec<f64>) {

@@ -236,7 +236,6 @@ impl EpochCoordinator {
 mod tests {
     use super::*;
     use volcast_mmwave::{Channel, Codebook, PlanarArray, Room};
-    use volcast_pointcloud::CellId;
 
     fn two_ap_setup() -> (Channel, Channel) {
         let room = Room::default();
@@ -252,12 +251,9 @@ mod tests {
         (Channel::new(room, ap1), Channel::new(room, ap2))
     }
 
-    fn map_of(ids: &[i32]) -> VisibilityMap {
-        let mut m = VisibilityMap::new();
-        for &x in ids {
-            m.cells.insert(CellId::new(x, 0, 0), 1.0);
-        }
-        m
+    /// A full-density map over a 10-cell partition.
+    fn map_of(ranks: &[usize]) -> VisibilityMap {
+        VisibilityMap::from_ranks(10, ranks.iter().map(|&r| (r, 1.0)))
     }
 
     /// Runs one assignment over the two opposite-wall APs (or only the

@@ -44,7 +44,7 @@ use volcast_net::{
     SimTime, Simulator, TransmissionPlan, TxItem, Wifi5Channel,
 };
 use volcast_pointcloud::{CellGrid, CellInfo, DecodeModel, QualityLevel, VideoSequence};
-use volcast_util::{obs, par};
+use volcast_util::obs;
 use volcast_viewport::{
     BlockageEvent, BlockageForecaster, DeviceClass, JointPredictor, Trace, TraceGenerator,
     VisibilityComputer, VisibilityMap, VisibilityOptions,
@@ -218,8 +218,9 @@ impl Default for SessionParams {
 impl SessionParams {
     /// Validates the parameters, surfacing what used to be deep-loop
     /// panics (or silent nonsense) as errors: a session needs at least one
-    /// frame, a positive frame interval, a nonzero analysis density, and a
-    /// well-formed fault configuration.
+    /// frame, a positive frame interval, a nonzero analysis density, a
+    /// positive finite cell size, a similarity gate that can compare, and
+    /// a well-formed fault configuration.
     pub fn validate(&self) -> Result<(), VolcastError> {
         if self.frames == 0 {
             return Err(VolcastError::InvalidParams("frames must be >= 1".into()));
@@ -235,6 +236,18 @@ impl SessionParams {
                 "frame interval {interval} s (target_fps {}) must be positive and finite",
                 self.config.target_fps
             )));
+        }
+        let cell_size = self.config.cell_size;
+        if !(cell_size > 0.0 && cell_size.is_finite()) {
+            return Err(VolcastError::InvalidParams(format!(
+                "cell_size {cell_size} m must be positive and finite"
+            )));
+        }
+        if self.config.min_merge_iou.is_nan() {
+            // `iou < NaN` is never true: the gate would silently be off.
+            return Err(VolcastError::InvalidParams(
+                "min_merge_iou must be a number".into(),
+            ));
         }
         if let Some(cfg) = &self.faults {
             cfg.validate()?;
@@ -806,15 +819,14 @@ impl<'a> Pipeline<'a> {
     /// Stage 3 — link rates: the serving beam's RSS and unicast PHY rate
     /// per user. Proactive users are already on the best surviving path;
     /// reactive users spend the first blocked frame on the stale LoS beam
-    /// before re-searching. Links are independent given the frame's poses
-    /// and blockers, so they are evaluated in parallel (input order
-    /// preserved).
+    /// before re-searching.
     fn link_rates(&self, faults: &FrameFaults, a: &mut Arena) {
         let (s, forecaster, is_wifi5) = (self.s, self.forecaster, self.is_wifi5);
-        let (poses, blockers) = (&a.poses, &a.all_blockers);
+        let blockers = &a.all_blockers;
         let (blocked_now, blocked_prev) = (&a.blocked_now, &a.blocked_prev);
         let ap = s.channel.array.position;
-        a.rss = par::par_map_indexed(poses, |u, pose| {
+        a.rss.clear();
+        a.rss.extend(a.poses.iter().enumerate().map(|(u, pose)| {
             let pos = pose.position;
             let injected_blockage = faults.blockage_for(u);
             let others = blockers.iter().enumerate().filter(|&(i, _)| i != u);
@@ -842,7 +854,7 @@ impl<'a> Pipeline<'a> {
             } else {
                 s.channel.rss_dedicated_beam(pos, &bl)
             }
-        });
+        }));
         // Injected link outage: the PHY collapses outright, below every
         // MCS sensitivity. Downstream this zeroes the user's rate, so
         // admission control defers their bursts and the degradation ladder
@@ -866,30 +878,27 @@ impl<'a> Pipeline<'a> {
         a.partition = s
             .video
             .cell_counts(f as u64, s.params.analysis_points, &self.grid);
-        // Per-user maps are independent; the fan-out is the frame step's
-        // biggest cost at scale (one frustum + occlusion pass per user
-        // over the whole partition).
+        // One frustum + occlusion pass per user over the whole partition.
         let (grid, partition) = (&self.grid, &a.partition);
-        a.maps = par::par_map_indexed(&a.planning_poses, |u, pose| {
-            let options = match s.params.player {
-                PlayerKind::Vanilla => VisibilityOptions::vanilla(),
-                _ => VisibilityOptions {
-                    intrinsics: s.traces[u].device.intrinsics(),
-                    ..VisibilityOptions::vivo()
-                },
-            };
-            VisibilityComputer::new(options).compute(pose, grid, partition)
-        });
+        a.maps.clear();
+        a.maps
+            .extend(a.planning_poses.iter().enumerate().map(|(u, pose)| {
+                let options = match s.params.player {
+                    PlayerKind::Vanilla => VisibilityOptions::vanilla(),
+                    _ => VisibilityOptions {
+                        intrinsics: s.traces[u].device.intrinsics(),
+                        ..VisibilityOptions::vivo()
+                    },
+                };
+                VisibilityComputer::new(options).compute(pose, grid, partition)
+            }));
 
         a.unit_sizes.clear();
         a.unit_sizes
             .extend(a.partition.iter().map(|c| c.point_count as f64));
         a.member_unit.clear();
-        a.member_unit.extend(
-            a.maps
-                .iter()
-                .map(|m| m.required_bytes(&a.partition, &a.unit_sizes)),
-        );
+        a.member_unit
+            .extend(a.maps.iter().map(|m| m.required_bytes(&a.unit_sizes)));
         let total_points: f64 = a.unit_sizes.iter().sum();
         let culls = !matches!(s.params.player, PlayerKind::Vanilla) && total_points > 0.0;
         a.needed_fraction.clear();

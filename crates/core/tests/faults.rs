@@ -127,8 +127,9 @@ fn wifi5_faulted_session_completes() {
 }
 
 /// Invalid inputs are errors, not panics: zero frames, zero analysis
-/// density, a broken frame interval, an over-unity fault rate, and empty
-/// traces each come back as a descriptive `Err`.
+/// density, a broken frame interval, a cell size no grid can be cut at, a
+/// similarity gate that compares nothing, an over-unity fault rate, and
+/// empty traces each come back as a descriptive `Err`.
 #[test]
 fn invalid_inputs_are_errors_not_panics() {
     // frames = 0
@@ -146,6 +147,22 @@ fn invalid_inputs_are_errors_not_panics() {
     s.params.config.target_fps = 0.0;
     assert!(matches!(s.run(), Err(VolcastError::InvalidParams(_))));
 
+    // cell_size: `CellGrid::new` asserts on <= 0 and NaN; inf cuts NaN cells
+    for cell_size in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        let mut s = quick_session(PlayerKind::Volcast, 2, 10, 1);
+        s.params.config.cell_size = cell_size;
+        let out = s.run();
+        assert!(
+            matches!(out, Err(VolcastError::InvalidParams(_))),
+            "cell_size {cell_size}: {out:?}"
+        );
+    }
+
+    // min_merge_iou = NaN would switch the similarity gate off
+    let mut s = quick_session(PlayerKind::Volcast, 2, 10, 1);
+    s.params.config.min_merge_iou = f64::NAN;
+    assert!(matches!(s.run(), Err(VolcastError::InvalidParams(_))));
+
     // fault rate outside [0, 1]
     let mut s = quick_session(PlayerKind::Volcast, 2, 10, 1);
     s.params.faults = Some(FaultConfig {
@@ -159,6 +176,20 @@ fn invalid_inputs_are_errors_not_panics() {
     let s = StreamingSession::new(SessionParams::default(), Vec::new());
     let mut s = s;
     assert!(matches!(s.run(), Err(VolcastError::InvalidTraces(_))));
+}
+
+/// A 1 mm cell size is valid and must stay cheap: every per-frame index
+/// over cells (the manifest's counter, the occlusion walk's dense-cell
+/// table) is sized by the cells that hold points, never by the grid's
+/// bounding box (~10⁹ cells here).
+#[test]
+fn millimetre_cells_run() {
+    let mut s = quick_session(PlayerKind::Volcast, 2, 2, 1);
+    s.params.analysis_points = 400;
+    s.params.config.cell_size = 0.001;
+    let out = s.run().unwrap();
+    assert_eq!(out.qoe.users.len(), 2);
+    assert!(out.qoe.users.iter().all(|u| u.frames() == 2));
 }
 
 /// `SessionParams::validate` is also callable up front, without running.

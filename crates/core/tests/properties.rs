@@ -14,13 +14,8 @@ fn arb_maps(users: usize, cells: i32) -> impl Strategy<Value = Vec<VisibilityMap
     .prop_map(move |rows| {
         rows.into_iter()
             .map(|row| {
-                let mut m = VisibilityMap::new();
-                for (x, vis) in row.into_iter().enumerate() {
-                    if vis {
-                        m.cells.insert(CellId::new(x as i32, 0, 0), 1.0);
-                    }
-                }
-                m
+                let seen = row.iter().enumerate().filter(|(_, &vis)| vis);
+                VisibilityMap::from_ranks(row.len(), seen.map(|(rank, _)| (rank, 1.0)))
             })
             .collect()
     })
@@ -85,7 +80,7 @@ proptest! {
         let unicast_time: f64 = maps
             .iter()
             .zip(&rates)
-            .map(|(m, &r)| m.required_bytes(&partition, &sizes) * 8.0 / (r * 1e6))
+            .map(|(m, &r)| m.required_bytes(&sizes) * 8.0 / (r * 1e6))
             .sum();
         prop_assert!(
             plan.estimated_time_s <= unicast_time + 1e-12,

@@ -93,21 +93,28 @@ impl CellGrid {
     pub fn partition(&self, cloud: &PointCloud) -> Vec<CellInfo> {
         let mut counter = CellCounter::new();
         for p in &cloud.points {
-            counter.add(self.cell_of(p.position()));
+            counter.add(self.cell_of(p.position()), 1);
         }
         counter.finish()
     }
 }
 
-/// Points per cell for a caller that streams cell ids and keeps nothing
-/// else. An open-addressed table, so memory follows the number of
-/// *occupied* cells — an array indexed over the body's bounding box would
-/// hold ~10⁹ counters at 1 mm cells, and `cell_size` is only validated
-/// as positive.
-pub(crate) struct CellCounter {
+/// Points per cell, for a caller that streams cell ids and keeps nothing
+/// else or one that asks about cells by id. An open-addressed table, so
+/// memory follows the number of *occupied* cells — an array indexed over
+/// the body's bounding box would hold ~10⁹ counters at 1 mm cells, and
+/// `cell_size` is only validated as positive.
+#[derive(Debug)]
+pub struct CellCounter {
     /// Power-of-two length; a zero count marks a free slot.
     slots: Vec<CellInfo>,
     occupied: usize,
+}
+
+impl Default for CellCounter {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl CellCounter {
@@ -116,7 +123,8 @@ impl CellCounter {
         point_count: 0,
     };
 
-    pub(crate) fn new() -> Self {
+    /// An empty counter.
+    pub fn new() -> Self {
         CellCounter {
             slots: vec![Self::FREE; 64],
             occupied: 0,
@@ -137,13 +145,16 @@ impl CellCounter {
         i
     }
 
-    /// Counts one point in cell `id`.
+    /// Counts `points` more points in cell `id`.
     #[inline]
-    pub(crate) fn add(&mut self, id: CellId) {
+    pub fn add(&mut self, id: CellId, points: usize) {
+        if points == 0 {
+            return;
+        }
         let i = Self::slot_of(&self.slots, id);
         let slot = &mut self.slots[i];
-        slot.point_count += 1;
-        if slot.point_count == 1 {
+        slot.point_count += points;
+        if slot.point_count == points {
             slot.id = id;
             self.occupied += 1;
             // Keep the load at or below one half so probes stay short.
@@ -163,8 +174,14 @@ impl CellCounter {
         }
     }
 
+    /// Points counted in cell `id` so far.
+    #[inline]
+    pub fn count(&self, id: CellId) -> usize {
+        self.slots[Self::slot_of(&self.slots, id)].point_count
+    }
+
     /// The non-empty cells sorted by id.
-    pub(crate) fn finish(mut self) -> Vec<CellInfo> {
+    pub fn finish(mut self) -> Vec<CellInfo> {
         self.slots.retain(|c| c.point_count > 0);
         self.slots.sort_unstable_by_key(|c| c.id);
         self.slots
@@ -251,6 +268,16 @@ mod tests {
         let cells = fine.partition(&body);
         assert!(cells.len() > 1_000, "{} cells", cells.len());
         assert_eq!(cells, naive_partition(&fine, &body));
+        // Read back by id: what was counted, and nothing for a stranger.
+        let mut counter = CellCounter::new();
+        for c in cells.iter().filter(|c| c.point_count >= 2) {
+            counter.add(c.id, c.point_count);
+        }
+        for c in &cells {
+            let expect = if c.point_count >= 2 { c.point_count } else { 0 };
+            assert_eq!(counter.count(c.id), expect);
+            assert_eq!(counter.count(CellId::new(c.id.x + 1000, c.id.y, c.id.z)), 0);
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub mod quality;
 pub mod synthetic;
 pub mod video;
 
-pub use cells::{CellGrid, CellId, CellInfo};
+pub use cells::{CellCounter, CellGrid, CellId, CellInfo};
 pub use decode_model::DecodeModel;
 pub use point::{Point, PointCloud};
 pub use quality::{Ladder, Quality, QualityLadder, QualityLevel};

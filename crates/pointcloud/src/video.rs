@@ -157,7 +157,7 @@ impl VideoSequence {
         // and both return it (the lists are equal either way).
         let mut counter = CellCounter::new();
         self.body.emit_frame(frame, points, |pos, color| {
-            counter.add(grid.cell_of(Point::new(pos, color).position()));
+            counter.add(grid.cell_of(Point::new(pos, color).position()), 1);
         });
         let cells: Arc<[CellInfo]> = counter.finish().into();
         debug_assert_eq!(

@@ -118,10 +118,40 @@ impl BitSet {
         }
     }
 
+    /// Intersection with `other`: keeps only the indices `other` also
+    /// holds.
+    pub fn intersect_with(&mut self, other: &BitSet) {
+        self.words.truncate(other.words.len());
+        for (dst, src) in self.words.iter_mut().zip(&other.words) {
+            *dst &= src;
+        }
+    }
+
+    /// `|self ∩ other|`, without building the intersection.
+    pub fn intersection_count(&self, other: &BitSet) -> usize {
+        let both = self.words.iter().zip(&other.words);
+        both.map(|(a, b)| (a & b).count_ones() as usize).sum()
+    }
+
+    /// `|self ∪ other|`, without building the union.
+    pub fn union_count(&self, other: &BitSet) -> usize {
+        self.count() + other.count() - self.intersection_count(other)
+    }
+
     /// Iterates the set's indices in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut word = w;
+        Self::ones(self.words.iter().copied())
+    }
+
+    /// Iterates the indices of `self ∩ mask` in ascending order, without
+    /// building the intersection.
+    pub fn iter_masked<'a>(&'a self, mask: &'a BitSet) -> impl Iterator<Item = usize> + 'a {
+        Self::ones(self.words.iter().zip(&mask.words).map(|(a, b)| a & b))
+    }
+
+    /// The set bits of a word sequence, ascending.
+    fn ones(words: impl Iterator<Item = u64>) -> impl Iterator<Item = usize> {
+        words.enumerate().flat_map(|(wi, mut word)| {
             std::iter::from_fn(move || {
                 if word == 0 {
                     return None;
@@ -252,5 +282,25 @@ mod tests {
         let mut b: BitSet = [2usize].iter().copied().collect();
         b.union_with(&a);
         assert_eq!(b.iter().collect::<Vec<_>>(), vec![1, 2, 70]);
+    }
+
+    #[test]
+    fn and_or_counts_and_masked_walk_match_the_built_sets() {
+        // Different allocated lengths on purpose: 700 lives in word 10.
+        let a: BitSet = [1usize, 5, 64, 70, 700].iter().copied().collect();
+        let b: BitSet = [5usize, 6, 70, 130].iter().copied().collect();
+        for (x, y) in [(&a, &b), (&b, &a)] {
+            let mut both = x.clone();
+            both.intersect_with(y);
+            assert_eq!(both.iter().collect::<Vec<_>>(), vec![5, 70]);
+            assert_eq!(x.iter_masked(y).collect::<Vec<_>>(), vec![5, 70]);
+            assert_eq!(x.intersection_count(y), 2);
+            let mut either = x.clone();
+            either.union_with(y);
+            assert_eq!(x.union_count(y), either.count());
+            assert_eq!(either.count(), 7);
+        }
+        assert_eq!(a.intersection_count(&BitSet::new()), 0);
+        assert_eq!(a.union_count(&BitSet::new()), 5);
     }
 }

@@ -1,8 +1,9 @@
 //! Deterministic data parallelism over scoped threads.
 //!
-//! The workspace's hot loops — per-user visibility maps, codebook sector
-//! sweeps, pairwise IoU sweeps, multi-config experiment replication — are
-//! embarrassingly parallel, but the workspace is intentionally
+//! The workspace's coarse loops — campus rooms, server clients, GOP slots,
+//! the figure bins' frame and trial sweeps, multi-config experiment
+//! replication — are embarrassingly parallel, but the workspace is
+//! intentionally
 //! dependency-free (`DESIGN.md` §7), so `rayon` is not an option. This
 //! module is the in-tree substitute: [`par_map`], [`par_map_indexed`] and
 //! [`chunked`] fan work out over `std::thread::scope` workers and return
@@ -34,9 +35,11 @@
 //! serial path for debugging). Workers themselves are *scoped* threads
 //! spawned per region: a persistent pool cannot execute closures that
 //! borrow the caller's stack without `unsafe` lifetime erasure, which this
-//! crate forbids, and the spawn cost (tens of microseconds) is noise
-//! against the millisecond-scale regions the workspace parallelizes. See
-//! `DESIGN.md` §8 for the full rationale.
+//! crate forbids. The spawn cost (tens of microseconds) is the reason a
+//! region must hold milliseconds of work: a session's per-frame stages
+//! (~50 µs each at six users) are plain loops, and sessions run in
+//! parallel with one another instead. See `DESIGN.md` §8 for the full
+//! rationale and the list of regions.
 //!
 //! Nested parallel regions do not oversubscribe: a `par_map` issued from
 //! inside a worker runs serially on that worker.

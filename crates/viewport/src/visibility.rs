@@ -11,74 +11,95 @@
 //! 3. **Occlusion culling** — cells completely hidden behind dense closer
 //!    cells are dropped, using a 3D-DDA walk through the cell grid.
 
-use std::collections::{BTreeMap, BTreeSet};
-use volcast_geom::{CameraIntrinsics, Frustum, Pose, Ray, Vec3};
-use volcast_pointcloud::{CellGrid, CellId, CellInfo};
+use volcast_geom::{Aabb, CameraIntrinsics, Frustum, Pose, Ray, Vec3};
+use volcast_pointcloud::{CellCounter, CellGrid, CellId, CellInfo};
+use volcast_util::bitset::BitSet;
 use volcast_util::obs;
 
-/// The set of cells visible to one user at one frame, with per-cell fetch
-/// density factors in `(0, 1]`.
+/// The cells visible to one user at one frame, with per-cell fetch density
+/// factors in `(0, 1]` — or, after [`merge`](Self::merge), to a group.
+///
+/// A map names cells by *rank*: the index of the cell in the frame's
+/// id-sorted partition (`CellGrid::partition`, `VideoSequence::cell_counts`).
+/// Maps compare, merge and price only against maps and sizes of the same
+/// partition; ascending rank is ascending [`CellId`], the order every byte
+/// total in the system is summed in.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct VisibilityMap {
-    /// Visible cells mapped to their LOD density factor (1.0 = full
-    /// density). Deterministically ordered.
-    pub cells: BTreeMap<CellId, f64>,
+    /// Ranks of the visible cells; for a group, of the cells *every*
+    /// member sees (the multicast payload).
+    pub(crate) visible: BitSet,
+    /// LOD density factor per partition rank (1.0 = full density), read
+    /// only at visible ranks; for a group, the densest any member asks for.
+    pub(crate) lods: Vec<f64>,
+    /// Ranks of the cells *any* member sees: `visible` until maps merge.
+    pub(crate) seen: BitSet,
 }
 
 impl VisibilityMap {
-    /// Creates an empty map.
-    pub fn new() -> Self {
-        Self::default()
+    /// A map over a partition of `cells` cells that sees the given
+    /// `(rank, lod)` pairs.
+    pub fn from_ranks(cells: usize, visible: impl IntoIterator<Item = (usize, f64)>) -> Self {
+        let mut map = VisibilityMap {
+            lods: vec![0.0; cells],
+            ..VisibilityMap::default()
+        };
+        for (rank, lod) in visible {
+            map.lods[rank] = lod;
+            map.visible.insert(rank);
+        }
+        map.seen = map.visible.clone();
+        map
+    }
+
+    /// Length of the partition this map ranks into.
+    pub fn cells(&self) -> usize {
+        self.lods.len()
     }
 
     /// Number of visible cells.
     pub fn len(&self) -> usize {
-        self.cells.len()
+        self.visible.count()
     }
 
     /// `true` when no cell is visible.
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+        self.visible.is_empty()
     }
 
-    /// `true` when `id` is visible.
-    pub fn contains(&self, id: CellId) -> bool {
-        self.cells.contains_key(&id)
+    /// The visible `(rank, lod)` pairs in ascending rank.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.visible.iter().map(|rank| (rank, self.lods[rank]))
     }
 
-    /// The visible cell ids as a set.
-    pub fn id_set(&self) -> BTreeSet<CellId> {
-        self.cells.keys().copied().collect()
+    /// Absorbs `other`'s viewers: what stays visible is what both see, at
+    /// the denser of the two LOD factors — one multicast copy must satisfy
+    /// the most demanding member.
+    pub fn merge(&mut self, other: &VisibilityMap) {
+        debug_assert_eq!(self.cells(), other.cells(), "maps of different partitions");
+        self.visible.intersect_with(&other.visible);
+        for (lod, &theirs) in self.lods.iter_mut().zip(&other.lods) {
+            *lod = lod.max(theirs);
+        }
+        self.seen.union_with(&other.seen);
     }
 
-    /// Bytes required to fetch this map's cells (the paper's `S_i`), given
-    /// the id-sorted partition's per-cell sizes (`sizes[i]` corresponds to
-    /// `partition[i]`). LOD factors scale each cell's cost.
-    pub fn required_bytes(&self, partition: &[CellInfo], sizes: &[f64]) -> f64 {
-        priced_bytes(
-            partition,
-            sizes,
-            self.cells.iter().map(|(&id, &lod)| (id, lod)),
-        )
+    /// Bytes required to fetch this map's cells (the paper's `S_i`; for a
+    /// group, `S_m`), given the partition's per-cell sizes. LOD factors
+    /// scale each cell's cost.
+    pub fn required_bytes(&self, sizes: &[f64]) -> f64 {
+        self.shared_bytes(self, sizes)
     }
-}
 
-/// Sums `size × lod` over the cells of `lods` that `partition` lists. Both
-/// sequences ascend by [`CellId`] (a partition is built that way, a map is
-/// a `BTreeMap`), so one merge pass visits their intersection in ascending
-/// id order — the order every byte total in the system is summed in.
-pub(crate) fn priced_bytes(
-    partition: &[CellInfo],
-    sizes: &[f64],
-    lods: impl Iterator<Item = (CellId, f64)>,
-) -> f64 {
-    debug_assert!(partition.windows(2).all(|w| w[0].id < w[1].id));
-    let mut cells = partition.iter().zip(sizes).peekable();
-    lods.filter_map(|(id, lod)| {
-        while cells.next_if(|(c, _)| c.id < id).is_some() {}
-        cells.next_if(|(c, _)| c.id == id).map(|(_, &s)| s * lod)
-    })
-    .sum()
+    /// [`required_bytes`](Self::required_bytes) of this map merged with
+    /// `other`, without building the merge.
+    pub fn shared_bytes(&self, other: &VisibilityMap, sizes: &[f64]) -> f64 {
+        debug_assert_eq!(self.cells(), other.cells(), "maps of different partitions");
+        self.visible
+            .iter_masked(&other.visible)
+            .map(|rank| sizes[rank] * self.lods[rank].max(other.lods[rank]))
+            .sum()
+    }
 }
 
 /// Which ViVo optimizations to apply.
@@ -151,47 +172,39 @@ impl VisibilityComputer {
     }
 
     /// Computes the visibility map of `pose` over `partition` (cells of the
-    /// current frame in `grid`).
+    /// current frame in `grid`, ascending by id).
     pub fn compute(&self, pose: &Pose, grid: &CellGrid, partition: &[CellInfo]) -> VisibilityMap {
-        let mut map = VisibilityMap::new();
         if partition.is_empty() {
-            return map;
+            return VisibilityMap::default();
         }
-        let frustum = Frustum::from_pose(pose, &self.options.intrinsics);
-        // Index occupied dense cells for the occlusion walk.
-        let dense: BTreeSet<CellId> = if self.options.occlusion {
-            partition
-                .iter()
-                .filter(|c| c.point_count >= self.options.occluder_min_points)
-                .map(|c| c.id)
-                .collect()
-        } else {
-            BTreeSet::new()
-        };
+        let o = &self.options;
+        let frustum = Frustum::from_pose(pose, &o.intrinsics);
+        let eye = pose.position;
+        let walk = (o.occlusion).then(|| OcclusionWalk::new(eye, grid, partition, o));
 
-        for cell in partition {
+        let visible = partition.iter().enumerate().filter_map(|(rank, cell)| {
             let bounds = grid.cell_bounds(cell.id);
-            if self.options.viewport && !frustum.intersects_aabb(&bounds) {
-                continue;
+            if o.viewport && !frustum.intersects_aabb(&bounds) {
+                return None;
             }
-            if self.options.occlusion && self.occluded(pose.position, cell.id, grid, &dense) {
-                continue;
+            if walk.as_ref().is_some_and(|w| w.occluded(cell.id, &bounds)) {
+                return None;
             }
-            let lod = if self.options.distance {
-                self.lod_factor(pose.position.distance(bounds.center()))
+            let lod = if o.distance {
+                self.lod_factor(eye.distance(bounds.center()))
             } else {
                 1.0
             };
-            map.cells.insert(cell.id, lod);
-        }
+            Some((rank, lod))
+        });
+        let map = VisibilityMap::from_ranks(partition.len(), visible);
         if obs::enabled() {
-            // Recorded per compute call — often inside a par worker, where
-            // the per-thread sink merges back at the region's join.
+            let visible = map.len();
             obs::inc("viewport.visibility.maps");
-            obs::add("viewport.visibility.visible_cells", map.len() as u64);
+            obs::add("viewport.visibility.visible_cells", visible as u64);
             obs::add(
                 "viewport.visibility.culled_cells",
-                (partition.len() - map.len()) as u64,
+                (partition.len() - visible) as u64,
             );
         }
         map
@@ -209,6 +222,34 @@ impl VisibilityComputer {
             1.0 + t * (o.lod_min - 1.0)
         }
     }
+}
+
+/// What every occlusion ray of one map shares: the eye, the cell it is in,
+/// and the partition's occluding cells by id.
+struct OcclusionWalk<'a> {
+    eye: Vec3,
+    eye_cell: CellId,
+    grid: &'a CellGrid,
+    dense: CellCounter,
+    /// Dense cells that must cover the path.
+    depth: usize,
+}
+
+impl<'a> OcclusionWalk<'a> {
+    fn new(eye: Vec3, grid: &'a CellGrid, partition: &[CellInfo], o: &VisibilityOptions) -> Self {
+        let mut dense = CellCounter::new();
+        let occluders = |c: &&CellInfo| c.point_count >= o.occluder_min_points;
+        for cell in partition.iter().filter(occluders) {
+            dense.add(cell.id, cell.point_count);
+        }
+        OcclusionWalk {
+            eye,
+            eye_cell: grid.cell_of(eye),
+            grid,
+            dense,
+            depth: o.occluder_depth,
+        }
+    }
 
     /// Conservative occlusion test: the target cell is culled only when
     /// *every* sample point of the cell (center + corners pulled slightly
@@ -216,64 +257,44 @@ impl VisibilityComputer {
     /// corners peek around an occluder therefore stay visible, matching
     /// real renderers and the paper's observation that coarser cells show
     /// higher inter-user visibility overlap.
-    fn occluded(
-        &self,
-        eye: Vec3,
-        target: CellId,
-        grid: &CellGrid,
-        dense: &BTreeSet<CellId>,
-    ) -> bool {
-        let bounds = grid.cell_bounds(target);
+    fn occluded(&self, target: CellId, bounds: &Aabb) -> bool {
         let center = bounds.center();
         let mut samples = [center; 9];
         for (i, corner) in bounds.corners().into_iter().enumerate() {
             // Pull corners 10% inward so samples stay inside this cell.
             samples[i + 1] = corner.lerp(center, 0.1);
         }
-        samples
-            .into_iter()
-            .all(|s| self.point_occluded(eye, s, target, grid, dense))
+        samples.into_iter().all(|s| self.point_occluded(s, target))
     }
 
     /// Walks the grid cells along the ray from the viewer toward `point`
-    /// (3D DDA); the point is occluded when at least `occluder_depth` dense
-    /// cells lie strictly between the eye and the target cell.
-    fn point_occluded(
-        &self,
-        eye: Vec3,
-        target_point: Vec3,
-        target: CellId,
-        grid: &CellGrid,
-        dense: &BTreeSet<CellId>,
-    ) -> bool {
-        let Some(ray) = Ray::between(eye, target_point) else {
+    /// (3D DDA); the point is occluded when at least `depth` dense cells
+    /// lie strictly between the eye and the target cell.
+    fn point_occluded(&self, point: Vec3, target: CellId) -> bool {
+        let (eye, grid) = (self.eye, self.grid);
+        let Some(ray) = Ray::between(eye, point) else {
             return false;
         };
-        let total_dist = eye.distance(target_point);
+        let total_dist = eye.distance(point);
 
         // 3D DDA through the uniform grid.
-        let mut cell = grid.cell_of(eye);
-        let step = [
-            if ray.direction.x > 0.0 { 1i32 } else { -1 },
-            if ray.direction.y > 0.0 { 1 } else { -1 },
-            if ray.direction.z > 0.0 { 1 } else { -1 },
-        ];
-        let next_boundary = |c: i32, s: i32, axis: usize| -> f64 {
-            let edge = if s > 0 { c + 1 } else { c };
-            grid.origin[axis] + edge as f64 * grid.cell_size
-        };
-        let mut t_max = [0.0f64; 3];
+        let mut cell = [self.eye_cell.x, self.eye_cell.y, self.eye_cell.z];
+        let target = [target.x, target.y, target.z];
+        let mut step = [-1i32; 3];
+        let mut t_max = [f64::INFINITY; 3];
         let mut t_delta = [f64::INFINITY; 3];
-        let eye_arr = [eye.x, eye.y, eye.z];
-        let dir_arr = [ray.direction.x, ray.direction.y, ray.direction.z];
-        let cell_arr = [cell.x, cell.y, cell.z];
         for a in 0..3 {
-            if dir_arr[a].abs() < 1e-12 {
-                t_max[a] = f64::INFINITY;
-            } else {
-                t_max[a] = (next_boundary(cell_arr[a], step[a], a) - eye_arr[a]) / dir_arr[a];
-                t_delta[a] = grid.cell_size / dir_arr[a].abs();
+            let dir = ray.direction[a];
+            if dir > 0.0 {
+                step[a] = 1;
             }
+            if dir.abs() < 1e-12 {
+                continue;
+            }
+            // The next cell boundary along this axis.
+            let edge = if dir > 0.0 { cell[a] + 1 } else { cell[a] };
+            t_max[a] = (grid.origin[a] + edge as f64 * grid.cell_size - eye[a]) / dir;
+            t_delta[a] = grid.cell_size / dir.abs();
         }
 
         let mut blockers = 0usize;
@@ -295,15 +316,11 @@ impl VisibilityComputer {
                 // (numerical corner) -> treat as not occluded.
                 return false;
             }
-            match axis {
-                0 => cell.x += step[0],
-                1 => cell.y += step[1],
-                _ => cell.z += step[2],
-            }
+            cell[axis] += step[axis];
             t_max[axis] += t_delta[axis];
-            if cell != target && dense.contains(&cell) {
+            if cell != target && self.dense.count(CellId::new(cell[0], cell[1], cell[2])) > 0 {
                 blockers += 1;
-                if blockers >= self.options.occluder_depth {
+                if blockers >= self.depth {
                     return true;
                 }
             }
@@ -313,7 +330,6 @@ impl VisibilityComputer {
 }
 
 // JSON serialization (replaces the former serde derives; see volcast-util).
-volcast_util::impl_json_struct!(VisibilityMap { cells });
 volcast_util::impl_json_struct!(VisibilityOptions {
     viewport,
     distance,
@@ -361,6 +377,10 @@ mod tests {
         (CellGrid::new(0.5), PointCloud::from_points(pts))
     }
 
+    fn rank_of(partition: &[CellInfo], id: CellId) -> usize {
+        partition.binary_search_by_key(&id, |c| c.id).unwrap()
+    }
+
     fn viewer_at(z: f64) -> Pose {
         Pose::looking_at(Vec3::new(0.0, 1.2, z), Vec3::new(0.0, 1.2, 0.0))
     }
@@ -373,7 +393,7 @@ mod tests {
         let map = vc.compute(&viewer_at(3.0), &grid, &partition);
         assert_eq!(map.len(), partition.len());
         // All LODs are 1 with distance off.
-        assert!(map.cells.values().all(|&l| l == 1.0));
+        assert!(map.iter().all(|(_, lod)| lod == 1.0));
     }
 
     #[test]
@@ -415,9 +435,9 @@ mod tests {
             m_without.len()
         );
         // Specifically, target cells at z=-3 should be gone.
-        let target_cell = grid.cell_of(Vec3::new(0.0, 1.2, -3.0));
-        assert!(m_without.contains(target_cell));
-        assert!(!m_with.contains(target_cell));
+        let target = rank_of(&partition, grid.cell_of(Vec3::new(0.0, 1.2, -3.0)));
+        assert!(m_without.iter().any(|(rank, _)| rank == target));
+        assert!(!m_with.iter().any(|(rank, _)| rank == target));
     }
 
     #[test]
@@ -432,8 +452,8 @@ mod tests {
         });
         // Viewer 3 m in front of wall: wall ~4 m away => LOD < 1.
         let map = vc.compute(&viewer_at(3.0), &grid, &partition);
-        let wall_cell = grid.cell_of(Vec3::new(0.0, 1.2, -1.0));
-        let lod = map.cells.get(&wall_cell).copied().unwrap();
+        let wall = rank_of(&partition, grid.cell_of(Vec3::new(0.0, 1.2, -1.0)));
+        let (_, lod) = map.iter().find(|&(rank, _)| rank == wall).unwrap();
         assert!((0.35..1.0).contains(&lod), "lod {lod}");
     }
 
@@ -462,37 +482,25 @@ mod tests {
             &grid,
             &partition,
         );
-        assert!((vanilla.required_bytes(&partition, &sizes) - full).abs() < 1e-9);
+        assert!((vanilla.required_bytes(&sizes) - full).abs() < 1e-9);
         let vivo = VisibilityComputer::new(VisibilityOptions::vivo()).compute(
             &viewer_at(3.0),
             &grid,
             &partition,
         );
-        assert!(vivo.required_bytes(&partition, &sizes) < full);
+        assert!(vivo.required_bytes(&sizes) < full);
     }
 
     #[test]
-    fn required_bytes_sums_the_listed_visible_cells_in_id_order() {
-        let cell = |x, point_count| CellInfo {
-            id: CellId::new(x, 0, 0),
-            point_count,
-        };
-        // The map sees cells 1, 3, 4 and 9; the partition lists 0, 1, 2, 4
-        // and 7: they share 1 and 4, with strays on both sides of each.
-        let partition = [cell(0, 1), cell(1, 2), cell(2, 3), cell(4, 4), cell(7, 5)];
+    fn required_bytes_sums_the_visible_cells_in_rank_order() {
+        // The huge middle term makes the total depend on summation order.
         let sizes = [0.1, 0.7, 1.9, 1e9, 3.3];
-        let mut map = VisibilityMap::new();
-        for (x, lod) in [(1, 0.3), (3, 1.0), (4, 0.7), (9, 1.0)] {
-            map.cells.insert(CellId::new(x, 0, 0), lod);
-        }
-        // Bit-exact, in ascending id order: the naive scan of the partition.
-        let scan: f64 = partition
-            .iter()
-            .zip(&sizes)
-            .filter_map(|(c, &s)| map.cells.get(&c.id).map(|lod| s * lod))
-            .sum();
-        assert_eq!(map.required_bytes(&partition, &sizes), scan);
-        assert_eq!(scan, 0.7 * 0.3 + 1e9 * 0.7);
+        let map = VisibilityMap::from_ranks(5, [(1, 0.3), (3, 0.7), (4, 1.0)]);
+        assert_eq!(map.required_bytes(&sizes), 0.7 * 0.3 + 1e9 * 0.7 + 3.3);
+        // Against another map: the cells both see, at the denser LOD.
+        let other = VisibilityMap::from_ranks(5, [(0, 1.0), (1, 0.5), (4, 0.2)]);
+        assert_eq!(map.shared_bytes(&other, &sizes), 0.7 * 0.5 + 3.3);
+        assert_eq!(other.shared_bytes(&map, &sizes), 0.7 * 0.5 + 3.3);
     }
 
     #[test]
@@ -501,17 +509,14 @@ mod tests {
         let vc = VisibilityComputer::new(VisibilityOptions::default());
         let map = vc.compute(&viewer_at(2.0), &grid, &[]);
         assert!(map.is_empty());
-        assert_eq!(map.required_bytes(&[], &[]), 0.0);
+        assert_eq!(map.cells(), 0);
+        assert_eq!(map.required_bytes(&[]), 0.0);
     }
 
     #[test]
-    fn map_set_operations() {
-        let mut m = VisibilityMap::new();
-        m.cells.insert(CellId::new(0, 0, 0), 1.0);
-        m.cells.insert(CellId::new(1, 0, 0), 0.5);
-        assert_eq!(m.len(), 2);
-        assert!(m.contains(CellId::new(0, 0, 0)));
-        assert!(!m.contains(CellId::new(9, 9, 9)));
-        assert_eq!(m.id_set().len(), 2);
+    fn map_queries() {
+        let m = VisibilityMap::from_ranks(70, [(0, 1.0), (65, 0.5)]);
+        assert_eq!((m.cells(), m.len()), (70, 2));
+        assert_eq!(m.iter().collect::<Vec<_>>(), [(0, 1.0), (65, 0.5)]);
     }
 }

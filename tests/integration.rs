@@ -93,12 +93,9 @@ fn grouping_api_is_usable_standalone() {
     use volcast::pointcloud::{CellId, CellInfo};
     use volcast::viewport::VisibilityMap;
 
-    let mut m1 = VisibilityMap::new();
-    let mut m2 = VisibilityMap::new();
-    for x in 0..4 {
-        m1.cells.insert(CellId::new(x, 0, 0), 1.0);
-        m2.cells.insert(CellId::new(x + 1, 0, 0), 1.0);
-    }
+    // By rank in the 5-cell partition below: 3 of 5 cells shared.
+    let m1 = VisibilityMap::from_ranks(5, (0..4).map(|rank| (rank, 1.0)));
+    let m2 = VisibilityMap::from_ranks(5, (1..5).map(|rank| (rank, 1.0)));
     let partition: Vec<CellInfo> = (0..5)
         .map(|x| CellInfo {
             id: CellId::new(x, 0, 0),
