@@ -95,12 +95,6 @@ impl Vec3 {
         (self - other).norm()
     }
 
-    /// Squared distance between two points.
-    #[inline]
-    pub fn distance_sq(self, other: Vec3) -> f64 {
-        (self - other).norm_sq()
-    }
-
     /// Returns the unit vector in this direction.
     ///
     /// Returns `None` when the vector is (numerically) zero, so callers are

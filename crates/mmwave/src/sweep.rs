@@ -537,12 +537,6 @@ impl SweepRx {
         )
     }
 
-    /// The cached [`SweepEngine::best_sector`] result, if one was computed
-    /// since the last `prepare`.
-    pub fn cached_best(&self) -> Option<(usize, f64)> {
-        self.best
-    }
-
     /// Number of usable paths found by the last `prepare`.
     pub fn n_paths(&self) -> usize {
         self.n_paths

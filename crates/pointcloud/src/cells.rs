@@ -83,11 +83,6 @@ impl CellGrid {
         Aabb::new(min, min + Vec3::splat(self.cell_size))
     }
 
-    /// World-space center of a cell.
-    pub fn cell_center(&self, id: CellId) -> Vec3 {
-        self.cell_bounds(id).center()
-    }
-
     /// Partitions a cloud: returns the non-empty cells with their point
     /// counts, sorted by cell id for determinism.
     pub fn partition(&self, cloud: &PointCloud) -> Vec<CellInfo> {

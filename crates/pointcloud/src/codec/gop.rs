@@ -15,7 +15,6 @@
 use super::{CodecConfig, CodecStats, Encoder};
 use crate::point::PointCloud;
 use volcast_util::par;
-use volcast_util::scratch::Pool;
 
 /// One GOP slot: a private encoder arena plus its output, reused across
 /// groups.
@@ -43,11 +42,10 @@ impl Slot {
 /// Batched encoder for groups of independent frames.
 ///
 /// Holds `gop_len` slots (grown on demand), each with its own [`Encoder`]
-/// so a parallel sweep never shares codec scratch between threads. Output
-/// buffers cycle through a [`Pool`] so varying GOP lengths stay bounded.
+/// and output buffer so a parallel sweep never shares codec scratch
+/// between threads.
 pub struct GopEncoder {
     slots: Vec<Slot>,
-    out_pool: Pool<u8>,
     used: usize,
 }
 
@@ -62,26 +60,8 @@ impl GopEncoder {
     pub fn new() -> Self {
         GopEncoder {
             slots: Vec::new(),
-            out_pool: Pool::new("codec.gop.out_pool"),
             used: 0,
         }
-    }
-
-    /// Prepares `n` slots for a new batch: recycles the previous batch's
-    /// output buffers through the pool and hands each active slot a (warm)
-    /// buffer back.
-    fn begin_batch(&mut self, n: usize) {
-        for slot in &mut self.slots[..self.used] {
-            self.out_pool.put(std::mem::take(&mut slot.data));
-        }
-        while self.slots.len() < n {
-            self.slots.push(Slot::new());
-        }
-        for slot in &mut self.slots[..n] {
-            slot.data = self.out_pool.take();
-            slot.data.clear();
-        }
-        self.used = n;
     }
 
     /// Encodes every cloud of a GOP in one parallel sweep.
@@ -91,8 +71,11 @@ impl GopEncoder {
     /// `Encoder::encode_into(&clouds[i], cfg, ..)` regardless of the
     /// worker count.
     pub fn encode_gop_into(&mut self, clouds: &[PointCloud], cfg: &CodecConfig) {
-        self.begin_batch(clouds.len());
-        par::par_for_each_mut(&mut self.slots[..clouds.len()], |i, slot| {
+        self.used = clouds.len();
+        if self.slots.len() < self.used {
+            self.slots.resize_with(self.used, Slot::new);
+        }
+        par::par_for_each_mut(&mut self.slots[..self.used], |i, slot| {
             slot.stats = slot.enc.encode_into(&clouds[i], cfg, &mut slot.data);
         });
     }
@@ -156,7 +139,7 @@ mod tests {
     }
 
     #[test]
-    fn repeated_batches_recycle_output_buffers() {
+    fn repeated_batches_give_the_same_bytes() {
         let clouds = gop_clouds(4, 800);
         let cfg = CodecConfig::default();
         let mut gop = GopEncoder::new();
@@ -166,7 +149,5 @@ mod tests {
         for (i, d) in first.iter().enumerate() {
             assert_eq!(gop.frame_data(i), &d[..]);
         }
-        // Second batch of the same shape takes every buffer from the pool.
-        assert_eq!(gop.out_pool.misses(), 4);
     }
 }

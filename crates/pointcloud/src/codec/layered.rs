@@ -1,17 +1,17 @@
 //! Layered progressive octree coding: base layer + enhancement layers.
 //!
-//! The single-stream codec ([`super::octree`]) commits a frame to one
-//! quantization depth. This module restructures the same voxelization into
-//! **octree-depth layers**: a base layer carrying the occupancy tree down
-//! to a shallow depth (plus absolute quantized colors at that depth), and
-//! enhancement layers each carrying the deeper refinement bits plus
+//! The single-stream codec commits a frame to one quantization depth.
+//! This module cuts the same occupancy tree ([`super::octree`]) into
+//! **octree-depth layers**: a base layer carrying the tree down to a
+//! shallow depth (plus absolute quantized colors at that depth), and
+//! enhancement layers each carrying the next span of levels plus
 //! *residual* colors against their parent voxels. A decoder holding the
 //! base plus any prefix of enhancement layers reconstructs a valid cloud
 //! at that prefix's depth — and because the per-voxel color at every depth
 //! is the floor-average of the merged input points, **each prefix decodes
-//! byte-identically to a single-stream encode of the same cloud at the
-//! prefix's depth** (pinned by tests; the full prefix is the ISSUE's
-//! base+all-layers ≡ single-bitstream equality).
+//! to exactly the cloud a single-stream encode at the prefix's depth
+//! decodes to** (`every_prefix_matches_single_stream_decode_at_that_depth`).
+//! The bytes are not the single stream's: the orders below differ.
 //!
 //! Layer bitstream layout (all integers little-endian):
 //!
@@ -38,12 +38,14 @@
 //! frames into a reused [`LayeredFrame`]/[`PointCloud`] performs zero heap
 //! allocations in steady state.
 
-use super::octree::{build_masks_from, CodecConfig, CodecError, Contexts, Encoder, MAX_DEPTH};
-use super::range::{RangeDecoder, RangeEncoder};
-use super::simd::morton_decode;
-use crate::point::{Point, PointCloud};
+use super::octree::{
+    check_header, emit_mask, merge_runs, read_bounds, reconstruct, write_bounds, CodecConfig,
+    CodecError, Contexts, Encoder,
+};
+use super::range::RangeDecoder;
+use crate::point::PointCloud;
 use crate::quality::Ladder;
-use volcast_geom::{Aabb, Vec3};
+use volcast_geom::Vec3;
 use volcast_util::obs;
 use volcast_util::scratch::ScratchVec;
 
@@ -84,24 +86,17 @@ impl LayeredConfig {
         self.depths.len()
     }
 
-    /// Panics unless depths are strictly increasing within `1..=16`, the
-    /// layer count is within [`MAX_LAYERS`], and color bits within `1..=8`.
+    /// Panics unless the layer count is within [`MAX_LAYERS`] and depths
+    /// are strictly increasing from at least 1. (`Encoder::voxelize` holds
+    /// the full depth to `1..=16` and color bits to `1..=8`.)
     fn validate(&self) {
         assert!(
             !self.depths.is_empty() && self.depths.len() <= MAX_LAYERS,
             "layer count must be in 1..={MAX_LAYERS}"
         );
         assert!(
-            self.depths.windows(2).all(|w| w[0] < w[1]),
-            "layer depths must be strictly increasing"
-        );
-        assert!(
-            *self.depths.first().unwrap() >= 1 && *self.depths.last().unwrap() <= MAX_DEPTH,
-            "layer depths must be in 1..=16"
-        );
-        assert!(
-            self.color_bits >= 1 && self.color_bits <= 8,
-            "color_bits must be in 1..=8"
+            self.depths[0] >= 1 && self.depths.windows(2).all(|w| w[0] < w[1]),
+            "layer depths must be strictly increasing from at least 1"
         );
     }
 }
@@ -161,19 +156,18 @@ pub struct LayeredStats {
     pub total_bytes: usize,
 }
 
+/// One coarse voxel's color accumulator (`u64`: it merges many points).
+type LayerSum = ([u64; 3], u64);
+
 /// A reusable layered encoder owning all codec working memory.
 pub struct LayeredEncoder {
-    /// Voxelizer: quantization, dedup, and color merge at full depth.
+    /// The full-depth voxelization and its occupancy tree, plus the context
+    /// models and range coder every layer is emitted through.
     enc: Encoder,
-    /// Concatenated per-layer code lists (deepest layer first in memory;
-    /// `seg` below maps layer index → range).
-    bcodes: ScratchVec<u64>,
-    /// Parallel aggregated color sums (u64: coarse voxels merge many
-    /// points) and merged point counts.
-    bsums: ScratchVec<([u64; 3], u64)>,
-    masks: ScratchVec<u8>,
-    ctx: Contexts,
-    rc: RangeEncoder,
+    /// Code lists of the layers below full depth, concatenated base first.
+    lcodes: ScratchVec<u64>,
+    /// Their aggregated color sums and merged point counts, in parallel.
+    lsums: ScratchVec<LayerSum>,
 }
 
 impl Default for LayeredEncoder {
@@ -187,11 +181,8 @@ impl LayeredEncoder {
     pub fn new() -> Self {
         LayeredEncoder {
             enc: Encoder::new(),
-            bcodes: ScratchVec::new("codec.scratch.layer_codes"),
-            bsums: ScratchVec::new("codec.scratch.layer_csums"),
-            masks: ScratchVec::new("codec.scratch.layer_masks"),
-            ctx: Contexts::new(0),
-            rc: RangeEncoder::new(),
+            lcodes: ScratchVec::new("codec.scratch.layer_codes"),
+            lsums: ScratchVec::new("codec.scratch.layer_csums"),
         }
     }
 
@@ -207,89 +198,76 @@ impl LayeredEncoder {
     ) -> LayeredStats {
         cfg.validate();
         let layers = cfg.depths.len();
-        let full_depth = *cfg.depths.last().unwrap();
+        let full_depth = cfg.depths[layers - 1];
         let full_cfg = CodecConfig {
             depth: full_depth,
             color_bits: cfg.color_bits,
         };
-        let bounds = if cloud.is_empty() {
-            Aabb::new(Vec3::ZERO, Vec3::ZERO)
-        } else {
-            cloud.bounds()
-        };
-        let extent = bounds.extent().max_component().max(1e-6);
-
-        // Full-depth voxelization, shared with the single-stream path —
-        // identical voxel set and color sums by construction.
-        self.enc.voxelize(&cloud.points, bounds, &full_cfg);
-        let (codes, csums) = self.enc.voxelized();
-
-        // Aggregate to each layer's depth, deepest first: layer j's voxels
-        // are the distinct prefixes of layer j+1's codes, with color sums
-        // added across merged children. The floor-average at any depth is
-        // therefore the average over all merged *input points*, matching a
-        // direct single-stream encode at that depth.
-        let bcodes = self.bcodes.begin();
-        let bsums = self.bsums.begin();
-        let mut seg = [(0usize, 0usize); MAX_LAYERS];
-        bcodes.extend_from_slice(codes);
-        bsums.extend(
-            csums
-                .iter()
-                .map(|&(s, c)| ([s[0] as u64, s[1] as u64, s[2] as u64], c as u64)),
-        );
-        seg[layers - 1] = (0, codes.len());
-        for j in (0..layers.saturating_sub(1)).rev() {
-            let (pstart, plen) = seg[j + 1];
-            let shift = 3 * (cfg.depths[j + 1] - cfg.depths[j]);
-            let start = bcodes.len();
-            let mut i = pstart;
-            while i < pstart + plen {
-                let prefix = bcodes[i] >> shift;
-                let mut sums = [0u64; 3];
-                let mut count = 0u64;
-                while i < pstart + plen && bcodes[i] >> shift == prefix {
-                    let (s, c) = bsums[i];
-                    sums[0] += s[0];
-                    sums[1] += s[1];
-                    sums[2] += s[2];
-                    count += c;
-                    i += 1;
-                }
-                bcodes.push(prefix);
-                bsums.push((sums, count));
-            }
-            seg[j] = (start, bcodes.len() - start);
-        }
-
-        // Emit each layer: header, level-major occupancy masks for the
-        // layer's depth span, then per-voxel color residuals against the
-        // layer's anchor (its ancestor at the previous layer's depth).
-        out.reset(layers);
-        let shift = 8 - cfg.color_bits;
-        let cmask = (1u32 << cfg.color_bits) - 1;
-        let LayeredEncoder {
-            bcodes,
-            bsums,
-            masks,
+        let bounds = self.enc.voxelize(cloud, &full_cfg);
+        let Encoder {
+            codes,
+            csums,
+            tree,
             ctx,
             rc,
             ..
-        } = self;
-        let bcodes = bcodes.get();
-        let bsums = bsums.get();
-        let qval = |slot: usize, ch: usize| -> u32 {
-            let (sums, count) = bsums[slot];
-            ((sums[ch] / count) as u32) >> shift
-        };
-        for k in 0..layers {
-            let (cstart, clen) = seg[k];
-            let depth = cfg.depths[k];
-            let (prev_depth, prev_start, prev_len) = if k == 0 {
-                (0u32, 0usize, 0usize)
+        } = &mut self.enc;
+        let (codes, csums) = (codes.get(), csums.get());
+
+        // A lower layer's voxels are the distinct prefixes of the full-depth
+        // codes, with color sums added across merged children. The
+        // floor-average at any depth is therefore the average over all
+        // merged *input points*, matching a direct single-stream encode at
+        // that depth. Layer `j < layers - 1` is `starts[j]..starts[j + 1]`.
+        let lcodes = self.lcodes.begin();
+        let lsums = self.lsums.begin();
+        let mut starts = [0usize; MAX_LAYERS];
+        for (j, depth) in cfg.depths[..layers - 1].iter().enumerate() {
+            starts[j] = lcodes.len();
+            let shift = 3 * (full_depth - depth);
+            merge_runs(
+                codes.iter().map(|c| c >> shift).zip(csums),
+                |sum: &mut LayerSum, &(s, count)| {
+                    for (total, s) in sum.0.iter_mut().zip(s) {
+                        *total += s as u64;
+                    }
+                    sum.1 += count as u64;
+                },
+                lcodes,
+                lsums,
+            );
+        }
+        starts[layers - 1] = lcodes.len();
+        let layer_codes = |k: usize| -> &[u64] {
+            if k + 1 == layers {
+                codes
             } else {
-                let (s, l) = seg[k - 1];
-                (cfg.depths[k - 1], s, l)
+                &lcodes[starts[k]..starts[k + 1]]
+            }
+        };
+        // Quantized floor-average color of layer `k`'s voxel `i`.
+        let shift = 8 - cfg.color_bits;
+        let quantized = |k: usize, i: usize| -> [u32; 3] {
+            if k + 1 == layers {
+                let (sums, count) = csums[i];
+                sums.map(|s| (s / count) >> shift)
+            } else {
+                let (sums, count) = lsums[starts[k] + i];
+                sums.map(|s| (s / count) as u32 >> shift)
+            }
+        };
+
+        // Emit each layer: header, the tree's levels across the layer's
+        // depth span as they lie, then per-voxel color residuals against
+        // the layer's anchor (its ancestor at the previous layer's depth).
+        out.reset(layers);
+        let cmask = (1u32 << cfg.color_bits) - 1;
+        for k in 0..layers {
+            let depth = cfg.depths[k];
+            let voxels = layer_codes(k);
+            let (prev_depth, prev_voxels) = match k {
+                0 => (0, &[][..]),
+                _ => (cfg.depths[k - 1], layer_codes(k - 1)),
             };
             let buf = &mut out.bufs[k];
             buf.extend_from_slice(&LAYER_MAGIC);
@@ -297,55 +275,37 @@ impl LayeredEncoder {
             buf.push(layers as u8);
             buf.push(depth as u8);
             buf.push(cfg.color_bits as u8);
-            buf.extend_from_slice(&(clen as u32).to_le_bytes());
+            buf.extend_from_slice(&(voxels.len() as u32).to_le_bytes());
             buf.push(prev_depth as u8);
-            buf.extend_from_slice(&(prev_len as u32).to_le_bytes());
+            buf.extend_from_slice(&(prev_voxels.len() as u32).to_le_bytes());
             if k == 0 {
-                for v in [bounds.min.x, bounds.min.y, bounds.min.z] {
-                    buf.extend_from_slice(&(v as f32).to_le_bytes());
-                }
-                for v in [extent, 0.0, 0.0] {
-                    buf.extend_from_slice(&(v as f32).to_le_bytes());
-                }
+                write_bounds(buf, &bounds);
             }
 
             ctx.reset(depth);
-            if clen > 0 {
-                let layer_codes = &bcodes[cstart..cstart + clen];
-                let masks = masks.begin();
-                let mut level_off = [0usize; MAX_DEPTH as usize + 1];
-                build_masks_from(layer_codes, depth, prev_depth, masks, &mut level_off);
-                for level in prev_depth..depth {
-                    let lvl = level as usize;
-                    for &m in &masks[level_off[lvl]..level_off[lvl + 1]] {
-                        for child in 0..8usize {
-                            rc.encode_bit(&mut ctx.occupancy[lvl][child], m & (1 << child) != 0);
-                        }
-                    }
+            for level in prev_depth..depth {
+                for &m in tree.level(level) {
+                    emit_mask(rc, &mut ctx.occupancy[level as usize], m);
                 }
-                // Residual colors: anchors walk the previous layer's codes
-                // in lockstep (both lists sorted; every prefix exists).
-                let pshift = 3 * (depth - prev_depth);
-                let mut p = 0usize;
-                for (i, &code) in layer_codes.iter().enumerate() {
-                    let anchor_q: [u32; 3] = if k == 0 {
-                        [0, 0, 0]
-                    } else {
-                        let prefix = code >> pshift;
-                        while bcodes[prev_start + p] < prefix {
-                            p += 1;
-                        }
-                        debug_assert_eq!(bcodes[prev_start + p], prefix);
-                        [
-                            qval(prev_start + p, 0),
-                            qval(prev_start + p, 1),
-                            qval(prev_start + p, 2),
-                        ]
-                    };
-                    for (ch, &anchor) in anchor_q.iter().enumerate() {
-                        let residual = (qval(cstart + i, ch).wrapping_sub(anchor)) & cmask;
-                        rc.encode_bits(&mut ctx.color[ch], residual, cfg.color_bits);
+            }
+            // Anchors walk the previous layer's codes in lockstep (both
+            // lists sorted; every prefix exists).
+            let pshift = 3 * (depth - prev_depth);
+            let mut p = 0usize;
+            for (i, &code) in voxels.iter().enumerate() {
+                let anchor = if k == 0 {
+                    [0; 3]
+                } else {
+                    while prev_voxels[p] < code >> pshift {
+                        p += 1;
                     }
+                    debug_assert_eq!(prev_voxels[p], code >> pshift);
+                    quantized(k - 1, p)
+                };
+                let q = quantized(k, i);
+                for ch in 0..3 {
+                    let residual = q[ch].wrapping_sub(anchor[ch]) & cmask;
+                    rc.encode_bits(&mut ctx.color[ch], residual, cfg.color_bits);
                 }
             }
             rc.finish_into(buf);
@@ -353,7 +313,7 @@ impl LayeredEncoder {
 
         let stats = LayeredStats {
             input_points: cloud.len(),
-            voxels: seg[layers - 1].1,
+            voxels: codes.len(),
             layers,
             total_bytes: out.total_bytes(),
         };
@@ -424,11 +384,6 @@ impl LayeredDecoder {
         self.state = None;
     }
 
-    /// Number of layers applied to the current frame (0 = none).
-    pub fn layers_applied(&self) -> usize {
-        self.state.map(|s| s.next_layer as usize).unwrap_or(0)
-    }
-
     /// Applies the next layer bitstream. Layers must arrive in order
     /// starting from the base; any validation or payload error poisons the
     /// in-progress frame (the decoder then requires a fresh base layer).
@@ -456,17 +411,9 @@ impl LayeredDecoder {
         let count = u32::from_le_bytes(data[8..12].try_into().unwrap()) as usize;
         let prev_depth = data[12] as u32;
         let prev_count = u32::from_le_bytes(data[13..17].try_into().unwrap()) as usize;
-        if depth == 0 || depth > MAX_DEPTH {
-            return Err(CodecError::InvalidHeader("depth out of range"));
-        }
-        if color_bits == 0 || color_bits > 8 {
-            return Err(CodecError::InvalidHeader("color_bits out of range"));
-        }
+        check_header(depth, color_bits, count)?;
         if total == 0 || total as usize > MAX_LAYERS || layer >= total {
             return Err(CodecError::InvalidHeader("layer index out of range"));
-        }
-        if depth < 11 && count as u64 > 1u64 << (3 * depth) {
-            return Err(CodecError::InvalidHeader("count exceeds tree capacity"));
         }
 
         let header_len;
@@ -479,14 +426,7 @@ impl LayeredDecoder {
             if prev_depth != 0 || prev_count != 0 {
                 return Err(CodecError::InvalidHeader("base layer with a parent"));
             }
-            let f32_at = |off: usize| -> f64 {
-                f32::from_le_bytes(data[off..off + 4].try_into().unwrap()) as f64
-            };
-            min = Vec3::new(f32_at(17), f32_at(21), f32_at(25));
-            extent = f32_at(29);
-            if !(extent.is_finite() && extent > 0.0) && count > 0 {
-                return Err(CodecError::InvalidHeader("bad extent"));
-            }
+            (min, extent) = read_bounds(&data[LAYER_HEADER_LEN..BASE_HEADER_LEN], count)?;
             header_len = BASE_HEADER_LEN;
             // A base layer restarts the frame unconditionally.
             self.state = None;
@@ -633,31 +573,13 @@ impl LayeredDecoder {
         if st.count == 0 {
             return Ok(0);
         }
-        let levels = 1u32 << st.depth;
-        let voxel = st.extent / levels as f64;
-        let shift = 8 - st.color_bits;
-        let dequant = |v: u32| -> u8 {
-            let v = (v << shift) + ((1u32 << shift) >> 1);
-            v.min(255) as u8
-        };
-        out.points.reserve(st.count);
-        for (&code, q) in self.codes.get().iter().zip(self.qcols.get()) {
-            let (x, y, z) = morton_decode(code, st.depth);
-            let pos = st.min
-                + Vec3::new(
-                    (x as f64 + 0.5) * voxel,
-                    (y as f64 + 0.5) * voxel,
-                    (z as f64 + 0.5) * voxel,
-                );
-            out.points.push(Point::new(
-                [pos.x as f32, pos.y as f32, pos.z as f32],
-                [
-                    dequant(q[0] as u32),
-                    dequant(q[1] as u32),
-                    dequant(q[2] as u32),
-                ],
-            ));
-        }
+        reconstruct(
+            self.codes.get(),
+            |i| self.qcols.get()[i].map(u32::from),
+            (st.depth, st.color_bits),
+            (st.min, st.extent),
+            &mut out.points,
+        );
         Ok(st.count)
     }
 
@@ -889,6 +811,48 @@ mod tests {
                     assert!(n <= 1usize << (3 * cfg.depths[k].min(10)));
                 }
             }
+        }
+    }
+
+    /// One malformed header per check the two formats share
+    /// (`check_header`, `read_bounds`): both decoders refuse it alike.
+    #[test]
+    fn shared_header_checks_reject_alike_in_both_decoders() {
+        let cloud = SyntheticBody::default().frame(6, 500);
+        let single = encode(
+            &cloud,
+            &CodecConfig {
+                depth: 5,
+                color_bits: 6,
+            },
+        )
+        .0;
+        let lcfg = LayeredConfig {
+            depths: vec![5],
+            color_bits: 6,
+        };
+        let mut frame = LayeredFrame::new();
+        LayeredEncoder::new().encode_into(&cloud, &lcfg, &mut frame);
+        let base = &frame.layers()[0];
+        // (VOCT offset, VLYR offset, bytes written there, rejection)
+        let cases: [(usize, usize, &[u8], &str); 6] = [
+            (4, 6, &[0], "depth out of range"),
+            (4, 6, &[17], "depth out of range"),
+            (5, 7, &[0], "color_bits out of range"),
+            (5, 7, &[9], "color_bits out of range"),
+            (6, 8, &u32::MAX.to_le_bytes(), "count exceeds tree capacity"),
+            (22, 29, &f32::NAN.to_le_bytes(), "bad extent"),
+        ];
+        for (voct_at, vlyr_at, bytes, why) in cases {
+            let mut voct = single.clone();
+            voct.data[voct_at..][..bytes.len()].copy_from_slice(bytes);
+            assert_eq!(decode(&voct), Err(CodecError::InvalidHeader(why)));
+            let mut vlyr = base.clone();
+            vlyr[vlyr_at..][..bytes.len()].copy_from_slice(bytes);
+            assert_eq!(
+                LayeredDecoder::new().push_layer(&vlyr),
+                Err(CodecError::InvalidHeader(why))
+            );
         }
     }
 

@@ -1,42 +1,40 @@
-//! Octree point-cloud codec (Draco substitute).
+//! Octree point-cloud codec (Draco substitute): one octree, two wire orders.
 //!
-//! Encoding pipeline:
+//! Every encode starts the same way ([`Encoder`], `octree.rs`):
 //!
-//! 1. Quantize point positions to `depth` bits per axis inside the cloud's
-//!    bounding box (voxelization). Duplicate voxels are merged, averaging
-//!    colors — the same lossy behaviour as voxelized Draco geometry.
-//! 2. Sort voxels in Morton (Z-curve) order and walk the implied octree
-//!    depth-first, entropy-coding each node's 8-bit occupancy mask with an
-//!    adaptive binary range coder, contexts keyed by (tree level, child
-//!    index).
-//! 3. Quantize colors to `color_bits` per channel and code them in leaf
-//!    order with per-bit-position contexts per channel.
+//! 1. **Voxelize.** Quantize positions to `depth` bits per axis inside the
+//!    cloud's bounding cube and Morton-interleave them through the SIMD
+//!    kernels in [`simd`] (runtime-selected, byte-identical scalar fallback;
+//!    `VOLCAST_NO_SIMD=1` forces it). Points sharing a voxel merge, their
+//!    color becoming the floor-average — the same lossy behaviour as
+//!    voxelized Draco geometry.
+//! 2. **Tree.** Build the occupancy tree over the sorted unique codes once:
+//!    an 8-bit child mask per node, stored level-major.
+//! 3. **Emit**, through an adaptive binary range coder with contexts keyed
+//!    by (tree level, child index) for occupancy and (channel, bit) for
+//!    color, in one of two orders:
+//!    - *single stream* (`VOCT`, [`Encoder`] / [`Decoder`]): every level in
+//!      pre-order, then `color_bits` per channel per leaf in Morton order;
+//!    - *layered* (`VLYR`, [`LayeredEncoder`] / [`LayeredDecoder`]): the
+//!      tree cut at increasing depths, each layer carrying its span of
+//!      levels as they lie plus color residuals against the layer below.
+//!      Any prefix of layers decodes to exactly the cloud the single stream
+//!      at that prefix's depth decodes to; the bytes differ.
 //!
-//! Decoding reverses the walk exactly (the context state machine is
-//! deterministic), reconstructing voxel centers and colors.
+//! Decoding replays the context state machine and ends, for both formats,
+//! in the same voxel-center / bucket-center-color reconstruction.
 //!
 //! Rate behaviour: 300K-550K-point human-surface clouds land at roughly
 //! 6-12 bits/point geometry + colors, i.e. frame sizes comparable to the
 //! 235-364 Mbps @ 30 FPS ladder reported in the paper.
 //!
-//! Frame pipelines should hold a stateful [`Encoder`]/[`Decoder`]: all
-//! codec working memory (voxel staging, radix/bitmap scratch, contexts,
-//! range coder) persists across frames, making steady-state encode/decode
-//! allocation-free with byte-identical bitstreams. The free
-//! [`encode`]/[`decode`] functions are one-shot: a fresh instance per call.
-//!
-//! The encode hot path (quantization + Morton interleave) runs through the
-//! explicit SIMD kernels in [`simd`], selected at runtime per CPU with a
-//! byte-identical scalar fallback (`VOLCAST_NO_SIMD=1` forces it). Whole
-//! groups of frames batch through [`GopEncoder`], which sweeps one private
-//! encoder arena per frame across the `volcast_util::par` workers — same
-//! bitstreams as the serial loop at any thread count.
-//!
-//! For progressive delivery, [`LayeredEncoder`]/[`LayeredDecoder`] split
-//! the same voxelization into a shallow base layer plus enhancement layers
-//! of deeper refinement bits and residual colors; any prefix of layers
-//! decodes to the single-stream result at that prefix's depth (see
-//! [`layered`](self::LayeredEncoder)).
+//! Frame pipelines should hold a stateful encoder/decoder: all codec
+//! working memory persists across frames, making steady-state encode and
+//! decode allocation-free. The free [`encode`]/[`decode`] functions are
+//! one-shot: a fresh instance per call, same bytes. Whole groups of frames
+//! batch through [`GopEncoder`], which sweeps one private [`Encoder`] per
+//! frame across the `volcast_util::par` workers — same bitstreams as the
+//! serial loop at any thread count.
 //!
 //! ```
 //! use volcast_pointcloud::codec::{encode, decode, CodecConfig};

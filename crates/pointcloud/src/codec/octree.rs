@@ -1,32 +1,27 @@
-//! Octree geometry + color coding. See module docs in [`super`].
+//! The octree codec core: voxelize → tree → header, and back.
 //!
-//! The hot path is the stateful [`Encoder`]/[`Decoder`] pair: they own all
-//! working memory (voxel staging, radix-sort scratch, Morton code lists,
-//! context models, the range coder) as [`ScratchVec`]s, so encoding or
-//! decoding a stream of frames performs **zero heap allocations in steady
-//! state** — every buffer warms to its high-watermark and is reused. The
-//! free [`encode`]/[`decode`] functions build a fresh instance per call
-//! and stay the convenient entry points; bitstreams are byte-for-byte
-//! identical either way.
+//! [`Encoder::voxelize`] is the front half of every encode. It quantizes
+//! the cloud and Morton-interleaves it through [`super::simd`] (one packed
+//! `(code << 24) | rgb` word per point up to [`PACKED_MAX_DEPTH`], scalar
+//! `(code, rgb)` pairs beyond), deduplicates into sorted unique codes with
+//! per-voxel color sums — through a flat occupancy bitmap while the key
+//! space fits [`BITMAP_MAX_KEY_BITS`], a stable LSD radix sort plus
+//! [`merge_runs`] above it — and builds the frame's [`Tree`] once: one
+//! 8-bit child mask per node, level-major, no pointers.
 //!
-//! Encode internals (all proven bitstream-identical to the scalar
-//! pre-SIMD pipeline by the `bitstream_matches_pre_simd_reference_pipeline`
-//! test and `tests/seed_reference.rs`):
+//! Both wire formats read that tree. [`Encoder::encode_into`] walks every
+//! level in pre-order (`VOCT`, this module); the layered encoder emits a
+//! span of levels as they lie (`VLYR`, [`super::layered`]). The header
+//! pieces the two formats share ([`write_bounds`] / [`read_bounds`],
+//! [`check_header`]) and the voxel → point step both decoders end in
+//! ([`reconstruct`]) live here too.
 //!
-//! - Quantization + Morton encoding run through [`super::simd`] (runtime
-//!   backend dispatch, scalar fallback). For `depth <=`
-//!   [`PACKED_MAX_DEPTH`] each point becomes a single packed
-//!   `(code << 24) | rgb` word, halving radix-sort traffic; deeper trees
-//!   fall back to scalar `(code, rgb)` pairs.
-//! - The stable LSD radix sort is generic over the element type with a key
-//!   extractor, up to 15-bit digits.
-//! - The occupancy tree is built *flat*: one linear scan of the sorted
-//!   unique codes per level collects each node's 8-bit child mask into a
-//!   level-major byte array (no per-node allocations, no pointers), then an
-//!   iterative pre-order cursor walk feeds the masks to the range coder in
-//!   exactly the order the old recursive DFS did.
-// Fixed-size index loops (angle dims, octree children, AP slots) read
-// clearer than iterator chains in this module.
+//! [`Encoder`] and [`Decoder`] own all working memory as [`ScratchVec`]s,
+//! so a stream of frames encodes and decodes with **zero heap allocations
+//! in steady state** (`tests/codec_alloc.rs`); the free [`encode`] /
+//! [`decode`] build a fresh instance per call, same bytes either way.
+// Fixed-size index loops (octree children, color channels) read clearer
+// than iterator chains in this module.
 #![allow(clippy::needless_range_loop)]
 
 use super::range::{BitModel, RangeDecoder, RangeEncoder};
@@ -117,7 +112,7 @@ pub struct CodecStats {
 
 const MAGIC: [u8; 4] = *b"VOCT";
 const HEADER_LEN: usize = 4 + 1 + 1 + 4 + 24;
-pub(super) const MAX_DEPTH: u32 = 16;
+const MAX_DEPTH: u32 = 16;
 
 /// A quantized point on the deep (`depth > PACKED_MAX_DEPTH`) path:
 /// (morton code, packed RGB color). The shallow path packs both into one
@@ -219,72 +214,108 @@ impl Contexts {
     }
 }
 
-/// Collects the flat occupancy tree: for each level `L` in `0..depth`, one
-/// 8-bit child mask per distinct length-`L` Morton prefix, in prefix
-/// (= first appearance in the sorted codes) order, appended level-major to
-/// `masks`. `level_off[L]..level_off[L+1]` brackets level `L`'s masks.
-fn build_masks(codes: &[u64], depth: u32, masks: &mut Vec<u8>, level_off: &mut [usize]) {
-    build_masks_from(codes, depth, 0, masks, level_off)
+/// One voxel's color accumulator: per-channel sums and merged point count.
+/// The coded color is the floor-average `sum / count`.
+type ColorSum = ([u32; 3], u32);
+
+/// Adds one point's packed RGB to its voxel's accumulator.
+#[inline(always)]
+fn add_rgb(sum: &mut ColorSum, rgb: u32) {
+    sum.0[0] += rgb & 0xFF;
+    sum.0[1] += (rgb >> 8) & 0xFF;
+    sum.0[2] += (rgb >> 16) & 0xFF;
+    sum.1 += 1;
 }
 
-/// [`build_masks`] restricted to absolute levels `from_level..depth` (the
-/// layered encoder emits only the levels an enhancement layer spans).
-/// `level_off` entries below `from_level` are left untouched; `codes` must
-/// be non-empty sorted depth-`depth` Morton codes.
-pub(super) fn build_masks_from(
-    codes: &[u64],
-    depth: u32,
-    from_level: u32,
-    masks: &mut Vec<u8>,
-    level_off: &mut [usize],
+/// Folds `voxels` — `(code, contribution)` pairs in ascending code order —
+/// into one `codes` entry and one accumulator per run of equal codes.
+pub(super) fn merge_runs<V, A: Default>(
+    voxels: impl Iterator<Item = (u64, V)>,
+    add: impl Fn(&mut A, V),
+    codes: &mut Vec<u64>,
+    sums: &mut Vec<A>,
 ) {
-    masks.reserve(2 * codes.len());
-    for level in from_level..depth {
-        level_off[level as usize] = masks.len();
-        let pshift = 3 * (depth - level); // bits below this level's prefix
-        let cshift = pshift - 3;
-        let mut prev_prefix = u64::MAX; // codes are < 2^48: safe sentinel
-        let mut cur = 0u8;
-        for &c in codes {
-            let prefix = c >> pshift;
-            let bit = 1u8 << ((c >> cshift) & 0b111);
-            if prefix == prev_prefix {
-                cur |= bit;
-            } else {
-                if prev_prefix != u64::MAX {
-                    masks.push(cur);
+    let mut prev = u64::MAX; // codes are < 2^48: safe sentinel
+    for (code, v) in voxels {
+        if code != prev {
+            prev = code;
+            codes.push(code);
+            sums.push(A::default());
+        }
+        add(sums.last_mut().unwrap(), v);
+    }
+}
+
+/// The frame's occupancy tree, flat: for each level `L` below the leaves,
+/// one 8-bit child mask per distinct length-`L` Morton prefix in ascending
+/// prefix order, stored level-major. A pre-order walk with children taken
+/// in ascending index order also reaches level `L`'s nodes in that order,
+/// so one cursor per level stands in for child pointers.
+pub(super) struct Tree {
+    masks: ScratchVec<u8>,
+    /// `level_off[L]..level_off[L + 1]` brackets level `L` in `masks`.
+    level_off: [usize; MAX_DEPTH as usize + 1],
+}
+
+impl Tree {
+    fn new() -> Self {
+        Tree {
+            masks: ScratchVec::new("codec.scratch.masks"),
+            level_off: [0; MAX_DEPTH as usize + 1],
+        }
+    }
+
+    /// Rebuilds the tree over sorted unique depth-`depth` codes: one linear
+    /// scan per level, top down. No codes, no nodes.
+    fn build(&mut self, codes: &[u64], depth: u32) {
+        let masks = self.masks.begin();
+        masks.reserve(2 * codes.len());
+        let levels = if codes.is_empty() { 0 } else { depth };
+        for level in 0..levels {
+            self.level_off[level as usize] = masks.len();
+            let pshift = 3 * (depth - level); // bits below this level's prefix
+            let cshift = pshift - 3;
+            let mut prev_prefix = u64::MAX; // codes are < 2^48: safe sentinel
+            let mut cur = 0u8;
+            for &c in codes {
+                let prefix = c >> pshift;
+                let bit = 1u8 << ((c >> cshift) & 0b111);
+                if prefix == prev_prefix {
+                    cur |= bit;
+                } else {
+                    if prev_prefix != u64::MAX {
+                        masks.push(cur);
+                    }
+                    prev_prefix = prefix;
+                    cur = bit;
                 }
-                prev_prefix = prefix;
-                cur = bit;
             }
+            masks.push(cur);
         }
-        masks.push(cur);
+        self.level_off[levels as usize..].fill(masks.len());
     }
-    level_off[depth as usize] = masks.len();
+
+    /// Level `level`'s child masks, one per node in ascending prefix order.
+    pub(super) fn level(&self, level: u32) -> &[u8] {
+        let l = level as usize;
+        &self.masks.get()[self.level_off[l]..self.level_off[l + 1]]
+    }
 }
 
-/// Entropy-codes the flat occupancy tree in pre-order. A pre-order walk
-/// with children visited in ascending index order reaches the level-`L`
-/// nodes in Morton-prefix order — exactly the order [`build_masks`] stored
-/// them — so per-level cursors replace child pointers entirely. The
-/// emitted bit sequence (and every adaptive context update) is identical
-/// to the old recursive `encode_node` DFS.
-fn emit_flat(
-    rc: &mut RangeEncoder,
-    ctx: &mut Contexts,
-    masks: &[u8],
-    level_off: &[usize],
-    depth: u32,
-) {
-    fn emit_mask(rc: &mut RangeEncoder, models: &mut [BitModel; 8], mask: u8) {
-        for child in 0..8usize {
-            rc.encode_bit(&mut models[child], mask & (1 << child) != 0);
-        }
+/// Codes one node's child mask under its level's per-child contexts.
+#[inline(always)]
+pub(super) fn emit_mask(rc: &mut RangeEncoder, models: &mut [BitModel; 8], mask: u8) {
+    for child in 0..8usize {
+        rc.encode_bit(&mut models[child], mask & (1 << child) != 0);
     }
+}
+
+/// Entropy-codes every level of `tree` in pre-order (the `VOCT` order).
+fn emit_preorder(rc: &mut RangeEncoder, ctx: &mut Contexts, tree: &Tree, depth: u32) {
+    let masks = tree.masks.get();
     let mut cursors = [0usize; MAX_DEPTH as usize];
-    let root = masks[level_off[0]];
+    let root = masks[0];
     emit_mask(rc, &mut ctx.occupancy[0], root);
-    cursors[0] = 1;
     // Explicit DFS stack of (node level, unvisited-children mask); depth is
     // at most MAX_DEPTH, so it lives on the stack.
     let mut stack = [(0u8, 0u8); MAX_DEPTH as usize];
@@ -301,7 +332,7 @@ fn emit_flat(
         if child_level as u32 == depth {
             continue; // children at the leaf level carry no mask
         }
-        let m = masks[level_off[child_level] + cursors[child_level]];
+        let m = masks[tree.level_off[child_level] + cursors[child_level]];
         cursors[child_level] += 1;
         emit_mask(rc, &mut ctx.occupancy[child_level], m);
         stack[sp] = (child_level as u8, m);
@@ -309,13 +340,80 @@ fn emit_flat(
     }
 }
 
+/// Appends the bounds block both headers carry: the cube's `min` corner,
+/// its side (clamped away from zero) and two reserved zeros, as `f32` LE.
+pub(super) fn write_bounds(out: &mut Vec<u8>, bounds: &Aabb) {
+    let extent = bounds.extent().max_component().max(1e-6);
+    for v in [bounds.min.x, bounds.min.y, bounds.min.z, extent, 0.0, 0.0] {
+        out.extend_from_slice(&(v as f32).to_le_bytes());
+    }
+}
+
+/// Reads a bounds block back as `(min, extent)`; a header that declares
+/// voxels must give them a finite positive cube to sit in.
+pub(super) fn read_bounds(block: &[u8], count: usize) -> Result<(Vec3, f64), CodecError> {
+    let f32_at =
+        |i: usize| -> f64 { f32::from_le_bytes(block[4 * i..][..4].try_into().unwrap()) as f64 };
+    let extent = f32_at(3);
+    if !(extent.is_finite() && extent > 0.0) && count > 0 {
+        return Err(CodecError::InvalidHeader("bad extent"));
+    }
+    Ok((Vec3::new(f32_at(0), f32_at(1), f32_at(2)), extent))
+}
+
+/// The range check on a header's depth, color bits and voxel count. A
+/// depth-d tree holds at most 8^d leaves; a count beyond that can only come
+/// from a corrupted or hostile header and is refused before anything is
+/// reserved for it.
+pub(super) fn check_header(depth: u32, color_bits: u32, count: usize) -> Result<(), CodecError> {
+    if depth == 0 || depth > MAX_DEPTH {
+        return Err(CodecError::InvalidHeader("depth out of range"));
+    }
+    if color_bits == 0 || color_bits > 8 {
+        return Err(CodecError::InvalidHeader("color_bits out of range"));
+    }
+    if depth < 11 && count as u64 > 1u64 << (3 * depth) {
+        return Err(CodecError::InvalidHeader("count exceeds tree capacity"));
+    }
+    Ok(())
+}
+
+/// Appends one point per voxel of `codes` to `out`: the voxel's center in
+/// the cube at `min` of side `extent`, colored `color(i)` — voxel `i`'s
+/// quantized channels — dequantized to the bucket center.
+pub(super) fn reconstruct(
+    codes: &[u64],
+    mut color: impl FnMut(usize) -> [u32; 3],
+    (depth, color_bits): (u32, u32),
+    (min, extent): (Vec3, f64),
+    out: &mut Vec<Point>,
+) {
+    let voxel = extent / (1u32 << depth) as f64;
+    let shift = 8 - color_bits;
+    let dequant = |v: u32| ((v << shift) + ((1u32 << shift) >> 1)).min(255) as u8;
+    out.reserve(codes.len());
+    for (i, &code) in codes.iter().enumerate() {
+        let (x, y, z) = morton_decode(code, depth);
+        let pos = min
+            + Vec3::new(
+                (x as f64 + 0.5) * voxel,
+                (y as f64 + 0.5) * voxel,
+                (z as f64 + 0.5) * voxel,
+            );
+        out.push(Point::new(
+            [pos.x as f32, pos.y as f32, pos.z as f32],
+            color(i).map(dequant),
+        ));
+    }
+}
+
 /// A reusable octree encoder owning all codec working memory.
 ///
 /// One instance encodes a stream of frames with zero steady-state heap
 /// allocations (beyond growth of the caller's output buffer): voxel
-/// staging, radix scratch, code list, context models, and the range coder
-/// are all retained across calls at their high-watermark sizes. Output is
-/// byte-for-byte identical to the free [`encode`] function.
+/// staging, radix scratch, code list, tree, context models, and the range
+/// coder are all retained across calls at their high-watermark sizes.
+/// Output is byte-for-byte identical to the free [`encode`] function.
 pub struct Encoder {
     /// Packed `(code << 24) | rgb` staging (shallow path).
     packed: ScratchVec<u64>,
@@ -331,13 +429,13 @@ pub struct Encoder {
     /// Exclusive prefix popcounts over `occ` words: rank of the first code
     /// in each word among all occupied codes.
     word_rank: Vec<u32>,
-    codes: ScratchVec<u64>,
-    /// Per-unique-voxel color channel sums and merged point count.
-    csums: ScratchVec<([u32; 3], u32)>,
-    /// Level-major flat occupancy masks.
-    masks: ScratchVec<u8>,
-    ctx: Contexts,
-    rc: RangeEncoder,
+    /// What [`Encoder::voxelize`] leaves behind: sorted unique Morton
+    /// codes, their color sums, and the occupancy tree over them.
+    pub(super) codes: ScratchVec<u64>,
+    pub(super) csums: ScratchVec<ColorSum>,
+    pub(super) tree: Tree,
+    pub(super) ctx: Contexts,
+    pub(super) rc: RangeEncoder,
     backend: Backend,
 }
 
@@ -367,30 +465,28 @@ impl Encoder {
             word_rank: Vec::new(),
             codes: ScratchVec::new("codec.scratch.codes"),
             csums: ScratchVec::new("codec.scratch.csums"),
-            masks: ScratchVec::new("codec.scratch.masks"),
+            tree: Tree::new(),
             ctx: Contexts::new(0),
             rc: RangeEncoder::new(),
             backend,
         }
     }
 
-    /// Quantizes, deduplicates, and color-merges `points` at `cfg.depth`,
-    /// leaving the sorted unique Morton codes and per-voxel color sums
-    /// readable via [`Encoder::voxelized`]. Shared by the single-stream
-    /// emit path and the layered encoder; identical voxel sets either way.
+    /// The front half of every encode: quantizes, deduplicates and
+    /// color-merges `cloud` at `cfg.depth` inside its bounding cube, leaving
+    /// `codes`, `csums` and `tree` for an emitter to read. Returns the
+    /// bounds the header must carry.
     ///
     /// # Panics
     /// If `cfg.depth` is outside `1..=16` or `cfg.color_bits` outside `1..=8`.
-    pub(super) fn voxelize(&mut self, points: &[Point], bounds: Aabb, cfg: &CodecConfig) {
-        assert!(
-            cfg.depth >= 1 && cfg.depth <= MAX_DEPTH,
-            "depth must be in 1..=16"
-        );
-        assert!(
-            cfg.color_bits >= 1 && cfg.color_bits <= 8,
-            "color_bits must be in 1..=8"
-        );
-
+    pub(super) fn voxelize(&mut self, cloud: &PointCloud, cfg: &CodecConfig) -> Aabb {
+        check_header(cfg.depth, cfg.color_bits, 0).expect("invalid codec config");
+        let bounds = if cloud.is_empty() {
+            Aabb::new(Vec3::ZERO, Vec3::ZERO)
+        } else {
+            cloud.bounds()
+        };
+        let points = &cloud.points;
         let extent = bounds.extent().max_component().max(1e-6);
         let levels = 1u32 << cfg.depth;
         let scale = levels as f64 / extent;
@@ -408,11 +504,10 @@ impl Encoder {
         let csums = self.csums.begin();
         if cfg.depth <= PACKED_MAX_DEPTH {
             // Shallow path: one packed u64 per point through the SIMD
-            // kernels. Stability of the radix sort keeps equal-code words
-            // in input order; color sums are commutative anyway, so the
-            // merged stream matches the pair path bit for bit.
+            // kernels.
             let packed = self.packed.begin();
             simd::quantize_morton_points(self.backend, points, &q, packed);
+            let split = |w: u64| (w >> COLOR_SHIFT, (w & ((1 << COLOR_SHIFT) - 1)) as u32);
             if 3 * cfg.depth <= BITMAP_MAX_KEY_BITS && !packed.is_empty() {
                 // Bitmap dedup: the key space is small enough that a flat
                 // occupancy bitmap replaces the sort entirely. Scanning the
@@ -426,7 +521,7 @@ impl Encoder {
                 self.occ.clear();
                 self.occ.resize(words, 0);
                 for &w in packed.iter() {
-                    let code = (w >> COLOR_SHIFT) as usize;
+                    let code = split(w).0 as usize;
                     self.occ[code >> 6] |= 1u64 << (code & 63);
                 }
                 self.word_rank.clear();
@@ -445,42 +540,25 @@ impl Encoder {
                 }
                 csums.resize(codes.len(), ([0; 3], 0));
                 for &w in packed.iter() {
-                    let code = (w >> COLOR_SHIFT) as usize;
+                    let (code, rgb) = split(w);
+                    let code = code as usize;
                     let below = self.occ[code >> 6] & ((1u64 << (code & 63)) - 1);
                     let slot = (self.word_rank[code >> 6] + below.count_ones()) as usize;
-                    let c = (w & ((1 << COLOR_SHIFT) - 1)) as u32;
-                    let e = &mut csums[slot];
-                    e.0[0] += c & 0xFF;
-                    e.0[1] += (c >> 8) & 0xFF;
-                    e.0[2] += (c >> 16) & 0xFF;
-                    e.1 += 1;
+                    add_rgb(&mut csums[slot], rgb);
                 }
             } else {
+                // The sort is stable and keyed on the code field only, so
+                // equal-code words stay in input order.
                 radix_sort(
                     packed,
                     self.packed_tmp.begin(),
                     &mut self.radix_counts,
                     3 * cfg.depth,
-                    |v| v >> COLOR_SHIFT,
+                    |&w| split(w).0,
                 );
                 codes.reserve(packed.len());
                 csums.reserve(packed.len());
-                let mut i = 0usize;
-                while i < packed.len() {
-                    let code = packed[i] >> COLOR_SHIFT;
-                    let mut sums = [0u32; 3];
-                    let mut count = 0u32;
-                    while i < packed.len() && packed[i] >> COLOR_SHIFT == code {
-                        let c = (packed[i] & ((1 << COLOR_SHIFT) - 1)) as u32;
-                        sums[0] += c & 0xFF;
-                        sums[1] += (c >> 8) & 0xFF;
-                        sums[2] += (c >> 16) & 0xFF;
-                        count += 1;
-                        i += 1;
-                    }
-                    codes.push(code);
-                    csums.push((sums, count));
-                }
+                merge_runs(packed.iter().map(|&w| split(w)), add_rgb, codes, csums);
             }
         } else {
             // Deep path (depth 14..=16): codes no longer co-pack with the
@@ -503,29 +581,10 @@ impl Encoder {
             );
             codes.reserve(deep.len());
             csums.reserve(deep.len());
-            let mut i = 0usize;
-            while i < deep.len() {
-                let code = deep[i].0;
-                let mut sums = [0u32; 3];
-                let mut count = 0u32;
-                while i < deep.len() && deep[i].0 == code {
-                    let c = deep[i].1;
-                    sums[0] += c & 0xFF;
-                    sums[1] += (c >> 8) & 0xFF;
-                    sums[2] += (c >> 16) & 0xFF;
-                    count += 1;
-                    i += 1;
-                }
-                codes.push(code);
-                csums.push((sums, count));
-            }
+            merge_runs(deep.iter().copied(), add_rgb, codes, csums);
         }
-    }
-
-    /// The last [`Encoder::voxelize`] results: `(codes, color_sums)` —
-    /// sorted unique Morton codes and per-voxel `([r, g, b] sums, count)`.
-    pub(super) fn voxelized(&self) -> (&[u64], &[([u32; 3], u32)]) {
-        (self.codes.get(), self.csums.get())
+        self.tree.build(codes, cfg.depth);
+        bounds
     }
 
     /// Encodes `cloud` into `out` (cleared first), returning statistics.
@@ -538,50 +597,34 @@ impl Encoder {
         cfg: &CodecConfig,
         out: &mut Vec<u8>,
     ) -> CodecStats {
-        let bounds = if cloud.is_empty() {
-            Aabb::new(Vec3::ZERO, Vec3::ZERO)
-        } else {
-            cloud.bounds()
-        };
-        out.clear();
-        let input_points = cloud.len();
-        self.voxelize(&cloud.points, bounds, cfg);
-        let extent = bounds.extent().max_component().max(1e-6);
+        let bounds = self.voxelize(cloud, cfg);
         let Encoder {
             codes,
             csums,
-            masks,
+            tree,
             ctx,
             rc,
             ..
         } = self;
         let codes = codes.get();
-        let csums = csums.get();
 
         // Header.
+        out.clear();
         out.reserve(HEADER_LEN + codes.len());
         out.extend_from_slice(&MAGIC);
         out.push(cfg.depth as u8);
         out.push(cfg.color_bits as u8);
         out.extend_from_slice(&(codes.len() as u32).to_le_bytes());
-        for v in [bounds.min.x, bounds.min.y, bounds.min.z] {
-            out.extend_from_slice(&(v as f32).to_le_bytes());
-        }
-        for v in [extent, 0.0, 0.0] {
-            out.extend_from_slice(&(v as f32).to_le_bytes());
-        }
+        write_bounds(out, &bounds);
         debug_assert_eq!(out.len(), HEADER_LEN);
 
         // Payload.
         ctx.reset(cfg.depth);
         if !codes.is_empty() {
-            let masks = masks.begin();
-            let mut level_off = [0usize; MAX_DEPTH as usize + 1];
-            build_masks(codes, cfg.depth, masks, &mut level_off);
-            emit_flat(rc, ctx, masks, &level_off, cfg.depth);
+            emit_preorder(rc, ctx, tree, cfg.depth);
             // Colors in Morton (leaf) order.
             let shift = 8 - cfg.color_bits;
-            for &(sums, count) in csums.iter() {
+            for &(sums, count) in csums.get() {
                 for ch in 0..3 {
                     let avg = sums[ch] / count;
                     rc.encode_bits(&mut ctx.color[ch], avg >> shift, cfg.color_bits);
@@ -590,6 +633,7 @@ impl Encoder {
         }
         rc.finish_into(out);
 
+        let input_points = cloud.len();
         let stats = CodecStats {
             input_points,
             voxels: codes.len(),
@@ -659,34 +703,13 @@ impl Decoder {
         }
         let depth = data[4] as u32;
         let color_bits = data[5] as u32;
-        if depth == 0 || depth > MAX_DEPTH {
-            return Err(CodecError::InvalidHeader("depth out of range"));
-        }
-        if color_bits == 0 || color_bits > 8 {
-            return Err(CodecError::InvalidHeader("color_bits out of range"));
-        }
         let count = u32::from_le_bytes(data[6..10].try_into().unwrap()) as usize;
-        let f32_at = |off: usize| -> f64 {
-            f32::from_le_bytes(data[off..off + 4].try_into().unwrap()) as f64
-        };
-        let min = Vec3::new(f32_at(10), f32_at(14), f32_at(18));
-        let extent = f32_at(22);
-        if !(extent.is_finite() && extent > 0.0) && count > 0 {
-            return Err(CodecError::InvalidHeader("bad extent"));
-        }
+        check_header(depth, color_bits, count)?;
+        let bounds = read_bounds(&data[10..HEADER_LEN], count)?;
         if count == 0 {
             obs::inc("codec.clouds_decoded");
             return Ok(0);
         }
-
-        // A depth-d tree holds at most 8^d leaves; a count beyond that can
-        // only come from a corrupted or hostile header.
-        if depth < 11 && count as u64 > 1u64 << (3 * depth) {
-            return Err(CodecError::InvalidHeader("count exceeds tree capacity"));
-        }
-
-        let levels = 1u32 << depth;
-        let voxel = extent / levels as f64;
 
         self.ctx.reset(depth);
         let mut dec = RangeDecoder::new(&data[HEADER_LEN..]);
@@ -707,29 +730,21 @@ impl Decoder {
             ));
         }
 
-        out.points.reserve(codes.len());
-        let shift = 8 - color_bits;
-        // Reconstruct quantized colors at bucket centers.
-        let dequant = |v: u32| -> u8 {
-            let v = (v << shift) + ((1u32 << shift) >> 1);
-            v.min(255) as u8
+        let color = &mut self.ctx.color;
+        let next_color = |_| {
+            [
+                dec.decode_bits(&mut color[0], color_bits),
+                dec.decode_bits(&mut color[1], color_bits),
+                dec.decode_bits(&mut color[2], color_bits),
+            ]
         };
-        for &code in codes.iter() {
-            let (x, y, z) = morton_decode(code, depth);
-            let pos = min
-                + Vec3::new(
-                    (x as f64 + 0.5) * voxel,
-                    (y as f64 + 0.5) * voxel,
-                    (z as f64 + 0.5) * voxel,
-                );
-            let r = dec.decode_bits(&mut self.ctx.color[0], color_bits);
-            let g = dec.decode_bits(&mut self.ctx.color[1], color_bits);
-            let b = dec.decode_bits(&mut self.ctx.color[2], color_bits);
-            out.points.push(Point::new(
-                [pos.x as f32, pos.y as f32, pos.z as f32],
-                [dequant(r), dequant(g), dequant(b)],
-            ));
-        }
+        reconstruct(
+            codes,
+            next_color,
+            (depth, color_bits),
+            bounds,
+            &mut out.points,
+        );
         if dec.is_exhausted() {
             // Truncation hit inside the color stream: the positions were
             // fine but the colors are garbage. Roll back so the caller
@@ -830,110 +845,6 @@ mod tests {
         (x, y, z)
     }
 
-    /// The pre-SIMD encode pipeline (PR 4 shape): scalar f64
-    /// quantization, stable comparison sort of (code, color) pairs, run
-    /// merge, and the recursive context-coded DFS. Every new-path bitstream
-    /// must match this byte for byte.
-    fn reference_encode(cloud: &PointCloud, cfg: &CodecConfig) -> Vec<u8> {
-        fn ref_encode_node(
-            enc: &mut RangeEncoder,
-            ctx: &mut Contexts,
-            codes: &[u64],
-            depth_from_root: u32,
-            total_depth: u32,
-        ) {
-            let level_shift = 3 * (total_depth - depth_from_root - 1);
-            let mut ranges: [(usize, usize); 8] = [(0, 0); 8];
-            let mut start = 0usize;
-            for child in 0..8u64 {
-                let end = start
-                    + codes[start..]
-                        .iter()
-                        .take_while(|&&c| (c >> level_shift) & 0b111 == child)
-                        .count();
-                ranges[child as usize] = (start, end);
-                start = end;
-            }
-            for child in 0..8usize {
-                enc.encode_bit(
-                    &mut ctx.occupancy[depth_from_root as usize][child],
-                    ranges[child].1 > ranges[child].0,
-                );
-            }
-            if depth_from_root + 1 < total_depth {
-                for &(s, e) in &ranges {
-                    if e > s {
-                        ref_encode_node(enc, ctx, &codes[s..e], depth_from_root + 1, total_depth);
-                    }
-                }
-            }
-        }
-
-        let bounds = if cloud.is_empty() {
-            Aabb::new(Vec3::ZERO, Vec3::ZERO)
-        } else {
-            cloud.bounds()
-        };
-        let extent = bounds.extent().max_component().max(1e-6);
-        let levels = 1u32 << cfg.depth;
-        let scale = levels as f64 / extent;
-        let m = (levels - 1) as i64;
-        let mut voxels: Vec<(u64, u32)> = cloud
-            .points
-            .iter()
-            .map(|p| {
-                let x = (((p.pos[0] as f64 - bounds.min.x) * scale) as i64).clamp(0, m) as u32;
-                let y = (((p.pos[1] as f64 - bounds.min.y) * scale) as i64).clamp(0, m) as u32;
-                let z = (((p.pos[2] as f64 - bounds.min.z) * scale) as i64).clamp(0, m) as u32;
-                (morton_encode(x, y, z, cfg.depth), pack_color(p.color))
-            })
-            .collect();
-        voxels.sort_by_key(|v| v.0); // stable
-        let mut codes = Vec::new();
-        let mut csums: Vec<([u32; 3], u32)> = Vec::new();
-        let mut i = 0usize;
-        while i < voxels.len() {
-            let code = voxels[i].0;
-            let mut sums = [0u32; 3];
-            let mut count = 0u32;
-            while i < voxels.len() && voxels[i].0 == code {
-                let c = voxels[i].1;
-                sums[0] += c & 0xFF;
-                sums[1] += (c >> 8) & 0xFF;
-                sums[2] += (c >> 16) & 0xFF;
-                count += 1;
-                i += 1;
-            }
-            codes.push(code);
-            csums.push((sums, count));
-        }
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        out.push(cfg.depth as u8);
-        out.push(cfg.color_bits as u8);
-        out.extend_from_slice(&(codes.len() as u32).to_le_bytes());
-        for v in [bounds.min.x, bounds.min.y, bounds.min.z] {
-            out.extend_from_slice(&(v as f32).to_le_bytes());
-        }
-        for v in [extent, 0.0, 0.0] {
-            out.extend_from_slice(&(v as f32).to_le_bytes());
-        }
-        let mut rc = RangeEncoder::new();
-        let mut ctx = Contexts::new(cfg.depth);
-        if !codes.is_empty() {
-            ref_encode_node(&mut rc, &mut ctx, &codes, 0, cfg.depth);
-            let shift = 8 - cfg.color_bits;
-            for &(sums, count) in &csums {
-                for ch in 0..3 {
-                    let avg = sums[ch] / count;
-                    rc.encode_bits(&mut ctx.color[ch], avg >> shift, cfg.color_bits);
-                }
-            }
-        }
-        rc.finish_into(&mut out);
-        out
-    }
-
     #[test]
     fn morton_round_trip() {
         for depth in [1u32, 4, 10, 16] {
@@ -1010,34 +921,43 @@ mod tests {
         assert_eq!(got, expected);
     }
 
+    /// The obvious tree: per level, a map from node prefix to child mask.
+    fn naive_tree(codes: &[u64], depth: u32) -> Vec<Vec<u8>> {
+        let level = |level: u32| {
+            let below = 3 * (depth - level);
+            let mut nodes = std::collections::BTreeMap::<u64, u8>::new();
+            for &c in codes {
+                *nodes.entry(c >> below).or_default() |= 1 << ((c >> (below - 3)) & 0b111);
+            }
+            nodes.into_values().collect()
+        };
+        (0..depth).map(level).collect()
+    }
+
     #[test]
-    fn bitstream_matches_pre_simd_reference_pipeline() {
-        // The hard gate for the SIMD rewrite: every path (active and
-        // forced-scalar backend; shallow packed and deep pair pipelines)
-        // must reproduce the old encoder's bytes exactly.
-        let body = SyntheticBody::default();
-        for (depth, n) in [
-            (1u32, 700usize),
-            (4, 5_000),
-            (7, 20_000),
-            (10, 20_000),
-            (13, 6_000), // deepest packed-word depth
-            (14, 6_000), // shallowest pair-path depth
-            (16, 6_000),
-        ] {
-            let cloud = body.frame(depth as u64, n);
-            let cfg = CodecConfig {
-                depth,
-                color_bits: 6,
-            };
-            let expected = reference_encode(&cloud, &cfg);
-            let mut got = Vec::new();
-            Encoder::new().encode_into(&cloud, &cfg, &mut got);
-            assert_eq!(got, expected, "depth {depth} active backend");
-            let mut got_scalar = Vec::new();
-            Encoder::with_backend(Backend::Scalar).encode_into(&cloud, &cfg, &mut got_scalar);
-            assert_eq!(got_scalar, expected, "depth {depth} forced scalar");
+    fn tree_matches_the_per_level_prefix_map() {
+        let mut rng = volcast_util::rng::Rng::seed_from_u64(0x7_2EE);
+        let mut tree = Tree::new();
+        let mut check = |codes: &[u64], depth: u32| {
+            tree.build(codes, depth);
+            let want = naive_tree(codes, depth);
+            for level in 0..MAX_DEPTH {
+                let want = want.get(level as usize).map_or(&[][..], |l| &l[..]);
+                assert_eq!(tree.level(level), want, "depth {depth} level {level}");
+            }
+        };
+        for depth in [1u32, 2, 5, 10, 16] {
+            for n in [1usize, 2, 9, 300] {
+                let codes: std::collections::BTreeSet<u64> = (0..n)
+                    .map(|_| rng.gen_range(0..1u64 << (3 * depth)))
+                    .collect();
+                check(&Vec::from_iter(codes), depth);
+            }
         }
+        // Every node full: all 64 depth-2 codes, all 8 depth-1 codes.
+        check(&Vec::from_iter(0..64), 2);
+        check(&Vec::from_iter(0..8), 1);
+        check(&[], 7);
     }
 
     #[test]

@@ -231,11 +231,6 @@ impl<'a> RangeDecoder<'a> {
         v
     }
 
-    /// Bytes consumed so far (including the 5 priming bytes).
-    pub fn bytes_consumed(&self) -> usize {
-        self.pos
-    }
-
     /// True once the decoder has read past the end of its input (reads
     /// past the end zero-fill rather than panic). A well-formed stream is
     /// never over-read — [`RangeEncoder::finish`] emits exactly the bytes

@@ -3,10 +3,16 @@
 //! loop, comparison sort, a fresh allocation for every intermediate buffer
 //! — kept verbatim so the optimized [`Encoder`] has a slow obvious
 //! implementation to agree with. Both must emit the identical bitstream on
-//! the bitmap-dedup path (depth <= 8) and the radix-sort path (depth 9/10).
+//! the bitmap-dedup path (depth <= 8), the packed radix-sort path (depth
+//! 9..=13) and the pair path beyond, on every SIMD backend. The last test
+//! pins both wire formats' bytes outright.
 
-use volcast_pointcloud::codec::{CodecConfig, Encoder};
+use volcast_pointcloud::codec::simd::Backend;
+use volcast_pointcloud::codec::{
+    CodecConfig, Encoder, LayeredConfig, LayeredEncoder, LayeredFrame,
+};
 use volcast_pointcloud::{PointCloud, SyntheticBody};
+use volcast_util::hash::fnv1a;
 
 /// The seed encoder. Verbatim seed code predates current lint settings;
 /// it is the reference, so it is kept unchanged rather than "improved".
@@ -275,4 +281,55 @@ fn reused_encoder_matches_the_seed_bitstream_across_frames() {
     for (frame, points) in [20_000, 35_000, 5_000, 30_000].into_iter().enumerate() {
         assert_matches_seed(&mut enc, &body.frame(frame as u64, points), &cfg);
     }
+}
+
+/// Every dedup path on the active and the forced-scalar backend: depth 1,
+/// 4, 7 take the bitmap, 10 and 13 (the deepest packed-word depth) the
+/// packed radix sort, 14 and 16 the `(code, rgb)` pair path.
+#[test]
+fn every_dedup_path_and_backend_matches_the_seed_bitstream() {
+    let body = SyntheticBody::default();
+    for (depth, n) in [
+        (1u32, 700usize),
+        (4, 5_000),
+        (7, 20_000),
+        (10, 20_000),
+        (13, 6_000),
+        (14, 6_000),
+        (16, 6_000),
+    ] {
+        let cloud = body.frame(depth as u64, n);
+        let cfg = CodecConfig {
+            depth,
+            color_bits: 6,
+        };
+        assert_matches_seed(&mut Encoder::new(), &cloud, &cfg);
+        assert_matches_seed(&mut Encoder::with_backend(Backend::Scalar), &cloud, &cfg);
+    }
+}
+
+/// Golden bytes: the `VOCT` stream at the ladder's depths and the three
+/// default `VLYR` layers of one frame, by FNV-1a. The layered format has
+/// no naive reference encoder; this is what freezes its bytes.
+#[test]
+fn both_wire_formats_hash_to_their_pinned_values() {
+    let cloud = SyntheticBody::default().frame(0, 20_000);
+    let mut stream = Vec::new();
+    for (depth, want) in [
+        (8, 0xfcb3078d64aeb3bd_u64),
+        (9, 0x225f85f3f5abeb7e),
+        (10, 0x35178b520ac0ad3a),
+    ] {
+        let cfg = CodecConfig {
+            depth,
+            color_bits: 6,
+        };
+        Encoder::new().encode_into(&cloud, &cfg, &mut stream);
+        assert_eq!(fnv1a(&stream), want, "VOCT depth {depth}");
+    }
+    let mut frame = LayeredFrame::new();
+    LayeredEncoder::new().encode_into(&cloud, &LayeredConfig::default(), &mut frame);
+    let got: Vec<u64> = frame.layers().iter().map(|l| fnv1a(l)).collect();
+    let want = [0x21fe95aa1093ab42, 0x564e25b94f9d9302, 0xd6fc228473e2a0e2];
+    assert_eq!(got, want, "VLYR layers");
 }

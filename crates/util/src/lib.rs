@@ -31,10 +31,10 @@
 //! - [`bitset`] — a growable [`bitset::BitSet`] over `u64` words, the
 //!   population-scale replacement for fixed 64-bit membership masks
 //!   (fault plans, multicast group membership).
-//! - [`scratch`] — reusable scratch buffers ([`scratch::ScratchVec`],
-//!   [`scratch::Pool`]) with high-watermark gauges, plus a counting global
-//!   allocator ([`scratch::counting`]) for pinning zero-allocation
-//!   steady states in tests.
+//! - [`scratch`] — reusable scratch buffers ([`scratch::ScratchVec`]) with
+//!   high-watermark gauges, plus a counting global allocator
+//!   ([`scratch::counting`]) for pinning zero-allocation steady states in
+//!   tests.
 //!
 //! ## Determinism guarantees
 //!

@@ -4,22 +4,16 @@
 //! runs the same shapes of work every frame at 30 FPS. Allocating fresh
 //! `Vec`s per frame turns that steady state into allocator traffic — page
 //! faults, zeroing, and cache churn that scale with user count. This module
-//! provides the two primitives the workspace uses to keep per-frame
-//! allocations at **zero after warm-up**:
+//! provides the primitive the workspace uses to keep per-frame allocations
+//! at **zero after warm-up**: [`ScratchVec`], a named, owned buffer that is
+//! cleared (capacity retained) at the start of each use and remembers its
+//! high-watermark length. Stateful hot-path structs (`codec::Encoder`, the
+//! session loop) hold these as fields.
 //!
-//! - [`ScratchVec`] — a named, owned buffer that is cleared (capacity
-//!   retained) at the start of each use and remembers its high-watermark
-//!   length. Stateful hot-path structs (`codec::Encoder`, the session
-//!   loop) hold these as fields.
-//! - [`Pool`] — a free-list of buffers for values that cross ownership
-//!   boundaries (e.g. per-cell bitstreams handed to a caller and returned
-//!   next frame). `take` hands out a cleared buffer reusing retired
-//!   capacity; `put` retires one back.
-//!
-//! Both report their high watermarks through [`crate::obs`] gauges (merged
-//! by maximum, so totals are thread-count-invariant) under the name given
-//! at construction — by convention `<layer>.scratch.<buffer>`. When
-//! tracing is off the reporting costs one relaxed atomic load.
+//! It reports its high watermark through a [`crate::obs`] gauge (merged by
+//! maximum, so totals are thread-count-invariant) under the name given at
+//! construction — by convention `<layer>.scratch.<buffer>`. When tracing is
+//! off the reporting costs one relaxed atomic load.
 //!
 //! The **zero steady-state allocation** contract is pinned by tests using
 //! the [`counting`] global allocator: warm the loop up once, snapshot
@@ -36,17 +30,6 @@
 //! }
 //! assert_eq!(points.high_watermark(), 100); // longest *completed* use
 //! assert!(points.get().len() == 200); // current contents still readable
-//! ```
-//!
-//! ```
-//! use volcast_util::scratch::Pool;
-//!
-//! let mut pool: Pool<u8> = Pool::new("doc.scratch.bitstreams");
-//! let mut a = pool.take();
-//! a.extend_from_slice(b"frame 0 cell 0");
-//! pool.put(a); // retired: its capacity backs the next take
-//! let b = pool.take();
-//! assert!(b.is_empty() && b.capacity() >= 14);
 //! ```
 
 use crate::obs;
@@ -106,77 +89,6 @@ impl<T> ScratchVec<T> {
     /// Current reserved capacity.
     pub fn capacity(&self) -> usize {
         self.buf.capacity()
-    }
-}
-
-/// A free-list of reusable `Vec<T>` buffers for values that cross
-/// ownership boundaries.
-///
-/// Unlike [`ScratchVec`] (one buffer, one owner), a pool hands buffers
-/// *out*: `take` transfers ownership to the caller, `put` retires a
-/// buffer's capacity back for the next `take`. The pool never shrinks on
-/// its own; it converges on the steady-state working set.
-#[derive(Debug)]
-pub struct Pool<T> {
-    /// Gauge name reported to [`obs`].
-    name: &'static str,
-    free: Vec<Vec<T>>,
-    /// Largest retired-buffer length seen.
-    high_len: usize,
-    /// Buffers created because the free list was empty.
-    misses: usize,
-}
-
-impl<T> Pool<T> {
-    /// Creates an empty pool reporting under `name`.
-    pub fn new(name: &'static str) -> Self {
-        Pool {
-            name,
-            free: Vec::new(),
-            high_len: 0,
-            misses: 0,
-        }
-    }
-
-    /// Hands out an empty buffer, reusing retired capacity (LIFO — the
-    /// most recently retired buffer is cache- and size-warmest).
-    #[inline]
-    pub fn take(&mut self) -> Vec<T> {
-        match self.free.pop() {
-            Some(buf) => buf,
-            None => {
-                self.misses += 1;
-                Vec::new()
-            }
-        }
-    }
-
-    /// Retires a buffer: clears it (dropping its elements, keeping its
-    /// capacity) and makes it available to the next [`Pool::take`].
-    #[inline]
-    pub fn put(&mut self, mut buf: Vec<T>) {
-        self.high_len = self.high_len.max(buf.len());
-        if obs::enabled() {
-            obs::gauge(self.name, self.high_len as f64);
-        }
-        buf.clear();
-        self.free.push(buf);
-    }
-
-    /// Longest buffer length seen at retirement.
-    pub fn high_watermark(&self) -> usize {
-        self.high_len
-    }
-
-    /// Number of `take` calls that had to create a fresh buffer. In an
-    /// allocation-free steady state this stops growing after warm-up.
-    pub fn misses(&self) -> usize {
-        self.misses
-    }
-
-    /// Buffers currently retired and available.
-    pub fn available(&self) -> usize {
-        self.free.len()
     }
 }
 
@@ -273,30 +185,6 @@ mod tests {
         assert_eq!(s.get().len(), 11);
         s.begin();
         assert_eq!(s.high_watermark(), 500);
-    }
-
-    #[test]
-    fn pool_recycles_lifo_and_counts_misses() {
-        let mut p: Pool<u8> = Pool::new("test.scratch.pool");
-        let mut a = p.take();
-        assert_eq!(p.misses(), 1);
-        a.extend_from_slice(&[1, 2, 3]);
-        let a_cap = a.capacity();
-        p.put(a);
-        assert_eq!(p.high_watermark(), 3);
-        assert_eq!(p.available(), 1);
-        let b = p.take();
-        assert_eq!(p.misses(), 1, "reuse is not a miss");
-        assert!(b.is_empty());
-        assert!(b.capacity() >= a_cap.min(3));
-        p.put(b);
-        // LIFO: last retired comes back first.
-        let mut big = p.take();
-        big.resize(1000, 0);
-        p.put(big);
-        let c = p.take();
-        assert!(c.capacity() >= 1000);
-        assert_eq!(p.high_watermark(), 1000);
     }
 
     #[test]

@@ -125,4 +125,23 @@ echo "==> benchmark smoke (builds benchmark/ against crates/*, self-tests, tiny 
 # tracing changes nothing, conservation) and exits non-zero on a failure.
 sh benchmark/run.sh --smoke > /dev/null
 
+echo "==> codec workloads at full size: outcome hashes pinned"
+# Both wire formats end to end at the sizes the benchmark measures (one
+# untraced pass each): VOCT at the ladder's bottom and top rungs, VLYR
+# through encode, parity, repair and decode. A byte of either bitstream
+# cannot move without failing here.
+for pin in codec_ladder:0x2b14ffb0f4cb7cda codec_layered:0x921a62684d40c0af; do
+    workload="${pin%%:*}"
+    want="${pin##*:}"
+    pass="$(sh benchmark/run.sh --workload "$workload" --seed 42 --seconds 1 --trace 0 2>&1)"
+    case "$pass" in
+        *"outcome_hash $want"*) ;;
+        *)
+            echo "ERROR: $workload outcome hash drifted (expected $want):" >&2
+            echo "$pass" | grep outcome_hash >&2
+            exit 1
+            ;;
+    esac
+done
+
 echo "verify: all checks passed"
