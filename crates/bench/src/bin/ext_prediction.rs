@@ -69,15 +69,14 @@ fn main() {
         let mut t_sum = 0.0;
         let mut r_sum = 0.0;
         let mut count = 0usize;
+        let mut pred = Vec::new();
         for f in 0..frames {
-            if let Some(pred) = jp.predict_frame(h) {
-                if f + h - 1 < frames {
-                    for (i, &u) in users.iter().enumerate() {
-                        let truth = ctx.study.traces[u].pose(f - 1 + h);
-                        t_sum += (pred[i].position - truth.position).norm();
-                        r_sum += pred[i].orientation.angle_to(truth.orientation);
-                        count += 1;
-                    }
+            if f + h - 1 < frames && jp.predict_frame_into(h, &mut pred) {
+                for (i, &u) in users.iter().enumerate() {
+                    let truth = ctx.study.traces[u].pose(f - 1 + h);
+                    t_sum += (pred[i].position - truth.position).norm();
+                    r_sum += pred[i].orientation.angle_to(truth.orientation);
+                    count += 1;
                 }
             }
             let poses: Vec<_> = users.iter().map(|&u| ctx.study.traces[u].pose(f)).collect();

@@ -1,15 +1,14 @@
 //! Shared harness utilities for the experiment binaries.
 //!
 //! Every table and figure of the paper has a binary in `src/bin/` that
-//! regenerates it (see `DESIGN.md` §3 for the index). This library holds
+//! regenerates it (see `EXPERIMENTS.md` for the index). This library holds
 //! the pieces they share: the standard experiment context (user study,
 //! channel, codebook), CDF helpers, and table formatting.
 //!
 //! ```
-//! use volcast_bench::{cdf, quantile};
+//! use volcast_bench::{cdf_at, quantile};
 //!
-//! let c = cdf(vec![3.0, 1.0, 2.0]);
-//! assert_eq!(c.first(), Some(&(1.0, 1.0 / 3.0)));
+//! assert_eq!(cdf_at(&[1.0, 2.0, 3.0, 4.0], 2.0), 0.5);
 //! assert_eq!(quantile(&[1.0, 2.0, 3.0, 4.0], 1.0), 4.0);
 //! ```
 
@@ -136,18 +135,6 @@ fn exit_usage(error: &str, usage: &str) -> ! {
     std::process::exit(2)
 }
 
-/// Empirical CDF: returns sorted samples paired with cumulative fractions.
-pub fn cdf(mut samples: Vec<f64>) -> Vec<(f64, f64)> {
-    samples.retain(|s| s.is_finite());
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let n = samples.len();
-    samples
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| (s, (i + 1) as f64 / n as f64))
-        .collect()
-}
-
 /// The CDF value at `x`: fraction of samples <= x.
 pub fn cdf_at(samples: &[f64], x: f64) -> f64 {
     if samples.is_empty() {
@@ -213,14 +200,6 @@ pub fn combinations(n: usize, k: usize) -> Vec<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cdf_is_monotone() {
-        let c = cdf(vec![3.0, 1.0, 2.0]);
-        assert_eq!(c.len(), 3);
-        assert_eq!(c[0], (1.0, 1.0 / 3.0));
-        assert_eq!(c[2], (3.0, 1.0));
-    }
 
     #[test]
     fn cdf_at_values() {

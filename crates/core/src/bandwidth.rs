@@ -67,11 +67,6 @@ impl BandwidthPredictor {
         self.link.observe(rss_dbm);
     }
 
-    /// The smoothed application-layer throughput, if any samples arrived.
-    pub fn app_throughput_mbps(&self) -> Option<f64> {
-        self.ewma_mbps
-    }
-
     /// Cross-layer bandwidth prediction (Mbps).
     ///
     /// Base: the application-layer EWMA (or, cold-start, the current PHY
@@ -103,21 +98,6 @@ impl BandwidthPredictor {
         self.ewma_mbps.unwrap_or(inputs.current_phy_rate_mbps * 0.5)
     }
 }
-
-// JSON serialization (replaces the former serde derives; see volcast-util).
-volcast_util::impl_json_struct!(CrossLayerInputs {
-    measured_throughput_mbps,
-    buffer_frames,
-    blockage_forecast,
-    predicted_phy_rate_mbps,
-    current_phy_rate_mbps
-});
-volcast_util::impl_json_struct!(BandwidthPredictor {
-    alpha,
-    blockage_discount,
-    ewma_mbps,
-    link
-});
 
 #[cfg(test)]
 mod tests {
@@ -153,7 +133,6 @@ mod tests {
         let p = warmed();
         let est = p.predict_mbps(&inputs(2502.5, 2502.5, false));
         assert!((est - 1000.0).abs() < 1.0);
-        assert!((p.app_throughput_mbps().unwrap() - 1000.0).abs() < 1e-6);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Campus-scale sharded simulation with roaming AP handoff (ROADMAP
-//! item 1; DESIGN.md §12, hot path §15).
+//! item 1; DESIGN.md §4).
 //!
 //! The paper evaluates one room with one AP. A *campus* scales the world
 //! out: a `grid_w x grid_h` grid of identical rooms, each room an
@@ -24,7 +24,7 @@
 //!    AP by RSS and admit arrivals as singleton groups, which then merge
 //!    into under-capacity groups on the same AP.
 //!
-//! # The hot path (DESIGN.md §15)
+//! # The hot path
 //!
 //! Everything inside an epoch is epoch-invariant except the per-frame
 //! fault masks, so each room owns a persistent `RoomSlot` arena:

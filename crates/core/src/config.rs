@@ -54,17 +54,6 @@ impl SystemConfig {
     }
 }
 
-// JSON serialization (replaces the former serde derives; see volcast-util).
-volcast_util::impl_json_struct!(SystemConfig {
-    target_fps,
-    cell_size,
-    prediction_horizon,
-    predictor_window,
-    min_merge_iou,
-    intrinsics,
-    buffer_capacity_frames
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

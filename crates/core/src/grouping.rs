@@ -262,19 +262,6 @@ impl GroupPlanner {
     }
 }
 
-// JSON serialization (replaces the former serde derives; see volcast-util).
-volcast_util::impl_json_struct!(Group {
-    members,
-    multicast_bytes,
-    multicast_rate_mbps,
-    iou
-});
-volcast_util::impl_json_struct!(GroupPlan {
-    groups,
-    estimated_time_s,
-    feasible
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

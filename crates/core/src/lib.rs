@@ -65,8 +65,6 @@ pub use mitigation::{BlockageMitigator, MitigationAction, MitigationMode};
 pub use multi_ap::EpochCoordinator;
 pub use player::{max_sustainable_fps, PlayerKind};
 pub use qoe::{QoeReport, UserQoe};
-pub use rate_adapt::{
-    AbrPolicy, DeliveryDecision, Distress, FecRung, GroupState, RateAction, RateAdapter,
-};
+pub use rate_adapt::{AbrPolicy, DeliveryDecision, Distress, FecRung, GroupState, RateAdapter};
 pub use server::{ClientOutcome, ServerOutcome, ServerParams, SessionServer};
 pub use session::{DeliveryMode, RadioKind, SessionOutcome, SessionParams, StreamingSession};

@@ -89,17 +89,10 @@ impl BlockageMitigator {
     /// Turns forecast events into actions. In reactive mode only events
     /// with `onset_frames == 0` (already happening) produce actions — a
     /// reactive system cannot act on the future.
-    pub fn plan(&self, events: &[BlockageEvent]) -> Vec<MitigationAction> {
-        let mut out = Vec::new();
-        self.plan_into(events, &mut out);
-        out
-    }
-
-    /// [`BlockageMitigator::plan`], writing into a caller-owned vector.
     ///
-    /// The vector is cleared and refilled; per-frame callers (the session
-    /// hot path) reuse one buffer across frames so steady-state planning
-    /// does not touch the allocator.
+    /// `out` is cleared and refilled; per-frame callers (the session hot
+    /// path) reuse one buffer across frames so steady-state planning does
+    /// not touch the allocator.
     pub fn plan_into(&self, events: &[BlockageEvent], out: &mut Vec<MitigationAction>) {
         out.clear();
         out.extend(
@@ -121,25 +114,6 @@ impl BlockageMitigator {
         );
     }
 }
-
-// JSON serialization (replaces the former serde derives; see volcast-util).
-volcast_util::impl_json_enum!(MitigationMode {
-    Reactive,
-    Proactive
-});
-volcast_util::impl_json_struct!(MitigationAction {
-    user,
-    onset_frames,
-    prefetch_frames,
-    beam_outage_s
-});
-volcast_util::impl_json_struct!(BlockageMitigator {
-    mode,
-    beam_search,
-    codebook_sectors,
-    proactive_candidates,
-    prefetch_frames
-});
 
 #[cfg(test)]
 mod tests {
@@ -167,10 +141,16 @@ mod tests {
         assert!(p.beam_outage_s() < r.beam_outage_s() / 4.0);
     }
 
+    fn plan(m: &BlockageMitigator, events: &[BlockageEvent]) -> Vec<MitigationAction> {
+        let mut out = Vec::new();
+        m.plan_into(events, &mut out);
+        out
+    }
+
     #[test]
     fn reactive_ignores_future_events() {
         let m = BlockageMitigator::new(MitigationMode::Reactive);
-        let actions = m.plan(&[event(0, 5), event(1, 0)]);
+        let actions = plan(&m, &[event(0, 5), event(1, 0)]);
         assert_eq!(actions.len(), 1);
         assert_eq!(actions[0].user, 1);
         assert_eq!(actions[0].prefetch_frames, 0);
@@ -179,7 +159,7 @@ mod tests {
     #[test]
     fn proactive_acts_on_forecasts_with_prefetch() {
         let m = BlockageMitigator::new(MitigationMode::Proactive);
-        let actions = m.plan(&[event(0, 5), event(1, 0)]);
+        let actions = plan(&m, &[event(0, 5), event(1, 0)]);
         assert_eq!(actions.len(), 2);
         assert!(actions.iter().all(|a| a.prefetch_frames == 8));
         // Onsets pass through from the events.
@@ -191,19 +171,19 @@ mod tests {
     fn proactive_switch_cost_beats_reactive() {
         let r = BlockageMitigator::new(MitigationMode::Reactive);
         let p = BlockageMitigator::new(MitigationMode::Proactive);
-        let ra = r.plan(&[event(0, 0)])[0];
-        let pa = p.plan(&[event(0, 0)])[0];
+        let ra = plan(&r, &[event(0, 0)])[0];
+        let pa = plan(&p, &[event(0, 0)])[0];
         assert!(pa.beam_outage_s < ra.beam_outage_s);
     }
 
     #[test]
     fn no_events_no_actions() {
         let m = BlockageMitigator::new(MitigationMode::Proactive);
-        assert!(m.plan(&[]).is_empty());
+        assert!(plan(&m, &[]).is_empty());
     }
 
     #[test]
-    fn plan_into_matches_plan_and_clears_stale_entries() {
+    fn plan_into_clears_stale_entries() {
         let events = [event(0, 5), event(1, 0), event(2, 3)];
         let mut out = Vec::new();
         for mode in [MitigationMode::Reactive, MitigationMode::Proactive] {
@@ -216,7 +196,7 @@ mod tests {
                 beam_outage_s: 9.9,
             });
             m.plan_into(&events, &mut out);
-            assert_eq!(out, m.plan(&events));
+            assert!(out.iter().all(|a| a.user < 3), "{mode:?}: stale entry kept");
         }
     }
 }

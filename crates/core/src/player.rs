@@ -55,13 +55,6 @@ pub fn max_sustainable_fps(
     network_fps.min(decode_fps).min(display_cap_fps)
 }
 
-// JSON serialization (replaces the former serde derives; see volcast-util).
-volcast_util::impl_json_enum!(PlayerKind {
-    Vanilla,
-    Vivo,
-    Volcast
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,9 +7,9 @@
 //!   alone (the classic client-side baseline),
 //! - [`AbrPolicy::ThroughputOnly`]: quality from the throughput EWMA,
 //! - [`AbrPolicy::CrossLayer`]: quality from the cross-layer bandwidth
-//!   prediction, plus *reactions* — prefetch for users with predicted
-//!   bandwidth dips, regrouping when viewports drifted, proactive beam
-//!   switching ahead of forecast blockages.
+//!   prediction. The paper's *reactions* to a forecast dip (prefetch,
+//!   proactive beam switch, regroup) are realised where they act:
+//!   [`crate::BlockageMitigator`] and the session's outage severing.
 //!
 //! Callers do not sequence ABR choice, distress clamping, and FEC rungs by
 //! hand: [`RateAdapter::plan_delivery`] folds all three into one
@@ -31,25 +31,6 @@ pub enum AbrPolicy {
     ThroughputOnly,
     /// The paper's cross-layer scheme.
     CrossLayer,
-}
-
-/// A reaction the adapter may request alongside the quality decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RateAction {
-    /// Prefetch future frames for this user while bandwidth lasts.
-    Prefetch {
-        /// User to prefetch for.
-        user: usize,
-        /// How many extra frames to push.
-        frames: usize,
-    },
-    /// Re-run multicast grouping (viewport overlap changed).
-    Regroup,
-    /// Proactively steer this user's beam before a forecast blockage.
-    BeamSwitch {
-        /// Affected user.
-        user: usize,
-    },
 }
 
 /// One user's standing in the delivery group when a frame is planned — the
@@ -133,15 +114,6 @@ impl FecRung {
             FecRung::Half => 0.5,
         }
     }
-
-    /// Payload chunks per parity group (0 = FEC disabled).
-    pub fn group_chunks(&self) -> usize {
-        match self {
-            FecRung::Off => 0,
-            FecRung::Quarter => 4,
-            FecRung::Half => 2,
-        }
-    }
 }
 
 /// The unified per-user delivery decision: what quality to build, how many
@@ -161,8 +133,6 @@ pub struct DeliveryDecision {
     /// The ABR target *before* distress clamping — callers compare against
     /// [`DeliveryDecision::quality`] to count degradation clamps.
     pub target_quality: QualityLevel,
-    /// Requested reactions (prefetch, regroup, beam switch).
-    pub actions: Vec<RateAction>,
 }
 
 impl DeliveryDecision {
@@ -194,8 +164,6 @@ pub struct RateAdapter {
     pub buffer_low: f64,
     /// Buffer level above which BufferOnly dares High.
     pub buffer_high: f64,
-    /// Blockage-driven prefetch depth (frames).
-    pub prefetch_frames: usize,
 }
 
 impl RateAdapter {
@@ -208,7 +176,6 @@ impl RateAdapter {
             safety: 0.85,
             buffer_low: 3.0,
             buffer_high: 7.0,
-            prefetch_frames: 4,
         }
     }
 
@@ -230,10 +197,7 @@ impl RateAdapter {
     /// distress — one rung *before* the ladder's budgeted-retransmit step,
     /// so single erasures stop costing retransmit airtime.
     pub fn plan_delivery(&self, group: &GroupState<'_>, distress: &Distress) -> DeliveryDecision {
-        let (target, actions) = match group.fixed {
-            Some(q) => (q, Vec::new()),
-            None => self.target_quality(group),
-        };
+        let target = group.fixed.unwrap_or_else(|| self.target_quality(group));
         let clamped = self.degrade(target, distress.level);
         if !group.layered {
             return DeliveryDecision {
@@ -241,7 +205,6 @@ impl RateAdapter {
                 enhancements: 0,
                 fec: FecRung::Off,
                 target_quality: target,
-                actions,
             };
         }
         let fec = match distress.level {
@@ -254,12 +217,11 @@ impl RateAdapter {
             enhancements: self.ladder.enhancement_layers(clamped) as u8,
             fec,
             target_quality: target,
-            actions,
         }
     }
 
-    /// The ABR rung: picks the target quality + reactions for one user.
-    fn target_quality(&self, group: &GroupState<'_>) -> (QualityLevel, Vec<RateAction>) {
+    /// The ABR rung: picks the target quality for one user.
+    fn target_quality(&self, group: &GroupState<'_>) -> QualityLevel {
         let GroupState {
             user,
             inputs,
@@ -268,9 +230,7 @@ impl RateAdapter {
             ..
         } = *group;
         let predictor = &self.predictors[user];
-        let mut actions = Vec::new();
-
-        let quality = match self.policy {
+        match self.policy {
             AbrPolicy::BufferOnly => {
                 if inputs.buffer_frames < self.buffer_low {
                     QualityLevel::Low
@@ -288,28 +248,9 @@ impl RateAdapter {
             AbrPolicy::CrossLayer => {
                 let budget = predictor.predict_mbps(inputs) * self.safety * share
                     / needed_fraction.max(0.05);
-                let q = self.ladder.best_within(budget).unwrap_or(QualityLevel::Low);
-                if inputs.blockage_forecast {
-                    // Paper's reactions: prefetch ahead of the dip and
-                    // steer to a reflected path proactively.
-                    actions.push(RateAction::Prefetch {
-                        user,
-                        frames: self.prefetch_frames,
-                    });
-                    actions.push(RateAction::BeamSwitch { user });
-                }
-                // A big gap between predicted and current PHY rate means
-                // the geometry changed: regroup.
-                if inputs.current_phy_rate_mbps > 0.0
-                    && (inputs.predicted_phy_rate_mbps / inputs.current_phy_rate_mbps - 1.0).abs()
-                        > 0.3
-                {
-                    actions.push(RateAction::Regroup);
-                }
-                q
+                self.ladder.best_within(budget).unwrap_or(QualityLevel::Low)
             }
-        };
-        (quality, actions)
+        }
     }
 
     /// The graceful-degradation rung of the ladder: clamps a decided
@@ -325,22 +266,6 @@ impl RateAdapter {
         }
     }
 }
-
-// JSON serialization (replaces the former serde derives; see volcast-util).
-volcast_util::impl_json_enum!(AbrPolicy {
-    BufferOnly,
-    ThroughputOnly,
-    CrossLayer
-});
-volcast_util::impl_json_enum!(RateAction { Prefetch { user, frames }, Regroup, BeamSwitch { user } });
-volcast_util::impl_json_enum!(FecRung { Off, Quarter, Half });
-volcast_util::impl_json_struct!(DeliveryDecision {
-    base_quality,
-    enhancements,
-    fec,
-    target_quality,
-    actions
-});
 
 #[cfg(test)]
 mod tests {
@@ -428,26 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn blockage_forecast_triggers_reactions() {
-        let a = warmed(AbrPolicy::CrossLayer, 1000.0);
-        let d = plan(&a, 1, &inputs(5.0, 2502.5, 2502.5, true), 1.0, 1.0);
-        assert!(d
-            .actions
-            .iter()
-            .any(|x| matches!(x, RateAction::Prefetch { user: 1, .. })));
-        assert!(d.actions.contains(&RateAction::BeamSwitch { user: 1 }));
-    }
-
-    #[test]
-    fn geometry_shift_triggers_regroup() {
-        let a = warmed(AbrPolicy::CrossLayer, 1000.0);
-        let d = plan(&a, 0, &inputs(5.0, 1000.0, 2000.0, false), 1.0, 1.0);
-        assert!(d.actions.contains(&RateAction::Regroup));
-        let stable = plan(&a, 0, &inputs(5.0, 1000.0, 1000.0, false), 1.0, 1.0);
-        assert!(!stable.actions.contains(&RateAction::Regroup));
-    }
-
-    #[test]
     fn distress_saturates_and_matches_the_ladder_arithmetic() {
         let mut d = Distress::calm();
         d.relax();
@@ -527,15 +432,6 @@ mod tests {
     }
 
     #[test]
-    fn non_cross_layer_policies_emit_no_actions() {
-        for policy in [AbrPolicy::BufferOnly, AbrPolicy::ThroughputOnly] {
-            let a = warmed(policy, 1000.0);
-            let d = plan(&a, 0, &inputs(1.0, 100.0, 50.0, true), 1.0, 1.0);
-            assert!(d.actions.is_empty());
-        }
-    }
-
-    #[test]
     fn layered_plans_split_base_and_enhancements() {
         let a = warmed(AbrPolicy::CrossLayer, 1000.0);
         let i = inputs(5.0, 2502.5, 2502.5, false);
@@ -581,8 +477,5 @@ mod tests {
         assert_eq!(FecRung::Off.overhead(), 0.0);
         assert_eq!(FecRung::Quarter.overhead(), 0.25);
         assert_eq!(FecRung::Half.overhead(), 0.5);
-        assert_eq!(FecRung::Off.group_chunks(), 0);
-        assert_eq!(FecRung::Quarter.group_chunks(), 4);
-        assert_eq!(FecRung::Half.group_chunks(), 2);
     }
 }

@@ -39,7 +39,7 @@
 //!
 //! An outage fault disconnects the client mid-chunk; the partially sent
 //! chunk restarts from byte zero after `reconnect_ticks` (the wire format
-//! is length-prefixed, not resumable mid-chunk — see DESIGN §14). Loss
+//! is length-prefixed, not resumable mid-chunk — see DESIGN.md §5). Loss
 //! faults burn the tick's bytes without crediting progress (reorder-free
 //! loss: the bytes are re-sent). An AP stall freezes every transfer. A
 //! decode-overrun fault defers a delivered frame's completion to the next
@@ -476,9 +476,7 @@ impl SessionServer {
                         fec_shield = in_flight_parity > 0;
                     }
                 }
-                if layers > 1 {
-                    distress.raise(2);
-                }
+                distress.raise(2);
                 if phase == Phase::Manifest {
                     manifest_left = manifest_bytes;
                 }
@@ -583,9 +581,7 @@ impl SessionServer {
                                 distress.raise(1);
                                 left - sent
                             } else {
-                                if layers > 1 {
-                                    distress.raise(2);
-                                }
+                                distress.raise(2);
                                 left
                             }
                         } else {
@@ -603,12 +599,10 @@ impl SessionServer {
                             let published = frame as u64 * fi;
                             out.delivered += 1;
                             out.latencies_ms.push((done - published) as u32);
-                            if layers > 1 {
-                                if in_flight_layers < layers {
-                                    out.partial_frames += 1;
-                                }
-                                distress.relax();
+                            if in_flight_layers < layers {
+                                out.partial_frames += 1;
                             }
+                            distress.relax();
                             in_flight = None;
                         } else {
                             in_flight = Some((frame, left));
@@ -828,6 +822,32 @@ mod tests {
         set_thread_count(4);
         assert_eq!(serial, parallel);
         assert_ne!(serial.outcome_hash, 0);
+    }
+
+    #[test]
+    fn server_outcome_hashes_are_pinned() {
+        // One legacy and one 3-layer stream under every fault class, both
+        // hashes taken at 9988f78: `simulate_client` cannot drift unseen.
+        let traces = UserStudy::generate_with(5, 16, 2, 2).traces;
+        let params = ServerParams {
+            faults: FaultConfig::from_spec(
+                "seed=9,outage=0.05:3,loss=0.1,stall=0.02:2,decode=0.05",
+            )
+            .unwrap(),
+            ..tiny_params()
+        };
+        for (stream, want) in [
+            (tiny_stream(16, 2_000), 0x68af_35c8_cd65_fbdc_u64),
+            (layered_stream(16, 1_500, 3), 0x4484_2c14_7496_d42e_u64),
+        ] {
+            let srv = SessionServer::new(params, stream, traces.clone()).unwrap();
+            for threads in [1, 8] {
+                set_thread_count(threads);
+                let got = srv.run().unwrap().outcome_hash;
+                assert_eq!(got, want, "{got:#018x} at {threads} threads");
+            }
+        }
+        set_thread_count(4);
     }
 
     #[test]

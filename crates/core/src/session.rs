@@ -1581,23 +1581,6 @@ pub fn quick_session_with_device(
 }
 
 // JSON serialization (replaces the former serde derives; see volcast-util).
-volcast_util::impl_json_enum!(RadioKind { MmWave, Wifi5 });
-volcast_util::impl_json_enum!(DeliveryMode { Single, Layered });
-volcast_util::impl_json_struct!(SessionParams {
-    config,
-    player,
-    abr,
-    mitigation,
-    fixed_quality,
-    frames,
-    analysis_points,
-    custom_beams,
-    use_prediction,
-    body_blockage,
-    radio,
-    faults,
-    delivery
-});
 volcast_util::impl_json_struct!(SessionOutcome {
     qoe,
     mean_frame_time_s,

@@ -67,15 +67,6 @@ impl Aabb {
         }
     }
 
-    /// Radius of the bounding sphere centered at [`Aabb::center`].
-    pub fn bounding_radius(&self) -> f64 {
-        if self.is_empty() {
-            0.0
-        } else {
-            self.half_extent().norm()
-        }
-    }
-
     /// `true` when `p` lies inside or on the boundary.
     pub fn contains(&self, p: Vec3) -> bool {
         p.x >= self.min.x
@@ -152,9 +143,6 @@ impl Aabb {
     }
 }
 
-// JSON serialization (replaces the former serde derives; see volcast-util).
-volcast_util::impl_json_struct!(Aabb { min, max });
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,7 +161,6 @@ mod tests {
         assert_eq!(e.volume(), 0.0);
         assert!(!e.contains(Vec3::ZERO));
         assert!(!e.intersects(&Aabb::new(Vec3::ZERO, Vec3::splat(1.0))));
-        assert_eq!(e.bounding_radius(), 0.0);
     }
 
     #[test]

@@ -18,8 +18,6 @@ pub struct Complex {
 impl Complex {
     /// Zero.
     pub const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
-    /// One.
-    pub const ONE: Complex = Complex { re: 1.0, im: 0.0 };
     /// The imaginary unit.
     pub const I: Complex = Complex { re: 0.0, im: 1.0 };
 
@@ -166,9 +164,6 @@ impl std::fmt::Display for Complex {
         }
     }
 }
-
-// JSON serialization (replaces the former serde derives; see volcast-util).
-volcast_util::impl_json_struct!(Complex { re, im });
 
 #[cfg(test)]
 mod tests {

@@ -84,32 +84,7 @@ impl Frustum {
     pub fn intersects_aabb(&self, b: &Aabb) -> bool {
         self.planes.iter().all(|pl| pl.aabb_on_positive_side(b))
     }
-
-    /// Sphere test with the same conservative semantics.
-    pub fn intersects_sphere(&self, center: Vec3, radius: f64) -> bool {
-        self.planes
-            .iter()
-            .all(|pl| pl.signed_distance(center) >= -radius)
-    }
-
-    /// Distance from the apex to a point (used by distance-based LOD).
-    pub fn distance_to(&self, p: Vec3) -> f64 {
-        self.origin.distance(p)
-    }
 }
-
-// JSON serialization (replaces the former serde derives; see volcast-util).
-volcast_util::impl_json_struct!(Frustum {
-    planes,
-    origin,
-    direction
-});
-volcast_util::impl_json_struct!(CameraIntrinsics {
-    fov_y,
-    aspect,
-    near,
-    far
-});
 
 #[cfg(test)]
 mod tests {
@@ -190,16 +165,6 @@ mod tests {
         let f = Frustum::from_pose(&pose, &CameraIntrinsics::default());
         assert!(f.contains_point(Vec3::new(0.0, 0.0, 5.0)));
         assert!(!f.contains_point(Vec3::new(0.0, 0.0, 15.0)));
-        assert!((f.distance_to(Vec3::new(0.0, 0.0, 5.0)) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sphere_tests() {
-        let f = default_frustum();
-        assert!(f.intersects_sphere(Vec3::new(0.0, 0.0, -5.0), 0.1));
-        assert!(!f.intersects_sphere(Vec3::new(0.0, 0.0, 5.0), 0.5));
-        // Sphere outside but overlapping the boundary.
-        assert!(f.intersects_sphere(Vec3::new(0.0, 1.0, -1.0), 0.6));
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub use complex::Complex;
 pub use frustum::{CameraIntrinsics, Frustum};
 pub use mat3::Mat3;
 pub use plane::Plane;
-pub use pose::{Pose, PoseDelta, SixDof};
+pub use pose::{Pose, SixDof};
 pub use quat::Quat;
 pub use ray::Ray;
 pub use spherical::Spherical;

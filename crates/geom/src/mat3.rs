@@ -40,45 +40,6 @@ impl Mat3 {
         Vec3::new(self.m[0][c], self.m[1][c], self.m[2][c])
     }
 
-    /// Matrix transpose.
-    pub fn transpose(&self) -> Mat3 {
-        let m = &self.m;
-        Mat3::new([
-            [m[0][0], m[1][0], m[2][0]],
-            [m[0][1], m[1][1], m[2][1]],
-            [m[0][2], m[1][2], m[2][2]],
-        ])
-    }
-
-    /// Determinant.
-    pub fn det(&self) -> f64 {
-        let m = &self.m;
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    }
-
-    /// Matrix inverse; `None` when singular.
-    pub fn inverse(&self) -> Option<Mat3> {
-        let d = self.det();
-        if d.abs() < 1e-12 {
-            return None;
-        }
-        let m = &self.m;
-        let inv_d = 1.0 / d;
-        let mut out = [[0.0; 3]; 3];
-        out[0][0] = (m[1][1] * m[2][2] - m[1][2] * m[2][1]) * inv_d;
-        out[0][1] = (m[0][2] * m[2][1] - m[0][1] * m[2][2]) * inv_d;
-        out[0][2] = (m[0][1] * m[1][2] - m[0][2] * m[1][1]) * inv_d;
-        out[1][0] = (m[1][2] * m[2][0] - m[1][0] * m[2][2]) * inv_d;
-        out[1][1] = (m[0][0] * m[2][2] - m[0][2] * m[2][0]) * inv_d;
-        out[1][2] = (m[0][2] * m[1][0] - m[0][0] * m[1][2]) * inv_d;
-        out[2][0] = (m[1][0] * m[2][1] - m[1][1] * m[2][0]) * inv_d;
-        out[2][1] = (m[0][1] * m[2][0] - m[0][0] * m[2][1]) * inv_d;
-        out[2][2] = (m[0][0] * m[1][1] - m[0][1] * m[1][0]) * inv_d;
-        Some(Mat3::new(out))
-    }
-
     /// Converts an orthonormal rotation matrix to a quaternion.
     pub fn to_quat(&self) -> Quat {
         let m = &self.m;
@@ -141,13 +102,15 @@ impl Mul for Mat3 {
     }
 }
 
-// JSON serialization (replaces the former serde derives; see volcast-util).
-volcast_util::impl_json_struct!(Mat3 { m });
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::approx_eq;
+
+    /// The rotation matrix of `q`: its columns are the rotated basis.
+    fn rotation(q: Quat) -> Mat3 {
+        let (x, y, z) = (q.rotate(Vec3::X), q.rotate(Vec3::Y), q.rotate(Vec3::Z));
+        Mat3::new([[x.x, y.x, z.x], [x.y, y.y, z.y], [x.z, y.z, z.z]])
+    }
 
     #[test]
     fn identity_multiplication() {
@@ -159,37 +122,12 @@ mod tests {
     }
 
     #[test]
-    fn determinant_and_inverse() {
-        let m = Mat3::new([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 10.0]]);
-        assert!(approx_eq(m.det(), -3.0, 1e-12));
-        let inv = m.inverse().unwrap();
-        let prod = m * inv;
-        for i in 0..3 {
-            for j in 0..3 {
-                let want = if i == j { 1.0 } else { 0.0 };
-                assert!(approx_eq(prod.m[i][j], want, 1e-9));
-            }
-        }
-    }
-
-    #[test]
-    fn singular_matrix_has_no_inverse() {
-        let m = Mat3::new([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 0.0]]);
-        assert!(m.inverse().is_none());
-    }
-
-    #[test]
-    fn transpose_is_involution() {
-        let m = Mat3::new([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]);
-        assert_eq!(m.transpose().transpose(), m);
-        assert_eq!(m.transpose().m[0][1], 4.0);
-    }
-
-    #[test]
     fn quat_round_trip_through_matrix() {
         let q = Quat::from_yaw_pitch_roll(0.3, -0.7, 1.1);
-        let q2 = q.to_mat3().to_quat();
-        assert!(q.angle_to(q2) < 1e-9);
+        let m = rotation(q);
+        let v = Vec3::new(-0.5, 2.0, 0.25);
+        assert!((m * v - q.rotate(v)).norm() < 1e-12);
+        assert!(q.angle_to(m.to_quat()) < 1e-9);
     }
 
     #[test]
@@ -197,7 +135,7 @@ mod tests {
         // Rotations by pi around each axis exercise the non-trace branches.
         for axis in [Vec3::X, Vec3::Y, Vec3::Z] {
             let q = Quat::from_axis_angle(axis, std::f64::consts::PI);
-            let q2 = q.to_mat3().to_quat();
+            let q2 = rotation(q).to_quat();
             assert!(q.angle_to(q2) < 1e-9, "axis {axis}");
         }
     }

@@ -52,9 +52,6 @@ impl Plane {
     }
 }
 
-// JSON serialization (replaces the former serde derives; see volcast-util).
-volcast_util::impl_json_struct!(Plane { normal, d });
-
 #[cfg(test)]
 mod tests {
     use super::*;

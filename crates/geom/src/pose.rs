@@ -50,24 +50,6 @@ impl Pose {
         self.orientation.rotate(Vec3::X)
     }
 
-    /// Interpolates position linearly and orientation by slerp.
-    pub fn interpolate(&self, other: &Pose, t: f64) -> Pose {
-        Pose {
-            position: self.position.lerp(other.position, t),
-            orientation: self.orientation.slerp(other.orientation, t),
-        }
-    }
-
-    /// Transforms a point from pose-local coordinates to world coordinates.
-    pub fn local_to_world(&self, p: Vec3) -> Vec3 {
-        self.orientation.rotate(p) + self.position
-    }
-
-    /// Transforms a world-space point into pose-local coordinates.
-    pub fn world_to_local(&self, p: Vec3) -> Vec3 {
-        self.orientation.conjugate().rotate(p - self.position)
-    }
-
     /// Converts to the 6-component vector `[x, y, z, yaw, pitch, roll]`
     /// used by the viewport predictors.
     pub fn to_sixdof(&self) -> SixDof {
@@ -98,43 +80,6 @@ impl Pose {
     }
 }
 
-/// The difference between two poses, used to express motion per tick.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct PoseDelta {
-    /// Translational displacement (meters).
-    pub translation: Vec3,
-    /// Rotational displacement as a quaternion (`to * from^-1`).
-    pub rotation: Quat,
-}
-
-impl PoseDelta {
-    /// Delta that carries `from` onto `to`.
-    pub fn between(from: &Pose, to: &Pose) -> PoseDelta {
-        PoseDelta {
-            translation: to.position - from.position,
-            rotation: to.orientation * from.orientation.conjugate(),
-        }
-    }
-
-    /// Applies this delta to a pose.
-    pub fn apply(&self, p: &Pose) -> Pose {
-        Pose {
-            position: p.position + self.translation,
-            orientation: (self.rotation * p.orientation).normalized(),
-        }
-    }
-
-    /// Magnitude of the translational part in meters.
-    pub fn translation_norm(&self) -> f64 {
-        self.translation.norm()
-    }
-
-    /// Magnitude of the rotational part in radians.
-    pub fn rotation_angle(&self) -> f64 {
-        self.rotation.angle()
-    }
-}
-
 /// A pose flattened to the `[x, y, z, yaw, pitch, roll]` parameterization.
 ///
 /// The viewport predictors (linear regression, MLP) operate on these six
@@ -146,9 +91,6 @@ pub struct SixDof {
 }
 
 impl SixDof {
-    /// Number of degrees of freedom.
-    pub const DIMS: usize = 6;
-
     /// Builds from raw components.
     pub fn new(v: [f64; 6]) -> Self {
         SixDof { v }
@@ -163,18 +105,6 @@ impl SixDof {
         }
         for i in 3..6 {
             out[i] = crate::normalize_angle(self.v[i] - other.v[i]);
-        }
-        SixDof { v: out }
-    }
-
-    /// Component-wise addition with angular wrap on the rotational part.
-    pub fn wrapped_add(&self, other: &SixDof) -> SixDof {
-        let mut out = [0.0; 6];
-        for i in 0..3 {
-            out[i] = self.v[i] + other.v[i];
-        }
-        for i in 3..6 {
-            out[i] = crate::normalize_angle(self.v[i] + other.v[i]);
         }
         SixDof { v: out }
     }
@@ -195,16 +125,10 @@ volcast_util::impl_json_struct!(Pose {
     position,
     orientation
 });
-volcast_util::impl_json_struct!(PoseDelta {
-    translation,
-    rotation
-});
-volcast_util::impl_json_struct!(SixDof { v });
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::f64::consts::FRAC_PI_2;
 
     fn assert_vec_eq(a: Vec3, b: Vec3, tol: f64) {
         assert!((a - b).norm() < tol, "{a} != {b}");
@@ -228,17 +152,6 @@ mod tests {
     }
 
     #[test]
-    fn local_world_round_trip() {
-        let p = Pose::new(
-            Vec3::new(1.0, 2.0, 3.0),
-            Quat::from_yaw_pitch_roll(0.5, -0.25, 0.1),
-        );
-        let local = Vec3::new(-0.4, 0.9, 2.2);
-        let w = p.local_to_world(local);
-        assert_vec_eq(p.world_to_local(w), local, 1e-12);
-    }
-
-    #[test]
     fn sixdof_round_trip() {
         let p = Pose::new(
             Vec3::new(0.5, 1.6, -2.0),
@@ -250,41 +163,12 @@ mod tests {
     }
 
     #[test]
-    fn delta_between_and_apply() {
-        let a = Pose::new(Vec3::new(0.0, 0.0, 0.0), Quat::IDENTITY);
-        let b = Pose::new(
-            Vec3::new(1.0, 0.0, -1.0),
-            Quat::from_axis_angle(Vec3::Y, FRAC_PI_2),
-        );
-        let d = PoseDelta::between(&a, &b);
-        let b2 = d.apply(&a);
-        assert_vec_eq(b2.position, b.position, 1e-12);
-        assert!(b2.orientation.angle_to(b.orientation) < 1e-9);
-        assert!((d.translation_norm() - 2f64.sqrt()).abs() < 1e-12);
-        assert!((d.rotation_angle() - FRAC_PI_2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn interpolate_midpoint() {
-        let a = Pose::new(Vec3::ZERO, Quat::IDENTITY);
-        let b = Pose::new(
-            Vec3::new(2.0, 0.0, 0.0),
-            Quat::from_axis_angle(Vec3::Y, 1.0),
-        );
-        let m = a.interpolate(&b, 0.5);
-        assert_vec_eq(m.position, Vec3::new(1.0, 0.0, 0.0), 1e-12);
-        assert!((m.orientation.angle_to(a.orientation) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn wrapped_angle_arithmetic() {
         let a = SixDof::new([0.0, 0.0, 0.0, 3.1, 0.0, 0.0]);
         let b = SixDof::new([0.0, 0.0, 0.0, -3.1, 0.0, 0.0]);
         // Wrapped difference crosses the +-pi boundary: |diff| is small.
         let d = a.wrapped_sub(&b);
         assert!(d.v[3].abs() < 0.1, "wrapped diff {}", d.v[3]);
-        let sum = b.wrapped_add(&d);
-        assert!((crate::normalize_angle(sum.v[3] - a.v[3])).abs() < 1e-9);
     }
 
     #[test]

@@ -177,28 +177,6 @@ impl Quat {
         (self.conjugate() * other).angle()
     }
 
-    /// Converts to a rotation matrix.
-    pub fn to_mat3(self) -> Mat3 {
-        let Quat { w, x, y, z } = self.normalized();
-        Mat3::new([
-            [
-                1.0 - 2.0 * (y * y + z * z),
-                2.0 * (x * y - w * z),
-                2.0 * (x * z + w * y),
-            ],
-            [
-                2.0 * (x * y + w * z),
-                1.0 - 2.0 * (x * x + z * z),
-                2.0 * (y * z - w * x),
-            ],
-            [
-                2.0 * (x * z - w * y),
-                2.0 * (y * z + w * x),
-                1.0 - 2.0 * (x * x + y * y),
-            ],
-        ])
-    }
-
     /// Builds an orientation whose `-Z` axis points along `dir` with `+Y`
     /// kept as close to `up` as possible (a "look-at" rotation).
     pub fn look_at(dir: Vec3, up: Vec3) -> Quat {
@@ -336,14 +314,6 @@ mod tests {
         assert!(approx_eq(Quat::IDENTITY.angle(), 0.0, 1e-9));
         let half = Quat::from_axis_angle(Vec3::X, PI);
         assert!(approx_eq(half.angle(), PI, 1e-9));
-    }
-
-    #[test]
-    fn mat3_conversion_matches_rotation() {
-        let q = Quat::from_yaw_pitch_roll(0.4, -0.8, 1.2);
-        let m = q.to_mat3();
-        let v = Vec3::new(-0.5, 2.0, 0.25);
-        assert_vec_eq(m * v, q.rotate(v), 1e-12);
     }
 
     #[test]

@@ -141,9 +141,6 @@ impl Ray {
     }
 }
 
-// JSON serialization (replaces the former serde derives; see volcast-util).
-volcast_util::impl_json_struct!(Ray { origin, direction });
-
 #[cfg(test)]
 mod tests {
     use super::*;

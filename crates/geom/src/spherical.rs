@@ -17,12 +17,6 @@ pub struct Spherical {
 }
 
 impl Spherical {
-    /// Boresight (azimuth 0, elevation 0).
-    pub const BORESIGHT: Spherical = Spherical {
-        azimuth: 0.0,
-        elevation: 0.0,
-    };
-
     /// Creates a direction from azimuth/elevation radians.
     pub fn new(azimuth: f64, elevation: f64) -> Self {
         Spherical { azimuth, elevation }
@@ -49,9 +43,6 @@ impl Spherical {
     }
 }
 
-// JSON serialization (replaces the former serde derives; see volcast-util).
-volcast_util::impl_json_struct!(Spherical { azimuth, elevation });
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -60,7 +51,7 @@ mod tests {
 
     #[test]
     fn boresight_is_minus_z() {
-        let v = Spherical::BORESIGHT.to_unit_vector();
+        let v = Spherical::new(0.0, 0.0).to_unit_vector();
         assert!((v - Vec3::FORWARD).norm() < 1e-12);
     }
 

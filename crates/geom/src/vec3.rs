@@ -142,12 +142,6 @@ impl Vec3 {
         )
     }
 
-    /// Component-wise multiplication (Hadamard product).
-    #[inline]
-    pub fn mul_elem(self, other: Vec3) -> Vec3 {
-        Vec3::new(self.x * other.x, self.y * other.y, self.z * other.z)
-    }
-
     /// Component-wise absolute value.
     #[inline]
     pub fn abs(self) -> Vec3 {
@@ -158,17 +152,6 @@ impl Vec3 {
     #[inline]
     pub fn max_component(self) -> f64 {
         self.x.max(self.y).max(self.z)
-    }
-
-    /// Projects `self` onto the (non-zero) direction `dir`.
-    #[inline]
-    pub fn project_onto(self, dir: Vec3) -> Vec3 {
-        let d = dir.norm_sq();
-        if d < crate::EPS {
-            Vec3::ZERO
-        } else {
-            dir * (self.dot(dir) / d)
-        }
     }
 
     /// Angle in radians between two vectors, in `[0, pi]`.
@@ -186,18 +169,6 @@ impl Vec3 {
     #[inline]
     pub fn is_finite(self) -> bool {
         self.x.is_finite() && self.y.is_finite() && self.z.is_finite()
-    }
-
-    /// Returns components as an array `[x, y, z]`.
-    #[inline]
-    pub fn to_array(self) -> [f64; 3] {
-        [self.x, self.y, self.z]
-    }
-
-    /// Builds a vector from an array `[x, y, z]`.
-    #[inline]
-    pub fn from_array(a: [f64; 3]) -> Self {
-        Vec3::new(a[0], a[1], a[2])
     }
 }
 
@@ -372,31 +343,21 @@ mod tests {
     }
 
     #[test]
-    fn projection() {
-        let v = Vec3::new(3.0, 4.0, 0.0);
-        let p = v.project_onto(Vec3::X * 10.0);
-        assert_eq!(p, Vec3::new(3.0, 0.0, 0.0));
-        assert_eq!(v.project_onto(Vec3::ZERO), Vec3::ZERO);
-    }
-
-    #[test]
     fn componentwise_helpers() {
         let a = Vec3::new(1.0, 5.0, -3.0);
         let b = Vec3::new(2.0, 4.0, -6.0);
         assert_eq!(a.min(b), Vec3::new(1.0, 4.0, -6.0));
         assert_eq!(a.max(b), Vec3::new(2.0, 5.0, -3.0));
         assert_eq!(a.abs(), Vec3::new(1.0, 5.0, 3.0));
-        assert_eq!(a.mul_elem(b), Vec3::new(2.0, 20.0, 18.0));
         assert_eq!(a.max_component(), 5.0);
     }
 
     #[test]
-    fn indexing_and_arrays() {
+    fn indexing() {
         let v = Vec3::new(7.0, 8.0, 9.0);
         assert_eq!(v[0], 7.0);
         assert_eq!(v[1], 8.0);
         assert_eq!(v[2], 9.0);
-        assert_eq!(Vec3::from_array(v.to_array()), v);
     }
 
     #[test]

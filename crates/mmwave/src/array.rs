@@ -56,7 +56,7 @@ impl AntennaWeights {
 /// per-element phases on every call, leaving one complex dot product per
 /// evaluation.
 #[derive(Debug, Clone)]
-pub struct SteeringSample {
+pub(crate) struct SteeringSample {
     /// `a(dir)`: the unit-magnitude phase vector toward the direction.
     steering: AntennaWeights,
     /// Cosine element-pattern factor at the direction (floored backlobe).
@@ -67,7 +67,7 @@ impl SteeringSample {
     /// Far-field power gain of `weights` toward the sampled direction:
     /// `|w^T a|^2` times the element pattern, identical to calling
     /// [`PlanarArray::gain`] with the direction this sample was built from.
-    pub fn gain(&self, weights: &AntennaWeights) -> f64 {
+    pub(crate) fn gain(&self, weights: &AntennaWeights) -> f64 {
         debug_assert_eq!(weights.len(), self.steering.len());
         let mut acc = Complex::ZERO;
         for (wi, ai) in weights.w.iter().zip(&self.steering.w) {
@@ -162,7 +162,7 @@ impl PlanarArray {
     /// Samples the steering vector and element pattern toward `dir` once,
     /// so repeated [`SteeringSample::gain`] calls against different weight
     /// vectors (a codebook sweep) cost one dot product each.
-    pub fn steering_sample(&self, dir: Spherical) -> SteeringSample {
+    pub(crate) fn steering_sample(&self, dir: Spherical) -> SteeringSample {
         SteeringSample {
             steering: self.steering(dir),
             element: element_pattern(dir),
@@ -178,54 +178,15 @@ impl PlanarArray {
         debug_assert_eq!(weights.len(), self.elements());
         self.steering_sample(dir).gain(weights)
     }
-
-    /// Samples the far-field pattern along an azimuth cut at fixed
-    /// elevation: `n` points over `[-span, span]` radians, as
-    /// `(azimuth_rad, gain_dBi)` pairs. Useful for inspecting sector and
-    /// multi-lobe beams (see the `beam_designer` example).
-    pub fn azimuth_cut(
-        &self,
-        weights: &AntennaWeights,
-        elevation: f64,
-        span: f64,
-        n: usize,
-    ) -> Vec<(f64, f64)> {
-        assert!(n >= 2);
-        (0..n)
-            .map(|i| {
-                let az = -span + 2.0 * span * i as f64 / (n - 1) as f64;
-                let g = self.gain(weights, Spherical::new(az, elevation));
-                (az, 10.0 * g.max(1e-12).log10())
-            })
-            .collect()
-    }
-
-    /// Gain toward a world-space target point.
-    pub fn gain_toward_point(&self, weights: &AntennaWeights, point: Vec3) -> f64 {
-        match self.local_direction(point - self.position) {
-            Some(dir) => self.gain(weights, dir),
-            None => 0.0,
-        }
-    }
 }
 
 /// Element pattern at an array-local direction: cosine roll-off away from
 /// boresight, floored to a -20 dB backlobe so reflections behind the array
-/// stay finite. The single float program shared by
-/// [`PlanarArray::steering_sample`] and the sweep engine.
+/// stay finite. The single float program shared by [`PlanarArray::gain`]
+/// and the sweep engine.
 pub fn element_pattern(dir: Spherical) -> f64 {
     (dir.azimuth.cos() * dir.elevation.cos()).max(0.01)
 }
-
-// JSON serialization (replaces the former serde derives; see volcast-util).
-volcast_util::impl_json_struct!(AntennaWeights { w });
-volcast_util::impl_json_struct!(PlanarArray {
-    nx,
-    ny,
-    spacing_wl,
-    position,
-    orientation
-});
 
 #[cfg(test)]
 mod tests {
@@ -244,7 +205,7 @@ mod tests {
     fn beam_has_unit_power() {
         let a = test_array();
         for dir in [
-            Spherical::BORESIGHT,
+            Spherical::new(0.0, 0.0),
             Spherical::new(0.5, 0.0),
             Spherical::new(-1.0, 0.4),
         ] {
@@ -256,8 +217,8 @@ mod tests {
     #[test]
     fn boresight_beam_achieves_array_gain() {
         let a = test_array();
-        let b = a.beam_toward(Spherical::BORESIGHT);
-        let g = a.gain(&b, Spherical::BORESIGHT);
+        let b = a.beam_toward(Spherical::new(0.0, 0.0));
+        let g = a.gain(&b, Spherical::new(0.0, 0.0));
         // Peak gain = N elements (32) times element pattern (1 at boresight).
         assert!((g - 32.0).abs() < 1e-6, "gain {g}");
     }
@@ -286,8 +247,8 @@ mod tests {
     #[test]
     fn misaligned_beam_loses_gain() {
         let a = test_array();
-        let b = a.beam_toward(Spherical::BORESIGHT);
-        let g0 = a.gain(&b, Spherical::BORESIGHT);
+        let b = a.beam_toward(Spherical::new(0.0, 0.0));
+        let g0 = a.gain(&b, Spherical::new(0.0, 0.0));
         // 30 degrees off: well outside the ~13-degree azimuth beamwidth.
         let g_off = a.gain(&b, Spherical::new(0.52, 0.0));
         assert!(g_off < g0 / 10.0, "off-beam gain {g_off} vs peak {g0}");
@@ -298,8 +259,8 @@ mod tests {
         // 8 elements across azimuth vs 4 across elevation: the -3 dB point
         // in azimuth comes earlier.
         let a = test_array();
-        let b = a.beam_toward(Spherical::BORESIGHT);
-        let g0 = a.gain(&b, Spherical::BORESIGHT);
+        let b = a.beam_toward(Spherical::new(0.0, 0.0));
+        let g0 = a.gain(&b, Spherical::new(0.0, 0.0));
         let find_3db = |is_az: bool| -> f64 {
             let mut angle: f64 = 0.0;
             loop {
@@ -334,59 +295,16 @@ mod tests {
     }
 
     #[test]
-    fn gain_toward_point_uses_geometry() {
-        let a = PlanarArray::airfide(Vec3::new(0.0, 2.0, 4.0), Vec3::FORWARD);
-        let user = Vec3::new(0.0, 2.0, 0.0);
-        let b = a.beam_toward(a.local_direction(user - a.position).unwrap());
-        let g_at_user = a.gain_toward_point(&b, user);
-        let g_elsewhere = a.gain_toward_point(&b, Vec3::new(3.0, 1.0, 0.0));
-        assert!(g_at_user > 10.0 * g_elsewhere);
-        // Degenerate: the array's own position.
-        assert_eq!(a.gain_toward_point(&b, a.position), 0.0);
-    }
-
-    #[test]
-    fn azimuth_cut_shape() {
-        let a = test_array();
-        let b = a.beam_toward(Spherical::new(0.4, 0.0));
-        let cut = a.azimuth_cut(&b, 0.0, 1.2, 121);
-        assert_eq!(cut.len(), 121);
-        // The maximum of the cut lies near the steering azimuth.
-        let (peak_az, peak_db) =
-            cut.iter().copied().fold(
-                (0.0, f64::MIN),
-                |acc, (az, g)| {
-                    if g > acc.1 {
-                        (az, g)
-                    } else {
-                        acc
-                    }
-                },
-            );
-        assert!((peak_az - 0.4).abs() < 0.05, "peak at {peak_az}");
-        // Peak ~ 15 dBi for 32 elements (x element pattern at 0.4 rad).
-        assert!((12.0..16.0).contains(&peak_db), "peak {peak_db} dB");
-        // Cut endpoints are in range and sorted by azimuth.
-        assert!(cut.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
     fn multi_lobe_cut_shows_two_peaks() {
         let a = test_array();
         let w1 = a.beam_toward(Spherical::new(-0.5, 0.0));
         let w2 = a.beam_toward(Spherical::new(0.5, 0.0));
         let combined = crate::multilobe::combine_weights(&w1, 1e-6, &w2, 1e-6);
-        let cut = a.azimuth_cut(&combined, 0.0, 1.0, 201);
-        let gain_at = |target: f64| -> f64 {
-            cut.iter()
-                .min_by(|x, y| {
-                    (x.0 - target)
-                        .abs()
-                        .partial_cmp(&(y.0 - target).abs())
-                        .unwrap()
-                })
-                .unwrap()
-                .1
+        let gain_at = |az: f64| {
+            10.0 * a
+                .gain(&combined, Spherical::new(az, 0.0))
+                .max(1e-12)
+                .log10()
         };
         let lobe_l = gain_at(-0.5);
         let lobe_r = gain_at(0.5);

@@ -43,10 +43,6 @@ pub const REFLECTION_LOSS_DB: f64 = 10.0;
 /// blocked link's budget.
 pub const BODY_BLOCKAGE_DB: f64 = 30.0;
 
-/// Thermal noise floor (dBm) over the 1.76 GHz DMG channel with a ~10 dB
-/// noise figure: -174 + 10*log10(1.76e9) + 10 ≈ -71.5.
-pub const NOISE_FLOOR_DBM: f64 = -71.5;
-
 /// Converts dBm to milliwatts.
 #[inline]
 pub fn dbm_to_mw(dbm: f64) -> f64 {
@@ -95,12 +91,5 @@ mod tests {
         assert!((mw_to_dbm(1.0) - 0.0).abs() < 1e-12);
         assert!((mw_to_dbm(dbm_to_mw(-57.3)) + 57.3).abs() < 1e-9);
         assert_eq!(mw_to_dbm(0.0), f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn noise_floor_below_mcs_sensitivities() {
-        // The lowest DMG sensitivity we model is -68 dBm; the floor must sit
-        // below it for those links to close.
-        const { assert!(NOISE_FLOOR_DBM < -68.0) }
     }
 }

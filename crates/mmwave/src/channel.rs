@@ -1,7 +1,7 @@
 //! Geometric 60 GHz indoor channel: LoS + image-method reflections +
 //! human blockage.
 //!
-//! This is the Remcom Wireless InSite substitute (`DESIGN.md` §1): for a
+//! This is the Remcom Wireless InSite substitute (`DESIGN.md` §2): for a
 //! rectangular room we enumerate the line-of-sight path and the first-order
 //! specular reflections off the four walls and the ceiling (floor
 //! reflections at 60 GHz are usually carpet-absorbed; included optionally).
@@ -85,7 +85,7 @@ pub struct Path {
 /// codebook sweep (48 sectors × 6 paths) goes from 48 path enumerations and
 /// blockage tests to one of each.
 #[derive(Debug, Clone)]
-pub struct PreparedRx {
+pub(crate) struct PreparedRx {
     /// Per usable path: steering toward its departure point and the total
     /// loss in dB (propagation + reflection + blockage).
     paths: Vec<(SteeringSample, f64)>,
@@ -94,7 +94,7 @@ pub struct PreparedRx {
 impl PreparedRx {
     /// RSS (dBm) for transmit beam `weights` — identical to
     /// [`Channel::rss_dbm`] at the prepared receiver and blocker set.
-    pub fn rss_dbm(&self, weights: &AntennaWeights) -> f64 {
+    pub(crate) fn rss_dbm(&self, weights: &AntennaWeights) -> f64 {
         let mut total_mw = 0.0f64;
         for (sample, loss_db) in &self.paths {
             let gain = sample.gain(weights);
@@ -256,14 +256,19 @@ impl Channel {
     }
 
     /// Prepares `rx` for repeated beam evaluations (see [`PreparedRx`]).
-    pub fn prepare_rx(&self, rx: Vec3, blockers: &[Blocker]) -> PreparedRx {
+    pub(crate) fn prepare_rx(&self, rx: Vec3, blockers: &[Blocker]) -> PreparedRx {
         self.prepare_rx_paths(&self.paths(rx), rx, blockers)
     }
 
     /// [`Channel::prepare_rx`] over an already-enumerated path list, for
     /// callers that memoize [`Channel::paths`] per receiver position (path
     /// geometry is independent of the blocker population).
-    pub fn prepare_rx_paths(&self, paths: &[Path], rx: Vec3, blockers: &[Blocker]) -> PreparedRx {
+    pub(crate) fn prepare_rx_paths(
+        &self,
+        paths: &[Path],
+        rx: Vec3,
+        blockers: &[Blocker],
+    ) -> PreparedRx {
         let paths = paths
             .iter()
             .filter_map(|path| {
@@ -280,8 +285,7 @@ impl Channel {
     /// Total loss in dB of one enumerated path toward `rx` — propagation,
     /// reflection, implementation, and (if any blocker cylinder interrupts
     /// a leg) body blockage. The single loss program behind
-    /// [`Channel::prepare_rx_paths`], shared with the allocation-free
-    /// sweep engine.
+    /// [`Channel::rss_dbm`], shared with the allocation-free sweep engine.
     pub fn path_loss_db(&self, path: &Path, rx: Vec3, blockers: &[Blocker]) -> f64 {
         let mut loss_db = calib::fspl_db(path.length)
             + calib::O2_ABSORPTION_DB_PER_M * path.length
@@ -333,26 +337,6 @@ impl Channel {
             .fold(f64::NEG_INFINITY, f64::max)
     }
 }
-
-// JSON serialization (replaces the former serde derives; see volcast-util).
-volcast_util::impl_json_struct!(Room {
-    width,
-    height,
-    depth,
-    floor_reflection
-});
-volcast_util::impl_json_struct!(Blocker {
-    center,
-    radius,
-    height
-});
-volcast_util::impl_json_struct!(Path {
-    via,
-    length,
-    extra_loss_db,
-    is_los
-});
-volcast_util::impl_json_struct!(Channel { room, array });
 
 #[cfg(test)]
 mod tests {

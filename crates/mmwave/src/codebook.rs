@@ -64,23 +64,7 @@ impl Codebook {
     pub fn is_empty(&self) -> bool {
         self.sectors.is_empty()
     }
-
-    /// Index of the sector whose steering direction is closest to `dir`.
-    pub fn nearest_sector(&self, dir: Spherical) -> Option<usize> {
-        (0..self.len()).min_by(|&a, &b| {
-            self.directions[a]
-                .angle_to(dir)
-                .partial_cmp(&self.directions[b].angle_to(dir))
-                .unwrap()
-        })
-    }
 }
-
-// JSON serialization (replaces the former serde derives; see volcast-util).
-volcast_util::impl_json_struct!(Codebook {
-    sectors,
-    directions
-});
 
 #[cfg(test)]
 mod tests {
@@ -132,19 +116,11 @@ mod tests {
     }
 
     #[test]
-    fn nearest_sector_is_consistent() {
-        let (_, cb) = setup();
-        for (i, &d) in cb.directions.iter().enumerate() {
-            assert_eq!(cb.nearest_sector(d), Some(i));
-        }
-    }
-
-    #[test]
     fn single_sector_codebook() {
         let array = PlanarArray::airfide(Vec3::ZERO, Vec3::FORWARD);
         let cb = Codebook::dft(&array, 1, 1, 1.0, 1.0);
         assert_eq!(cb.len(), 1);
-        assert_eq!(cb.directions[0], Spherical::BORESIGHT);
+        assert_eq!(cb.directions[0], Spherical::new(0.0, 0.0));
     }
 
     #[test]

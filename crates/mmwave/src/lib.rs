@@ -49,9 +49,9 @@ pub mod multilobe;
 mod reference;
 pub mod sweep;
 
-pub use array::{AntennaWeights, PlanarArray, SteeringSample};
+pub use array::{AntennaWeights, PlanarArray};
 pub use beamsearch::BeamSearch;
-pub use channel::{Blocker, Channel, Path, PreparedRx, Room};
+pub use channel::{Blocker, Channel, Path, Room};
 pub use codebook::Codebook;
 pub use mcs::{McsEntry, McsTable};
 pub use multilobe::{combine_weights, combine_weights_multi, MultiLobeDesigner};

@@ -117,14 +117,6 @@ impl McsTable {
     }
 }
 
-// JSON serialization (replaces the former serde derives; see volcast-util).
-volcast_util::impl_json_struct!(McsEntry {
-    index,
-    phy_mbps,
-    min_rss_dbm
-});
-volcast_util::impl_json_struct!(McsTable { entries });
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -134,17 +134,6 @@ impl<'a> MultiLobeDesigner<'a> {
         (sector, rss)
     }
 
-    /// Designs the custom multi-lobe beam for the group: combine each
-    /// member's individually-best sector (the AP knows it from the sector
-    /// sweep / predicted 6DoF motion), weighted by measured RSS.
-    pub fn custom_beam(&self, members: &[Vec3], blockers: &[Blocker]) -> AntennaWeights {
-        let (mut rxs, idx) = self.prepare(members, blockers);
-        let mut w = Vec::new();
-        self.engine.combine_into(&mut rxs, &idx, &mut w);
-        SweepEngine::flush_counts(&mut rxs);
-        AntennaWeights { w }
-    }
-
     /// Full group beam design: returns whichever of (best common default
     /// sector, customized multi-lobe beam) yields the higher common RSS.
     pub fn design(&self, members: &[Vec3], blockers: &[Blocker]) -> GroupBeam {
@@ -189,10 +178,10 @@ mod tests {
         // Manual check: with Δ1 = 1, Δ2 = 3 the coefficients must be in
         // ratio Δ2 : Δ1 = 3 : 1 before normalization.
         let w1 = AntennaWeights {
-            w: vec![Complex::ONE, Complex::ZERO],
+            w: vec![Complex::new(1.0, 0.0), Complex::ZERO],
         };
         let w2 = AntennaWeights {
-            w: vec![Complex::ZERO, Complex::ONE],
+            w: vec![Complex::ZERO, Complex::new(1.0, 0.0)],
         };
         let c = combine_weights(&w1, 1.0, &w2, 3.0);
         let ratio = c.w[0].abs() / c.w[1].abs();
@@ -224,11 +213,9 @@ mod tests {
         let d = MultiLobeDesigner::new(&ch, &cb);
         let (_, default_rss) = d.best_common_sector(&users, &[]);
         let default_min = default_rss.iter().copied().fold(f64::INFINITY, f64::min);
-        let custom = d.custom_beam(&users, &[]);
-        let custom_min = users
-            .iter()
-            .map(|&u| ch.rss_dbm(&custom, u, &[]))
-            .fold(f64::INFINITY, f64::min);
+        let beam = d.design(&users, &[]);
+        assert!(beam.customized);
+        let custom_min = beam.common_rss_dbm();
         assert!(
             custom_min > default_min + 3.0,
             "custom {custom_min} dBm vs default {default_min} dBm"

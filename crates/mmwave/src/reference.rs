@@ -63,7 +63,7 @@ fn combine(codebook: &Codebook, prepared: &[PreparedRx]) -> AntennaWeights {
     combine_weights_multi(&per_user)
 }
 
-/// Exhaustive [`MultiLobeDesigner::custom_beam`](crate::MultiLobeDesigner::custom_beam).
+/// Exhaustive [`SweepEngine::combine_into`](crate::SweepEngine::combine_into).
 pub(crate) fn custom_beam(
     channel: &Channel,
     codebook: &Codebook,

@@ -493,10 +493,8 @@ impl SweepRx {
     }
 
     /// Exact RSS (dBm) of an arbitrary weight vector against the prepared
-    /// paths — the same float program as [`PreparedRx::rss_dbm`] (and hence
-    /// [`Channel::rss_dbm`]), operation for operation.
-    ///
-    /// [`PreparedRx::rss_dbm`]: crate::PreparedRx::rss_dbm
+    /// paths — the same float program as [`Channel::rss_dbm`], operation
+    /// for operation.
     pub fn eval_weights(&self, weights: &[Complex]) -> f64 {
         let ne = weights.len();
         let mut total_mw = 0.0f64;

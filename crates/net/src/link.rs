@@ -18,8 +18,6 @@ pub struct LinkState {
     outage_run: usize,
     /// RSS below which a sample counts toward an outage (dBm).
     pub outage_threshold_dbm: f64,
-    /// Samples observed.
-    samples: u64,
 }
 
 impl Default for LinkState {
@@ -31,7 +29,6 @@ impl Default for LinkState {
             outage_run: 0,
             // Below DMG MCS1 sensitivity: the link cannot carry data.
             outage_threshold_dbm: -68.0,
-            samples: 0,
         }
     }
 }
@@ -49,7 +46,6 @@ impl LinkState {
         self.ewma_rss = None;
         self.prev_ewma = None;
         self.outage_run = 0;
-        self.samples = 0;
     }
 
     /// Feeds one RSS sample (dBm).
@@ -64,7 +60,6 @@ impl LinkState {
         } else {
             self.outage_run = 0;
         }
-        self.samples += 1;
     }
 
     /// Smoothed RSS; `None` before the first sample.
@@ -85,11 +80,6 @@ impl LinkState {
         self.outage_run >= k.max(1)
     }
 
-    /// Samples observed so far.
-    pub fn sample_count(&self) -> u64 {
-        self.samples
-    }
-
     /// Predicts RSS `horizon` samples ahead by linear extrapolation of the
     /// EWMA trend, floored to physical plausibility.
     pub fn predicted_rss_dbm(&self, horizon: usize) -> Option<f64> {
@@ -97,16 +87,6 @@ impl LinkState {
             .map(|r| (r + self.trend_db() * horizon as f64).clamp(-100.0, -20.0))
     }
 }
-
-// JSON serialization (replaces the former serde derives; see volcast-util).
-volcast_util::impl_json_struct!(LinkState {
-    ewma_rss,
-    prev_ewma,
-    alpha,
-    outage_run,
-    outage_threshold_dbm,
-    samples
-});
 
 #[cfg(test)]
 mod tests {
@@ -119,7 +99,6 @@ mod tests {
         l.observe(-55.0);
         assert_eq!(l.rss_dbm(), Some(-55.0));
         assert_eq!(l.trend_db(), 0.0);
-        assert_eq!(l.sample_count(), 1);
     }
 
     #[test]
@@ -135,7 +114,6 @@ mod tests {
         l.reset();
         assert_eq!(l.rss_dbm(), None);
         assert_eq!(l.trend_db(), 0.0);
-        assert_eq!(l.sample_count(), 0);
         assert!(!l.in_outage(1));
         assert_eq!(l.alpha, 0.5);
         assert_eq!(l.outage_threshold_dbm, -60.0);
@@ -201,7 +179,6 @@ mod tests {
     #[test]
     fn zero_samples_is_fully_quiescent() {
         let l = LinkState::new();
-        assert_eq!(l.sample_count(), 0);
         assert_eq!(l.rss_dbm(), None);
         assert_eq!(l.trend_db(), 0.0);
         // No samples -> no outage, whatever the window (including the

@@ -115,17 +115,6 @@ impl MacModel for AcMac {
     }
 }
 
-// JSON serialization (replaces the former serde derives; see volcast-util).
-volcast_util::impl_json_struct!(AdMac {
-    base_efficiency,
-    bhi_fraction,
-    per_sta_overhead
-});
-volcast_util::impl_json_struct!(AcMac {
-    base_efficiency,
-    contention_overhead
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

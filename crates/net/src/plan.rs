@@ -180,22 +180,6 @@ impl TransmissionPlan {
     }
 }
 
-// JSON serialization (replaces the former serde derives; see volcast-util).
-volcast_util::impl_json_enum!(TxKind { Unicast { user }, Multicast { members } });
-volcast_util::impl_json_struct!(TxItem {
-    kind,
-    bytes,
-    parity_bytes,
-    phy_mbps,
-    beam_switch_s
-});
-volcast_util::impl_json_struct!(TransmissionPlan { items });
-volcast_util::impl_json_struct!(PlanTiming {
-    item_completion_s,
-    user_completion_s,
-    total_s
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

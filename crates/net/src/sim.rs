@@ -297,15 +297,6 @@ impl<'a, M: MacModel> Simulator<'a, M> {
     }
 }
 
-// JSON serialization (replaces the former serde derives; see volcast-util).
-volcast_util::impl_json_enum!(BacklogPolicy { Queue, Drop });
-volcast_util::impl_json_struct!(FrameOutcome {
-    frame,
-    start,
-    user_completion,
-    dropped_items
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

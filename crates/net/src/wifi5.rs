@@ -48,15 +48,6 @@ impl Wifi5Channel {
     }
 }
 
-// JSON serialization (replaces the former serde derives; see volcast-util).
-volcast_util::impl_json_struct!(Wifi5Channel {
-    tx_power_dbm,
-    ref_loss_db,
-    exponent,
-    body_shadow_db,
-    multicast_basic_rate_mbps
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -231,11 +231,6 @@ impl StreamManifest {
         self.frame_count / self.layers_per_frame.max(1) as u32
     }
 
-    /// Chunk slot holding layer `layer` of video frame `frame`.
-    pub fn chunk_index(&self, frame: u32, layer: u8) -> u32 {
-        frame * self.layers_per_frame.max(1) as u32 + layer as u32
-    }
-
     /// Serialized size of this manifest in bytes.
     pub fn encoded_len(&self) -> usize {
         MANIFEST_FIXED_LEN + if self.is_layered() { 1 } else { 0 } + self.entries.len() * ENTRY_LEN
@@ -943,8 +938,7 @@ mod tests {
         assert_eq!(m.video_frame_count(), 4);
         r.validate_all().unwrap();
         // Chunk addressing: frame 2, layer 1 lives at slot 7.
-        assert_eq!(m.chunk_index(2, 1), 7);
-        assert_eq!(r.chunk_payload(m.chunk_index(2, 1)).unwrap().len(), 27);
+        assert_eq!(r.chunk_payload(2 * 3 + 1).unwrap().len(), 27);
         // The incremental cursor accepts it too.
         let mut c = WireCursor::new();
         c.feed(&bytes);

@@ -183,11 +183,6 @@ impl CellCounter {
     }
 }
 
-// JSON serialization (replaces the former serde derives; see volcast-util).
-volcast_util::impl_json_struct!(CellId { x, y, z });
-volcast_util::impl_json_struct!(CellInfo { id, point_count });
-volcast_util::impl_json_struct!(CellGrid { origin, cell_size });
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,7 +12,7 @@
 //! sweep only reorders *which thread* runs a slot, never what the slot
 //! computes, so results are independent of `VOLCAST_THREADS`.
 
-use super::{CodecConfig, CodecStats, Encoder};
+use super::{CodecConfig, Encoder};
 use crate::point::PointCloud;
 use volcast_util::par;
 
@@ -21,7 +21,6 @@ use volcast_util::par;
 struct Slot {
     enc: Encoder,
     data: Vec<u8>,
-    stats: CodecStats,
 }
 
 impl Slot {
@@ -29,12 +28,6 @@ impl Slot {
         Slot {
             enc: Encoder::new(),
             data: Vec::new(),
-            stats: CodecStats {
-                input_points: 0,
-                voxels: 0,
-                bytes: 0,
-                bits_per_point: 0.0,
-            },
         }
     }
 }
@@ -66,17 +59,16 @@ impl GopEncoder {
 
     /// Encodes every cloud of a GOP in one parallel sweep.
     ///
-    /// Frame `i`'s bitstream ([`GopEncoder::frame_data`]) and stats
-    /// ([`GopEncoder::frame_stats`]) are byte-identical to
-    /// `Encoder::encode_into(&clouds[i], cfg, ..)` regardless of the
-    /// worker count.
+    /// Frame `i`'s bitstream ([`GopEncoder::frame_data`]) is
+    /// byte-identical to `Encoder::encode_into(&clouds[i], cfg, ..)`
+    /// regardless of the worker count.
     pub fn encode_gop_into(&mut self, clouds: &[PointCloud], cfg: &CodecConfig) {
         self.used = clouds.len();
         if self.slots.len() < self.used {
             self.slots.resize_with(self.used, Slot::new);
         }
         par::par_for_each_mut(&mut self.slots[..self.used], |i, slot| {
-            slot.stats = slot.enc.encode_into(&clouds[i], cfg, &mut slot.data);
+            slot.enc.encode_into(&clouds[i], cfg, &mut slot.data);
         });
     }
 
@@ -93,11 +85,6 @@ impl GopEncoder {
     /// Frame `i`'s bitstream from the current batch.
     pub fn frame_data(&self, i: usize) -> &[u8] {
         &self.slots[i].data
-    }
-
-    /// Frame `i`'s codec statistics from the current batch.
-    pub fn frame_stats(&self, i: usize) -> CodecStats {
-        self.slots[i].stats
     }
 }
 
@@ -121,9 +108,8 @@ mod tests {
         let mut enc = Encoder::new();
         let mut expect = Vec::new();
         for (i, cloud) in clouds.iter().enumerate() {
-            let stats = enc.encode_into(cloud, &cfg, &mut expect);
+            enc.encode_into(cloud, &cfg, &mut expect);
             assert_eq!(gop.frame_data(i), &expect[..], "frame {i}");
-            assert_eq!(gop.frame_stats(i), stats, "frame {i}");
         }
         par::set_thread_count(1);
     }

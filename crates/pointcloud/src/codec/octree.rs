@@ -90,13 +90,6 @@ pub struct EncodedCloud {
     pub data: Vec<u8>,
 }
 
-impl EncodedCloud {
-    /// Total size in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.data.len()
-    }
-}
-
 /// Compression statistics for instrumentation and the bench harness.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CodecStats {
@@ -806,16 +799,6 @@ fn decode_node(
     }
 }
 
-// JSON serialization (replaces the former serde derives; see volcast-util).
-volcast_util::impl_json_struct!(CodecConfig { depth, color_bits });
-volcast_util::impl_json_struct!(EncodedCloud { data });
-volcast_util::impl_json_struct!(CodecStats {
-    input_points,
-    voxels,
-    bytes,
-    bits_per_point
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1258,8 +1241,8 @@ mod tests {
         let cloud = SyntheticBody::default().frame(3, 10_000);
         let (enc, stats) = encode(&cloud, &CodecConfig::default());
         assert_eq!(stats.input_points, 10_000);
-        assert_eq!(stats.bytes, enc.size_bytes());
+        assert_eq!(stats.bytes, enc.data.len());
         assert!(stats.voxels <= stats.input_points);
-        assert!((stats.bits_per_point - enc.size_bytes() as f64 * 8.0 / 10_000.0).abs() < 1e-9);
+        assert!((stats.bits_per_point - enc.data.len() as f64 * 8.0 / 10_000.0).abs() < 1e-9);
     }
 }

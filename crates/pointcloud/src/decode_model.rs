@@ -36,18 +36,7 @@ impl DecodeModel {
     pub fn max_fps(&self, points: usize) -> f64 {
         1.0 / self.frame_decode_time(points)
     }
-
-    /// Maximum frame rate capped at the display rate `cap` (e.g. 30 FPS).
-    pub fn max_fps_capped(&self, points: usize, cap: f64) -> f64 {
-        self.max_fps(points).min(cap)
-    }
 }
-
-// JSON serialization (replaces the former serde derives; see volcast-util).
-volcast_util::impl_json_struct!(DecodeModel {
-    points_per_sec,
-    per_frame_overhead_s
-});
 
 #[cfg(test)]
 mod tests {
@@ -72,13 +61,6 @@ mod tests {
     fn much_higher_density_cannot_sustain_30fps() {
         let m = DecodeModel::default();
         assert!(m.max_fps(1_100_000) < 16.0);
-    }
-
-    #[test]
-    fn cap_applies() {
-        let m = DecodeModel::default();
-        assert_eq!(m.max_fps_capped(100_000, 30.0), 30.0);
-        assert!(m.max_fps_capped(1_100_000, 30.0) < 30.0);
     }
 
     #[test]

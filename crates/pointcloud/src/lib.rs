@@ -2,7 +2,7 @@
 //!
 //! The paper streams the 8i "soldier" voxelized point-cloud video compressed
 //! with Google Draco; neither artifact is redistributable here, so this crate
-//! provides the synthetic equivalents (see `DESIGN.md` §1):
+//! provides the synthetic equivalents (see `DESIGN.md` §2):
 //!
 //! - [`PointCloud`] / [`VideoSequence`]: frames of colored points,
 //! - [`synthetic::SyntheticBody`]: a parametric animated humanoid sampled to
@@ -14,10 +14,10 @@
 //!   Draco, with matching rate behaviour,
 //! - [`DecodeModel`]: the client-side decode-throughput ceiling (the paper's
 //!   "550K points is the highest density decodable at 30 FPS"),
-//! - [`QualityLadder`]: the three-version quality ladder with bitrates,
-//! - [`Ladder`]: the canonical quality-level ↔ octree-depth/bytes mapping
-//!   shared by the codec's layered mode, rate adaptation, and campus
-//!   capacity planning.
+//! - [`Ladder`]: the three-version quality ladder — the one quality-level
+//!   ↔ points / bitrate / octree-depth mapping a video prices frames by and
+//!   the codec's layered mode, rate adaptation and campus capacity planning
+//!   share.
 //!
 //! ```
 //! use volcast_pointcloud::{CellGrid, SyntheticBody};
@@ -47,6 +47,6 @@ pub mod video;
 pub use cells::{CellCounter, CellGrid, CellId, CellInfo};
 pub use decode_model::DecodeModel;
 pub use point::{Point, PointCloud};
-pub use quality::{Ladder, Quality, QualityLadder, QualityLevel};
+pub use quality::{Ladder, Quality, QualityLevel};
 pub use synthetic::SyntheticBody;
 pub use video::VideoSequence;

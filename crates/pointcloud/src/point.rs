@@ -130,10 +130,6 @@ impl PointCloud {
     }
 }
 
-// JSON serialization (replaces the former serde derives; see volcast-util).
-volcast_util::impl_json_struct!(Point { pos, color });
-volcast_util::impl_json_struct!(PointCloud { points });
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,12 +3,11 @@
 //! The paper encodes the soldier sequence at three point densities — 330K,
 //! 430K and 550K points/frame — whose compressed bitrates range from 235 to
 //! 364 Mbps. [`Quality`] captures those calibration anchors so the network
-//! experiments can compute frame sizes without generating geometry, while
-//! [`QualityLadder`] ties the levels to an actual synthetic video.
+//! experiments can compute frame sizes without generating geometry.
 //!
 //! [`Ladder`] is the canonical QualityLevel → octree-depth / bytes mapping
-//! shared by the codec's layered configuration, the rate adapter, and the
-//! campus simulation's sustainable-load clamp.
+//! shared by a video's frame pricing, the codec's layered configuration,
+//! the rate adapter, and the campus simulation's sustainable-load clamp.
 
 /// One of the paper's three quality versions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -111,32 +110,6 @@ impl Quality {
     }
 }
 
-/// The full ladder: the three levels of one video.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QualityLadder {
-    /// The three calibrated levels, lowest first.
-    pub levels: [Quality; 3],
-}
-
-impl Default for QualityLadder {
-    fn default() -> Self {
-        QualityLadder {
-            levels: [
-                anchor(QualityLevel::Low),
-                anchor(QualityLevel::Medium),
-                anchor(QualityLevel::High),
-            ],
-        }
-    }
-}
-
-impl QualityLadder {
-    /// Looks up a level's parameters.
-    pub fn get(&self, level: QualityLevel) -> Quality {
-        self.levels[idx(level)]
-    }
-}
-
 /// The canonical QualityLevel → octree-depth / bytes mapping.
 ///
 /// One shared type answers every "what does quality level X mean" question
@@ -216,12 +189,6 @@ impl Ladder {
         idx(level)
     }
 
-    /// The level a receiver renders when holding the base layer plus
-    /// `layers` enhancement layers (saturating at High).
-    pub fn level_for_layers(&self, layers: usize) -> QualityLevel {
-        QualityLevel::ALL[layers.min(QualityLevel::ALL.len() - 1)]
-    }
-
     /// The highest level whose full-frame bitrate fits within
     /// `budget_mbps`, or `None` when even Low does not fit.
     pub fn best_within(&self, budget_mbps: f64) -> Option<QualityLevel> {
@@ -230,23 +197,6 @@ impl Ladder {
             .rev()
             .find(|q| q.full_frame_mbps <= budget_mbps)
             .map(|q| q.level)
-    }
-
-    /// Compressed size of one full frame at `level`, in bytes.
-    pub fn frame_bytes(&self, level: QualityLevel) -> f64 {
-        self.quality(level).full_frame_bytes()
-    }
-
-    /// Marginal compressed bytes of layer `layer` (0 = base): the cost of
-    /// that layer alone, so base plus the first `k` enhancements sums to
-    /// the level-`k` frame size.
-    pub fn layer_frame_bytes(&self, layer: usize) -> f64 {
-        let layer = layer.min(self.levels.len() - 1);
-        if layer == 0 {
-            self.levels[0].full_frame_bytes()
-        } else {
-            self.levels[layer].full_frame_bytes() - self.levels[layer - 1].full_frame_bytes()
-        }
     }
 
     /// Steps `level` down the ladder `steps` times, saturating at Low.
@@ -277,12 +227,6 @@ impl Ladder {
 
 // JSON serialization (replaces the former serde derives; see volcast-util).
 volcast_util::impl_json_enum!(QualityLevel { Low, Medium, High });
-volcast_util::impl_json_struct!(Quality {
-    level,
-    points_per_frame,
-    full_frame_mbps
-});
-volcast_util::impl_json_struct!(QualityLadder { levels });
 
 #[cfg(test)]
 mod tests {
@@ -290,17 +234,18 @@ mod tests {
 
     #[test]
     fn ladder_is_monotone() {
-        let l = QualityLadder::default();
+        let l = Ladder::paper();
         assert!(
-            l.get(QualityLevel::Low).points_per_frame
-                < l.get(QualityLevel::Medium).points_per_frame
+            l.quality(QualityLevel::Low).points_per_frame
+                < l.quality(QualityLevel::Medium).points_per_frame
         );
         assert!(
-            l.get(QualityLevel::Medium).points_per_frame
-                < l.get(QualityLevel::High).points_per_frame
+            l.quality(QualityLevel::Medium).points_per_frame
+                < l.quality(QualityLevel::High).points_per_frame
         );
         assert!(
-            l.get(QualityLevel::Low).full_frame_mbps < l.get(QualityLevel::High).full_frame_mbps
+            l.quality(QualityLevel::Low).full_frame_mbps
+                < l.quality(QualityLevel::High).full_frame_mbps
         );
     }
 
@@ -348,23 +293,6 @@ mod tests {
         assert_eq!(l.depth(QualityLevel::High), 10);
         assert_eq!(l.enhancement_layers(QualityLevel::Low), 0);
         assert_eq!(l.enhancement_layers(QualityLevel::High), 2);
-        for level in QualityLevel::ALL {
-            assert_eq!(l.level_for_layers(l.enhancement_layers(level)), level);
-        }
-        assert_eq!(l.level_for_layers(99), QualityLevel::High);
-    }
-
-    #[test]
-    fn layer_bytes_telescope_to_frame_bytes() {
-        let l = Ladder::paper();
-        for level in QualityLevel::ALL {
-            let layers = l.enhancement_layers(level);
-            let sum: f64 = (0..=layers).map(|k| l.layer_frame_bytes(k)).sum();
-            assert!((sum - l.frame_bytes(level)).abs() < 1e-9, "{level:?}");
-        }
-        // Enhancement layers are strictly positive marginal cost.
-        assert!(l.layer_frame_bytes(1) > 0.0);
-        assert!(l.layer_frame_bytes(2) > 0.0);
     }
 
     #[test]

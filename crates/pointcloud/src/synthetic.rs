@@ -1,7 +1,7 @@
 //! Synthetic volumetric video: a parametric animated humanoid.
 //!
 //! Substitutes for the 8i "soldier" dynamic voxelized point cloud (see
-//! `DESIGN.md` §1). The body is a union of capsules/ellipsoids posed by a
+//! `DESIGN.md` §2). The body is a union of capsules/ellipsoids posed by a
 //! walk-cycle skeleton; each frame is produced by surface-sampling the
 //! primitives with a seeded PRNG, so a given `(seed, frame, target_points)`
 //! triple always yields the same cloud.
@@ -248,15 +248,6 @@ impl SyntheticBody {
         }
     }
 }
-
-// JSON serialization (replaces the former serde derives; see volcast-util).
-volcast_util::impl_json_struct!(SyntheticBody {
-    seed,
-    fps,
-    origin,
-    gait_hz,
-    turn_rate
-});
 
 #[cfg(test)]
 mod tests {

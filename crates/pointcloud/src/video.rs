@@ -5,12 +5,11 @@
 
 use crate::cells::{CellCounter, CellGrid, CellInfo};
 use crate::point::{Point, PointCloud};
-use crate::quality::{Quality, QualityLadder, QualityLevel};
+use crate::quality::{Ladder, Quality, QualityLevel};
 use crate::synthetic::SyntheticBody;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use volcast_util::json::{field, FromJson, JsonError, JsonValue, ToJson};
 
 /// Every input a frame's cell counts depend on, floats by bit pattern.
 /// The video's fields are `pub` and its clones share one store, so the key
@@ -88,7 +87,7 @@ pub struct VideoSequence {
     /// The animated subject.
     pub body: SyntheticBody,
     /// Quality ladder.
-    pub ladder: QualityLadder,
+    pub ladder: Ladder,
     /// Total number of frames (the paper's IoU plots span ~300 frames).
     pub num_frames: u64,
     /// Frames per second.
@@ -101,7 +100,7 @@ impl Default for VideoSequence {
     fn default() -> Self {
         VideoSequence {
             body: SyntheticBody::default(),
-            ladder: QualityLadder::default(),
+            ladder: Ladder::paper(),
             num_frames: 300,
             fps: 30.0,
             manifest: Manifest::default(),
@@ -124,7 +123,7 @@ impl VideoSequence {
 
     /// Generates frame `idx` at `level` quality.
     pub fn frame(&self, idx: u64, level: QualityLevel) -> PointCloud {
-        let q = self.ladder.get(level);
+        let q = self.ladder.quality(level);
         self.body
             .frame(idx % self.num_frames.max(1), q.points_per_frame)
     }
@@ -170,36 +169,7 @@ impl VideoSequence {
 
     /// The calibrated quality parameters at a level.
     pub fn quality(&self, level: QualityLevel) -> Quality {
-        self.ladder.get(level)
-    }
-}
-
-// JSON serialization, written out because the manifest is not part of it:
-// the four content fields in the form `impl_json_struct!` gave them, and a
-// parsed video starts with an empty store.
-impl ToJson for VideoSequence {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Obj(vec![
-            ("body".to_string(), self.body.to_json()),
-            ("ladder".to_string(), self.ladder.to_json()),
-            ("num_frames".to_string(), self.num_frames.to_json()),
-            ("fps".to_string(), self.fps.to_json()),
-        ])
-    }
-}
-
-impl FromJson for VideoSequence {
-    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        if v.as_obj().is_none() {
-            return Err(JsonError::schema("expected object for VideoSequence"));
-        }
-        Ok(VideoSequence {
-            body: field(v, "body")?,
-            ladder: field(v, "ladder")?,
-            num_frames: field(v, "num_frames")?,
-            fps: field(v, "fps")?,
-            manifest: Manifest::default(),
-        })
+        self.ladder.quality(level)
     }
 }
 
@@ -324,28 +294,5 @@ mod tests {
         assert!(Arc::ptr_eq(&before, &video.cell_counts(0, 1_000, &grid)));
         let fresh = VideoSequence::new(2, 30).cell_counts(1, 1_000, &grid);
         assert_eq!(video.cell_counts(1, 1_000, &grid)[..], fresh[..]);
-    }
-
-    #[test]
-    fn json_form_leaves_the_manifest_out() {
-        let video = VideoSequence::new(7, 30);
-        video.cell_counts(0, 1_000, &CellGrid::new(0.5));
-        let json = video.to_json().to_json_string();
-        // The exact bytes `impl_json_struct!` produced before the store
-        // existed.
-        assert_eq!(
-            json,
-            concat!(
-                r#"{"body":{"seed":7,"fps":30,"origin":{"x":0,"y":0,"z":0},"#,
-                r#""gait_hz":1.4,"turn_rate":0.1},"ladder":{"levels":["#,
-                r#"{"level":"Low","points_per_frame":330000,"full_frame_mbps":235},"#,
-                r#"{"level":"Medium","points_per_frame":430000,"full_frame_mbps":294},"#,
-                r#"{"level":"High","points_per_frame":550000,"full_frame_mbps":364}]},"#,
-                r#""num_frames":30,"fps":30}"#
-            )
-        );
-        let parsed = VideoSequence::from_json(&JsonValue::parse(&json).unwrap()).unwrap();
-        assert_eq!(parsed.manifest.lock().len(), 0);
-        assert_eq!(parsed.to_json().to_json_string(), json);
     }
 }

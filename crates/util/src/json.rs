@@ -29,7 +29,6 @@
 //! assert_eq!(v, round);
 //! ```
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A parsed or constructed JSON document.
@@ -604,71 +603,6 @@ impl<T: FromJson> FromJson for Option<T> {
     }
 }
 
-impl<T: ToJson, const N: usize> ToJson for [T; N] {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: FromJson + fmt::Debug, const N: usize> FromJson for [T; N] {
-    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let items: Vec<T> = Vec::from_json(v)?;
-        let len = items.len();
-        items
-            .try_into()
-            .map_err(|_| JsonError::schema(format!("expected array of length {N}, got {len}")))
-    }
-}
-
-impl<A: ToJson, B: ToJson> ToJson for (A, B) {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Arr(vec![self.0.to_json(), self.1.to_json()])
-    }
-}
-
-impl<A: FromJson, B: FromJson> FromJson for (A, B) {
-    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        match v.as_arr() {
-            Some([a, b]) => Ok((A::from_json(a)?, B::from_json(b)?)),
-            _ => Err(JsonError::schema("expected 2-element array")),
-        }
-    }
-}
-
-impl<A: ToJson, B: ToJson, C: ToJson> ToJson for (A, B, C) {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Arr(vec![self.0.to_json(), self.1.to_json(), self.2.to_json()])
-    }
-}
-
-impl<A: FromJson, B: FromJson, C: FromJson> FromJson for (A, B, C) {
-    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        match v.as_arr() {
-            Some([a, b, c]) => Ok((A::from_json(a)?, B::from_json(b)?, C::from_json(c)?)),
-            _ => Err(JsonError::schema("expected 3-element array")),
-        }
-    }
-}
-
-// Non-string map keys are written as an array of [key, value] pairs — the
-// only order-preserving, lossless encoding without a key-to-string scheme.
-impl<K: ToJson + Ord, V: ToJson> ToJson for BTreeMap<K, V> {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Arr(
-            self.iter()
-                .map(|(k, v)| JsonValue::Arr(vec![k.to_json(), v.to_json()]))
-                .collect(),
-        )
-    }
-}
-
-impl<K: FromJson + Ord, V: FromJson> FromJson for BTreeMap<K, V> {
-    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let pairs: Vec<(K, V)> = Vec::from_json(v)?;
-        Ok(pairs.into_iter().collect())
-    }
-}
-
 impl ToJson for JsonValue {
     fn to_json(&self) -> JsonValue {
         self.clone()
@@ -724,94 +658,45 @@ macro_rules! impl_json_struct {
     };
 }
 
-/// Implements [`ToJson`]/[`FromJson`] for an enum of unit and/or
-/// struct-like variants, mirroring serde's externally-tagged layout: unit
-/// variants become `"Variant"`, payload variants `{"Variant": {fields...}}`.
+/// Implements [`ToJson`]/[`FromJson`] for an enum of unit variants,
+/// mirroring serde's layout: each variant is the string `"Variant"`.
 ///
 /// ```
 /// use volcast_util::impl_json_enum;
 /// use volcast_util::json::{FromJson, ToJson};
 ///
 /// #[derive(Debug, PartialEq)]
-/// enum Kind { Solo, Group { members: Vec<u32> } }
-/// impl_json_enum!(Kind { Solo, Group { members } });
+/// enum Kind { Solo, Group }
+/// impl_json_enum!(Kind { Solo, Group });
 ///
-/// let g = Kind::Group { members: vec![1, 2] };
-/// assert_eq!(Kind::from_json(&g.to_json()).unwrap(), g);
+/// assert_eq!(Kind::from_json(&Kind::Group.to_json()).unwrap(), Kind::Group);
 /// assert_eq!(Kind::Solo.to_json().as_str(), Some("Solo"));
 /// ```
 #[macro_export]
 macro_rules! impl_json_enum {
-    ($ty:ident { $($variant:ident $({ $($field:ident),+ $(,)? })?),+ $(,)? }) => {
+    ($ty:ident { $($variant:ident),+ $(,)? }) => {
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::json::JsonValue {
-                match self {
-                    $($crate::impl_json_enum!(@pat $ty, $variant $({ $($field),+ })?) =>
-                        $crate::impl_json_enum!(@ser $variant $({ $($field),+ })?),)+
-                }
+                $crate::json::JsonValue::Str(match self {
+                    $($ty::$variant => stringify!($variant),)+
+                }.to_string())
             }
         }
         impl $crate::json::FromJson for $ty {
             fn from_json(
                 v: &$crate::json::JsonValue,
             ) -> Result<Self, $crate::json::JsonError> {
-                if let Some(name) = v.as_str() {
-                    match name {
-                        $(stringify!($variant) =>
-                            return $crate::impl_json_enum!(@de_unit $ty, $variant $({ $($field),+ })?),)+
-                        other => return Err($crate::json::JsonError::schema(format!(
-                            "unknown variant '{}' for {}", other, stringify!($ty)
-                        ))),
-                    }
+                match v.as_str() {
+                    $(Some(stringify!($variant)) => Ok($ty::$variant),)+
+                    Some(other) => Err($crate::json::JsonError::schema(format!(
+                        "unknown variant '{}' for {}", other, stringify!($ty)
+                    ))),
+                    None => Err($crate::json::JsonError::schema(concat!(
+                        "expected variant string for ", stringify!($ty)
+                    ))),
                 }
-                if let Some([(name, payload)]) = v.as_obj() {
-                    match name.as_str() {
-                        $(stringify!($variant) =>
-                            return $crate::impl_json_enum!(@de_payload $ty, $variant, payload $({ $($field),+ })?),)+
-                        other => return Err($crate::json::JsonError::schema(format!(
-                            "unknown variant '{}' for {}", other, stringify!($ty)
-                        ))),
-                    }
-                }
-                Err($crate::json::JsonError::schema(concat!(
-                    "expected variant string or single-key object for ", stringify!($ty)
-                )))
             }
         }
-    };
-    (@pat $ty:ident, $variant:ident) => { $ty::$variant };
-    (@pat $ty:ident, $variant:ident { $($field:ident),+ }) => {
-        $ty::$variant { $($field),+ }
-    };
-    (@ser $variant:ident) => {
-        $crate::json::JsonValue::Str(stringify!($variant).to_string())
-    };
-    (@ser $variant:ident { $($field:ident),+ }) => {
-        $crate::json::JsonValue::Obj(vec![(
-            stringify!($variant).to_string(),
-            $crate::json::JsonValue::Obj(vec![
-                $((stringify!($field).to_string(),
-                   $crate::json::ToJson::to_json($field)),)+
-            ]),
-        )])
-    };
-    (@de_unit $ty:ident, $variant:ident) => { Ok($ty::$variant) };
-    (@de_unit $ty:ident, $variant:ident { $($field:ident),+ }) => {
-        Err($crate::json::JsonError::schema(concat!(
-            "variant ", stringify!($variant), " of ", stringify!($ty),
-            " requires a payload"
-        )))
-    };
-    (@de_payload $ty:ident, $variant:ident, $payload:ident) => {
-        Err($crate::json::JsonError::schema(concat!(
-            "variant ", stringify!($variant), " of ", stringify!($ty),
-            " takes no payload"
-        )))
-    };
-    (@de_payload $ty:ident, $variant:ident, $payload:ident { $($field:ident),+ }) => {
-        Ok($ty::$variant {
-            $($field: $crate::json::field($payload, stringify!($field))?,)+
-        })
     };
 }
 
@@ -925,16 +810,17 @@ mod tests {
     #[derive(Debug, PartialEq)]
     enum DemoKind {
         Plain,
-        Tagged { user: usize, on: bool },
+        Tagged,
     }
-    impl_json_enum!(DemoKind { Plain, Tagged { user, on } });
+    impl_json_enum!(DemoKind { Plain, Tagged });
 
     #[test]
     fn enum_macro_round_trip() {
-        for k in [DemoKind::Plain, DemoKind::Tagged { user: 4, on: true }] {
+        for k in [DemoKind::Plain, DemoKind::Tagged] {
             let v = k.to_json();
             assert_eq!(DemoKind::from_json(&v).unwrap(), k);
         }
         assert!(DemoKind::from_json(&JsonValue::Str("Nope".into())).is_err());
+        assert!(DemoKind::from_json(&JsonValue::Null).is_err());
     }
 }

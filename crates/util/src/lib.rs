@@ -8,8 +8,8 @@
 //!
 //! - [`rng`] — a SplitMix64-seeded xoshiro256++ PRNG with the handful of
 //!   sampling methods the workspace actually uses (`gen_range`, `gen`,
-//!   `gen_bool`, `shuffle`, `normal`). Same seed ⇒ same stream, on every
-//!   platform, forever.
+//!   `gen_bool`, `normal`). Same seed ⇒ same stream, on every platform,
+//!   forever.
 //! - [`json`] — a [`json::JsonValue`] tree with a compact writer and a
 //!   recursive-descent parser, plus [`json::ToJson`] / [`json::FromJson`]
 //!   traits and the [`impl_json_struct!`] / [`impl_json_enum!`] macros that
@@ -19,7 +19,7 @@
 //!   `prop::collection::vec`, [`prop::any`]), deterministic per-case seeds
 //!   and failure-seed reporting.
 //! - [`par`] — a scoped-thread data-parallel substrate standing in for
-//!   `rayon` (`par_map` / `par_map_indexed` / `chunked`), sized by
+//!   `rayon` (`par_map` / `par_map_indexed` / `par_for_each_mut`), sized by
 //!   `VOLCAST_THREADS` and bit-for-bit deterministic across thread counts.
 //! - [`obs`] — an observability layer (counters, gauges, log-scale
 //!   histograms, wall-clock spans) gated by `VOLCAST_TRACE`, with

@@ -4,10 +4,10 @@
 //! the figure bins' frame and trial sweeps, multi-config experiment
 //! replication — are embarrassingly parallel, but the workspace is
 //! intentionally
-//! dependency-free (`DESIGN.md` §7), so `rayon` is not an option. This
+//! dependency-free (`DESIGN.md` §5), so `rayon` is not an option. This
 //! module is the in-tree substitute: [`par_map`], [`par_map_indexed`] and
-//! [`chunked`] fan work out over `std::thread::scope` workers and return
-//! results **in input order**.
+//! [`par_for_each_mut`] fan work out over `std::thread::scope` workers and
+//! return (or write) results **in input order**.
 //!
 //! ## The determinism contract
 //!
@@ -38,8 +38,8 @@
 //! crate forbids. The spawn cost (tens of microseconds) is the reason a
 //! region must hold milliseconds of work: a session's per-frame stages
 //! (~50 µs each at six users) are plain loops, and sessions run in
-//! parallel with one another instead. See `DESIGN.md` §8 for the full
-//! rationale and the list of regions.
+//! parallel with one another instead. See `DESIGN.md` §5 for the rules
+//! and the list of regions.
 //!
 //! Nested parallel regions do not oversubscribe: a `par_map` issued from
 //! inside a worker runs serially on that worker.
@@ -106,7 +106,7 @@ pub fn set_thread_count(n: usize) {
 
 /// `true` when the calling thread is itself a worker of an enclosing
 /// parallel region (nested regions run serially).
-pub fn in_parallel_region() -> bool {
+fn in_parallel_region() -> bool {
     IN_PARALLEL_REGION.with(|f| f.get())
 }
 
@@ -230,71 +230,6 @@ where
     });
 }
 
-/// Maps `f` over `items` in parallel with chunked scheduling: workers
-/// claim contiguous runs of `chunk_size` items, which amortizes the
-/// claim-an-item synchronization for very cheap `f`. Results are returned
-/// in input order; `chunk_size` has no effect on values, only throughput.
-pub fn chunked<T, R, F>(items: &[T], chunk_size: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let n = items.len();
-    let chunk = chunk_size.max(1);
-    let n_chunks = n.div_ceil(chunk);
-    let workers = thread_count().min(n_chunks);
-    if workers <= 1 || in_parallel_region() {
-        return items.iter().map(&f).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let mut parts: Vec<Option<Vec<R>>> = Vec::with_capacity(n_chunks);
-    parts.resize_with(n_chunks, || None);
-    let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    IN_PARALLEL_REGION.with(|flag| flag.set(true));
-                    let mut local: Vec<(usize, Vec<R>)> = Vec::new();
-                    loop {
-                        let c = next.fetch_add(1, Ordering::Relaxed);
-                        if c >= n_chunks {
-                            break;
-                        }
-                        let start = c * chunk;
-                        let end = (start + chunk).min(n);
-                        local.push((c, items[start..end].iter().map(&f).collect()));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for handle in handles {
-            match handle.join() {
-                Ok(pairs) => {
-                    for (c, rs) in pairs {
-                        parts[c] = Some(rs);
-                    }
-                }
-                Err(payload) => {
-                    panic.get_or_insert(payload);
-                }
-            }
-        }
-    });
-
-    if let Some(payload) = panic {
-        std::panic::resume_unwind(payload);
-    }
-    parts
-        .into_iter()
-        .flat_map(|part| part.expect("chunked: worker skipped a chunk"))
-        .collect()
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -335,20 +270,6 @@ pub(crate) mod tests {
         set_thread_count(4);
         assert_eq!(par_map(&[] as &[u32], |&x| x), Vec::<u32>::new());
         assert_eq!(par_map(&[5u32], |&x| x + 1), vec![6]);
-        assert_eq!(chunked(&[] as &[u32], 8, |&x| x), Vec::<u32>::new());
-    }
-
-    #[test]
-    fn chunked_matches_map_for_all_chunk_sizes() {
-        let _knob = knob_lock();
-        set_thread_count(4);
-        let items: Vec<i64> = (-40..60).collect();
-        let serial: Vec<i64> = items.iter().map(|&x| 3 * x - 1).collect();
-        for chunk in [1, 2, 3, 7, 100, 1000] {
-            assert_eq!(chunked(&items, chunk, |&x| 3 * x - 1), serial);
-        }
-        // chunk_size 0 is clamped, not a panic or a hang.
-        assert_eq!(chunked(&items, 0, |&x| 3 * x - 1), serial);
     }
 
     #[test]

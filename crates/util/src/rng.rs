@@ -5,8 +5,8 @@
 //! 0 and small integers) into full 256-bit state, and xoshiro256++ gives a
 //! fast, high-quality stream with period 2^256 − 1. The API mirrors the
 //! subset of the `rand` crate the workspace used, so call sites read the
-//! same: `gen_range`, `gen`, `gen_bool`, `shuffle`, plus Gaussian sampling
-//! via [`Rng::normal`].
+//! same: `gen_range`, `gen`, `gen_bool`, plus Gaussian sampling via
+//! [`Rng::normal`].
 //!
 //! Unlike `rand`'s `StdRng` (whose stream may change between crate versions)
 //! this generator is frozen: the same seed yields the same sequence on every
@@ -105,14 +105,6 @@ impl Rng {
     /// `true` with probability `p` (clamped to `[0, 1]`).
     pub fn gen_bool(&mut self, p: f64) -> bool {
         self.gen::<f64>() < p
-    }
-
-    /// Fisher–Yates shuffle in place.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.gen_range(0..i + 1);
-            slice.swap(i, j);
-        }
     }
 
     /// A Gaussian sample with the given mean and standard deviation
@@ -340,16 +332,5 @@ mod tests {
                 assert_ne!(seen[i], seen[j], "streams {i} and {j} collide");
             }
         }
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = Rng::seed_from_u64(4);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, (0..50).collect::<Vec<_>>()); // astronomically unlikely
     }
 }

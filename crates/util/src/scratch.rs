@@ -28,8 +28,7 @@
 //!     let buf = points.begin(); // cleared, capacity retained
 //!     buf.extend(0..frame * 100);
 //! }
-//! assert_eq!(points.high_watermark(), 100); // longest *completed* use
-//! assert!(points.get().len() == 200); // current contents still readable
+//! assert!(points.get().len() == 200); // last use's contents still readable
 //! ```
 
 use crate::obs;
@@ -79,11 +78,6 @@ impl<T> ScratchVec<T> {
     #[inline]
     pub fn get_mut(&mut self) -> &mut Vec<T> {
         &mut self.buf
-    }
-
-    /// Longest completed use so far (current in-progress use excluded).
-    pub fn high_watermark(&self) -> usize {
-        self.high_len
     }
 
     /// Current reserved capacity.
@@ -172,19 +166,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scratch_vec_retains_capacity_and_tracks_watermark() {
+    fn scratch_vec_retains_capacity() {
         let mut s: ScratchVec<u64> = ScratchVec::new("test.scratch.a");
         s.begin().extend(0..500);
         assert_eq!(s.get().len(), 500);
-        assert_eq!(s.high_watermark(), 0, "in-progress use not counted");
         let cap = s.capacity();
         s.begin().extend(0..10);
-        assert_eq!(s.high_watermark(), 500);
         assert!(s.capacity() >= cap, "capacity must be retained");
         s.get_mut().push(99);
         assert_eq!(s.get().len(), 11);
         s.begin();
-        assert_eq!(s.high_watermark(), 500);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! statistical sanity. These exercise the same proptest-lite harness the
 //! rest of the workspace uses, so the harness is its own first customer.
 
-use std::collections::BTreeMap;
 use volcast_util::bitset::BitSet;
 use volcast_util::json::{FromJson, JsonValue, ToJson};
 use volcast_util::prop::prelude::*;
@@ -34,16 +33,6 @@ proptest! {
         round_trip(&v);
         round_trip(&Some(v.clone()));
         round_trip(&Option::<Vec<f64>>::None);
-    }
-
-    #[test]
-    fn tuples_and_maps_round_trip(k in 0u32..1000, x in -100.0..100.0f64, b in any::<bool>()) {
-        round_trip(&(k, x));
-        round_trip(&(k, x, b));
-        let mut map = BTreeMap::new();
-        map.insert(k, x);
-        map.insert(k.wrapping_add(1), -x);
-        round_trip(&map);
     }
 
     #[test]

@@ -104,19 +104,6 @@ impl BlockageForecaster {
     }
 }
 
-// JSON serialization (replaces the former serde derives; see volcast-util).
-volcast_util::impl_json_struct!(BlockageEvent {
-    victim,
-    blocker,
-    onset_frames
-});
-volcast_util::impl_json_struct!(BlockageForecaster {
-    ap,
-    body_radius,
-    body_height,
-    floor_y
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

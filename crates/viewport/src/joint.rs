@@ -56,9 +56,8 @@ pub struct JointPredictor {
     last: Vec<Option<SixDof>>,
     /// Correction configuration.
     pub config: JointConfig,
-    /// Reused working buffers for [`JointPredictor::predict_frame_into`]
-    /// (predictions and current poses), so steady-state prediction
-    /// allocates nothing.
+    /// Reused working buffers of [`JointPredictor::predict_frame_into`]
+    /// (predictions and current poses).
     scratch_preds: Vec<SixDof>,
     scratch_current: Vec<SixDof>,
 }
@@ -92,45 +91,21 @@ impl JointPredictor {
     }
 
     /// Predicts every user's pose `horizon` frames ahead, with interaction
-    /// corrections. Returns `None` until all users have enough history.
-    pub fn predict_frame(&self, horizon: usize) -> Option<Vec<Pose>> {
-        let mut preds = Vec::new();
-        let mut current = Vec::new();
-        if !self.predict_core(horizon, &mut preds, &mut current) {
-            return None;
-        }
-        Some(preds.into_iter().map(Pose::from_sixdof).collect())
-    }
-
-    /// Scratch-reusing variant of [`JointPredictor::predict_frame`]: fills
-    /// `out` (cleared first) and returns whether a prediction was available.
-    /// Working buffers live in the predictor, so a steady-state prediction
-    /// loop allocates nothing. Results are identical to `predict_frame`.
+    /// corrections: fills `out` (cleared first) and returns `false` until
+    /// all users have enough history. Working buffers live in the
+    /// predictor, so a steady-state prediction loop allocates nothing.
     pub fn predict_frame_into(&mut self, horizon: usize, out: &mut Vec<Pose>) -> bool {
         out.clear();
-        let mut preds = std::mem::take(&mut self.scratch_preds);
-        let mut current = std::mem::take(&mut self.scratch_current);
-        let ok = self.predict_core(horizon, &mut preds, &mut current);
-        if ok {
-            out.extend(preds.iter().copied().map(Pose::from_sixdof));
-        }
-        self.scratch_preds = preds;
-        self.scratch_current = current;
-        ok
-    }
-
-    /// Shared core of the two `predict_frame` entry points: fills `preds`
-    /// and `current` (cleared first) and applies the interaction
-    /// corrections. Returns `false` until all users have enough history.
-    fn predict_core(
-        &self,
-        horizon: usize,
-        preds: &mut Vec<SixDof>,
-        current: &mut Vec<SixDof>,
-    ) -> bool {
+        let JointPredictor {
+            bases,
+            last,
+            config,
+            scratch_preds: preds,
+            scratch_current: current,
+        } = self;
         preds.clear();
         current.clear();
-        for b in &self.bases {
+        for b in bases.iter() {
             match b.predict(horizon) {
                 Some(s) => preds.push(s),
                 None => return false,
@@ -138,7 +113,7 @@ impl JointPredictor {
         }
         // A user with no observed pose yet means "not enough history" —
         // report a miss like the base-predictor path above, never panic.
-        for l in &self.last {
+        for l in last.iter() {
             match l {
                 Some(s) => current.push(*s),
                 None => return false,
@@ -156,11 +131,11 @@ impl JointPredictor {
                 // Compare horizontal distance only; heads at different
                 // heights still collide bodily.
                 let horiz = ((pi.x - pj.x).powi(2) + (pi.z - pj.z).powi(2)).sqrt();
-                if horiz < self.config.comfort_radius {
+                if horiz < config.comfort_radius {
                     for (idx, cur) in [(i, current[i]), (j, current[j])] {
                         for d in 0..3 {
                             let displaced = preds[idx].v[d] - cur.v[d];
-                            preds[idx].v[d] = cur.v[d] + displaced * self.config.damping;
+                            preds[idx].v[d] = cur.v[d] + displaced * config.damping;
                         }
                     }
                 }
@@ -172,7 +147,7 @@ impl JointPredictor {
         //    the blocker faster.
         for i in 0..n {
             let pi = pos(&preds[i]);
-            let to_subject = self.config.subject - pi;
+            let to_subject = config.subject - pi;
             let dist = to_subject.norm();
             if dist < 1e-6 {
                 continue;
@@ -190,25 +165,17 @@ impl JointPredictor {
                 }
                 let closest = pi + dir * along;
                 let lateral = Vec3::new(pj.x - closest.x, 0.0, pj.z - closest.z);
-                if lateral.norm() < self.config.body_radius {
+                if lateral.norm() < config.body_radius {
                     // Peek toward the side the blocker is NOT on.
                     let side = dir.cross(Vec3::Y);
                     let sign = if lateral.dot(side) >= 0.0 { -1.0 } else { 1.0 };
-                    preds[i].v[3] = normalize_angle(preds[i].v[3] + sign * self.config.peek_bias);
+                    preds[i].v[3] = normalize_angle(preds[i].v[3] + sign * config.peek_bias);
                 }
             }
         }
 
+        out.extend(preds.iter().copied().map(Pose::from_sixdof));
         true
-    }
-
-    /// Predicts without interaction corrections (the naive baseline used in
-    /// the prediction-accuracy ablation).
-    pub fn predict_frame_naive(&self, horizon: usize) -> Option<Vec<Pose>> {
-        self.bases
-            .iter()
-            .map(|b| b.predict(horizon).map(Pose::from_sixdof))
-            .collect()
     }
 
     /// Resets all per-user state.
@@ -220,15 +187,6 @@ impl JointPredictor {
     }
 }
 
-// JSON serialization (replaces the former serde derives; see volcast-util).
-volcast_util::impl_json_struct!(JointConfig {
-    comfort_radius,
-    damping,
-    body_radius,
-    peek_bias,
-    subject
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,6 +194,19 @@ mod tests {
 
     fn pose_at(x: f64, z: f64) -> Pose {
         Pose::new(Vec3::new(x, 1.6, z), Quat::IDENTITY)
+    }
+
+    fn predict(jp: &mut JointPredictor, horizon: usize) -> Option<Vec<Pose>> {
+        let mut out = Vec::new();
+        jp.predict_frame_into(horizon, &mut out).then_some(out)
+    }
+
+    /// The per-user base predictions, without interaction corrections.
+    fn naive(jp: &JointPredictor, horizon: usize) -> Option<Vec<Pose>> {
+        jp.bases
+            .iter()
+            .map(|b| b.predict(horizon).map(Pose::from_sixdof))
+            .collect()
     }
 
     /// Two users walking straight at each other.
@@ -248,8 +219,8 @@ mod tests {
 
     #[test]
     fn needs_history_from_all_users() {
-        let jp = JointPredictor::new(2, 10, JointConfig::default());
-        assert!(jp.predict_frame(1).is_none());
+        let mut jp = JointPredictor::new(2, 10, JointConfig::default());
+        assert!(predict(&mut jp, 1).is_none());
     }
 
     #[test]
@@ -257,8 +228,8 @@ mod tests {
         let mut jp = JointPredictor::new(2, 10, JointConfig::default());
         feed_collision_course(&mut jp, 40); // users at x = -0.22 / 0.22, closing
         let horizon = 15;
-        let naive = jp.predict_frame_naive(horizon).unwrap();
-        let joint = jp.predict_frame(horizon).unwrap();
+        let naive = naive(&jp, horizon).unwrap();
+        let joint = predict(&mut jp, horizon).unwrap();
         let gap = |ps: &[Pose]| (ps[0].position - ps[1].position).norm();
         // Naive extrapolation predicts users nearly on top of each other;
         // the joint prediction keeps them further apart.
@@ -277,8 +248,8 @@ mod tests {
             let t = f as f64 * 0.01;
             jp.observe_frame(&[pose_at(-3.0 + t, -3.0), pose_at(3.0, 3.0)]);
         }
-        let naive = jp.predict_frame_naive(5).unwrap();
-        let joint = jp.predict_frame(5).unwrap();
+        let naive = naive(&jp, 5).unwrap();
+        let joint = predict(&mut jp, 5).unwrap();
         for (a, b) in naive.iter().zip(&joint) {
             assert!((a.position - b.position).norm() < 1e-9);
         }
@@ -299,8 +270,8 @@ mod tests {
                 Pose::looking_at(Vec3::new(0.0, 1.6, 1.5), cfg.subject),
             ]);
         }
-        let naive = jp.predict_frame_naive(5).unwrap();
-        let joint = jp.predict_frame(5).unwrap();
+        let naive = naive(&jp, 5).unwrap();
+        let joint = predict(&mut jp, 5).unwrap();
         let (ny, _, _) = naive[0].orientation.to_yaw_pitch_roll();
         let (jy, _, _) = joint[0].orientation.to_yaw_pitch_roll();
         assert!(
@@ -322,23 +293,21 @@ mod tests {
     fn missing_last_pose_returns_none_instead_of_panicking() {
         let mut jp = JointPredictor::new(2, 10, JointConfig::default());
         feed_collision_course(&mut jp, 40);
-        assert!(jp.predict_frame(5).is_some());
+        assert!(predict(&mut jp, 5).is_some());
         // A user whose latest pose is missing (e.g. state restored from a
         // partial snapshot) must surface as "no prediction yet", not a
         // panic in the correction pass.
         jp.last[0] = None;
-        assert!(jp.predict_frame(5).is_none());
-        // The naive path never consults `last` and still predicts.
-        assert!(jp.predict_frame_naive(5).is_some());
+        assert!(predict(&mut jp, 5).is_none());
     }
 
     #[test]
     fn reset_clears() {
         let mut jp = JointPredictor::new(2, 5, JointConfig::default());
         feed_collision_course(&mut jp, 10);
-        assert!(jp.predict_frame(1).is_some());
+        assert!(predict(&mut jp, 1).is_some());
         jp.reset();
-        assert!(jp.predict_frame(1).is_none());
+        assert!(predict(&mut jp, 1).is_none());
         assert_eq!(jp.users(), 2);
     }
 }

@@ -329,19 +329,6 @@ impl<'a> OcclusionWalk<'a> {
     }
 }
 
-// JSON serialization (replaces the former serde derives; see volcast-util).
-volcast_util::impl_json_struct!(VisibilityOptions {
-    viewport,
-    distance,
-    occlusion,
-    intrinsics,
-    lod_near,
-    lod_far,
-    lod_min,
-    occluder_min_points,
-    occluder_depth
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -48,6 +48,7 @@ fn main() {
     println!("Blockage forecast timeline (proactive horizon = 10 frames):");
     // One report per victim per crossing (15-frame cooldown).
     let mut last_report = vec![-100i64; users];
+    let mut actions = Vec::new();
     for f in 0..frames {
         let poses: Vec<Pose> = (0..users).map(|u| session.traces[u].pose(f)).collect();
         joint.observe_frame(&poses);
@@ -55,10 +56,10 @@ fn main() {
         // from its trace (its motion is linear).
         let series: Vec<Vec<Pose>> = (0..=10)
             .map(|h| {
-                let mut frame_poses = match joint.predict_frame(h) {
-                    Some(p) if h > 0 => p,
-                    _ => poses.clone(),
-                };
+                let mut frame_poses = Vec::new();
+                if h == 0 || !joint.predict_frame_into(h, &mut frame_poses) {
+                    frame_poses.clone_from(&poses);
+                }
                 frame_poses.push(w.pose((f + h).min(frames - 1)));
                 frame_poses
             })
@@ -70,7 +71,7 @@ fn main() {
             .collect();
         for e in &events {
             if e.onset_frames > 0 && f as i64 - last_report[e.victim] > 15 {
-                let actions = mitigator.plan(&[*e]);
+                mitigator.plan_into(&[*e], &mut actions);
                 println!(
                     "  frame {f:>3}: user {} will be blocked in {} frames -> prefetch {} frames, pre-steer beam ({:.1} ms switch)",
                     e.victim,

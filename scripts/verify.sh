@@ -1,13 +1,23 @@
 #!/usr/bin/env sh
 # Full quality gate for the volcast workspace, run with the network forced
 # off. The workspace has no external dependencies, so an empty registry
-# cache must be enough to pass every step (see DESIGN.md §7).
+# cache must be enough to pass every step (see DESIGN.md §5).
 #
 # Usage: scripts/verify.sh  (from the repository root)
 
 set -eu
 
 export CARGO_NET_OFFLINE=true
+
+echo "==> DESIGN.md stays an architecture document (<= 30720 bytes)"
+# The per-PR narrative belongs in CHANGES.md; the live-line total is
+# printed beside the limit so neither number moves unnoticed.
+design_bytes="$(wc -c < DESIGN.md)"
+[ "$design_bytes" -le 30720 ] || {
+    echo "ERROR: DESIGN.md is $design_bytes bytes (limit 30720)" >&2
+    exit 1
+}
+echo "DESIGN.md $design_bytes bytes; live lines: $(sh scripts/loc.sh | tail -1)"
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check

@@ -96,7 +96,7 @@ fn cmd_session(flags: HashMap<String, String>) -> Result<(), String> {
         other => return Err(format!("unknown abr '{other}'")),
     };
     // Layered delivery: multicast base layer + per-user unicast
-    // enhancements + the proactive XOR-parity FEC rung (DESIGN.md §16).
+    // enhancements + the proactive XOR-parity FEC rung (DESIGN.md §4).
     let delivery = match flags
         .get("delivery")
         .map(String::as_str)
