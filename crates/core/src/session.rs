@@ -37,7 +37,7 @@ use crate::rate_adapt::{AbrPolicy, Distress, FecRung, GroupState, RateAdapter};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
-use volcast_geom::{Pose, Vec3};
+use volcast_geom::{Complex, Pose, Vec3};
 use volcast_mmwave::{BeamDesign, Blocker, Channel, Codebook, McsTable, SweepEngine, SweepRx};
 use volcast_net::{
     AcMac, AdMac, BacklogPolicy, FaultConfig, FaultPlan, FrameFaults, MacModel, PlanTiming,
@@ -126,8 +126,11 @@ impl<'a> GroupBeams<'a> {
 
     /// Starts a frame: prepares user `u`'s receiver at `positions[u]`
     /// against *all* bodies, group members included (joining a group does
-    /// not move anyone's body; each receiver's own cylinder is dropped by
-    /// the channel's endpoint guard), and forgets last frame's designs.
+    /// not move anyone's body), and forgets last frame's designs. The
+    /// channel's endpoint guard drops each receiver's own cylinder from
+    /// the legs that end at them — but not from a reflection's first leg,
+    /// which a receiver standing between the AP and the bounce point
+    /// shadows with their own body here (`link_rates` filters it out).
     fn begin_frame(&mut self, positions: impl Iterator<Item = Vec3>, bodies: &[Blocker]) {
         for (rx, pos) in self.rxs.iter_mut().zip(positions) {
             rx.prepare(&self.engine, pos, bodies);
@@ -431,6 +434,12 @@ struct Arena {
     /// goes out on the stale beam at the old MCS and is lost.
     wasted_tx: Vec<bool>,
     // --- link rates ---
+    /// The one prepared receiver every link evaluation (serving beams
+    /// here, the reactive stale-beam probe in `plan`) re-prepares in
+    /// place, with the blocker list and beam scratch it runs on.
+    link_rx: SweepRx,
+    link_blockers: Vec<Blocker>,
+    link_beam: Vec<Complex>,
     rss: Vec<f64>,
     unicast_phy: Vec<f64>,
     // --- visibility ---
@@ -506,6 +515,9 @@ impl Arena {
             beam_outage: vec![0.0; n],
             extra_prefetch: vec![0; n],
             wasted_tx: vec![false; n],
+            link_rx: SweepRx::new(),
+            link_blockers: Vec::new(),
+            link_beam: Vec::new(),
             rss: Vec::new(),
             unicast_phy: Vec::with_capacity(n),
             partition: Arc::from(Vec::new()),
@@ -821,40 +833,44 @@ impl<'a> Pipeline<'a> {
     /// reactive users spend the first blocked frame on the stale LoS beam
     /// before re-searching.
     fn link_rates(&self, faults: &FrameFaults, a: &mut Arena) {
-        let (s, forecaster, is_wifi5) = (self.s, self.forecaster, self.is_wifi5);
-        let blockers = &a.all_blockers;
-        let (blocked_now, blocked_prev) = (&a.blocked_now, &a.blocked_prev);
-        let ap = s.channel.array.position;
+        let (s, ap) = (self.s, self.s.channel.array.position);
         a.rss.clear();
-        a.rss.extend(a.poses.iter().enumerate().map(|(u, pose)| {
+        for (u, pose) in a.poses.iter().enumerate() {
             let pos = pose.position;
             let injected_blockage = faults.blockage_for(u);
-            let others = blockers.iter().enumerate().filter(|&(i, _)| i != u);
-            if is_wifi5 {
+            // Everyone's body but the user's own. The channel's endpoint
+            // guard alone is not enough: it spares the leg that ends at the
+            // receiver, not a reflection's first leg passing over them.
+            let others = a.all_blockers.iter().enumerate().filter(|&(i, _)| i != u);
+            if self.is_wifi5 {
                 // Log-distance 5 GHz link; bodies shadow mildly.
                 let shadows = others
-                    .filter(|(_, b)| forecaster.is_blocked(pos, b.center))
+                    .filter(|(_, b)| self.forecaster.is_blocked(pos, b.center))
                     .count();
-                return s
-                    .wifi5
-                    .rss_dbm(ap.distance(pos), shadows + injected_blockage as usize);
+                a.rss.push(
+                    s.wifi5
+                        .rss_dbm(ap.distance(pos), shadows + injected_blockage as usize),
+                );
+                continue;
             }
-            let mut bl: Vec<Blocker> = others.map(|(_, b)| *b).collect();
+            a.link_blockers.clear();
+            a.link_blockers.extend(others.map(|(_, b)| *b));
             if injected_blockage {
                 // The phantom body stands mid-path between the AP and the
                 // user: guaranteed LoS intersection.
-                bl.push(Blocker::person(ap.lerp(pos, 0.5)));
+                a.link_blockers.push(Blocker::person(ap.lerp(pos, 0.5)));
             }
+            a.link_rx.prepare_paths(&s.channel, pos, &a.link_blockers);
             let searched = match s.params.mitigation {
                 MitigationMode::Proactive => true,
-                MitigationMode::Reactive => blocked_prev[u],
+                MitigationMode::Reactive => a.blocked_prev[u],
             };
-            if blocked_now[u] && searched {
-                s.channel.rss_best_beam(pos, &bl)
+            a.rss.push(if a.blocked_now[u] && searched {
+                a.link_rx.rss_best_beam(&mut a.link_beam)
             } else {
-                s.channel.rss_dedicated_beam(pos, &bl)
-            }
-        }));
+                a.link_rx.rss_dedicated_beam(&mut a.link_beam)
+            });
+        }
         // Injected link outage: the PHY collapses outright, below every
         // MCS sensitivity. Downstream this zeroes the user's rate, so
         // admission control defers their bursts and the degradation ladder
@@ -1038,7 +1054,9 @@ impl<'a> Pipeline<'a> {
         // (stale beam, clear-channel MCS) but never received. They are
         // queued first — the AP doesn't yet know the link is dead.
         for u in (0..self.n).filter(|&u| a.wasted_tx[u]) {
-            let clear_rss = self.s.channel.rss_dedicated_beam(a.poses[u].position, &[]);
+            a.link_rx
+                .prepare_paths(&self.s.channel, a.poses[u].position, &[]);
+            let clear_rss = a.link_rx.rss_dedicated_beam(&mut a.link_beam);
             let stale_phy = self.mcs_table.phy_rate_mbps(clear_rss);
             // Conservative: the AP aborts after ~a quarter of the frame's
             // worth of unacknowledged MPDUs.
@@ -1603,6 +1621,33 @@ mod tests {
         s.params.analysis_points = 4_000;
         s.params.fixed_quality = Some(QualityLevel::Low);
         s.run().unwrap()
+    }
+
+    /// `link_rates` must drop the user's own body by index, not leave it
+    /// to the channel's endpoint guard: a user between the AP and the back
+    /// wall stands under that bounce's *first* leg, which ends at the wall,
+    /// not at them — the guard keeps their cylinder there, the filter does
+    /// not, and the two disagree by a blocked reflection.
+    #[test]
+    fn link_rates_filters_the_users_own_body() {
+        let pos = Vec3::new(0.0, 1.5, -3.5);
+        let mut s = quick_session(PlayerKind::Vivo, 1, 1, 7);
+        s.traces[0].poses = vec![Pose::looking_at(pos, Vec3::new(0.0, 1.2, 0.0))];
+        let fault_plan = s.checked_fault_plan().unwrap();
+        let p = Pipeline::new(&s, &fault_plan);
+        let mut a = Arena::new(&p);
+        let faults = p.frame_faults(0);
+        p.observe(0, &mut a);
+        p.forecast(0, faults, &mut a);
+        p.link_rates(faults, &mut a);
+        assert_eq!(a.all_blockers, [Blocker::person(pos)]);
+        let filtered = s.channel.rss_dedicated_beam(pos, &[]);
+        let guarded = s.channel.rss_dedicated_beam(pos, &a.all_blockers);
+        assert!(
+            guarded < filtered,
+            "the endpoint guard alone: {guarded} vs {filtered}"
+        );
+        assert_eq!(a.rss[0].to_bits(), filtered.to_bits());
     }
 
     #[test]

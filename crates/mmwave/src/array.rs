@@ -26,14 +26,9 @@ impl AntennaWeights {
     /// power constraint in the paper's beam design). Zero vectors are
     /// returned unchanged.
     pub fn normalized(&self) -> AntennaWeights {
-        let p = self.power();
-        if p <= 0.0 {
-            return self.clone();
-        }
-        let s = 1.0 / p.sqrt();
-        AntennaWeights {
-            w: self.w.iter().map(|c| c.scale(s)).collect(),
-        }
+        let mut out = self.clone();
+        normalize(&mut out.w);
+        out
     }
 
     /// Number of elements.
@@ -47,34 +42,38 @@ impl AntennaWeights {
     }
 }
 
-/// A steering vector sampled toward one fixed array-local direction, for
-/// evaluating many candidate weight vectors against the same direction
-/// (codebook sweeps, multi-lobe design).
-///
-/// [`SteeringSample::gain`] reproduces [`PlanarArray::gain`] exactly — same
-/// floating-point operations in the same order — but skips re-deriving the
-/// per-element phases on every call, leaving one complex dot product per
-/// evaluation.
-#[derive(Debug, Clone)]
-pub(crate) struct SteeringSample {
-    /// `a(dir)`: the unit-magnitude phase vector toward the direction.
-    steering: AntennaWeights,
-    /// Cosine element-pattern factor at the direction (floored backlobe).
-    element: f64,
+/// Scales `w` to unit total power in place — the one normalization
+/// program behind [`AntennaWeights::normalized`], the multi-lobe
+/// combination and the link beams. Zero vectors are left unchanged.
+pub(crate) fn normalize(w: &mut [Complex]) {
+    let p: f64 = w.iter().map(|c| c.norm_sq()).sum();
+    if p > 0.0 {
+        let s = 1.0 / p.sqrt();
+        for c in w.iter_mut() {
+            *c = c.scale(s);
+        }
+    }
 }
 
-impl SteeringSample {
-    /// Far-field power gain of `weights` toward the sampled direction:
-    /// `|w^T a|^2` times the element pattern, identical to calling
-    /// [`PlanarArray::gain`] with the direction this sample was built from.
-    pub(crate) fn gain(&self, weights: &AntennaWeights) -> f64 {
-        debug_assert_eq!(weights.len(), self.steering.len());
-        let mut acc = Complex::ZERO;
-        for (wi, ai) in weights.w.iter().zip(&self.steering.w) {
-            acc += *wi * *ai;
-        }
-        acc.norm_sq() * self.element
+/// Turns a steering row into the conjugate-beamforming weights toward its
+/// direction, at unit transmit power.
+pub(crate) fn conj_normalize(w: &mut [Complex]) {
+    for c in w.iter_mut() {
+        *c = c.conj();
     }
+    normalize(w);
+}
+
+/// `w^T a`: the array response of weights `w` toward the direction whose
+/// steering row is `a` — the one dot product behind [`PlanarArray::gain`]
+/// and every RSS evaluation.
+pub(crate) fn response(w: &[Complex], a: &[Complex]) -> Complex {
+    debug_assert_eq!(w.len(), a.len());
+    let mut acc = Complex::ZERO;
+    for (wi, ai) in w.iter().zip(a) {
+        acc += *wi * *ai;
+    }
+    acc
 }
 
 /// A uniform planar array of isotropic-ish elements at λ/2 spacing.
@@ -134,39 +133,57 @@ impl PlanarArray {
     /// allocation-free sweep engine so every caller produces bit-identical
     /// phase vectors.
     pub fn steering_into(&self, dir: Spherical, out: &mut Vec<Complex>) {
-        let k = 2.0 * std::f64::consts::PI / WAVELENGTH_M;
-        let d = self.spacing_wl * WAVELENGTH_M;
         let u = dir.azimuth.sin() * dir.elevation.cos();
         let v = dir.elevation.sin();
+        self.steering_uv_into(u, v, out);
+    }
+
+    /// [`PlanarArray::steering_into`] from the direction cosines
+    /// `u = sin az · cos el`, `v = sin el`, for callers that already hold
+    /// the direction's sines and cosines.
+    ///
+    /// The array is point-symmetric about its centre, so element `N-1-e`
+    /// sits at exactly minus element `e`'s offset and its phase argument
+    /// is exactly minus `e`'s; with an odd `sin` and an even `cos` that
+    /// makes it the complex conjugate. Only the first `⌈N/2⌉` elements pay
+    /// for a `sin_cos`; the rest are mirrored. The one case negation does
+    /// not cover is a phase argument of zero (`a + (-a)` rounds to `+0`
+    /// whichever operand is negative, so both mirror partners see `+0`):
+    /// those elements, recognizable by their zero imaginary part, are
+    /// computed rather than mirrored.
+    pub fn steering_uv_into(&self, u: f64, v: f64, out: &mut Vec<Complex>) {
+        let n = self.elements();
+        let base = out.len();
+        let computed = n.div_ceil(2);
+        out.extend((0..computed).map(|e| self.element_phase(e % self.nx, e / self.nx, u, v)));
+        for e in computed..n {
+            let twin = out[base + n - 1 - e];
+            out.push(if twin.im == 0.0 {
+                self.element_phase(e % self.nx, e / self.nx, u, v)
+            } else {
+                twin.conj()
+            });
+        }
+    }
+
+    /// Phase term of the element in column `ix`, row `iy` toward direction
+    /// cosines `(u, v)`: `exp(j k (x u + y v))`.
+    fn element_phase(&self, ix: usize, iy: usize, u: f64, v: f64) -> Complex {
+        let k = 2.0 * std::f64::consts::PI / WAVELENGTH_M;
+        let d = self.spacing_wl * WAVELENGTH_M;
         let cx = (self.nx as f64 - 1.0) / 2.0;
         let cy = (self.ny as f64 - 1.0) / 2.0;
-        for iy in 0..self.ny {
-            for ix in 0..self.nx {
-                let x = (ix as f64 - cx) * d;
-                let y = (iy as f64 - cy) * d;
-                out.push(Complex::cis(k * (x * u + y * v)));
-            }
-        }
+        let x = (ix as f64 - cx) * d;
+        let y = (iy as f64 - cy) * d;
+        Complex::cis(k * (x * u + y * v))
     }
 
     /// The conjugate-beamforming weights that maximize gain toward `dir`,
     /// normalized to unit transmit power.
     pub fn beam_toward(&self, dir: Spherical) -> AntennaWeights {
-        let s = self.steering(dir);
-        AntennaWeights {
-            w: s.w.iter().map(|c| c.conj()).collect(),
-        }
-        .normalized()
-    }
-
-    /// Samples the steering vector and element pattern toward `dir` once,
-    /// so repeated [`SteeringSample::gain`] calls against different weight
-    /// vectors (a codebook sweep) cost one dot product each.
-    pub(crate) fn steering_sample(&self, dir: Spherical) -> SteeringSample {
-        SteeringSample {
-            steering: self.steering(dir),
-            element: element_pattern(dir),
-        }
+        let mut beam = self.steering(dir);
+        conj_normalize(&mut beam.w);
+        beam
     }
 
     /// Far-field power gain (linear) of `weights` toward an array-local
@@ -176,16 +193,17 @@ impl PlanarArray {
     /// count (e.g. 32 -> ~15 dB).
     pub fn gain(&self, weights: &AntennaWeights, dir: Spherical) -> f64 {
         debug_assert_eq!(weights.len(), self.elements());
-        self.steering_sample(dir).gain(weights)
+        response(&weights.w, &self.steering(dir).w).norm_sq()
+            * element_pattern(dir.azimuth.cos(), dir.elevation.cos())
     }
 }
 
-/// Element pattern at an array-local direction: cosine roll-off away from
-/// boresight, floored to a -20 dB backlobe so reflections behind the array
-/// stay finite. The single float program shared by [`PlanarArray::gain`]
-/// and the sweep engine.
-pub fn element_pattern(dir: Spherical) -> f64 {
-    (dir.azimuth.cos() * dir.elevation.cos()).max(0.01)
+/// Element pattern from the cosines of an array-local direction's azimuth
+/// and elevation: cosine roll-off away from boresight, floored to a -20 dB
+/// backlobe so reflections behind the array stay finite. The single float
+/// program shared by [`PlanarArray::gain`] and the prepared receivers.
+pub(crate) fn element_pattern(cos_az: f64, cos_el: f64) -> f64 {
+    (cos_az * cos_el).max(0.01)
 }
 
 #[cfg(test)]

@@ -10,8 +10,9 @@
 //! RSS for a beam is the non-coherent power sum over paths weighted by the
 //! beam's gain toward each path's departure direction.
 
-use crate::array::{AntennaWeights, PlanarArray, SteeringSample};
+use crate::array::{AntennaWeights, PlanarArray};
 use crate::calib;
+use crate::sweep::SweepRx;
 use volcast_geom::{Ray, Vec3};
 
 /// A rectangular room: `x in [-w/2, w/2]`, `y in [0, h]`, `z in [-d/2, d/2]`.
@@ -75,39 +76,6 @@ pub struct Path {
     pub is_los: bool,
 }
 
-/// A receiver prepared for repeated beam evaluations: paths enumerated,
-/// blockage resolved, and the steering vector toward each path sampled —
-/// all hoisted out of the per-beam loop. [`PreparedRx::rss_dbm`] then costs
-/// one complex dot product per path.
-///
-/// Built by [`Channel::prepare_rx`] for a fixed `(receiver, blockers)`
-/// pair; it reproduces [`Channel::rss_dbm`] bit-for-bit for that pair. A
-/// codebook sweep (48 sectors × 6 paths) goes from 48 path enumerations and
-/// blockage tests to one of each.
-#[derive(Debug, Clone)]
-pub(crate) struct PreparedRx {
-    /// Per usable path: steering toward its departure point and the total
-    /// loss in dB (propagation + reflection + blockage).
-    paths: Vec<(SteeringSample, f64)>,
-}
-
-impl PreparedRx {
-    /// RSS (dBm) for transmit beam `weights` — identical to
-    /// [`Channel::rss_dbm`] at the prepared receiver and blocker set.
-    pub(crate) fn rss_dbm(&self, weights: &AntennaWeights) -> f64 {
-        let mut total_mw = 0.0f64;
-        for (sample, loss_db) in &self.paths {
-            let gain = sample.gain(weights);
-            if gain <= 0.0 {
-                continue;
-            }
-            let rx_dbm = calib::TX_POWER_DBM + 10.0 * gain.log10() + calib::RX_GAIN_DBI - loss_db;
-            total_mw += calib::dbm_to_mw(rx_dbm);
-        }
-        calib::mw_to_dbm(total_mw)
-    }
-}
-
 /// The channel: a room plus the AP's planar array.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Channel {
@@ -141,8 +109,7 @@ impl Channel {
     }
 
     /// [`Channel::paths`] into a caller-owned buffer (cleared first) — the
-    /// single enumeration program, shared with the allocation-free sweep
-    /// engine so path lists are bit-identical however they are produced.
+    /// single enumeration program behind every prepared receiver.
     pub fn paths_into(&self, rx: Vec3, out: &mut Vec<Path>) {
         out.clear();
         let tx = self.array.position;
@@ -249,43 +216,25 @@ impl Channel {
         })
     }
 
+    /// A one-shot prepared receiver at `rx`: the allocating front the
+    /// `rss_*` conveniences below share. Frame loops keep a [`SweepRx`] of
+    /// their own and re-prepare it in place instead.
+    fn link_rx(&self, rx: Vec3, blockers: &[Blocker]) -> SweepRx {
+        let mut link = SweepRx::new();
+        link.prepare_paths(self, rx, blockers);
+        link
+    }
+
     /// Received signal strength (dBm) at `rx` for transmit beam `weights`,
     /// with the given blockers. Non-coherent power sum over paths.
     pub fn rss_dbm(&self, weights: &AntennaWeights, rx: Vec3, blockers: &[Blocker]) -> f64 {
-        self.prepare_rx(rx, blockers).rss_dbm(weights)
-    }
-
-    /// Prepares `rx` for repeated beam evaluations (see [`PreparedRx`]).
-    pub(crate) fn prepare_rx(&self, rx: Vec3, blockers: &[Blocker]) -> PreparedRx {
-        self.prepare_rx_paths(&self.paths(rx), rx, blockers)
-    }
-
-    /// [`Channel::prepare_rx`] over an already-enumerated path list, for
-    /// callers that memoize [`Channel::paths`] per receiver position (path
-    /// geometry is independent of the blocker population).
-    pub(crate) fn prepare_rx_paths(
-        &self,
-        paths: &[Path],
-        rx: Vec3,
-        blockers: &[Blocker],
-    ) -> PreparedRx {
-        let paths = paths
-            .iter()
-            .filter_map(|path| {
-                // A path whose departure direction is degenerate contributes
-                // zero gain in rss_dbm; dropping it here is equivalent.
-                let dir = self.array.local_direction(path.via - self.array.position)?;
-                let loss_db = self.path_loss_db(path, rx, blockers);
-                Some((self.array.steering_sample(dir), loss_db))
-            })
-            .collect();
-        PreparedRx { paths }
+        self.link_rx(rx, blockers).eval_weights(&weights.w)
     }
 
     /// Total loss in dB of one enumerated path toward `rx` — propagation,
     /// reflection, implementation, and (if any blocker cylinder interrupts
-    /// a leg) body blockage. The single loss program behind
-    /// [`Channel::rss_dbm`], shared with the allocation-free sweep engine.
+    /// a leg) body blockage. The single loss program behind every RSS
+    /// evaluation.
     pub fn path_loss_db(&self, path: &Path, rx: Vec3, blockers: &[Blocker]) -> f64 {
         let mut loss_db = calib::fspl_db(path.length)
             + calib::O2_ABSORPTION_DB_PER_M * path.length
@@ -304,37 +253,17 @@ impl Channel {
         loss_db
     }
 
-    /// RSS using the best dedicated (conjugate) beam toward `rx` — the
-    /// upper bound a perfect beam search achieves *on the LoS direction*.
+    /// RSS using the best dedicated (conjugate) beam toward `rx`: see
+    /// [`SweepRx::rss_dedicated_beam`].
     pub fn rss_dedicated_beam(&self, rx: Vec3, blockers: &[Blocker]) -> f64 {
-        match self.array.local_direction(rx - self.array.position) {
-            Some(dir) => self.rss_dbm(&self.array.beam_toward(dir), rx, blockers),
-            None => f64::NEG_INFINITY,
-        }
+        self.link_rx(rx, blockers)
+            .rss_dedicated_beam(&mut Vec::new())
     }
 
-    /// RSS with the best beam over *all* propagation paths: the AP tries a
-    /// dedicated beam toward the receiver and toward every reflection
-    /// point, and keeps the strongest. This is what a beam search that is
-    /// allowed to use NLoS paths converges to — the escape hatch from a
-    /// body blockage (paper §4.1: "adapt its beam to the user with a
-    /// reflection path").
+    /// RSS with the best beam over *all* propagation paths: see
+    /// [`SweepRx::rss_best_beam`].
     pub fn rss_best_beam(&self, rx: Vec3, blockers: &[Blocker]) -> f64 {
-        // One path enumeration + blockage resolution shared by every
-        // candidate beam, instead of re-deriving them per candidate.
-        // Stays serial: after preparation the sweep is a handful of dot
-        // products (one per path), far below thread-spawn cost — the
-        // parallel codebook sweeps live in `MultiLobeDesigner`.
-        let paths = self.paths(rx);
-        let prepared = self.prepare_rx_paths(&paths, rx, blockers);
-        paths
-            .iter()
-            .filter_map(|p| {
-                self.array
-                    .local_direction(p.via - self.array.position)
-                    .map(|dir| prepared.rss_dbm(&self.array.beam_toward(dir)))
-            })
-            .fold(f64::NEG_INFINITY, f64::max)
+        self.link_rx(rx, blockers).rss_best_beam(&mut Vec::new())
     }
 }
 
@@ -448,21 +377,21 @@ mod tests {
     }
 
     #[test]
-    fn prepared_rx_matches_direct_rss_exactly() {
+    fn reference_rx_matches_direct_rss_exactly() {
         let ch = setup();
         let rx = Vec3::new(-1.7, 1.4, -2.2);
         let blockers = [
             Blocker::person(Vec3::new(-1.0, 0.0, -0.5)),
             Blocker::person(Vec3::new(2.0, 0.0, 1.0)),
         ];
-        let prepared = ch.prepare_rx(rx, &blockers);
+        let prepared = crate::reference::prepare_rx(&ch, rx, &blockers);
         for dir in [
             Vec3::new(0.1, -0.4, -1.0),
             rx - ch.array.position,
             Vec3::new(-1.0, 0.0, -0.2),
         ] {
             let beam = ch.array.beam_toward(ch.array.local_direction(dir).unwrap());
-            // Bit-for-bit: prepared evaluation is the same float program.
+            // Bit-for-bit: the oracle and the live receiver agree.
             assert_eq!(prepared.rss_dbm(&beam), ch.rss_dbm(&beam, rx, &blockers));
         }
     }

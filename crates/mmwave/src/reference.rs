@@ -1,22 +1,163 @@
-//! Slow, obvious group-beam design: the test oracle for
-//! [`SweepEngine`](crate::SweepEngine).
+//! Slow, obvious mmWave evaluation: the test oracle for
+//! [`SweepRx`](crate::SweepRx) and [`SweepEngine`](crate::SweepEngine).
 //!
-//! Every sector of the codebook is evaluated against every member through
-//! [`Channel::prepare_rx`] — no bounds, no pruning, no caches, no reused
-//! buffers — and the first-best argmax is taken serially. This is the only
+//! Nothing here is shared with the live path beyond path enumeration and
+//! the loss program. Steering vectors evaluate every element's phase with
+//! its own `sin_cos` ([`full_steering`], no mirroring); a receiver is a
+//! [`PreparedRx`] rebuilt per call, one owned steering vector per path,
+//! direction sines and cosines taken wherever they are needed; the link
+//! beams are spelled out over `Channel` and `beam_toward`, one allocation
+//! per step. Group-beam design evaluates every sector of the codebook
+//! against every member — no bounds, no pruning, no caches, no reused
+//! buffers — and takes the first-best argmax serially. This is the only
 //! exhaustive scan in the tree; it is compiled for tests only.
 
-use crate::array::AntennaWeights;
-use crate::calib;
-use crate::channel::{Blocker, Channel, PreparedRx};
+use crate::array::{AntennaWeights, PlanarArray};
+use crate::calib::{self, WAVELENGTH_M};
+use crate::channel::{Blocker, Channel};
 use crate::codebook::Codebook;
 use crate::multilobe::{combine_weights_multi, GroupBeam};
-use volcast_geom::Vec3;
+use volcast_geom::{Complex, Spherical, Vec3};
+
+/// The steering vector toward `dir`, every element from the defining
+/// expression `exp(j k (x_m sin_az cos_el + y_n sin_el))`.
+pub(crate) fn full_steering(array: &PlanarArray, dir: Spherical) -> AntennaWeights {
+    let u = dir.azimuth.sin() * dir.elevation.cos();
+    let v = dir.elevation.sin();
+    full_steering_uv(array, u, v)
+}
+
+/// [`full_steering`] from the direction cosines.
+fn full_steering_uv(array: &PlanarArray, u: f64, v: f64) -> AntennaWeights {
+    let k = 2.0 * std::f64::consts::PI / WAVELENGTH_M;
+    let d = array.spacing_wl * WAVELENGTH_M;
+    let cx = (array.nx as f64 - 1.0) / 2.0;
+    let cy = (array.ny as f64 - 1.0) / 2.0;
+    let mut w = Vec::with_capacity(array.elements());
+    for iy in 0..array.ny {
+        for ix in 0..array.nx {
+            let x = (ix as f64 - cx) * d;
+            let y = (iy as f64 - cy) * d;
+            w.push(Complex::cis(k * (x * u + y * v)));
+        }
+    }
+    AntennaWeights { w }
+}
+
+/// Conjugate-beamforming weights toward `dir`, unit power.
+fn beam_toward(array: &PlanarArray, dir: Spherical) -> AntennaWeights {
+    AntennaWeights {
+        w: full_steering(array, dir)
+            .w
+            .iter()
+            .map(|c| c.conj())
+            .collect(),
+    }
+    .normalized()
+}
+
+/// A steering vector sampled toward one fixed array-local direction.
+#[derive(Debug, Clone)]
+struct SteeringSample {
+    /// `a(dir)`: the unit-magnitude phase vector toward the direction.
+    steering: AntennaWeights,
+    /// Cosine element-pattern factor at the direction (floored backlobe).
+    element: f64,
+}
+
+impl SteeringSample {
+    fn new(array: &PlanarArray, dir: Spherical) -> Self {
+        SteeringSample {
+            steering: full_steering(array, dir),
+            element: (dir.azimuth.cos() * dir.elevation.cos()).max(0.01),
+        }
+    }
+
+    /// Far-field power gain of `weights` toward the sampled direction:
+    /// `|w^T a|^2` times the element pattern.
+    fn gain(&self, weights: &AntennaWeights) -> f64 {
+        let mut acc = Complex::ZERO;
+        for (wi, ai) in weights.w.iter().zip(&self.steering.w) {
+            acc += *wi * *ai;
+        }
+        acc.norm_sq() * self.element
+    }
+}
+
+/// A receiver prepared for a fixed `(receiver, blockers)` pair: paths
+/// enumerated, blockage resolved, and the steering vector toward each
+/// usable path sampled.
+#[derive(Debug, Clone)]
+pub(crate) struct PreparedRx {
+    /// Per usable path: steering toward its departure point and the total
+    /// loss in dB (propagation + reflection + blockage).
+    paths: Vec<(SteeringSample, f64)>,
+}
+
+impl PreparedRx {
+    /// RSS (dBm) for transmit beam `weights`: non-coherent power sum over
+    /// paths.
+    pub(crate) fn rss_dbm(&self, weights: &AntennaWeights) -> f64 {
+        let mut total_mw = 0.0f64;
+        for (sample, loss_db) in &self.paths {
+            let gain = sample.gain(weights);
+            if gain <= 0.0 {
+                continue;
+            }
+            let rx_dbm = calib::TX_POWER_DBM + 10.0 * gain.log10() + calib::RX_GAIN_DBI - loss_db;
+            total_mw += calib::dbm_to_mw(rx_dbm);
+        }
+        calib::mw_to_dbm(total_mw)
+    }
+}
+
+/// Prepares `rx` for repeated beam evaluations.
+pub(crate) fn prepare_rx(channel: &Channel, rx: Vec3, blockers: &[Blocker]) -> PreparedRx {
+    let array = &channel.array;
+    let paths = channel
+        .paths(rx)
+        .iter()
+        .filter_map(|path| {
+            // A path whose departure direction is degenerate contributes
+            // zero gain; dropping it here is equivalent.
+            let dir = array.local_direction(path.via - array.position)?;
+            let loss_db = channel.path_loss_db(path, rx, blockers);
+            Some((SteeringSample::new(array, dir), loss_db))
+        })
+        .collect();
+    PreparedRx { paths }
+}
+
+/// The oracle of [`Channel::rss_dedicated_beam`]: a conjugate beam on the
+/// LoS direction, `-∞` when there is none.
+pub(crate) fn rss_dedicated_beam(channel: &Channel, rx: Vec3, blockers: &[Blocker]) -> f64 {
+    let array = &channel.array;
+    match array.local_direction(rx - array.position) {
+        Some(dir) => prepare_rx(channel, rx, blockers).rss_dbm(&beam_toward(array, dir)),
+        None => f64::NEG_INFINITY,
+    }
+}
+
+/// The oracle of [`Channel::rss_best_beam`]: the strongest of the
+/// dedicated beams toward the receiver and every reflection point.
+pub(crate) fn rss_best_beam(channel: &Channel, rx: Vec3, blockers: &[Blocker]) -> f64 {
+    let array = &channel.array;
+    let prepared = prepare_rx(channel, rx, blockers);
+    channel
+        .paths(rx)
+        .iter()
+        .filter_map(|p| {
+            array
+                .local_direction(p.via - array.position)
+                .map(|dir| prepared.rss_dbm(&beam_toward(array, dir)))
+        })
+        .fold(f64::NEG_INFINITY, f64::max)
+}
 
 fn prepare(channel: &Channel, members: &[Vec3], blockers: &[Blocker]) -> Vec<PreparedRx> {
     members
         .iter()
-        .map(|&m| channel.prepare_rx(m, blockers))
+        .map(|&m| prepare_rx(channel, m, blockers))
         .collect()
 }
 
@@ -97,5 +238,245 @@ pub(crate) fn design(
         weights: codebook.sectors[idx].clone(),
         member_rss_dbm: default_rss,
         customized: false,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::channel::Room;
+    use crate::sweep::SweepRx;
+    use std::f64::consts::{FRAC_PI_2, PI};
+    use volcast_util::prop::run_cases_n;
+    use volcast_util::rng::Rng;
+
+    fn assert_same_bits(got: &[Complex], want: &[Complex], ctx: &str) {
+        assert_eq!(got.len(), want.len(), "{ctx}");
+        for (e, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.re.to_bits() == w.re.to_bits() && g.im.to_bits() == w.im.to_bits(),
+                "{ctx}: element {e} is {g:?}, the full loop gives {w:?}"
+            );
+        }
+    }
+
+    fn arrays() -> Vec<PlanarArray> {
+        [(8, 4), (1, 1), (3, 3), (5, 2)]
+            .into_iter()
+            .map(|(nx, ny)| PlanarArray {
+                nx,
+                ny,
+                ..PlanarArray::airfide(Vec3::ZERO, Vec3::FORWARD)
+            })
+            .collect()
+    }
+
+    /// The assumption mirrored steering rests on, named where it can fail
+    /// legibly: this libm's `sin` is odd and its `cos` even *bit for bit*,
+    /// and `sin_cos` is the pair of the separate calls. A platform whose
+    /// libm breaks either would move steering rows by an ULP and with them
+    /// every pinned session hash; it must fail here first.
+    #[test]
+    fn libm_parity_witness() {
+        let mut rng = Rng::seed_from_u64(0x11B3);
+        let mut args: Vec<f64> = vec![0.0, f64::MIN_POSITIVE, 5e-324, 1e-310, PI, FRAC_PI_2];
+        args.extend((0..20_000).map(|_| rng.gen_range(0.0..6.0 * PI)));
+        // Subnormals, and arguments far beyond the first range reduction.
+        args.extend((0..2_000).map(|_| f64::from_bits(rng.gen_range(1u64..1 << 52))));
+        args.extend(
+            (0..2_000).map(|_| rng.gen_range(1.0..10.0) * 10f64.powi(rng.gen_range(2..300))),
+        );
+        for x in args {
+            let why = "mirrored steering (PlanarArray::steering_uv_into) needs an odd sin, \
+                       an even cos and sin_cos == (sin, cos), bitwise; this libm differs";
+            assert_eq!(
+                (-x).sin().to_bits(),
+                (-x.sin()).to_bits(),
+                "sin(-{x:e}): {why}"
+            );
+            assert_eq!(
+                (-x).cos().to_bits(),
+                x.cos().to_bits(),
+                "cos(-{x:e}): {why}"
+            );
+            for y in [x, -x] {
+                let (s, c) = y.sin_cos();
+                assert_eq!(s.to_bits(), y.sin().to_bits(), "sin_cos({y:e}).0: {why}");
+                assert_eq!(c.to_bits(), y.cos().to_bits(), "sin_cos({y:e}).1: {why}");
+            }
+        }
+    }
+
+    #[test]
+    fn mirrored_steering_matches_the_full_loop() {
+        let edge = [0.0, -0.0, FRAC_PI_2, -FRAC_PI_2, 1e-300, -1e-300, 1.0, PI];
+        for array in arrays() {
+            let ctx = format!("{}x{}", array.nx, array.ny);
+            let check = |dir: Spherical| {
+                let mut got = vec![Complex::I]; // appended to, not overwritten
+                array.steering_into(dir, &mut got);
+                assert_eq!(got[0], Complex::I);
+                let want = full_steering(&array, dir);
+                assert_same_bits(&got[1..], &want.w, &format!("{ctx} toward {dir:?}"));
+                assert_same_bits(&array.steering(dir).w, &want.w, &ctx);
+            };
+            // Boresight, signed zeros, grazing and beyond-grazing angles.
+            for az in edge {
+                for el in edge {
+                    check(Spherical::new(az, el));
+                }
+            }
+            run_cases_n("mirrored_steering", 256, |rng| {
+                check(Spherical::new(
+                    rng.gen_range(-PI..PI),
+                    rng.gen_range(-FRAC_PI_2..FRAC_PI_2),
+                ));
+            });
+            // Exact cancellation away from boresight: with (u, v) = (y, -x)
+            // of some element, that element's and its mirror partner's
+            // phase arguments are both `x·y - y·x = +0`, which negation
+            // does not reproduce — those elements must be computed.
+            let d = array.spacing_wl * WAVELENGTH_M;
+            for e in 0..array.elements() {
+                let x = ((e % array.nx) as f64 - (array.nx as f64 - 1.0) / 2.0) * d;
+                let y = ((e / array.nx) as f64 - (array.ny as f64 - 1.0) / 2.0) * d;
+                for (u, v) in [(y, -x), (-y, x)] {
+                    let mut got = Vec::new();
+                    array.steering_uv_into(u, v, &mut got);
+                    let want = full_steering_uv(&array, u, v);
+                    assert_same_bits(&got, &want.w, &format!("{ctx} cancelling at {e}"));
+                }
+            }
+        }
+    }
+
+    /// Both link beams through a (reused, dirty) `SweepRx` and through the
+    /// `Channel` fronts, against the oracle, bit for bit.
+    fn check_links(link: &mut SweepRx, channel: &Channel, rx: Vec3, blockers: &[Blocker]) {
+        let mut beam = vec![Complex::I; 3]; // scratch arrives dirty
+        link.prepare_paths(channel, rx, blockers);
+        let ctx = format!("{channel:?} rx {rx:?} with {} blockers", blockers.len());
+        let want = rss_dedicated_beam(channel, rx, blockers);
+        assert_eq!(
+            link.rss_dedicated_beam(&mut beam).to_bits(),
+            want.to_bits(),
+            "{ctx}"
+        );
+        assert_eq!(
+            channel.rss_dedicated_beam(rx, blockers).to_bits(),
+            want.to_bits()
+        );
+        let want = rss_best_beam(channel, rx, blockers);
+        assert_eq!(
+            link.rss_best_beam(&mut beam).to_bits(),
+            want.to_bits(),
+            "{ctx}"
+        );
+        assert_eq!(
+            channel.rss_best_beam(rx, blockers).to_bits(),
+            want.to_bits()
+        );
+    }
+
+    #[test]
+    fn link_beams_match_the_channel_program() {
+        let mut link = SweepRx::new();
+        let mut blocked_links = 0usize;
+        run_cases_n("link_beams", 192, |rng| {
+            let room = Room {
+                width: rng.gen_range(4.0..14.0),
+                height: rng.gen_range(2.5..4.0),
+                depth: rng.gen_range(4.0..14.0),
+                floor_reflection: rng.gen_bool(0.5),
+            };
+            let inside = |rng: &mut Rng, y_lo: f64, y_hi: f64| {
+                Vec3::new(
+                    rng.gen_range(-0.48..0.48) * room.width,
+                    rng.gen_range(y_lo..y_hi),
+                    rng.gen_range(-0.48..0.48) * room.depth,
+                )
+            };
+            let ap = Vec3::new(
+                rng.gen_range(-0.3..0.3) * room.width,
+                room.height - rng.gen_range(0.1..0.8),
+                room.depth / 2.0 - 0.1,
+            );
+            let facing = inside(rng, 0.5, 1.5) - ap;
+            let channel = Channel::new(room, PlanarArray::airfide(ap, facing));
+            let rx = inside(rng, 0.4, room.height - 0.3);
+            let n_blockers = rng.gen_range(0..13usize);
+            let mut blockers: Vec<Blocker> = (0..n_blockers)
+                .map(|_| Blocker::person(inside(rng, 0.0, 0.1)))
+                .collect();
+            check_links(&mut link, &channel, rx, &blockers);
+
+            // The phantom body `link_rates` injects: mid-path on the LoS.
+            blockers.push(Blocker::person(ap.lerp(rx, 0.5)));
+            check_links(&mut link, &channel, rx, &blockers);
+            blockers.pop();
+
+            // A floor-to-ceiling body on a reflection's first leg, and the
+            // receiver's own body (endpoint guard on the last legs only).
+            if let Some(bounce) = channel.paths(rx).iter().find(|p| !p.is_los) {
+                blockers.push(Blocker {
+                    height: room.height,
+                    ..Blocker::person(ap.lerp(bounce.via, 0.5))
+                });
+            }
+            blockers.push(Blocker::person(rx));
+            check_links(&mut link, &channel, rx, &blockers);
+            let clear = rss_best_beam(&channel, rx, &[]);
+            blocked_links += (rss_best_beam(&channel, rx, &blockers) < clear) as usize;
+        });
+        assert!(
+            blocked_links > 96,
+            "blockers attenuated only {blocked_links} links"
+        );
+    }
+
+    #[test]
+    fn degenerate_receivers_have_no_link() {
+        let mut link = SweepRx::new();
+        // At the array position there is no LoS direction: no dedicated
+        // beam, but the wall bounces still carry a best beam.
+        let channel = Channel::default_setup();
+        let at_ap = channel.array.position;
+        check_links(&mut link, &channel, at_ap, &[]);
+        assert_eq!(channel.rss_dedicated_beam(at_ap, &[]), f64::NEG_INFINITY);
+        assert!(channel.rss_best_beam(at_ap, &[]).is_finite());
+        // An array outside its room, receiver on top of it: every bounce
+        // point misses the walls, so there is no usable path at all.
+        let outside = Vec3::new(20.0, 10.0, 0.0);
+        let lost = Channel::new(
+            Room::default(),
+            PlanarArray::airfide(outside, Vec3::FORWARD),
+        );
+        assert!(lost.paths(outside).len() == 1, "only the zero-length LoS");
+        check_links(&mut link, &lost, outside, &[Blocker::person(Vec3::ZERO)]);
+        assert_eq!(link.n_paths(), 0);
+        assert_eq!(lost.rss_best_beam(outside, &[]), f64::NEG_INFINITY);
+        assert_eq!(
+            lost.rss_dbm(
+                &lost.array.beam_toward(Spherical::new(0.1, 0.0)),
+                outside,
+                &[]
+            ),
+            f64::NEG_INFINITY
+        );
+    }
+
+    /// The default codebook is still, bit for bit, the oracle's conjugate
+    /// beams; `SweepEngine::new`'s structure check compares it against the
+    /// live, mirrored `beam_toward` (the sweep tests assert the pruned mode
+    /// stays on).
+    #[test]
+    fn default_codebook_is_the_oracles_conjugate_beams() {
+        for array in arrays() {
+            let codebook = Codebook::default_for(&array);
+            for (sector, &dir) in codebook.sectors.iter().zip(&codebook.directions) {
+                let want = beam_toward(&array, dir);
+                assert_same_bits(&sector.w, &want.w, &format!("sector toward {dir:?}"));
+            }
+        }
     }
 }

@@ -14,9 +14,9 @@
 //!   ψx = (k·d/2)·(u_p - u_s),  ψy = (k·d/2)·(v_p - v_s)
 //! ```
 //!
-//! [`SweepEngine`] precomputes per-sector trig tables once per codebook and
-//! per-path trig tables once per receiver ([`SweepRx::prepare`]), then turns
-//! each (sector, path) amplitude bound into ~20 flops with no
+//! [`SweepEngine`] precomputes per-sector trig tables once per codebook;
+//! [`SweepRx::prepare`] takes each path's half-angle sines and cosines once
+//! and turns each (sector, path) amplitude bound into ~20 flops with no
 //! transcendentals. The bounds carry explicit floating-point safety margins
 //! so a pruned sector is *guaranteed* (not just likely) to lose against the
 //! best exact value seen so far — the pruned sweep returns **bit-identical**
@@ -24,34 +24,45 @@
 //! test-only `reference` module keeps as the oracle and the pinned session
 //! and campus outcome hashes pin down.
 //!
-//! Everything here reuses caller-owned buffers: after warm-up, sweeps and
-//! designs allocate nothing, which the campus epoch loop's
-//! counting-allocator gate relies on.
+//! [`SweepRx`] is the crate's one prepared receiver, in two halves.
+//! [`SweepRx::prepare_paths`] resolves the geometry — usable paths, their
+//! steering rows, losses and element factors — and is all a link
+//! evaluation ([`SweepRx::rss_dedicated_beam`], [`SweepRx::rss_best_beam`],
+//! [`SweepRx::eval_weights`]) needs; [`SweepRx::prepare`] adds the sweep
+//! state on top (sector bounds, the exact-RSS cache). The `Channel::rss_*`
+//! conveniences are allocating fronts over the path half; the test-only
+//! `reference` module keeps a per-call, full-element `PreparedRx` as the
+//! oracle of both.
+//!
+//! Everything here reuses caller-owned buffers: after warm-up, prepares,
+//! link evaluations, sweeps and designs allocate nothing, which the campus
+//! epoch loop's and the link path's counting-allocator gates rely on.
 //!
 //! [`MultiLobeDesigner`]: crate::MultiLobeDesigner
 
-use crate::array::element_pattern;
+use crate::array::{conj_normalize, element_pattern, normalize, response};
 use crate::calib;
 use crate::channel::{Blocker, Channel, Path};
 use crate::codebook::Codebook;
 use volcast_geom::{Complex, Vec3};
 use volcast_util::obs;
 
-/// Per-sector trig table: sin/cos of `ψ`-halves at the sector direction,
+/// Per-sector trig tables: sin/cos of `ψ`-halves at each sector direction,
 /// plus the sector's maximum per-element weight magnitude (the `s` in the
-/// Dirichlet product, rounded up).
-#[derive(Debug, Clone, Copy)]
+/// Dirichlet product, rounded up). One column per quantity, so the bound
+/// loop reads every table at unit stride across sectors.
+#[derive(Debug, Clone, Default)]
 struct SectorTrig {
     /// `max_i |w_i|`, scaled up by a relative margin.
-    s_rt: f64,
-    sin_bx: f64,
-    cos_bx: f64,
-    sin_bxn: f64,
-    cos_bxn: f64,
-    sin_by: f64,
-    cos_by: f64,
-    sin_byn: f64,
-    cos_byn: f64,
+    s_rt: Vec<f64>,
+    sin_bx: Vec<f64>,
+    cos_bx: Vec<f64>,
+    sin_bxn: Vec<f64>,
+    cos_bxn: Vec<f64>,
+    sin_by: Vec<f64>,
+    cos_by: Vec<f64>,
+    sin_byn: Vec<f64>,
+    cos_byn: Vec<f64>,
 }
 
 /// A pruned-sweep evaluator for one `(channel, codebook)` pair.
@@ -75,7 +86,7 @@ pub struct SweepEngine<'a> {
     nyf: f64,
     elements: usize,
     /// Per-sector trig tables; empty in exact-only fallback mode.
-    sectors: Vec<SectorTrig>,
+    sectors: SectorTrig,
 }
 
 impl<'a> SweepEngine<'a> {
@@ -94,35 +105,27 @@ impl<'a> SweepEngine<'a> {
                 .iter()
                 .zip(&codebook.directions)
                 .all(|(s, &d)| s.len() == elements && *s == array.beam_toward(d));
-        let sectors = if structured {
-            codebook
-                .sectors
-                .iter()
-                .zip(&codebook.directions)
-                .map(|(sec, dir)| {
-                    let s2_max = sec.w.iter().map(|c| c.norm_sq()).fold(0.0f64, f64::max);
-                    let u = dir.azimuth.sin() * dir.elevation.cos();
-                    let v = dir.elevation.sin();
-                    let (sin_bx, cos_bx) = (half_kd * u).sin_cos();
-                    let (sin_bxn, cos_bxn) = (array.nx as f64 * half_kd * u).sin_cos();
-                    let (sin_by, cos_by) = (half_kd * v).sin_cos();
-                    let (sin_byn, cos_byn) = (array.ny as f64 * half_kd * v).sin_cos();
-                    SectorTrig {
-                        s_rt: s2_max.sqrt() * (1.0 + 1e-9),
-                        sin_bx,
-                        cos_bx,
-                        sin_bxn,
-                        cos_bxn,
-                        sin_by,
-                        cos_by,
-                        sin_byn,
-                        cos_byn,
-                    }
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let mut sectors = SectorTrig::default();
+        if structured {
+            for (sec, dir) in codebook.sectors.iter().zip(&codebook.directions) {
+                let s2_max = sec.w.iter().map(|c| c.norm_sq()).fold(0.0f64, f64::max);
+                let u = dir.azimuth.sin() * dir.elevation.cos();
+                let v = dir.elevation.sin();
+                let (sin_bx, cos_bx) = (half_kd * u).sin_cos();
+                let (sin_bxn, cos_bxn) = (array.nx as f64 * half_kd * u).sin_cos();
+                let (sin_by, cos_by) = (half_kd * v).sin_cos();
+                let (sin_byn, cos_byn) = (array.ny as f64 * half_kd * v).sin_cos();
+                sectors.s_rt.push(s2_max.sqrt() * (1.0 + 1e-9));
+                sectors.sin_bx.push(sin_bx);
+                sectors.cos_bx.push(cos_bx);
+                sectors.sin_bxn.push(sin_bxn);
+                sectors.cos_bxn.push(cos_bxn);
+                sectors.sin_by.push(sin_by);
+                sectors.cos_by.push(cos_by);
+                sectors.sin_byn.push(sin_byn);
+                sectors.cos_byn.push(cos_byn);
+            }
+        }
         SweepEngine {
             channel,
             codebook,
@@ -279,14 +282,7 @@ impl<'a> SweepEngine<'a> {
                 *a += b.scale(coeff);
             }
         }
-        // `AntennaWeights::normalized`, in place.
-        let p: f64 = acc.iter().map(|c| c.norm_sq()).sum();
-        if p > 0.0 {
-            let s = 1.0 / p.sqrt();
-            for c in acc.iter_mut() {
-                *c = c.scale(s);
-            }
-        }
+        normalize(acc);
     }
 
     /// Full group beam design (§4.2) over prepared receivers: whichever of
@@ -369,27 +365,31 @@ impl BeamDesign {
     }
 }
 
-/// Per-receiver sweep state: flattened prepared paths, per-sector upper
-/// bounds, and a lazily-filled exact-RSS cache. One instance per
-/// `(AP, user)` pair, reused across epochs — `prepare` only rewrites
+/// The prepared receiver: flattened paths (the path half), and on top of
+/// them per-sector upper bounds and a lazily-filled exact-RSS cache (the
+/// sweep half). One instance per `(AP, user)` pair — or one per session for
+/// link evaluations — reused across frames: preparing only rewrites
 /// contents, so steady-state reuse allocates nothing.
 #[derive(Debug, Default)]
 pub struct SweepRx {
+    // --- path half: written by `prepare_paths` ---
     n_paths: usize,
+    /// Elements per steering row.
+    elements: usize,
+    /// Whether row 0 is the line-of-sight path (it is enumerated first, but
+    /// a receiver at the array position has no LoS direction).
+    los_first: bool,
     /// Path steering vectors, row-major `n_paths × elements`.
     steer: Vec<Complex>,
     /// Per-path total loss (dB).
     loss_db: Vec<f64>,
     /// Per-path element-pattern factor.
     element: Vec<f64>,
-    /// Per-path `dbm_to_mw(TX + RX - loss)`, scaled up by a margin: the
-    /// linear power the path would deliver at unit gain.
-    c_mw: Vec<f64>,
-    /// Per-path sin/cos of `ψ`-halves:
-    /// `[sin ax, cos ax, sin axn, cos axn, sin ay, cos ay, sin ayn, cos ayn]`.
-    ptrig: Vec<[f64; 8]>,
+    /// Per-path direction cosines `(u, v)`, as fed to the steering row.
+    uv: Vec<(f64, f64)>,
     /// Scratch for path enumeration.
     paths_tmp: Vec<Path>,
+    // --- sweep half: written by `prepare`, emptied by `prepare_paths` ---
     /// Per-sector RSS upper bound in linear mW, margins folded in.
     bounds: Vec<f64>,
     /// Per-sector exact RSS cache (dBm); `NaN` = not yet evaluated. Real
@@ -411,100 +411,117 @@ impl SweepRx {
         SweepRx::default()
     }
 
-    /// (Re)prepares the receiver at `pos` with the given blockers:
-    /// enumerates paths, caches their steering rows and trig tables, and
-    /// computes every sector's RSS upper bound. Clears the exact cache.
-    pub fn prepare(&mut self, engine: &SweepEngine, pos: Vec3, blockers: &[Blocker]) {
-        obs::inc("mmwave.designer.path_cache_misses");
-        let channel = engine.channel;
+    /// The path half: (re)prepares the receiver at `pos` with the given
+    /// blockers — enumerates paths, drops those with a degenerate departure
+    /// direction (they contribute zero gain), resolves blockage, and caches
+    /// each survivor's steering row, loss and element factor. Enough for
+    /// [`SweepRx::eval_weights`] and the link beams; sector sweeps need
+    /// [`SweepRx::prepare`], whose state this empties. Books no metric.
+    ///
+    /// Each path's azimuth and elevation pay for one `sin_cos` apiece; the
+    /// direction cosines, the element pattern and (in `prepare`) the
+    /// Dirichlet half-angles are all fed from that pair.
+    pub fn prepare_paths(&mut self, channel: &Channel, pos: Vec3, blockers: &[Blocker]) {
         let array = &channel.array;
         channel.paths_into(pos, &mut self.paths_tmp);
         self.n_paths = 0;
+        self.elements = array.elements();
+        self.los_first = false;
         self.steer.clear();
         self.loss_db.clear();
         self.element.clear();
-        self.c_mw.clear();
-        self.ptrig.clear();
-        let paths = std::mem::take(&mut self.paths_tmp);
-        for path in &paths {
-            // Same filter and order as `Channel::prepare_rx_paths`.
+        self.uv.clear();
+        self.bounds.clear();
+        self.cache.clear();
+        self.best = None;
+        for path in &self.paths_tmp {
             let Some(dir) = array.local_direction(path.via - array.position) else {
                 continue;
             };
-            let loss_db = channel.path_loss_db(path, pos, blockers);
-            array.steering_into(dir, &mut self.steer);
-            self.loss_db.push(loss_db);
-            self.element.push(element_pattern(dir));
-            self.c_mw.push(
-                calib::dbm_to_mw(calib::TX_POWER_DBM + calib::RX_GAIN_DBI - loss_db) * (1.0 + 1e-9),
-            );
-            let u = dir.azimuth.sin() * dir.elevation.cos();
-            let v = dir.elevation.sin();
-            let (sin_ax, cos_ax) = (engine.half_kd * u).sin_cos();
-            let (sin_axn, cos_axn) = (engine.nxf * engine.half_kd * u).sin_cos();
-            let (sin_ay, cos_ay) = (engine.half_kd * v).sin_cos();
-            let (sin_ayn, cos_ayn) = (engine.nyf * engine.half_kd * v).sin_cos();
-            self.ptrig.push([
-                sin_ax, cos_ax, sin_axn, cos_axn, sin_ay, cos_ay, sin_ayn, cos_ayn,
-            ]);
+            let (sin_az, cos_az) = dir.azimuth.sin_cos();
+            let (sin_el, cos_el) = dir.elevation.sin_cos();
+            let (u, v) = (sin_az * cos_el, sin_el);
+            if self.n_paths == 0 {
+                self.los_first = path.is_los;
+            }
+            array.steering_uv_into(u, v, &mut self.steer);
+            self.loss_db.push(channel.path_loss_db(path, pos, blockers));
+            self.element.push(element_pattern(cos_az, cos_el));
+            self.uv.push((u, v));
             self.n_paths += 1;
         }
-        self.paths_tmp = paths;
+    }
 
+    /// The sweep half on top of [`SweepRx::prepare_paths`]: computes every
+    /// sector's RSS upper bound and resets the exact cache.
+    pub fn prepare(&mut self, engine: &SweepEngine, pos: Vec3, blockers: &[Blocker]) {
+        obs::inc("mmwave.designer.path_cache_misses");
+        self.prepare_paths(engine.channel, pos, blockers);
         let nsec = engine.codebook.sectors.len();
-        self.cache.clear();
         self.cache.resize(nsec, f64::NAN);
-        self.best = None;
-        self.bounds.clear();
-        if engine.sectors.is_empty() {
+        let st = &engine.sectors;
+        if st.s_rt.is_empty() {
             // Exact-only fallback: nothing prunes.
             self.bounds.resize(nsec, f64::INFINITY);
             return;
         }
-        for st in &engine.sectors {
-            let mut sum = 0.0f64;
-            for (p, t) in self.ptrig.iter().enumerate() {
+        // Paths outer, sectors inner: each sector still accumulates its
+        // path terms in ascending path order (the sums, hence what gets
+        // pruned, depend on it), while the inner loop runs at unit stride
+        // over the sector tables with no loop-carried dependency.
+        self.bounds.resize(nsec, 0.0);
+        let bounds = &mut self.bounds[..nsec];
+        let (s_rt, sin_bx, cos_bx) = (&st.s_rt[..nsec], &st.sin_bx[..nsec], &st.cos_bx[..nsec]);
+        let (sin_bxn, cos_bxn) = (&st.sin_bxn[..nsec], &st.cos_bxn[..nsec]);
+        let (sin_by, cos_by) = (&st.sin_by[..nsec], &st.cos_by[..nsec]);
+        let (sin_byn, cos_byn) = (&st.sin_byn[..nsec], &st.cos_byn[..nsec]);
+        let (nxf, nyf) = (engine.nxf, engine.nyf);
+        for p in 0..self.n_paths {
+            let (u, v) = self.uv[p];
+            let (sin_ax, cos_ax) = (engine.half_kd * u).sin_cos();
+            let (sin_axn, cos_axn) = (nxf * engine.half_kd * u).sin_cos();
+            let (sin_ay, cos_ay) = (engine.half_kd * v).sin_cos();
+            let (sin_ayn, cos_ayn) = (nyf * engine.half_kd * v).sin_cos();
+            // `dbm_to_mw(TX + RX - loss)`, scaled up by a margin: the
+            // linear power the path would deliver at unit gain.
+            let c_mw = calib::dbm_to_mw(calib::TX_POWER_DBM + calib::RX_GAIN_DBI - self.loss_db[p])
+                * (1.0 + 1e-9);
+            let element = self.element[p];
+            for s in 0..nsec {
                 // sin(a - b) = sin a · cos b - cos a · sin b, per axis, for
-                // both the denominator (ψ) and numerator (n·ψ) angles.
-                let dx_den = (t[0] * st.cos_bx - t[1] * st.sin_bx).abs();
-                let dx = if dx_den < 1e-9 {
-                    engine.nxf
-                } else {
-                    let dx_num = (t[2] * st.cos_bxn - t[3] * st.sin_bxn).abs();
-                    (dx_num / dx_den).min(engine.nxf)
-                };
-                let dy_den = (t[4] * st.cos_by - t[5] * st.sin_by).abs();
-                let dy = if dy_den < 1e-9 {
-                    engine.nyf
-                } else {
-                    let dy_num = (t[6] * st.cos_byn - t[7] * st.sin_byn).abs();
-                    (dy_num / dy_den).min(engine.nyf)
-                };
+                // both the denominator (ψ) and numerator (n·ψ) angles. The
+                // quotient is computed unconditionally and selected away
+                // near ψ ≈ 0, where the kernel is at its peak `n`.
+                let dx_den = (sin_ax * cos_bx[s] - cos_ax * sin_bx[s]).abs();
+                let dx_num = (sin_axn * cos_bxn[s] - cos_axn * sin_bxn[s]).abs();
+                let dx_quot = (dx_num / dx_den).min(nxf);
+                let dx = if dx_den < 1e-9 { nxf } else { dx_quot };
+                let dy_den = (sin_ay * cos_by[s] - cos_ay * sin_by[s]).abs();
+                let dy_num = (sin_ayn * cos_byn[s] - cos_ayn * sin_byn[s]).abs();
+                let dy_quot = (dy_num / dy_den).min(nyf);
+                let dy = if dy_den < 1e-9 { nyf } else { dy_quot };
                 // Amplitude bound with a relative margin for the Dirichlet
                 // identity's own rounding and an absolute margin for the
                 // catastrophic-cancellation regime near ψ ≈ 0 (den cut off
                 // at 1e-9, so absolute trig error can reach ~1e-7 on the
                 // quotient — 1e-5 dominates it with room to spare).
-                let amp = st.s_rt * dx * dy * (1.0 + 1e-6) + 1e-5;
-                sum += self.c_mw[p] * amp * amp * self.element[p] * (1.0 + 1e-6);
+                let amp = s_rt[s] * dx * dy * (1.0 + 1e-6) + 1e-5;
+                bounds[s] += c_mw * amp * amp * element * (1.0 + 1e-6);
             }
-            self.bounds.push(sum * (1.0 + 1e-9));
+        }
+        for b in bounds.iter_mut() {
+            *b *= 1.0 + 1e-9;
         }
     }
 
     /// Exact RSS (dBm) of an arbitrary weight vector against the prepared
-    /// paths — the same float program as [`Channel::rss_dbm`], operation
-    /// for operation.
+    /// paths: the non-coherent power sum of the beam's gain toward each
+    /// path's departure direction.
     pub fn eval_weights(&self, weights: &[Complex]) -> f64 {
-        let ne = weights.len();
+        debug_assert!(self.n_paths == 0 || weights.len() == self.elements);
         let mut total_mw = 0.0f64;
         for p in 0..self.n_paths {
-            let row = &self.steer[p * ne..(p + 1) * ne];
-            let mut acc = Complex::ZERO;
-            for (wi, ai) in weights.iter().zip(row) {
-                acc += *wi * *ai;
-            }
-            let gain = acc.norm_sq() * self.element[p];
+            let gain = response(weights, self.row(p)).norm_sq() * self.element[p];
             if gain <= 0.0 {
                 continue;
             }
@@ -513,6 +530,43 @@ impl SweepRx {
             total_mw += calib::dbm_to_mw(rx_dbm);
         }
         calib::mw_to_dbm(total_mw)
+    }
+
+    /// Steering row of prepared path `p`.
+    fn row(&self, p: usize) -> &[Complex] {
+        &self.steer[p * self.elements..(p + 1) * self.elements]
+    }
+
+    /// RSS under the dedicated (conjugate, unit-power) beam toward path
+    /// `p`'s departure direction, built in `beam`.
+    fn rss_row_beam(&self, p: usize, beam: &mut Vec<Complex>) -> f64 {
+        beam.clear();
+        beam.extend_from_slice(self.row(p));
+        conj_normalize(beam);
+        self.eval_weights(beam)
+    }
+
+    /// RSS using the best dedicated (conjugate) beam toward the receiver —
+    /// the upper bound a perfect beam search achieves *on the LoS
+    /// direction*; `-∞` for a receiver with no LoS direction. `beam` is
+    /// scratch (left holding the beam).
+    pub fn rss_dedicated_beam(&self, beam: &mut Vec<Complex>) -> f64 {
+        if !self.los_first {
+            return f64::NEG_INFINITY;
+        }
+        self.rss_row_beam(0, beam)
+    }
+
+    /// RSS with the best beam over *all* propagation paths: the AP tries a
+    /// dedicated beam toward the receiver and toward every reflection
+    /// point, and keeps the strongest. This is what a beam search that is
+    /// allowed to use NLoS paths converges to — the escape hatch from a
+    /// body blockage (paper §4.1: "adapt its beam to the user with a
+    /// reflection path"). `beam` is scratch.
+    pub fn rss_best_beam(&self, beam: &mut Vec<Complex>) -> f64 {
+        (0..self.n_paths)
+            .map(|p| self.rss_row_beam(p, beam))
+            .fold(f64::NEG_INFINITY, f64::max)
     }
 
     /// Exact RSS of codebook sector `s`, memoized per prepare.
@@ -586,7 +640,7 @@ mod tests {
             let codebook = Codebook::default_for(&channel.array);
             let engine = SweepEngine::new(&channel, &codebook);
             assert!(
-                !engine.sectors.is_empty(),
+                !engine.sectors.s_rt.is_empty(),
                 "setup {ci} should be structured"
             );
             let mut rng = Rng::seed_from_u64(0xC0FFEE + ci as u64);
@@ -708,7 +762,7 @@ mod tests {
             // The custom beam evaluated through the sweep state matches the
             // prepared-receiver evaluation bit for bit.
             for (i, &p) in positions.iter().enumerate() {
-                let direct = channel.prepare_rx(p, &[]).rss_dbm(&want);
+                let direct = reference::prepare_rx(&channel, p, &[]).rss_dbm(&want);
                 let via_sweep = rxs[i].eval_weights(&acc);
                 assert_eq!(via_sweep.to_bits(), direct.to_bits());
             }
@@ -725,7 +779,7 @@ mod tests {
             w: vec![Complex::ZERO; n],
         };
         let engine = SweepEngine::new(&channel, &codebook);
-        assert!(engine.sectors.is_empty(), "should detect the mismatch");
+        assert!(engine.sectors.s_rt.is_empty(), "should detect the mismatch");
         let mut rng = Rng::seed_from_u64(3);
         let mut rx = SweepRx::new();
         for pos in random_positions(&channel, &mut rng, 20) {
@@ -833,7 +887,7 @@ mod tests {
             rx.steer.capacity(),
             rx.bounds.capacity(),
             rx.cache.capacity(),
-            rx.ptrig.capacity(),
+            rx.uv.capacity(),
             rx.paths_tmp.capacity(),
         );
         for i in 0..10 {
@@ -847,7 +901,7 @@ mod tests {
                 rx.steer.capacity(),
                 rx.bounds.capacity(),
                 rx.cache.capacity(),
-                rx.ptrig.capacity(),
+                rx.uv.capacity(),
                 rx.paths_tmp.capacity(),
             ),
             "steady-state prepare must not reallocate"

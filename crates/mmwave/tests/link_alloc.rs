@@ -1,0 +1,63 @@
+//! Pins the allocation-free steady state of the link-evaluation path.
+//!
+//! This is its own integration binary because the counting allocator is
+//! process-global: any sibling test allocating concurrently would make the
+//! counters move. Keep exactly one `#[test]` in this file.
+
+use volcast_geom::{Complex, Vec3};
+use volcast_mmwave::{Blocker, Channel, SweepRx};
+use volcast_util::obs;
+use volcast_util::scratch::counting;
+
+#[global_allocator]
+static ALLOC: counting::CountingAllocator = counting::CountingAllocator;
+
+/// What the session's `link_rates` stage does per user per frame —
+/// re-prepare one receiver's path half in place, then evaluate a link beam
+/// on caller-owned scratch — must not touch the allocator once the buffers
+/// have reached their high-watermark.
+#[test]
+fn warm_link_evaluations_do_not_allocate() {
+    // `prepare_paths` books no metric, but keep the registry out of the
+    // picture under VOLCAST_TRACE=1 all the same.
+    obs::set_enabled(false);
+
+    let mut channel = Channel::default_setup();
+    channel.room.floor_reflection = true; // the longest path list
+    let mut link = SweepRx::new();
+    let mut beam: Vec<Complex> = Vec::new();
+    let mut blockers: Vec<Blocker> = Vec::with_capacity(16);
+
+    let mut pass = || {
+        let mut sum = 0.0f64;
+        for i in 0..64usize {
+            let t = i as f64;
+            let pos = Vec3::new(-3.0 + 0.09 * t, 1.0 + 0.01 * t, 2.5 - 0.1 * t);
+            blockers.clear();
+            blockers
+                .extend((0..i % 13).map(|b| {
+                    Blocker::person(Vec3::new(-2.0 + 0.4 * b as f64, 0.0, 0.3 * t - 3.0))
+                }));
+            link.prepare_paths(&channel, pos, &blockers);
+            sum += link.rss_dedicated_beam(&mut beam) + link.rss_best_beam(&mut beam);
+        }
+        sum
+    };
+    let warm = pass();
+
+    let allocs_before = counting::allocations();
+    let deallocs_before = counting::deallocations();
+    let measured = pass();
+    assert_eq!(
+        counting::allocations() - allocs_before,
+        0,
+        "warm link evaluations allocated"
+    );
+    assert_eq!(
+        counting::deallocations() - deallocs_before,
+        0,
+        "warm link evaluations deallocated"
+    );
+    assert!(measured.is_finite());
+    assert_eq!(measured.to_bits(), warm.to_bits());
+}

@@ -56,6 +56,11 @@ echo "==> codec round-trip is allocation-free under the counting allocator"
 # tracing on — the test disables obs itself and must stay green anyway.
 VOLCAST_TRACE=1 cargo test --release -q -p volcast-pointcloud --test codec_alloc
 
+echo "==> warm link evaluations are allocation-free under the counting allocator"
+# Same arrangement for what the session's link_rates stage runs per user
+# per frame: SweepRx::prepare_paths plus both link beams.
+VOLCAST_TRACE=1 cargo test --release -q -p volcast-mmwave --test link_alloc
+
 echo "==> every results/<bin>.txt regenerates byte-identically"
 # Each committed capture is the stdout of the bin it is named after; a
 # change that moves any of them must say so by regenerating the file.
@@ -135,12 +140,16 @@ echo "==> benchmark smoke (builds benchmark/ against crates/*, self-tests, tiny 
 # tracing changes nothing, conservation) and exits non-zero on a failure.
 sh benchmark/run.sh --smoke > /dev/null
 
-echo "==> codec workloads at full size: outcome hashes pinned"
-# Both wire formats end to end at the sizes the benchmark measures (one
-# untraced pass each): VOCT at the ladder's bottom and top rungs, VLYR
-# through encode, parity, repair and decode. A byte of either bitstream
-# cannot move without failing here.
-for pin in codec_ladder:0x2b14ffb0f4cb7cda codec_layered:0x921a62684d40c0af; do
+echo "==> benchmark workloads at full size: outcome hashes pinned"
+# One untraced pass each at the sizes the benchmark measures. The codec
+# pair covers both wire formats end to end (VOCT at the ladder's bottom
+# and top rungs, VLYR through encode, parity, repair and decode): a byte
+# of either bitstream cannot move without failing here. The simulator
+# trio covers the float programs of the frame path (both sessions, the
+# campus epoch loop): a moved ULP in the mmWave layer fails here.
+for pin in codec_ladder:0x2b14ffb0f4cb7cda codec_layered:0x921a62684d40c0af \
+    session_single:0x338effbe7f8a1bb5 session_layered_faulted:0x3f96d14ae75d2245 \
+    campus:0x22ab495ca9fac58d; do
     workload="${pin%%:*}"
     want="${pin##*:}"
     pass="$(sh benchmark/run.sh --workload "$workload" --seed 42 --seconds 1 --trace 0 2>&1)"
