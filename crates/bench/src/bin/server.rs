@@ -124,6 +124,7 @@ fn main() {
     println!("  delivered frames    {:>10}", out.delivered_frames);
     println!("  dropped (backpress) {:>10}", out.dropped_frames);
     println!("  undelivered         {:>10}", out.undelivered_frames);
+    println!("  never queued        {:>10}", out.never_queued_frames);
     println!("  reconnects          {:>10}", out.reconnects);
     println!("  bytes sent          {:>10}", out.bytes_sent);
     println!("  p50 latency         {:>10} ms", out.p50_latency_ms);

@@ -27,6 +27,13 @@
 //! viewport factor replayed from the client's [`Trace`] — clients whose
 //! viewpoint wanders far from the subject are modeled as weaker links.
 //!
+//! The model is defined tick by tick, but nothing a client's machine reads
+//! changes inside a frame interval: the fault bits, the byte budget (the
+//! pose is per frame) and the publish all belong to the interval's first
+//! tick. `simulate_client` therefore jumps from event to event inside
+//! each interval in closed form — same integers, same order — and the tick
+//! loop survives as the test-side referee (DESIGN.md §4).
+//!
 //! ## Connection state machine
 //!
 //! ```text
@@ -49,20 +56,20 @@
 //!
 //! Admission is a serial pass; after it the population is fixed and every
 //! client evolves independently from its own `Rng::for_stream(seed, id)`
-//! stream, so clients are simulated with [`par_map_indexed`] and the
-//! outcome — including the FNV-1a hash over every per-client counter —
-//! is byte-identical at any `VOLCAST_THREADS`.
+//! stream, so clients are simulated in blocks under [`par_for_each_mut`]
+//! and the outcome — including the FNV-1a hash over every per-client
+//! counter — is byte-identical at any `VOLCAST_THREADS`.
 
-use std::collections::VecDeque;
+use std::ops::Range;
 
 use crate::bandwidth::CrossLayerInputs;
 use crate::error::VolcastError;
 use crate::rate_adapt::{AbrPolicy, Distress, FecRung, GroupState, RateAdapter};
 use volcast_net::wire::{StreamReader, CHUNK_HEADER_LEN, STREAM_HEADER_LEN};
 use volcast_net::{FaultConfig, FaultPlan, FrameFaults};
-use volcast_util::hash::fnv1a;
+use volcast_util::hash::Fnv1a;
 use volcast_util::obs;
-use volcast_util::par::par_map_indexed;
+use volcast_util::par::par_for_each_mut;
 use volcast_util::rng::Rng;
 use volcast_viewport::Trace;
 
@@ -167,16 +174,23 @@ enum Phase {
 }
 
 /// What one simulated client experienced.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClientOutcome {
     /// Client id (its index in arrival order).
     pub id: usize,
-    /// Frames fully delivered.
+    /// Frames fully delivered. Their latencies — ticks (= ms) from publish
+    /// to completion, in delivery order — are the first `delivered` entries
+    /// of the client's slots in the run's latency buffer.
     pub delivered: u64,
     /// Frames dropped by the backpressure bound.
     pub dropped: u64,
     /// Frames still queued or in flight when the simulation ended.
     pub undelivered: u64,
+    /// Frames published before this client subscribed (a live join owes
+    /// it none of them). Every frame of the video is exactly one of
+    /// delivered, dropped, undelivered or never queued. Not part of
+    /// [`ServerOutcome::outcome_hash`].
+    pub never_queued: u64,
     /// Mid-chunk disconnects survived.
     pub reconnects: u64,
     /// Transport bytes sent to this client (including burned re-sends).
@@ -189,9 +203,6 @@ pub struct ClientOutcome {
     /// Layered streams only: loss ticks absorbed by the parity shield
     /// (progress credited instead of burned).
     pub fec_absorbed_ticks: u64,
-    /// Per-delivered-frame latency, ticks (= ms) from publish to
-    /// completion, in delivery order.
-    pub latencies_ms: Vec<u32>,
 }
 
 /// Aggregate outcome of a server run.
@@ -209,6 +220,10 @@ pub struct ServerOutcome {
     pub dropped_frames: u64,
     /// Frames never delivered before the simulation ended.
     pub undelivered_frames: u64,
+    /// Frames published before their client subscribed, across all
+    /// admitted clients: with the three counters above it accounts for
+    /// every `admitted × video frames` exactly once.
+    pub never_queued_frames: u64,
     /// Mid-chunk disconnects survived across all clients.
     pub reconnects: u64,
     /// Total transport bytes sent.
@@ -230,12 +245,35 @@ pub struct ServerOutcome {
     pub outcome_hash: u64,
 }
 
+/// The frame a client is receiving.
+#[derive(Debug, Clone, Copy)]
+struct Transfer {
+    frame: usize,
+    /// Bytes still to credit.
+    left: u64,
+    /// Wire size including parity: what a mid-chunk disconnect restarts.
+    total: u64,
+    /// Layer chunks riding in this transfer (1 on a legacy stream).
+    layers: usize,
+    parity: u64,
+    /// Parity that has not yet absorbed a loss tick.
+    shield: bool,
+}
+
 /// The session server: one wire stream, many simulated clients.
 #[derive(Debug)]
 pub struct SessionServer {
     params: ServerParams,
-    stream: Vec<u8>,
     traces: Vec<Trace>,
+    /// Wire cost of each chunk (chunk header + payload). A layered stream
+    /// holds `layers` consecutive chunks (base first) per video frame;
+    /// publishing and fault scheduling run on *video* frames.
+    chunk_bytes: Vec<u64>,
+    /// Wire cost of the stream preamble the Manifest phase transfers.
+    manifest_bytes: u64,
+    layers: usize,
+    /// Video frames in the stream.
+    frames: usize,
 }
 
 impl SessionServer {
@@ -244,7 +282,8 @@ impl SessionServer {
     ///
     /// The stream is parsed and fully validated (structure + checksums)
     /// up front: a server must reject a malformed stream at load time,
-    /// not crash mid-broadcast.
+    /// not crash mid-broadcast. The simulation moves byte *counts*, so
+    /// what is kept of the stream is its chunk table.
     pub fn new(
         params: ServerParams,
         stream: Vec<u8>,
@@ -258,71 +297,75 @@ impl SessionServer {
             return Err(VolcastError::InvalidTraces("empty trace".into()));
         }
         let reader = StreamReader::parse(&stream)?;
-        if reader.manifest().frame_count == 0 {
+        let manifest = reader.manifest();
+        if manifest.frame_count == 0 {
             return Err(VolcastError::InvalidParams("stream has no frames".into()));
         }
         reader.validate_all()?;
         Ok(SessionServer {
             params,
-            stream,
             traces,
+            chunk_bytes: manifest
+                .entries
+                .iter()
+                .map(|e| CHUNK_HEADER_LEN as u64 + e.len as u64)
+                .collect(),
+            manifest_bytes: (STREAM_HEADER_LEN + manifest.encoded_len()) as u64,
+            layers: manifest.layers_per_frame.max(1) as usize,
+            frames: manifest.video_frame_count() as usize,
         })
     }
 
     /// Runs the simulation to completion.
     pub fn run(&self) -> Result<ServerOutcome, VolcastError> {
         let p = &self.params;
-        let reader = StreamReader::parse(&self.stream)?;
-        let manifest = reader.manifest();
-        let layers = (manifest.layers_per_frame.max(1)) as usize;
-        let video_frames = manifest.video_frame_count() as usize;
-
-        // Wire cost of each chunk (chunk header + payload) and of the
-        // stream preamble the Manifest phase transfers. A layered stream
-        // holds `layers` consecutive chunks (base first) per video frame;
-        // publishing and fault scheduling run on *video* frames.
-        let chunk_bytes: Vec<u64> = manifest
-            .entries
-            .iter()
-            .map(|e| CHUNK_HEADER_LEN as u64 + e.len as u64)
-            .collect();
-        let manifest_bytes = (STREAM_HEADER_LEN + manifest.encoded_len()) as u64;
-
-        let plan = FaultPlan::generate(p.faults, video_frames, p.clients)?;
+        let layers = self.layers;
+        let plan = FaultPlan::generate(p.faults, self.frames, p.clients)?;
+        let adapter = RateAdapter::new(AbrPolicy::BufferOnly, 1);
 
         // Admission control: a serial arrival pass. Clients are admitted
         // in arrival order until the cap; the rest are rejected at
         // handshake. A fixed post-admission population is what makes the
         // per-client simulations independent (and therefore parallel).
         let admitted = p.clients.min(p.admit_cap);
-        let ids: Vec<usize> = (0..admitted).collect();
 
-        let outcomes: Vec<ClientOutcome> = par_map_indexed(&ids, |_, &id| {
-            self.simulate_client(id, &plan, &chunk_bytes, manifest_bytes, layers)
+        // One latency buffer for the run: a client is owed at most every
+        // frame, so it gets `frames` slots and fills the first `delivered`.
+        // Each worker takes a block of clients and their slots.
+        let mut outcomes = vec![ClientOutcome::default(); admitted];
+        let mut latencies = vec![0u32; admitted * self.frames];
+        let mut slots: Vec<(&mut ClientOutcome, &mut [u32])> = outcomes
+            .iter_mut()
+            .zip(latencies.chunks_mut(self.frames))
+            .collect();
+        par_for_each_mut(&mut slots, |id, (out, lat)| {
+            **out = self.simulate_client(id, &plan, &adapter, lat);
         });
+        drop(slots);
 
-        // Serial merge in client order: counters, the latency population,
-        // and the determinism witness.
+        // Serial merge in client order: counters, the determinism witness,
+        // and the latency population (the buffer, compacted in place).
         let mut delivered = 0u64;
         let mut dropped = 0u64;
         let mut undelivered = 0u64;
+        let mut never_queued = 0u64;
         let mut reconnects = 0u64;
         let mut bytes_sent = 0u64;
         let mut partial_frames = 0u64;
         let mut fec_parity_bytes = 0u64;
         let mut fec_absorbed_ticks = 0u64;
-        let mut latencies: Vec<u32> = Vec::new();
-        let mut digest: Vec<u8> = Vec::with_capacity(outcomes.len() * 56);
-        for c in &outcomes {
+        let mut digest = Fnv1a::new();
+        let mut kept = 0;
+        for (i, c) in outcomes.iter().enumerate() {
             delivered += c.delivered;
             dropped += c.dropped;
             undelivered += c.undelivered;
+            never_queued += c.never_queued;
             reconnects += c.reconnects;
             bytes_sent += c.bytes_sent;
             partial_frames += c.partial_frames;
             fec_parity_bytes += c.fec_parity_bytes;
             fec_absorbed_ticks += c.fec_absorbed_ticks;
-            latencies.extend_from_slice(&c.latencies_ms);
             for v in [
                 c.id as u64,
                 c.delivered,
@@ -331,21 +374,25 @@ impl SessionServer {
                 c.reconnects,
                 c.bytes_sent,
             ] {
-                digest.extend_from_slice(&v.to_le_bytes());
+                digest.write(&v.to_le_bytes());
             }
             // Layered-only counters join the witness only for layered
             // streams so legacy outcome hashes are unchanged.
             if layers > 1 {
                 for v in [c.partial_frames, c.fec_parity_bytes, c.fec_absorbed_ticks] {
-                    digest.extend_from_slice(&v.to_le_bytes());
+                    digest.write(&v.to_le_bytes());
                 }
             }
-            let mut lat_bytes = Vec::with_capacity(c.latencies_ms.len() * 4);
-            for &l in &c.latencies_ms {
-                lat_bytes.extend_from_slice(&l.to_le_bytes());
+            let mine = i * self.frames..i * self.frames + c.delivered as usize;
+            let mut lat_hash = Fnv1a::new();
+            for l in &latencies[mine.clone()] {
+                lat_hash.write(&l.to_le_bytes());
             }
-            digest.extend_from_slice(&fnv1a(&lat_bytes).to_le_bytes());
+            digest.write(&lat_hash.finish().to_le_bytes());
+            latencies.copy_within(mine, kept);
+            kept += c.delivered as usize;
         }
+        latencies.truncate(kept);
 
         latencies.sort_unstable();
         let pct = |q: usize| -> u32 {
@@ -380,6 +427,7 @@ impl SessionServer {
             delivered_frames: delivered,
             dropped_frames: dropped,
             undelivered_frames: undelivered,
+            never_queued_frames: never_queued,
             reconnects,
             bytes_sent,
             partial_frames,
@@ -388,12 +436,23 @@ impl SessionServer {
             p50_latency_ms: pct(50),
             p99_latency_ms: pct(99),
             mean_latency_ms: mean,
-            outcome_hash: fnv1a(&digest),
+            outcome_hash: digest.finish(),
         })
     }
 
-    /// Simulates one client session tick by tick. Pure function of
+    /// Simulates one client session. Pure function of
     /// `(params, stream, traces, plan, id)` — the determinism contract.
+    ///
+    /// The model is the tick loop of the module docs; this walks it one
+    /// frame interval at a time. Within an interval the fault bits, the
+    /// byte budget and the queue's tail are fixed, so every stretch of
+    /// ticks that repeats one action is taken in a single step with the
+    /// integers the ticks would have produced: a timer counts down by
+    /// `min(timer, ticks left)`, a lossy stretch burns `n × min(budget,
+    /// left)` bytes, a clean transfer of `left` bytes ends on its
+    /// `⌈left / budget⌉`-th tick. What changes the machine's state — an
+    /// outage, the parity shield absorbing a loss, a phase change — stays
+    /// a one-tick event. `simulate_client_ticks` (tests) is the referee.
     ///
     /// For layered streams (`layers > 1`) each dequeue runs the unified
     /// delivery policy ([`RateAdapter::plan_delivery`]) with the client's
@@ -406,16 +465,14 @@ impl SessionServer {
         &self,
         id: usize,
         plan: &FaultPlan,
-        chunk_bytes: &[u64],
-        manifest_bytes: u64,
-        layers: usize,
+        adapter: &RateAdapter,
+        latencies: &mut [u32],
     ) -> ClientOutcome {
         let p = &self.params;
+        let (frames, layers) = (self.frames, self.layers);
         let fi = p.frame_interval_ticks as u64;
-        let frames = chunk_bytes.len() / layers.max(1);
         let sim_ticks = frames as u64 * fi + p.drain_ticks as u64;
         let trace = &self.traces[id % self.traces.len()];
-        let adapter = RateAdapter::new(AbrPolicy::BufferOnly, 1);
 
         let mut rng = Rng::for_stream(p.seed, id as u64);
         let arrival = if p.arrival_window_ticks > 1 {
@@ -435,55 +492,45 @@ impl SessionServer {
         };
         let mut phase = Phase::Handshake;
         let mut phase_timer = p.handshake_ticks as u64;
-        let mut manifest_left = manifest_bytes;
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        let mut in_flight: Option<(usize, u64)> = None; // (frame, bytes left)
-        let mut in_flight_total: u64 = 0; // wire size incl. parity (restart size)
-        let mut in_flight_layers: usize = 1;
-        let mut in_flight_parity: u64 = 0;
-        let mut fec_shield = false;
+        let mut manifest_left = self.manifest_bytes;
+        // The send queue. A subscribed client is queued every frame from
+        // then on and the bound drops from the front, so the queue is
+        // always a run of consecutive frames.
+        let mut queue: Range<usize> = 0..0;
+        let mut queued = 0u64;
+        let mut in_flight: Option<Transfer> = None;
         let mut distress = Distress::calm();
         let mut subscribed = false;
 
-        for t in arrival..sim_ticks {
+        let mut t = arrival;
+        'sim: while t < sim_ticks {
             let frame_now = (t / fi) as usize;
-            let faults: &FrameFaults = if frame_now < frames {
+            let live = frame_now < frames;
+            let end = ((frame_now as u64 + 1) * fi).min(sim_ticks);
+            let faults: &FrameFaults = if live {
                 plan.at(frame_now)
             } else {
                 FrameFaults::quiet()
             };
+            let outage = faults.outage_for(id);
+            let loss = faults.loss_for(id);
+            let stall = faults.ap_stall;
 
             // Publish: the server enqueues each new frame for every
             // subscribed session, connected or not — a reconnecting
             // client's backlog keeps growing, which is exactly what the
             // backpressure bound is for.
-            if subscribed && t % fi == 0 && frame_now < frames {
-                queue.push_back(frame_now);
+            if subscribed && live && t % fi == 0 {
+                if queue.is_empty() {
+                    queue = frame_now..frame_now;
+                }
+                debug_assert_eq!(queue.end, frame_now);
+                queue.end += 1;
+                queued += 1;
                 if queue.len() > p.queue_cap_frames {
-                    queue.pop_front();
+                    queue.start += 1;
                     out.dropped += 1;
                 }
-            }
-
-            // Outage: a mid-transfer disconnect. The interrupted chunk
-            // (or manifest) restarts from byte zero after the reconnect.
-            if faults.outage_for(id) && matches!(phase, Phase::Manifest | Phase::Streaming) {
-                if let Some((frame, left)) = in_flight {
-                    if left < in_flight_total {
-                        in_flight = Some((frame, in_flight_total));
-                        // The restart resends the parity too: the shield
-                        // comes back with it.
-                        fec_shield = in_flight_parity > 0;
-                    }
-                }
-                distress.raise(2);
-                if phase == Phase::Manifest {
-                    manifest_left = manifest_bytes;
-                }
-                phase = Phase::Reconnecting;
-                phase_timer = p.reconnect_ticks as u64;
-                out.reconnects += 1;
-                continue;
             }
 
             // Per-tick byte budget: base rate × client speed × viewport
@@ -492,155 +539,479 @@ impl SessionServer {
             let viewport = (1.25 / (1.0 + 0.25 * dist)).clamp(0.25, 1.25);
             let budget = ((p.base_bytes_per_tick as f64 * speed * viewport) as u64).max(1);
 
-            match phase {
-                Phase::Handshake => {
-                    if phase_timer == 0 {
-                        phase = Phase::Manifest;
-                    } else {
-                        phase_timer -= 1;
-                    }
-                }
-                Phase::Manifest => {
-                    if faults.ap_stall {
-                        continue;
-                    }
-                    let sent = budget.min(manifest_left);
-                    out.bytes_sent += sent;
-                    if !faults.loss_for(id) {
-                        manifest_left -= sent;
-                    }
-                    if manifest_left == 0 {
-                        phase = Phase::Streaming;
-                        subscribed = true;
-                    }
-                }
-                Phase::Streaming => {
-                    if in_flight.is_none() {
-                        if let Some(frame) = queue.pop_front() {
-                            if layers > 1 {
-                                // Unified delivery policy: queue headroom
-                                // is the buffer signal (an empty queue =
-                                // comfortable client = all layers; a full
-                                // queue = backlogged = base only), and
-                                // accumulated distress picks the parity
-                                // rung.
-                                let headroom =
-                                    p.queue_cap_frames.saturating_sub(queue.len()) as f64;
-                                let inputs = CrossLayerInputs {
-                                    measured_throughput_mbps: 0.0,
-                                    buffer_frames: headroom,
-                                    blockage_forecast: false,
-                                    predicted_phy_rate_mbps: 0.0,
-                                    current_phy_rate_mbps: 0.0,
-                                };
-                                let d = adapter.plan_delivery(
-                                    &GroupState {
-                                        user: 0,
-                                        inputs: &inputs,
-                                        share: 1.0,
-                                        needed_fraction: 1.0,
-                                        layered: true,
-                                        fixed: None,
-                                    },
-                                    &distress,
-                                );
-                                let send = 1 + (d.enhancements as usize).min(layers - 1);
-                                let payload: u64 =
-                                    (0..send).map(|l| chunk_bytes[frame * layers + l]).sum();
-                                let parity = (payload as f64 * d.fec.overhead()) as u64;
-                                out.fec_parity_bytes += parity;
-                                in_flight_total = payload + parity;
-                                in_flight_layers = send;
-                                in_flight_parity = parity;
-                                fec_shield = d.fec != FecRung::Off;
-                            } else {
-                                in_flight_total = chunk_bytes[frame];
-                                in_flight_layers = 1;
-                                in_flight_parity = 0;
-                                fec_shield = false;
+            while t < end {
+                let n = end - t;
+                match phase {
+                    // Outage: a mid-transfer disconnect. The interrupted
+                    // chunk (or manifest) restarts from byte zero after
+                    // the reconnect.
+                    Phase::Manifest | Phase::Streaming if outage => {
+                        if let Some(tr) = &mut in_flight {
+                            if tr.left < tr.total {
+                                tr.left = tr.total;
+                                // The restart resends the parity too: the
+                                // shield comes back with it.
+                                tr.shield = tr.parity > 0;
                             }
-                            in_flight = Some((frame, in_flight_total));
+                        }
+                        distress.raise(2);
+                        if phase == Phase::Manifest {
+                            manifest_left = self.manifest_bytes;
+                        }
+                        phase = Phase::Reconnecting;
+                        phase_timer = p.reconnect_ticks as u64;
+                        out.reconnects += 1;
+                        t += 1;
+                    }
+                    Phase::Handshake => {
+                        let wait = phase_timer.min(n);
+                        phase_timer -= wait;
+                        t += wait;
+                        if t < end {
+                            phase = Phase::Manifest;
+                            t += 1;
                         }
                     }
-                    if faults.ap_stall {
-                        continue;
-                    }
-                    if let Some((frame, left)) = in_flight {
-                        let sent = budget.min(left);
-                        out.bytes_sent += sent;
-                        // Reorder-free loss: the bytes are transmitted
-                        // (airtime burned) but not credited — re-sent on
-                        // a later tick. With a parity shield (layered
-                        // delivery under distress), the first loss tick of
-                        // the in-flight frame repairs locally: progress is
-                        // credited and the shield is consumed.
-                        let left = if faults.loss_for(id) {
-                            if fec_shield {
-                                fec_shield = false;
-                                out.fec_absorbed_ticks += 1;
-                                distress.raise(1);
-                                left - sent
-                            } else {
-                                distress.raise(2);
-                                left
-                            }
+                    Phase::Manifest => {
+                        if stall {
+                            t = end;
+                        } else if loss {
+                            out.bytes_sent += n * budget.min(manifest_left);
+                            t = end;
                         } else {
-                            left - sent
+                            let ticks = manifest_left.div_ceil(budget);
+                            if ticks <= n {
+                                out.bytes_sent += manifest_left;
+                                manifest_left = 0;
+                                phase = Phase::Streaming;
+                                subscribed = true;
+                                t += ticks;
+                            } else {
+                                out.bytes_sent += n * budget;
+                                manifest_left -= n * budget;
+                                t = end;
+                            }
+                        }
+                    }
+                    Phase::Streaming => {
+                        if in_flight.is_none() && !queue.is_empty() {
+                            let frame = queue.start;
+                            queue.start += 1;
+                            let tr = self.start_transfer(frame, queue.len(), &distress, adapter);
+                            out.fec_parity_bytes += tr.parity;
+                            in_flight = Some(tr);
+                        }
+                        let Some(tr) = &mut in_flight else {
+                            if live {
+                                // Nothing to send before the next publish.
+                                t = end;
+                            } else {
+                                // Stream drained; the Closed arm exits the
+                                // loop on the next tick.
+                                phase = Phase::Closed;
+                                t += 1;
+                            }
+                            continue;
                         };
-                        if left == 0 {
+                        // The tick a transfer's last byte is credited on,
+                        // if that happens in this stretch.
+                        let mut last_tick = None;
+                        if stall {
+                            t = end;
+                        } else if loss && tr.shield {
+                            // With a parity shield (layered delivery under
+                            // distress), the first loss tick of the
+                            // in-flight frame repairs locally: progress is
+                            // credited and the shield is consumed.
+                            let sent = budget.min(tr.left);
+                            out.bytes_sent += sent;
+                            tr.shield = false;
+                            out.fec_absorbed_ticks += 1;
+                            distress.raise(1);
+                            tr.left -= sent;
+                            if tr.left == 0 {
+                                last_tick = Some(t);
+                            }
+                            t += 1;
+                        } else if loss {
+                            // Reorder-free loss: the bytes are transmitted
+                            // (airtime burned) but not credited — re-sent
+                            // on a later tick. `n` raises of 2 saturate
+                            // where one raise of `min(2n, cap)` does.
+                            out.bytes_sent += n * budget.min(tr.left);
+                            distress.raise((2 * n).min(6) as u32);
+                            t = end;
+                        } else {
+                            let ticks = tr.left.div_ceil(budget);
+                            if ticks <= n {
+                                out.bytes_sent += tr.left;
+                                tr.left = 0;
+                                t += ticks;
+                                last_tick = Some(t - 1);
+                            } else {
+                                out.bytes_sent += n * budget;
+                                tr.left -= n * budget;
+                                t = end;
+                            }
+                        }
+                        if let Some(tick) = last_tick {
                             // Decode-deadline overrun: bytes arrived, the
                             // decoder missed its slot; completion lands on
                             // the next frame boundary.
                             let done = if faults.decode_overrun_for(id) {
-                                (t / fi + 1) * fi
+                                (frame_now as u64 + 1) * fi
                             } else {
-                                t
+                                tick
                             };
-                            let published = frame as u64 * fi;
+                            let published = tr.frame as u64 * fi;
+                            latencies[out.delivered as usize] = (done - published) as u32;
                             out.delivered += 1;
-                            out.latencies_ms.push((done - published) as u32);
-                            if in_flight_layers < layers {
+                            if tr.layers < layers {
                                 out.partial_frames += 1;
                             }
                             distress.relax();
                             in_flight = None;
-                        } else {
-                            in_flight = Some((frame, left));
                         }
-                    } else if frame_now >= frames && queue.is_empty() {
-                        // Stream drained; the Closed arm exits the loop on
-                        // the next tick.
-                        phase = Phase::Closed;
                     }
-                }
-                Phase::Reconnecting => {
-                    if phase_timer > 0 {
-                        phase_timer -= 1;
-                    } else if !faults.outage_for(id) {
-                        // Session resume: the manifest (if it completed)
-                        // is cached client-side; otherwise restart it.
-                        phase = if subscribed {
-                            Phase::Streaming
-                        } else {
-                            Phase::Manifest
-                        };
+                    Phase::Reconnecting => {
+                        let wait = phase_timer.min(n);
+                        phase_timer -= wait;
+                        t += wait;
+                        if t < end {
+                            if outage {
+                                // Still dark: nothing moves before the
+                                // next boundary.
+                                t = end;
+                            } else {
+                                // Session resume: the manifest (if it
+                                // completed) is cached client-side;
+                                // otherwise restart it.
+                                phase = if subscribed {
+                                    Phase::Streaming
+                                } else {
+                                    Phase::Manifest
+                                };
+                                t += 1;
+                            }
+                        }
                     }
+                    Phase::Closed => break 'sim,
                 }
-                Phase::Closed => break,
             }
         }
 
         out.undelivered = queue.len() as u64 + u64::from(in_flight.is_some());
+        out.never_queued = frames as u64 - queued;
+        debug_assert_eq!(
+            out.delivered + out.dropped + out.undelivered + out.never_queued,
+            frames as u64,
+            "client {id}: a frame is unaccounted for"
+        );
         out
+    }
+
+    /// Dequeues `frame` for a client with `backlog` frames still queued
+    /// behind it: what goes on the wire for it.
+    fn start_transfer(
+        &self,
+        frame: usize,
+        backlog: usize,
+        distress: &Distress,
+        adapter: &RateAdapter,
+    ) -> Transfer {
+        let layers = self.layers;
+        if layers == 1 {
+            let total = self.chunk_bytes[frame];
+            return Transfer {
+                frame,
+                left: total,
+                total,
+                layers: 1,
+                parity: 0,
+                shield: false,
+            };
+        }
+        // Unified delivery policy: queue headroom is the buffer signal (an
+        // empty queue = comfortable client = all layers; a full queue =
+        // backlogged = base only), and accumulated distress picks the
+        // parity rung.
+        let headroom = self.params.queue_cap_frames.saturating_sub(backlog) as f64;
+        let inputs = CrossLayerInputs {
+            measured_throughput_mbps: 0.0,
+            buffer_frames: headroom,
+            blockage_forecast: false,
+            predicted_phy_rate_mbps: 0.0,
+            current_phy_rate_mbps: 0.0,
+        };
+        let d = adapter.plan_delivery(
+            &GroupState {
+                user: 0,
+                inputs: &inputs,
+                share: 1.0,
+                needed_fraction: 1.0,
+                layered: true,
+                fixed: None,
+            },
+            distress,
+        );
+        let send = 1 + (d.enhancements as usize).min(layers - 1);
+        let payload: u64 = self.chunk_bytes[frame * layers..][..send].iter().sum();
+        let parity = (payload as f64 * d.fec.overhead()) as u64;
+        Transfer {
+            frame,
+            left: payload + parity,
+            total: payload + parity,
+            layers: send,
+            parity,
+            shield: d.fec != FecRung::Off,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
     use volcast_net::StreamWriter;
     use volcast_util::par::set_thread_count;
     use volcast_viewport::UserStudy;
+
+    /// The referee: the tick loop `simulate_client` was until it learned
+    /// to jump between events, kept verbatim (its inputs now come from
+    /// `self`, it counts what it queues, and it owns its latency list).
+    /// One iteration is one millisecond; nothing is closed-form.
+    impl SessionServer {
+        fn simulate_client_ticks(&self, id: usize, plan: &FaultPlan) -> (ClientOutcome, Vec<u32>) {
+            let p = &self.params;
+            let (chunk_bytes, manifest_bytes, layers) =
+                (&self.chunk_bytes, self.manifest_bytes, self.layers);
+            let fi = p.frame_interval_ticks as u64;
+            let frames = chunk_bytes.len() / layers.max(1);
+            let sim_ticks = frames as u64 * fi + p.drain_ticks as u64;
+            let trace = &self.traces[id % self.traces.len()];
+            let adapter = RateAdapter::new(AbrPolicy::BufferOnly, 1);
+
+            let mut rng = Rng::for_stream(p.seed, id as u64);
+            let arrival = if p.arrival_window_ticks > 1 {
+                rng.gen_range(0..p.arrival_window_ticks as u64)
+            } else {
+                0
+            };
+            let speed = if rng.gen::<f64>() < p.slow_fraction {
+                p.slow_multiplier
+            } else {
+                0.75 + 0.5 * rng.gen::<f64>()
+            };
+
+            let mut out = ClientOutcome {
+                id,
+                ..ClientOutcome::default()
+            };
+            let mut phase = Phase::Handshake;
+            let mut phase_timer = p.handshake_ticks as u64;
+            let mut manifest_left = manifest_bytes;
+            let mut queue: VecDeque<usize> = VecDeque::new();
+            let mut in_flight: Option<(usize, u64)> = None; // (frame, bytes left)
+            let mut in_flight_total: u64 = 0; // wire size incl. parity (restart size)
+            let mut in_flight_layers: usize = 1;
+            let mut in_flight_parity: u64 = 0;
+            let mut fec_shield = false;
+            let mut distress = Distress::calm();
+            let mut subscribed = false;
+            let mut queued = 0u64; // the one addition: feeds `never_queued`
+            let mut latencies_ms: Vec<u32> = Vec::new();
+
+            for t in arrival..sim_ticks {
+                let frame_now = (t / fi) as usize;
+                let faults: &FrameFaults = if frame_now < frames {
+                    plan.at(frame_now)
+                } else {
+                    FrameFaults::quiet()
+                };
+
+                // Publish: the server enqueues each new frame for every
+                // subscribed session, connected or not — a reconnecting
+                // client's backlog keeps growing, which is exactly what the
+                // backpressure bound is for.
+                if subscribed && t % fi == 0 && frame_now < frames {
+                    queue.push_back(frame_now);
+                    queued += 1;
+                    if queue.len() > p.queue_cap_frames {
+                        queue.pop_front();
+                        out.dropped += 1;
+                    }
+                }
+
+                // Outage: a mid-transfer disconnect. The interrupted chunk
+                // (or manifest) restarts from byte zero after the reconnect.
+                if faults.outage_for(id) && matches!(phase, Phase::Manifest | Phase::Streaming) {
+                    if let Some((frame, left)) = in_flight {
+                        if left < in_flight_total {
+                            in_flight = Some((frame, in_flight_total));
+                            // The restart resends the parity too: the shield
+                            // comes back with it.
+                            fec_shield = in_flight_parity > 0;
+                        }
+                    }
+                    distress.raise(2);
+                    if phase == Phase::Manifest {
+                        manifest_left = manifest_bytes;
+                    }
+                    phase = Phase::Reconnecting;
+                    phase_timer = p.reconnect_ticks as u64;
+                    out.reconnects += 1;
+                    continue;
+                }
+
+                // Per-tick byte budget: base rate × client speed × viewport
+                // factor from the replayed trace (far viewpoints ≈ weak link).
+                let dist = trace.pose(frame_now.min(frames - 1)).position.norm();
+                let viewport = (1.25 / (1.0 + 0.25 * dist)).clamp(0.25, 1.25);
+                let budget = ((p.base_bytes_per_tick as f64 * speed * viewport) as u64).max(1);
+
+                match phase {
+                    Phase::Handshake => {
+                        if phase_timer == 0 {
+                            phase = Phase::Manifest;
+                        } else {
+                            phase_timer -= 1;
+                        }
+                    }
+                    Phase::Manifest => {
+                        if faults.ap_stall {
+                            continue;
+                        }
+                        let sent = budget.min(manifest_left);
+                        out.bytes_sent += sent;
+                        if !faults.loss_for(id) {
+                            manifest_left -= sent;
+                        }
+                        if manifest_left == 0 {
+                            phase = Phase::Streaming;
+                            subscribed = true;
+                        }
+                    }
+                    Phase::Streaming => {
+                        if in_flight.is_none() {
+                            if let Some(frame) = queue.pop_front() {
+                                if layers > 1 {
+                                    // Unified delivery policy: queue headroom
+                                    // is the buffer signal (an empty queue =
+                                    // comfortable client = all layers; a full
+                                    // queue = backlogged = base only), and
+                                    // accumulated distress picks the parity
+                                    // rung.
+                                    let headroom =
+                                        p.queue_cap_frames.saturating_sub(queue.len()) as f64;
+                                    let inputs = CrossLayerInputs {
+                                        measured_throughput_mbps: 0.0,
+                                        buffer_frames: headroom,
+                                        blockage_forecast: false,
+                                        predicted_phy_rate_mbps: 0.0,
+                                        current_phy_rate_mbps: 0.0,
+                                    };
+                                    let d = adapter.plan_delivery(
+                                        &GroupState {
+                                            user: 0,
+                                            inputs: &inputs,
+                                            share: 1.0,
+                                            needed_fraction: 1.0,
+                                            layered: true,
+                                            fixed: None,
+                                        },
+                                        &distress,
+                                    );
+                                    let send = 1 + (d.enhancements as usize).min(layers - 1);
+                                    let payload: u64 =
+                                        (0..send).map(|l| chunk_bytes[frame * layers + l]).sum();
+                                    let parity = (payload as f64 * d.fec.overhead()) as u64;
+                                    out.fec_parity_bytes += parity;
+                                    in_flight_total = payload + parity;
+                                    in_flight_layers = send;
+                                    in_flight_parity = parity;
+                                    fec_shield = d.fec != FecRung::Off;
+                                } else {
+                                    in_flight_total = chunk_bytes[frame];
+                                    in_flight_layers = 1;
+                                    in_flight_parity = 0;
+                                    fec_shield = false;
+                                }
+                                in_flight = Some((frame, in_flight_total));
+                            }
+                        }
+                        if faults.ap_stall {
+                            continue;
+                        }
+                        if let Some((frame, left)) = in_flight {
+                            let sent = budget.min(left);
+                            out.bytes_sent += sent;
+                            // Reorder-free loss: the bytes are transmitted
+                            // (airtime burned) but not credited — re-sent on
+                            // a later tick. With a parity shield (layered
+                            // delivery under distress), the first loss tick of
+                            // the in-flight frame repairs locally: progress is
+                            // credited and the shield is consumed.
+                            let left = if faults.loss_for(id) {
+                                if fec_shield {
+                                    fec_shield = false;
+                                    out.fec_absorbed_ticks += 1;
+                                    distress.raise(1);
+                                    left - sent
+                                } else {
+                                    distress.raise(2);
+                                    left
+                                }
+                            } else {
+                                left - sent
+                            };
+                            if left == 0 {
+                                // Decode-deadline overrun: bytes arrived, the
+                                // decoder missed its slot; completion lands on
+                                // the next frame boundary.
+                                let done = if faults.decode_overrun_for(id) {
+                                    (t / fi + 1) * fi
+                                } else {
+                                    t
+                                };
+                                let published = frame as u64 * fi;
+                                out.delivered += 1;
+                                latencies_ms.push((done - published) as u32);
+                                if in_flight_layers < layers {
+                                    out.partial_frames += 1;
+                                }
+                                distress.relax();
+                                in_flight = None;
+                            } else {
+                                in_flight = Some((frame, left));
+                            }
+                        } else if frame_now >= frames && queue.is_empty() {
+                            // Stream drained; the Closed arm exits the loop on
+                            // the next tick.
+                            phase = Phase::Closed;
+                        }
+                    }
+                    Phase::Reconnecting => {
+                        if phase_timer > 0 {
+                            phase_timer -= 1;
+                        } else if !faults.outage_for(id) {
+                            // Session resume: the manifest (if it completed)
+                            // is cached client-side; otherwise restart it.
+                            phase = if subscribed {
+                                Phase::Streaming
+                            } else {
+                                Phase::Manifest
+                            };
+                        }
+                    }
+                    Phase::Closed => break,
+                }
+            }
+
+            out.undelivered = queue.len() as u64 + u64::from(in_flight.is_some());
+            out.never_queued = frames as u64 - queued;
+            (out, latencies_ms)
+        }
+    }
 
     fn tiny_stream(frames: usize, payload: usize) -> Vec<u8> {
         let mut w = StreamWriter::new(10, 6, 30);
@@ -676,6 +1047,119 @@ mod tests {
         }
     }
 
+    /// One random stream: `layers` chunks a frame, each sized from a few
+    /// bytes (far below a tick's budget) up to `max_chunk`.
+    fn random_stream(rng: &mut Rng, frames: usize, layers: u8, max_chunk: usize) -> Vec<u8> {
+        let mut w = if layers > 1 {
+            StreamWriter::new_layered(10, 6, 30, layers)
+        } else {
+            StreamWriter::new(10, 6, 30)
+        };
+        for _ in 0..frames * layers as usize {
+            let len = rng.gen_range(0..max_chunk + 1);
+            w.push_frame(&vec![0x5a; len]);
+        }
+        w.finish()
+    }
+
+    #[test]
+    fn event_stepping_matches_the_tick_loop_field_for_field() {
+        let studies: Vec<Vec<Trace>> = (0..4)
+            .map(|i| UserStudy::generate_with(20 + i, 30, 2, 2).traces)
+            .collect();
+        let mut seen = ClientOutcome::default();
+        volcast_util::prop::run_cases_n("event_stepping_matches_the_tick_loop", 400, |rng| {
+            let pick = |rng: &mut Rng, of: &[u32]| of[rng.gen_range(0..of.len())];
+            let fi = match rng.gen_range(0..8u32) {
+                0 => 1,
+                1 | 2 => 33,
+                _ => rng.gen_range(1..41u32),
+            };
+            let base = pick(rng, &[1, 40, 300, 2_048, 2_048, 50_000]);
+            // Chunks from under one tick's budget to over an interval's.
+            let max_chunk = match rng.gen_range(0..3u32) {
+                0 => base as usize / 2,
+                1 => base as usize * fi as usize / 2,
+                _ => base as usize * fi as usize * 3,
+            }
+            .clamp(4, 200_000);
+            let frames = rng.gen_range(1..41usize);
+            let layers = rng.gen_range(1..5u32) as u8;
+            let stream = random_stream(rng, frames, layers, max_chunk);
+            // Every class from off to saturated: single- and multi-frame
+            // outages, stall-heavy schedules, loss on every frame.
+            let rate = |rng: &mut Rng, of: &[f64]| of[rng.gen_range(0..of.len())];
+            let faults = FaultConfig {
+                seed: rng.gen(),
+                outage_rate: rate(rng, &[0.0, 0.03, 0.15, 0.5]),
+                outage_frames: rng.gen_range(1..6usize),
+                ap_stall_rate: rate(rng, &[0.0, 0.0, 0.1, 0.6]),
+                ap_stall_frames: rng.gen_range(1..5usize),
+                loss_rate: rate(rng, &[0.0, 0.05, 0.3, 1.0]),
+                decode_overrun_rate: rate(rng, &[0.0, 0.1, 1.0]),
+                blackout_start: rng.gen_range(0..frames),
+                blackout_frames: if rng.gen_bool(0.2) {
+                    rng.gen_range(1..8usize)
+                } else {
+                    0
+                },
+                ..FaultConfig::default()
+            };
+            let clients = rng.gen_range(1..6usize);
+            let params = ServerParams {
+                clients,
+                admit_cap: rng.gen_range(1..6usize),
+                frame_interval_ticks: fi,
+                arrival_window_ticks: pick(rng, &[0, 1, 5, 128, 600]),
+                handshake_ticks: pick(rng, &[0, 1, 4, 50]),
+                reconnect_ticks: pick(rng, &[0, 1, 25, 90]),
+                queue_cap_frames: rng.gen_range(1..10usize),
+                base_bytes_per_tick: base,
+                slow_fraction: [0.0, 1.0, 0.3][rng.gen_range(0..3usize)],
+                slow_multiplier: [0.02, 0.2, 3.0][rng.gen_range(0..3usize)],
+                drain_ticks: pick(rng, &[0, 1, 33, 330]),
+                seed: rng.gen(),
+                faults,
+            };
+            let traces = studies[rng.gen_range(0..studies.len())].clone();
+            let srv = SessionServer::new(params, stream, traces).unwrap();
+            let plan = FaultPlan::generate(faults, srv.frames, clients).unwrap();
+            let adapter = RateAdapter::new(AbrPolicy::BufferOnly, 1);
+            let mut latencies = vec![0u32; srv.frames];
+            for id in 0..clients.min(params.admit_cap) {
+                let got = srv.simulate_client(id, &plan, &adapter, &mut latencies);
+                let (want, want_latencies) = srv.simulate_client_ticks(id, &plan);
+                assert_eq!(got, want, "{params:?}");
+                assert_eq!(latencies[..got.delivered as usize], want_latencies[..]);
+                assert_eq!(
+                    got.delivered + got.dropped + got.undelivered + got.never_queued,
+                    srv.frames as u64,
+                    "{got:?}"
+                );
+                seen.delivered += got.delivered;
+                seen.dropped += got.dropped;
+                seen.undelivered += got.undelivered;
+                seen.never_queued += got.never_queued;
+                seen.reconnects += got.reconnects;
+                seen.partial_frames += got.partial_frames;
+                seen.fec_absorbed_ticks += got.fec_absorbed_ticks;
+            }
+        });
+        // The cases reached every exit a frame can take and every recovery
+        // path, not one corner of the model.
+        for (what, n) in [
+            ("delivered", seen.delivered),
+            ("dropped", seen.dropped),
+            ("undelivered", seen.undelivered),
+            ("never queued", seen.never_queued),
+            ("reconnects", seen.reconnects),
+            ("partial frames", seen.partial_frames),
+            ("absorbed loss ticks", seen.fec_absorbed_ticks),
+        ] {
+            assert!(n > 50, "only {n} {what} over all cases");
+        }
+    }
+
     #[test]
     fn quiet_run_delivers_everything_fast() {
         let stream = tiny_stream(20, 3_000);
@@ -691,6 +1175,7 @@ mod tests {
         let seen = out.delivered_frames + out.undelivered_frames;
         assert!((16 * 18..=16 * 20).contains(&seen), "{out:?}");
         assert_eq!(out.dropped_frames, 0);
+        assert_eq!(seen + out.never_queued_frames, 16 * 20, "{out:?}");
         assert!(out.p50_latency_ms > 0);
         assert!(out.p99_latency_ms >= out.p50_latency_ms);
     }
@@ -735,6 +1220,15 @@ mod tests {
         assert!(
             out.undelivered_frames <= 8 * (4 + 1),
             "queues grew past the cap: {out:?}"
+        );
+        // Every frame of every admitted client is accounted exactly once.
+        assert_eq!(
+            out.delivered_frames
+                + out.dropped_frames
+                + out.undelivered_frames
+                + out.never_queued_frames,
+            8 * 40,
+            "{out:?}"
         );
     }
 

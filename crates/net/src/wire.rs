@@ -57,7 +57,7 @@
 
 use std::fmt;
 
-use volcast_util::hash::fnv1a;
+use volcast_util::hash::{fnv1a, fnv1a_each};
 
 /// Stream magic: the first four bytes of every volcast wire stream.
 pub const STREAM_MAGIC: [u8; 4] = *b"VWSM";
@@ -493,10 +493,13 @@ impl StreamWriter {
             entries.push(ChunkEntry {
                 offset,
                 len: payload.len() as u32,
-                checksum: fnv1a(payload),
+                checksum: 0,
             });
             offset += (CHUNK_HEADER_LEN + payload.len()) as u64;
         }
+        fnv1a_each(self.frames.iter().map(Vec::as_slice), |i, checksum| {
+            entries[i].checksum = checksum;
+        });
         StreamManifest {
             depth: self.depth,
             color_bits: self.color_bits,
@@ -532,11 +535,11 @@ impl StreamWriter {
         out.extend_from_slice(&flags.to_le_bytes());
         out.extend_from_slice(&(manifest_len as u32).to_le_bytes());
         manifest.encode_into(&mut out);
-        for (i, payload) in self.frames.iter().enumerate() {
+        for (i, (payload, entry)) in self.frames.iter().zip(&manifest.entries).enumerate() {
             out.extend_from_slice(&CHUNK_MAGIC);
             out.extend_from_slice(&(i as u32).to_le_bytes());
-            out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+            out.extend_from_slice(&entry.len.to_le_bytes());
+            out.extend_from_slice(&entry.checksum.to_le_bytes());
             out.extend_from_slice(payload);
         }
         debug_assert_eq!(out.len() as u64, total);
@@ -620,6 +623,17 @@ impl<'a> StreamReader<'a> {
     /// The validated payload of frame `i`: checks the chunk header against
     /// the manifest entry and the payload bytes against the checksum.
     pub fn chunk_payload(&self, frame: u32) -> Result<&'a [u8], WireError> {
+        let payload = self.unhashed_payload(frame)?;
+        if fnv1a(payload) != self.entry(frame)?.checksum {
+            return Err(WireError::ChecksumMismatch { frame });
+        }
+        Ok(payload)
+    }
+
+    /// The header half of [`Self::chunk_payload`]: frame `i`'s payload
+    /// bytes, once the chunk header agrees with the manifest entry (whose
+    /// checksum they have yet to be hashed against).
+    fn unhashed_payload(&self, frame: u32) -> Result<&'a [u8], WireError> {
         let e = self.entry(frame)?;
         let bytes = self.chunk_bytes(frame)?;
         let mut r = Reader::new(bytes);
@@ -632,20 +646,36 @@ impl<'a> StreamReader<'a> {
         if idx != frame || len != e.len || checksum != e.checksum {
             return Err(WireError::ManifestMismatch { frame });
         }
-        let payload = r.take(len as usize, "chunk payload")?;
-        if fnv1a(payload) != checksum {
-            return Err(WireError::ChecksumMismatch { frame });
-        }
-        Ok(payload)
+        r.take(len as usize, "chunk payload")
     }
 
     /// Validates every chunk in the stream (a server does this once at
-    /// load time so per-connection sends can skip re-hashing).
+    /// load time so per-connection sends can skip re-hashing) and returns
+    /// what calling [`Self::chunk_payload`] on each frame in order would:
+    /// the error of the first frame that fails, its header's before its
+    /// checksum's. Headers are read in frame order up to the first bad
+    /// one; the payloads before it are hashed four at a time
+    /// ([`fnv1a_each`]).
     pub fn validate_all(&self) -> Result<(), WireError> {
-        for i in 0..self.manifest.frame_count {
-            self.chunk_payload(i)?;
+        let mut header = Ok(());
+        let mut first_bad: Option<usize> = None;
+        let entries = &self.manifest.entries;
+        let payloads = (0..self.manifest.frame_count).map_while(|frame| {
+            self.unhashed_payload(frame)
+                .map_err(|e| header = Err(e))
+                .ok()
+        });
+        fnv1a_each(payloads, |i, h| {
+            if h != entries[i].checksum && first_bad.is_none_or(|bad| i < bad) {
+                first_bad = Some(i);
+            }
+        });
+        match first_bad {
+            Some(frame) => Err(WireError::ChecksumMismatch {
+                frame: frame as u32,
+            }),
+            None => header,
         }
-        Ok(())
     }
 
     fn entry(&self, frame: u32) -> Result<&ChunkEntry, WireError> {

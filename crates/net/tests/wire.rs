@@ -141,6 +141,48 @@ fn truncation_sweep_cuts_every_boundary() {
     }
 }
 
+/// What `validate_all` must report: `chunk_payload` on each frame in
+/// order, stopping at the first error.
+fn validate_in_frame_order(reader: &StreamReader<'_>) -> Result<(), WireError> {
+    (0..reader.manifest().frame_count).try_for_each(|f| reader.chunk_payload(f).map(|_| ()))
+}
+
+#[test]
+fn validate_all_reports_the_first_bad_frame_in_frame_order() {
+    // Several faults at once, all in the chunk area (so the head still
+    // parses): flipped payload bytes fail a checksum, flipped header bytes
+    // fail the manifest cross-check or the magic. Whichever frame comes
+    // first wins, whatever order the hash lanes finish in.
+    let mut rng = Rng::seed_from_u64(0xC0FF_EE42);
+    let mut rejected = [0u32; 2];
+    for case in 0..600 {
+        let n = rng.gen_range(1..14u64) as usize;
+        let (mut data, _) = build_stream(case, n, 900);
+        let reader = StreamReader::parse(&data).unwrap();
+        let entries = reader.manifest().entries.clone();
+        let area = data.len() - reader.manifest().chunk_area_len() as usize;
+        for _ in 0..rng.gen_range(0..4u32) {
+            let e = entries[rng.gen_range(0..n as u64) as usize];
+            let chunk = area + e.offset as usize;
+            let at = if e.len == 0 || rng.gen_bool(0.4) {
+                chunk + rng.gen_range(0..CHUNK_HEADER_LEN as u64) as usize
+            } else {
+                chunk + CHUNK_HEADER_LEN + rng.gen_range(0..e.len as u64) as usize
+            };
+            data[at] ^= 1 << rng.gen_range(0..8u32);
+        }
+        let reader = StreamReader::parse(&data).unwrap();
+        let want = validate_in_frame_order(&reader);
+        assert_eq!(reader.validate_all(), want, "case {case}");
+        match want {
+            Err(WireError::ChecksumMismatch { .. }) => rejected[0] += 1,
+            Err(_) => rejected[1] += 1,
+            Ok(()) => {}
+        }
+    }
+    assert!(rejected[0] > 50 && rejected[1] > 50, "{rejected:?}");
+}
+
 #[test]
 fn fuzz_smoke_random_mutations_never_panic() {
     // N = 1000 seeded random mutations over a valid stream: bit flips,
@@ -190,7 +232,11 @@ fn fuzz_smoke_random_mutations_never_panic() {
         // Random-access parse path.
         if let Ok(reader) = StreamReader::parse(&data) {
             let frames = reader.manifest().frame_count;
-            let _ = reader.validate_all();
+            assert_eq!(
+                reader.validate_all(),
+                validate_in_frame_order(&reader),
+                "case {case}"
+            );
             for f in 0..frames {
                 if let Ok(payload) = reader.chunk_payload(f) {
                     let declared = reader.manifest().entries[f as usize].checksum;
