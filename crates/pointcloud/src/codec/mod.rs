@@ -12,12 +12,14 @@
 //!    an 8-bit child mask per node, stored level-major.
 //! 3. **Emit**, through an adaptive binary range coder with contexts keyed
 //!    by (tree level, child index) for occupancy and (channel, bit) for
-//!    color, in one of two orders:
+//!    the high half of each color value — the low half is incompressible
+//!    and rides a raw bit-plane — in one of two orders:
 //!    - *single stream* (`VOCT`, [`Encoder`] / [`Decoder`]): every level in
-//!      pre-order, then `color_bits` per channel per leaf in Morton order;
+//!      pre-order, then each leaf's color in Morton order;
 //!    - *layered* (`VLYR`, [`LayeredEncoder`] / [`LayeredDecoder`]): the
 //!      tree cut at increasing depths, each layer carrying its span of
-//!      levels as they lie plus color residuals against the layer below.
+//!      levels as they lie plus color residuals against the layer below
+//!      (none for a voxel that is its parent's only descendant there).
 //!      Any prefix of layers decodes to exactly the cloud the single stream
 //!      at that prefix's depth decodes to; the bytes differ.
 //!

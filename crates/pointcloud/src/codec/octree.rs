@@ -16,6 +16,29 @@
 //! [`check_header`]) and the voxel → point step both decoders end in
 //! ([`reconstruct`]) live here too.
 //!
+//! Single-stream layout (all integers little-endian):
+//!
+//! ```text
+//! magic "VOC2" | depth u8 | color_bits u8 | count u32
+//! | min_xyz 3xf32, extent f32, 0 f32, 0 f32
+//! | raw plane, ceil(count * 3 * raw / 8) bytes
+//! | range-coded payload
+//! ```
+//!
+//! Of a `color_bits`-bit channel value only the high bits carry something
+//! a model can learn; the low `raw = color_bits / 2` bits cost a full bit
+//! each under any context (EXPERIMENTS.md), so [`split_color`] sends them
+//! uncoded. The **raw plane** holds, per voxel in Morton order, the low
+//! `raw` bits of channels 0, 1, 2, packed LSB-first (the first value's
+//! lowest bit is bit 0 of the first byte; the last byte is zero-padded).
+//! Its length follows from the header and is checked before anything is
+//! decoded or reserved. The range-coded payload is every node's child mask
+//! in pre-order (contexts per level and child), then per voxel the high
+//! `color_bits - raw` bits of each channel, MSB first (contexts per channel
+//! and position). The magic's last byte is the layout revision: the first
+//! layout, magic `VOCT`, range-coded every color bit and fails
+//! [`CodecError::BadMagic`] here.
+//!
 //! [`Encoder`] and [`Decoder`] own all working memory as [`ScratchVec`]s,
 //! so a stream of frames encodes and decodes with **zero heap allocations
 //! in steady state** (`tests/codec_alloc.rs`); the free [`encode`] /
@@ -103,7 +126,7 @@ pub struct CodecStats {
     pub bits_per_point: f64,
 }
 
-const MAGIC: [u8; 4] = *b"VOCT";
+const MAGIC: [u8; 4] = *b"VOC2";
 const HEADER_LEN: usize = 4 + 1 + 1 + 4 + 24;
 const MAX_DEPTH: u32 = 16;
 
@@ -330,6 +353,116 @@ fn emit_preorder(rc: &mut RangeEncoder, ctx: &mut Contexts, tree: &Tree, depth: 
         emit_mask(rc, &mut ctx.occupancy[child_level], m);
         stack[sp] = (child_level as u8, m);
         sp += 1;
+    }
+}
+
+/// How a quantized color value travels: `(coded, raw)` bit widths. The high
+/// `coded` bits go through the range coder; the low `raw = color_bits / 2`
+/// bits are incompressible and ride the raw plane.
+pub(super) fn split_color(color_bits: u32) -> (u32, u32) {
+    let raw = color_bits / 2;
+    (color_bits - raw, raw)
+}
+
+/// Sends color values (leaf colors or residuals): high bits to the range
+/// coder, low bits LSB-first onto the end of `out`, where the plane lies.
+pub(super) struct ColorWriter<'a> {
+    out: &'a mut Vec<u8>,
+    acc: u64,
+    nbits: u32,
+    split: (u32, u32),
+}
+
+impl<'a> ColorWriter<'a> {
+    pub(super) fn new(out: &'a mut Vec<u8>, color_bits: u32) -> Self {
+        let split = split_color(color_bits);
+        ColorWriter {
+            out,
+            acc: 0,
+            nbits: 0,
+            split,
+        }
+    }
+
+    /// One value: per channel, the high bits under that channel's
+    /// per-position contexts, the low bits raw.
+    #[inline(always)]
+    pub(super) fn emit(&mut self, rc: &mut RangeEncoder, ctx: &mut Contexts, value: [u32; 3]) {
+        let (coded, raw) = self.split;
+        for ch in 0..3 {
+            rc.encode_bits(&mut ctx.color[ch], value[ch] >> raw, coded);
+            self.acc |= ((value[ch] & ((1 << raw) - 1)) as u64) << self.nbits;
+            self.nbits += raw;
+        }
+        if self.nbits >= 32 {
+            self.out.extend_from_slice(&(self.acc as u32).to_le_bytes());
+            self.acc >>= 32;
+            self.nbits -= 32;
+        }
+    }
+
+    /// Flushes the plane's last bytes, zero-padded to a whole one.
+    pub(super) fn finish(self) {
+        let bytes = self.nbits.div_ceil(8) as usize;
+        self.out.extend_from_slice(&self.acc.to_le_bytes()[..bytes]);
+    }
+}
+
+/// The inverse of [`ColorWriter`] over a plane cut off a payload.
+pub(super) struct ColorReader<'a> {
+    plane: &'a [u8],
+    acc: u64,
+    nbits: u32,
+    split: (u32, u32),
+}
+
+impl<'a> ColorReader<'a> {
+    /// Cuts `payload` into the raw plane of `values` colors and the
+    /// range-coded rest. `values` comes from a header, so the length it
+    /// implies is checked against the buffer here, before anything trusts it.
+    pub(super) fn new(
+        payload: &'a [u8],
+        values: usize,
+        color_bits: u32,
+    ) -> Result<(Self, &'a [u8]), CodecError> {
+        let split = split_color(color_bits);
+        let len = (values as u64 * 3 * split.1 as u64).div_ceil(8);
+        if len > payload.len() as u64 {
+            return Err(CodecError::CorruptPayload("raw color plane is truncated"));
+        }
+        let (plane, rest) = payload.split_at(len as usize);
+        Ok((
+            ColorReader {
+                plane,
+                acc: 0,
+                nbits: 0,
+                split,
+            },
+            rest,
+        ))
+    }
+
+    /// One value. Reading more than `values` of them yields zero low bits,
+    /// never a panic; the decoders do not.
+    #[inline(always)]
+    pub(super) fn read(&mut self, dec: &mut RangeDecoder, ctx: &mut Contexts) -> [u32; 3] {
+        let (coded, raw) = self.split;
+        if self.nbits < 3 * raw {
+            let (word, rest) = self.plane.split_at(self.plane.len().min(4));
+            let mut le = [0u8; 4];
+            le[..word.len()].copy_from_slice(word);
+            self.acc |= (u32::from_le_bytes(le) as u64) << self.nbits;
+            self.nbits += 32;
+            self.plane = rest;
+        }
+        let mut value = [0u32; 3];
+        for ch in 0..3 {
+            value[ch] = dec.decode_bits(&mut ctx.color[ch], coded) << raw
+                | self.acc as u32 & ((1 << raw) - 1);
+            self.acc >>= raw;
+        }
+        self.nbits -= 3 * raw;
+        value
     }
 }
 
@@ -615,14 +748,14 @@ impl Encoder {
         ctx.reset(cfg.depth);
         if !codes.is_empty() {
             emit_preorder(rc, ctx, tree, cfg.depth);
-            // Colors in Morton (leaf) order.
+            // Colors in Morton (leaf) order: the raw plane grows straight
+            // behind the header while the range coder buffers its bytes.
             let shift = 8 - cfg.color_bits;
+            let mut colors = ColorWriter::new(out, cfg.color_bits);
             for &(sums, count) in csums.get() {
-                for ch in 0..3 {
-                    let avg = sums[ch] / count;
-                    rc.encode_bits(&mut ctx.color[ch], avg >> shift, cfg.color_bits);
-                }
+                colors.emit(rc, ctx, sums.map(|s| (s / count) >> shift));
             }
+            colors.finish();
         }
         rc.finish_into(out);
 
@@ -704,8 +837,9 @@ impl Decoder {
             return Ok(0);
         }
 
+        let (mut colors, coded) = ColorReader::new(&data[HEADER_LEN..], count, color_bits)?;
         self.ctx.reset(depth);
-        let mut dec = RangeDecoder::new(&data[HEADER_LEN..]);
+        let mut dec = RangeDecoder::new(coded);
         let codes = self.codes.begin();
         // `count` is attacker-controlled (up to u32::MAX = 32 GiB of u64s);
         // cap the up-front reservation and let a genuine large stream grow
@@ -723,14 +857,8 @@ impl Decoder {
             ));
         }
 
-        let color = &mut self.ctx.color;
-        let next_color = |_| {
-            [
-                dec.decode_bits(&mut color[0], color_bits),
-                dec.decode_bits(&mut color[1], color_bits),
-                dec.decode_bits(&mut color[2], color_bits),
-            ]
-        };
+        let ctx = &mut self.ctx;
+        let next_color = |_| colors.read(&mut dec, ctx);
         reconstruct(
             codes,
             next_color,
@@ -778,19 +906,20 @@ fn decode_node(
     out: &mut Vec<u64>,
     limit: usize,
 ) {
-    let mut occ = [false; 8];
-    for (child, o) in occ.iter_mut().enumerate() {
-        *o = dec.decode_bit(&mut ctx.occupancy[depth_from_root as usize][child]);
+    let mut mask = 0u32;
+    for (child, model) in ctx.occupancy[depth_from_root as usize]
+        .iter_mut()
+        .enumerate()
+    {
+        mask |= (dec.decode_bit(model) as u32) << child;
     }
-    for (child, &o) in occ.iter().enumerate() {
-        if !o {
-            continue;
-        }
+    while mask != 0 {
         if out.len() >= limit {
             // Corrupt stream protection: never exceed the declared count.
             return;
         }
-        let code = (prefix << 3) | child as u64;
+        let code = (prefix << 3) | mask.trailing_zeros() as u64;
+        mask &= mask - 1;
         if depth_from_root + 1 == total_depth {
             out.push(code);
         } else {
@@ -1146,8 +1275,10 @@ mod tests {
             }),
             Err(CodecError::TruncatedHeader)
         );
+        // The first layout's magic: those streams range-code every color
+        // bit and must not be read as this layout.
         let mut bad_magic = vec![0u8; HEADER_LEN + 8];
-        bad_magic[0..4].copy_from_slice(b"NOPE");
+        bad_magic[0..4].copy_from_slice(b"VOCT");
         assert_eq!(
             decode(&EncodedCloud { data: bad_magic }),
             Err(CodecError::BadMagic)
@@ -1173,29 +1304,65 @@ mod tests {
         assert!(matches!(decode(&enc), Err(CodecError::CorruptPayload(_))));
     }
 
+    /// The raw plane's byte range in a default-config (`raw = 3`) stream.
+    fn plane_of(voxels: usize) -> std::ops::Range<usize> {
+        HEADER_LEN..HEADER_LEN + (voxels * 9).div_ceil(8)
+    }
+
     #[test]
-    fn truncated_payloads_error_and_leave_output_untouched() {
-        let cloud = SyntheticBody::default().frame(1, 2_000);
-        let (enc, _) = encode(&cloud, &CodecConfig::default());
+    fn every_truncation_errors_and_leaves_the_output_empty() {
+        let cloud = SyntheticBody::default().frame(1, 600);
+        let (enc, stats) = encode(&cloud, &CodecConfig::default());
         let full = decode(&enc).unwrap();
+        let plane = plane_of(stats.voxels);
+        assert!(
+            plane.end + 5 < enc.data.len(),
+            "cuts land in all three regions"
+        );
         let mut dec = Decoder::new();
-        // Cut the stream at a spread of points across both the occupancy
-        // and color regions; every cut must surface as CorruptPayload and
-        // must not leave partial points behind in the output cloud.
-        let payload_len = enc.data.len() - HEADER_LEN;
-        for i in 0..32 {
-            let cut = HEADER_LEN + payload_len * i / 32;
+        // Every cut — inside the header, the raw plane, the range-coded
+        // payload — is an error, and none leaves partial points behind.
+        for cut in 0..enc.data.len() {
             let truncated = EncodedCloud {
                 data: enc.data[..cut].to_vec(),
             };
             let mut out = PointCloud::new();
             out.points.push(full.points[0]);
             let err = dec.decode_into(&truncated, &mut out).unwrap_err();
-            assert!(
-                matches!(err, CodecError::CorruptPayload(_)),
-                "cut at {cut}: {err}"
-            );
+            if cut < HEADER_LEN {
+                assert_eq!(err, CodecError::TruncatedHeader, "cut at {cut}");
+            } else {
+                assert!(
+                    matches!(err, CodecError::CorruptPayload(_)),
+                    "cut at {cut}: {err}"
+                );
+            }
             assert!(out.is_empty(), "cut at {cut} leaked partial points");
+        }
+    }
+
+    /// The plane is raw bits: a flip inside it cannot desynchronize the
+    /// range decoder, so the stream still decodes, to the same geometry,
+    /// with one low color bit changed. Integrity is `net::wire`'s checksum.
+    #[test]
+    fn a_flip_inside_the_plane_changes_one_low_color_bit_and_no_geometry() {
+        let cloud = SyntheticBody::default().frame(2, 2_000);
+        let (enc, stats) = encode(&cloud, &CodecConfig::default());
+        let clean = decode(&enc).unwrap();
+        let plane = plane_of(stats.voxels);
+        for byte in [plane.start, (plane.start + plane.end) / 2, plane.end - 1] {
+            let mut mutated = enc.clone();
+            mutated.data[byte] ^= 1;
+            let got = decode(&mutated).unwrap();
+            assert_eq!(got.len(), clean.len());
+            let changed: Vec<_> = (0..got.len())
+                .filter(|&i| got.points[i] != clean.points[i])
+                .collect();
+            assert_eq!(changed.len(), 1, "flip in byte {byte}");
+            let (a, b) = (got.points[changed[0]], clean.points[changed[0]]);
+            assert_eq!(a.pos, b.pos);
+            // Low raw bits of a 6-bit channel, dequantized: less than 8 << 2.
+            assert!((0..3).all(|ch| a.color[ch].abs_diff(b.color[ch]) < 32));
         }
     }
 
@@ -1231,8 +1398,16 @@ mod tests {
         data[6..10].copy_from_slice(&u32::MAX.to_le_bytes());
         data[22..26].copy_from_slice(&1.0f32.to_le_bytes());
         assert_eq!(
-            decode(&EncodedCloud { data }),
+            decode(&EncodedCloud { data: data.clone() }),
             Err(CodecError::InvalidHeader("count exceeds tree capacity"))
+        );
+        // Depth 12 could hold that many leaves, but their raw plane
+        // (4.8 GB) cannot be in a 50-byte buffer: refused on the length
+        // check, before the code list reserves anything.
+        data[4] = 12;
+        assert_eq!(
+            decode(&EncodedCloud { data }),
+            Err(CodecError::CorruptPayload("raw color plane is truncated"))
         );
     }
 

@@ -8,10 +8,13 @@
 //! The bit path is branchless: the symbol selects range/low updates and the
 //! model delta through a mask instead of a compare-and-branch, which the
 //! ~30%-biased occupancy bits of the octree would otherwise mispredict
-//! constantly. The renormalization loop must stay a `while`: with `p0` near
-//! its bounds the post-bit range can be as small as `2^13` (e.g. range
-//! `2^24`, `p0 = 2047` leaves `range - bound = 8192`), which needs two
-//! 8-bit shifts to clear `TOP`.
+//! constantly. Renormalization is one conditional 8-bit shift, not a loop:
+//! a model starts at 1024 and the shift-5 update cannot carry `p0` out of
+//! `[31, 2017]` (`model_states_are_closed_and_one_shift_renormalizes`), so
+//! with `range >= 2^24` going in, both halves of the split are at least
+//! `31 * 2^13 > 2^16` and a single shift clears `TOP` again — for the
+//! decoder too, whose `range` depends on the decoded bits but never on
+//! what the input bytes were.
 //!
 //! [`RangeEncoder`] is reusable: [`RangeEncoder::finish_into`] flushes into
 //! a caller buffer and resets, so a persistent encoder performs zero heap
@@ -59,15 +62,6 @@ impl BitModel {
         let delta =
             ((self.p0 >> ADAPT_SHIFT) & mask) | (((PROB_ONE - self.p0) >> ADAPT_SHIFT) & !mask);
         self.p0 = (self.p0.wrapping_sub(delta) & mask) | (self.p0.wrapping_add(delta) & !mask);
-    }
-
-    // Branch-form entry point kept for the tests that pin the branchless
-    // update against the reference formula; the coders call
-    // `update_masked` directly with their already-computed mask.
-    #[cfg(test)]
-    #[inline(always)]
-    fn update(&mut self, bit: bool) {
-        self.update_masked((bit as u16).wrapping_neg());
     }
 }
 
@@ -118,9 +112,10 @@ impl RangeEncoder {
         self.low += (bound & mask) as u64;
         self.range = ((self.range - bound) & mask) | (bound & !mask);
         model.update_masked(mask as u16);
-        while self.range < TOP {
+        if self.range < TOP {
             self.shift_low();
             self.range <<= 8;
+            debug_assert!(self.range >= TOP, "one shift renormalizes, see module docs");
         }
     }
 
@@ -214,9 +209,10 @@ impl<'a> RangeDecoder<'a> {
         self.code -= bound & mask;
         self.range = ((self.range - bound) & mask) | (bound & !mask);
         model.update_masked(mask as u16);
-        while self.range < TOP {
+        if self.range < TOP {
             self.code = (self.code << 8) | self.next_byte() as u32;
             self.range <<= 8;
+            debug_assert!(self.range >= TOP, "one shift renormalizes, see module docs");
         }
         bit
     }
@@ -245,6 +241,14 @@ impl<'a> RangeDecoder<'a> {
 mod tests {
     use super::*;
     use volcast_util::rng::Rng;
+
+    impl BitModel {
+        /// Branch-form entry point: the coders call `update_masked` with
+        /// the mask they already have.
+        fn update(&mut self, bit: bool) {
+            self.update_masked((bit as u16).wrapping_neg());
+        }
+    }
 
     fn round_trip(bits: &[bool], contexts: usize, ctx_of: impl Fn(usize) -> usize) -> usize {
         let mut enc_models = vec![BitModel::new(); contexts];
@@ -354,6 +358,34 @@ mod tests {
                 assert_eq!(m.p0, expected, "p0={start} bit={bit}");
             }
         }
+    }
+
+    /// Exhaustive closure of the model state machine, and the bound the
+    /// single-shift renormalization rests on.
+    #[test]
+    fn model_states_are_closed_and_one_shift_renormalizes() {
+        let (lo, hi) = (31u16, 2017u16);
+        assert!((lo..=hi).contains(&BitModel::new().p0));
+        let mut min_after = u32::MAX;
+        for p0 in lo..=hi {
+            for bit in [false, true] {
+                let mut m = BitModel { p0 };
+                m.update(bit);
+                assert!((lo..=hi).contains(&m.p0), "p0={p0} bit={bit} -> {}", m.p0);
+            }
+            // The smallest range a bit can leave: the smallest going in,
+            // split at this p0, the smaller half taken.
+            let bound = (TOP >> PROB_BITS) * p0 as u32;
+            min_after = min_after.min(bound).min(TOP - bound);
+        }
+        assert_eq!(min_after, 31 << 13);
+        assert!(min_after << 8 >= TOP);
+        // Both ends are reached, so the interval is tight.
+        let mut m = BitModel::new();
+        (0..500).for_each(|_| m.update(true));
+        assert_eq!(m.p0, lo);
+        (0..500).for_each(|_| m.update(false));
+        assert_eq!(m.p0, hi);
     }
 
     #[test]

@@ -106,16 +106,16 @@ echo "==> server bench is byte-identical at VOLCAST_THREADS=1 and 8, hash pinned
 # The session server at its full default scale (1200 offered clients,
 # admission cap 1024, 120 frames; runs in well under a second). stdout
 # carries only deterministic metrics and the outcome hash, so a plain
-# diff is the thread-invariance witness; the hash (taken at 99d4a55, the
-# last commit whose server stepped tick by tick) keeps both from
-# drifting together.
+# diff is the thread-invariance witness; the hash keeps both from
+# drifting together. It covers the stream's chunk sizes, so it moves when
+# the codec's bytes do (last: the raw color plane, PR 21) and only then.
 tmp_srv1="$(mktemp)"
 tmp_srv8="$(mktemp)"
 VOLCAST_THREADS=1 cargo run -q --release -p volcast-bench --bin server > "$tmp_srv1" 2> /dev/null
 VOLCAST_THREADS=8 cargo run -q --release -p volcast-bench --bin server > "$tmp_srv8" 2> /dev/null
 diff "$tmp_srv1" "$tmp_srv8"
-grep -q "outcome hash 0x12d3feb0f70c8277" "$tmp_srv1" || {
-    echo "ERROR: server outcome hash drifted (expected 0x12d3feb0f70c8277):" >&2
+grep -q "outcome hash 0x325c7dc084fdb0de" "$tmp_srv1" || {
+    echo "ERROR: server outcome hash drifted (expected 0x325c7dc084fdb0de):" >&2
     tail -1 "$tmp_srv1" >&2
     exit 1
 }
@@ -154,10 +154,11 @@ echo "==> benchmark workloads at full size: outcome hashes pinned"
 # of either bitstream cannot move without failing here. The simulator
 # trio covers the float programs of the frame path (both sessions, the
 # campus epoch loop): a moved ULP in the mmWave layer fails here. The
-# server row covers both of its stream kinds under every fault class.
-for pin in codec_ladder:0x2b14ffb0f4cb7cda codec_layered:0x921a62684d40c0af \
+# server row covers both of its stream kinds under every fault class, and
+# through their chunk sizes the codec's bytes too.
+for pin in codec_ladder:0xc35dac04f86acdab codec_layered:0x919eb61504938282 \
     session_single:0x338effbe7f8a1bb5 session_layered_faulted:0x3f96d14ae75d2245 \
-    campus:0x22ab495ca9fac58d server:0xd640d3343590e70d; do
+    campus:0x22ab495ca9fac58d server:0x9b907dad900363e5; do
     workload="${pin%%:*}"
     want="${pin##*:}"
     pass="$(sh benchmark/run.sh --workload "$workload" --seed 42 --seconds 1 --trace 0 2>&1)"
