@@ -16,34 +16,38 @@
 //! Layer bitstream layout (all integers little-endian):
 //!
 //! ```text
-//! magic "VLY2" | layer u8 | total u8 | depth u8 | color_bits u8
+//! magic "VLY3" | layer u8 | total u8 | depth u8 | color_bits u8
 //! | count u32 | coded u32 | prev_depth u8 | prev_count u32
 //! | (layer 0 only) min_xyz 3xf32, extent f32, 0 f32, 0 f32
 //! | raw plane, ceil(coded * 3 * raw / 8) bytes
-//! | range-coded payload
+//! | entropy block (codec::rans): tables, three states, rANS bytes
 //! ```
 //!
-//! The range-coded payload is **level-major** (unlike the single stream's
-//! pre-order DFS): for each absolute level `prev_depth..depth`, one 8-bit
-//! child mask per voxel of that level in ascending Morton order, then the
+//! The entropy block (layout, tables and coder in the `rans.rs` module
+//! docs) is **level-major** (unlike the single stream's pre-order DFS): for
+//! each absolute level `prev_depth..depth`, one child mask per voxel of
+//! that level in ascending Morton order under that level's table, then the
 //! colors. A voxel's *anchor* is its ancestor at `prev_depth` (the virtual
 //! root, color 0, for the base layer); what is sent is the residual
 //! `(q_child - q_anchor) mod 2^color_bits` per channel, split like a
-//! single-stream color (`octree::split_color`): high `color_bits - raw`
-//! bits range-coded, low `raw = color_bits / 2` bits in the raw plane,
-//! three channels per voxel, LSB-first. **Only-child rule:** an enhancement
-//! voxel that is its anchor's only descendant in its layer merges the same
-//! points as the anchor, so its residual is identically zero and is not
-//! sent, in either region; both sides read that off the sorted codes and
-//! the decoder copies the anchor's color. `coded` counts the voxels that do
-//! send a residual; it sizes the plane before anything is decoded and is
-//! verified against the decoded occupancy. Level-major order lets the
-//! decoder expand one level at a time between two buffers — no recursion,
-//! no per-node state — and each layer is range-coded on its own (contexts
-//! reset), so a truncated or lost enhancement never corrupts the layers
-//! before it. The magic's last byte is the layout revision: the first
-//! layout, magic `VLYR`, range-coded every residual whole and fails
-//! [`CodecError::BadMagic`] here.
+//! single-stream color (`octree::split_color`): the high `color_bits - raw`
+//! bits a symbol under the table of its channel and of the symbol the
+//! residual before sent there, the low `raw = color_bits / 2` bits in the
+//! raw plane, three channels per voxel, LSB-first. **Only-child rule:** an
+//! enhancement voxel that is its anchor's only descendant in its layer
+//! merges the same points as the anchor, so its residual is identically
+//! zero and is not sent, in either region; both sides read that off the
+//! sorted codes and the decoder copies the anchor's color. `coded` counts
+//! the voxels that do send a residual; it sizes the plane before anything
+//! is decoded, says whether the block has color tables at all (`coded >
+//! 0`), and is verified against the decoded occupancy. A layer with no
+//! voxels is its header alone. Level-major order lets the decoder expand
+//! one level at a time between two buffers — no recursion, no per-node
+//! state — and each layer carries its own tables and its own rANS stream,
+//! so a truncated or lost enhancement never corrupts the layers before it.
+//! The magic's last byte is the layout revision: `VLYR` range-coded every
+//! residual whole, `VLY2` range-coded masks and high bits bit by bit under
+//! adaptive models, and both fail [`CodecError::BadMagic`] here.
 //!
 //! Like the single-stream pair, [`LayeredEncoder`]/[`LayeredDecoder`] own
 //! all working memory as [`ScratchVec`]s: encoding or decoding a stream of
@@ -51,10 +55,10 @@
 //! allocations in steady state.
 
 use super::octree::{
-    check_header, emit_mask, merge_runs, read_bounds, reconstruct, write_bounds, CodecConfig,
-    CodecError, ColorReader, ColorWriter, Contexts, Encoder,
+    check_header, merge_runs, put_colors, read_bounds, reconstruct, split_color, write_bounds,
+    CodecConfig, CodecError, ColorReader, ColorWriter, Encoder,
 };
-use super::range::RangeDecoder;
+use super::rans::{DecModel, RansDecoder};
 use crate::point::PointCloud;
 use crate::quality::Ladder;
 use volcast_geom::Vec3;
@@ -64,7 +68,7 @@ use volcast_util::scratch::ScratchVec;
 /// Maximum number of layers (base + enhancements) per frame.
 pub const MAX_LAYERS: usize = 4;
 
-const LAYER_MAGIC: [u8; 4] = *b"VLY2";
+const LAYER_MAGIC: [u8; 4] = *b"VLY3";
 /// Fixed header: magic + layer + total + depth + color_bits + count(u32)
 /// + coded(u32) + prev_depth + prev_count(u32).
 const LAYER_HEADER_LEN: usize = 4 + 1 + 1 + 1 + 1 + 4 + 4 + 1 + 4;
@@ -175,8 +179,8 @@ type LayerSum = ([u64; 3], u64);
 
 /// A reusable layered encoder owning all codec working memory.
 pub struct LayeredEncoder {
-    /// The full-depth voxelization and its occupancy tree, plus the context
-    /// models and range coder every layer is emitted through.
+    /// The full-depth voxelization and its occupancy tree, plus the entropy
+    /// stage every layer is emitted through.
     enc: Encoder,
     /// Code lists of the layers below full depth, concatenated base first.
     lcodes: ScratchVec<u64>,
@@ -225,8 +229,9 @@ impl LayeredEncoder {
             codes,
             csums,
             tree,
-            ctx,
-            rc,
+            model,
+            csyms,
+            rans,
             ..
         } = &mut self.enc;
         let (codes, csums) = (codes.get(), csums.get());
@@ -309,17 +314,16 @@ impl LayeredEncoder {
                 write_bounds(buf, &bounds);
             }
 
-            ctx.reset(depth);
-            for level in prev_depth..depth {
-                for &m in tree.level(level) {
-                    emit_mask(rc, &mut ctx.occupancy[level as usize], m);
-                }
+            if voxels.is_empty() {
+                continue;
             }
+            model.begin(depth);
+            let csyms = csyms.begin();
+            let mut colors = ColorWriter::new(buf, cfg.color_bits, model, csyms);
             // Both code lists are sorted and every prefix exists, so each
             // anchor's descendants are the next run of `voxels`.
-            let mut colors = ColorWriter::new(buf, cfg.color_bits);
             let pshift = 3 * (depth - prev_depth);
-            let (mut i, mut coded) = (0usize, 0u32);
+            let mut i = 0usize;
             for (&parent, anchor) in anchors.iter().zip(anchor_q) {
                 let start = i;
                 while i < voxels.len() && voxels[i] >> pshift == parent {
@@ -328,15 +332,34 @@ impl LayeredEncoder {
                 if i - start == 1 && k > 0 {
                     continue; // an only child: its anchor's color, unsent
                 }
-                coded += (i - start) as u32;
                 for c in &q[start..i] {
                     let sub = |ch: usize| (c[ch] as u32).wrapping_sub(anchor[ch] as u32) & cmask;
-                    colors.emit(rc, ctx, [sub(0), sub(1), sub(2)]);
+                    colors.emit([sub(0), sub(1), sub(2)]);
                 }
             }
             colors.finish();
-            buf[CODED_AT..][..4].copy_from_slice(&coded.to_le_bytes());
-            rc.finish_into(buf);
+            buf[CODED_AT..][..4].copy_from_slice(&(csyms.len() as u32).to_le_bytes());
+            for level in prev_depth..depth {
+                model.count_masks(level, tree.level(level));
+            }
+            let alphabet = 1 << split_color(cfg.color_bits).0;
+            model.write_tables(
+                prev_depth..depth,
+                (!csyms.is_empty()).then_some(alphabet),
+                buf,
+            );
+            // Last symbol first: the residuals, then the levels from the
+            // deepest up, each from its last node.
+            let nodes: usize = (prev_depth..depth).map(|l| tree.level(l).len()).sum();
+            put_colors(rans, model, csyms);
+            let mut lane = (nodes + 2) % 3; // the last node's
+            for level in (prev_depth..depth).rev() {
+                for &m in tree.level(level).iter().rev() {
+                    model.put_mask(rans, lane, level, m);
+                    lane = (lane + 2) % 3;
+                }
+            }
+            rans.finish_into(buf);
         }
 
         let stats = LayeredStats {
@@ -378,7 +401,7 @@ pub struct LayeredDecoder {
     exp_a: ScratchVec<u64>,
     exp_b: ScratchVec<u64>,
     new_q: ScratchVec<[u8; 3]>,
-    ctx: Contexts,
+    model: DecModel,
     state: Option<LayerState>,
 }
 
@@ -397,7 +420,7 @@ impl LayeredDecoder {
             exp_a: ScratchVec::new("codec.scratch.dec_layer_exp_a"),
             exp_b: ScratchVec::new("codec.scratch.dec_layer_exp_b"),
             new_q: ScratchVec::new("codec.scratch.dec_layer_new_q"),
-            ctx: Contexts::new(0),
+            model: DecModel::new(),
             state: None,
         }
     }
@@ -490,16 +513,21 @@ impl LayeredDecoder {
             exp_a,
             exp_b,
             new_q,
-            ctx,
+            model,
             ..
         } = self;
-        let (mut colors, range_coded) = ColorReader::new(&data[header_len..], coded, color_bits)?;
-        ctx.reset(depth);
-        let mut dec = RangeDecoder::new(range_coded);
         let exp_a = exp_a.begin();
         let exp_b = exp_b.begin();
         let new_q_buf = new_q.begin();
         if count > 0 {
+            let (mut colors, mut block) = ColorReader::new(&data[header_len..], coded, color_bits)?;
+            let alphabet = 1 << split_color(color_bits).0;
+            model.parse(
+                &mut block,
+                prev_depth..depth,
+                (coded > 0).then_some(alphabet),
+            )?;
+            let mut dec = RansDecoder::new(block)?;
             // Seed the expansion with the previous layer's codes (or the
             // virtual root for a base layer), then expand level by level,
             // ping-ponging via buffer swaps.
@@ -508,13 +536,14 @@ impl LayeredDecoder {
             } else {
                 exp_a.extend_from_slice(codes.get());
             }
+            let mut lane = 0;
             for level in prev_depth..depth {
                 exp_b.clear();
-                let models = &mut ctx.occupancy[level as usize];
                 for &code in exp_a.iter() {
-                    let mut mask = 0u32;
-                    for (child, model) in models.iter_mut().enumerate() {
-                        mask |= (dec.decode_bit(model) as u32) << child;
+                    let mut mask = model.mask(&mut dec, lane, level);
+                    lane = (lane + 1) % 3;
+                    if mask == 0 {
+                        return Err(CodecError::CorruptPayload("a node without children"));
                     }
                     if exp_b.len() + mask.count_ones() as usize > count {
                         return Err(CodecError::CorruptPayload(
@@ -536,7 +565,7 @@ impl LayeredDecoder {
             }
             if dec.is_exhausted() {
                 return Err(CodecError::CorruptPayload(
-                    "range decoder ran past the end of the occupancy stream",
+                    "rANS decoder ran past the end of the occupancy stream",
                 ));
             }
             // Every code extends one anchor — a voxel of the layer below,
@@ -566,7 +595,7 @@ impl LayeredDecoder {
                     break;
                 }
                 for _ in start..i {
-                    let r = colors.read(&mut dec, ctx);
+                    let r = colors.read(&mut dec, model);
                     let add = |ch: usize| ((anchor[ch] as u32 + r[ch]) & cmask) as u8;
                     new_q_buf.push([add(0), add(1), add(2)]);
                 }
@@ -576,9 +605,9 @@ impl LayeredDecoder {
                     "coded residuals disagree with the decoded occupancy",
                 ));
             }
-            if dec.is_exhausted() {
+            if !dec.is_clean_end() {
                 return Err(CodecError::CorruptPayload(
-                    "range decoder ran past the end of the color stream",
+                    "rANS states did not return to their seed at the end of the stream",
                 ));
             }
             // Commit.
@@ -925,8 +954,51 @@ mod tests {
         }
     }
 
+    /// A flip behind a layer's tables used to decode to *some* occupancy;
+    /// now the layer is refused and the prefix below it is what renders.
+    #[test]
+    fn a_damaged_enhancement_is_reported_and_the_prefix_below_still_renders() {
+        let frame = ladder_frame(3, 3_000);
+        let mut dec = LayeredDecoder::new();
+        let (mut base_only, mut out) = (PointCloud::new(), PointCloud::new());
+        dec.decode_frame_into(&frame.layers()[..1], &mut base_only)
+            .unwrap();
+        let layer = &frame.layers()[1];
+        // An enhancement of the ladder carries one level, and at this
+        // density it earns its table: flags, table, color tables, states.
+        let flags_at = plane_of(layer).1.end;
+        assert_eq!(layer[flags_at..][..2], (1u16 << 8).to_le_bytes());
+        let mut reported = 0;
+        for byte in flags_at..layer.len() {
+            let mut mutated = layer.clone();
+            mutated[byte] ^= 0x04;
+            dec.push_layer(&frame.layers()[0]).unwrap();
+            match dec.push_layer(&mutated) {
+                Err(CodecError::CorruptPayload(_)) => reported += 1,
+                Err(other) => panic!("byte {byte}: {other}"),
+                Ok(()) => {}
+            }
+            // Refused or not, a receiver falls back on the base alone.
+            dec.decode_frame_into(&frame.layers()[..1], &mut out)
+                .unwrap();
+            assert_eq!(out.points, base_only.points);
+        }
+        let block = layer.len() - flags_at;
+        assert!(reported * 100 >= 99 * block, "{reported} of {block}");
+        // A table for a level below the layer's span is no encoder's.
+        let mut mutated = layer.clone();
+        mutated[flags_at] |= 1 << 7;
+        dec.push_layer(&frame.layers()[0]).unwrap();
+        assert_eq!(
+            dec.push_layer(&mutated),
+            Err(CodecError::CorruptPayload(
+                "a table for a level the stream does not carry"
+            ))
+        );
+    }
+
     /// `coded` is verified against the occupancy the layer decodes to. The
-    /// mutants keep the range-coded payload where `coded` says it starts,
+    /// mutants keep the entropy block where `coded` says it starts,
     /// so it is exactly this check that refuses them.
     #[test]
     fn a_coded_count_that_disagrees_with_the_occupancy_is_corrupt() {
@@ -963,7 +1035,7 @@ mod tests {
             Err(CodecError::InvalidHeader("more residuals than voxels"))
         );
         // A base layer codes every voxel; one that claims otherwise moves
-        // where its range-coded payload starts.
+        // where its entropy block starts.
         let mut mutant = base.clone();
         mutant[CODED_AT] ^= 1;
         assert!(matches!(
@@ -986,12 +1058,14 @@ mod tests {
             LayeredDecoder::new().push_layer(&data),
             Err(CodecError::CorruptPayload("raw color plane is truncated"))
         );
-        // The first layout's magic is not this layout.
-        data[0..4].copy_from_slice(b"VLYR");
-        assert_eq!(
-            LayeredDecoder::new().push_layer(&data),
-            Err(CodecError::BadMagic)
-        );
+        // The earlier layouts' magics are not this layout.
+        for old in [b"VLYR", b"VLY2"] {
+            data[0..4].copy_from_slice(old);
+            assert_eq!(
+                LayeredDecoder::new().push_layer(&data),
+                Err(CodecError::BadMagic)
+            );
+        }
     }
 
     /// One malformed header per check the two formats share

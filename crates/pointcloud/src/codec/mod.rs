@@ -10,10 +10,12 @@
 //!    voxelized Draco geometry.
 //! 2. **Tree.** Build the occupancy tree over the sorted unique codes once:
 //!    an 8-bit child mask per node, stored level-major.
-//! 3. **Emit**, through an adaptive binary range coder with contexts keyed
-//!    by (tree level, child index) for occupancy and (channel, bit) for
-//!    the high half of each color value — the low half is incompressible
-//!    and rides a raw bit-plane — in one of two orders:
+//! 3. **Emit**, through a static rANS entropy stage (`rans.rs`: one
+//!    symbol per node under its level's table of child masks, one per
+//!    channel for the high half of each color value under the table of the
+//!    symbol before it; the tables travel with the stream, and the low
+//!    half of a color is incompressible and rides a raw bit-plane), in one
+//!    of two orders:
 //!    - *single stream* (`VOCT`, [`Encoder`] / [`Decoder`]): every level in
 //!      pre-order, then each leaf's color in Morton order;
 //!    - *layered* (`VLYR`, [`LayeredEncoder`] / [`LayeredDecoder`]): the
@@ -23,8 +25,8 @@
 //!      Any prefix of layers decodes to exactly the cloud the single stream
 //!      at that prefix's depth decodes to; the bytes differ.
 //!
-//! Decoding replays the context state machine and ends, for both formats,
-//! in the same voxel-center / bucket-center-color reconstruction.
+//! Decoding reads the tables, runs the coder forwards and ends, for both
+//! formats, in the same voxel-center / bucket-center-color reconstruction.
 //!
 //! Rate behaviour: 300K-550K-point human-surface clouds land at roughly
 //! 6-12 bits/point geometry + colors, i.e. frame sizes comparable to the
@@ -52,7 +54,7 @@
 mod gop;
 mod layered;
 mod octree;
-mod range;
+mod rans;
 pub mod simd;
 
 pub use gop::GopEncoder;
@@ -62,4 +64,3 @@ pub use layered::{
 pub use octree::{
     decode, encode, CodecConfig, CodecError, CodecStats, Decoder, EncodedCloud, Encoder,
 };
-pub use range::{BitModel, RangeDecoder, RangeEncoder};

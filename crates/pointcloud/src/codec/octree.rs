@@ -13,16 +13,17 @@
 //! level in pre-order (`VOCT`, this module); the layered encoder emits a
 //! span of levels as they lie (`VLYR`, [`super::layered`]). The header
 //! pieces the two formats share ([`write_bounds`] / [`read_bounds`],
-//! [`check_header`]) and the voxel → point step both decoders end in
-//! ([`reconstruct`]) live here too.
+//! [`check_header`]), the color split ([`ColorWriter`] / [`ColorReader`])
+//! and the voxel → point step both decoders end in ([`reconstruct`]) live
+//! here too.
 //!
 //! Single-stream layout (all integers little-endian):
 //!
 //! ```text
-//! magic "VOC2" | depth u8 | color_bits u8 | count u32
+//! magic "VOC3" | depth u8 | color_bits u8 | count u32
 //! | min_xyz 3xf32, extent f32, 0 f32, 0 f32
 //! | raw plane, ceil(count * 3 * raw / 8) bytes
-//! | range-coded payload
+//! | entropy block (codec::rans): tables, three states, rANS bytes
 //! ```
 //!
 //! Of a `color_bits`-bit channel value only the high bits carry something
@@ -32,22 +33,26 @@
 //! `raw` bits of channels 0, 1, 2, packed LSB-first (the first value's
 //! lowest bit is bit 0 of the first byte; the last byte is zero-padded).
 //! Its length follows from the header and is checked before anything is
-//! decoded or reserved. The range-coded payload is every node's child mask
-//! in pre-order (contexts per level and child), then per voxel the high
-//! `color_bits - raw` bits of each channel, MSB first (contexts per channel
-//! and position). The magic's last byte is the layout revision: the first
-//! layout, magic `VOCT`, range-coded every color bit and fails
+//! decoded or reserved. The entropy block (layout, tables and coder in the
+//! `rans.rs` module docs) codes every node's child mask in pre-order under
+//! its level's table, then per voxel in Morton order the high `color_bits
+//! - raw` bits of channels 0, 1, 2, each under the table of its channel
+//! and of the symbol the voxel before sent there. An empty cloud is its
+//! header alone. The magic's last byte is the layout revision: `VOCT`
+//! range-coded every color bit, `VOC2` range-coded the high bits and the
+//! masks bit by bit under adaptive models, and both fail
 //! [`CodecError::BadMagic`] here.
 //!
-//! [`Encoder`] and [`Decoder`] own all working memory as [`ScratchVec`]s,
-//! so a stream of frames encodes and decodes with **zero heap allocations
-//! in steady state** (`tests/codec_alloc.rs`); the free [`encode`] /
-//! [`decode`] build a fresh instance per call, same bytes either way.
+//! [`Encoder`] and [`Decoder`] own all working memory — [`ScratchVec`]s,
+//! the tables of `rans.rs` — so a stream of frames encodes and decodes
+//! with **zero heap allocations in steady state**
+//! (`tests/codec_alloc.rs`); the free [`encode`] / [`decode`] build a
+//! fresh instance per call, same bytes either way.
 // Fixed-size index loops (octree children, color channels) read clearer
 // than iterator chains in this module.
 #![allow(clippy::needless_range_loop)]
 
-use super::range::{BitModel, RangeDecoder, RangeEncoder};
+use super::rans::{DecModel, EncModel, RansDecoder, RansEncoder};
 use super::simd::{
     self, morton_decode, morton_encode, pack_color, Backend, QuantParams, COLOR_SHIFT,
     PACKED_MAX_DEPTH,
@@ -85,11 +90,13 @@ pub enum CodecError {
     BadMagic,
     /// Header fields are inconsistent (e.g. zero depth, absurd counts).
     InvalidHeader(&'static str),
-    /// The entropy-coded payload is truncated or internally inconsistent
-    /// with the header (e.g. it decodes fewer voxels than declared, or the
-    /// range decoder ran off the end of the buffer). Bit flips that keep
-    /// the payload self-consistent are *not* detectable here — integrity
-    /// checks belong to the transport (see `volcast-net::wire` checksums).
+    /// The payload is truncated, its tables are malformed, or it is
+    /// inconsistent with the header or with itself: it decodes fewer
+    /// voxels than declared, runs off the end of the buffer, or leaves the
+    /// rANS states anywhere but where the encoder started them. That last
+    /// check reports nearly all damage to the coded bytes; the raw color
+    /// plane and a raw level's masks have no such witness — integrity
+    /// belongs to the transport (see `volcast-net::wire` checksums).
     CorruptPayload(&'static str),
 }
 
@@ -126,9 +133,9 @@ pub struct CodecStats {
     pub bits_per_point: f64,
 }
 
-const MAGIC: [u8; 4] = *b"VOC2";
+const MAGIC: [u8; 4] = *b"VOC3";
 const HEADER_LEN: usize = 4 + 1 + 1 + 4 + 24;
-const MAX_DEPTH: u32 = 16;
+pub(super) const MAX_DEPTH: u32 = 16;
 
 /// A quantized point on the deep (`depth > PACKED_MAX_DEPTH`) path:
 /// (morton code, packed RGB color). The shallow path packs both into one
@@ -206,30 +213,6 @@ fn radix_sort<T, K>(
     }
 }
 
-pub(super) struct Contexts {
-    /// Occupancy bit contexts: [level][child_index].
-    pub(super) occupancy: Vec<[BitModel; 8]>,
-    /// Color bit contexts: [channel][bit position].
-    pub(super) color: [[BitModel; 8]; 3],
-}
-
-impl Contexts {
-    pub(super) fn new(depth: u32) -> Self {
-        Contexts {
-            occupancy: vec![[BitModel::new(); 8]; depth as usize],
-            color: [[BitModel::new(); 8]; 3],
-        }
-    }
-
-    /// Returns every model to the unbiased state, reusing the occupancy
-    /// allocation (it only grows when a deeper tree is requested).
-    pub(super) fn reset(&mut self, depth: u32) {
-        self.occupancy.clear();
-        self.occupancy.resize(depth as usize, [BitModel::new(); 8]);
-        self.color = [[BitModel::new(); 8]; 3];
-    }
-}
-
 /// One voxel's color accumulator: per-channel sums and merged point count.
 /// The coded color is the floor-average `sum / count`.
 type ColorSum = ([u32; 3], u32);
@@ -264,136 +247,159 @@ pub(super) fn merge_runs<V, A: Default>(
 
 /// The frame's occupancy tree, flat: for each level `L` below the leaves,
 /// one 8-bit child mask per distinct length-`L` Morton prefix in ascending
-/// prefix order, stored level-major. A pre-order walk with children taken
-/// in ascending index order also reaches level `L`'s nodes in that order,
-/// so one cursor per level stands in for child pointers.
+/// prefix order. A pre-order walk with children taken in ascending index
+/// order also reaches level `L`'s nodes in that order, so one cursor per
+/// level stands in for child pointers.
 pub(super) struct Tree {
+    /// The levels, deepest first (the order they are built in).
     masks: ScratchVec<u8>,
-    /// `level_off[L]..level_off[L + 1]` brackets level `L` in `masks`.
-    level_off: [usize; MAX_DEPTH as usize + 1],
+    /// `span[L]` brackets level `L` in `masks`.
+    span: [(usize, usize); MAX_DEPTH as usize],
 }
 
 impl Tree {
     fn new() -> Self {
         Tree {
             masks: ScratchVec::new("codec.scratch.masks"),
-            level_off: [0; MAX_DEPTH as usize + 1],
+            span: [(0, 0); MAX_DEPTH as usize],
         }
     }
 
-    /// Rebuilds the tree over sorted unique depth-`depth` codes: one linear
-    /// scan per level, top down. No codes, no nodes.
-    fn build(&mut self, codes: &[u64], depth: u32) {
+    /// Rebuilds the tree over sorted unique depth-`depth` codes, bottom up:
+    /// the deepest level folds the codes into their parents' masks and
+    /// prefixes, each level above folds the prefixes left by the one below
+    /// — every code and every node is touched once. No codes, no nodes.
+    /// `prefixes` is scratch: the prefixes of the level under construction.
+    fn build(&mut self, codes: &[u64], depth: u32, prefixes: &mut Vec<u64>) {
         let masks = self.masks.begin();
-        masks.reserve(2 * codes.len());
-        let levels = if codes.is_empty() { 0 } else { depth };
-        for level in 0..levels {
-            self.level_off[level as usize] = masks.len();
-            let pshift = 3 * (depth - level); // bits below this level's prefix
-            let cshift = pshift - 3;
-            let mut prev_prefix = u64::MAX; // codes are < 2^48: safe sentinel
-            let mut cur = 0u8;
-            for &c in codes {
-                let prefix = c >> pshift;
-                let bit = 1u8 << ((c >> cshift) & 0b111);
-                if prefix == prev_prefix {
-                    cur |= bit;
-                } else {
-                    if prev_prefix != u64::MAX {
-                        masks.push(cur);
-                    }
-                    prev_prefix = prefix;
-                    cur = bit;
+        self.span = [(0, 0); MAX_DEPTH as usize];
+        if codes.is_empty() {
+            return;
+        }
+        // Children arrive sorted, so a parent's are adjacent: one joins the
+        // last mask, or opens the next and says so.
+        let fold = |child: u64, last: &mut u64, masks: &mut Vec<u8>| {
+            let (parent, bit) = (child >> 3, 1u8 << (child & 0b111));
+            if parent == *last {
+                *masks.last_mut().expect("a parent has a mask") |= bit;
+                return false;
+            }
+            masks.push(bit);
+            *last = parent;
+            true
+        };
+        let mut last = u64::MAX; // codes are < 2^48: safe sentinel
+        for &code in codes {
+            if fold(code, &mut last, masks) {
+                prefixes.push(last);
+            }
+        }
+        self.span[depth as usize - 1] = (0, masks.len());
+        for level in (0..depth as usize - 1).rev() {
+            let start = masks.len();
+            // Parents overwrite the front of the list they are read from.
+            let (mut last, mut parents) = (u64::MAX, 0);
+            for i in 0..prefixes.len() {
+                if fold(prefixes[i], &mut last, masks) {
+                    prefixes[parents] = last;
+                    parents += 1;
                 }
             }
-            masks.push(cur);
+            prefixes.truncate(parents);
+            self.span[level] = (start, masks.len());
         }
-        self.level_off[levels as usize..].fill(masks.len());
     }
 
     /// Level `level`'s child masks, one per node in ascending prefix order.
     pub(super) fn level(&self, level: u32) -> &[u8] {
-        let l = level as usize;
-        &self.masks.get()[self.level_off[l]..self.level_off[l + 1]]
+        let (start, end) = self.span[level as usize];
+        &self.masks.get()[start..end]
     }
 }
 
-/// Codes one node's child mask under its level's per-child contexts.
-#[inline(always)]
-pub(super) fn emit_mask(rc: &mut RangeEncoder, models: &mut [BitModel; 8], mask: u8) {
-    for child in 0..8usize {
-        rc.encode_bit(&mut models[child], mask & (1 << child) != 0);
-    }
-}
-
-/// Entropy-codes every level of `tree` in pre-order (the `VOCT` order).
-fn emit_preorder(rc: &mut RangeEncoder, ctx: &mut Contexts, tree: &Tree, depth: u32) {
-    let masks = tree.masks.get();
-    let mut cursors = [0usize; MAX_DEPTH as usize];
-    let root = masks[0];
-    emit_mask(rc, &mut ctx.occupancy[0], root);
-    // Explicit DFS stack of (node level, unvisited-children mask); depth is
+/// Codes every level of `tree` in pre-order (the `VOCT` order) — last node
+/// first, as the rANS encoder takes its symbols: the walk is the mirror
+/// image, children in descending order and a node after its subtrees, with
+/// one cursor per level counting down from the level's end.
+fn put_preorder(rans: &mut RansEncoder, model: &EncModel, tree: &Tree, depth: u32) {
+    let levels: [&[u8]; MAX_DEPTH as usize] = std::array::from_fn(|l| tree.level(l as u32));
+    let mut left = levels.map(<[u8]>::len);
+    // The last node's lane; each node before it is one lane down.
+    let mut lane = (left.iter().sum::<usize>() + 2) % 3;
+    // Explicit DFS stack of (node's mask, its unvisited children); depth is
     // at most MAX_DEPTH, so it lives on the stack.
     let mut stack = [(0u8, 0u8); MAX_DEPTH as usize];
-    stack[0] = (0, root);
+    stack[0] = (levels[0][0], levels[0][0]);
     let mut sp = 1usize;
     while sp > 0 {
-        let (level, rem) = stack[sp - 1];
-        if rem == 0 {
+        let level = sp - 1;
+        let (mask, rem) = stack[level];
+        // Children at the leaf level carry no mask.
+        if rem == 0 || level as u32 + 1 == depth {
+            model.put_mask(rans, lane, level as u32, mask);
+            lane = (lane + 2) % 3;
             sp -= 1;
             continue;
         }
-        stack[sp - 1].1 = rem & (rem - 1); // consume the lowest child first
-        let child_level = level as usize + 1;
-        if child_level as u32 == depth {
-            continue; // children at the leaf level carry no mask
-        }
-        let m = masks[tree.level_off[child_level] + cursors[child_level]];
-        cursors[child_level] += 1;
-        emit_mask(rc, &mut ctx.occupancy[child_level], m);
-        stack[sp] = (child_level as u8, m);
+        stack[level].1 = rem & !(0x80 >> rem.leading_zeros()); // highest child first
+        left[level + 1] -= 1;
+        let m = levels[level + 1][left[level + 1]];
+        stack[sp] = (m, m);
         sp += 1;
     }
 }
 
 /// How a quantized color value travels: `(coded, raw)` bit widths. The high
-/// `coded` bits go through the range coder; the low `raw = color_bits / 2`
-/// bits are incompressible and ride the raw plane.
+/// `coded` bits are a symbol of the entropy stage; the low `raw =
+/// color_bits / 2` bits are incompressible and ride the raw plane.
 pub(super) fn split_color(color_bits: u32) -> (u32, u32) {
     let raw = color_bits / 2;
     (color_bits - raw, raw)
 }
 
-/// Sends color values (leaf colors or residuals): high bits to the range
-/// coder, low bits LSB-first onto the end of `out`, where the plane lies.
+/// Takes a stream's color values (leaf colors or residuals) in wire order:
+/// low bits LSB-first onto the end of `out`, where the plane lies; high
+/// bits counted into the model under their context and kept in `syms`
+/// until the tables exist ([`put_colors`]).
 pub(super) struct ColorWriter<'a> {
     out: &'a mut Vec<u8>,
     acc: u64,
     nbits: u32,
-    split: (u32, u32),
+    raw: u32,
+    model: &'a mut EncModel,
+    syms: &'a mut Vec<[u8; 3]>,
+    prev: [u8; 3],
 }
 
 impl<'a> ColorWriter<'a> {
-    pub(super) fn new(out: &'a mut Vec<u8>, color_bits: u32) -> Self {
-        let split = split_color(color_bits);
+    pub(super) fn new(
+        out: &'a mut Vec<u8>,
+        color_bits: u32,
+        model: &'a mut EncModel,
+        syms: &'a mut Vec<[u8; 3]>,
+    ) -> Self {
         ColorWriter {
             out,
             acc: 0,
             nbits: 0,
-            split,
+            raw: split_color(color_bits).1,
+            model,
+            syms,
+            prev: [0; 3],
         }
     }
 
-    /// One value: per channel, the high bits under that channel's
-    /// per-position contexts, the low bits raw.
     #[inline(always)]
-    pub(super) fn emit(&mut self, rc: &mut RangeEncoder, ctx: &mut Contexts, value: [u32; 3]) {
-        let (coded, raw) = self.split;
+    pub(super) fn emit(&mut self, value: [u32; 3]) {
+        let raw = self.raw;
+        let sym = value.map(|v| (v >> raw) as u8);
         for ch in 0..3 {
-            rc.encode_bits(&mut ctx.color[ch], value[ch] >> raw, coded);
+            self.model.count_color(ch, self.prev[ch], sym[ch]);
             self.acc |= ((value[ch] & ((1 << raw) - 1)) as u64) << self.nbits;
             self.nbits += raw;
         }
+        self.prev = sym;
+        self.syms.push(sym);
         if self.nbits >= 32 {
             self.out.extend_from_slice(&(self.acc as u32).to_le_bytes());
             self.acc >>= 32;
@@ -408,25 +414,38 @@ impl<'a> ColorWriter<'a> {
     }
 }
 
+/// Codes the symbols a [`ColorWriter`] gathered, last value first, channel
+/// `c` on state `c` under the symbol the value before sent there.
+pub(super) fn put_colors(rans: &mut RansEncoder, model: &EncModel, syms: &[[u8; 3]]) {
+    for i in (0..syms.len()).rev() {
+        let ctx = if i == 0 { [0; 3] } else { syms[i - 1] };
+        for ch in (0..3).rev() {
+            model.put_color(rans, ch, ctx[ch], syms[i][ch]);
+        }
+    }
+}
+
 /// The inverse of [`ColorWriter`] over a plane cut off a payload.
 pub(super) struct ColorReader<'a> {
     plane: &'a [u8],
     acc: u64,
     nbits: u32,
-    split: (u32, u32),
+    raw: u32,
+    prev: [u8; 3],
 }
 
 impl<'a> ColorReader<'a> {
     /// Cuts `payload` into the raw plane of `values` colors and the
-    /// range-coded rest. `values` comes from a header, so the length it
-    /// implies is checked against the buffer here, before anything trusts it.
+    /// entropy block behind it. `values` comes from a header, so the length
+    /// it implies is checked against the buffer here, before anything
+    /// trusts it.
     pub(super) fn new(
         payload: &'a [u8],
         values: usize,
         color_bits: u32,
     ) -> Result<(Self, &'a [u8]), CodecError> {
-        let split = split_color(color_bits);
-        let len = (values as u64 * 3 * split.1 as u64).div_ceil(8);
+        let raw = split_color(color_bits).1;
+        let len = (values as u64 * 3 * raw as u64).div_ceil(8);
         if len > payload.len() as u64 {
             return Err(CodecError::CorruptPayload("raw color plane is truncated"));
         }
@@ -436,7 +455,8 @@ impl<'a> ColorReader<'a> {
                 plane,
                 acc: 0,
                 nbits: 0,
-                split,
+                raw,
+                prev: [0; 3],
             },
             rest,
         ))
@@ -445,8 +465,8 @@ impl<'a> ColorReader<'a> {
     /// One value. Reading more than `values` of them yields zero low bits,
     /// never a panic; the decoders do not.
     #[inline(always)]
-    pub(super) fn read(&mut self, dec: &mut RangeDecoder, ctx: &mut Contexts) -> [u32; 3] {
-        let (coded, raw) = self.split;
+    pub(super) fn read(&mut self, dec: &mut RansDecoder, model: &DecModel) -> [u32; 3] {
+        let raw = self.raw;
         if self.nbits < 3 * raw {
             let (word, rest) = self.plane.split_at(self.plane.len().min(4));
             let mut le = [0u8; 4];
@@ -457,8 +477,8 @@ impl<'a> ColorReader<'a> {
         }
         let mut value = [0u32; 3];
         for ch in 0..3 {
-            value[ch] = dec.decode_bits(&mut ctx.color[ch], coded) << raw
-                | self.acc as u32 & ((1 << raw) - 1);
+            self.prev[ch] = model.color(dec, ch, self.prev[ch]);
+            value[ch] = (self.prev[ch] as u32) << raw | self.acc as u32 & ((1 << raw) - 1);
             self.acc >>= raw;
         }
         self.nbits -= 3 * raw;
@@ -537,8 +557,8 @@ pub(super) fn reconstruct(
 ///
 /// One instance encodes a stream of frames with zero steady-state heap
 /// allocations (beyond growth of the caller's output buffer): voxel
-/// staging, radix scratch, code list, tree, context models, and the range
-/// coder are all retained across calls at their high-watermark sizes.
+/// staging, radix scratch, code list, tree, symbol tables and the rANS
+/// byte buffer are all retained across calls at their high-watermark sizes.
 /// Output is byte-for-byte identical to the free [`encode`] function.
 pub struct Encoder {
     /// Packed `(code << 24) | rgb` staging (shallow path).
@@ -560,8 +580,11 @@ pub struct Encoder {
     pub(super) codes: ScratchVec<u64>,
     pub(super) csums: ScratchVec<ColorSum>,
     pub(super) tree: Tree,
-    pub(super) ctx: Contexts,
-    pub(super) rc: RangeEncoder,
+    /// The entropy stage: the stream's tables, the color symbols waiting
+    /// for them, and the coder.
+    pub(super) model: EncModel,
+    pub(super) csyms: ScratchVec<[u8; 3]>,
+    pub(super) rans: RansEncoder,
     backend: Backend,
 }
 
@@ -592,8 +615,9 @@ impl Encoder {
             codes: ScratchVec::new("codec.scratch.codes"),
             csums: ScratchVec::new("codec.scratch.csums"),
             tree: Tree::new(),
-            ctx: Contexts::new(0),
-            rc: RangeEncoder::new(),
+            model: EncModel::new(),
+            csyms: ScratchVec::new("codec.scratch.color_syms"),
+            rans: RansEncoder::new(),
             backend,
         }
     }
@@ -709,7 +733,9 @@ impl Encoder {
             csums.reserve(deep.len());
             merge_runs(deep.iter().copied(), add_rgb, codes, csums);
         }
-        self.tree.build(codes, cfg.depth);
+        // The sort is over, so its ping-pong buffer is free to be the
+        // tree's scratch.
+        self.tree.build(codes, cfg.depth, self.packed_tmp.begin());
         bounds
     }
 
@@ -728,8 +754,9 @@ impl Encoder {
             codes,
             csums,
             tree,
-            ctx,
-            rc,
+            model,
+            csyms,
+            rans,
             ..
         } = self;
         let codes = codes.get();
@@ -744,20 +771,27 @@ impl Encoder {
         write_bounds(out, &bounds);
         debug_assert_eq!(out.len(), HEADER_LEN);
 
-        // Payload.
-        ctx.reset(cfg.depth);
         if !codes.is_empty() {
-            emit_preorder(rc, ctx, tree, cfg.depth);
             // Colors in Morton (leaf) order: the raw plane grows straight
-            // behind the header while the range coder buffers its bytes.
+            // behind the header while the model counts the high bits.
+            model.begin(cfg.depth);
             let shift = 8 - cfg.color_bits;
-            let mut colors = ColorWriter::new(out, cfg.color_bits);
+            let csyms = csyms.begin();
+            let mut colors = ColorWriter::new(out, cfg.color_bits, model, csyms);
             for &(sums, count) in csums.get() {
-                colors.emit(rc, ctx, sums.map(|s| (s / count) >> shift));
+                colors.emit(sums.map(|s| (s / count) >> shift));
             }
             colors.finish();
+            for level in 0..cfg.depth {
+                model.count_masks(level, tree.level(level));
+            }
+            let alphabet = 1 << split_color(cfg.color_bits).0;
+            model.write_tables(0..cfg.depth, Some(alphabet), out);
+            // Last symbol first: the colors, then the tree.
+            put_colors(rans, model, csyms);
+            put_preorder(rans, model, tree, cfg.depth);
+            rans.finish_into(out);
         }
-        rc.finish_into(out);
 
         let input_points = cloud.len();
         let stats = CodecStats {
@@ -789,12 +823,12 @@ impl Encoder {
 
 /// A reusable octree decoder owning all codec working memory.
 ///
-/// The mirror of [`Encoder`]: code lists and context models persist across
+/// The mirror of [`Encoder`]: code list and decode tables persist across
 /// calls, so decoding a stream of frames into a reused [`PointCloud`]
 /// allocates nothing in steady state.
 pub struct Decoder {
     codes: ScratchVec<u64>,
-    ctx: Contexts,
+    model: DecModel,
 }
 
 impl Default for Decoder {
@@ -808,7 +842,7 @@ impl Decoder {
     pub fn new() -> Self {
         Decoder {
             codes: ScratchVec::new("codec.scratch.dec_codes"),
-            ctx: Contexts::new(0),
+            model: DecModel::new(),
         }
     }
 
@@ -836,16 +870,28 @@ impl Decoder {
             obs::inc("codec.clouds_decoded");
             return Ok(0);
         }
-
-        let (mut colors, coded) = ColorReader::new(&data[HEADER_LEN..], count, color_bits)?;
-        self.ctx.reset(depth);
-        let mut dec = RangeDecoder::new(coded);
+        let (mut colors, mut block) = ColorReader::new(&data[HEADER_LEN..], count, color_bits)?;
+        let alphabet = 1 << split_color(color_bits).0;
+        self.model.parse(&mut block, 0..depth, Some(alphabet))?;
+        let mut dec = RansDecoder::new(block)?;
         let codes = self.codes.begin();
         // `count` is attacker-controlled (up to u32::MAX = 32 GiB of u64s);
         // cap the up-front reservation and let a genuine large stream grow
-        // amortized. `decode_node` never pushes past `count` either way.
+        // amortized. The walk never pushes past `count` either way.
         codes.reserve(count.min(1 << 22));
-        decode_node(&mut dec, &mut self.ctx, 0u64, 0, depth, codes, count);
+        let mut walk = Walk {
+            dec: &mut dec,
+            model: &self.model,
+            depth,
+            limit: count,
+            out: codes,
+            lane: 0,
+            childless: false,
+        };
+        walk.node(0, 0);
+        if walk.childless {
+            return Err(CodecError::CorruptPayload("a node without children"));
+        }
         if codes.len() != count {
             return Err(CodecError::CorruptPayload(
                 "payload decodes fewer voxels than the header declares",
@@ -853,12 +899,12 @@ impl Decoder {
         }
         if dec.is_exhausted() {
             return Err(CodecError::CorruptPayload(
-                "range decoder ran past the end of the occupancy stream",
+                "rANS decoder ran past the end of the occupancy stream",
             ));
         }
 
-        let ctx = &mut self.ctx;
-        let next_color = |_| colors.read(&mut dec, ctx);
+        let model = &self.model;
+        let next_color = |_| colors.read(&mut dec, model);
         reconstruct(
             codes,
             next_color,
@@ -866,13 +912,12 @@ impl Decoder {
             bounds,
             &mut out.points,
         );
-        if dec.is_exhausted() {
-            // Truncation hit inside the color stream: the positions were
-            // fine but the colors are garbage. Roll back so the caller
-            // never observes a half-decoded cloud.
+        if !dec.is_clean_end() {
+            // Truncated, damaged, or not this header's payload: the points
+            // are garbage. Roll back so the caller never observes them.
             out.points.clear();
             return Err(CodecError::CorruptPayload(
-                "range decoder ran past the end of the color stream",
+                "rANS states did not return to their seed at the end of the stream",
             ));
         }
         obs::inc("codec.clouds_decoded");
@@ -897,33 +942,37 @@ pub fn decode(encoded: &EncodedCloud) -> Result<PointCloud, CodecError> {
     Ok(cloud)
 }
 
-fn decode_node(
-    dec: &mut RangeDecoder,
-    ctx: &mut Contexts,
-    prefix: u64,
-    depth_from_root: u32,
-    total_depth: u32,
-    out: &mut Vec<u64>,
+/// The pre-order walk of the single-stream decoder.
+struct Walk<'a, 'b> {
+    dec: &'a mut RansDecoder<'b>,
+    model: &'a DecModel,
+    depth: u32,
+    /// The header's voxel count: corrupt streams never push past it.
     limit: usize,
-) {
-    let mut mask = 0u32;
-    for (child, model) in ctx.occupancy[depth_from_root as usize]
-        .iter_mut()
-        .enumerate()
-    {
-        mask |= (dec.decode_bit(model) as u32) << child;
-    }
-    while mask != 0 {
-        if out.len() >= limit {
-            // Corrupt stream protection: never exceed the declared count.
-            return;
-        }
-        let code = (prefix << 3) | mask.trailing_zeros() as u64;
-        mask &= mask - 1;
-        if depth_from_root + 1 == total_depth {
-            out.push(code);
-        } else {
-            decode_node(dec, ctx, code, depth_from_root + 1, total_depth, out, limit);
+    out: &'a mut Vec<u64>,
+    /// The next node's index in the stream, mod 3: its rANS state.
+    lane: usize,
+    /// Set by a mask of 0, which only a raw level can spell and no encoder
+    /// sends; it also ends the walk, so a tree of dead ends costs nothing.
+    childless: bool,
+}
+
+impl Walk<'_, '_> {
+    fn node(&mut self, prefix: u64, level: u32) {
+        let mut mask = self.model.mask(self.dec, self.lane, level);
+        self.lane = (self.lane + 1) % 3;
+        self.childless |= mask == 0;
+        while mask != 0 {
+            if self.out.len() >= self.limit || self.childless {
+                return;
+            }
+            let code = (prefix << 3) | mask.trailing_zeros() as u64;
+            mask &= mask - 1;
+            if level + 1 == self.depth {
+                self.out.push(code);
+            } else {
+                self.node(code, level + 1);
+            }
         }
     }
 }
@@ -1051,7 +1100,7 @@ mod tests {
         let mut rng = volcast_util::rng::Rng::seed_from_u64(0x7_2EE);
         let mut tree = Tree::new();
         let mut check = |codes: &[u64], depth: u32| {
-            tree.build(codes, depth);
+            tree.build(codes, depth, &mut Vec::new());
             let want = naive_tree(codes, depth);
             for level in 0..MAX_DEPTH {
                 let want = want.get(level as usize).map_or(&[][..], |l| &l[..]);
@@ -1275,14 +1324,16 @@ mod tests {
             }),
             Err(CodecError::TruncatedHeader)
         );
-        // The first layout's magic: those streams range-code every color
-        // bit and must not be read as this layout.
-        let mut bad_magic = vec![0u8; HEADER_LEN + 8];
-        bad_magic[0..4].copy_from_slice(b"VOCT");
-        assert_eq!(
-            decode(&EncodedCloud { data: bad_magic }),
-            Err(CodecError::BadMagic)
-        );
+        // The earlier layouts' magics: those streams are range-coded and
+        // must not be read as this layout.
+        for old in [b"VOCT", b"VOC2"] {
+            let mut bad_magic = vec![0u8; HEADER_LEN + 8];
+            bad_magic[0..4].copy_from_slice(old);
+            assert_eq!(
+                decode(&EncodedCloud { data: bad_magic }),
+                Err(CodecError::BadMagic)
+            );
+        }
         // Bad depth.
         let mut bad_depth = vec![0u8; HEADER_LEN + 8];
         bad_depth[0..4].copy_from_slice(&MAGIC);
@@ -1320,8 +1371,8 @@ mod tests {
             "cuts land in all three regions"
         );
         let mut dec = Decoder::new();
-        // Every cut — inside the header, the raw plane, the range-coded
-        // payload — is an error, and none leaves partial points behind.
+        // Every cut — inside the header, the raw plane, the tables, the
+        // rANS bytes — is an error, and none leaves partial points behind.
         for cut in 0..enc.data.len() {
             let truncated = EncodedCloud {
                 data: enc.data[..cut].to_vec(),
@@ -1342,7 +1393,7 @@ mod tests {
     }
 
     /// The plane is raw bits: a flip inside it cannot desynchronize the
-    /// range decoder, so the stream still decodes, to the same geometry,
+    /// rANS decoder, so the stream still decodes, to the same geometry,
     /// with one low color bit changed. Integrity is `net::wire`'s checksum.
     #[test]
     fn a_flip_inside_the_plane_changes_one_low_color_bit_and_no_geometry() {
@@ -1385,6 +1436,110 @@ mod tests {
                 assert!(n <= stats.voxels);
             }
         }
+    }
+
+    /// Where a stream's three rANS states start: behind the plane and the
+    /// table block.
+    fn states_at(enc: &EncodedCloud, voxels: usize, depth: u32) -> usize {
+        let mut block = &enc.data[plane_of(voxels).end..];
+        DecModel::new()
+            .parse(&mut block, 0..depth, Some(8))
+            .unwrap();
+        enc.data.len() - block.len()
+    }
+
+    /// The old adaptive coder decoded a damaged payload to *some* bits, so
+    /// a flip behind the plane rendered as different geometry unless the
+    /// voxel count happened to break. Now the states must come home.
+    #[test]
+    fn a_flipped_payload_byte_is_reported_not_rendered() {
+        let cloud = SyntheticBody::default().frame(2, 2_000);
+        let (enc, stats) = encode(&cloud, &CodecConfig::default());
+        let states = states_at(&enc, stats.voxels, 10);
+        let mut dec = Decoder::new();
+        let mut out = PointCloud::new();
+        let mut rendered = 0;
+        for byte in states..enc.data.len() {
+            let mut mutated = enc.clone();
+            mutated.data[byte] ^= 0x10;
+            match dec.decode_into(&mutated, &mut out) {
+                Err(CodecError::CorruptPayload(_)) => assert!(out.is_empty()),
+                Err(other) => panic!("byte {byte}: {other}"),
+                Ok(_) => rendered += 1,
+            }
+        }
+        // What still renders: a flip in one of the sparse upper levels' raw
+        // masks that moves a node's child without changing how many it
+        // has, and the rare trade between two symbols of one frequency
+        // (`rans.rs`).
+        let payload = enc.data.len() - states;
+        assert!(payload > 4_000 && rendered * 20 < payload, "{rendered}");
+        // The very last byte feeds nothing but the final states.
+        let mut mutated = enc.clone();
+        *mutated.data.last_mut().unwrap() ^= 0x10;
+        assert_eq!(
+            dec.decode_into(&mutated, &mut out),
+            Err(CodecError::CorruptPayload(
+                "rANS states did not return to their seed at the end of the stream"
+            ))
+        );
+    }
+
+    #[test]
+    fn hostile_table_blocks_are_refused() {
+        let cloud = SyntheticBody::default().frame(4, 3_000);
+        let cfg = CodecConfig {
+            depth: 8,
+            color_bits: 6,
+        };
+        let (enc, stats) = encode(&cloud, &cfg);
+        let flags_at = plane_of(stats.voxels).end;
+        let flags = u16::from_le_bytes(enc.data[flags_at..][..2].try_into().unwrap());
+        assert!(
+            flags != 0 && flags & 1 == 0,
+            "some level coded, the root raw"
+        );
+        let refused = |data: Vec<u8>, why: &'static str| {
+            assert_eq!(
+                decode(&EncodedCloud { data }),
+                Err(CodecError::CorruptPayload(why))
+            );
+        };
+        // A table for level 8 of a depth-8 tree.
+        let mut mutant = enc.data.clone();
+        mutant[flags_at + 1] |= 1;
+        refused(mutant, "a table for a level the stream does not carry");
+        // One more table flagged than sent: the parse runs into the rest.
+        let mut mutant = enc.data.clone();
+        mutant[flags_at] |= 1;
+        assert!(matches!(
+            decode(&EncodedCloud { data: mutant }),
+            Err(CodecError::CorruptPayload(_))
+        ));
+        // The first table's first one-byte frequency off by one.
+        let mut at = flags_at + 2;
+        while enc.data[at] == 0 || enc.data[at] >= 0x7F {
+            at += 2; // a zero run or a two-byte frequency
+        }
+        let mut mutant = enc.data.clone();
+        mutant[at] += 1;
+        refused(mutant, "frequencies do not sum to 4096");
+        // The block cut off inside its tables.
+        refused(
+            enc.data[..flags_at + 5].to_vec(),
+            "frequency table is truncated",
+        );
+        refused(
+            enc.data[..flags_at + 1].to_vec(),
+            "level flags are truncated",
+        );
+        // The root's level is raw, so state 0's slot spells its mask: 0 is
+        // a node without children, whatever follows.
+        let states = states_at(&enc, stats.voxels, 8);
+        let mut mutant = enc.data.clone();
+        mutant[states] &= 0x0F;
+        mutant[states + 1] &= 0xF0;
+        refused(mutant, "a node without children");
     }
 
     #[test]

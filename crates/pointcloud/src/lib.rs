@@ -9,8 +9,8 @@
 //!   an exact target density (330K/430K/550K points per frame),
 //! - [`CellGrid`]: the spatial cell partition (25/50/100 cm cells, as in
 //!   ViVo) that visibility, IoU and grouping price by per-cell point counts,
-//! - [`codec`]: a real octree geometry codec (quantization + occupancy
-//!   entropy coding with an adaptive binary range coder) standing in for
+//! - [`codec`]: a real octree geometry codec (quantization + table-driven
+//!   rANS entropy coding of child masks and colors) standing in for
 //!   Draco, with matching rate behaviour,
 //! - [`DecodeModel`]: the client-side decode-throughput ceiling (the paper's
 //!   "550K points is the highest density decodable at 30 FPS"),

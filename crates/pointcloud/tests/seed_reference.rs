@@ -1,13 +1,15 @@
 //! Reference check for both wire formats: a deliberately naive encoder
-//! written from the prose layouts in the `codec::octree` and
-//! `codec::layered` module docs — branchy bit coder with the textbook
-//! renormalization loop, per-bit Morton loop, comparison sort, `BTreeMap`s
-//! for every per-node and per-anchor question, one `Vec<bool>` per raw
-//! plane, a fresh allocation for every intermediate — sharing no helper
-//! with `src/`. The optimized [`Encoder`] and [`LayeredEncoder`] must emit
-//! its bytes exactly: on the bitmap-dedup path (depth <= 8), the packed
-//! radix-sort path (depth 9..=13) and the pair path beyond, at every color
-//! width, on every SIMD backend. The last test pins six streams outright.
+//! written from the prose layouts in the `codec::octree`, `codec::layered`
+//! and `codec::rans` module docs — frequency tables as `Vec<Vec<_>>`, a
+//! symbol's start summed from its table every time, rANS with plain `/` and
+//! `%` over a list of symbols built forwards and walked backwards, per-bit
+//! Morton loop, comparison sort, `BTreeMap`s for every per-node and
+//! per-anchor question, one `Vec<bool>` per raw plane, a fresh allocation
+//! for every intermediate — sharing no helper with `src/`. The optimized
+//! [`Encoder`] and [`LayeredEncoder`] must emit its bytes exactly: on the
+//! bitmap-dedup path (depth <= 8), the packed radix-sort path (depth
+//! 9..=13) and the pair path beyond, at every color width, on every SIMD
+//! backend. The last test pins six streams outright.
 
 use volcast_pointcloud::codec::simd::Backend;
 use volcast_pointcloud::codec::{
@@ -23,102 +25,181 @@ mod naive {
     use volcast_geom::{Aabb, Vec3};
     use volcast_pointcloud::PointCloud;
 
-    const PROB_BITS: u32 = 11;
-    const PROB_ONE: u16 = 1 << PROB_BITS;
-    const ADAPT_SHIFT: u32 = 5;
-    const TOP: u32 = 1 << 24;
+    /// Frequencies summing to 4096 from occurrence counts.
+    fn frequencies(counts: &[u64]) -> Vec<u64> {
+        let n: u64 = counts.iter().sum();
+        if n == 0 {
+            let mut f = vec![0; counts.len()];
+            f[0] = 4096;
+            return f;
+        }
+        let mut f: Vec<u64> = counts
+            .iter()
+            .map(|&c| match c {
+                0 => 0,
+                _ => ((4096 * c + n / 2) / n).max(1),
+            })
+            .collect();
+        // The lowest symbol holding the largest frequency.
+        let top = |f: &[u64]| f.iter().position(|v| v == f.iter().max().unwrap()).unwrap();
+        let sum: u64 = f.iter().sum();
+        if sum <= 4096 {
+            let t = top(&f);
+            f[t] += 4096 - sum;
+        } else {
+            let mut excess = sum - 4096;
+            while excess > 0 {
+                let t = top(&f);
+                let take = excess.min(f[t] - 1);
+                f[t] -= take;
+                excess -= take;
+            }
+        }
+        f
+    }
 
-    #[derive(Clone, Copy)]
-    struct BitModel {
-        p0: u16,
-    }
-    impl BitModel {
-        fn new() -> Self {
-            BitModel { p0: PROB_ONE / 2 }
-        }
-        fn update(&mut self, bit: bool) {
-            if bit {
-                self.p0 -= self.p0 >> ADAPT_SHIFT;
-            } else {
-                self.p0 += (PROB_ONE - self.p0) >> ADAPT_SHIFT;
-            }
-        }
-    }
-
-    struct RangeEncoder {
-        low: u64,
-        range: u32,
-        cache: u8,
-        pending: u64,
-        out: Vec<u8>,
-    }
-    impl RangeEncoder {
-        fn new() -> Self {
-            RangeEncoder {
-                low: 0,
-                range: u32::MAX,
-                cache: 0,
-                pending: 0,
-                out: Vec::new(),
-            }
-        }
-        fn encode_bit(&mut self, model: &mut BitModel, bit: bool) {
-            let bound = (self.range >> PROB_BITS) * model.p0 as u32;
-            if !bit {
-                self.range = bound;
-            } else {
-                self.low += bound as u64;
-                self.range -= bound;
-            }
-            model.update(bit);
-            while self.range < TOP {
-                self.shift_low();
-                self.range <<= 8;
-            }
-        }
-        /// The low `n` bits of `value`, most significant first, bit `i`
-        /// under `models[i]`.
-        fn encode_bits(&mut self, models: &mut [BitModel], value: u32, n: u32) {
-            for i in (0..n).rev() {
-                let bit = (value >> i) & 1 == 1;
-                self.encode_bit(&mut models[(n - 1 - i) as usize], bit);
-            }
-        }
-        fn shift_low(&mut self) {
-            if self.low < 0xFF00_0000 || self.low > 0xFFFF_FFFF {
-                let carry = (self.low >> 32) as u8;
-                self.out.push(self.cache.wrapping_add(carry));
-                while self.pending > 0 {
-                    self.out.push(0xFFu8.wrapping_add(carry));
-                    self.pending -= 1;
+    /// A table on the wire.
+    fn table_bytes(f: &[u64]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut s = 0;
+        while s < f.len() {
+            if f[s] == 0 {
+                let mut z = 0;
+                while s + z < f.len() && f[s + z] == 0 {
+                    z += 1;
                 }
-                self.cache = ((self.low >> 24) & 0xFF) as u8;
+                out.push(0);
+                out.push((z - 1) as u8);
+                s += z;
             } else {
-                self.pending += 1;
+                if f[s] <= 127 {
+                    out.push(f[s] as u8);
+                } else {
+                    out.push(0x80 | (f[s] >> 8) as u8);
+                    out.push((f[s] & 0xFF) as u8);
+                }
+                s += 1;
             }
-            self.low = (self.low << 8) & 0xFFFF_FFFF;
         }
-        fn finish(mut self) -> Vec<u8> {
-            for _ in 0..5 {
-                self.shift_low();
-            }
-            self.out
+        out
+    }
+
+    /// What a symbol of frequency `f` is priced at, in 256ths of a bit. (The
+    /// epsilon keeps the powers of two, where the product is a whole
+    /// number, from being rounded up by a float's last bit.)
+    fn price(f: u64) -> u64 {
+        (256.0 * (4096.0 / f as f64).log2() - 1e-9).ceil() as u64
+    }
+
+    /// One symbol as the coder sees it: which state codes it, and its
+    /// interval in its table.
+    struct Symbol {
+        state: usize,
+        start: u64,
+        freq: u64,
+    }
+
+    fn symbol(state: usize, table: &[u64], s: usize) -> Symbol {
+        Symbol {
+            state,
+            start: table[..s].iter().sum(),
+            freq: table[s],
         }
     }
 
-    /// Occupancy contexts per (level, child), color contexts per (channel,
-    /// bit position); fresh for every stream and every layer.
-    struct Contexts {
-        occupancy: Vec<[BitModel; 8]>,
-        color: [[BitModel; 8]; 3],
+    /// The three states and the bytes, for `symbols` in wire order.
+    fn rans(symbols: &[Symbol]) -> Vec<u8> {
+        let mut states = [1u64 << 23; 3];
+        let mut emitted = Vec::new();
+        for sym in symbols.iter().rev() {
+            let x = &mut states[sym.state];
+            while *x >= sym.freq << 19 {
+                emitted.push((*x & 0xFF) as u8);
+                *x >>= 8;
+            }
+            *x = ((*x / sym.freq) << 12) + *x % sym.freq + sym.start;
+        }
+        let mut out = Vec::new();
+        for x in states {
+            out.extend_from_slice(&(x as u32).to_le_bytes());
+        }
+        emitted.reverse();
+        out.extend_from_slice(&emitted);
+        out
     }
-    impl Contexts {
-        fn new(depth: u32) -> Self {
-            Contexts {
-                occupancy: vec![[BitModel::new(); 8]; depth as usize],
-                color: [[BitModel::new(); 8]; 3],
+
+    /// The entropy block of a stream that carries the levels `first..depth`:
+    /// `masks` are its nodes in wire order as (level, child mask), `colors`
+    /// the high bits of its color values in wire order, from an alphabet of
+    /// `alphabet` symbols.
+    fn entropy_block(
+        first: u32,
+        depth: u32,
+        masks: &[(u32, u8)],
+        colors: &[[u32; 3]],
+        alphabet: usize,
+    ) -> Vec<u8> {
+        let mut flags = 0u16;
+        let mut tables = Vec::new();
+        // Per level, the frequency of each of the 256 byte values.
+        let mut level_tables: Vec<Vec<u64>> = vec![Vec::new(); depth as usize];
+        for level in first..depth {
+            let mut counts = vec![0u64; 255];
+            for &(l, mask) in masks {
+                if l == level {
+                    counts[mask as usize - 1] += 1;
+                }
+            }
+            let f = frequencies(&counts);
+            let bytes = table_bytes(&f);
+            let nodes: u64 = counts.iter().sum();
+            let coded: u64 = (0..255)
+                .filter(|&s| counts[s] > 0)
+                .map(|s| counts[s] * price(f[s]))
+                .sum();
+            if 2048 * bytes.len() as u64 + coded < 2048 * nodes {
+                flags |= 1 << level;
+                tables.extend_from_slice(&bytes);
+                level_tables[level as usize] = [vec![0], f].concat();
+            } else {
+                level_tables[level as usize] = vec![16; 256]; // raw
             }
         }
+        // Color tables per channel and context, if any color is sent.
+        let mut color_tables: Vec<Vec<Vec<u64>>> = Vec::new();
+        if !colors.is_empty() {
+            for ch in 0..3 {
+                let mut counts = vec![vec![0u64; alphabet]; alphabet];
+                let mut ctx = 0;
+                for value in colors {
+                    counts[ctx][value[ch] as usize] += 1;
+                    ctx = value[ch] as usize;
+                }
+                let per_ctx: Vec<Vec<u64>> = counts.iter().map(|c| frequencies(c)).collect();
+                for f in &per_ctx {
+                    tables.extend_from_slice(&table_bytes(f));
+                }
+                color_tables.push(per_ctx);
+            }
+        }
+
+        let mut symbols = Vec::new();
+        for (i, &(level, mask)) in masks.iter().enumerate() {
+            symbols.push(symbol(i % 3, &level_tables[level as usize], mask as usize));
+        }
+        let mut ctx = [0usize; 3];
+        for value in colors {
+            for ch in 0..3 {
+                let s = value[ch] as usize;
+                symbols.push(symbol(ch, &color_tables[ch][ctx[ch]], s));
+                ctx[ch] = s;
+            }
+        }
+
+        let mut block = flags.to_le_bytes().to_vec();
+        block.extend_from_slice(&tables);
+        block.extend_from_slice(&rans(&symbols));
+        block
     }
 
     /// A raw plane, one `bool` per bit in wire order.
@@ -142,20 +223,14 @@ mod naive {
         }
     }
 
-    /// Sends one color value: high bits to the range coder, low bits to
-    /// the plane, channel by channel.
-    fn send_color(
-        enc: &mut RangeEncoder,
-        ctx: &mut Contexts,
-        plane: &mut Plane,
-        value: [u32; 3],
-        color_bits: u32,
-    ) {
+    /// Splits one color value: low bits onto the plane, channel by
+    /// channel; the high bits are the value's three symbols.
+    fn split_color(plane: &mut Plane, value: [u32; 3], color_bits: u32) -> [u32; 3] {
         let raw = color_bits / 2;
         for ch in 0..3 {
-            enc.encode_bits(&mut ctx.color[ch], value[ch] >> raw, color_bits - raw);
             plane.push(value[ch], raw);
         }
+        value.map(|v| v >> raw)
     }
 
     fn morton_encode(x: u32, y: u32, z: u32, depth: u32) -> u64 {
@@ -235,29 +310,14 @@ mod naive {
         nodes
     }
 
-    fn send_mask(enc: &mut RangeEncoder, ctx: &mut Contexts, level: u32, mask: u8) {
-        for child in 0..8 {
-            enc.encode_bit(
-                &mut ctx.occupancy[level as usize][child],
-                mask & (1 << child) != 0,
-            );
-        }
-    }
-
-    /// One node's mask, then its occupied children's subtrees, ascending.
-    fn send_preorder(
-        enc: &mut RangeEncoder,
-        ctx: &mut Contexts,
-        levels: &[BTreeMap<u64, u8>],
-        level: u32,
-        prefix: u64,
-    ) {
+    /// One node, then its occupied children's subtrees, ascending.
+    fn preorder(levels: &[BTreeMap<u64, u8>], level: u32, prefix: u64, out: &mut Vec<(u32, u8)>) {
         let mask = levels[level as usize][&prefix];
-        send_mask(enc, ctx, level, mask);
+        out.push((level, mask));
         if level as usize + 1 < levels.len() {
             for child in 0..8u64 {
                 if mask & (1 << child) != 0 {
-                    send_preorder(enc, ctx, levels, level + 1, (prefix << 3) | child);
+                    preorder(levels, level + 1, (prefix << 3) | child, out);
                 }
             }
         }
@@ -267,29 +327,25 @@ mod naive {
     pub fn encode(cloud: &PointCloud, depth: u32, color_bits: u32) -> Vec<u8> {
         let voxels = voxelize(cloud, depth);
         let mut data = Vec::new();
-        data.extend_from_slice(b"VOC2");
+        data.extend_from_slice(b"VOC3");
         data.push(depth as u8);
         data.push(color_bits as u8);
         data.extend_from_slice(&(voxels.len() as u32).to_le_bytes());
         push_bounds(&mut data, cloud);
-        let mut ctx = Contexts::new(depth);
-        let mut enc = RangeEncoder::new();
-        let mut plane = Plane { bits: Vec::new() };
-        if !voxels.is_empty() {
-            let levels: Vec<_> = (0..depth).map(|l| nodes_at(&voxels, depth, l)).collect();
-            send_preorder(&mut enc, &mut ctx, &levels, 0, 0);
-            for v in voxels.values() {
-                send_color(
-                    &mut enc,
-                    &mut ctx,
-                    &mut plane,
-                    quantized(v, color_bits),
-                    color_bits,
-                );
-            }
+        if voxels.is_empty() {
+            return data; // the header alone
         }
+        let levels: Vec<_> = (0..depth).map(|l| nodes_at(&voxels, depth, l)).collect();
+        let mut masks = Vec::new();
+        preorder(&levels, 0, 0, &mut masks);
+        let mut plane = Plane { bits: Vec::new() };
+        let colors: Vec<[u32; 3]> = voxels
+            .values()
+            .map(|v| split_color(&mut plane, quantized(v, color_bits), color_bits))
+            .collect();
+        let alphabet = 1usize << (color_bits - color_bits / 2);
         data.extend_from_slice(&plane.bytes());
-        data.extend_from_slice(&enc.finish());
+        data.extend_from_slice(&entropy_block(0, depth, &masks, &colors, alphabet));
         data
     }
 
@@ -311,17 +367,17 @@ mod naive {
                     .or_default() += 1;
             }
 
-            let mut ctx = Contexts::new(depth);
-            let mut enc = RangeEncoder::new();
-            let mut plane = Plane { bits: Vec::new() };
+            // Level-major: each level of the span as it lies.
+            let mut masks = Vec::new();
             if !voxels.is_empty() {
                 for level in prev_depth..depth {
                     for &mask in nodes_at(&voxels, depth, level).values() {
-                        send_mask(&mut enc, &mut ctx, level, mask);
+                        masks.push((level, mask));
                     }
                 }
             }
-            let mut coded = 0u32;
+            let mut plane = Plane { bits: Vec::new() };
+            let mut colors = Vec::new();
             for (&code, v) in &voxels {
                 let anchor_code = code >> (3 * (depth - prev_depth));
                 let anchor = if k == 0 {
@@ -333,25 +389,29 @@ mod naive {
                 };
                 let q = quantized(v, color_bits);
                 let residual = [0, 1, 2].map(|ch| q[ch].wrapping_sub(anchor[ch]) & cmask);
-                send_color(&mut enc, &mut ctx, &mut plane, residual, color_bits);
-                coded += 1;
+                colors.push(split_color(&mut plane, residual, color_bits));
             }
 
             let mut data = Vec::new();
-            data.extend_from_slice(b"VLY2");
+            data.extend_from_slice(b"VLY3");
             data.push(k as u8);
             data.push(depths.len() as u8);
             data.push(depth as u8);
             data.push(color_bits as u8);
             data.extend_from_slice(&(voxels.len() as u32).to_le_bytes());
-            data.extend_from_slice(&coded.to_le_bytes());
+            data.extend_from_slice(&(colors.len() as u32).to_le_bytes());
             data.push(prev_depth as u8);
             data.extend_from_slice(&(prev.len() as u32).to_le_bytes());
             if k == 0 {
                 push_bounds(&mut data, cloud);
             }
-            data.extend_from_slice(&plane.bytes());
-            data.extend_from_slice(&enc.finish());
+            if !voxels.is_empty() {
+                let alphabet = 1usize << (color_bits - color_bits / 2);
+                data.extend_from_slice(&plane.bytes());
+                data.extend_from_slice(&entropy_block(
+                    prev_depth, depth, &masks, &colors, alphabet,
+                ));
+            }
             layers.push(data);
             prev_depth = depth;
             prev = voxels;
@@ -497,9 +557,9 @@ fn both_wire_formats_hash_to_their_pinned_values() {
     let cloud = SyntheticBody::default().frame(0, 20_000);
     let mut stream = Vec::new();
     for (depth, want) in [
-        (8, 0xc014a21cec6a9ca8_u64),
-        (9, 0x67ccf25a8fc63bcc),
-        (10, 0x2d6c111a9aa0d645),
+        (8, 0xb857dd173adcaa98_u64),
+        (9, 0xd07418b0f9673ba4),
+        (10, 0xfe35e8448d3fd7e4),
     ] {
         let cfg = CodecConfig {
             depth,
@@ -511,6 +571,6 @@ fn both_wire_formats_hash_to_their_pinned_values() {
     let mut frame = LayeredFrame::new();
     LayeredEncoder::new().encode_into(&cloud, &LayeredConfig::default(), &mut frame);
     let got: Vec<u64> = frame.layers().iter().map(|l| fnv1a(l)).collect();
-    let want = [0x357aca821d3812d3, 0xc673be676cdbe298, 0x7a099da53b0dd2ab];
+    let want = [0x5326fac26a5fdea1, 0xcbe596e1e49dfb88, 0x594bfc3e63f4419b];
     assert_eq!(got, want, "layers");
 }

@@ -19,6 +19,12 @@ design_bytes="$(wc -c < DESIGN.md)"
 }
 echo "DESIGN.md $design_bytes bytes; live lines: $(sh scripts/loc.sh | tail -1)"
 
+echo "==> the adaptive range coder is gone, not forked"
+if grep -rnE "RangeEncoder|RangeDecoder|BitModel" crates/; then
+    echo "ERROR: range-coder identifiers survive under crates/" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -108,14 +114,14 @@ echo "==> server bench is byte-identical at VOLCAST_THREADS=1 and 8, hash pinned
 # carries only deterministic metrics and the outcome hash, so a plain
 # diff is the thread-invariance witness; the hash keeps both from
 # drifting together. It covers the stream's chunk sizes, so it moves when
-# the codec's bytes do (last: the raw color plane, PR 21) and only then.
+# the codec's bytes do (last: the static rANS stage, PR 22) and only then.
 tmp_srv1="$(mktemp)"
 tmp_srv8="$(mktemp)"
 VOLCAST_THREADS=1 cargo run -q --release -p volcast-bench --bin server > "$tmp_srv1" 2> /dev/null
 VOLCAST_THREADS=8 cargo run -q --release -p volcast-bench --bin server > "$tmp_srv8" 2> /dev/null
 diff "$tmp_srv1" "$tmp_srv8"
-grep -q "outcome hash 0x325c7dc084fdb0de" "$tmp_srv1" || {
-    echo "ERROR: server outcome hash drifted (expected 0x325c7dc084fdb0de):" >&2
+grep -q "outcome hash 0x4bb0318f119d35df" "$tmp_srv1" || {
+    echo "ERROR: server outcome hash drifted (expected 0x4bb0318f119d35df):" >&2
     tail -1 "$tmp_srv1" >&2
     exit 1
 }
@@ -156,9 +162,9 @@ echo "==> benchmark workloads at full size: outcome hashes pinned"
 # campus epoch loop): a moved ULP in the mmWave layer fails here. The
 # server row covers both of its stream kinds under every fault class, and
 # through their chunk sizes the codec's bytes too.
-for pin in codec_ladder:0xc35dac04f86acdab codec_layered:0x919eb61504938282 \
+for pin in codec_ladder:0x8f7bd53613cbb929 codec_layered:0xb00dbeed38dc616e \
     session_single:0x338effbe7f8a1bb5 session_layered_faulted:0x3f96d14ae75d2245 \
-    campus:0x22ab495ca9fac58d server:0x9b907dad900363e5; do
+    campus:0x22ab495ca9fac58d server:0x6f7283970444457d; do
     workload="${pin%%:*}"
     want="${pin##*:}"
     pass="$(sh benchmark/run.sh --workload "$workload" --seed 42 --seconds 1 --trace 0 2>&1)"
