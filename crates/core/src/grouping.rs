@@ -16,9 +16,12 @@
 //! [`GroupPlanner`] implements a greedy agglomerative search: start with
 //! singletons and repeatedly adopt the merge of two sufficiently similar
 //! groups that lowers the estimated total frame time the most, until no
-//! merge lowers it.
+//! merge lowers it. `r_m` costs a beam design, so the search is led by an
+//! upper bound on it and asks for the real rate only of a merge that can
+//! win ([`GroupPlanner::plan_capped`]).
 
 use crate::config::SystemConfig;
+use std::borrow::Cow;
 use volcast_pointcloud::CellInfo;
 use volcast_viewport::VisibilityMap;
 
@@ -145,8 +148,32 @@ impl GroupPlanner {
         t
     }
 
-    /// Builds the group plan for one frame.
+    /// Builds the group plan for one frame: [`GroupPlanner::plan_capped`]
+    /// with nothing known about any rate (every cap `+∞`).
     pub fn plan(&self, inputs: &GroupingInputs<'_>) -> GroupPlan {
+        self.plan_capped(inputs, &|_| f64::INFINITY)
+    }
+
+    /// Builds the group plan for one frame, asking for a member set's
+    /// multicast rate only when its merge can win.
+    ///
+    /// `rate_cap_mbps(members)` must be an upper bound on
+    /// `inputs.multicast_rate_mbps(members)` (asserted on every answer). A
+    /// candidate merge is first priced at its cap — a lower bound on its
+    /// `T_m`, since every float operation between a rate and a plan time is
+    /// monotone. Each round walks the stored times as the eager search
+    /// would; when the winner is still a bound, that one set's rate is
+    /// asked for, its exact time stored, and the walk repeated. Only an
+    /// exact winner is adopted. It beats every candidate before it in the
+    /// walk strictly and every one after it weakly *at their bounds*, hence
+    /// at their exact times too: each round adopts the merge the eager
+    /// search adopts, whatever the caps, and the rate callback is asked at
+    /// most once per member set.
+    pub fn plan_capped(
+        &self,
+        inputs: &GroupingInputs<'_>,
+        rate_cap_mbps: &dyn Fn(&[usize]) -> f64,
+    ) -> GroupPlan {
         let (maps, sizes, rates) = (inputs.maps, inputs.cell_sizes, inputs.unicast_rate_mbps);
         assert_eq!(maps.len(), rates.len(), "rates must cover all users");
         debug_assert_eq!(inputs.partition.len(), sizes.len());
@@ -156,19 +183,21 @@ impl GroupPlanner {
         let member_bytes: Vec<f64> = maps.iter().map(|m| m.required_bytes(sizes)).collect();
         let time_of = |g: &Group| Self::group_time_s(g, &member_bytes, rates);
 
-        // Start from singletons. `views` (each group's merged map) and
-        // `times` run parallel to `groups`.
+        // Start from singletons. `views` (each group's merged map; a
+        // singleton's stays the caller's until its first merge) and `times`
+        // run parallel to `groups`.
         let mut groups: Vec<Group> = (0..maps.len())
             .map(|u| Group {
                 iou: 1.0,
                 ..Group::unpriced(vec![u])
             })
             .collect();
-        let mut views: Vec<VisibilityMap> = maps.to_vec();
+        let mut views: Vec<Cow<'_, VisibilityMap>> = maps.iter().map(Cow::Borrowed).collect();
         let mut times: Vec<f64> = groups.iter().map(time_of).collect();
 
-        // Two groups merged and the merge's `T_m`; `None` when they fail
-        // the similarity gate, share nothing or have no multicast rate.
+        // Two groups merged, priced at the merged set's rate cap; `None`
+        // when they fail the similarity gate, share nothing or cannot have
+        // a multicast rate.
         let score = |a: &Group, va: &VisibilityMap, b: &Group, vb: &VisibilityMap| {
             let iou = volcast_viewport::iou(va, vb);
             if iou < self.config.min_merge_iou {
@@ -180,25 +209,28 @@ impl GroupPlanner {
             }
             let mut members = [a.members.as_slice(), &b.members].concat();
             members.sort_unstable();
-            let multicast_rate_mbps = (inputs.multicast_rate_mbps)(&members);
-            if multicast_rate_mbps <= 0.0 {
+            let cap = rate_cap_mbps(&members);
+            if cap <= 0.0 {
                 return None;
             }
-            let merged = Group {
+            let group = Group {
                 members,
                 multicast_bytes,
-                multicast_rate_mbps,
+                multicast_rate_mbps: cap,
                 iou,
             };
-            let time = time_of(&merged);
-            Some((merged, time))
+            let time = time_of(&group);
+            Some(Candidate {
+                group,
+                time,
+                exact: false,
+            })
         };
         // The pair-score table: `table[i][j - i - 1]` scores groups
         // `i < j`. A score depends on its two groups only, so it lives until
-        // one of them is merged away, and the rate callback is asked once
-        // per member set. Rows are filled and walked in `(i, j)` order: the
-        // first-best selection below depends on it.
-        let mut table: Vec<Vec<Option<(Group, f64)>>> = (0..groups.len())
+        // one of them is merged away. Rows are filled and walked in `(i, j)`
+        // order: the first-best selection below depends on it.
+        let mut table: Vec<Vec<Option<Candidate>>> = (0..groups.len())
             .map(|i| {
                 let row = (i + 1)..groups.len();
                 row.map(|j| score(&groups[i], &views[i], &groups[j], &views[j]))
@@ -211,7 +243,7 @@ impl GroupPlanner {
             let mut best: Option<(usize, usize, f64)> = None;
             for (i, row) in table.iter().enumerate() {
                 for (j, scored) in (i + 1..).zip(row) {
-                    let Some((_, merged_time)) = scored else {
+                    let Some(Candidate { time, .. }) = scored else {
                         continue;
                     };
                     // The hypothetical plan's time: the groups left
@@ -219,7 +251,7 @@ impl GroupPlanner {
                     // left to right, the order a materialized trial plan
                     // would use.
                     let others = times.iter().enumerate().filter(|&(k, _)| k != i && k != j);
-                    let t: f64 = others.map(|(_, &t)| t).chain([*merged_time]).sum();
+                    let t: f64 = others.map(|(_, &t)| t).chain([*time]).sum();
                     if t < current_time && best.is_none_or(|(_, _, best_t)| t < best_t) {
                         best = Some((i, j, t));
                     }
@@ -227,14 +259,36 @@ impl GroupPlanner {
             }
             let Some((i, j, _)) = best else { break };
 
-            let (merged, merged_time) = table[i][j - i - 1].take().expect("best is scored");
-            let mut view = std::mem::take(&mut views[i]);
-            view.merge(&views[j]);
+            let slot = &mut table[i][j - i - 1];
+            let picked = slot.as_mut().expect("best is scored");
+            if !picked.exact {
+                // The winner at its bound: find out what it really costs,
+                // and walk again.
+                let cap = picked.group.multicast_rate_mbps;
+                let rate = (inputs.multicast_rate_mbps)(&picked.group.members);
+                assert!(rate <= cap, "multicast rate {rate} above its cap {cap}");
+                if rate <= 0.0 {
+                    *slot = None;
+                } else {
+                    picked.group.multicast_rate_mbps = rate;
+                    picked.time = time_of(&picked.group);
+                    picked.exact = true;
+                }
+                continue;
+            }
+
+            let Candidate {
+                group: merged,
+                time: merged_time,
+                ..
+            } = slot.take().expect("best is scored");
+            let view_j = views.remove(j);
+            let mut view = views.remove(i).into_owned();
+            view.merge(&view_j);
             // Survivors keep their places and their scores against each
             // other; `j` goes first so `i` stays valid.
             for gone in [j, i] {
                 groups.remove(gone);
-                views.remove(gone);
                 times.remove(gone);
                 table.remove(gone);
                 for (k, row) in table.iter_mut().enumerate().take(gone) {
@@ -247,7 +301,7 @@ impl GroupPlanner {
             }
             table.push(Vec::new());
             groups.push(merged);
-            views.push(view);
+            views.push(Cow::Owned(view));
             times.push(merged_time);
         }
 
@@ -260,6 +314,17 @@ impl GroupPlanner {
             feasible,
         }
     }
+}
+
+/// A candidate merge in the planner's pair-score table.
+struct Candidate {
+    /// The merged group; its `multicast_rate_mbps` is the member set's rate
+    /// cap until `exact`.
+    group: Group,
+    /// `T_m` of `group` at that rate: a lower bound until `exact`.
+    time: f64,
+    /// Whether the rate is the designed beam's, not the cap.
+    exact: bool,
 }
 
 #[cfg(test)]

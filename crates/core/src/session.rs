@@ -93,9 +93,9 @@ impl MacModel for MacDispatch<'_> {
 
 /// Frame-scoped multicast beam state of a mmWave Volcast session: every
 /// user's receiver is prepared once per frame, and every distinct member
-/// set is designed at most once per frame — the grouping search probes the
-/// same candidate sets repeatedly, and the scheduler afterwards reads the
-/// winners' `customized` bit from the same memo.
+/// set is designed at most once per frame — and only when the grouping
+/// search, led by `rate_caps`, finds its merge can win; the scheduler
+/// afterwards reads the winners' `customized` bit from the same memo.
 struct GroupBeams<'a> {
     engine: SweepEngine<'a>,
     mcs: &'a McsTable,
@@ -103,6 +103,9 @@ struct GroupBeams<'a> {
     custom_beams: bool,
     /// One receiver slot per user, re-prepared in place every frame.
     rxs: Vec<SweepRx>,
+    /// Per user, the PHY rate at [`SweepRx::rss_cap_dbm`]: no group beam,
+    /// designed or default, serves a set faster than its slowest member's.
+    rate_caps: Vec<f64>,
     /// Sorted member set -> (multicast PHY rate in Mbps, customized);
     /// cleared, not reallocated, every frame.
     memo: HashMap<Vec<usize>, (f64, bool)>,
@@ -118,6 +121,7 @@ impl<'a> GroupBeams<'a> {
             mcs,
             custom_beams,
             rxs: (0..users).map(|_| SweepRx::new()).collect(),
+            rate_caps: Vec::with_capacity(users),
             memo: HashMap::new(),
             design: BeamDesign::default(),
             tmp: Vec::new(),
@@ -132,10 +136,21 @@ impl<'a> GroupBeams<'a> {
     /// which a receiver standing between the AP and the bounce point
     /// shadows with their own body here (`link_rates` filters it out).
     fn begin_frame(&mut self, positions: impl Iterator<Item = Vec3>, bodies: &[Blocker]) {
+        self.rate_caps.clear();
         for (rx, pos) in self.rxs.iter_mut().zip(positions) {
             rx.prepare(&self.engine, pos, bodies);
+            self.rate_caps
+                .push(self.mcs.phy_rate_mbps(rx.rss_cap_dbm()));
         }
         self.memo.clear();
+    }
+
+    /// An upper bound on `group(members).0` that designs nothing: the MCS
+    /// table is monotone in RSS and a multicast rate is its weakest
+    /// member's.
+    fn rate_cap(&self, members: &[usize]) -> f64 {
+        let caps = members.iter().map(|&u| self.rate_caps[u]);
+        caps.fold(f64::INFINITY, f64::min)
     }
 
     /// `(multicast rate, customized)` of a member set under its group
@@ -359,15 +374,15 @@ impl StreamingSession {
             let _frame_span = obs::span("session.frame");
             obs::inc("session.frames");
             let faults = p.frame_faults(f);
-            p.observe(f, &mut a);
-            p.forecast(f, faults, &mut a);
-            p.link_rates(faults, &mut a);
-            p.visibility(f, &mut a);
-            p.decide(&mut a);
-            p.plan(faults, &mut a);
-            p.recover(faults, &mut a);
-            let timing = p.replay(&mut a);
-            p.playout(faults, &timing, &mut a);
+            staged("session.observe", || p.observe(f, &mut a));
+            staged("session.forecast", || p.forecast(f, faults, &mut a));
+            staged("session.link_rates", || p.link_rates(faults, &mut a));
+            staged("session.visibility", || p.visibility(f, &mut a));
+            staged("session.decide", || p.decide(&mut a));
+            staged("session.plan", || p.plan(faults, &mut a));
+            staged("session.recover", || p.recover(faults, &mut a));
+            let timing = staged("session.replay", || p.replay(&mut a));
+            staged("session.playout", || p.playout(faults, &timing, &mut a));
         }
         p.finish(a)
     }
@@ -396,6 +411,13 @@ impl StreamingSession {
             None => Ok(FaultPlan::quiet()),
         }
     }
+}
+
+/// Runs one stage of the frame loop under its own span, inside the frame's:
+/// the ledger's answer to "which stage is the frame's time in".
+fn staged<T>(name: &'static str, stage: impl FnOnce() -> T) -> T {
+    let _stage_span = obs::span(name);
+    stage()
 }
 
 /// Everything a run owns that changes: the state carried from frame to
@@ -448,6 +470,8 @@ struct Arena {
     maps: Vec<VisibilityMap>,
     /// Analysis-density size of every partition cell.
     unit_sizes: Vec<f64>,
+    /// `unit_sizes` at the quality the planner prices the frame at.
+    cell_sizes: Vec<f64>,
     /// Analysis-density bytes each user's viewport needs.
     member_unit: Vec<f64>,
     needed_fraction: Vec<f64>,
@@ -523,6 +547,7 @@ impl Arena {
             partition: Arc::from(Vec::new()),
             maps: Vec::new(),
             unit_sizes: Vec::new(),
+            cell_sizes: Vec::new(),
             member_unit: Vec::with_capacity(n),
             needed_fraction: Vec::with_capacity(n),
             qualities: Vec::with_capacity(n),
@@ -1003,6 +1028,15 @@ impl<'a> Pipeline<'a> {
         }
     }
 
+    /// An upper bound on `group_beam(members).0`, for the planner to search
+    /// by; on 5 GHz the constant basic rate is its own cap.
+    fn group_rate_cap(&self, members: &[usize]) -> f64 {
+        match &self.group_beams {
+            Some(beams) => beams.borrow().rate_cap(members),
+            None => self.s.wifi5.multicast_basic_rate_mbps,
+        }
+    }
+
     /// Schedules a unicast burst of `bytes` (plus parity at the user's FEC
     /// rung) for `u` if it passes admission, returning its plan index. The
     /// user's pending beam-switch outage is charged to the first burst
@@ -1101,19 +1135,20 @@ impl<'a> Pipeline<'a> {
             (lowest.unwrap_or(QualityLevel::Low), Self::single_group)
         };
         let scale = self.scale_for(plan_quality);
-        let cell_sizes: Vec<f64> = a.unit_sizes.iter().map(|s| s * scale).collect();
-        // The planner calls this serially, for groups of 2+.
+        a.cell_sizes.clear();
+        a.cell_sizes.extend(a.unit_sizes.iter().map(|s| s * scale));
+        // The planner calls both serially, for groups of 2+, and the rate
+        // (a beam design) only for a set whose merge can win at its cap.
         let group_rate = |members: &[usize]| self.group_beam(members).0;
-        let mut groups = self
-            .planner
-            .plan(&GroupingInputs {
-                maps: &a.maps,
-                partition: &a.partition,
-                cell_sizes: &cell_sizes,
-                unicast_rate_mbps: &a.unicast_phy,
-                multicast_rate_mbps: &group_rate,
-            })
-            .groups;
+        let inputs = GroupingInputs {
+            maps: &a.maps,
+            partition: &a.partition,
+            cell_sizes: &a.cell_sizes,
+            unicast_rate_mbps: &a.unicast_phy,
+            multicast_rate_mbps: &group_rate,
+        };
+        let rate_cap = |members: &[usize]| self.group_rate_cap(members);
+        let mut groups = self.planner.plan_capped(&inputs, &rate_cap).groups;
         sever_outaged(&mut groups, faults);
         for g in &groups {
             arm(self, g, plan_quality, a);
@@ -1615,6 +1650,7 @@ volcast_util::impl_json_struct!(SessionOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use volcast_net::TxKind;
 
     fn small(player: PlayerKind, users: usize) -> SessionOutcome {
         let mut s = quick_session(player, users, 30, 7);
@@ -1855,7 +1891,7 @@ mod tests {
     /// showing `inspect` every frame's arena once its plan is final.
     fn drive(
         s: &StreamingSession,
-        mut inspect: impl FnMut(&FrameFaults, &Arena),
+        mut inspect: impl FnMut(&Pipeline<'_>, &FrameFaults, &Arena),
     ) -> SessionOutcome {
         let fault_plan = s.checked_fault_plan().unwrap();
         let p = Pipeline::new(s, &fault_plan);
@@ -1869,7 +1905,7 @@ mod tests {
             p.decide(&mut a);
             p.plan(faults, &mut a);
             p.recover(faults, &mut a);
-            inspect(faults, &a);
+            inspect(&p, faults, &a);
             let timing = p.replay(&mut a);
             p.playout(faults, &timing, &mut a);
         }
@@ -1897,7 +1933,7 @@ mod tests {
         let mut s = layered_session(Some(stormy()));
         s.params.delivery = DeliveryMode::Single;
         let mut frames = 0;
-        let driven = drive(&s, |_, a| {
+        let driven = drive(&s, |_, _, a| {
             frames += 1;
             assert!(a.base_item_idx.iter().all(Option::is_none));
             assert!(a.fec_protected.iter().all(|&p| !p));
@@ -1910,7 +1946,7 @@ mod tests {
         // The layered arm does set both (so the asserts above can fail).
         let (mut based, mut protected) = (false, false);
         let layered = layered_session(Some(stormy()));
-        let driven = drive(&layered, |_, a| {
+        let driven = drive(&layered, |_, _, a| {
             based |= a.base_item_idx.iter().any(Option::is_some);
             protected |= a.fec_protected.iter().any(|&p| p);
         });
@@ -1926,7 +1962,7 @@ mod tests {
         for delivery in [DeliveryMode::Single, DeliveryMode::Layered] {
             let mut s = layered_session(Some(stormy()));
             s.params.delivery = delivery;
-            drive(&s, |faults, a| {
+            drive(&s, |_, faults, a| {
                 let members: Vec<usize> = a.groups.iter().flat_map(|g| g.members.clone()).collect();
                 let mut sorted = members.clone();
                 sorted.sort_unstable();
@@ -1939,6 +1975,67 @@ mod tests {
             });
         }
         assert!(outaged_frames > 0, "the fault schedule injected no outage");
+    }
+
+    /// A frame designs exactly the member sets its grouping search asks
+    /// about, each once. Replaying the search on the arena's inputs names
+    /// them (the replay itself is served from the memo); were the scheduler
+    /// to design a set of its own — to read a winner's `customized` bit,
+    /// say — the memo would be larger than the replay's list.
+    #[test]
+    fn a_frame_designs_what_its_search_asks_and_nothing_else() {
+        for (delivery, custom_beams) in [
+            (DeliveryMode::Single, true),
+            (DeliveryMode::Layered, true),
+            (DeliveryMode::Single, false),
+        ] {
+            let mut s =
+                quick_session_with_device(PlayerKind::Volcast, 4, 12, 42, DeviceClass::Phone);
+            s.params.analysis_points = 4_000;
+            s.params.delivery = delivery;
+            s.params.custom_beams = custom_beams;
+            let (mut designed, mut multicasts, mut candidates) = (0, 0, 0);
+            drive(&s, |p, _, a| {
+                let beams = p.group_beams.as_ref().unwrap();
+                let asked = RefCell::new(Vec::new());
+                let rate = |members: &[usize]| {
+                    asked.borrow_mut().push(members.to_vec());
+                    assert!(beams.borrow().memo.contains_key(members));
+                    p.group_beam(members).0
+                };
+                let capped = RefCell::new(0);
+                let cap = |members: &[usize]| {
+                    *capped.borrow_mut() += 1;
+                    p.group_rate_cap(members)
+                };
+                let inputs = GroupingInputs {
+                    maps: &a.maps,
+                    partition: &a.partition,
+                    cell_sizes: &a.cell_sizes,
+                    unicast_rate_mbps: &a.unicast_phy,
+                    multicast_rate_mbps: &rate,
+                };
+                assert_eq!(p.planner.plan_capped(&inputs, &cap).groups, a.groups);
+                let mut asked = asked.into_inner();
+                asked.sort();
+                let memo = &beams.borrow().memo;
+                let mut memoized: Vec<Vec<usize>> = memo.keys().cloned().collect();
+                memoized.sort();
+                assert_eq!(asked, memoized);
+                for item in &a.plan.items {
+                    if let TxKind::Multicast { members } = &item.kind {
+                        assert!(memo.contains_key(members));
+                        multicasts += 1;
+                    }
+                }
+                designed += memo.len();
+                candidates += capped.into_inner();
+            });
+            // Groups do form, and not every candidate the eager search
+            // would have designed (each one capped) is.
+            assert!(multicasts > 0 && designed > 0, "{delivery:?}");
+            assert!(designed < candidates, "{designed} of {candidates}");
+        }
     }
 
     #[test]

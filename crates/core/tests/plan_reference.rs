@@ -1,8 +1,10 @@
-//! Referee for the incremental grouping search: `GroupPlanner::plan` keeps
-//! a pair-score table across merge rounds; [`plan_reference`] re-scores
-//! every pair of groups every round. They must return the same plan, bit
-//! for bit, on anything — outages, member sets with no multicast rate,
-//! and inputs so tied that only the `(i, j)` walk order decides.
+//! Referee for the incremental, cap-led grouping search: `GroupPlanner`
+//! keeps a pair-score table across merge rounds and asks for a member
+//! set's multicast rate only when its merge can win at its rate cap;
+//! [`plan_reference`] re-scores every pair of groups every round, rates
+//! and all. They must return the same plan, bit for bit, on anything —
+//! outages, member sets with no multicast rate, inputs so tied that only
+//! the `(i, j)` walk order decides, and caps of any slack.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -155,9 +157,31 @@ fn arb_maps(rng: &mut Rng, users: usize, cells: usize) -> Vec<VisibilityMap> {
         .collect()
 }
 
-#[test]
-fn plan_equals_plan_reference() {
-    run_cases_n("plan_equals_plan_reference", 256, |rng| {
+/// Member set -> well-mixed bits, for rates and caps that are functions of
+/// the set.
+fn mix_of(salt: u64, members: &[usize]) -> u64 {
+    members.iter().fold(salt, |h, &u| {
+        (h ^ u as u64)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(23)
+    })
+}
+
+/// One random frame for the planner: outages, free cells, member sets with
+/// no multicast rate, and — a quarter of the time — inputs so tied that
+/// only the `(i, j)` walk order decides.
+struct Case {
+    maps: Vec<VisibilityMap>,
+    partition: Vec<CellInfo>,
+    cell_sizes: Vec<f64>,
+    unicast: Vec<f64>,
+    config: SystemConfig,
+    tied: bool,
+    salt: u64,
+}
+
+impl Case {
+    fn arb(rng: &mut Rng) -> Case {
         let users = rng.gen_range(0..13usize);
         let cells = rng.gen_range(1..48usize);
         let tied = rng.gen_bool(0.25);
@@ -192,40 +216,55 @@ fn plan_equals_plan_reference() {
                 _ => rng.gen_range(1_000.0..120_000.0),
             })
             .collect();
-        // The multicast rate is a function of the member set: no rate at
-        // all for about one set in five, otherwise one of a few values.
-        let salt = rng.next_u64();
-        let rate_of = move |members: &[usize]| -> f64 {
-            let mix = members.iter().fold(salt, |h, &u| {
-                (h ^ u as u64)
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .rotate_left(23)
-            });
-            match mix % 5 {
-                0 => 0.0,
-                _ if tied => 900.0,
-                k => 500.0 * k as f64,
-            }
-        };
         let config = SystemConfig {
             min_merge_iou: [0.0, 0.25, 0.6][rng.gen_range(0..3usize)],
             ..SystemConfig::default()
         };
+        Case {
+            maps,
+            partition,
+            cell_sizes,
+            unicast,
+            config,
+            tied,
+            salt: rng.next_u64(),
+        }
+    }
 
-        let asked: RefCell<HashMap<Vec<usize>, usize>> = RefCell::default();
-        let counted = |members: &[usize]| {
-            *asked.borrow_mut().entry(members.to_vec()).or_default() += 1;
-            rate_of(members)
-        };
-        let inputs = |rate| GroupingInputs {
-            maps: &maps,
-            partition: &partition,
-            cell_sizes: &cell_sizes,
-            unicast_rate_mbps: &unicast,
+    /// The multicast rate is a function of the member set: no rate at all
+    /// for about one set in five, otherwise one of a few values.
+    fn rate_of(&self, members: &[usize]) -> f64 {
+        match mix_of(self.salt, members) % 5 {
+            0 => 0.0,
+            _ if self.tied => 900.0,
+            k => 500.0 * k as f64,
+        }
+    }
+
+    fn inputs<'a>(&'a self, rate: &'a dyn Fn(&[usize]) -> f64) -> GroupingInputs<'a> {
+        GroupingInputs {
+            maps: &self.maps,
+            partition: &self.partition,
+            cell_sizes: &self.cell_sizes,
+            unicast_rate_mbps: &self.unicast,
             multicast_rate_mbps: rate,
+        }
+    }
+
+    /// Runs `search` with a counting rate callback and holds its plan to
+    /// the referee's, bit for bit. Returns how many member sets each of the
+    /// two asked about.
+    fn check(&self, search: impl Fn(&GroupingInputs<'_>) -> GroupPlan) -> (usize, usize) {
+        let count_into = |asked: &RefCell<HashMap<Vec<usize>, usize>>, members: &[usize]| {
+            *asked.borrow_mut().entry(members.to_vec()).or_default() += 1;
+            self.rate_of(members)
         };
-        let plan = GroupPlanner::new(config).plan(&inputs(&counted));
-        let expect = plan_reference(&config, &inputs(&rate_of));
+        let (asked, eager) = (RefCell::default(), RefCell::default());
+        let plan = search(&self.inputs(&|members| count_into(&asked, members)));
+        let expect = plan_reference(
+            &self.config,
+            &self.inputs(&|members| count_into(&eager, members)),
+        );
 
         assert_eq!(plan.groups.len(), expect.groups.len());
         for (g, e) in plan.groups.iter().zip(&expect.groups) {
@@ -239,8 +278,51 @@ fn plan_equals_plan_reference() {
             expect.estimated_time_s.to_bits()
         );
         assert_eq!(plan.feasible, expect.feasible);
-        // One question per distinct member set, however many rounds ran.
-        let asked = asked.into_inner();
+        // One question per distinct member set, however many rounds ran,
+        // and never about a set the all-pairs search would not price.
+        let (asked, eager) = (asked.into_inner(), eager.into_inner());
         assert!(asked.values().all(|&times| times == 1), "{asked:?}");
+        assert!(asked.keys().all(|set| eager.contains_key(set)));
+        (asked.len(), eager.len())
+    }
+}
+
+#[test]
+fn plan_equals_plan_reference() {
+    run_cases_n("plan_equals_plan_reference", 256, |rng| {
+        let case = Case::arb(rng);
+        case.check(|inputs| GroupPlanner::new(case.config).plan(inputs));
     });
+}
+
+/// The search led by rate caps adopts what the eager search adopts,
+/// whatever the caps: exactly the rate (so every bound is already the
+/// truth, and ties are everywhere), up to 4x loose, `+inf`, zero on a set
+/// with no rate (never asked about) or positive on one (asked, dropped) —
+/// one regime per case, or all of them mixed by member set.
+#[test]
+fn plan_capped_equals_plan_reference() {
+    let (mut asked, mut eager) = (0, 0);
+    run_cases_n("plan_capped_equals_plan_reference", 512, |rng| {
+        let case = Case::arb(rng);
+        let cap_salt = rng.next_u64();
+        let regime = rng.gen_range(0..4u64);
+        let cap_of = |members: &[usize]| {
+            let (rate, mix) = (case.rate_of(members), mix_of(cap_salt, members));
+            let slack = 1.0 + 3.0 * (mix >> 11) as f64 / (1u64 << 53) as f64;
+            match if regime == 3 { mix % 3 } else { regime } {
+                0 => rate,
+                1 if rate > 0.0 => rate * slack,
+                1 => [0.0, 700.0][(mix >> 3) as usize % 2],
+                _ => f64::INFINITY,
+            }
+        };
+        let (a, e) =
+            case.check(|inputs| GroupPlanner::new(case.config).plan_capped(inputs, &cap_of));
+        asked += a;
+        eager += e;
+    });
+    // And it is led by them: most sets the eager search prices, it never
+    // asks about.
+    assert!(2 * asked < eager, "asked about {asked} of {eager} sets");
 }

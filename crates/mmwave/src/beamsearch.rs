@@ -82,7 +82,7 @@ impl BeamSearch {
             duration_s: self.overhead_s + self.per_sector_s * sectors.len() as f64,
         };
         for &i in sectors {
-            let rss = channel.rss_dbm(&codebook.sectors[i], user, blockers);
+            let rss = channel.rss_dbm(&codebook.sectors()[i], user, blockers);
             if rss > best.rss_dbm {
                 best.sector = i;
                 best.rss_dbm = rss;

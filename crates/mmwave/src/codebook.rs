@@ -9,12 +9,22 @@ use crate::array::{AntennaWeights, PlanarArray};
 use volcast_geom::Spherical;
 
 /// A set of sector beams over the array's field of view.
+///
+/// The fields are private so the codebook can vouch for its own structure:
+/// one built by [`Codebook::dft`] records the array geometry its sectors
+/// are the conjugate beams of, which is what lets
+/// [`SweepEngine`](crate::SweepEngine) prune by Dirichlet bounds without
+/// re-deriving every sector.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Codebook {
     /// Sector beams (unit transmit power each).
-    pub sectors: Vec<AntennaWeights>,
+    sectors: Vec<AntennaWeights>,
     /// The steering direction of each sector (same indexing).
-    pub directions: Vec<Spherical>,
+    directions: Vec<Spherical>,
+    /// `(nx, ny, spacing_wl)` of the array every sector is
+    /// `beam_toward(direction)` of — all a conjugate beam depends on;
+    /// `None` for a codebook of arbitrary weights.
+    dft_of: Option<(usize, usize, f64)>,
 }
 
 impl Codebook {
@@ -46,7 +56,36 @@ impl Codebook {
         Codebook {
             sectors,
             directions,
+            dft_of: Some((array.nx, array.ny, array.spacing_wl)),
         }
+    }
+
+    /// A codebook of arbitrary sector weights, each listed with its nominal
+    /// direction. Nothing is assumed about the weights: sweeps over it
+    /// evaluate every sector exactly.
+    pub fn from_parts(sectors: Vec<AntennaWeights>, directions: Vec<Spherical>) -> Self {
+        assert_eq!(sectors.len(), directions.len(), "one direction per sector");
+        Codebook {
+            sectors,
+            directions,
+            dft_of: None,
+        }
+    }
+
+    /// Sector beams (unit transmit power each).
+    pub fn sectors(&self) -> &[AntennaWeights] {
+        &self.sectors
+    }
+
+    /// The steering direction of each sector (same indexing).
+    pub fn directions(&self) -> &[Spherical] {
+        &self.directions
+    }
+
+    /// Whether every sector is `array.beam_toward` of its direction, by the
+    /// record [`Codebook::dft`] left.
+    pub(crate) fn is_dft_for(&self, array: &PlanarArray) -> bool {
+        self.dft_of == Some((array.nx, array.ny, array.spacing_wl))
     }
 
     /// The standard commercial configuration for the 8x4 array: 16 azimuth
@@ -81,14 +120,14 @@ mod tests {
     fn default_codebook_size() {
         let (_, cb) = setup();
         assert_eq!(cb.len(), 48);
-        assert_eq!(cb.sectors.len(), cb.directions.len());
+        assert_eq!(cb.sectors().len(), cb.directions().len());
         assert!(!cb.is_empty());
     }
 
     #[test]
     fn all_sectors_unit_power() {
         let (_, cb) = setup();
-        for s in &cb.sectors {
+        for s in cb.sectors() {
             assert!((s.power() - 1.0).abs() < 1e-9);
         }
     }
@@ -103,7 +142,7 @@ mod tests {
                 let dir = Spherical::new(az_deg.to_radians(), el_deg.to_radians());
                 let dedicated = array.gain(&array.beam_toward(dir), dir);
                 let best = cb
-                    .sectors
+                    .sectors()
                     .iter()
                     .map(|s| array.gain(s, dir))
                     .fold(0.0f64, f64::max);
@@ -120,19 +159,19 @@ mod tests {
         let array = PlanarArray::airfide(Vec3::ZERO, Vec3::FORWARD);
         let cb = Codebook::dft(&array, 1, 1, 1.0, 1.0);
         assert_eq!(cb.len(), 1);
-        assert_eq!(cb.directions[0], Spherical::new(0.0, 0.0));
+        assert_eq!(cb.directions()[0], Spherical::new(0.0, 0.0));
     }
 
     #[test]
     fn directions_span_requested_range() {
         let (_, cb) = setup();
         let max_az = cb
-            .directions
+            .directions()
             .iter()
             .map(|d| d.azimuth)
             .fold(f64::MIN, f64::max);
         let min_az = cb
-            .directions
+            .directions()
             .iter()
             .map(|d| d.azimuth)
             .fold(f64::MAX, f64::min);

@@ -31,7 +31,7 @@
 //! // Received signal strength for one codebook sector at a user position.
 //! let channel = Channel::default_setup();
 //! let codebook = Codebook::default_for(&channel.array);
-//! let rss = channel.rss_dbm(&codebook.sectors[0], Vec3::new(1.0, 1.5, -1.0), &[]);
+//! let rss = channel.rss_dbm(&codebook.sectors()[0], Vec3::new(1.0, 1.5, -1.0), &[]);
 //! assert!(rss.is_finite() && rss < 0.0);
 //! ```
 

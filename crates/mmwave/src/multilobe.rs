@@ -144,7 +144,7 @@ impl<'a> MultiLobeDesigner<'a> {
             weights: if design.customized {
                 AntennaWeights { w: design.weights }
             } else {
-                self.engine.codebook().sectors[design.sector].clone()
+                self.engine.codebook().sectors()[design.sector].clone()
             },
             member_rss_dbm: design.member_rss_dbm,
             customized: design.customized,

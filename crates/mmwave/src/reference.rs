@@ -171,7 +171,7 @@ fn scan(codebook: &Codebook, prepared: &[PreparedRx]) -> (usize, Vec<f64>) {
     let mut best_idx = 0usize;
     let mut best_min = f64::NEG_INFINITY;
     let mut best_rss = vec![f64::NEG_INFINITY; prepared.len()];
-    for (i, sector) in codebook.sectors.iter().enumerate() {
+    for (i, sector) in codebook.sectors().iter().enumerate() {
         let rss: Vec<f64> = prepared.iter().map(|p| p.rss_dbm(sector)).collect();
         let min = min_of(&rss);
         if min > best_min {
@@ -198,7 +198,7 @@ fn combine(codebook: &Codebook, prepared: &[PreparedRx]) -> AntennaWeights {
         .iter()
         .map(|p| {
             let (idx, rss) = scan(codebook, std::slice::from_ref(p));
-            (codebook.sectors[idx].clone(), calib::dbm_to_mw(rss[0]))
+            (codebook.sectors()[idx].clone(), calib::dbm_to_mw(rss[0]))
         })
         .collect();
     combine_weights_multi(&per_user)
@@ -235,7 +235,7 @@ pub(crate) fn design(
         }
     }
     GroupBeam {
-        weights: codebook.sectors[idx].clone(),
+        weights: codebook.sectors()[idx].clone(),
         member_rss_dbm: default_rss,
         customized: false,
     }
@@ -473,7 +473,7 @@ mod tests {
     fn default_codebook_is_the_oracles_conjugate_beams() {
         for array in arrays() {
             let codebook = Codebook::default_for(&array);
-            for (sector, &dir) in codebook.sectors.iter().zip(&codebook.directions) {
+            for (sector, &dir) in codebook.sectors().iter().zip(codebook.directions()) {
                 let want = beam_toward(&array, dir);
                 assert_same_bits(&sector.w, &want.w, &format!("sector toward {dir:?}"));
             }

@@ -70,8 +70,9 @@ struct SectorTrig {
 /// Immutable and `Sync` once built: all per-receiver mutable state lives in
 /// [`SweepRx`], so one engine can serve many parallel room workers.
 ///
-/// If the codebook's sectors are *not* the conjugate-beamforming weights of
-/// its listed directions (a custom codebook), the engine falls back to
+/// If the codebook does not vouch for its sectors being the
+/// conjugate-beamforming weights of its listed directions on this array (a
+/// [`Codebook::from_parts`] one), the engine falls back to
 /// exact-only mode: every sector bound is `+∞`, nothing is pruned, and the
 /// sweep degenerates to the plain exhaustive scan — still bit-identical,
 /// just not faster.
@@ -90,24 +91,19 @@ pub struct SweepEngine<'a> {
 }
 
 impl<'a> SweepEngine<'a> {
-    /// Builds the engine, verifying that each codebook sector equals
-    /// `beam_toward(direction)` bit-for-bit (the DFT structure the Dirichlet
-    /// bound depends on). On mismatch the engine still works, exact-only.
+    /// Builds the engine. The Dirichlet bound depends on each codebook
+    /// sector being `beam_toward(direction)` bit for bit, which a
+    /// [`Codebook::dft`] built for this array's geometry vouches for; over
+    /// any other codebook the engine still works, exact-only.
     pub fn new(channel: &'a Channel, codebook: &'a Codebook) -> Self {
         let array = &channel.array;
         let elements = array.elements();
         let half_kd = 0.5
             * (2.0 * std::f64::consts::PI / calib::WAVELENGTH_M)
             * (array.spacing_wl * calib::WAVELENGTH_M);
-        let structured = codebook.sectors.len() == codebook.directions.len()
-            && codebook
-                .sectors
-                .iter()
-                .zip(&codebook.directions)
-                .all(|(s, &d)| s.len() == elements && *s == array.beam_toward(d));
         let mut sectors = SectorTrig::default();
-        if structured {
-            for (sec, dir) in codebook.sectors.iter().zip(&codebook.directions) {
+        if codebook.is_dft_for(array) {
+            for (sec, dir) in codebook.sectors().iter().zip(codebook.directions()) {
                 let s2_max = sec.w.iter().map(|c| c.norm_sq()).fold(0.0f64, f64::max);
                 let u = dir.azimuth.sin() * dir.elevation.cos();
                 let v = dir.elevation.sin();
@@ -203,7 +199,7 @@ impl<'a> SweepEngine<'a> {
         let m = members.len();
         rss_out.clear();
         rss_out.resize(m, f64::NEG_INFINITY);
-        let nsec = self.codebook.sectors.len();
+        let nsec = self.codebook.len();
         // Seed: the sector with the largest min-over-members bound.
         let mut j = 0usize;
         let mut jb = f64::NEG_INFINITY;
@@ -278,7 +274,7 @@ impl<'a> SweepEngine<'a> {
         for &mi in members {
             let (idx, dbm) = self.best_sector(&mut rxs[mi]);
             let coeff = 1.0 / calib::dbm_to_mw(dbm).max(1e-15);
-            for (a, b) in acc.iter_mut().zip(&self.codebook.sectors[idx].w) {
+            for (a, b) in acc.iter_mut().zip(&self.codebook.sectors()[idx].w) {
                 *a += b.scale(coeff);
             }
         }
@@ -363,6 +359,12 @@ impl BeamDesign {
             .copied()
             .fold(f64::INFINITY, f64::min)
     }
+}
+
+/// `dbm_to_mw(TX + RX - loss)`: the linear power (mW) a path of total loss
+/// `loss_db` delivers at unit array gain.
+fn unit_gain_mw(loss_db: f64) -> f64 {
+    calib::dbm_to_mw(calib::TX_POWER_DBM + calib::RX_GAIN_DBI - loss_db)
 }
 
 /// The prepared receiver: flattened paths (the path half), and on top of
@@ -457,7 +459,7 @@ impl SweepRx {
     pub fn prepare(&mut self, engine: &SweepEngine, pos: Vec3, blockers: &[Blocker]) {
         obs::inc("mmwave.designer.path_cache_misses");
         self.prepare_paths(engine.channel, pos, blockers);
-        let nsec = engine.codebook.sectors.len();
+        let nsec = engine.codebook.len();
         self.cache.resize(nsec, f64::NAN);
         let st = &engine.sectors;
         if st.s_rt.is_empty() {
@@ -482,10 +484,8 @@ impl SweepRx {
             let (sin_axn, cos_axn) = (nxf * engine.half_kd * u).sin_cos();
             let (sin_ay, cos_ay) = (engine.half_kd * v).sin_cos();
             let (sin_ayn, cos_ayn) = (nyf * engine.half_kd * v).sin_cos();
-            // `dbm_to_mw(TX + RX - loss)`, scaled up by a margin: the
-            // linear power the path would deliver at unit gain.
-            let c_mw = calib::dbm_to_mw(calib::TX_POWER_DBM + calib::RX_GAIN_DBI - self.loss_db[p])
-                * (1.0 + 1e-9);
+            // Scaled up by a margin.
+            let c_mw = unit_gain_mw(self.loss_db[p]) * (1.0 + 1e-9);
             let element = self.element[p];
             for s in 0..nsec {
                 // sin(a - b) = sin a · cos b - cos a · sin b, per axis, for
@@ -532,6 +532,21 @@ impl SweepRx {
         calib::mw_to_dbm(total_mw)
     }
 
+    /// An upper bound (dBm) on this receiver's RSS under *any* unit-power
+    /// beam, from the path half alone: steering entries have unit
+    /// magnitude, so `|wᵀa|² ≤ ‖w‖²·‖a‖² = N` (Cauchy–Schwarz) and path
+    /// `p` delivers at most `dbm_to_mw(TX + RX − loss_p) · N · element_p`.
+    /// Carries the sector bounds' `1 + 1e-9` margin over the rounding of
+    /// [`SweepRx::eval_weights`] (a dB round trip per path) and of a
+    /// normalization that lands a few ulps above unit power. `-∞` for a
+    /// receiver with no usable path.
+    pub fn rss_cap_dbm(&self) -> f64 {
+        let n = self.elements as f64;
+        let paths = self.loss_db.iter().zip(&self.element);
+        let total_mw: f64 = paths.map(|(&loss, &el)| unit_gain_mw(loss) * n * el).sum();
+        calib::mw_to_dbm(total_mw * (1.0 + 1e-9))
+    }
+
     /// Steering row of prepared path `p`.
     fn row(&self, p: usize) -> &[Complex] {
         &self.steer[p * self.elements..(p + 1) * self.elements]
@@ -575,7 +590,7 @@ impl SweepRx {
         if !v.is_nan() {
             return v;
         }
-        let v = self.eval_weights(&engine.codebook.sectors[s].w);
+        let v = self.eval_weights(&engine.codebook.sectors()[s].w);
         self.cache[s] = v;
         self.sector_evals += 1;
         v
@@ -602,6 +617,7 @@ mod tests {
     use crate::channel::Room;
     use crate::reference;
     use crate::PlanarArray;
+    use volcast_util::prop::run_cases_n;
     use volcast_util::rng::Rng;
 
     fn setups() -> Vec<Channel> {
@@ -769,17 +785,42 @@ mod tests {
         }
     }
 
+    /// The default codebook with one sector zeroed: not DFT any more, and
+    /// built through `from_parts`, so it does not claim to be.
+    fn unstructured_codebook(array: &PlanarArray) -> Codebook {
+        let dft = Codebook::default_for(array);
+        let mut sectors = dft.sectors().to_vec();
+        sectors[5] = AntennaWeights {
+            w: vec![Complex::ZERO; sectors[5].w.len()],
+        };
+        Codebook::from_parts(sectors, dft.directions().to_vec())
+    }
+
+    /// The engine prunes only on a codebook's own record: the same weights
+    /// through `from_parts`, or a DFT codebook of another geometry, get the
+    /// exact-only engine.
+    #[test]
+    fn only_a_matching_dft_record_is_trusted() {
+        let channel = Channel::default_setup();
+        let dft = Codebook::default_for(&channel.array);
+        let same_weights = Codebook::from_parts(dft.sectors().to_vec(), dft.directions().to_vec());
+        let other_array = PlanarArray {
+            spacing_wl: 0.45,
+            ..channel.array.clone()
+        };
+        assert!(!SweepEngine::new(&channel, &dft).sectors.s_rt.is_empty());
+        for untrusted in [same_weights, Codebook::default_for(&other_array)] {
+            let engine = SweepEngine::new(&channel, &untrusted);
+            assert!(engine.sectors.s_rt.is_empty());
+        }
+    }
+
     #[test]
     fn unstructured_codebook_falls_back_to_exact() {
         let channel = Channel::default_setup();
-        let mut codebook = Codebook::default_for(&channel.array);
-        // Break the DFT structure: zero out one sector.
-        let n = codebook.sectors[5].w.len();
-        codebook.sectors[5] = AntennaWeights {
-            w: vec![Complex::ZERO; n],
-        };
+        let codebook = unstructured_codebook(&channel.array);
         let engine = SweepEngine::new(&channel, &codebook);
-        assert!(engine.sectors.s_rt.is_empty(), "should detect the mismatch");
+        assert!(engine.sectors.s_rt.is_empty(), "nothing vouches for it");
         let mut rng = Rng::seed_from_u64(3);
         let mut rx = SweepRx::new();
         for pos in random_positions(&channel, &mut rng, 20) {
@@ -800,11 +841,7 @@ mod tests {
     /// place after serving an unrelated group.
     #[test]
     fn design_is_bit_identical_to_reference_with_member_bodies() {
-        let mut unstructured = Codebook::default_for(&Channel::default_setup().array);
-        let n = unstructured.sectors[5].w.len();
-        unstructured.sectors[5] = AntennaWeights {
-            w: vec![Complex::ZERO; n],
-        };
+        let unstructured = unstructured_codebook(&Channel::default_setup().array);
         let mut cases: Vec<(Channel, Codebook)> = setups()
             .into_iter()
             .map(|ch| {
@@ -857,7 +894,7 @@ mod tests {
                     let weights: &[Complex] = if got.customized {
                         &got.weights
                     } else {
-                        &codebook.sectors[got.sector].w
+                        &codebook.sectors()[got.sector].w
                     };
                     assert_eq!(weights.len(), want.weights.w.len(), "{ctx}");
                     for (g, w) in weights.iter().zip(&want.weights.w) {
@@ -873,6 +910,113 @@ mod tests {
         }
         // Both outcomes of the decision must have been exercised.
         assert!(customized > 4 && customized < 40, "{customized} customized");
+    }
+
+    /// The planner's rate cap rests on this: no unit-power beam — a codebook
+    /// sector, a designed group beam of either kind, a dedicated path beam,
+    /// random weights — delivers more than `rss_cap_dbm`, whatever stands
+    /// in the room. And the cap is not vacuous: a dedicated beam collects
+    /// its own path's whole term, so the best one is within `n_paths` of it.
+    #[test]
+    fn rss_cap_dominates_every_unit_power_beam() {
+        let setups = setups();
+        let codebooks: Vec<Codebook> = (setups.iter())
+            .map(|ch| Codebook::default_for(&ch.array))
+            .collect();
+        let (mut custom, mut default) = (0usize, 0usize);
+        let (mut out, mut tmp, mut beam) = (BeamDesign::default(), Vec::new(), Vec::new());
+        run_cases_n("rss_cap_dominates_every_unit_power_beam", 48, |rng| {
+            let ci = rng.gen_range(0..setups.len());
+            let (channel, codebook) = (&setups[ci], &codebooks[ci]);
+            let engine = SweepEngine::new(channel, codebook);
+            let (group, bystanders) = (rng.gen_range(2..5usize), rng.gen_range(0..7usize));
+            let positions = random_positions(channel, rng, group);
+            let blockers: Vec<Blocker> = (positions.iter().copied())
+                .chain(random_positions(channel, rng, bystanders))
+                .map(Blocker::person)
+                .collect();
+            let mut rxs: Vec<SweepRx> = (positions.iter())
+                .map(|&p| {
+                    let mut rx = SweepRx::new();
+                    rx.prepare(&engine, p, &blockers);
+                    rx
+                })
+                .collect();
+            let caps: Vec<f64> = rxs.iter().map(SweepRx::rss_cap_dbm).collect();
+            let members: Vec<usize> = (0..rxs.len()).collect();
+
+            for (rx, &cap) in rxs.iter_mut().zip(&caps) {
+                let best = rx.rss_best_beam(&mut beam);
+                assert!(engine.best_sector(rx).1 <= cap && best <= cap);
+                let slack_db = 10.0 * (rx.n_paths().max(1) as f64).log10() + 1e-6;
+                assert!(cap - best <= slack_db, "{cap} is not tight over {best}");
+            }
+            engine.design(&mut rxs, &members, &mut out);
+            *(if out.customized {
+                &mut custom
+            } else {
+                &mut default
+            }) += 1;
+            assert!(out
+                .member_rss_dbm
+                .iter()
+                .zip(&caps)
+                .all(|(r, cap)| r <= cap));
+            // The ablation's beam, and the one `design` just measured the
+            // custom beam against.
+            engine.best_joint(&mut rxs, &members, &mut tmp, &mut out.member_rss_dbm);
+            assert!(out
+                .member_rss_dbm
+                .iter()
+                .zip(&caps)
+                .all(|(r, cap)| r <= cap));
+
+            for _ in 0..100 {
+                beam.clear();
+                beam.extend(
+                    (0..channel.array.elements())
+                        .map(|_| Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))),
+                );
+                normalize(&mut beam);
+                for (rx, &cap) in rxs.iter().zip(&caps) {
+                    assert!(rx.eval_weights(&beam) <= cap);
+                }
+            }
+        });
+        assert!(
+            custom > 0 && default > 0,
+            "{custom} custom, {default} default"
+        );
+    }
+
+    /// The same claim against the oracle's own float programs (full-element
+    /// steering, per-call receivers, the exhaustive sweep): one blocked
+    /// three-member group in the reflective room.
+    #[test]
+    fn rss_cap_dominates_the_reference_design() {
+        let channel = &setups()[1];
+        let codebook = Codebook::default_for(&channel.array);
+        let mut rng = Rng::seed_from_u64(0xCA9);
+        let positions = random_positions(channel, &mut rng, 3);
+        let blockers: Vec<Blocker> = (positions.iter().copied())
+            .chain(random_positions(channel, &mut rng, 4))
+            .map(Blocker::person)
+            .collect();
+        let mut rx = SweepRx::new();
+        let caps: Vec<f64> = (positions.iter())
+            .map(|&p| {
+                rx.prepare_paths(channel, p, &blockers);
+                rx.rss_cap_dbm()
+            })
+            .collect();
+        let design = reference::design(channel, &codebook, &positions, &blockers);
+        let (_, sector_rss) =
+            reference::best_common_sector(channel, &codebook, &positions, &blockers);
+        for (u, &cap) in caps.iter().enumerate() {
+            assert!(design.member_rss_dbm[u] <= cap && sector_rss[u] <= cap);
+            assert!(reference::rss_best_beam(channel, positions[u], &blockers) <= cap);
+            assert!(cap.is_finite());
+        }
     }
 
     #[test]

@@ -67,6 +67,14 @@ echo "==> warm link evaluations are allocation-free under the counting allocator
 # per frame: SweepRx::prepare_paths plus both link beams.
 VOLCAST_TRACE=1 cargo test --release -q -p volcast-mmwave --test link_alloc
 
+echo "==> the cap-led grouping search and its rate cap, 2000 cases each"
+# The planner adopts what the all-pairs referee adopts whatever the caps,
+# and no unit-power beam beats SweepRx::rss_cap_dbm: the two properties the
+# lazy search rests on, in release (the float programs the session runs)
+# and well past the default case counts.
+VOLCAST_PROP_CASES=2000 cargo test --release -q -p volcast-core --test plan_reference
+VOLCAST_PROP_CASES=2000 cargo test --release -q -p volcast-mmwave --lib rss_cap_dominates
+
 echo "==> every results/<bin>.txt regenerates byte-identically"
 # Each committed capture is the stdout of the bin it is named after; a
 # change that moves any of them must say so by regenerating the file.
