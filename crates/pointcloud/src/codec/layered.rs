@@ -1,17 +1,19 @@
-//! Layered progressive octree coding: base layer + enhancement layers.
+//! The wire layout: a frame is a stack of octree-depth layers, and a
+//! single stream is a frame of one.
 //!
-//! The single-stream codec commits a frame to one quantization depth.
-//! This module cuts the same occupancy tree ([`super::octree`]) into
-//! **octree-depth layers**: a base layer carrying the tree down to a
-//! shallow depth (plus absolute quantized colors at that depth), and
-//! enhancement layers each carrying the next span of levels plus
-//! *residual* colors against their parent voxels. A decoder holding the
-//! base plus any prefix of enhancement layers reconstructs a valid cloud
-//! at that prefix's depth — and because the per-voxel color at every depth
-//! is the floor-average of the merged input points, **each prefix decodes
-//! to exactly the cloud a single-stream encode at the prefix's depth
-//! decodes to** (`every_prefix_matches_single_stream_decode_at_that_depth`).
-//! The bytes are not the single stream's: the orders below differ.
+//! The occupancy tree of a frame ([`super::octree`]) is cut at increasing
+//! depths: a base layer carrying the tree down to its depth plus absolute
+//! quantized colors there, and enhancement layers each carrying the next
+//! span of levels plus *residual* colors against their parent voxels.
+//! [`Encoder`] emits the one-layer frame — all levels in the base, its
+//! bytes exactly layer 0 of a [`LayeredEncoder`] configured with that one
+//! depth — and [`Decoder`] is a [`LayeredDecoder`] fed one layer. A
+//! decoder holding the base plus any prefix of enhancement layers
+//! reconstructs a valid cloud at that prefix's depth — and because the
+//! per-voxel color at every depth is the floor-average of the merged input
+//! points, **each prefix decodes to exactly the cloud a single-stream
+//! encode at the prefix's depth decodes to**
+//! (`every_prefix_matches_single_stream_decode_at_that_depth`).
 //!
 //! Layer bitstream layout (all integers little-endian):
 //!
@@ -24,44 +26,48 @@
 //! ```
 //!
 //! The entropy block (layout, tables and coder in the `rans.rs` module
-//! docs) is **level-major** (unlike the single stream's pre-order DFS): for
-//! each absolute level `prev_depth..depth`, one child mask per voxel of
-//! that level in ascending Morton order under that level's table, then the
-//! colors. A voxel's *anchor* is its ancestor at `prev_depth` (the virtual
-//! root, color 0, for the base layer); what is sent is the residual
-//! `(q_child - q_anchor) mod 2^color_bits` per channel, split like a
-//! single-stream color (`octree::split_color`): the high `color_bits - raw`
-//! bits a symbol under the table of its channel and of the symbol the
-//! residual before sent there, the low `raw = color_bits / 2` bits in the
-//! raw plane, three channels per voxel, LSB-first. **Only-child rule:** an
-//! enhancement voxel that is its anchor's only descendant in its layer
-//! merges the same points as the anchor, so its residual is identically
-//! zero and is not sent, in either region; both sides read that off the
-//! sorted codes and the decoder copies the anchor's color. `coded` counts
-//! the voxels that do send a residual; it sizes the plane before anything
-//! is decoded, says whether the block has color tables at all (`coded >
-//! 0`), and is verified against the decoded occupancy. A layer with no
-//! voxels is its header alone. Level-major order lets the decoder expand
-//! one level at a time between two buffers — no recursion, no per-node
-//! state — and each layer carries its own tables and its own rANS stream,
-//! so a truncated or lost enhancement never corrupts the layers before it.
-//! The magic's last byte is the layout revision: `VLYR` range-coded every
-//! residual whole, `VLY2` range-coded masks and high bits bit by bit under
-//! adaptive models, and both fail [`CodecError::BadMagic`] here.
+//! docs) is **level-major**: for each absolute level `prev_depth..depth`,
+//! one child mask per voxel of that level in ascending Morton order under
+//! that level's table, then the colors. A voxel's *anchor* is its ancestor
+//! at `prev_depth` (the virtual root, color 0, for the base layer, whose
+//! residuals are therefore the absolute colors); what is sent is the
+//! residual `(q_child - q_anchor) mod 2^color_bits` per channel, split by
+//! `octree::split_color`: the high `color_bits - raw` bits a symbol under
+//! the table of its channel and of the symbol the residual before sent
+//! there, the low `raw = color_bits / 2` bits in the raw plane, three
+//! channels per voxel, LSB-first. **Only-child rule:** an enhancement voxel
+//! that is its anchor's only descendant in its layer merges the same points
+//! as the anchor, so its residual is identically zero and is not sent, in
+//! either region; both sides read that off the sorted codes and the decoder
+//! copies the anchor's color. `coded` counts the voxels that do send a
+//! residual — all of them in a base layer; it sizes the plane before
+//! anything is decoded, says whether the block has color tables at all
+//! (`coded > 0`), and is verified against the decoded occupancy. A layer
+//! with no voxels is its header alone. Level-major order lets the decoder
+//! expand one level at a time between two buffers — no recursion, no
+//! per-node state — and each layer carries its own tables and its own rANS
+//! stream, so a truncated or lost enhancement never corrupts the layers
+//! before it. The magic's last byte is the layout revision: `VLYR`
+//! range-coded every residual whole, `VLY2` range-coded masks and high
+//! bits bit by bit under adaptive models, and both — like the three
+//! revisions of the pre-order single stream that stood beside them — fail
+//! [`CodecError::BadMagic`] here.
 //!
-//! Like the single-stream pair, [`LayeredEncoder`]/[`LayeredDecoder`] own
-//! all working memory as [`ScratchVec`]s: encoding or decoding a stream of
-//! frames into a reused [`LayeredFrame`]/[`PointCloud`] performs zero heap
-//! allocations in steady state.
+//! Encoders and decoders own all working memory as [`ScratchVec`]s:
+//! encoding or decoding a stream of frames into reused buffers performs
+//! zero heap allocations in steady state (`tests/codec_alloc.rs`). The free
+//! [`encode`] / [`decode`] build a fresh instance per call, same bytes
+//! either way.
 
 use super::octree::{
     check_header, merge_runs, put_colors, read_bounds, reconstruct, split_color, write_bounds,
-    CodecConfig, CodecError, ColorReader, ColorWriter, Encoder,
+    CodecConfig, CodecError, CodecStats, ColorReader, ColorWriter, EncodedCloud, Encoder, Stage,
+    Tree,
 };
 use super::rans::{DecModel, RansDecoder};
 use crate::point::PointCloud;
 use crate::quality::Ladder;
-use volcast_geom::Vec3;
+use volcast_geom::{Aabb, Vec3};
 use volcast_util::obs;
 use volcast_util::scratch::ScratchVec;
 
@@ -74,8 +80,7 @@ const LAYER_MAGIC: [u8; 4] = *b"VLY3";
 const LAYER_HEADER_LEN: usize = 4 + 1 + 1 + 1 + 1 + 4 + 4 + 1 + 4;
 /// Where the header's `coded` field sits.
 const CODED_AT: usize = 12;
-/// The base layer additionally carries the bounds block (same 6 f32 as the
-/// single-stream header).
+/// The base layer additionally carries the bounds block (6 f32).
 const BASE_HEADER_LEN: usize = LAYER_HEADER_LEN + 24;
 
 /// Layered codec parameters: cumulative quantization depths per layer.
@@ -177,6 +182,172 @@ pub struct LayeredStats {
 /// One coarse voxel's color accumulator (`u64`: it merges many points).
 type LayerSum = ([u64; 3], u64);
 
+/// The voxels of a frame at one depth: their codes, ascending, and their
+/// quantized colors.
+#[derive(Clone, Copy)]
+struct Voxels<'a> {
+    depth: u32,
+    codes: &'a [u64],
+    q: &'a [[u8; 3]],
+}
+
+/// What a base layer anchors on: the virtual root, color 0.
+const ROOT: Voxels = Voxels {
+    depth: 0,
+    codes: &[0],
+    q: &[[0; 3]],
+};
+
+/// One layer of a frame before it is bytes: its place in the stack, its
+/// voxels, and the layer below them (none under a base layer).
+struct Layer<'a> {
+    index: usize,
+    total: usize,
+    color_bits: u32,
+    voxels: Voxels<'a>,
+    below: Option<Voxels<'a>>,
+}
+
+impl Stage {
+    /// Writes `layer`'s bitstream into `buf` (cleared first): header (with
+    /// the frame's `bounds` in a base layer), the levels of `tree` across
+    /// the layer's depth span as they lie, then per-voxel color residuals
+    /// against the layer's anchors (its voxels' ancestors in the layer
+    /// below).
+    fn emit(&mut self, tree: &Tree, bounds: &Aabb, layer: &Layer, buf: &mut Vec<u8>) {
+        let Stage { model, csyms, rans } = self;
+        let color_bits = layer.color_bits;
+        let (depth, voxels) = (layer.voxels.depth, layer.voxels.codes);
+        let base = layer.below.is_none();
+        let anchors = layer.below.unwrap_or(ROOT);
+        let prev_depth = anchors.depth;
+        let prev_count = if base { 0 } else { anchors.codes.len() };
+        buf.clear();
+        buf.extend_from_slice(&LAYER_MAGIC);
+        buf.push(layer.index as u8);
+        buf.push(layer.total as u8);
+        buf.push(depth as u8);
+        buf.push(color_bits as u8);
+        buf.extend_from_slice(&(voxels.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&[0; 4]); // `coded`, known after the color pass
+        buf.push(prev_depth as u8);
+        buf.extend_from_slice(&(prev_count as u32).to_le_bytes());
+        if base {
+            write_bounds(buf, bounds);
+        }
+        if voxels.is_empty() {
+            return;
+        }
+
+        model.begin(depth);
+        let csyms = csyms.begin();
+        let mut colors = ColorWriter::new(buf, color_bits, model, csyms);
+        // Both code lists are sorted and every prefix exists, so each
+        // anchor's descendants are the next run of `voxels`.
+        let cmask = (1u32 << color_bits) - 1;
+        let pshift = 3 * (depth - prev_depth);
+        let mut i = 0usize;
+        for (&parent, anchor) in anchors.codes.iter().zip(anchors.q) {
+            let run = i;
+            while i < voxels.len() && voxels[i] >> pshift == parent {
+                i += 1;
+            }
+            if i - run == 1 && !base {
+                continue; // an only child: its anchor's color, unsent
+            }
+            for c in &layer.voxels.q[run..i] {
+                let sub = |ch: usize| (c[ch] as u32).wrapping_sub(anchor[ch] as u32) & cmask;
+                colors.emit([sub(0), sub(1), sub(2)]);
+            }
+        }
+        colors.finish();
+        buf[CODED_AT..][..4].copy_from_slice(&(csyms.len() as u32).to_le_bytes());
+        for level in prev_depth..depth {
+            model.count_masks(level, tree.level(level));
+        }
+        let alphabet = 1 << split_color(color_bits).0;
+        model.write_tables(
+            prev_depth..depth,
+            (!csyms.is_empty()).then_some(alphabet),
+            buf,
+        );
+        // Last symbol first: the residuals, then the levels from the
+        // deepest up, each from its last node.
+        let nodes: usize = (prev_depth..depth).map(|l| tree.level(l).len()).sum();
+        put_colors(rans, model, csyms);
+        let mut lane = (nodes + 2) % 3; // the last node's
+        for level in (prev_depth..depth).rev() {
+            for &m in tree.level(level).iter().rev() {
+                model.put_mask(rans, lane, level, m);
+                lane = (lane + 2) % 3;
+            }
+        }
+        rans.finish_into(buf);
+    }
+}
+
+impl Encoder {
+    /// Encodes `cloud` into `out` (cleared first) as a frame of one layer,
+    /// returning statistics.
+    ///
+    /// # Panics
+    /// If `cfg.depth` is outside `1..=16` or `cfg.color_bits` outside `1..=8`.
+    pub fn encode_into(
+        &mut self,
+        cloud: &PointCloud,
+        cfg: &CodecConfig,
+        out: &mut Vec<u8>,
+    ) -> CodecStats {
+        let bounds = self.voxelize(cloud, cfg);
+        let layer = Layer {
+            index: 0,
+            total: 1,
+            color_bits: cfg.color_bits,
+            voxels: Voxels {
+                depth: cfg.depth,
+                codes: self.codes.get(),
+                q: self.q.get(),
+            },
+            below: None,
+        };
+        self.stage.emit(&self.tree, &bounds, &layer, out);
+
+        let input_points = cloud.len();
+        let stats = CodecStats {
+            input_points,
+            voxels: layer.voxels.codes.len(),
+            bytes: out.len(),
+            bits_per_point: if input_points == 0 {
+                0.0
+            } else {
+                out.len() as f64 * 8.0 / input_points as f64
+            },
+        };
+        if obs::enabled() {
+            obs::inc("codec.clouds_encoded");
+            obs::add("codec.input_points", stats.input_points as u64);
+            obs::add("codec.voxels", stats.voxels as u64);
+            obs::add("codec.bytes", stats.bytes as u64);
+        }
+        stats
+    }
+
+    /// Convenience wrapper allocating a fresh [`EncodedCloud`].
+    pub fn encode(&mut self, cloud: &PointCloud, cfg: &CodecConfig) -> (EncodedCloud, CodecStats) {
+        let mut data = Vec::new();
+        let stats = self.encode_into(cloud, cfg, &mut data);
+        (EncodedCloud { data }, stats)
+    }
+}
+
+/// Encodes a cloud. Returns the bitstream and compression statistics.
+///
+/// One-shot: builds a fresh [`Encoder`] and drops it with the call. A frame
+/// loop should hold its own encoder and reuse the working memory.
+pub fn encode(cloud: &PointCloud, cfg: &CodecConfig) -> (EncodedCloud, CodecStats) {
+    Encoder::new().encode(cloud, cfg)
+}
+
 /// A reusable layered encoder owning all codec working memory.
 pub struct LayeredEncoder {
     /// The full-depth voxelization and its occupancy tree, plus the entropy
@@ -186,7 +357,7 @@ pub struct LayeredEncoder {
     lcodes: ScratchVec<u64>,
     /// Their aggregated color sums and merged point counts, in parallel.
     lsums: ScratchVec<LayerSum>,
-    /// Every layer's quantized colors, base first, the full depth last.
+    /// Their quantized colors, in parallel.
     lq: ScratchVec<[u8; 3]>,
 }
 
@@ -225,16 +396,7 @@ impl LayeredEncoder {
             color_bits: cfg.color_bits,
         };
         let bounds = self.enc.voxelize(cloud, &full_cfg);
-        let Encoder {
-            codes,
-            csums,
-            tree,
-            model,
-            csyms,
-            rans,
-            ..
-        } = &mut self.enc;
-        let (codes, csums) = (codes.get(), csums.get());
+        let (codes, csums) = (self.enc.codes.get(), self.enc.csums.get());
 
         // A lower layer's voxels are the distinct prefixes of the full-depth
         // codes, with color sums added across merged children. The
@@ -260,106 +422,38 @@ impl LayeredEncoder {
             );
         }
         starts[layers - 1] = lcodes.len();
-        let layer_codes = |k: usize| -> &[u64] {
-            if k + 1 == layers {
-                codes
-            } else {
-                &lcodes[starts[k]..starts[k + 1]]
-            }
-        };
-        // Quantized floor-average colors, once per voxel per layer: every
-        // layer but the last is read twice, as voxels and as anchors.
         let shift = 8 - cfg.color_bits;
         let lq = self.lq.begin();
-        lq.reserve(lcodes.len() + codes.len());
         lq.extend(
             lsums
                 .iter()
                 .map(|&(sums, count)| sums.map(|s| ((s / count) as u32 >> shift) as u8)),
         );
-        lq.extend(
-            csums
-                .iter()
-                .map(|&(sums, count)| sums.map(|s| ((s / count) >> shift) as u8)),
-        );
-        let layer_q = |k: usize| -> &[[u8; 3]] { &lq[starts[k]..][..layer_codes(k).len()] };
-
-        // Emit each layer: header, the tree's levels across the layer's
-        // depth span as they lie, then per-voxel color residuals against
-        // the layer's anchor (its ancestor at the previous layer's depth).
-        out.reset(layers);
-        let cmask = (1u32 << cfg.color_bits) - 1;
-        for k in 0..layers {
+        // Layer `k`'s voxels: every layer but the last is read twice, as
+        // voxels and as anchors.
+        let full_q = self.enc.q.get();
+        let cut = |k: usize| {
+            let (codes, q) = if k + 1 == layers {
+                (codes, full_q)
+            } else {
+                let at = starts[k]..starts[k + 1];
+                (&lcodes[at.clone()], &lq[at])
+            };
             let depth = cfg.depths[k];
-            let (voxels, q) = (layer_codes(k), layer_q(k));
-            // The layer's anchors: the layer below, or the virtual root.
-            let (prev_depth, prev_count, anchors, anchor_q) = match k {
-                0 => (0, 0, &[0][..], &[[0; 3]][..]),
-                _ => {
-                    let prev = layer_codes(k - 1);
-                    (cfg.depths[k - 1], prev.len(), prev, layer_q(k - 1))
-                }
+            Voxels { depth, codes, q }
+        };
+
+        out.reset(layers);
+        for k in 0..layers {
+            let layer = Layer {
+                index: k,
+                total: layers,
+                color_bits: cfg.color_bits,
+                voxels: cut(k),
+                below: k.checked_sub(1).map(cut),
             };
             let buf = &mut out.bufs[k];
-            buf.extend_from_slice(&LAYER_MAGIC);
-            buf.push(k as u8);
-            buf.push(layers as u8);
-            buf.push(depth as u8);
-            buf.push(cfg.color_bits as u8);
-            buf.extend_from_slice(&(voxels.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&[0; 4]); // `coded`, known after the color pass
-            buf.push(prev_depth as u8);
-            buf.extend_from_slice(&(prev_count as u32).to_le_bytes());
-            if k == 0 {
-                write_bounds(buf, &bounds);
-            }
-
-            if voxels.is_empty() {
-                continue;
-            }
-            model.begin(depth);
-            let csyms = csyms.begin();
-            let mut colors = ColorWriter::new(buf, cfg.color_bits, model, csyms);
-            // Both code lists are sorted and every prefix exists, so each
-            // anchor's descendants are the next run of `voxels`.
-            let pshift = 3 * (depth - prev_depth);
-            let mut i = 0usize;
-            for (&parent, anchor) in anchors.iter().zip(anchor_q) {
-                let start = i;
-                while i < voxels.len() && voxels[i] >> pshift == parent {
-                    i += 1;
-                }
-                if i - start == 1 && k > 0 {
-                    continue; // an only child: its anchor's color, unsent
-                }
-                for c in &q[start..i] {
-                    let sub = |ch: usize| (c[ch] as u32).wrapping_sub(anchor[ch] as u32) & cmask;
-                    colors.emit([sub(0), sub(1), sub(2)]);
-                }
-            }
-            colors.finish();
-            buf[CODED_AT..][..4].copy_from_slice(&(csyms.len() as u32).to_le_bytes());
-            for level in prev_depth..depth {
-                model.count_masks(level, tree.level(level));
-            }
-            let alphabet = 1 << split_color(cfg.color_bits).0;
-            model.write_tables(
-                prev_depth..depth,
-                (!csyms.is_empty()).then_some(alphabet),
-                buf,
-            );
-            // Last symbol first: the residuals, then the levels from the
-            // deepest up, each from its last node.
-            let nodes: usize = (prev_depth..depth).map(|l| tree.level(l).len()).sum();
-            put_colors(rans, model, csyms);
-            let mut lane = (nodes + 2) % 3; // the last node's
-            for level in (prev_depth..depth).rev() {
-                for &m in tree.level(level).iter().rev() {
-                    model.put_mask(rans, lane, level, m);
-                    lane = (lane + 2) % 3;
-                }
-            }
-            rans.finish_into(buf);
+            self.enc.stage.emit(&self.enc.tree, &bounds, &layer, buf);
         }
 
         let stats = LayeredStats {
@@ -473,6 +567,9 @@ impl LayeredDecoder {
             }
             if prev_depth != 0 || prev_count != 0 {
                 return Err(CodecError::InvalidHeader("base layer with a parent"));
+            }
+            if coded != count {
+                return Err(CodecError::InvalidHeader("a base layer codes every voxel"));
             }
             (min, extent) = read_bounds(&data[LAYER_HEADER_LEN..BASE_HEADER_LEN], count)?;
             header_len = BASE_HEADER_LEN;
@@ -610,11 +707,10 @@ impl LayeredDecoder {
                     "rANS states did not return to their seed at the end of the stream",
                 ));
             }
-            // Commit.
-            let codes_buf = codes.begin();
-            codes_buf.extend_from_slice(final_codes);
-            let qcols_buf = qcols.begin();
-            qcols_buf.extend_from_slice(new_q_buf);
+            // Commit: the layer's buffers become the committed ones, and
+            // the anchors they replace the next layer's scratch.
+            std::mem::swap(codes.get_mut(), exp_a);
+            std::mem::swap(qcols.get_mut(), new_q_buf);
         } else {
             codes.begin();
             qcols.begin();
@@ -670,10 +766,42 @@ impl LayeredDecoder {
     }
 }
 
+/// A reusable single-stream decoder: a [`LayeredDecoder`] fed one layer.
+#[derive(Default)]
+pub struct Decoder(LayeredDecoder);
+
+impl Decoder {
+    /// Creates a decoder with empty (cold) scratch buffers.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Decodes `encoded` — a base layer, of a one-layer frame or of any
+    /// other — into `out` (cleared first). Returns the decoded point count;
+    /// on any error `out` is left empty.
+    pub fn decode_into(
+        &mut self,
+        encoded: &EncodedCloud,
+        out: &mut PointCloud,
+    ) -> Result<usize, CodecError> {
+        let count = self.0.decode_frame_into(&[&encoded.data], out)?;
+        obs::inc("codec.clouds_decoded");
+        Ok(count)
+    }
+}
+
+/// Decodes a bitstream back into a voxelized point cloud.
+///
+/// One-shot, like [`encode`]: a fresh [`Decoder`] per call.
+pub fn decode(encoded: &EncodedCloud) -> Result<PointCloud, CodecError> {
+    let mut cloud = PointCloud::new();
+    Decoder::new().decode_into(encoded, &mut cloud)?;
+    Ok(cloud)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{decode, encode, Decoder};
     use crate::synthetic::SyntheticBody;
 
     fn ladder_cfg() -> LayeredConfig {
@@ -717,6 +845,54 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The one wire order: [`Encoder`]'s stream is, to the byte, layer 0 of
+    /// a one-layer frame — on the bitmap, the radix and the pair path.
+    #[test]
+    fn a_single_stream_is_layer_0_of_a_one_layer_frame() {
+        let cloud = SyntheticBody::default().frame(11, 6_000);
+        let mut frame = LayeredFrame::new();
+        for depth in [1, 8, 9, 10, 14, 16] {
+            let cfg = CodecConfig {
+                depth,
+                color_bits: 6,
+            };
+            let lcfg = LayeredConfig {
+                depths: vec![depth],
+                color_bits: 6,
+            };
+            LayeredEncoder::new().encode_into(&cloud, &lcfg, &mut frame);
+            assert!(
+                encode(&cloud, &cfg).0.data == frame.layers()[0],
+                "depth {depth}"
+            );
+        }
+    }
+
+    /// ... and [`Decoder`] takes the base layer of any frame.
+    #[test]
+    fn the_decoder_takes_the_base_layer_of_a_ladder_frame() {
+        let frame = ladder_frame(6, 5_000);
+        let (mut got, mut want) = (PointCloud::new(), PointCloud::new());
+        let base = EncodedCloud {
+            data: frame.layers()[0].clone(),
+        };
+        let n = Decoder::new().decode_into(&base, &mut got).unwrap();
+        LayeredDecoder::new()
+            .decode_frame_into(&frame.layers()[..1], &mut want)
+            .unwrap();
+        assert!(n > 0 && n == want.len());
+        assert_eq!(got.points, want.points);
+        // An enhancement alone is no stream.
+        let enhancement = EncodedCloud {
+            data: frame.layers()[1].clone(),
+        };
+        assert_eq!(
+            Decoder::new().decode_into(&enhancement, &mut got),
+            Err(CodecError::InvalidHeader("enhancement without a base"))
+        );
+        assert!(got.is_empty());
     }
 
     #[test]
@@ -933,13 +1109,12 @@ mod tests {
     fn a_flip_inside_a_plane_decodes_to_the_same_geometry() {
         let frame = ladder_frame(4, 3_000);
         let mut dec = LayeredDecoder::new();
-        let mut clean = PointCloud::new();
+        let (mut clean, mut got) = (PointCloud::new(), PointCloud::new());
         dec.decode_frame_into(frame.layers(), &mut clean).unwrap();
         for k in 0..frame.layers().len() {
             let mut layers = frame.layers().to_vec();
             let plane = plane_of(&layers[k]).1;
             layers[k][(plane.start + plane.end) / 2] ^= 0x10;
-            let mut got = PointCloud::new();
             dec.decode_frame_into(&layers, &mut got).unwrap();
             assert_eq!(got.len(), clean.len());
             assert!(got
@@ -951,6 +1126,25 @@ mod tests {
                 got.points, clean.points,
                 "layer {k}: the flip is not checked here"
             );
+        }
+        // Nothing anchors on a base layer decoded alone: a flip anywhere in
+        // its plane, first byte to last, changes one point and only there.
+        let base = &frame.layers()[0];
+        dec.decode_frame_into(&[base], &mut clean).unwrap();
+        let plane = plane_of(base).1;
+        for byte in [plane.start, (plane.start + plane.end) / 2, plane.end - 1] {
+            let mut mutated = base.clone();
+            mutated[byte] ^= 1;
+            dec.decode_frame_into(&[&mutated], &mut got).unwrap();
+            assert_eq!(got.len(), clean.len());
+            let changed: Vec<_> = (0..got.len())
+                .filter(|&i| got.points[i] != clean.points[i])
+                .collect();
+            assert_eq!(changed.len(), 1, "flip in byte {byte}");
+            let (a, b) = (got.points[changed[0]], clean.points[changed[0]]);
+            assert_eq!(a.pos, b.pos);
+            // Low raw bits of a 6-bit channel, dequantized: less than 8 << 2.
+            assert!((0..3).all(|ch| a.color[ch].abs_diff(b.color[ch]) < 32));
         }
     }
 
@@ -997,6 +1191,108 @@ mod tests {
         );
     }
 
+    /// Where a layer's three rANS states start: behind the plane and the
+    /// table block (default config: a color alphabet of 8).
+    fn states_at(layer: &[u8]) -> usize {
+        let mut block = &layer[plane_of(layer).1.end..];
+        let span = layer[16] as u32..layer[6] as u32;
+        DecModel::new().parse(&mut block, span, Some(8)).unwrap();
+        layer.len() - block.len()
+    }
+
+    /// The same for a stream whose upper levels are sparse enough to be
+    /// raw: all ten levels in the base, most of the bytes behind the tables.
+    #[test]
+    fn a_flipped_base_payload_byte_is_reported_not_rendered() {
+        let cloud = SyntheticBody::default().frame(2, 2_000);
+        let (enc, _) = encode(&cloud, &CodecConfig::default());
+        let states = states_at(&enc.data);
+        let mut dec = Decoder::new();
+        let mut out = PointCloud::new();
+        let mut rendered = 0;
+        for byte in states..enc.data.len() {
+            let mut mutated = enc.clone();
+            mutated.data[byte] ^= 0x10;
+            match dec.decode_into(&mutated, &mut out) {
+                Err(CodecError::CorruptPayload(_)) => assert!(out.is_empty()),
+                Err(other) => panic!("byte {byte}: {other}"),
+                Ok(_) => rendered += 1,
+            }
+        }
+        // What still renders: a flip in one of the sparse upper levels' raw
+        // masks that moves a node's child without changing how many it
+        // has, and the rare trade between two symbols of one frequency
+        // (`rans.rs`).
+        let payload = enc.data.len() - states;
+        assert!(payload > 4_000 && rendered * 20 < payload, "{rendered}");
+        // The very last byte feeds nothing but the final states.
+        let mut mutated = enc.clone();
+        *mutated.data.last_mut().unwrap() ^= 0x10;
+        assert_eq!(
+            dec.decode_into(&mutated, &mut out),
+            Err(CodecError::CorruptPayload(
+                "rANS states did not return to their seed at the end of the stream"
+            ))
+        );
+    }
+
+    #[test]
+    fn hostile_table_blocks_are_refused() {
+        let cloud = SyntheticBody::default().frame(4, 3_000);
+        let cfg = CodecConfig {
+            depth: 8,
+            color_bits: 6,
+        };
+        let (enc, _) = encode(&cloud, &cfg);
+        let flags_at = plane_of(&enc.data).1.end;
+        let flags = u16::from_le_bytes(enc.data[flags_at..][..2].try_into().unwrap());
+        assert!(
+            flags != 0 && flags & 1 == 0,
+            "some level coded, the root raw"
+        );
+        let refused = |data: Vec<u8>, why: &'static str| {
+            assert_eq!(
+                decode(&EncodedCloud { data }),
+                Err(CodecError::CorruptPayload(why))
+            );
+        };
+        // A table for level 8 of a depth-8 tree.
+        let mut mutant = enc.data.clone();
+        mutant[flags_at + 1] |= 1;
+        refused(mutant, "a table for a level the stream does not carry");
+        // One more table flagged than sent: the parse runs into the rest.
+        let mut mutant = enc.data.clone();
+        mutant[flags_at] |= 1;
+        assert!(matches!(
+            decode(&EncodedCloud { data: mutant }),
+            Err(CodecError::CorruptPayload(_))
+        ));
+        // The first table's first one-byte frequency off by one.
+        let mut at = flags_at + 2;
+        while enc.data[at] == 0 || enc.data[at] >= 0x7F {
+            at += 2; // a zero run or a two-byte frequency
+        }
+        let mut mutant = enc.data.clone();
+        mutant[at] += 1;
+        refused(mutant, "frequencies do not sum to 4096");
+        // The block cut off inside its tables.
+        refused(
+            enc.data[..flags_at + 5].to_vec(),
+            "frequency table is truncated",
+        );
+        refused(
+            enc.data[..flags_at + 1].to_vec(),
+            "level flags are truncated",
+        );
+        // The root's level is raw, so state 0's slot spells its mask: 0 is
+        // a node without children, whatever follows.
+        let states = states_at(&enc.data);
+        let mut mutant = enc.data.clone();
+        mutant[states] &= 0x0F;
+        mutant[states + 1] &= 0xF0;
+        refused(mutant, "a node without children");
+    }
+
     /// `coded` is verified against the occupancy the layer decodes to. The
     /// mutants keep the entropy block where `coded` says it starts,
     /// so it is exactly this check that refuses them.
@@ -1034,14 +1330,6 @@ mod tests {
             dec.push_layer(&mutant),
             Err(CodecError::InvalidHeader("more residuals than voxels"))
         );
-        // A base layer codes every voxel; one that claims otherwise moves
-        // where its entropy block starts.
-        let mut mutant = base.clone();
-        mutant[CODED_AT] ^= 1;
-        assert!(matches!(
-            dec.push_layer(&mutant),
-            Err(CodecError::CorruptPayload(_))
-        ));
     }
 
     #[test]
@@ -1058,55 +1346,51 @@ mod tests {
             LayeredDecoder::new().push_layer(&data),
             Err(CodecError::CorruptPayload("raw color plane is truncated"))
         );
-        // The earlier layouts' magics are not this layout.
-        for old in [b"VLYR", b"VLY2"] {
-            data[0..4].copy_from_slice(old);
+    }
+
+    /// The earlier layouts — range-coded, or rANS in pre-order under a
+    /// shorter header — are not this one, whatever follows the magic.
+    #[test]
+    fn streams_of_the_earlier_layouts_are_bad_magic() {
+        let cloud = SyntheticBody::default().frame(0, 300);
+        let (mut enc, _) = encode(&cloud, &CodecConfig::default());
+        for old in [b"VOCT", b"VOC2", b"VOC3", b"VLYR", b"VLY2"] {
+            enc.data[0..4].copy_from_slice(old);
+            assert_eq!(decode(&enc), Err(CodecError::BadMagic));
             assert_eq!(
-                LayeredDecoder::new().push_layer(&data),
+                LayeredDecoder::new().push_layer(&enc.data),
                 Err(CodecError::BadMagic)
             );
         }
     }
 
-    /// One malformed header per check the two formats share
-    /// (`check_header`, `read_bounds`): both decoders refuse it alike.
+    /// One malformed base header per check (`check_header`, `read_bounds`,
+    /// and a base layer's own): each is refused before the payload is read.
     #[test]
-    fn shared_header_checks_reject_alike_in_both_decoders() {
+    fn each_malformed_header_field_is_rejected() {
         let cloud = SyntheticBody::default().frame(6, 500);
-        let single = encode(
-            &cloud,
-            &CodecConfig {
-                depth: 5,
-                color_bits: 6,
-            },
-        )
-        .0;
-        let lcfg = LayeredConfig {
-            depths: vec![5],
+        let cfg = CodecConfig {
+            depth: 5,
             color_bits: 6,
         };
-        let mut frame = LayeredFrame::new();
-        LayeredEncoder::new().encode_into(&cloud, &lcfg, &mut frame);
-        let base = &frame.layers()[0];
-        // (VOCT offset, VLYR offset, bytes written there, rejection)
-        let cases: [(usize, usize, &[u8], &str); 6] = [
-            (4, 6, &[0], "depth out of range"),
-            (4, 6, &[17], "depth out of range"),
-            (5, 7, &[0], "color_bits out of range"),
-            (5, 7, &[9], "color_bits out of range"),
-            (6, 8, &u32::MAX.to_le_bytes(), "count exceeds tree capacity"),
-            (22, 33, &f32::NAN.to_le_bytes(), "bad extent"),
+        let (stream, stats) = encode(&cloud, &cfg);
+        let one_less = (stats.voxels as u32 - 1).to_le_bytes();
+        // (offset, bytes written there, rejection)
+        let cases: [(usize, &[u8], &str); 9] = [
+            (6, &[0], "depth out of range"),
+            (6, &[17], "depth out of range"),
+            (7, &[0], "color_bits out of range"),
+            (7, &[9], "color_bits out of range"),
+            (8, &u32::MAX.to_le_bytes(), "count exceeds tree capacity"),
+            (33, &f32::NAN.to_le_bytes(), "bad extent"),
+            (5, &[0], "layer index out of range"),
+            (16, &[1], "base layer with a parent"),
+            (CODED_AT, &one_less, "a base layer codes every voxel"),
         ];
-        for (voct_at, vlyr_at, bytes, why) in cases {
-            let mut voct = single.clone();
-            voct.data[voct_at..][..bytes.len()].copy_from_slice(bytes);
-            assert_eq!(decode(&voct), Err(CodecError::InvalidHeader(why)));
-            let mut vlyr = base.clone();
-            vlyr[vlyr_at..][..bytes.len()].copy_from_slice(bytes);
-            assert_eq!(
-                LayeredDecoder::new().push_layer(&vlyr),
-                Err(CodecError::InvalidHeader(why))
-            );
+        for (at, bytes, why) in cases {
+            let mut mutant = stream.clone();
+            mutant.data[at..][..bytes.len()].copy_from_slice(bytes);
+            assert_eq!(decode(&mutant), Err(CodecError::InvalidHeader(why)));
         }
     }
 

@@ -1,4 +1,4 @@
-//! Octree point-cloud codec (Draco substitute): one octree, two wire orders.
+//! Octree point-cloud codec (Draco substitute): one octree, one wire order.
 //!
 //! Every encode starts the same way ([`Encoder`], `octree.rs`):
 //!
@@ -10,23 +10,23 @@
 //!    voxelized Draco geometry.
 //! 2. **Tree.** Build the occupancy tree over the sorted unique codes once:
 //!    an 8-bit child mask per node, stored level-major.
-//! 3. **Emit**, through a static rANS entropy stage (`rans.rs`: one
-//!    symbol per node under its level's table of child masks, one per
-//!    channel for the high half of each color value under the table of the
-//!    symbol before it; the tables travel with the stream, and the low
-//!    half of a color is incompressible and rides a raw bit-plane), in one
-//!    of two orders:
-//!    - *single stream* (`VOCT`, [`Encoder`] / [`Decoder`]): every level in
-//!      pre-order, then each leaf's color in Morton order;
-//!    - *layered* (`VLYR`, [`LayeredEncoder`] / [`LayeredDecoder`]): the
-//!      tree cut at increasing depths, each layer carrying its span of
-//!      levels as they lie plus color residuals against the layer below
-//!      (none for a voxel that is its parent's only descendant there).
-//!      Any prefix of layers decodes to exactly the cloud the single stream
-//!      at that prefix's depth decodes to; the bytes differ.
+//! 3. **Emit** (`layered.rs`) the tree cut at increasing depths into
+//!    layers, each carrying its span of levels as they lie plus color
+//!    residuals against the layer below (none for a voxel that is its
+//!    parent's only descendant there; the base layer's are the absolute
+//!    colors), through a static rANS entropy stage (`rans.rs`: one symbol
+//!    per node under its level's table of child masks, one per channel for
+//!    the high half of each color value under the table of the symbol
+//!    before it; the tables travel with the stream, and the low half of a
+//!    color is incompressible and rides a raw bit-plane).
+//!    [`LayeredEncoder`] / [`LayeredDecoder`] cut at the depths they are
+//!    given; [`Encoder`] / [`Decoder`] are the one-layer case, the whole
+//!    tree in the base. Any prefix of layers decodes to exactly the cloud
+//!    the single stream at that prefix's depth decodes to.
 //!
-//! Decoding reads the tables, runs the coder forwards and ends, for both
-//! formats, in the same voxel-center / bucket-center-color reconstruction.
+//! Decoding reads a layer's tables, runs the coder forwards, expands the
+//! occupancy a level at a time and ends in the voxel-center /
+//! bucket-center-color reconstruction.
 //!
 //! Rate behaviour: 300K-550K-point human-surface clouds land at roughly
 //! 6-12 bits/point geometry + colors, i.e. frame sizes comparable to the
@@ -59,8 +59,7 @@ pub mod simd;
 
 pub use gop::GopEncoder;
 pub use layered::{
-    LayeredConfig, LayeredDecoder, LayeredEncoder, LayeredFrame, LayeredStats, MAX_LAYERS,
+    decode, encode, Decoder, LayeredConfig, LayeredDecoder, LayeredEncoder, LayeredFrame,
+    LayeredStats, MAX_LAYERS,
 };
-pub use octree::{
-    decode, encode, CodecConfig, CodecError, CodecStats, Decoder, EncodedCloud, Encoder,
-};
+pub use octree::{CodecConfig, CodecError, CodecStats, EncodedCloud, Encoder};

@@ -1,4 +1,5 @@
-//! The octree codec core: voxelize → tree → header, and back.
+//! The octree codec core: what the encoder and the decoder of the wire
+//! layout ([`super::layered`]) share.
 //!
 //! [`Encoder::voxelize`] is the front half of every encode. It quantizes
 //! the cloud and Morton-interleaves it through [`super::simd`] (one packed
@@ -7,47 +8,28 @@
 //! per-voxel color sums — through a flat occupancy bitmap while the key
 //! space fits [`BITMAP_MAX_KEY_BITS`], a stable LSD radix sort plus
 //! [`merge_runs`] above it — and builds the frame's [`Tree`] once: one
-//! 8-bit child mask per node, level-major, no pointers.
+//! 8-bit child mask per node, level-major, no pointers. The layers of a
+//! frame are cut from that tree and emitted through the encoder's
+//! [`Stage`].
 //!
-//! Both wire formats read that tree. [`Encoder::encode_into`] walks every
-//! level in pre-order (`VOCT`, this module); the layered encoder emits a
-//! span of levels as they lie (`VLYR`, [`super::layered`]). The header
-//! pieces the two formats share ([`write_bounds`] / [`read_bounds`],
-//! [`check_header`]), the color split ([`ColorWriter`] / [`ColorReader`])
-//! and the voxel → point step both decoders end in ([`reconstruct`]) live
-//! here too.
-//!
-//! Single-stream layout (all integers little-endian):
-//!
-//! ```text
-//! magic "VOC3" | depth u8 | color_bits u8 | count u32
-//! | min_xyz 3xf32, extent f32, 0 f32, 0 f32
-//! | raw plane, ceil(count * 3 * raw / 8) bytes
-//! | entropy block (codec::rans): tables, three states, rANS bytes
-//! ```
+//! The header pieces ([`write_bounds`] / [`read_bounds`], [`check_header`]),
+//! the color split ([`ColorWriter`] / [`ColorReader`]) and the voxel →
+//! point step every decode ends in ([`reconstruct`]) live here too.
 //!
 //! Of a `color_bits`-bit channel value only the high bits carry something
 //! a model can learn; the low `raw = color_bits / 2` bits cost a full bit
 //! each under any context (EXPERIMENTS.md), so [`split_color`] sends them
-//! uncoded. The **raw plane** holds, per voxel in Morton order, the low
-//! `raw` bits of channels 0, 1, 2, packed LSB-first (the first value's
-//! lowest bit is bit 0 of the first byte; the last byte is zero-padded).
-//! Its length follows from the header and is checked before anything is
-//! decoded or reserved. The entropy block (layout, tables and coder in the
-//! `rans.rs` module docs) codes every node's child mask in pre-order under
-//! its level's table, then per voxel in Morton order the high `color_bits
-//! - raw` bits of channels 0, 1, 2, each under the table of its channel
-//! and of the symbol the voxel before sent there. An empty cloud is its
-//! header alone. The magic's last byte is the layout revision: `VOCT`
-//! range-coded every color bit, `VOC2` range-coded the high bits and the
-//! masks bit by bit under adaptive models, and both fail
-//! [`CodecError::BadMagic`] here.
+//! uncoded. A stream's **raw plane** holds, per color value in wire order,
+//! the low `raw` bits of channels 0, 1, 2, packed LSB-first (the first
+//! value's lowest bit is bit 0 of the first byte; the last byte is
+//! zero-padded). Its length follows from the header and is checked before
+//! anything is decoded or reserved. The high `color_bits - raw` bits are
+//! symbols of the entropy block (`rans.rs`), each under the table of its
+//! channel and of the symbol the value before sent there.
 //!
-//! [`Encoder`] and [`Decoder`] own all working memory — [`ScratchVec`]s,
-//! the tables of `rans.rs` — so a stream of frames encodes and decodes
-//! with **zero heap allocations in steady state**
-//! (`tests/codec_alloc.rs`); the free [`encode`] / [`decode`] build a
-//! fresh instance per call, same bytes either way.
+//! [`Encoder`] owns all working memory — [`ScratchVec`]s, the tables of
+//! `rans.rs` — so a stream of frames encodes with **zero heap allocations
+//! in steady state** (`tests/codec_alloc.rs`).
 // Fixed-size index loops (octree children, color channels) read clearer
 // than iterator chains in this module.
 #![allow(clippy::needless_range_loop)]
@@ -59,7 +41,6 @@ use super::simd::{
 };
 use crate::point::{Point, PointCloud};
 use volcast_geom::{Aabb, Vec3};
-use volcast_util::obs;
 use volcast_util::scratch::ScratchVec;
 
 /// Codec parameters.
@@ -133,8 +114,6 @@ pub struct CodecStats {
     pub bits_per_point: f64,
 }
 
-const MAGIC: [u8; 4] = *b"VOC3";
-const HEADER_LEN: usize = 4 + 1 + 1 + 4 + 24;
 pub(super) const MAX_DEPTH: u32 = 16;
 
 /// A quantized point on the deep (`depth > PACKED_MAX_DEPTH`) path:
@@ -247,9 +226,8 @@ pub(super) fn merge_runs<V, A: Default>(
 
 /// The frame's occupancy tree, flat: for each level `L` below the leaves,
 /// one 8-bit child mask per distinct length-`L` Morton prefix in ascending
-/// prefix order. A pre-order walk with children taken in ascending index
-/// order also reaches level `L`'s nodes in that order, so one cursor per
-/// level stands in for child pointers.
+/// prefix order, so level `L + 1`'s nodes are level `L`'s set bits in
+/// order and nothing needs a child pointer.
 pub(super) struct Tree {
     /// The levels, deepest first (the order they are built in).
     masks: ScratchVec<u8>,
@@ -314,38 +292,6 @@ impl Tree {
     pub(super) fn level(&self, level: u32) -> &[u8] {
         let (start, end) = self.span[level as usize];
         &self.masks.get()[start..end]
-    }
-}
-
-/// Codes every level of `tree` in pre-order (the `VOCT` order) — last node
-/// first, as the rANS encoder takes its symbols: the walk is the mirror
-/// image, children in descending order and a node after its subtrees, with
-/// one cursor per level counting down from the level's end.
-fn put_preorder(rans: &mut RansEncoder, model: &EncModel, tree: &Tree, depth: u32) {
-    let levels: [&[u8]; MAX_DEPTH as usize] = std::array::from_fn(|l| tree.level(l as u32));
-    let mut left = levels.map(<[u8]>::len);
-    // The last node's lane; each node before it is one lane down.
-    let mut lane = (left.iter().sum::<usize>() + 2) % 3;
-    // Explicit DFS stack of (node's mask, its unvisited children); depth is
-    // at most MAX_DEPTH, so it lives on the stack.
-    let mut stack = [(0u8, 0u8); MAX_DEPTH as usize];
-    stack[0] = (levels[0][0], levels[0][0]);
-    let mut sp = 1usize;
-    while sp > 0 {
-        let level = sp - 1;
-        let (mask, rem) = stack[level];
-        // Children at the leaf level carry no mask.
-        if rem == 0 || level as u32 + 1 == depth {
-            model.put_mask(rans, lane, level as u32, mask);
-            lane = (lane + 2) % 3;
-            sp -= 1;
-            continue;
-        }
-        stack[level].1 = rem & !(0x80 >> rem.leading_zeros()); // highest child first
-        left[level + 1] -= 1;
-        let m = levels[level + 1][left[level + 1]];
-        stack[sp] = (m, m);
-        sp += 1;
     }
 }
 
@@ -463,7 +409,7 @@ impl<'a> ColorReader<'a> {
     }
 
     /// One value. Reading more than `values` of them yields zero low bits,
-    /// never a panic; the decoders do not.
+    /// never a panic; the decoder does not.
     #[inline(always)]
     pub(super) fn read(&mut self, dec: &mut RansDecoder, model: &DecModel) -> [u32; 3] {
         let raw = self.raw;
@@ -486,7 +432,7 @@ impl<'a> ColorReader<'a> {
     }
 }
 
-/// Appends the bounds block both headers carry: the cube's `min` corner,
+/// Appends the bounds block of a base layer's header: the cube's `min` corner,
 /// its side (clamped away from zero) and two reserved zeros, as `f32` LE.
 pub(super) fn write_bounds(out: &mut Vec<u8>, bounds: &Aabb) {
     let extent = bounds.extent().max_component().max(1e-6);
@@ -553,13 +499,22 @@ pub(super) fn reconstruct(
     }
 }
 
+/// The entropy stage a layer is emitted through (`Stage::emit`, in
+/// [`super::layered`]): the stream's tables, the color symbols waiting for
+/// them, and the coder.
+pub(super) struct Stage {
+    pub(super) model: EncModel,
+    pub(super) csyms: ScratchVec<[u8; 3]>,
+    pub(super) rans: RansEncoder,
+}
+
 /// A reusable octree encoder owning all codec working memory.
 ///
 /// One instance encodes a stream of frames with zero steady-state heap
 /// allocations (beyond growth of the caller's output buffer): voxel
 /// staging, radix scratch, code list, tree, symbol tables and the rANS
 /// byte buffer are all retained across calls at their high-watermark sizes.
-/// Output is byte-for-byte identical to the free [`encode`] function.
+/// Output is byte-for-byte identical to the free [`super::encode`] function.
 pub struct Encoder {
     /// Packed `(code << 24) | rgb` staging (shallow path).
     packed: ScratchVec<u64>,
@@ -576,15 +531,13 @@ pub struct Encoder {
     /// in each word among all occupied codes.
     word_rank: Vec<u32>,
     /// What [`Encoder::voxelize`] leaves behind: sorted unique Morton
-    /// codes, their color sums, and the occupancy tree over them.
+    /// codes, their color sums and quantized floor-average colors, and the
+    /// occupancy tree over them.
     pub(super) codes: ScratchVec<u64>,
     pub(super) csums: ScratchVec<ColorSum>,
+    pub(super) q: ScratchVec<[u8; 3]>,
     pub(super) tree: Tree,
-    /// The entropy stage: the stream's tables, the color symbols waiting
-    /// for them, and the coder.
-    pub(super) model: EncModel,
-    pub(super) csyms: ScratchVec<[u8; 3]>,
-    pub(super) rans: RansEncoder,
+    pub(super) stage: Stage,
     backend: Backend,
 }
 
@@ -614,18 +567,21 @@ impl Encoder {
             word_rank: Vec::new(),
             codes: ScratchVec::new("codec.scratch.codes"),
             csums: ScratchVec::new("codec.scratch.csums"),
+            q: ScratchVec::new("codec.scratch.q"),
             tree: Tree::new(),
-            model: EncModel::new(),
-            csyms: ScratchVec::new("codec.scratch.color_syms"),
-            rans: RansEncoder::new(),
+            stage: Stage {
+                model: EncModel::new(),
+                csyms: ScratchVec::new("codec.scratch.color_syms"),
+                rans: RansEncoder::new(),
+            },
             backend,
         }
     }
 
     /// The front half of every encode: quantizes, deduplicates and
     /// color-merges `cloud` at `cfg.depth` inside its bounding cube, leaving
-    /// `codes`, `csums` and `tree` for an emitter to read. Returns the
-    /// bounds the header must carry.
+    /// `codes`, `csums`, `q` and `tree` for the layers to be cut from.
+    /// Returns the bounds the base layer's header must carry.
     ///
     /// # Panics
     /// If `cfg.depth` is outside `1..=16` or `cfg.color_bits` outside `1..=8`.
@@ -733,253 +689,22 @@ impl Encoder {
             csums.reserve(deep.len());
             merge_runs(deep.iter().copied(), add_rgb, codes, csums);
         }
+        // Each voxel's color is the floor-average of its merged points,
+        // cut to the top `color_bits` bits.
+        let shift = 8 - cfg.color_bits;
+        let quantize = |&(sums, count): &ColorSum| sums.map(|s| ((s / count) >> shift) as u8);
+        self.q.begin().extend(csums.iter().map(quantize));
         // The sort is over, so its ping-pong buffer is free to be the
         // tree's scratch.
         self.tree.build(codes, cfg.depth, self.packed_tmp.begin());
         bounds
-    }
-
-    /// Encodes `cloud` into `out` (cleared first), returning statistics.
-    ///
-    /// # Panics
-    /// If `cfg.depth` is outside `1..=16` or `cfg.color_bits` outside `1..=8`.
-    pub fn encode_into(
-        &mut self,
-        cloud: &PointCloud,
-        cfg: &CodecConfig,
-        out: &mut Vec<u8>,
-    ) -> CodecStats {
-        let bounds = self.voxelize(cloud, cfg);
-        let Encoder {
-            codes,
-            csums,
-            tree,
-            model,
-            csyms,
-            rans,
-            ..
-        } = self;
-        let codes = codes.get();
-
-        // Header.
-        out.clear();
-        out.reserve(HEADER_LEN + codes.len());
-        out.extend_from_slice(&MAGIC);
-        out.push(cfg.depth as u8);
-        out.push(cfg.color_bits as u8);
-        out.extend_from_slice(&(codes.len() as u32).to_le_bytes());
-        write_bounds(out, &bounds);
-        debug_assert_eq!(out.len(), HEADER_LEN);
-
-        if !codes.is_empty() {
-            // Colors in Morton (leaf) order: the raw plane grows straight
-            // behind the header while the model counts the high bits.
-            model.begin(cfg.depth);
-            let shift = 8 - cfg.color_bits;
-            let csyms = csyms.begin();
-            let mut colors = ColorWriter::new(out, cfg.color_bits, model, csyms);
-            for &(sums, count) in csums.get() {
-                colors.emit(sums.map(|s| (s / count) >> shift));
-            }
-            colors.finish();
-            for level in 0..cfg.depth {
-                model.count_masks(level, tree.level(level));
-            }
-            let alphabet = 1 << split_color(cfg.color_bits).0;
-            model.write_tables(0..cfg.depth, Some(alphabet), out);
-            // Last symbol first: the colors, then the tree.
-            put_colors(rans, model, csyms);
-            put_preorder(rans, model, tree, cfg.depth);
-            rans.finish_into(out);
-        }
-
-        let input_points = cloud.len();
-        let stats = CodecStats {
-            input_points,
-            voxels: codes.len(),
-            bytes: out.len(),
-            bits_per_point: if input_points == 0 {
-                0.0
-            } else {
-                out.len() as f64 * 8.0 / input_points as f64
-            },
-        };
-        if obs::enabled() {
-            obs::inc("codec.clouds_encoded");
-            obs::add("codec.input_points", stats.input_points as u64);
-            obs::add("codec.voxels", stats.voxels as u64);
-            obs::add("codec.bytes", stats.bytes as u64);
-        }
-        stats
-    }
-
-    /// Convenience wrapper allocating a fresh [`EncodedCloud`].
-    pub fn encode(&mut self, cloud: &PointCloud, cfg: &CodecConfig) -> (EncodedCloud, CodecStats) {
-        let mut data = Vec::new();
-        let stats = self.encode_into(cloud, cfg, &mut data);
-        (EncodedCloud { data }, stats)
-    }
-}
-
-/// A reusable octree decoder owning all codec working memory.
-///
-/// The mirror of [`Encoder`]: code list and decode tables persist across
-/// calls, so decoding a stream of frames into a reused [`PointCloud`]
-/// allocates nothing in steady state.
-pub struct Decoder {
-    codes: ScratchVec<u64>,
-    model: DecModel,
-}
-
-impl Default for Decoder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Decoder {
-    /// Creates a decoder with empty (cold) scratch buffers.
-    pub fn new() -> Self {
-        Decoder {
-            codes: ScratchVec::new("codec.scratch.dec_codes"),
-            model: DecModel::new(),
-        }
-    }
-
-    /// Decodes `encoded` into `out` (cleared first). Returns the decoded
-    /// point count; on any error `out` is left empty.
-    pub fn decode_into(
-        &mut self,
-        encoded: &EncodedCloud,
-        out: &mut PointCloud,
-    ) -> Result<usize, CodecError> {
-        out.points.clear();
-        let data = &encoded.data;
-        if data.len() < HEADER_LEN {
-            return Err(CodecError::TruncatedHeader);
-        }
-        if data[0..4] != MAGIC {
-            return Err(CodecError::BadMagic);
-        }
-        let depth = data[4] as u32;
-        let color_bits = data[5] as u32;
-        let count = u32::from_le_bytes(data[6..10].try_into().unwrap()) as usize;
-        check_header(depth, color_bits, count)?;
-        let bounds = read_bounds(&data[10..HEADER_LEN], count)?;
-        if count == 0 {
-            obs::inc("codec.clouds_decoded");
-            return Ok(0);
-        }
-        let (mut colors, mut block) = ColorReader::new(&data[HEADER_LEN..], count, color_bits)?;
-        let alphabet = 1 << split_color(color_bits).0;
-        self.model.parse(&mut block, 0..depth, Some(alphabet))?;
-        let mut dec = RansDecoder::new(block)?;
-        let codes = self.codes.begin();
-        // `count` is attacker-controlled (up to u32::MAX = 32 GiB of u64s);
-        // cap the up-front reservation and let a genuine large stream grow
-        // amortized. The walk never pushes past `count` either way.
-        codes.reserve(count.min(1 << 22));
-        let mut walk = Walk {
-            dec: &mut dec,
-            model: &self.model,
-            depth,
-            limit: count,
-            out: codes,
-            lane: 0,
-            childless: false,
-        };
-        walk.node(0, 0);
-        if walk.childless {
-            return Err(CodecError::CorruptPayload("a node without children"));
-        }
-        if codes.len() != count {
-            return Err(CodecError::CorruptPayload(
-                "payload decodes fewer voxels than the header declares",
-            ));
-        }
-        if dec.is_exhausted() {
-            return Err(CodecError::CorruptPayload(
-                "rANS decoder ran past the end of the occupancy stream",
-            ));
-        }
-
-        let model = &self.model;
-        let next_color = |_| colors.read(&mut dec, model);
-        reconstruct(
-            codes,
-            next_color,
-            (depth, color_bits),
-            bounds,
-            &mut out.points,
-        );
-        if !dec.is_clean_end() {
-            // Truncated, damaged, or not this header's payload: the points
-            // are garbage. Roll back so the caller never observes them.
-            out.points.clear();
-            return Err(CodecError::CorruptPayload(
-                "rANS states did not return to their seed at the end of the stream",
-            ));
-        }
-        obs::inc("codec.clouds_decoded");
-        Ok(codes.len())
-    }
-}
-
-/// Encodes a cloud. Returns the bitstream and compression statistics.
-///
-/// One-shot: builds a fresh [`Encoder`] and drops it with the call. A frame
-/// loop should hold its own encoder and reuse the working memory.
-pub fn encode(cloud: &PointCloud, cfg: &CodecConfig) -> (EncodedCloud, CodecStats) {
-    Encoder::new().encode(cloud, cfg)
-}
-
-/// Decodes a bitstream back into a voxelized point cloud.
-///
-/// One-shot, like [`encode`]: a fresh [`Decoder`] per call.
-pub fn decode(encoded: &EncodedCloud) -> Result<PointCloud, CodecError> {
-    let mut cloud = PointCloud::new();
-    Decoder::new().decode_into(encoded, &mut cloud)?;
-    Ok(cloud)
-}
-
-/// The pre-order walk of the single-stream decoder.
-struct Walk<'a, 'b> {
-    dec: &'a mut RansDecoder<'b>,
-    model: &'a DecModel,
-    depth: u32,
-    /// The header's voxel count: corrupt streams never push past it.
-    limit: usize,
-    out: &'a mut Vec<u64>,
-    /// The next node's index in the stream, mod 3: its rANS state.
-    lane: usize,
-    /// Set by a mask of 0, which only a raw level can spell and no encoder
-    /// sends; it also ends the walk, so a tree of dead ends costs nothing.
-    childless: bool,
-}
-
-impl Walk<'_, '_> {
-    fn node(&mut self, prefix: u64, level: u32) {
-        let mut mask = self.model.mask(self.dec, self.lane, level);
-        self.lane = (self.lane + 1) % 3;
-        self.childless |= mask == 0;
-        while mask != 0 {
-            if self.out.len() >= self.limit || self.childless {
-                return;
-            }
-            let code = (prefix << 3) | mask.trailing_zeros() as u64;
-            mask &= mask - 1;
-            if level + 1 == self.depth {
-                self.out.push(code);
-            } else {
-                self.node(code, level + 1);
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{decode, encode, Decoder};
     use crate::synthetic::SyntheticBody;
 
     /// Bit-by-bit reference Morton implementations (the original loop
@@ -1314,256 +1039,6 @@ mod tests {
                 assert!(err <= step, "channel {ch} err {err}");
             }
         }
-    }
-
-    #[test]
-    fn decode_rejects_bad_inputs() {
-        assert_eq!(
-            decode(&EncodedCloud {
-                data: vec![1, 2, 3]
-            }),
-            Err(CodecError::TruncatedHeader)
-        );
-        // The earlier layouts' magics: those streams are range-coded and
-        // must not be read as this layout.
-        for old in [b"VOCT", b"VOC2"] {
-            let mut bad_magic = vec![0u8; HEADER_LEN + 8];
-            bad_magic[0..4].copy_from_slice(old);
-            assert_eq!(
-                decode(&EncodedCloud { data: bad_magic }),
-                Err(CodecError::BadMagic)
-            );
-        }
-        // Bad depth.
-        let mut bad_depth = vec![0u8; HEADER_LEN + 8];
-        bad_depth[0..4].copy_from_slice(&MAGIC);
-        bad_depth[4] = 0;
-        bad_depth[5] = 6;
-        assert!(matches!(
-            decode(&EncodedCloud { data: bad_depth }),
-            Err(CodecError::InvalidHeader(_))
-        ));
-    }
-
-    #[test]
-    fn corrupt_payload_does_not_panic_or_overrun() {
-        let cloud = SyntheticBody::default().frame(0, 2_000);
-        let (mut enc, _) = encode(&cloud, &CodecConfig::default());
-        // Truncate the payload savagely: an error, never a panic, and
-        // never more voxels than the header declares.
-        enc.data.truncate(HEADER_LEN + 8);
-        assert!(matches!(decode(&enc), Err(CodecError::CorruptPayload(_))));
-    }
-
-    /// The raw plane's byte range in a default-config (`raw = 3`) stream.
-    fn plane_of(voxels: usize) -> std::ops::Range<usize> {
-        HEADER_LEN..HEADER_LEN + (voxels * 9).div_ceil(8)
-    }
-
-    #[test]
-    fn every_truncation_errors_and_leaves_the_output_empty() {
-        let cloud = SyntheticBody::default().frame(1, 600);
-        let (enc, stats) = encode(&cloud, &CodecConfig::default());
-        let full = decode(&enc).unwrap();
-        let plane = plane_of(stats.voxels);
-        assert!(
-            plane.end + 5 < enc.data.len(),
-            "cuts land in all three regions"
-        );
-        let mut dec = Decoder::new();
-        // Every cut — inside the header, the raw plane, the tables, the
-        // rANS bytes — is an error, and none leaves partial points behind.
-        for cut in 0..enc.data.len() {
-            let truncated = EncodedCloud {
-                data: enc.data[..cut].to_vec(),
-            };
-            let mut out = PointCloud::new();
-            out.points.push(full.points[0]);
-            let err = dec.decode_into(&truncated, &mut out).unwrap_err();
-            if cut < HEADER_LEN {
-                assert_eq!(err, CodecError::TruncatedHeader, "cut at {cut}");
-            } else {
-                assert!(
-                    matches!(err, CodecError::CorruptPayload(_)),
-                    "cut at {cut}: {err}"
-                );
-            }
-            assert!(out.is_empty(), "cut at {cut} leaked partial points");
-        }
-    }
-
-    /// The plane is raw bits: a flip inside it cannot desynchronize the
-    /// rANS decoder, so the stream still decodes, to the same geometry,
-    /// with one low color bit changed. Integrity is `net::wire`'s checksum.
-    #[test]
-    fn a_flip_inside_the_plane_changes_one_low_color_bit_and_no_geometry() {
-        let cloud = SyntheticBody::default().frame(2, 2_000);
-        let (enc, stats) = encode(&cloud, &CodecConfig::default());
-        let clean = decode(&enc).unwrap();
-        let plane = plane_of(stats.voxels);
-        for byte in [plane.start, (plane.start + plane.end) / 2, plane.end - 1] {
-            let mut mutated = enc.clone();
-            mutated.data[byte] ^= 1;
-            let got = decode(&mutated).unwrap();
-            assert_eq!(got.len(), clean.len());
-            let changed: Vec<_> = (0..got.len())
-                .filter(|&i| got.points[i] != clean.points[i])
-                .collect();
-            assert_eq!(changed.len(), 1, "flip in byte {byte}");
-            let (a, b) = (got.points[changed[0]], clean.points[changed[0]]);
-            assert_eq!(a.pos, b.pos);
-            // Low raw bits of a 6-bit channel, dequantized: less than 8 << 2.
-            assert!((0..3).all(|ch| a.color[ch].abs_diff(b.color[ch]) < 32));
-        }
-    }
-
-    #[test]
-    fn bit_flipped_payloads_never_panic() {
-        let cloud = SyntheticBody::default().frame(2, 2_000);
-        let (enc, stats) = encode(&cloud, &CodecConfig::default());
-        let mut rng = volcast_util::rng::Rng::seed_from_u64(0x0c7_f11b);
-        let mut dec = Decoder::new();
-        for _ in 0..200 {
-            let mut mutated = enc.data.clone();
-            let byte = rng.gen_range(HEADER_LEN as u64..mutated.len() as u64) as usize;
-            let bit = rng.gen_range(0..8u32);
-            mutated[byte] ^= 1 << bit;
-            let mut out = PointCloud::new();
-            // A flip that keeps the stream self-consistent may still decode
-            // Ok (integrity is the wire layer's job); what is forbidden is
-            // a panic or exceeding the declared voxel budget.
-            if let Ok(n) = dec.decode_into(&EncodedCloud { data: mutated }, &mut out) {
-                assert!(n <= stats.voxels);
-            }
-        }
-    }
-
-    /// Where a stream's three rANS states start: behind the plane and the
-    /// table block.
-    fn states_at(enc: &EncodedCloud, voxels: usize, depth: u32) -> usize {
-        let mut block = &enc.data[plane_of(voxels).end..];
-        DecModel::new()
-            .parse(&mut block, 0..depth, Some(8))
-            .unwrap();
-        enc.data.len() - block.len()
-    }
-
-    /// The old adaptive coder decoded a damaged payload to *some* bits, so
-    /// a flip behind the plane rendered as different geometry unless the
-    /// voxel count happened to break. Now the states must come home.
-    #[test]
-    fn a_flipped_payload_byte_is_reported_not_rendered() {
-        let cloud = SyntheticBody::default().frame(2, 2_000);
-        let (enc, stats) = encode(&cloud, &CodecConfig::default());
-        let states = states_at(&enc, stats.voxels, 10);
-        let mut dec = Decoder::new();
-        let mut out = PointCloud::new();
-        let mut rendered = 0;
-        for byte in states..enc.data.len() {
-            let mut mutated = enc.clone();
-            mutated.data[byte] ^= 0x10;
-            match dec.decode_into(&mutated, &mut out) {
-                Err(CodecError::CorruptPayload(_)) => assert!(out.is_empty()),
-                Err(other) => panic!("byte {byte}: {other}"),
-                Ok(_) => rendered += 1,
-            }
-        }
-        // What still renders: a flip in one of the sparse upper levels' raw
-        // masks that moves a node's child without changing how many it
-        // has, and the rare trade between two symbols of one frequency
-        // (`rans.rs`).
-        let payload = enc.data.len() - states;
-        assert!(payload > 4_000 && rendered * 20 < payload, "{rendered}");
-        // The very last byte feeds nothing but the final states.
-        let mut mutated = enc.clone();
-        *mutated.data.last_mut().unwrap() ^= 0x10;
-        assert_eq!(
-            dec.decode_into(&mutated, &mut out),
-            Err(CodecError::CorruptPayload(
-                "rANS states did not return to their seed at the end of the stream"
-            ))
-        );
-    }
-
-    #[test]
-    fn hostile_table_blocks_are_refused() {
-        let cloud = SyntheticBody::default().frame(4, 3_000);
-        let cfg = CodecConfig {
-            depth: 8,
-            color_bits: 6,
-        };
-        let (enc, stats) = encode(&cloud, &cfg);
-        let flags_at = plane_of(stats.voxels).end;
-        let flags = u16::from_le_bytes(enc.data[flags_at..][..2].try_into().unwrap());
-        assert!(
-            flags != 0 && flags & 1 == 0,
-            "some level coded, the root raw"
-        );
-        let refused = |data: Vec<u8>, why: &'static str| {
-            assert_eq!(
-                decode(&EncodedCloud { data }),
-                Err(CodecError::CorruptPayload(why))
-            );
-        };
-        // A table for level 8 of a depth-8 tree.
-        let mut mutant = enc.data.clone();
-        mutant[flags_at + 1] |= 1;
-        refused(mutant, "a table for a level the stream does not carry");
-        // One more table flagged than sent: the parse runs into the rest.
-        let mut mutant = enc.data.clone();
-        mutant[flags_at] |= 1;
-        assert!(matches!(
-            decode(&EncodedCloud { data: mutant }),
-            Err(CodecError::CorruptPayload(_))
-        ));
-        // The first table's first one-byte frequency off by one.
-        let mut at = flags_at + 2;
-        while enc.data[at] == 0 || enc.data[at] >= 0x7F {
-            at += 2; // a zero run or a two-byte frequency
-        }
-        let mut mutant = enc.data.clone();
-        mutant[at] += 1;
-        refused(mutant, "frequencies do not sum to 4096");
-        // The block cut off inside its tables.
-        refused(
-            enc.data[..flags_at + 5].to_vec(),
-            "frequency table is truncated",
-        );
-        refused(
-            enc.data[..flags_at + 1].to_vec(),
-            "level flags are truncated",
-        );
-        // The root's level is raw, so state 0's slot spells its mask: 0 is
-        // a node without children, whatever follows.
-        let states = states_at(&enc, stats.voxels, 8);
-        let mut mutant = enc.data.clone();
-        mutant[states] &= 0x0F;
-        mutant[states + 1] &= 0xF0;
-        refused(mutant, "a node without children");
-    }
-
-    #[test]
-    fn hostile_count_is_rejected_without_allocation() {
-        // depth 5 caps the tree at 8^5 = 32768 leaves; a header claiming
-        // u32::MAX voxels must be rejected before any proportional reserve.
-        let mut data = vec![0u8; HEADER_LEN + 16];
-        data[0..4].copy_from_slice(&MAGIC);
-        data[4] = 5;
-        data[5] = 6;
-        data[6..10].copy_from_slice(&u32::MAX.to_le_bytes());
-        data[22..26].copy_from_slice(&1.0f32.to_le_bytes());
-        assert_eq!(
-            decode(&EncodedCloud { data: data.clone() }),
-            Err(CodecError::InvalidHeader("count exceeds tree capacity"))
-        );
-        // Depth 12 could hold that many leaves, but their raw plane
-        // (4.8 GB) cannot be in a 50-byte buffer: refused on the length
-        // check, before the code list reserves anything.
-        data[4] = 12;
-        assert_eq!(
-            decode(&EncodedCloud { data }),
-            Err(CodecError::CorruptPayload("raw color plane is truncated"))
-        );
     }
 
     #[test]

@@ -1,18 +1,18 @@
-//! The entropy stage under both wire formats: static frequency tables and
-//! a byte-wise rANS coder, one symbol per octree node and one per color
+//! The entropy stage of the wire layout: static frequency tables and a
+//! byte-wise rANS coder, one symbol per octree node and one per color
 //! channel of a voxel.
 //!
-//! Both formats end in the same **entropy block**, behind their raw plane
-//! (all integers little-endian):
+//! Every layer (`layered.rs`) ends in an **entropy block**, behind its raw
+//! plane (all integers little-endian):
 //!
 //! ```text
 //! level flags u16 | mask tables | color tables | x0 u32, x1 u32, x2 u32 | rANS bytes
 //! ```
 //!
-//! **Symbols.** A stream carries the child masks of a span of tree levels
-//! (`VOCT`: all of them; a `VLYR` layer: `prev_depth..depth`), one symbol
-//! `1..=255` per node, and per color value it sends three symbols, channel
-//! `c`'s high `color_bits - raw` bits, from an alphabet of
+//! **Symbols.** A layer carries the child masks of a span of tree levels
+//! (`prev_depth..depth`; a single stream's one layer: all of them), one
+//! symbol `1..=255` per node, and per color value it sends three symbols,
+//! channel `c`'s high `color_bits - raw` bits, from an alphabet of
 //! `A = 2^(color_bits - raw)`. An empty cloud's stream ends at its header:
 //! no block at all.
 //!
@@ -52,8 +52,8 @@
 //! state `x` is: `slot = x mod 4096`; `s` is the symbol with `start_s <=
 //! slot < start_s + f_s`; `x = f_s * (x >> 12) + slot - start_s`; while `x <
 //! 2^23`, `x = x << 8 | next byte`. The stream opens with the three states;
-//! the symbols come in wire order, masks first (the format's node order),
-//! then channel 0, 1, 2 of each color value. The encoder runs this
+//! the symbols come in wire order, masks first (level by level, each in
+//! ascending Morton order), then channel 0, 1, 2 of each color value. The encoder runs this
 //! backwards: states start at `2^23`, symbols are taken last to first, each
 //! one as: while `x >= f_s << 19`, emit `x & 0xFF` and `x >>= 8`; then `x =
 //! (x / f_s) << 12 | x mod f_s + start_s`; the final states are written and

@@ -1,15 +1,15 @@
-//! Reference check for both wire formats: a deliberately naive encoder
-//! written from the prose layouts in the `codec::octree`, `codec::layered`
-//! and `codec::rans` module docs — frequency tables as `Vec<Vec<_>>`, a
+//! Reference check for the wire layout: a deliberately naive encoder
+//! written from the prose in the `codec::layered`, `codec::octree` and
+//! `codec::rans` module docs — frequency tables as `Vec<Vec<_>>`, a
 //! symbol's start summed from its table every time, rANS with plain `/` and
 //! `%` over a list of symbols built forwards and walked backwards, per-bit
 //! Morton loop, comparison sort, `BTreeMap`s for every per-node and
 //! per-anchor question, one `Vec<bool>` per raw plane, a fresh allocation
 //! for every intermediate — sharing no helper with `src/`. The optimized
-//! [`Encoder`] and [`LayeredEncoder`] must emit its bytes exactly: on the
-//! bitmap-dedup path (depth <= 8), the packed radix-sort path (depth
-//! 9..=13) and the pair path beyond, at every color width, on every SIMD
-//! backend. The last test pins six streams outright.
+//! [`LayeredEncoder`] must emit its bytes exactly, and [`Encoder`] those of
+//! its one-layer frame: on the bitmap-dedup path (depth <= 8), the packed
+//! radix-sort path (depth 9..=13) and the pair path beyond, at every color
+//! width, on every SIMD backend. The last test pins six streams outright.
 
 use volcast_pointcloud::codec::simd::Backend;
 use volcast_pointcloud::codec::{
@@ -310,45 +310,6 @@ mod naive {
         nodes
     }
 
-    /// One node, then its occupied children's subtrees, ascending.
-    fn preorder(levels: &[BTreeMap<u64, u8>], level: u32, prefix: u64, out: &mut Vec<(u32, u8)>) {
-        let mask = levels[level as usize][&prefix];
-        out.push((level, mask));
-        if level as usize + 1 < levels.len() {
-            for child in 0..8u64 {
-                if mask & (1 << child) != 0 {
-                    preorder(levels, level + 1, (prefix << 3) | child, out);
-                }
-            }
-        }
-    }
-
-    /// The single stream.
-    pub fn encode(cloud: &PointCloud, depth: u32, color_bits: u32) -> Vec<u8> {
-        let voxels = voxelize(cloud, depth);
-        let mut data = Vec::new();
-        data.extend_from_slice(b"VOC3");
-        data.push(depth as u8);
-        data.push(color_bits as u8);
-        data.extend_from_slice(&(voxels.len() as u32).to_le_bytes());
-        push_bounds(&mut data, cloud);
-        if voxels.is_empty() {
-            return data; // the header alone
-        }
-        let levels: Vec<_> = (0..depth).map(|l| nodes_at(&voxels, depth, l)).collect();
-        let mut masks = Vec::new();
-        preorder(&levels, 0, 0, &mut masks);
-        let mut plane = Plane { bits: Vec::new() };
-        let colors: Vec<[u32; 3]> = voxels
-            .values()
-            .map(|v| split_color(&mut plane, quantized(v, color_bits), color_bits))
-            .collect();
-        let alphabet = 1usize << (color_bits - color_bits / 2);
-        data.extend_from_slice(&plane.bytes());
-        data.extend_from_slice(&entropy_block(0, depth, &masks, &colors, alphabet));
-        data
-    }
-
     /// The layer stack, base first.
     pub fn encode_layers(cloud: &PointCloud, depths: &[u32], color_bits: u32) -> Vec<Vec<u8>> {
         let full_depth = *depths.last().unwrap();
@@ -424,12 +385,20 @@ fn assert_matches_naive(enc: &mut Encoder, cloud: &PointCloud, cfg: &CodecConfig
     let mut stream = Vec::new();
     enc.encode_into(cloud, cfg, &mut stream);
     assert!(
-        naive::encode(cloud, cfg.depth, cfg.color_bits) == stream,
+        naive::encode_layers(cloud, &[cfg.depth], cfg.color_bits) == [stream],
         "naive and arena encoders diverged at depth {} color_bits {} ({} points)",
         cfg.depth,
         cfg.color_bits,
         cloud.len()
     );
+}
+
+/// The frame of one layer that `cfg`'s single stream is.
+fn one_layer(cfg: &CodecConfig) -> LayeredConfig {
+    LayeredConfig {
+        depths: vec![cfg.depth],
+        color_bits: cfg.color_bits,
+    }
 }
 
 fn assert_layers_match_naive(enc: &mut LayeredEncoder, cloud: &PointCloud, cfg: &LayeredConfig) {
@@ -462,6 +431,7 @@ fn single_stream_matches_the_naive_encoder_at_every_depth_and_backend() {
         };
         assert_matches_naive(&mut Encoder::new(), &cloud, &cfg);
         assert_matches_naive(&mut Encoder::with_backend(Backend::Scalar), &cloud, &cfg);
+        assert_layers_match_naive(&mut LayeredEncoder::new(), &cloud, &one_layer(&cfg));
     }
 }
 
@@ -472,11 +442,9 @@ fn both_formats_match_the_naive_encoder_at_every_color_width() {
     let cloud = SyntheticBody::default().frame(2, 6_000);
     for color_bits in 1..=8 {
         for depth in [5, 10, 14] {
-            assert_matches_naive(
-                &mut Encoder::new(),
-                &cloud,
-                &CodecConfig { depth, color_bits },
-            );
+            let cfg = CodecConfig { depth, color_bits };
+            assert_matches_naive(&mut Encoder::new(), &cloud, &cfg);
+            assert_layers_match_naive(&mut LayeredEncoder::new(), &cloud, &one_layer(&cfg));
         }
         for depths in [vec![4, 7, 9], vec![3, 14]] {
             assert_layers_match_naive(
@@ -519,12 +487,11 @@ fn both_formats_match_the_naive_encoder_on_degenerate_clouds() {
     let p = Point::new([0.25, -1.0, 3.5], [90, 200, 17]);
     let stacked = PointCloud::from_points(vec![p, p, Point::new(p.pos, [91, 3, 255])]);
     for cloud in [PointCloud::new(), one_point, stacked] {
-        assert_matches_naive(&mut Encoder::new(), &cloud, &CodecConfig::default());
-        assert_layers_match_naive(
-            &mut LayeredEncoder::new(),
-            &cloud,
-            &LayeredConfig::default(),
-        );
+        let cfg = CodecConfig::default();
+        assert_matches_naive(&mut Encoder::new(), &cloud, &cfg);
+        for lcfg in [LayeredConfig::default(), one_layer(&cfg)] {
+            assert_layers_match_naive(&mut LayeredEncoder::new(), &cloud, &lcfg);
+        }
     }
 }
 
@@ -557,9 +524,9 @@ fn both_wire_formats_hash_to_their_pinned_values() {
     let cloud = SyntheticBody::default().frame(0, 20_000);
     let mut stream = Vec::new();
     for (depth, want) in [
-        (8, 0xb857dd173adcaa98_u64),
-        (9, 0xd07418b0f9673ba4),
-        (10, 0xfe35e8448d3fd7e4),
+        (8, 0x75fc22b65003b733_u64),
+        (9, 0x80c951eef4f90d59),
+        (10, 0x53e036409049b091),
     ] {
         let cfg = CodecConfig {
             depth,

@@ -17,11 +17,21 @@ design_bytes="$(wc -c < DESIGN.md)"
     echo "ERROR: DESIGN.md is $design_bytes bytes (limit 30720)" >&2
     exit 1
 }
-echo "DESIGN.md $design_bytes bytes; live lines: $(sh scripts/loc.sh | tail -1)"
+echo "DESIGN.md $design_bytes bytes; live lines: $(sh scripts/loc.sh | tail -1)," \
+    "codec $(sh scripts/loc.sh crates/pointcloud/src/codec | tail -1)"
 
 echo "==> the adaptive range coder is gone, not forked"
 if grep -rnE "RangeEncoder|RangeDecoder|BitModel" crates/; then
     echo "ERROR: range-coder identifiers survive under crates/" >&2
+    exit 1
+fi
+
+echo "==> the pre-order wire order is gone, not forked"
+# One emitter, one decoder (layered.rs): the only trace the single-stream
+# layout may leave is its magics in the BadMagic test.
+if grep -rn 'VOCT\|put_preorder\|fn node(' crates/*/src DESIGN.md README.md |
+    grep -v 'layered.rs:.*b"VOCT"'; then
+    echo "ERROR: names of the pre-order single-stream layout survive" >&2
     exit 1
 fi
 
@@ -122,14 +132,15 @@ echo "==> server bench is byte-identical at VOLCAST_THREADS=1 and 8, hash pinned
 # carries only deterministic metrics and the outcome hash, so a plain
 # diff is the thread-invariance witness; the hash keeps both from
 # drifting together. It covers the stream's chunk sizes, so it moves when
-# the codec's bytes do (last: the static rANS stage, PR 22) and only then.
+# the codec's bytes do and only then (last: PR 24, a legacy chunk became a
+# one-layer VLY3 frame, whose header is 11 bytes longer).
 tmp_srv1="$(mktemp)"
 tmp_srv8="$(mktemp)"
 VOLCAST_THREADS=1 cargo run -q --release -p volcast-bench --bin server > "$tmp_srv1" 2> /dev/null
 VOLCAST_THREADS=8 cargo run -q --release -p volcast-bench --bin server > "$tmp_srv8" 2> /dev/null
 diff "$tmp_srv1" "$tmp_srv8"
-grep -q "outcome hash 0x4bb0318f119d35df" "$tmp_srv1" || {
-    echo "ERROR: server outcome hash drifted (expected 0x4bb0318f119d35df):" >&2
+grep -q "outcome hash 0x9b7d9c4a847fa3ff" "$tmp_srv1" || {
+    echo "ERROR: server outcome hash drifted (expected 0x9b7d9c4a847fa3ff):" >&2
     tail -1 "$tmp_srv1" >&2
     exit 1
 }
@@ -163,16 +174,18 @@ sh benchmark/run.sh --smoke > /dev/null
 
 echo "==> benchmark workloads at full size: outcome hashes pinned"
 # One untraced pass each at the sizes the benchmark measures. The codec
-# pair covers both wire formats end to end (VOCT at the ladder's bottom
-# and top rungs, VLYR through encode, parity, repair and decode): a byte
-# of either bitstream cannot move without failing here. The simulator
+# pair covers the wire layout end to end (one-layer frames at the ladder's
+# bottom and top rungs, three-layer frames through encode, parity, repair
+# and decode): a byte of either cannot move without failing here. The simulator
 # trio covers the float programs of the frame path (both sessions, the
 # campus epoch loop): a moved ULP in the mmWave layer fails here. The
 # server row covers both of its stream kinds under every fault class, and
-# through their chunk sizes the codec's bytes too.
-for pin in codec_ladder:0x8f7bd53613cbb929 codec_layered:0xb00dbeed38dc616e \
+# through their chunk sizes the codec's bytes too. Last moved by PR 24:
+# codec_ladder and server only, every single stream 11 header bytes longer
+# as a one-layer VLY3 frame; codec_layered must not have moved with them.
+for pin in codec_ladder:0x97b4ac0961eaafb1 codec_layered:0xb00dbeed38dc616e \
     session_single:0x338effbe7f8a1bb5 session_layered_faulted:0x3f96d14ae75d2245 \
-    campus:0x22ab495ca9fac58d server:0x6f7283970444457d; do
+    campus:0x22ab495ca9fac58d server:0xa52a4b03a0514405; do
     workload="${pin%%:*}"
     want="${pin##*:}"
     pass="$(sh benchmark/run.sh --workload "$workload" --seed 42 --seconds 1 --trace 0 2>&1)"
