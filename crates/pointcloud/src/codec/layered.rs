@@ -298,7 +298,10 @@ impl Encoder {
         cfg: &CodecConfig,
         out: &mut Vec<u8>,
     ) -> CodecStats {
+        let voxelize = obs::span("codec.voxelize");
         let bounds = self.voxelize(cloud, cfg);
+        drop(voxelize);
+        let _emit = obs::span("codec.emit");
         let layer = Layer {
             index: 0,
             total: 1,
@@ -395,6 +398,7 @@ impl LayeredEncoder {
             depth: full_depth,
             color_bits: cfg.color_bits,
         };
+        let voxelize = obs::span("codec.voxelize");
         let bounds = self.enc.voxelize(cloud, &full_cfg);
         let (codes, csums) = (self.enc.codes.get(), self.enc.csums.get());
 
@@ -442,7 +446,9 @@ impl LayeredEncoder {
             let depth = cfg.depths[k];
             Voxels { depth, codes, q }
         };
+        drop(voxelize);
 
+        let _emit = obs::span("codec.emit");
         out.reset(layers);
         for k in 0..layers {
             let layer = Layer {
@@ -617,6 +623,7 @@ impl LayeredDecoder {
         let exp_b = exp_b.begin();
         let new_q_buf = new_q.begin();
         if count > 0 {
+            let expand = obs::span("codec.decode.expand");
             let (mut colors, mut block) = ColorReader::new(&data[header_len..], coded, color_bits)?;
             let alphabet = 1 << split_color(color_bits).0;
             model.parse(
@@ -665,6 +672,8 @@ impl LayeredDecoder {
                     "rANS decoder ran past the end of the occupancy stream",
                 ));
             }
+            drop(expand);
+            let _colors = obs::span("codec.decode.colors");
             // Every code extends one anchor — a voxel of the layer below,
             // or the virtual root — in the same order: each anchor's
             // descendants are the next run. `seen` keeps the residuals read
@@ -740,6 +749,7 @@ impl LayeredDecoder {
         if st.count == 0 {
             return Ok(0);
         }
+        let _span = obs::span("codec.reconstruct");
         reconstruct(
             self.codes.get(),
             |i| self.qcols.get()[i].map(u32::from),

@@ -8,9 +8,12 @@
 //! per-voxel color sums — through a flat occupancy bitmap while the key
 //! space fits [`BITMAP_MAX_KEY_BITS`], a stable LSD radix sort plus
 //! [`merge_runs`] above it — and builds the frame's [`Tree`] once: one
-//! 8-bit child mask per node, level-major, no pointers. The layers of a
-//! frame are cut from that tree and emitted through the encoder's
-//! [`Stage`].
+//! 8-bit child mask per node, level-major, no pointers. The bitmap is
+//! all-zero between calls and a one-bit-per-word summary records what a
+//! frame set, so a frame scans and clears the words it touched, not the
+//! key space; the tree folds each level with no data-dependent branch. The
+//! layers of a frame are cut from that tree and emitted through the
+//! encoder's [`Stage`].
 //!
 //! The header pieces ([`write_bounds`] / [`read_bounds`], [`check_header`]),
 //! the color split ([`ColorWriter`] / [`ColorReader`]) and the voxel →
@@ -40,6 +43,7 @@ use super::simd::{
     PACKED_MAX_DEPTH,
 };
 use crate::point::{Point, PointCloud};
+use std::cell::Cell;
 use volcast_geom::{Aabb, Vec3};
 use volcast_util::scratch::ScratchVec;
 
@@ -129,8 +133,9 @@ const RADIX_MAX_DIGIT_BITS: u32 = 15;
 /// Largest Morton key (`3 * depth` bits) deduplicated through the flat
 /// occupancy bitmap instead of a sort: 2^24 bits = 2 MiB of persistent
 /// encoder scratch at the cap, falling fast with depth (256 KiB at depth
-/// 7). Beyond this the bitmap would dwarf the point data and the radix
-/// sort takes over.
+/// 7), all-zero between calls, so its size costs memory, not time. Beyond
+/// this the bitmap would dwarf the point data and the radix sort takes
+/// over.
 const BITMAP_MAX_KEY_BITS: u32 = 24;
 
 /// Stable LSD radix sort by an extracted `u64` key, ping-ponging between
@@ -224,6 +229,18 @@ pub(super) fn merge_runs<V, A: Default>(
     }
 }
 
+/// Calls `f` with the index of every set bit of `words`, ascending.
+#[inline(always)]
+fn for_each_one(words: &[u64], mut f: impl FnMut(usize)) {
+    for (i, &w) in words.iter().enumerate() {
+        let mut w = w;
+        while w != 0 {
+            f(i << 6 | w.trailing_zeros() as usize);
+            w &= w - 1;
+        }
+    }
+}
+
 /// The frame's occupancy tree, flat: for each level `L` below the leaves,
 /// one 8-bit child mask per distinct length-`L` Morton prefix in ascending
 /// prefix order, so level `L + 1`'s nodes are level `L`'s set bits in
@@ -254,38 +271,16 @@ impl Tree {
         if codes.is_empty() {
             return;
         }
-        // Children arrive sorted, so a parent's are adjacent: one joins the
-        // last mask, or opens the next and says so.
-        let fold = |child: u64, last: &mut u64, masks: &mut Vec<u8>| {
-            let (parent, bit) = (child >> 3, 1u8 << (child & 0b111));
-            if parent == *last {
-                *masks.last_mut().expect("a parent has a mask") |= bit;
-                return false;
-            }
-            masks.push(bit);
-            *last = parent;
-            true
-        };
-        let mut last = u64::MAX; // codes are < 2^48: safe sentinel
-        for &code in codes {
-            if fold(code, &mut last, masks) {
-                prefixes.push(last);
-            }
-        }
-        self.span[depth as usize - 1] = (0, masks.len());
+        prefixes.resize(codes.len(), 0);
+        let parents = Cell::from_mut(&mut prefixes[..]).as_slice_of_cells();
+        let mut n = fold(codes.len(), |i| codes[i], masks, parents);
+        self.span[depth as usize - 1] = (0, n);
         for level in (0..depth as usize - 1).rev() {
             let start = masks.len();
-            // Parents overwrite the front of the list they are read from.
-            let (mut last, mut parents) = (u64::MAX, 0);
-            for i in 0..prefixes.len() {
-                if fold(prefixes[i], &mut last, masks) {
-                    prefixes[parents] = last;
-                    parents += 1;
-                }
-            }
-            prefixes.truncate(parents);
+            n = fold(n, |i| parents[i].get(), masks, parents);
             self.span[level] = (start, masks.len());
         }
+        prefixes.truncate(n);
     }
 
     /// Level `level`'s child masks, one per node in ascending prefix order.
@@ -293,6 +288,38 @@ impl Tree {
         let (start, end) = self.span[level as usize];
         &self.masks.get()[start..end]
     }
+}
+
+/// Folds `len` sorted children, `child(i)`, into one mask per parent,
+/// appended to `masks`, without a branch: a parent's children are adjacent,
+/// so child `i` ORs its bit into slot `n - 1`, where `n` counts the
+/// distinct parents up to it, and writes its parent's prefix to
+/// `parents[n - 1]` — at or behind `i`, so a level folds in place over the
+/// list it reads. Returns `n`.
+#[inline(always)]
+fn fold(
+    len: usize,
+    child: impl Fn(usize) -> u64,
+    masks: &mut Vec<u8>,
+    parents: &[Cell<u64>],
+) -> usize {
+    let start = masks.len();
+    masks.resize(start + len, 0);
+    let slots = &mut masks[start..];
+    // Codes are < 2^48: a safe sentinel. The mask is kept in a register
+    // and restarted from 0 by a new parent.
+    let (mut n, mut last, mut mask) = (0, u64::MAX, 0u8);
+    for i in 0..len {
+        let c = child(i);
+        let new = (c >> 3 != last) as usize;
+        n += new;
+        mask = (mask & (new as u8).wrapping_sub(1)) | 1 << (c & 0b111);
+        slots[n - 1] = mask;
+        parents[n - 1].set(c >> 3);
+        last = c >> 3;
+    }
+    masks.truncate(start + n);
+    n
 }
 
 /// How a quantized color value travels: `(coded, raw)` bit widths. The high
@@ -525,10 +552,15 @@ pub struct Encoder {
     /// Flat radix histograms; cleared+resized per sort, capacity retained.
     radix_counts: Vec<u32>,
     /// Morton-space occupancy bitmap (shallow keys only, one bit per
-    /// possible code; <= 2 MiB, see [`BITMAP_MAX_KEY_BITS`]).
+    /// possible code; <= 2 MiB, see [`BITMAP_MAX_KEY_BITS`]). All-zero
+    /// between calls: a frame clears the words it set, and only those.
     occ: Vec<u64>,
-    /// Exclusive prefix popcounts over `occ` words: rank of the first code
-    /// in each word among all occupied codes.
+    /// One bit per `occ` word, set if this frame set a bit there (<= 32
+    /// KiB); all-zero between calls too.
+    touched: Vec<u64>,
+    /// Exclusive prefix popcounts over the touched `occ` words: rank of the
+    /// first code in each word among all occupied codes. Untouched words'
+    /// entries are stale and never read.
     word_rank: Vec<u32>,
     /// What [`Encoder::voxelize`] leaves behind: sorted unique Morton
     /// codes, their color sums and quantized floor-average colors, and the
@@ -564,6 +596,7 @@ impl Encoder {
             deep_tmp: ScratchVec::new("codec.scratch.deep_tmp"),
             radix_counts: Vec::new(),
             occ: Vec::new(),
+            touched: Vec::new(),
             word_rank: Vec::new(),
             codes: ScratchVec::new("codec.scratch.codes"),
             csums: ScratchVec::new("codec.scratch.csums"),
@@ -622,28 +655,28 @@ impl Encoder {
                 // voxel slot in O(1), so color sums accumulate in input
                 // order with no 16-byte scatter passes. Identical output to
                 // sort+merge: the code list is the same sorted set, and the
-                // per-voxel sums are commutative.
+                // per-voxel sums are commutative. The bitmap is all-zero
+                // between calls (growth zero-fills, shrinking drops zeros),
+                // and `touched` says which of its words this frame set:
+                // the scan, the ranks and the clear visit those alone.
                 let words = (1usize << (3 * cfg.depth)).div_ceil(64);
-                self.occ.clear();
                 self.occ.resize(words, 0);
+                self.touched.resize(words.div_ceil(64), 0);
+                self.word_rank.resize(words, 0);
+                debug_assert!(self.occ.iter().chain(&self.touched).all(|&w| w == 0));
                 for &w in packed.iter() {
                     let code = split(w).0 as usize;
                     self.occ[code >> 6] |= 1u64 << (code & 63);
+                    self.touched[code >> 12] |= 1u64 << ((code >> 6) & 63);
                 }
-                self.word_rank.clear();
-                self.word_rank.reserve(words);
                 codes.reserve(packed.len().min(1usize << (3 * cfg.depth)));
                 let mut total = 0u32;
-                for (wi, &bits) in self.occ.iter().enumerate() {
-                    self.word_rank.push(total);
-                    let base = (wi as u64) << 6;
-                    let mut b = bits;
-                    while b != 0 {
-                        codes.push(base | b.trailing_zeros() as u64);
-                        b &= b - 1;
-                    }
+                for_each_one(&self.touched, |wi| {
+                    let bits = self.occ[wi];
+                    self.word_rank[wi] = total;
                     total += bits.count_ones();
-                }
+                    for_each_one(&[bits], |b| codes.push((wi << 6 | b) as u64));
+                });
                 csums.resize(codes.len(), ([0; 3], 0));
                 for &w in packed.iter() {
                     let (code, rgb) = split(w);
@@ -652,6 +685,8 @@ impl Encoder {
                     let slot = (self.word_rank[code >> 6] + below.count_ones()) as usize;
                     add_rgb(&mut csums[slot], rgb);
                 }
+                for_each_one(&self.touched, |wi| self.occ[wi] = 0);
+                self.touched.fill(0);
             } else {
                 // The sort is stable and keyed on the code field only, so
                 // equal-code words stay in input order.
@@ -690,9 +725,13 @@ impl Encoder {
             merge_runs(deep.iter().copied(), add_rgb, codes, csums);
         }
         // Each voxel's color is the floor-average of its merged points,
-        // cut to the top `color_bits` bits.
+        // cut to the top `color_bits` bits. Most deep voxels hold one
+        // point, and their average is their sum.
         let shift = 8 - cfg.color_bits;
-        let quantize = |&(sums, count): &ColorSum| sums.map(|s| ((s / count) >> shift) as u8);
+        let quantize = |&(sums, count): &ColorSum| match count {
+            1 => sums.map(|s| (s >> shift) as u8),
+            _ => sums.map(|s| ((s / count) >> shift) as u8),
+        };
         self.q.begin().extend(csums.iter().map(quantize));
         // The sort is over, so its ping-pong buffer is free to be the
         // tree's scratch.

@@ -25,10 +25,13 @@ fn steady_state_frame_path_does_not_allocate() {
     obs::set_enabled(false);
 
     let body = SyntheticBody::default();
-    let cfg = CodecConfig {
-        depth: 9,
+    // The ladder's two timed rungs, alternating: depth 8 dedups through the
+    // bitmap at its 2 MiB cap, depth 10 through the radix sort, so a warm
+    // encoder switches paths (and bitmap sizes) every frame.
+    let [cfg8, cfg10] = [8, 10].map(|depth| CodecConfig {
+        depth,
         color_bits: 6,
-    };
+    });
     const FRAMES: u64 = 8;
     const POINTS: usize = 10_000;
 
@@ -48,7 +51,8 @@ fn steady_state_frame_path_does_not_allocate() {
         let mut voxels = 0usize;
         for f in 0..FRAMES {
             body.frame_into(f, POINTS, cloud);
-            let stats = enc.encode_into(cloud, &cfg, &mut encoded.data);
+            let cfg = if f % 2 == 0 { &cfg8 } else { &cfg10 };
+            let stats = enc.encode_into(cloud, cfg, &mut encoded.data);
             voxels += dec.decode_into(encoded, decoded).unwrap();
             assert_eq!(decoded.len(), stats.voxels);
         }
@@ -132,16 +136,11 @@ fn steady_state_frame_path_does_not_allocate() {
     // under VOLCAST_THREADS=4 runs).
     par::set_thread_count(1);
     let clouds: Vec<PointCloud> = (0..FRAMES).map(|f| body.frame(f, POINTS)).collect();
-    // Depth 7 exercises the bitmap-dedup path, the depth-9 `cfg` the radix
-    // path; one warm GopEncoder must stay allocation-free across both.
-    let cfg7 = CodecConfig {
-        depth: 7,
-        color_bits: 6,
-    };
+    // One warm GopEncoder must stay allocation-free across both rungs.
     let mut gop = GopEncoder::new();
     let gop_pass = |gop: &mut GopEncoder| {
         let mut bytes = 0usize;
-        for pass_cfg in [&cfg7, &cfg] {
+        for pass_cfg in [&cfg8, &cfg10] {
             gop.encode_gop_into(&clouds, pass_cfg);
             for i in 0..clouds.len() {
                 bytes += gop.frame_data(i).len();

@@ -495,24 +495,43 @@ fn both_formats_match_the_naive_encoder_on_degenerate_clouds() {
     }
 }
 
-/// Reused encoders (warm scratch arenas, shrinking and growing frames)
-/// must agree with the reference on every frame, not only the first.
+/// Reused encoders must agree with the reference on every frame, not only
+/// the first. The bitmap is carried across calls, all-zero only if every
+/// frame clears what it set, so one encoder of each kind crosses every
+/// dedup path (an empty cloud takes the radix path) and grows and shrinks
+/// the key space: a stale bit would show up as a voxel no point made.
 #[test]
 fn reused_encoders_match_the_naive_encoder_across_frames() {
-    let cfg = CodecConfig {
-        depth: 7,
-        color_bits: 6,
-    };
-    let lcfg = LayeredConfig {
-        depths: vec![5, 7, 9],
-        color_bits: 5,
-    };
     let body = SyntheticBody::default();
     let mut enc = Encoder::new();
     let mut lenc = LayeredEncoder::new();
-    for (frame, points) in [20_000, 35_000, 5_000, 30_000].into_iter().enumerate() {
+    let schedule = [
+        (8, 41_000),
+        (3, 500),
+        (8, 0),
+        (1, 1),
+        (10, 20_000),
+        (7, 35_000),
+        (8, 5_000),
+        (13, 3_000),
+        (15, 2_000),
+        (8, 20_000),
+    ];
+    for (frame, (depth, points)) in schedule.into_iter().enumerate() {
         let cloud = body.frame(frame as u64, points);
+        let cfg = CodecConfig {
+            depth,
+            color_bits: 6,
+        };
         assert_matches_naive(&mut enc, &cloud, &cfg);
+        let lcfg = LayeredConfig {
+            depths: if depth > 2 {
+                vec![depth - 2, depth]
+            } else {
+                vec![depth]
+            },
+            color_bits: 5,
+        };
         assert_layers_match_naive(&mut lenc, &cloud, &lcfg);
     }
 }

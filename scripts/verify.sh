@@ -72,6 +72,12 @@ echo "==> codec round-trip is allocation-free under the counting allocator"
 # tracing on — the test disables obs itself and must stay green anyway.
 VOLCAST_TRACE=1 cargo test --release -q -p volcast-pointcloud --test codec_alloc
 
+echo "==> the naive encoder referees the optimized one in release too"
+# The encoder carries its bitmap across calls, all-zero only if every frame
+# clears what it set; the debug_assert that checks it is compiled out here,
+# so the reuse referee runs at the optimization level the benchmark ships.
+cargo test --release -q -p volcast-pointcloud --test seed_reference
+
 echo "==> warm link evaluations are allocation-free under the counting allocator"
 # Same arrangement for what the session's link_rates stage runs per user
 # per frame: SweepRx::prepare_paths plus both link beams.
@@ -183,6 +189,7 @@ echo "==> benchmark workloads at full size: outcome hashes pinned"
 # through their chunk sizes the codec's bytes too. Last moved by PR 24:
 # codec_ladder and server only, every single stream 11 header bytes longer
 # as a one-layer VLY3 frame; codec_layered must not have moved with them.
+# PR 25 (the encoder's front half, bytes unchanged) moved no pin.
 for pin in codec_ladder:0x97b4ac0961eaafb1 codec_layered:0xb00dbeed38dc616e \
     session_single:0x338effbe7f8a1bb5 session_layered_faulted:0x3f96d14ae75d2245 \
     campus:0x22ab495ca9fac58d server:0xa52a4b03a0514405; do
