@@ -3,11 +3,11 @@
 //! Every encode starts the same way ([`Encoder`], `octree.rs`):
 //!
 //! 1. **Voxelize.** Quantize positions to `depth` bits per axis inside the
-//!    cloud's bounding cube and Morton-interleave them through the SIMD
-//!    kernels in [`simd`] (runtime-selected, byte-identical scalar fallback;
-//!    `VOLCAST_NO_SIMD=1` forces it). Points sharing a voxel merge, their
-//!    color becoming the floor-average — the same lossy behaviour as
-//!    voxelized Draco geometry.
+//!    cloud's bounding cube and Morton-interleave them through the one
+//!    safe kernel in [`simd`] (an AVX2 copy of it chosen at run time where
+//!    the CPU has AVX2, bit-equal to the baseline copy). Points sharing a
+//!    voxel merge, their color becoming the floor-average — the same lossy
+//!    behaviour as voxelized Draco geometry.
 //! 2. **Tree.** Build the occupancy tree over the sorted unique codes once:
 //!    an 8-bit child mask per node, stored level-major.
 //! 3. **Emit** (`layered.rs`) the tree cut at increasing depths into

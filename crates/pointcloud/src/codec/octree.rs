@@ -2,9 +2,10 @@
 //! layout ([`super::layered`]) share.
 //!
 //! [`Encoder::voxelize`] is the front half of every encode. It quantizes
-//! the cloud and Morton-interleaves it through [`super::simd`] (one packed
-//! `(code << 24) | rgb` word per point up to [`PACKED_MAX_DEPTH`], scalar
-//! `(code, rgb)` pairs beyond), deduplicates into sorted unique codes with
+//! the cloud and Morton-interleaves it through the one kernel in
+//! [`super::simd`] (one packed `(code << 24) | rgb` word per point up to
+//! [`PACKED_MAX_DEPTH`], `(code, rgb)` pairs under the same quantization
+//! rule beyond), deduplicates into sorted unique codes with
 //! per-voxel color sums — through a flat occupancy bitmap while the key
 //! space fits [`BITMAP_MAX_KEY_BITS`], a stable LSD radix sort plus
 //! [`merge_runs`] above it — and builds the frame's [`Tree`] once: one
@@ -39,8 +40,7 @@
 
 use super::rans::{DecModel, EncModel, RansDecoder, RansEncoder};
 use super::simd::{
-    self, morton_decode, morton_encode, pack_color, Backend, QuantParams, COLOR_SHIFT,
-    PACKED_MAX_DEPTH,
+    self, morton_decode, morton_encode, pack_color, QuantParams, COLOR_SHIFT, PACKED_MAX_DEPTH,
 };
 use crate::point::{Point, PointCloud};
 use std::cell::Cell;
@@ -121,8 +121,9 @@ pub struct CodecStats {
 pub(super) const MAX_DEPTH: u32 = 16;
 
 /// A quantized point on the deep (`depth > PACKED_MAX_DEPTH`) path:
-/// (morton code, packed RGB color). The shallow path packs both into one
-/// `u64` instead (see [`super::simd`]), halving sort traffic.
+/// (morton code, packed RGB color), each axis quantized by
+/// [`simd::quantize`]. The shallow path packs both into one `u64` instead
+/// ([`simd::quantize_morton_points`]), halving sort traffic.
 type Voxel = (u64, u32);
 
 /// Widest radix digit; chosen so a 30-bit key (depth 10) sorts in two
@@ -570,7 +571,6 @@ pub struct Encoder {
     pub(super) q: ScratchVec<[u8; 3]>,
     pub(super) tree: Tree,
     pub(super) stage: Stage,
-    backend: Backend,
 }
 
 impl Default for Encoder {
@@ -580,15 +580,8 @@ impl Default for Encoder {
 }
 
 impl Encoder {
-    /// Creates an encoder with empty (cold) scratch buffers, using the
-    /// process-wide [`simd::active`] backend.
+    /// Creates an encoder with empty (cold) scratch buffers.
     pub fn new() -> Self {
-        Self::with_backend(simd::active())
-    }
-
-    /// Creates an encoder pinned to a specific SIMD backend (for tests and
-    /// benchmarks; all backends produce byte-identical bitstreams).
-    pub fn with_backend(backend: Backend) -> Self {
         Encoder {
             packed: ScratchVec::new("codec.scratch.packed"),
             packed_tmp: ScratchVec::new("codec.scratch.packed_tmp"),
@@ -607,7 +600,6 @@ impl Encoder {
                 csyms: ScratchVec::new("codec.scratch.color_syms"),
                 rans: RansEncoder::new(),
             },
-            backend,
         }
     }
 
@@ -642,10 +634,10 @@ impl Encoder {
         let codes = self.codes.begin();
         let csums = self.csums.begin();
         if cfg.depth <= PACKED_MAX_DEPTH {
-            // Shallow path: one packed u64 per point through the SIMD
-            // kernels.
+            // Shallow path: one packed u64 per point through the
+            // quantize + Morton kernel.
             let packed = self.packed.begin();
-            simd::quantize_morton_points(self.backend, points, &q, packed);
+            simd::quantize_morton_points(points, &q, packed);
             let split = |w: u64| (w >> COLOR_SHIFT, (w & ((1 << COLOR_SHIFT) - 1)) as u32);
             if 3 * cfg.depth <= BITMAP_MAX_KEY_BITS && !packed.is_empty() {
                 // Bitmap dedup: the key space is small enough that a flat
@@ -703,13 +695,12 @@ impl Encoder {
             }
         } else {
             // Deep path (depth 14..=16): codes no longer co-pack with the
-            // color, so fall back to scalar (code, rgb) pairs.
+            // color, so fall back to (code, rgb) pairs, quantized by the
+            // kernel's own rule.
             let deep = self.deep.begin();
-            let m = q.max_q as i64;
+            let hi = q.max_q as f64;
             let quant = |pos: [f32; 3]| {
-                let x = (((pos[0] as f64 - q.min[0]) * q.scale) as i64).clamp(0, m) as u32;
-                let y = (((pos[1] as f64 - q.min[1]) * q.scale) as i64).clamp(0, m) as u32;
-                let z = (((pos[2] as f64 - q.min[2]) * q.scale) as i64).clamp(0, m) as u32;
+                let [x, y, z] = [0, 1, 2].map(|a| simd::quantize(pos[a], q.min[a], q.scale, hi));
                 morton_encode(x, y, z, cfg.depth)
             };
             deep.extend(points.iter().map(|p| (quant(p.pos), pack_color(p.color))));

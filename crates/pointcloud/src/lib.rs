@@ -29,10 +29,11 @@
 //! assert_eq!(cells.iter().map(|c| c.point_count).sum::<usize>(), 2_000);
 //! ```
 
-// `deny`, not `forbid`: the one sanctioned exception is `codec::simd`,
-// which opts back in for its `core::arch` kernels (every block documented,
-// enforced by `clippy::undocumented_unsafe_blocks` in verify.sh). All other
-// crates in the workspace stay at `forbid`.
+// `deny`, not `forbid`: the one sanctioned exception is
+// `codec::simd::quantize_morton_points`, whose single `unsafe` block calls
+// the AVX2-compiled copy of the kernel once the CPU has reported AVX2
+// (documented, enforced by `clippy::undocumented_unsafe_blocks` in
+// verify.sh). All other crates in the workspace stay at `forbid`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -5,12 +5,8 @@
 //! (`seed_reference.rs` pins those) but must leave what a receiver
 //! reconstructs untouched — same voxels, same order, same positions, same
 //! colors — and may not pay for speed with bytes beyond the stated gate.
-//! The suite runs under the active SIMD backend and again under
-//! `VOLCAST_NO_SIMD=1` (`scripts/verify.sh`); the single-stream pins also
-//! force the scalar backend explicitly.
 
 use volcast_geom::Vec3;
-use volcast_pointcloud::codec::simd::Backend;
 use volcast_pointcloud::codec::{
     CodecConfig, Decoder, EncodedCloud, Encoder, LayeredConfig, LayeredDecoder, LayeredEncoder,
     LayeredFrame,
@@ -72,12 +68,10 @@ fn decoded_clouds_hash_to_the_values_recorded_before_the_format_moved() {
         let mut decoded = PointCloud::new();
         for (level, want) in LEVELS.into_iter().zip(want_single) {
             let (cloud, cfg) = rung(seed, level, 0);
-            for mut enc in [Encoder::new(), Encoder::with_backend(Backend::Scalar)] {
-                enc.encode_into(&cloud, &cfg, &mut stream.data);
-                Decoder::new().decode_into(&stream, &mut decoded).unwrap();
-                let got = cloud_hash(&decoded);
-                assert_eq!(got, want, "seed {seed} depth {}: {got:#x}", cfg.depth);
-            }
+            Encoder::new().encode_into(&cloud, &cfg, &mut stream.data);
+            Decoder::new().decode_into(&stream, &mut decoded).unwrap();
+            let got = cloud_hash(&decoded);
+            assert_eq!(got, want, "seed {seed} depth {}: {got:#x}", cfg.depth);
         }
 
         let (cloud, _) = rung(seed, QualityLevel::High, 0);

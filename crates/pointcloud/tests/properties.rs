@@ -1,11 +1,12 @@
 //! Property tests for the point-cloud substrate: codec round-trip fidelity,
-//! SIMD/scalar backend equivalence, cell-partition invariants, the cell
-//! manifest's counting rule and subsampling behaviour.
+//! the quantize + Morton kernel against its saturating-cast reference,
+//! cell-partition invariants, the cell manifest's counting rule and
+//! subsampling behaviour.
 
 use std::collections::BTreeMap;
 use volcast_geom::Vec3;
-use volcast_pointcloud::codec::simd::{self, Backend, QuantParams};
-use volcast_pointcloud::codec::{decode, encode, CodecConfig, Encoder};
+use volcast_pointcloud::codec::simd::{self, QuantParams};
+use volcast_pointcloud::codec::{decode, encode, CodecConfig};
 use volcast_pointcloud::{CellGrid, CellId, CellInfo, Point, PointCloud, VideoSequence};
 use volcast_util::prop::prelude::*;
 
@@ -179,35 +180,35 @@ fn qparams(cloud: &PointCloud, depth: u32) -> QuantParams {
     }
 }
 
+/// The quantization rule the kernel replaced: truncate with a saturating
+/// `as i64` cast, then clamp; then Morton-interleave and pack the color.
+fn reference_words(cloud: &PointCloud, q: &QuantParams) -> Vec<u64> {
+    let m = q.max_q as i64;
+    let quant = |x: f32, a: usize| (((x as f64 - q.min[a]) * q.scale) as i64).clamp(0, m) as u32;
+    cloud
+        .points
+        .iter()
+        .map(|p| {
+            let [x, y, z] = [0, 1, 2].map(|a| quant(p.pos[a], a));
+            simd::morton_encode(x, y, z, q.depth) << simd::COLOR_SHIFT
+                | simd::pack_color(p.color) as u64
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The runtime-selected SIMD backend's quantize+Morton kernel is
-    /// bit-identical to the scalar reference on random NaN-free clouds
-    /// (sizes 0.. — empty and 1-point shrink out of the same range, and
-    /// 300 > `BLOCK` leaves a ragged last block). When the host selects
-    /// the scalar backend (or `VOLCAST_NO_SIMD=1`), this degenerates to
-    /// scalar-vs-scalar and stays green.
+    /// The quantize + Morton kernel, on whichever copy the host runs, is
+    /// bit-identical to the saturating-cast reference on random NaN-free
+    /// clouds at every packed depth (sizes 0.. — empty and 1-point shrink
+    /// out of the same range).
     #[test]
     fn simd_quantization_matches_scalar(cloud in arb_cloud(300), depth in 1u32..14) {
         let q = qparams(&cloud, depth);
-        let mut scalar = Vec::new();
-        let mut vector = Vec::new();
-        simd::quantize_morton_points(Backend::Scalar, &cloud.points, &q, &mut scalar);
-        simd::quantize_morton_points(simd::active(), &cloud.points, &q, &mut vector);
-        prop_assert_eq!(&scalar, &vector, "backend divergence");
-    }
-
-    /// Full-pipeline version of the same contract: a scalar-pinned encoder
-    /// and the runtime-selected one produce byte-identical bitstreams.
-    #[test]
-    fn encoder_backends_are_bitstream_identical(cloud in arb_cloud(200), depth in 1u32..14) {
-        let cfg = CodecConfig { depth, color_bits: 6 };
-        let mut scalar_out = Vec::new();
-        let mut vector_out = Vec::new();
-        Encoder::with_backend(Backend::Scalar).encode_into(&cloud, &cfg, &mut scalar_out);
-        Encoder::with_backend(simd::active()).encode_into(&cloud, &cfg, &mut vector_out);
-        prop_assert_eq!(&scalar_out, &vector_out, "bitstream divergence");
+        let mut got = Vec::new();
+        simd::quantize_morton_points(&cloud.points, &q, &mut got);
+        prop_assert_eq!(&got, &reference_words(&cloud, &q), "kernel diverged from the reference");
     }
 }
 

@@ -9,9 +9,8 @@
 //! [`LayeredEncoder`] must emit its bytes exactly, and [`Encoder`] those of
 //! its one-layer frame: on the bitmap-dedup path (depth <= 8), the packed
 //! radix-sort path (depth 9..=13) and the pair path beyond, at every color
-//! width, on every SIMD backend. The last test pins six streams outright.
+//! width. The last test pins six streams outright.
 
-use volcast_pointcloud::codec::simd::Backend;
 use volcast_pointcloud::codec::{
     CodecConfig, Encoder, LayeredConfig, LayeredEncoder, LayeredFrame,
 };
@@ -417,11 +416,10 @@ fn assert_layers_match_naive(enc: &mut LayeredEncoder, cloud: &PointCloud, cfg: 
     }
 }
 
-/// Every depth the format allows, on the active and the forced-scalar
-/// backend: depths 1..=8 take the bitmap, 9..=13 the packed radix sort,
-/// 14..=16 the `(code, rgb)` pair path.
+/// Every depth the format allows: depths 1..=8 take the bitmap, 9..=13 the
+/// packed radix sort, 14..=16 the `(code, rgb)` pair path.
 #[test]
-fn single_stream_matches_the_naive_encoder_at_every_depth_and_backend() {
+fn single_stream_matches_the_naive_encoder_at_every_depth() {
     let body = SyntheticBody::default();
     for depth in 1..=16u32 {
         let cloud = body.frame(depth as u64, if depth <= 10 { 12_000 } else { 5_000 });
@@ -430,7 +428,6 @@ fn single_stream_matches_the_naive_encoder_at_every_depth_and_backend() {
             color_bits: 6,
         };
         assert_matches_naive(&mut Encoder::new(), &cloud, &cfg);
-        assert_matches_naive(&mut Encoder::with_backend(Backend::Scalar), &cloud, &cfg);
         assert_layers_match_naive(&mut LayeredEncoder::new(), &cloud, &one_layer(&cfg));
     }
 }

@@ -106,7 +106,8 @@ impl<T> ScratchVec<T> {
 /// binary (one `#[test]` per file, or serialized), because the harness and
 /// sibling tests allocate concurrently.
 pub mod counting {
-    // The one place in the workspace that needs `unsafe`: implementing
+    // The one `unsafe` impl in the workspace (the codec's call into its
+    // AVX2 kernel copy is the one `unsafe` block): implementing
     // `GlobalAlloc` (its methods are `unsafe fn` by definition). The impl
     // only counts and forwards to `System`.
     #![allow(unsafe_code)]
