@@ -1,4 +1,4 @@
-//! Campus-scale multi-AP roaming benchmark (ROADMAP item 1).
+//! Campus-scale multi-AP roaming benchmark (DESIGN.md §4, "Campus").
 //!
 //! Runs the sharded campus simulation — a grid of two-AP rooms advanced
 //! in parallel per epoch, with roaming users handing off between rooms at

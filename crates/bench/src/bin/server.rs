@@ -1,4 +1,4 @@
-//! Session-server benchmark (ROADMAP item 2): thousands of simulated
+//! Session-server benchmark (DESIGN.md §4, "Server"): thousands of simulated
 //! clients streaming the wire-format container.
 //!
 //! Builds a real stream — synthetic-body frames, octree-encoded as one

@@ -1,5 +1,5 @@
-//! Campus-scale sharded simulation with roaming AP handoff (ROADMAP
-//! item 1; DESIGN.md §4).
+//! Campus-scale sharded simulation with roaming AP handoff (DESIGN.md
+//! §4, "Campus").
 //!
 //! The paper evaluates one room with one AP. A *campus* scales the world
 //! out: a `grid_w x grid_h` grid of identical rooms, each room an

@@ -4,28 +4,31 @@ use volcast_geom::{Spherical, Vec3};
 use volcast_mmwave::{
     combine_weights_multi, Channel, Codebook, McsTable, MultiLobeDesigner, PlanarArray,
 };
-use volcast_util::prop::prelude::*;
+use volcast_util::prop::run_cases_n;
+use volcast_util::rng::Rng;
 
-fn arb_dir() -> impl Strategy<Value = Spherical> {
-    (-1.2f64..1.2, -0.8f64..0.8).prop_map(|(az, el)| Spherical::new(az, el))
+fn arb_dir(rng: &mut Rng) -> Spherical {
+    Spherical::new(rng.gen_range(-1.2..1.2), rng.gen_range(-0.8..0.8))
 }
 
-fn arb_room_pos() -> impl Strategy<Value = Vec3> {
-    (-3.5f64..3.5, 0.8f64..2.0, -3.5f64..3.5).prop_map(|(x, y, z)| Vec3::new(x, y, z))
+fn arb_room_pos(rng: &mut Rng) -> Vec3 {
+    let (x, y) = (rng.gen_range(-3.5..3.5), rng.gen_range(0.8..2.0));
+    Vec3::new(x, y, rng.gen_range(-3.5..3.5))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn steered_beams_have_unit_power(dir in arb_dir()) {
+#[test]
+fn steered_beams_have_unit_power() {
+    run_cases_n("steered_beams_have_unit_power", 48, |rng| {
         let array = PlanarArray::airfide(Vec3::ZERO, Vec3::FORWARD);
-        let b = array.beam_toward(dir);
-        prop_assert!((b.power() - 1.0).abs() < 1e-9);
-    }
+        let b = array.beam_toward(arb_dir(rng));
+        assert!((b.power() - 1.0).abs() < 1e-9);
+    });
+}
 
-    #[test]
-    fn gain_peaks_at_steering_direction(dir in arb_dir(), probe in arb_dir()) {
+#[test]
+fn gain_peaks_at_steering_direction() {
+    run_cases_n("gain_peaks_at_steering_direction", 48, |rng| {
+        let (dir, probe) = (arb_dir(rng), arb_dir(rng));
         let array = PlanarArray::airfide(Vec3::ZERO, Vec3::FORWARD);
         let b = array.beam_toward(dir);
         // No probe direction may exceed the steered direction's gain
@@ -33,76 +36,98 @@ proptest! {
         let g_target = array.gain(&b, dir);
         let g_probe = array.gain(&b, probe);
         let elem = |d: Spherical| (d.azimuth.cos() * d.elevation.cos()).max(0.01);
-        prop_assert!(
+        assert!(
             g_probe / elem(probe) <= g_target / elem(dir) * (1.0 + 1e-9),
             "array factor exceeded its steering peak"
         );
-    }
+    });
+}
 
-    #[test]
-    fn combined_weights_unit_power(dirs in prop::collection::vec(arb_dir(), 1..5),
-                                   rss in prop::collection::vec(1e-9f64..1e-3, 1..5)) {
+#[test]
+fn combined_weights_unit_power() {
+    run_cases_n("combined_weights_unit_power", 48, |rng| {
+        let n = rng.gen_range(1..5usize);
+        let dirs: Vec<_> = (0..n).map(|_| arb_dir(rng)).collect();
+        let n = rng.gen_range(1..5usize);
+        let rss: Vec<f64> = (0..n).map(|_| rng.gen_range(1e-9..1e-3)).collect();
         let array = PlanarArray::airfide(Vec3::ZERO, Vec3::FORWARD);
         let k = dirs.len().min(rss.len());
         let beams: Vec<_> = (0..k)
             .map(|i| (array.beam_toward(dirs[i]), rss[i]))
             .collect();
         let c = combine_weights_multi(&beams);
-        prop_assert!((c.power() - 1.0).abs() < 1e-9);
-    }
+        assert!((c.power() - 1.0).abs() < 1e-9);
+    });
+}
 
-    #[test]
-    fn rss_finite_inside_room(pos in arb_room_pos()) {
+#[test]
+fn rss_finite_inside_room() {
+    run_cases_n("rss_finite_inside_room", 48, |rng| {
         let ch = Channel::default_setup();
-        let rss = ch.rss_dedicated_beam(pos, &[]);
-        prop_assert!(rss.is_finite());
+        let rss = ch.rss_dedicated_beam(arb_room_pos(rng), &[]);
+        assert!(rss.is_finite());
         // Plausible indoor range for a 32-element array.
-        prop_assert!((-95.0..=-30.0).contains(&rss), "rss {}", rss);
-    }
+        assert!((-95.0..=-30.0).contains(&rss), "rss {}", rss);
+    });
+}
 
-    #[test]
-    fn best_beam_at_least_dedicated(pos in arb_room_pos()) {
+#[test]
+fn best_beam_at_least_dedicated() {
+    run_cases_n("best_beam_at_least_dedicated", 48, |rng| {
+        let pos = arb_room_pos(rng);
         let ch = Channel::default_setup();
         let ded = ch.rss_dedicated_beam(pos, &[]);
         let best = ch.rss_best_beam(pos, &[]);
-        prop_assert!(best >= ded - 1e-9);
-    }
+        assert!(best >= ded - 1e-9);
+    });
+}
 
-    #[test]
-    fn blockers_never_increase_rss(pos in arb_room_pos(),
-                                   bx in -3.5f64..3.5, bz in -3.5f64..3.5) {
+#[test]
+fn blockers_never_increase_rss() {
+    run_cases_n("blockers_never_increase_rss", 48, |rng| {
+        let pos = arb_room_pos(rng);
+        let (bx, bz) = (rng.gen_range(-3.5..3.5), rng.gen_range(-3.5..3.5));
         let ch = Channel::default_setup();
         let blocker = volcast_mmwave::Blocker::person(Vec3::new(bx, 0.0, bz));
         let clear = ch.rss_dedicated_beam(pos, &[]);
         let blocked = ch.rss_dedicated_beam(pos, &[blocker]);
-        prop_assert!(blocked <= clear + 1e-9);
-    }
+        assert!(blocked <= clear + 1e-9);
+    });
+}
 
-    #[test]
-    fn designed_beam_never_below_best_sector(a in arb_room_pos(), b in arb_room_pos()) {
+#[test]
+fn designed_beam_never_below_best_sector() {
+    run_cases_n("designed_beam_never_below_best_sector", 48, |rng| {
+        let users = [arb_room_pos(rng), arb_room_pos(rng)];
         let ch = Channel::default_setup();
         let cb = Codebook::default_for(&ch.array);
         let d = MultiLobeDesigner::new(&ch, &cb);
-        let users = [a, b];
         let (_, rss) = d.best_common_sector(&users, &[]);
         let default_min = rss.into_iter().fold(f64::INFINITY, f64::min);
         let beam = d.design(&users, &[]);
-        prop_assert!(beam.common_rss_dbm() >= default_min - 1e-9);
-    }
+        assert!(beam.common_rss_dbm() >= default_min - 1e-9);
+    });
+}
 
-    #[test]
-    fn mcs_rate_monotone_in_rss(r1 in -90.0f64..-40.0, r2 in -90.0f64..-40.0) {
+#[test]
+fn mcs_rate_monotone_in_rss() {
+    run_cases_n("mcs_rate_monotone_in_rss", 48, |rng| {
+        let (r1, r2) = (rng.gen_range(-90.0..-40.0), rng.gen_range(-90.0..-40.0));
         let t = McsTable::dmg();
         let (lo, hi) = if r1 < r2 { (r1, r2) } else { (r2, r1) };
-        prop_assert!(t.phy_rate_mbps(lo) <= t.phy_rate_mbps(hi));
-    }
+        assert!(t.phy_rate_mbps(lo) <= t.phy_rate_mbps(hi));
+    });
+}
 
-    #[test]
-    fn multicast_rate_never_exceeds_any_member(rss in prop::collection::vec(-90.0f64..-40.0, 1..6)) {
+#[test]
+fn multicast_rate_never_exceeds_any_member() {
+    run_cases_n("multicast_rate_never_exceeds_any_member", 48, |rng| {
+        let n = rng.gen_range(1..6usize);
+        let rss: Vec<f64> = (0..n).map(|_| rng.gen_range(-90.0..-40.0)).collect();
         let t = McsTable::dmg();
         let group = t.multicast_rate_mbps(&rss);
         for &r in &rss {
-            prop_assert!(group <= t.phy_rate_mbps(r) + 1e-9);
+            assert!(group <= t.phy_rate_mbps(r) + 1e-9);
         }
-    }
+    });
 }

@@ -1,5 +1,5 @@
 //! The volcast wire format: a streamable container for encoded octree
-//! frames (ROADMAP item 2).
+//! frames (DESIGN.md §5, "Wire format").
 //!
 //! A serving story needs more than in-memory `EncodedCloud`s: clients join
 //! mid-stream, links truncate transfers, and a hostile peer can hand the
@@ -85,6 +85,9 @@ const ENTRY_LEN: usize = 8 + 4 + 8;
 /// must not be able to drive a multi-gigabyte allocation from a 14-byte
 /// header; at 30 FPS this cap is still over nine hours of video.
 pub const MAX_FRAMES: u32 = 1 << 20;
+/// Upper bound on `manifest_len`: the manifest of a layered stream of
+/// [`MAX_FRAMES`] chunks.
+const MAX_MANIFEST_LEN: usize = MANIFEST_FIXED_LEN + 1 + MAX_FRAMES as usize * ENTRY_LEN;
 /// Upper bound on a single chunk payload (64 MiB). Real encoded frames at
 /// paper scale are ~100 KiB; anything near this cap is corrupt or hostile.
 pub const MAX_CHUNK_LEN: u32 = 1 << 26;
@@ -255,12 +258,6 @@ impl StreamManifest {
         }
     }
 
-    /// Parses a legacy (flagless) manifest body — see
-    /// [`Self::decode_with_flags`].
-    pub fn decode(bytes: &[u8]) -> Result<StreamManifest, WireError> {
-        Self::decode_with_flags(bytes, 0)
-    }
-
     /// Parses a manifest body under the stream header's `flags`. `bytes`
     /// must be exactly the manifest slice (as delimited by the stream
     /// header's `manifest_len`).
@@ -303,7 +300,7 @@ impl StreamManifest {
         }
         let mut entries = Vec::with_capacity(frame_count as usize);
         let mut expected_offset = 0u64;
-        for i in 0..frame_count {
+        for _ in 0..frame_count {
             let offset = r.u64("manifest entry offset")?;
             let len = r.u32("manifest entry len")?;
             let checksum = r.u64("manifest entry checksum")?;
@@ -327,7 +324,6 @@ impl StreamManifest {
                 len,
                 checksum,
             });
-            let _ = i;
         }
         Ok(StreamManifest {
             depth,
@@ -480,11 +476,6 @@ impl StreamWriter {
         self.frames.push(payload.to_vec());
     }
 
-    /// Number of frames pushed so far.
-    pub fn frame_count(&self) -> usize {
-        self.frames.len()
-    }
-
     /// The manifest the finished stream will carry.
     pub fn manifest(&self) -> StreamManifest {
         let mut entries = Vec::with_capacity(self.frames.len());
@@ -564,25 +555,8 @@ impl<'a> StreamReader<'a> {
     /// area. Fails on truncated, oversized, or version-mismatched input —
     /// never panics.
     pub fn parse(bytes: &'a [u8]) -> Result<StreamReader<'a>, WireError> {
-        let mut r = Reader::new(bytes);
-        if r.take(4, "stream magic")? != STREAM_MAGIC {
-            return Err(WireError::BadMagic { what: "stream" });
-        }
-        let version = r.u16("stream version")?;
-        if version != WIRE_VERSION {
-            return Err(WireError::VersionMismatch {
-                got: version,
-                expected: WIRE_VERSION,
-            });
-        }
-        let flags = r.u16("stream flags")?;
-        if flags & !STREAM_FLAG_LAYERED != 0 {
-            return Err(WireError::Inconsistent("unknown stream flags"));
-        }
-        let manifest_len = r.u32("manifest_len")? as usize;
-        let manifest_bytes = r.take(manifest_len, "manifest")?;
-        let manifest = StreamManifest::decode_with_flags(manifest_bytes, flags)?;
-        let chunks = &bytes[STREAM_HEADER_LEN + manifest_len..];
+        let (manifest, head_len) = parse_head(bytes)?;
+        let chunks = &bytes[head_len..];
         if (chunks.len() as u64) < manifest.chunk_area_len() {
             return Err(WireError::Truncated {
                 what: "chunk area",
@@ -634,19 +608,7 @@ impl<'a> StreamReader<'a> {
     /// bytes, once the chunk header agrees with the manifest entry (whose
     /// checksum they have yet to be hashed against).
     fn unhashed_payload(&self, frame: u32) -> Result<&'a [u8], WireError> {
-        let e = self.entry(frame)?;
-        let bytes = self.chunk_bytes(frame)?;
-        let mut r = Reader::new(bytes);
-        if r.take(4, "chunk magic")? != CHUNK_MAGIC {
-            return Err(WireError::BadMagic { what: "chunk" });
-        }
-        let idx = r.u32("chunk frame_idx")?;
-        let len = r.u32("chunk payload_len")?;
-        let checksum = r.u64("chunk checksum")?;
-        if idx != frame || len != e.len || checksum != e.checksum {
-            return Err(WireError::ManifestMismatch { frame });
-        }
-        r.take(len as usize, "chunk payload")
+        checked_chunk(self.chunk_bytes(frame)?, frame, self.entry(frame)?)
     }
 
     /// Validates every chunk in the stream (a server does this once at
@@ -787,32 +749,8 @@ impl WireCursor {
     fn try_poll(&mut self) -> Result<Option<WireEvent>, WireError> {
         let tail = &self.buf[self.consumed..];
         if self.manifest.is_none() {
-            let mut r = Reader::new(tail);
-            if r.take(4, "stream magic")? != STREAM_MAGIC {
-                return Err(WireError::BadMagic { what: "stream" });
-            }
-            let version = r.u16("stream version")?;
-            if version != WIRE_VERSION {
-                return Err(WireError::VersionMismatch {
-                    got: version,
-                    expected: WIRE_VERSION,
-                });
-            }
-            let flags = r.u16("stream flags")?;
-            if flags & !STREAM_FLAG_LAYERED != 0 {
-                return Err(WireError::Inconsistent("unknown stream flags"));
-            }
-            let manifest_len = r.u32("manifest_len")? as usize;
-            if manifest_len > MANIFEST_FIXED_LEN + 1 + MAX_FRAMES as usize * ENTRY_LEN {
-                return Err(WireError::Oversized {
-                    what: "manifest_len",
-                    got: manifest_len as u64,
-                    max: (MANIFEST_FIXED_LEN + 1 + MAX_FRAMES as usize * ENTRY_LEN) as u64,
-                });
-            }
-            let manifest_bytes = r.take(manifest_len, "manifest")?;
-            let manifest = StreamManifest::decode_with_flags(manifest_bytes, flags)?;
-            self.consumed += STREAM_HEADER_LEN + manifest_len;
+            let (manifest, head_len) = parse_head(tail)?;
+            self.consumed += head_len;
             self.manifest = Some(manifest.clone());
             return Ok(Some(WireEvent::Manifest(manifest)));
         }
@@ -823,30 +761,71 @@ impl WireCursor {
             }
             return Ok(None);
         }
-        let expect = manifest.entries[self.next_frame as usize];
-        let mut r = Reader::new(tail);
-        if r.take(4, "chunk magic")? != CHUNK_MAGIC {
-            return Err(WireError::BadMagic { what: "chunk" });
-        }
-        let idx = r.u32("chunk frame_idx")?;
-        let len = r.u32("chunk payload_len")?;
-        let checksum = r.u64("chunk checksum")?;
-        if idx != self.next_frame || len != expect.len || checksum != expect.checksum {
-            return Err(WireError::ManifestMismatch {
-                frame: self.next_frame,
-            });
-        }
-        let payload = r.take(len as usize, "chunk payload")?.to_vec();
-        if fnv1a(&payload) != checksum {
-            return Err(WireError::ChecksumMismatch {
-                frame: self.next_frame,
-            });
-        }
-        self.consumed += CHUNK_HEADER_LEN + len as usize;
         let frame = self.next_frame;
+        let expect = &manifest.entries[frame as usize];
+        let payload = checked_chunk(tail, frame, expect)?;
+        if fnv1a(payload) != expect.checksum {
+            return Err(WireError::ChecksumMismatch { frame });
+        }
+        self.consumed += CHUNK_HEADER_LEN + payload.len();
         self.next_frame += 1;
-        Ok(Some(WireEvent::Chunk { frame, payload }))
+        Ok(Some(WireEvent::Chunk {
+            frame,
+            payload: payload.to_vec(),
+        }))
     }
+}
+
+/// Parses a stream head — header, then the manifest its `manifest_len`
+/// brackets — from the front of `bytes`. Returns the manifest and the
+/// head's length in bytes, where the chunk area begins.
+fn parse_head(bytes: &[u8]) -> Result<(StreamManifest, usize), WireError> {
+    let mut r = Reader::new(bytes);
+    if r.take(4, "stream magic")? != STREAM_MAGIC {
+        return Err(WireError::BadMagic { what: "stream" });
+    }
+    let version = r.u16("stream version")?;
+    if version != WIRE_VERSION {
+        return Err(WireError::VersionMismatch {
+            got: version,
+            expected: WIRE_VERSION,
+        });
+    }
+    let flags = r.u16("stream flags")?;
+    if flags & !STREAM_FLAG_LAYERED != 0 {
+        return Err(WireError::Inconsistent("unknown stream flags"));
+    }
+    let manifest_len = r.u32("manifest_len")? as usize;
+    if manifest_len > MAX_MANIFEST_LEN {
+        return Err(WireError::Oversized {
+            what: "manifest_len",
+            got: manifest_len as u64,
+            max: MAX_MANIFEST_LEN as u64,
+        });
+    }
+    let manifest = StreamManifest::decode_with_flags(r.take(manifest_len, "manifest")?, flags)?;
+    Ok((manifest, STREAM_HEADER_LEN + manifest_len))
+}
+
+/// Reads the chunk at the front of `bytes` as frame `frame`'s: its header
+/// must agree with the manifest `entry`. Returns the payload, not yet
+/// hashed against the entry's checksum.
+fn checked_chunk<'a>(
+    bytes: &'a [u8],
+    frame: u32,
+    entry: &ChunkEntry,
+) -> Result<&'a [u8], WireError> {
+    let mut r = Reader::new(bytes);
+    if r.take(4, "chunk magic")? != CHUNK_MAGIC {
+        return Err(WireError::BadMagic { what: "chunk" });
+    }
+    let idx = r.u32("chunk frame_idx")?;
+    let len = r.u32("chunk payload_len")?;
+    let checksum = r.u64("chunk checksum")?;
+    if idx != frame || len != entry.len || checksum != entry.checksum {
+        return Err(WireError::ManifestMismatch { frame });
+    }
+    r.take(len as usize, "chunk payload")
 }
 
 #[cfg(test)]
@@ -1042,6 +1021,24 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn both_readers_refuse_an_oversized_manifest_len() {
+        // No stream of at most MAX_FRAMES chunks has a longer manifest, so
+        // the head is hostile, not short: neither reader waits for it.
+        let mut bytes = sample_stream(1);
+        let too_long = MAX_MANIFEST_LEN as u32 + 1;
+        bytes[8..STREAM_HEADER_LEN].copy_from_slice(&too_long.to_le_bytes());
+        let oversized = WireError::Oversized {
+            what: "manifest_len",
+            got: too_long as u64,
+            max: MAX_MANIFEST_LEN as u64,
+        };
+        assert_eq!(StreamReader::parse(&bytes).unwrap_err(), oversized);
+        let mut c = WireCursor::new();
+        c.feed(&bytes);
+        assert_eq!(c.poll(), Err(oversized));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use volcast_net::wire::{CHUNK_HEADER_LEN, STREAM_HEADER_LEN};
 use volcast_net::{StreamReader, StreamWriter, WireCursor, WireError, WireEvent};
-use volcast_util::prop::prelude::*;
+use volcast_util::prop::run_cases;
 use volcast_util::rng::Rng;
 
 /// Builds a stream with `n` frames of seeded pseudo-random payloads
@@ -24,15 +24,16 @@ fn build_stream(seed: u64, n: usize, max_payload: usize) -> (Vec<u8>, Vec<Vec<u8
     (w.finish(), payloads)
 }
 
-proptest! {
-    #[test]
-    fn round_trips_byte_identical(seed in 0u64..10_000, n in 0usize..40) {
+#[test]
+fn round_trips_byte_identical() {
+    run_cases("round_trips_byte_identical", |rng| {
+        let (seed, n) = (rng.gen_range(0..10_000u64), rng.gen_range(0..40usize));
         let (bytes, payloads) = build_stream(seed, n, 600);
         let reader = StreamReader::parse(&bytes).unwrap();
-        prop_assert_eq!(reader.manifest().frame_count as usize, n);
+        assert_eq!(reader.manifest().frame_count as usize, n);
         reader.validate_all().unwrap();
         for (f, expect) in payloads.iter().enumerate() {
-            prop_assert_eq!(reader.chunk_payload(f as u32).unwrap(), &expect[..]);
+            assert_eq!(reader.chunk_payload(f as u32).unwrap(), &expect[..]);
         }
         // Re-encoding the same payloads is byte-identical: the writer is
         // a pure function of (params, payloads).
@@ -40,11 +41,14 @@ proptest! {
         for p in &payloads {
             again.push_frame(p);
         }
-        prop_assert_eq!(again.finish(), bytes);
-    }
+        assert_eq!(again.finish(), bytes);
+    });
+}
 
-    #[test]
-    fn cursor_yields_same_events_under_any_chunking(seed in 0u64..5_000, n in 1usize..16) {
+#[test]
+fn cursor_yields_same_events_under_any_chunking() {
+    run_cases("cursor_yields_same_events_under_any_chunking", |rng| {
+        let (seed, n) = (rng.gen_range(0..5_000u64), rng.gen_range(1..16usize));
         // Stream the bytes through a WireCursor in random-sized pieces;
         // the event sequence must match the random-access reader exactly.
         let (bytes, payloads) = build_stream(seed, n, 300);
@@ -64,25 +68,25 @@ proptest! {
                     cursor.feed(&bytes[fed..end]);
                     fed = end;
                 }
-                Err(e) => prop_assert!(false, "cursor failed on valid stream: {e}"),
+                Err(e) => panic!("cursor failed on valid stream: {e}"),
             }
         }
-        prop_assert!(cursor.is_complete());
-        prop_assert_eq!(events.len(), n + 1, "manifest + one event per frame");
+        assert!(cursor.is_complete());
+        assert_eq!(events.len(), n + 1, "manifest + one event per frame");
         match &events[0] {
-            WireEvent::Manifest(m) => prop_assert_eq!(m.frame_count as usize, n),
-            other => prop_assert!(false, "first event was {other:?}"),
+            WireEvent::Manifest(m) => assert_eq!(m.frame_count as usize, n),
+            other => panic!("first event was {other:?}"),
         }
         for (i, ev) in events[1..].iter().enumerate() {
             match ev {
                 WireEvent::Chunk { frame, payload } => {
-                    prop_assert_eq!(*frame as usize, i);
-                    prop_assert_eq!(payload, &payloads[i]);
+                    assert_eq!(*frame as usize, i);
+                    assert_eq!(payload, &payloads[i]);
                 }
-                other => prop_assert!(false, "event {i} was {other:?}"),
+                other => panic!("event {i} was {other:?}"),
             }
         }
-    }
+    });
 }
 
 #[test]

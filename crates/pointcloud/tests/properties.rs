@@ -6,9 +6,10 @@
 use std::collections::BTreeMap;
 use volcast_geom::Vec3;
 use volcast_pointcloud::codec::simd::{self, QuantParams};
-use volcast_pointcloud::codec::{decode, encode, CodecConfig};
+use volcast_pointcloud::codec::{decode, encode, CodecConfig, EncodedCloud};
 use volcast_pointcloud::{CellGrid, CellId, CellInfo, Point, PointCloud, VideoSequence};
-use volcast_util::prop::prelude::*;
+use volcast_util::prop::{run_cases, run_cases_n};
+use volcast_util::rng::Rng;
 
 /// The obvious points-per-cell count. `CellGrid::partition` and the cell
 /// manifest share one counter, so neither can referee the other; this does.
@@ -61,106 +62,121 @@ fn cell_counts_at_the_corners() {
     assert!(fine.len() > 10_000, "{} cells", fine.len());
 }
 
-fn arb_point(extent: f32) -> impl Strategy<Value = Point> {
-    (
-        -extent..extent,
-        -extent..extent,
-        -extent..extent,
-        any::<u8>(),
-        any::<u8>(),
-        any::<u8>(),
-    )
-        .prop_map(|(x, y, z, r, g, b)| Point::new([x, y, z], [r, g, b]))
+fn arb_point(rng: &mut Rng, extent: f32) -> Point {
+    let pos = [0; 3].map(|_| rng.gen_range(-extent..extent));
+    Point::new(pos, [0; 3].map(|_| rng.gen()))
 }
 
-fn arb_cloud(max_points: usize) -> impl Strategy<Value = PointCloud> {
-    prop::collection::vec(arb_point(5.0), 0..max_points).prop_map(PointCloud::from_points)
+/// A cloud of up to `max_points - 1` points in a 10 m cube.
+fn arb_cloud(rng: &mut Rng, max_points: usize) -> PointCloud {
+    let n = rng.gen_range(0..max_points);
+    PointCloud::from_points((0..n).map(|_| arb_point(rng, 5.0)).collect())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Distance from `p` to the nearest of `points` (infinite if none).
+fn nearest(points: &[Point], p: Vec3) -> f64 {
+    let dist = points.iter().map(|o| o.position().distance(p));
+    dist.fold(f64::INFINITY, f64::min)
+}
 
-    #[test]
-    fn codec_round_trip_is_voxel_accurate(cloud in arb_cloud(300), depth in 4u32..11) {
-        let cfg = CodecConfig { depth, color_bits: 6 };
+#[test]
+fn codec_round_trip_is_voxel_accurate() {
+    run_cases("codec_round_trip_is_voxel_accurate", |rng| {
+        let (cloud, depth) = (arb_cloud(rng, 300), rng.gen_range(4u32..11));
+        let cfg = CodecConfig {
+            depth,
+            color_bits: 6,
+        };
         let (enc, stats) = encode(&cloud, &cfg);
         let dec = decode(&enc).unwrap();
-        prop_assert_eq!(dec.len(), stats.voxels);
-        prop_assert!(dec.len() <= cloud.len());
+        assert_eq!(dec.len(), stats.voxels);
+        assert!(dec.len() <= cloud.len());
         if cloud.is_empty() {
-            prop_assert!(dec.is_empty());
-            return Ok(());
+            assert!(dec.is_empty());
+            return;
         }
         // Quantization error bound: voxel diagonal / 2 (+ f32 slack).
         let extent = cloud.bounds().extent().max_component().max(1e-6);
         let max_err = extent / (1u64 << depth) as f64 * 3f64.sqrt() / 2.0 + 1e-3;
         // Bidirectional Hausdorff bound.
         for d in &dec.points {
-            let best = cloud.points.iter()
-                .map(|o| o.position().distance(d.position()))
-                .fold(f64::INFINITY, f64::min);
-            prop_assert!(best <= max_err, "decoded offset {} > {}", best, max_err);
+            let best = nearest(&cloud.points, d.position());
+            assert!(best <= max_err, "decoded offset {best} > {max_err}");
         }
         for o in &cloud.points {
-            let best = dec.points.iter()
-                .map(|d| d.position().distance(o.position()))
-                .fold(f64::INFINITY, f64::min);
-            prop_assert!(best <= max_err, "original uncovered by {} > {}", best, max_err);
+            let best = nearest(&dec.points, o.position());
+            assert!(best <= max_err, "original uncovered by {best} > {max_err}");
         }
-    }
+    });
+}
 
-    #[test]
-    fn codec_is_deterministic(cloud in arb_cloud(200)) {
+#[test]
+fn codec_is_deterministic() {
+    run_cases("codec_is_deterministic", |rng| {
+        let cloud = arb_cloud(rng, 200);
         let cfg = CodecConfig::default();
         let (a, _) = encode(&cloud, &cfg);
         let (b, _) = encode(&cloud, &cfg);
-        prop_assert_eq!(a.data, b.data);
-    }
+        assert_eq!(a.data, b.data);
+    });
+}
 
-    #[test]
-    fn partition_counts_every_point_once(cloud in arb_cloud(300), size in 0.1f64..2.0) {
-        let grid = CellGrid::new(size);
+#[test]
+fn partition_counts_every_point_once() {
+    run_cases("partition_counts_every_point_once", |rng| {
+        let cloud = arb_cloud(rng, 300);
+        let grid = CellGrid::new(rng.gen_range(0.1..2.0));
         let cells = grid.partition(&cloud);
-        prop_assert_eq!(&cells, &naive_partition(&grid, &cloud));
-        prop_assert_eq!(cells.iter().map(|c| c.point_count).sum::<usize>(), cloud.len());
-        prop_assert!(cells.iter().all(|c| c.point_count > 0), "empty cell listed");
-        prop_assert!(cells.windows(2).all(|w| w[0].id < w[1].id), "ids not ascending");
-    }
+        assert_eq!(&cells, &naive_partition(&grid, &cloud));
+        let counted: usize = cells.iter().map(|c| c.point_count).sum();
+        assert_eq!(counted, cloud.len());
+        assert!(cells.iter().all(|c| c.point_count > 0), "empty cell listed");
+        assert!(
+            cells.windows(2).all(|w| w[0].id < w[1].id),
+            "ids not ascending"
+        );
+    });
+}
 
-    #[test]
-    fn cell_counts_equal_partition_counts(
-        seed in any::<u64>(), frame in 0u64..1_000, points in 0usize..20_001,
-        size in 0.01f64..2.0,
-        ox in -3.0f64..3.0, oy in -3.0f64..3.0, oz in -3.0f64..3.0,
-    ) {
-        let video = VideoSequence::new(seed, 300);
+#[test]
+fn cell_counts_equal_partition_counts() {
+    run_cases("cell_counts_equal_partition_counts", |rng| {
+        let video = VideoSequence::new(rng.gen(), 300);
+        let (frame, points) = (rng.gen_range(0..1_000u64), rng.gen_range(0..20_001usize));
+        let size = rng.gen_range(0.01..2.0);
+        let [ox, oy, oz] = [0; 3].map(|_| rng.gen_range(-3.0..3.0));
         let grid = CellGrid::with_origin(size, Vec3::new(ox, oy, oz));
         assert_counts_are_partition_counts(&video, frame, points, &grid);
-    }
+    });
+}
 
-    #[test]
-    fn cell_of_matches_cell_bounds(x in -10.0f64..10.0, y in -10.0f64..10.0,
-                                   z in -10.0f64..10.0, size in 0.05f64..3.0) {
-        let grid = CellGrid::new(size);
-        let p = volcast_geom::Vec3::new(x, y, z);
+#[test]
+fn cell_of_matches_cell_bounds() {
+    run_cases("cell_of_matches_cell_bounds", |rng| {
+        let [x, y, z] = [0; 3].map(|_| rng.gen_range(-10.0..10.0));
+        let p = Vec3::new(x, y, z);
+        let grid = CellGrid::new(rng.gen_range(0.05..3.0));
         let id = grid.cell_of(p);
-        prop_assert!(grid.cell_bounds(id).contains(p));
-    }
+        assert!(grid.cell_bounds(id).contains(p));
+    });
+}
 
-    #[test]
-    fn subsample_never_exceeds_target(cloud in arb_cloud(300), target in 0usize..400) {
+#[test]
+fn subsample_never_exceeds_target() {
+    run_cases("subsample_never_exceeds_target", |rng| {
+        let (cloud, target) = (arb_cloud(rng, 300), rng.gen_range(0..400usize));
         let s = cloud.subsample(target);
-        prop_assert!(s.len() <= target.min(cloud.len()));
+        assert!(s.len() <= target.min(cloud.len()));
         if target >= cloud.len() {
-            prop_assert_eq!(s.len(), cloud.len());
+            assert_eq!(s.len(), cloud.len());
         } else {
-            prop_assert_eq!(s.len(), target);
+            assert_eq!(s.len(), target);
         }
         // Every sampled point exists in the original.
         for p in &s.points {
-            prop_assert!(cloud.points.contains(p));
+            assert!(cloud.points.contains(p));
         }
-    }
+    });
 }
 
 /// The quantization parameters exactly as `Encoder` derives them.
@@ -196,40 +212,43 @@ fn reference_words(cloud: &PointCloud, q: &QuantParams) -> Vec<u64> {
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The quantize + Morton kernel, on whichever copy the host runs, is
-    /// bit-identical to the saturating-cast reference on random NaN-free
-    /// clouds at every packed depth (sizes 0.. — empty and 1-point shrink
-    /// out of the same range).
-    #[test]
-    fn simd_quantization_matches_scalar(cloud in arb_cloud(300), depth in 1u32..14) {
+/// The quantize + Morton kernel, on whichever copy the host runs, is
+/// bit-identical to the saturating-cast reference on random NaN-free
+/// clouds at every packed depth (sizes 0.. — empty and 1-point clouds
+/// come out of the same range).
+#[test]
+fn simd_quantization_matches_scalar() {
+    run_cases("simd_quantization_matches_scalar", |rng| {
+        let (cloud, depth) = (arb_cloud(rng, 300), rng.gen_range(1u32..14));
         let q = qparams(&cloud, depth);
         let mut got = Vec::new();
         simd::quantize_morton_points(&cloud.points, &q, &mut got);
-        prop_assert_eq!(&got, &reference_words(&cloud, &q), "kernel diverged from the reference");
-    }
+        let want = reference_words(&cloud, &q);
+        assert_eq!(got, want, "kernel diverged from the reference");
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Decoding arbitrary bytes must never panic: it either errors or
-    /// produces some (possibly garbage) cloud bounded by the declared
-    /// count. This is the safety contract for network-received bitstreams.
-    #[test]
-    fn decode_arbitrary_bytes_never_panics(data in prop::collection::vec(any::<u8>(), 0..400)) {
-        use volcast_pointcloud::codec::EncodedCloud;
+/// Decoding arbitrary bytes must never panic: it either errors or
+/// produces some (possibly garbage) cloud bounded by the declared
+/// count. This is the safety contract for network-received bitstreams.
+#[test]
+fn decode_arbitrary_bytes_never_panics() {
+    run_cases_n("decode_arbitrary_bytes_never_panics", 256, |rng| {
+        let n = rng.gen_range(0..400usize);
+        let data = (0..n).map(|_| rng.gen()).collect();
         let _ = decode(&EncodedCloud { data });
-    }
+    });
+}
 
-    /// Same with a valid header but corrupted payload.
-    #[test]
-    fn decode_corrupted_payload_never_panics(
-        cloud in arb_cloud(100),
-        flips in prop::collection::vec((0usize..4096, any::<u8>()), 1..16),
-    ) {
+/// Same with a valid header but corrupted payload.
+#[test]
+fn decode_corrupted_payload_never_panics() {
+    run_cases_n("decode_corrupted_payload_never_panics", 256, |rng| {
+        let cloud = arb_cloud(rng, 100);
+        let n = rng.gen_range(1..16usize);
+        let flips: Vec<(usize, u8)> = (0..n)
+            .map(|_| (rng.gen_range(0..4096), rng.gen()))
+            .collect();
         let (mut enc, stats) = encode(&cloud, &CodecConfig::default());
         for (pos, val) in flips {
             if enc.data.len() > 34 {
@@ -238,7 +257,7 @@ proptest! {
             }
         }
         if let Ok(decoded) = decode(&enc) {
-            prop_assert!(decoded.len() <= stats.voxels);
+            assert!(decoded.len() <= stats.voxels);
         }
-    }
+    });
 }

@@ -14,10 +14,10 @@
 //!   recursive-descent parser, plus [`json::ToJson`] / [`json::FromJson`]
 //!   traits and the [`impl_json_struct!`] / [`impl_json_enum!`] macros that
 //!   replace `#[derive(Serialize, Deserialize)]`.
-//! - [`prop`] — a `proptest`-lite property runner: the [`proptest!`] macro,
-//!   composable [`prop::Strategy`] values (ranges, tuples,
-//!   `prop::collection::vec`, [`prop::any`]), deterministic per-case seeds
-//!   and failure-seed reporting.
+//! - [`prop`] — the property runner: [`prop::run_cases`] calls a test body
+//!   once per case with an [`rng::Rng`] seeded from the property's name and
+//!   the case index, and reports a failing case's seed for replay. Bodies
+//!   draw their own inputs; there is no shrinking.
 //! - [`par`] — a scoped-thread data-parallel substrate standing in for
 //!   `rayon` (`par_map` / `par_map_indexed` / `par_for_each_mut`), sized by
 //!   `VOLCAST_THREADS` and bit-for-bit deterministic across thread counts.
@@ -68,9 +68,6 @@
 // and carries a scoped `#[allow(unsafe_code)]`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
-// The `prop` docs show `proptest! { #[test] fn ... }` exactly as callers
-// write it; those examples are compile-checked, not run, which is intended.
-#![allow(clippy::test_attr_in_doctest)]
 
 pub mod bitset;
 pub mod hash;

@@ -1,237 +1,29 @@
-//! A `proptest`-lite property-testing runner.
+//! The property-test runner.
 //!
-//! Supports the subset of the proptest API the workspace's `properties.rs`
-//! suites use, with deterministic seeding and failure-seed reporting instead
-//! of shrinking:
-//!
-//! - the [`proptest!`](crate::proptest) macro wrapping `#[test] fn
-//!   name(x in strategy, ...) { ... }` blocks,
-//! - [`Strategy`] implementations for numeric ranges, tuples, and constants,
-//!   plus [`Strategy::prop_map`] for derived strategies,
-//! - [`collection::vec`] and [`any`],
-//! - [`prop_assert!`](crate::prop_assert) /
-//!   [`prop_assert_eq!`](crate::prop_assert_eq).
-//!
-//! Each test runs `cases = 64` cases by default (override with the
-//! `VOLCAST_PROP_CASES` env var). Case *i* of test *t* draws its inputs from
-//! an [`Rng`] seeded with `fnv1a(t) ^ i` — fully deterministic across runs
-//! and platforms. On failure the harness reports the case seed; re-run just
-//! that case by setting `VOLCAST_PROP_SEED=<seed>`.
+//! A property is a plain `#[test]` that hands its own name and a body to
+//! [`run_cases`] ([`run_cases_n`] for a count other than [`DEFAULT_CASES`]).
+//! The body draws its inputs from the [`Rng`] it is given — `gen_range` for
+//! a range, `gen` for any value, a `gen_range` length and then the elements
+//! for a `Vec` — and checks them with `assert!`. There is no shrinking: case
+//! *k* of `name` draws from `Rng::seed_from_u64(fnv1a(name) ^ k)`, the same
+//! inputs on every run and platform, and a failure prints that seed.
+//! `VOLCAST_PROP_SEED=<seed>` re-runs just that case; `VOLCAST_PROP_CASES=<n>`
+//! overrides the case count.
 //!
 //! ```
-//! use volcast_util::prop::prelude::*;
+//! use volcast_util::prop::run_cases;
 //!
-//! proptest! {
-//!     #[test]
-//!     fn addition_commutes(a in -1e6f64..1e6, b in -1e6f64..1e6) {
-//!         prop_assert_eq!(a + b, b + a);
-//!     }
-//! }
+//! run_cases("addition_commutes", |rng| {
+//!     let (a, b) = (rng.gen_range(-1e6..1e6), rng.gen_range(-1e6..1e6));
+//!     assert_eq!(a + b, b + a);
+//! });
 //! ```
 
-use crate::rng::{Rng, SampleRange};
-use std::ops::Range;
+use crate::rng::Rng;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-
-/// A recipe for generating random values of one type.
-pub trait Strategy {
-    /// The generated type.
-    type Value;
-
-    /// Draws one value.
-    fn generate(&self, rng: &mut Rng) -> Self::Value;
-
-    /// Derives a strategy by mapping generated values through `f`.
-    fn prop_map<U, F: Fn(Self::Value) -> U>(self, f: F) -> Map<Self, F>
-    where
-        Self: Sized,
-    {
-        Map { inner: self, f }
-    }
-}
-
-/// Strategy returned by [`Strategy::prop_map`].
-pub struct Map<S, F> {
-    inner: S,
-    f: F,
-}
-
-impl<S: Strategy, U, F: Fn(S::Value) -> U> Strategy for Map<S, F> {
-    type Value = U;
-    fn generate(&self, rng: &mut Rng) -> U {
-        (self.f)(self.inner.generate(rng))
-    }
-}
-
-/// A strategy that always yields clones of one value.
-pub struct Just<T: Clone>(pub T);
-
-impl<T: Clone> Strategy for Just<T> {
-    type Value = T;
-    fn generate(&self, _rng: &mut Rng) -> T {
-        self.0.clone()
-    }
-}
-
-macro_rules! impl_strategy_for_range {
-    ($($t:ty),+) => {$(
-        impl Strategy for Range<$t> {
-            type Value = $t;
-            fn generate(&self, rng: &mut Rng) -> $t {
-                SampleRange::<$t>::sample(self.clone(), rng)
-            }
-        }
-    )+};
-}
-
-impl_strategy_for_range!(f32, f64, u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-macro_rules! impl_strategy_for_tuple {
-    ($($name:ident : $idx:tt),+) => {
-        impl<$($name: Strategy),+> Strategy for ($($name,)+) {
-            type Value = ($($name::Value,)+);
-            fn generate(&self, rng: &mut Rng) -> Self::Value {
-                ($(self.$idx.generate(rng),)+)
-            }
-        }
-    };
-}
-
-impl_strategy_for_tuple!(A: 0);
-impl_strategy_for_tuple!(A: 0, B: 1);
-impl_strategy_for_tuple!(A: 0, B: 1, C: 2);
-impl_strategy_for_tuple!(A: 0, B: 1, C: 2, D: 3);
-impl_strategy_for_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4);
-impl_strategy_for_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5);
-impl_strategy_for_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5, G: 6);
-impl_strategy_for_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5, G: 6, H: 7);
-
-/// Strategy for any value of a type with an obvious uniform distribution
-/// (see [`ArbitraryValue`]).
-pub fn any<T: ArbitraryValue>() -> AnyStrategy<T> {
-    AnyStrategy(std::marker::PhantomData)
-}
-
-/// Strategy returned by [`any`].
-pub struct AnyStrategy<T>(std::marker::PhantomData<T>);
-
-impl<T: ArbitraryValue> Strategy for AnyStrategy<T> {
-    type Value = T;
-    fn generate(&self, rng: &mut Rng) -> T {
-        T::arbitrary(rng)
-    }
-}
-
-/// Types usable with [`any`].
-pub trait ArbitraryValue {
-    /// Draws an unconstrained value.
-    fn arbitrary(rng: &mut Rng) -> Self;
-}
-
-macro_rules! impl_arbitrary_via_gen {
-    ($($t:ty),+) => {$(
-        impl ArbitraryValue for $t {
-            fn arbitrary(rng: &mut Rng) -> Self {
-                rng.gen()
-            }
-        }
-    )+};
-}
-
-impl_arbitrary_via_gen!(bool, u8, u16, u32, u64, f32, f64);
-
-/// Collection strategies (`prop::collection::vec`).
-pub mod collection {
-    use super::{Rng, Strategy};
-    use std::ops::Range;
-
-    /// Number of elements for [`vec()`]: a fixed count or a range.
-    pub struct SizeRange {
-        lo: usize,
-        hi: usize, // exclusive
-    }
-
-    impl From<usize> for SizeRange {
-        fn from(n: usize) -> Self {
-            SizeRange { lo: n, hi: n + 1 }
-        }
-    }
-
-    impl From<Range<usize>> for SizeRange {
-        fn from(r: Range<usize>) -> Self {
-            assert!(r.start < r.end, "empty size range");
-            SizeRange {
-                lo: r.start,
-                hi: r.end,
-            }
-        }
-    }
-
-    impl From<std::ops::RangeInclusive<usize>> for SizeRange {
-        fn from(r: std::ops::RangeInclusive<usize>) -> Self {
-            assert!(r.start() <= r.end(), "empty size range");
-            SizeRange {
-                lo: *r.start(),
-                hi: *r.end() + 1,
-            }
-        }
-    }
-
-    /// A strategy producing `Vec`s of values from `element`, with a length
-    /// drawn from `size`.
-    pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
-        VecStrategy {
-            element,
-            size: size.into(),
-        }
-    }
-
-    /// Strategy returned by [`vec()`].
-    pub struct VecStrategy<S> {
-        element: S,
-        size: SizeRange,
-    }
-
-    impl<S: Strategy> Strategy for VecStrategy<S> {
-        type Value = Vec<S::Value>;
-        fn generate(&self, rng: &mut Rng) -> Vec<S::Value> {
-            let len = rng.gen_range(self.size.lo..self.size.hi);
-            (0..len).map(|_| self.element.generate(rng)).collect()
-        }
-    }
-}
 
 /// Default number of cases per property.
 pub const DEFAULT_CASES: u64 = 64;
-
-/// Per-block configuration, accepted by the
-/// [`proptest!`](crate::proptest) macro's `#![proptest_config(...)]`
-/// header for source compatibility with proptest.
-#[derive(Debug, Clone, Copy)]
-pub struct ProptestConfig {
-    /// Number of cases each property in the block runs.
-    pub cases: u64,
-}
-
-impl ProptestConfig {
-    /// A configuration running `cases` cases per property.
-    pub fn with_cases(cases: u64) -> Self {
-        ProptestConfig { cases }
-    }
-}
-
-impl Default for ProptestConfig {
-    fn default() -> Self {
-        ProptestConfig {
-            cases: DEFAULT_CASES,
-        }
-    }
-}
-
-/// FNV-1a hash of the test name: the per-test base seed.
-fn fnv1a(name: &str) -> u64 {
-    crate::hash::fnv1a(name.as_bytes())
-}
 
 /// Runs `body` once per case with a deterministically seeded [`Rng`],
 /// using [`DEFAULT_CASES`] cases (see [`run_cases_n`]).
@@ -241,11 +33,9 @@ pub fn run_cases<F: FnMut(&mut Rng)>(name: &str, body: F) {
 
 /// Runs `body` once per case with a deterministically seeded [`Rng`].
 ///
-/// This is the engine behind the [`proptest!`](crate::proptest) macro; call
-/// it directly for properties whose inputs do not fit the macro grammar.
-/// Panics (from `prop_assert!` or anything else) are caught, annotated with
-/// the failing case's seed, and re-raised. The `VOLCAST_PROP_CASES` env var
-/// overrides `n_cases`; `VOLCAST_PROP_SEED` re-runs a single failing case.
+/// A panic in `body` is caught, annotated with the failing case's seed, and
+/// re-raised. The `VOLCAST_PROP_CASES` env var overrides `n_cases`;
+/// `VOLCAST_PROP_SEED` re-runs a single failing case.
 pub fn run_cases_n<F: FnMut(&mut Rng)>(name: &str, n_cases: u64, mut body: F) {
     if let Some(seed) = std::env::var("VOLCAST_PROP_SEED")
         .ok()
@@ -259,7 +49,7 @@ pub fn run_cases_n<F: FnMut(&mut Rng)>(name: &str, n_cases: u64, mut body: F) {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(n_cases);
-    let base = fnv1a(name);
+    let base = crate::hash::fnv1a(name.as_bytes());
     for case in 0..n {
         let seed = base ^ case;
         let mut rng = Rng::seed_from_u64(seed);
@@ -274,145 +64,32 @@ pub fn run_cases_n<F: FnMut(&mut Rng)>(name: &str, n_cases: u64, mut body: F) {
     }
 }
 
-/// Everything a property-test file needs: mirrors `proptest::prelude::*`.
-pub mod prelude {
-    pub use super::{any, collection, Just, ProptestConfig, Strategy};
-    pub use crate::prop;
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, proptest};
-}
-
-/// Declares property tests: each `fn` becomes a `#[test]` that runs
-/// [`run_cases`] cases, binding every `name in strategy` argument to a fresh
-/// sample per case.
-///
-/// ```
-/// use volcast_util::prop::prelude::*;
-///
-/// proptest! {
-///     #[test]
-///     fn doubling_is_even(x in 0u32..1000) {
-///         prop_assert_eq!((x * 2) % 2, 0);
-///     }
-/// }
-/// ```
-#[macro_export]
-macro_rules! proptest {
-    (#![proptest_config($cfg:expr)]
-     $($(#[$attr:meta])+ fn $name:ident($($arg:pat in $strat:expr),+ $(,)?) $body:block)+) => {
-        $(
-            $(#[$attr])+
-            fn $name() {
-                $crate::prop::run_cases_n(stringify!($name), ($cfg).cases, |__vc_rng| {
-                    $(let $arg = $crate::prop::Strategy::generate(&($strat), __vc_rng);)+
-                    // Result wrapper so bodies may early-exit with `return Ok(())`.
-                    #[allow(clippy::redundant_closure_call)]
-                    let __vc_result: ::core::result::Result<(), ()> = (move || {
-                        $body
-                        #[allow(unreachable_code)]
-                        Ok(())
-                    })();
-                    let _ = __vc_result;
-                });
-            }
-        )+
-    };
-    ($($(#[$attr:meta])+ fn $name:ident($($arg:pat in $strat:expr),+ $(,)?) $body:block)+) => {
-        $(
-            $(#[$attr])+
-            fn $name() {
-                $crate::prop::run_cases(stringify!($name), |__vc_rng| {
-                    $(let $arg = $crate::prop::Strategy::generate(&($strat), __vc_rng);)+
-                    // Result wrapper so bodies may early-exit with `return Ok(())`.
-                    #[allow(clippy::redundant_closure_call)]
-                    let __vc_result: ::core::result::Result<(), ()> = (move || {
-                        $body
-                        #[allow(unreachable_code)]
-                        Ok(())
-                    })();
-                    let _ = __vc_result;
-                });
-            }
-        )+
-    };
-}
-
-/// Asserts a condition inside a property; on failure the runner reports the
-/// failing case's seed.
-#[macro_export]
-macro_rules! prop_assert {
-    ($cond:expr) => {
-        $crate::prop_assert!($cond, "property violated: {}", stringify!($cond))
-    };
-    ($cond:expr, $($fmt:tt)+) => {
-        if !$cond {
-            panic!($($fmt)+);
-        }
-    };
-}
-
-/// Asserts two expressions are equal inside a property.
-#[macro_export]
-macro_rules! prop_assert_eq {
-    ($a:expr, $b:expr) => {{
-        let (a, b) = (&$a, &$b);
-        $crate::prop_assert!(a == b, "assertion failed: {:?} == {:?}", a, b);
-    }};
-    ($a:expr, $b:expr, $($fmt:tt)+) => {{
-        let (a, b) = (&$a, &$b);
-        $crate::prop_assert!(a == b, $($fmt)+);
-    }};
-}
-
-/// Asserts two expressions are unequal inside a property.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($a:expr, $b:expr) => {{
-        let (a, b) = (&$a, &$b);
-        $crate::prop_assert!(a != b, "assertion failed: {:?} != {:?}", a, b);
-    }};
-}
-
 #[cfg(test)]
 mod tests {
-    use super::prelude::*;
-
-    proptest! {
-        #[test]
-        fn ranges_respected(x in 10u32..20, y in -1.0f64..1.0) {
-            prop_assert!((10..20).contains(&x));
-            prop_assert!((-1.0..1.0).contains(&y));
-        }
-
-        #[test]
-        fn tuples_and_maps(v in (0u8..4, 0u8..4).prop_map(|(a, b)| a + b)) {
-            prop_assert!(v <= 6);
-        }
-
-        #[test]
-        fn vec_sizes(xs in collection::vec(any::<u8>(), 3..7)) {
-            prop_assert!(xs.len() >= 3 && xs.len() < 7);
-        }
-
-        #[test]
-        fn fixed_size_vec(xs in collection::vec(any::<bool>(), 5)) {
-            prop_assert_eq!(xs.len(), 5);
-        }
-    }
+    use super::*;
 
     #[test]
     fn failure_is_reported() {
-        let result = std::panic::catch_unwind(|| {
-            super::run_cases("always_fails", |_rng| panic!("boom"));
-        });
+        let result = std::panic::catch_unwind(|| run_cases("always_fails", |_| panic!("boom")));
         assert!(result.is_err());
     }
 
+    /// The replay contract the failure message prints: case `k` gets the
+    /// stream of `Rng::seed_from_u64(fnv1a(name) ^ k)`, and there are
+    /// [`DEFAULT_CASES`] cases unless `VOLCAST_PROP_CASES` says otherwise.
+    /// The env vars are read, never set: other tests here read them too.
     #[test]
-    fn cases_are_deterministic() {
-        let mut first = Vec::new();
-        super::run_cases("det", |rng| first.push(rng.next_u64()));
-        let mut second = Vec::new();
-        super::run_cases("det", |rng| second.push(rng.next_u64()));
-        assert_eq!(first, second);
+    fn every_case_replays_from_the_seed_it_reports() {
+        let var = |key| std::env::var(key).ok().and_then(|v| v.parse::<u64>().ok());
+        let mut seen = Vec::new();
+        run_cases("replay", |rng| seen.push(rng.clone()));
+        if let Some(seed) = var("VOLCAST_PROP_SEED") {
+            assert_eq!(seen, [Rng::seed_from_u64(seed)]);
+            return;
+        }
+        let cases = var("VOLCAST_PROP_CASES").unwrap_or(DEFAULT_CASES);
+        let base = crate::hash::fnv1a(b"replay");
+        let want: Vec<Rng> = (0..cases).map(|k| Rng::seed_from_u64(base ^ k)).collect();
+        assert_eq!(seen, want);
     }
 }

@@ -1,10 +1,10 @@
-//! Property tests for the util crate itself: JSON round-trips and PRNG
-//! statistical sanity. These exercise the same proptest-lite harness the
-//! rest of the workspace uses, so the harness is its own first customer.
+//! Property tests for the util crate itself: JSON round-trips, PRNG
+//! statistical sanity and the bit set against a `bool` model. Each runs on
+//! `prop::run_cases`, the runner every suite in the workspace uses.
 
 use volcast_util::bitset::BitSet;
 use volcast_util::json::{FromJson, JsonValue, ToJson};
-use volcast_util::prop::prelude::*;
+use volcast_util::prop::run_cases;
 use volcast_util::rng::Rng;
 
 fn round_trip<T: ToJson + FromJson + PartialEq + std::fmt::Debug>(v: &T) {
@@ -14,56 +14,73 @@ fn round_trip<T: ToJson + FromJson + PartialEq + std::fmt::Debug>(v: &T) {
     assert_eq!(&back, v, "round trip changed the value (text: {text})");
 }
 
-proptest! {
-    #[test]
-    fn f64_round_trips(x in -1.0e12..1.0e12f64) {
-        round_trip(&x);
-    }
+#[test]
+fn f64_round_trips() {
+    run_cases("f64_round_trips", |rng| {
+        round_trip(&rng.gen_range(-1.0e12..1.0e12f64));
+    });
+}
 
-    #[test]
-    fn integers_round_trip(a in -(1i64 << 53)..(1i64 << 53), b in 0u32..u32::MAX) {
+#[test]
+fn integers_round_trip() {
+    run_cases("integers_round_trip", |rng| {
         // Numbers ride the f64 model, exact up to |x| <= 2^53 — the full
         // u32/i32 ranges and every integer the workspace serializes.
-        round_trip(&a);
-        round_trip(&b);
-    }
+        round_trip(&rng.gen_range(-(1i64 << 53)..(1i64 << 53)));
+        round_trip(&rng.gen_range(0u32..u32::MAX));
+    });
+}
 
-    #[test]
-    fn vectors_and_options_round_trip(v in prop::collection::vec(-1.0e6..1.0e6f64, 0..20)) {
+#[test]
+fn vectors_and_options_round_trip() {
+    run_cases("vectors_and_options_round_trip", |rng| {
+        let n = rng.gen_range(0..20usize);
+        let v: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0e6..1.0e6)).collect();
         round_trip(&v);
         round_trip(&Some(v.clone()));
         round_trip(&Option::<Vec<f64>>::None);
-    }
+    });
+}
 
-    #[test]
-    fn strings_round_trip_with_escapes(n in 0usize..64, seed in 0u64..1_000_000) {
+#[test]
+fn strings_round_trip_with_escapes() {
+    run_cases("strings_round_trip_with_escapes", |rng| {
+        let (n, seed) = (rng.gen_range(0..64usize), rng.gen_range(0..1_000_000u64));
         // Build strings over a hostile alphabet: quotes, backslashes,
         // control characters, multi-byte and astral code points.
-        const ALPHABET: &[char] =
-            &['a', '"', '\\', '\n', '\t', '\u{0}', '\u{7f}', 'é', '中', '🜁', '\u{2028}'];
+        const ALPHABET: &[char] = &[
+            'a', '"', '\\', '\n', '\t', '\u{0}', '\u{7f}', 'é', '中', '🜁', '\u{2028}',
+        ];
         let mut rng = Rng::seed_from_u64(seed);
         let s: String = (0..n)
             .map(|_| ALPHABET[rng.gen_range(0..ALPHABET.len())])
             .collect();
         round_trip(&s);
-    }
+    });
+}
 
-    #[test]
-    fn parse_never_panics_on_mutated_output(v in prop::collection::vec(-10.0..10.0f64, 1..8), cut in 1usize..100) {
+#[test]
+fn parse_never_panics_on_mutated_output() {
+    run_cases("parse_never_panics_on_mutated_output", |rng| {
+        let n = rng.gen_range(1..8usize);
+        let v: Vec<f64> = (0..n).map(|_| rng.gen_range(-10.0..10.0)).collect();
+        let cut = rng.gen_range(1..100usize);
         // Truncating valid JSON anywhere must yield Err, never a panic.
         let text = v.to_json().to_json_string();
         let cut = cut.min(text.len().saturating_sub(1));
         let _ = JsonValue::parse(&text[..cut]);
-    }
+    });
+}
 
-    #[test]
-    fn adversarial_unicode_escapes_error_precisely(seed in 0u64..50_000) {
+#[test]
+fn adversarial_unicode_escapes_error_precisely() {
+    run_cases("adversarial_unicode_escapes_error_precisely", |rng| {
         // Assemble a hostile \uXXXX escape from pieces a fuzzer would find:
         // sign characters in digit positions, short digit runs, lone and
         // inverted surrogate halves. Parsing must never panic, and when it
         // fails the error must be a positioned parse error whose message
         // names the escape, not a generic failure.
-        let mut rng = Rng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(rng.gen_range(0..50_000u64));
         const DIGITS: &[&str] = &["0", "9", "a", "F", "+", "-", " ", "g"];
         let n_digits = rng.gen_range(0..6usize);
         let mut esc = String::from("\\u");
@@ -81,47 +98,54 @@ proptest! {
             Ok(JsonValue::Str(s)) => {
                 // Only a full 4-hex-digit escape may succeed, and it must
                 // re-serialize to parseable JSON.
-                prop_assert!(n_digits >= 4, "accepted short escape {doc:?} -> {s:?}");
+                assert!(n_digits >= 4, "accepted short escape {doc:?} -> {s:?}");
                 let text = JsonValue::Str(s).to_json_string();
-                prop_assert!(JsonValue::parse(&text).is_ok());
+                assert!(JsonValue::parse(&text).is_ok());
             }
-            Ok(other) => prop_assert!(false, "string doc parsed as {other:?}"),
+            Ok(other) => panic!("string doc parsed as {other:?}"),
             Err(e) => {
                 let msg = e.to_string();
-                prop_assert!(
+                assert!(
                     msg.contains("\\u escape") || msg.contains("surrogate"),
                     "imprecise error for {doc:?}: {msg}"
                 );
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn uniform_mean_and_variance(seed in 0u64..10_000) {
+#[test]
+fn uniform_mean_and_variance() {
+    run_cases("uniform_mean_and_variance", |rng| {
         // U[0,1): mean 1/2, variance 1/12. 20k samples put the sample mean
         // within ~0.01 with overwhelming probability.
-        let mut rng = Rng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(rng.gen_range(0..10_000u64));
         let n = 20_000;
         let samples: Vec<f64> = (0..n).map(|_| rng.gen::<f64>()).collect();
         let mean = samples.iter().sum::<f64>() / n as f64;
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        prop_assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
-        prop_assert!((var - 1.0 / 12.0).abs() < 0.01, "variance {var}");
-    }
+        assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
+        assert!((var - 1.0 / 12.0).abs() < 0.01, "variance {var}");
+    });
+}
 
-    #[test]
-    fn normal_mean_and_std(seed in 0u64..10_000) {
-        let mut rng = Rng::seed_from_u64(seed);
+#[test]
+fn normal_mean_and_std() {
+    run_cases("normal_mean_and_std", |rng| {
+        let mut rng = Rng::seed_from_u64(rng.gen_range(0..10_000u64));
         let n = 20_000;
         let samples: Vec<f64> = (0..n).map(|_| rng.normal(3.0, 2.0)).collect();
         let mean = samples.iter().sum::<f64>() / n as f64;
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        prop_assert!((mean - 3.0).abs() < 0.1, "mean {mean}");
-        prop_assert!((var.sqrt() - 2.0).abs() < 0.1, "std {}", var.sqrt());
-    }
+        assert!((mean - 3.0).abs() < 0.1, "mean {mean}");
+        assert!((var.sqrt() - 2.0).abs() < 0.1, "std {}", var.sqrt());
+    });
+}
 
-    #[test]
-    fn int_ranges_are_roughly_uniform(seed in 0u64..10_000, k in 2u64..20) {
+#[test]
+fn int_ranges_are_roughly_uniform() {
+    run_cases("int_ranges_are_roughly_uniform", |rng| {
+        let (seed, k) = (rng.gen_range(0..10_000u64), rng.gen_range(2..20u64));
         // Each bucket of [0, k) should get about n/k hits.
         let mut rng = Rng::seed_from_u64(seed);
         let n = 10_000usize;
@@ -131,68 +155,75 @@ proptest! {
         }
         let expect = n as f64 / k as f64;
         for (i, &c) in counts.iter().enumerate() {
-            prop_assert!(
+            assert!(
                 (c as f64 - expect).abs() < 6.0 * expect.sqrt() + 10.0,
                 "bucket {i}: {c} vs {expect}"
             );
         }
-    }
+    });
+}
 
-    #[test]
-    fn bitset_matches_bool_vec_model(
-        ops in prop::collection::vec((0usize..200, any::<bool>()), 0..120),
-    ) {
+#[test]
+fn bitset_matches_bool_vec_model() {
+    run_cases("bitset_matches_bool_vec_model", |rng| {
+        let n = rng.gen_range(0..120usize);
+        let ops: Vec<(usize, bool)> = (0..n).map(|_| (rng.gen_range(0..200), rng.gen())).collect();
         // Drive a BitSet and a Vec<bool> model through the same random
         // insert/remove script; every observable must agree afterwards.
         let mut set = BitSet::new();
         let mut model = [false; 200];
         for &(index, insert) in &ops {
             if insert {
-                prop_assert_eq!(set.insert(index), !model[index]);
+                assert_eq!(set.insert(index), !model[index]);
                 model[index] = true;
             } else {
-                prop_assert_eq!(set.remove(index), model[index]);
+                assert_eq!(set.remove(index), model[index]);
                 model[index] = false;
             }
         }
-        let expect: Vec<usize> =
-            model.iter().enumerate().filter(|(_, &b)| b).map(|(i, _)| i).collect();
-        prop_assert_eq!(set.iter().collect::<Vec<_>>(), expect.clone());
-        prop_assert_eq!(set.count(), expect.len());
-        prop_assert_eq!(set.is_empty(), expect.is_empty());
+        let expect: Vec<usize> = (0..model.len()).filter(|&i| model[i]).collect();
+        assert_eq!(set.iter().collect::<Vec<_>>(), expect.clone());
+        assert_eq!(set.count(), expect.len());
+        assert_eq!(set.is_empty(), expect.is_empty());
         for (i, &b) in model.iter().enumerate() {
-            prop_assert_eq!(set.contains(i), b, "index {}", i);
+            assert_eq!(set.contains(i), b, "index {}", i);
         }
         // Rebuilding from the surviving indices yields an equal set even
         // though this one never grew past its high-water mark.
         let rebuilt: BitSet = expect.into_iter().collect();
-        prop_assert_eq!(set.clone(), rebuilt);
+        assert_eq!(set.clone(), rebuilt);
         set.clear();
-        prop_assert!(set.is_empty());
-        prop_assert_eq!(set, BitSet::new());
-    }
+        assert!(set.is_empty());
+        assert_eq!(set, BitSet::new());
+    });
+}
 
-    #[test]
-    fn bitset_insert_range_matches_model(lo in 0usize..150, len in 0usize..150) {
+#[test]
+fn bitset_insert_range_matches_model() {
+    run_cases("bitset_insert_range_matches_model", |rng| {
+        let (lo, len) = (rng.gen_range(0..150usize), rng.gen_range(0..150usize));
         let mut ranged = BitSet::new();
         ranged.insert_range(lo..lo + len);
         let individual: BitSet = (lo..lo + len).collect();
-        prop_assert_eq!(&ranged, &individual);
-        prop_assert_eq!(ranged.count(), len);
-    }
+        assert_eq!(&ranged, &individual);
+        assert_eq!(ranged.count(), len);
+    });
+}
 
-    #[test]
-    fn seed_stability(seed in any::<u64>()) {
+#[test]
+fn seed_stability() {
+    run_cases("seed_stability", |rng| {
         // Identical seeds replay identical streams across all sampler kinds.
+        let seed: u64 = rng.gen();
         let mut a = Rng::seed_from_u64(seed);
         let mut b = Rng::seed_from_u64(seed);
         for _ in 0..32 {
-            prop_assert_eq!(a.next_u64(), b.next_u64());
-            prop_assert_eq!(a.gen_range(-5.0..5.0f64), b.gen_range(-5.0..5.0f64));
-            prop_assert_eq!(a.gen_range(0..100u32), b.gen_range(0..100u32));
-            prop_assert_eq!(a.normal(0.0, 1.0), b.normal(0.0, 1.0));
+            assert_eq!(a.next_u64(), b.next_u64());
+            assert_eq!(a.gen_range(-5.0..5.0f64), b.gen_range(-5.0..5.0f64));
+            assert_eq!(a.gen_range(0..100u32), b.gen_range(0..100u32));
+            assert_eq!(a.normal(0.0, 1.0), b.normal(0.0, 1.0));
         }
-    }
+    });
 }
 
 #[test]

@@ -44,6 +44,15 @@ if grep -rnE 'VOLCAST_NO_SIMD|with_backend|Backend::|core::arch' \
     exit 1
 fi
 
+echo "==> the property DSL is gone, not forked"
+# One runner (util::prop::run_cases): each property draws its own inputs
+# from the case's Rng; no strategy combinators, macro front end or config.
+if grep -rnE 'proptest!|prop_assert|ProptestConfig|prop::prelude|prop::collection|impl Strategy' \
+    crates/ DESIGN.md README.md; then
+    echo "ERROR: names of the proptest-compatible property DSL survive" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -195,7 +204,8 @@ echo "==> benchmark workloads at full size: outcome hashes pinned"
 # as a one-layer VLY3 frame; codec_layered must not have moved with them.
 # PR 25 (the encoder's front half, bytes unchanged) moved no pin.
 # Replacing the AVX2 / NEON intrinsics with one quantize kernel compiled
-# twice moved none either.
+# twice moved none either, nor did porting the property suites from the
+# proptest-compatible DSL to run_cases (and sharing the wire head parser).
 for pin in codec_ladder:0x97b4ac0961eaafb1 codec_layered:0xb00dbeed38dc616e \
     session_single:0x338effbe7f8a1bb5 session_layered_faulted:0x3f96d14ae75d2245 \
     campus:0x22ab495ca9fac58d server:0xa52a4b03a0514405; do
