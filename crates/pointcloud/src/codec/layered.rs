@@ -619,12 +619,12 @@ impl LayeredDecoder {
             model,
             ..
         } = self;
-        let exp_a = exp_a.begin();
-        let exp_b = exp_b.begin();
+        let mut exp_a = exp_a.begin();
+        let mut exp_b = exp_b.begin();
         let new_q_buf = new_q.begin();
         if count > 0 {
             let expand = obs::span("codec.decode.expand");
-            let (mut colors, mut block) = ColorReader::new(&data[header_len..], coded, color_bits)?;
+            let (colors, mut block) = ColorReader::new(&data[header_len..], coded, color_bits)?;
             let alphabet = 1 << split_color(color_bits).0;
             model.parse(
                 &mut block,
@@ -632,37 +632,31 @@ impl LayeredDecoder {
                 (coded > 0).then_some(alphabet),
             )?;
             let mut dec = RansDecoder::new(block)?;
-            // Seed the expansion with the previous layer's codes (or the
-            // virtual root for a base layer), then expand level by level,
-            // ping-ponging via buffer swaps.
-            if layer == 0 {
-                exp_a.push(0);
-            } else {
-                exp_a.extend_from_slice(codes.get());
-            }
-            let mut lane = 0;
+            // Every code extends one anchor — a voxel of the layer below,
+            // or the virtual root — in the same order.
+            let (anchors, anchor_q) = match layer {
+                0 => (&[0][..], &[[0; 3]][..]),
+                _ => (codes.get(), qcols.get()),
+            };
+            // Level by level from the anchors into two buffers that carry
+            // logical lengths and grow to a level's most children plus a
+            // parent's 8 slots (never past what the stream spells).
+            let (mut lane, mut len) = (0, anchors.len());
             for level in prev_depth..depth {
-                exp_b.clear();
-                for &code in exp_a.iter() {
-                    let mut mask = model.mask(&mut dec, lane, level);
-                    lane = (lane + 1) % 3;
-                    if mask == 0 {
-                        return Err(CodecError::CorruptPayload("a node without children"));
-                    }
-                    if exp_b.len() + mask.count_ones() as usize > count {
-                        return Err(CodecError::CorruptPayload(
-                            "layer expands beyond the declared count",
-                        ));
-                    }
-                    while mask != 0 {
-                        exp_b.push((code << 3) | mask.trailing_zeros() as u64);
-                        mask &= mask - 1;
-                    }
+                let room = count.min(8 * len) + 8;
+                if exp_b.len() < room {
+                    exp_b.resize(room, 0);
                 }
-                std::mem::swap(exp_a, exp_b);
+                let parents = if level == prev_depth {
+                    anchors
+                } else {
+                    &exp_a[..len]
+                };
+                len =
+                    model.expand_level(&mut dec, &mut lane, level, parents, &mut exp_b[..room])?;
+                std::mem::swap(&mut exp_a, &mut exp_b);
             }
-            let final_codes = &*exp_a;
-            if final_codes.len() != count {
+            if len != count {
                 return Err(CodecError::CorruptPayload(
                     "layer decodes fewer voxels than declared",
                 ));
@@ -672,38 +666,38 @@ impl LayeredDecoder {
                     "rANS decoder ran past the end of the occupancy stream",
                 ));
             }
+            exp_a.truncate(count);
             drop(expand);
             let _colors = obs::span("codec.decode.colors");
-            // Every code extends one anchor — a voxel of the layer below,
-            // or the virtual root — in the same order: each anchor's
-            // descendants are the next run. `seen` keeps the residuals read
-            // within the `coded` the plane was cut for, whatever the
-            // occupancy decoded to.
+            // The `coded` residuals into the last slots: a base layer's are
+            // its colors. An enhancement's anchors take the next run of codes
+            // each and add themselves to its residuals, in place (a run's
+            // slots never lie past what it reads); `seen` keeps the runs
+            // within `coded`, whatever the occupancy decoded to.
+            new_q_buf.resize(count, [0; 3]);
+            let unsent = count - coded;
+            colors.decode_into(&mut dec, model, &mut new_q_buf[unsent..]);
             let cmask = (1u32 << color_bits) - 1;
-            let (anchors, anchor_q) = match layer {
-                0 => (&[0][..], &[[0; 3]][..]),
-                _ => (codes.get(), qcols.get()),
-            };
             let pshift = 3 * (depth - prev_depth);
-            let (mut i, mut seen) = (0usize, 0usize);
-            new_q_buf.reserve(count);
-            for (&parent, anchor) in anchors.iter().zip(anchor_q) {
+            let (mut i, mut seen) = (0, if layer > 0 { 0 } else { coded });
+            for (&parent, &anchor) in anchors.iter().zip(anchor_q).filter(|_| layer > 0) {
                 let start = i;
-                while i < count && final_codes[i] >> pshift == parent {
+                while i < count && exp_a[i] >> pshift == parent {
                     i += 1;
                 }
-                if i - start == 1 && layer > 0 {
-                    new_q_buf.push(*anchor); // an only child: nothing was sent
+                if i - start == 1 {
+                    new_q_buf[start] = anchor; // an only child: nothing was sent
                     continue;
                 }
+                let first = unsent + seen;
                 seen += i - start;
                 if seen > coded {
                     break;
                 }
-                for _ in start..i {
-                    let r = colors.read(&mut dec, model);
-                    let add = |ch: usize| ((anchor[ch] as u32 + r[ch]) & cmask) as u8;
-                    new_q_buf.push([add(0), add(1), add(2)]);
+                for (j, r) in (start..i).zip(first..) {
+                    let r = new_q_buf[r];
+                    let add = |ch: usize| ((anchor[ch] as u32 + r[ch] as u32) & cmask) as u8;
+                    new_q_buf[j] = [add(0), add(1), add(2)];
                 }
             }
             if seen != coded {
@@ -903,6 +897,39 @@ mod tests {
             Err(CodecError::InvalidHeader("enhancement without a base"))
         );
         assert!(got.is_empty());
+    }
+
+    /// The expansion takes a level's masks in chunks of three parents on
+    /// the states rotated to the level's first lane, then a tail of one or
+    /// two: every (first lane, level length mod 3) pair must decode to the
+    /// encoder's own codes and colors.
+    #[test]
+    fn every_first_lane_and_level_length_decodes_to_the_encoders_voxels() {
+        let body = SyntheticBody::default();
+        let (mut enc, mut dec) = (Encoder::new(), Decoder::new());
+        let (mut stream, mut out) = (EncodedCloud { data: Vec::new() }, PointCloud::new());
+        let mut crossed = [[false; 3]; 3];
+        for seed in 0..12u64 {
+            let cloud = body.frame(seed, [7, 40, 300, 2_000][seed as usize % 4] + seed as usize);
+            for depth in [3, 6, 9] {
+                let cfg = CodecConfig {
+                    depth,
+                    color_bits: 6,
+                };
+                enc.encode_into(&cloud, &cfg, &mut stream.data);
+                let mut lane = 0;
+                for level in 0..depth {
+                    let len = enc.tree.level(level).len();
+                    crossed[lane][len % 3] = true;
+                    lane = (lane + len) % 3;
+                }
+                dec.decode_into(&stream, &mut out).unwrap();
+                let what = format!("seed {seed} depth {depth}");
+                assert_eq!(dec.0.codes.get(), enc.codes.get(), "{what}");
+                assert_eq!(dec.0.qcols.get(), enc.q.get(), "{what}");
+            }
+        }
+        assert_eq!(crossed, [[true; 3]; 3], "[first lane][length mod 3]");
     }
 
     #[test]

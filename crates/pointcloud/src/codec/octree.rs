@@ -402,10 +402,7 @@ pub(super) fn put_colors(rans: &mut RansEncoder, model: &EncModel, syms: &[[u8; 
 /// The inverse of [`ColorWriter`] over a plane cut off a payload.
 pub(super) struct ColorReader<'a> {
     plane: &'a [u8],
-    acc: u64,
-    nbits: u32,
     raw: u32,
-    prev: [u8; 3],
 }
 
 impl<'a> ColorReader<'a> {
@@ -424,39 +421,29 @@ impl<'a> ColorReader<'a> {
             return Err(CodecError::CorruptPayload("raw color plane is truncated"));
         }
         let (plane, rest) = payload.split_at(len as usize);
-        Ok((
-            ColorReader {
-                plane,
-                acc: 0,
-                nbits: 0,
-                raw,
-                prev: [0; 3],
-            },
-            rest,
-        ))
+        Ok((ColorReader { plane, raw }, rest))
     }
 
-    /// One value. Reading more than `values` of them yields zero low bits,
-    /// never a panic; the decoder does not.
-    #[inline(always)]
-    pub(super) fn read(&mut self, dec: &mut RansDecoder, model: &DecModel) -> [u32; 3] {
-        let raw = self.raw;
-        if self.nbits < 3 * raw {
-            let (word, rest) = self.plane.split_at(self.plane.len().min(4));
-            let mut le = [0u8; 4];
-            le[..word.len()].copy_from_slice(word);
-            self.acc |= (u32::from_le_bytes(le) as u64) << self.nbits;
-            self.nbits += 32;
-            self.plane = rest;
-        }
-        let mut value = [0u32; 3];
-        for ch in 0..3 {
-            self.prev[ch] = model.color(dec, ch, self.prev[ch]);
-            value[ch] = (self.prev[ch] as u32) << raw | self.acc as u32 & ((1 << raw) - 1);
-            self.acc >>= raw;
-        }
-        self.nbits -= 3 * raw;
-        value
+    /// Decodes the stream's color values into `out`, in wire order: the
+    /// high bits off `dec`, the low bits off the plane (zeros past its end,
+    /// never a panic), its accumulator in locals as the rANS states are.
+    pub(super) fn decode_into(self, dec: &mut RansDecoder, model: &DecModel, out: &mut [[u8; 3]]) {
+        let (mut plane, raw, low) = (self.plane, self.raw, (1u32 << self.raw) - 1);
+        let (mut acc, mut nbits) = (0u64, 0u32);
+        model.colors(dec, out, |syms| {
+            if nbits < 3 * raw {
+                let (word, rest) = plane.split_at(plane.len().min(4));
+                acc |= word.iter().rev().fold(0, |w, &b| w << 8 | b as u64) << nbits;
+                (plane, nbits) = (rest, nbits + 32);
+            }
+            nbits -= 3 * raw;
+            let mut value = [0u8; 3];
+            for ch in 0..3 {
+                value[ch] = ((syms[ch] as u32) << raw | acc as u32 & low) as u8;
+                acc >>= raw;
+            }
+            value
+        });
     }
 }
 

@@ -57,7 +57,11 @@
 //! backwards: states start at `2^23`, symbols are taken last to first, each
 //! one as: while `x >= f_s << 19`, emit `x & 0xFF` and `x >>= 8`; then `x =
 //! (x / f_s) << 12 | x mod f_s + start_s`; the final states are written and
-//! the emitted bytes follow in reverse. So a decoder that has taken every
+//! the emitted bytes follow in reverse. The decoder takes that order three
+//! symbols per window (three nodes' masks, or one color value): it reads
+//! the eight bytes at the stream position once, shifts each symbol's refill
+//! out of them and moves the position once — the same bytes, in the same
+//! order, as one symbol at a time. So a decoder that has taken every
 //! symbol must find all three states back at `2^23` and the input consumed
 //! to the byte — anything else is [`CodecError::CorruptPayload`], which is
 //! how a damaged payload gets *reported* instead of rendering as different
@@ -294,9 +298,10 @@ impl RansEncoder {
     }
 }
 
-/// The decoder half. Reads past the end of `input` yield zeros, never a
-/// panic; [`RansDecoder::is_exhausted`] and [`RansDecoder::is_clean_end`]
-/// say whether what came out can be trusted.
+/// The decoder half, three symbols per window ([`DecModel::expand_level`],
+/// [`DecModel::colors`]). A window past the end of `input` is zero-padded:
+/// reads there yield zeros, never a panic; [`RansDecoder::is_exhausted`] and
+/// [`RansDecoder::is_clean_end`] say whether what came out can be trusted.
 pub(super) struct RansDecoder<'a> {
     x: [u32; 3],
     input: &'a [u8],
@@ -318,26 +323,16 @@ impl<'a> RansDecoder<'a> {
         Ok(RansDecoder { x, input, pos: 12 })
     }
 
+    /// The eight bytes at `pos`, big-endian: a group's window.
     #[inline(always)]
-    fn slot(&self, lane: usize) -> u32 {
-        self.x[lane] & (SCALE - 1)
-    }
-
-    /// Removes from `lane` the symbol found at its slot: `freq` wide, the
-    /// slot `bias` above its start. A frequency is at least 1, so at most
-    /// two bytes bring the state back into its interval; like the encoder
-    /// this takes them without a branch, from the next two looked at.
-    #[inline(always)]
-    fn advance(&mut self, lane: usize, freq: u32, bias: u32) {
-        let x = freq * (self.x[lane] >> SCALE_BITS) + bias;
-        let n = (x < SEED) as usize + (x < SEED >> 8) as usize;
-        let next = match self.input.get(self.pos..self.pos + 2) {
-            Some(two) => u16::from_be_bytes([two[0], two[1]]) as u32,
-            None => (self.input.get(self.pos).copied().unwrap_or(0) as u32) << 8,
-        };
-        self.pos += n;
-        self.x[lane] = x << (8 * n) | next >> (16 - 8 * n);
-        debug_assert!((SEED..SEED << 8).contains(&self.x[lane]));
+    fn window(&self, pos: usize) -> u64 {
+        if let Some(bytes) = self.input.get(pos..pos + 8) {
+            return u64::from_be_bytes(bytes.try_into().unwrap());
+        }
+        let mut bytes = [0u8; 8];
+        let tail = self.input.get(pos..).unwrap_or(&[]);
+        bytes[..tail.len()].copy_from_slice(tail);
+        u64::from_be_bytes(bytes)
     }
 
     /// True once a read went past the end of the input: the payload was
@@ -352,6 +347,35 @@ impl<'a> RansDecoder<'a> {
         self.x == [SEED; 3] && self.pos == self.input.len()
     }
 }
+
+/// Removes from state `x` the symbol at its slot, `freq` wide with the slot
+/// `bias` above its start, and refills it without a branch, like the
+/// encoder: at most two bytes, from offset `used` of the group's `window`.
+#[inline(always)]
+fn step(x: u32, freq: u32, bias: u32, window: u64, used: &mut u32) -> u32 {
+    let x = freq * (x >> SCALE_BITS) + bias;
+    let n = (x < SEED) as u32 + (x < SEED >> 8) as u32;
+    let next = (window << (8 * *used) >> 48) as u32;
+    *used += n;
+    let x = x << (8 * n) | next >> (16 - 8 * n);
+    debug_assert!((SEED..SEED << 8).contains(&x));
+    x
+}
+
+/// `CHILDREN[mask]`: its set bits ascending, then zeros (never read: the
+/// next node's children start at this one's count).
+static CHILDREN: [[u8; 8]; 256] = {
+    let mut table = [[0u8; 8]; 256];
+    let mut i = 0;
+    while i < 256 * 8 {
+        let (mask, bit) = (i / 8, i % 8);
+        if mask >> bit & 1 == 1 {
+            table[mask][(mask & ((1 << bit) - 1)).count_ones() as usize] = bit as u8;
+        }
+        i += 1;
+    }
+    table
+};
 
 /// Tables are addressed as pages of 256 entries: three for the colors
 /// (`[channel][context * 16 + symbol]`), one for the raw level's uniform
@@ -504,7 +528,7 @@ pub(super) struct DecModel {
     cum: [[[u16; 17]; 16]; 3],
     /// `[channel][context][slot >> 4]`: the symbol the bucket's first slot
     /// falls in, where the search for the slot's own symbol starts.
-    coarse: Vec<[u8; 256]>,
+    coarse: [[[u8; 256]; 16]; 3],
 }
 
 impl DecModel {
@@ -515,7 +539,7 @@ impl DecModel {
             slots,
             mask_page: [0; MAX_DEPTH as usize],
             cum: [[[0; 17]; 16]; 3],
-            coarse: vec![[0; 256]; 3 * 16],
+            coarse: [[[0; 256]; 16]; 3],
         }
     }
 
@@ -568,7 +592,7 @@ impl DecModel {
                 }
                 cum[alphabet..].fill(SCALE as u16);
                 let mut sym = 0;
-                for (bucket, first) in self.coarse[ch * 16 + ctx].iter_mut().enumerate() {
+                for (bucket, first) in self.coarse[ch][ctx].iter_mut().enumerate() {
                     while cum[sym + 1] as usize <= bucket << 4 {
                         sym += 1;
                     }
@@ -579,30 +603,101 @@ impl DecModel {
         Ok(())
     }
 
-    /// Decodes one node's child mask at `level`; `lane` is the mask's index
-    /// in the stream, mod 3. A raw level can spell mask 0, which no encoder
-    /// sends; the callers refuse it.
-    #[inline(always)]
-    pub(super) fn mask(&self, dec: &mut RansDecoder, lane: usize, level: u32) -> u32 {
-        let slot = self.slots[self.mask_page[level as usize] + dec.slot(lane) as usize];
-        dec.advance(lane, (slot >> 8 & (SCALE - 1)) + 1, slot >> 20);
-        slot & 0xFF
+    /// Decodes level `level`, one mask per code of `parents`: each parent
+    /// writes eight slots from [`CHILDREN`] at the running count, returned.
+    /// `children` is `min(count, 8 * parents.len()) + 8` long, so a count
+    /// past its length less 8 is past the layer's `count` (refused after
+    /// mask 0). `lane` (masks so far, mod 3) rotates the states into locals:
+    /// three parents per window, then a 1- or 2-parent tail.
+    pub(super) fn expand_level(
+        &self,
+        dec: &mut RansDecoder,
+        lane: &mut usize,
+        level: u32,
+        parents: &[u64],
+        children: &mut [u64],
+    ) -> Result<usize, CodecError> {
+        let slots = &self.slots[self.mask_page[level as usize]..][..SCALE as usize];
+        let mask = |x: &mut u32, w: u64, at: &mut u32| {
+            let slot = slots[(*x & (SCALE - 1)) as usize];
+            *x = step(*x, (slot >> 8 & (SCALE - 1)) + 1, slot >> 20, w, at);
+            slot & 0xFF
+        };
+        let mut n = 0;
+        let mut put = |code: u64, mask: u32| {
+            let kids = mask.count_ones() as usize;
+            if mask == 0 || n + kids + 8 > children.len() {
+                return Err(CodecError::CorruptPayload(match mask {
+                    0 => "a node without children",
+                    _ => "layer expands beyond the declared count",
+                }));
+            }
+            for (slot, &child) in children[n..n + 8].iter_mut().zip(&CHILDREN[mask as usize]) {
+                *slot = code << 3 | child as u64;
+            }
+            n += kids;
+            Ok(())
+        };
+        let [mut a, mut b, mut c] = [0, 1, 2].map(|k| dec.x[(*lane + k) % 3]);
+        let mut pos = dec.pos;
+        let mut chunks = parents.chunks_exact(3);
+        for chunk in &mut chunks {
+            let (w, mut at) = (dec.window(pos), 0);
+            let m = [
+                mask(&mut a, w, &mut at),
+                mask(&mut b, w, &mut at),
+                mask(&mut c, w, &mut at),
+            ];
+            pos += at as usize;
+            for (&code, mask) in chunk.iter().zip(m) {
+                put(code, mask)?;
+            }
+        }
+        let (mut x, w, mut at) = ([a, b, c], dec.window(pos), 0);
+        for (k, &code) in chunks.remainder().iter().enumerate() {
+            put(code, mask(&mut x[k], w, &mut at))?;
+        }
+        for (k, x) in x.into_iter().enumerate() {
+            dec.x[(*lane + k) % 3] = x;
+        }
+        dec.pos = pos + at as usize;
+        *lane = (*lane + parents.len()) % 3;
+        Ok(n)
     }
 
-    /// Decodes channel `ch`'s symbol after `ctx` in the same channel. The
-    /// coarse table lands on the symbol itself unless one of the table's few
-    /// boundaries lies between the bucket's first slot and this one.
+    /// Decodes a stream's color values into `out`, one window a value:
+    /// channel `c` on state `c` under the symbol sent there before, found
+    /// from its coarse bucket; `value` makes the three into what a slot holds.
     #[inline(always)]
-    pub(super) fn color(&self, dec: &mut RansDecoder, ch: usize, ctx: u8) -> u8 {
-        let cum = &self.cum[ch][ctx as usize];
-        let slot = dec.slot(ch);
-        let mut sym = self.coarse[ch * 16 + ctx as usize][slot as usize >> 4] as usize;
-        while slot >= cum[sym + 1] as u32 {
-            sym += 1;
+    pub(super) fn colors(
+        &self,
+        dec: &mut RansDecoder,
+        out: &mut [[u8; 3]],
+        mut value: impl FnMut([u8; 3]) -> [u8; 3],
+    ) {
+        let symbol = |ch: usize, ctx: &mut u8, x: &mut u32, w: u64, at: &mut u32| {
+            let c = *ctx as usize & 15;
+            let cum = &self.cum[ch][c];
+            let slot = *x & (SCALE - 1);
+            let mut sym = self.coarse[ch][c][slot as usize >> 4] as usize;
+            while slot >= cum[sym + 1] as u32 {
+                sym += 1;
+            }
+            let start = cum[sym] as u32;
+            *x = step(*x, cum[sym + 1] as u32 - start, slot - start, w, at);
+            *ctx = sym as u8;
+        };
+        let ([mut x0, mut x1, mut x2], [mut c0, mut c1, mut c2]) = (dec.x, [0; 3]);
+        let mut pos = dec.pos;
+        for slot in out {
+            let (w, mut at) = (dec.window(pos), 0);
+            symbol(0, &mut c0, &mut x0, w, &mut at);
+            symbol(1, &mut c1, &mut x1, w, &mut at);
+            symbol(2, &mut c2, &mut x2, w, &mut at);
+            pos += at as usize;
+            *slot = value([c0, c1, c2]);
         }
-        let start = cum[sym] as u32;
-        dec.advance(ch, cum[sym + 1] as u32 - start, slot - start);
-        sym as u8
+        (dec.x, dec.pos) = ([x0, x1, x2], pos);
     }
 }
 
@@ -734,18 +829,21 @@ mod tests {
     }
 
     /// A stream over levels 3..6 — level 3's masks uniform, level 4 empty,
-    /// level 5's skewed — and color values under an alphabet of 8.
+    /// level 5's skewed — and color values under an alphabet of 8. Masks
+    /// are level-major, the only order the format has.
     type Stream = (Vec<(u32, u8)>, Vec<[u8; 3]>);
 
     fn random_stream(rng: &mut Rng, masks: usize, colors: usize) -> Stream {
         let skewed = |rng: &mut Rng| (rng.gen_range(0..8u64) * rng.gen_range(0..8u64) / 8) as u8;
+        let mut masks: Vec<_> = (0..masks)
+            .map(|i| match i % 4 {
+                0 => (3, rng.gen_range(1..256u64) as u8),
+                _ => (5, 1 << skewed(rng)),
+            })
+            .collect();
+        masks.sort_by_key(|&(level, _)| level);
         (
-            (0..masks)
-                .map(|i| match i % 4 {
-                    0 => (3, rng.gen_range(1..256u64) as u8),
-                    _ => (5, 1 << skewed(rng)),
-                })
-                .collect(),
+            masks,
             (0..colors).map(|_| [0; 3].map(|_| skewed(rng))).collect(),
         )
     }
@@ -794,16 +892,23 @@ mod tests {
         model.parse(&mut block, 3..6, (!colors.is_empty()).then_some(8))?;
         let mut dec = RansDecoder::new(block)?;
         let mut same_symbols = true;
-        for (i, &(level, mask)) in masks.iter().enumerate() {
-            same_symbols &= model.mask(&mut dec, i % 3, level) == mask as u32;
-        }
-        let mut ctx = [0; 3];
-        for value in colors {
-            for (ch, ctx) in ctx.iter_mut().enumerate() {
-                *ctx = model.color(&mut dec, ch, *ctx);
+        let mut lane = 0;
+        for level in [3, 5] {
+            // Parent `k` is code `k`, so its children `k << 3 | bit` spell
+            // its mask back.
+            let want: Vec<u8> = masks.iter().filter(|m| m.0 == level).map(|m| m.1).collect();
+            let parents: Vec<u64> = (0..want.len() as u64).collect();
+            let mut children = vec![0; 8 * want.len() + 8];
+            let n = model.expand_level(&mut dec, &mut lane, level, &parents, &mut children)?;
+            let mut got = vec![0u8; want.len()];
+            for &child in &children[..n] {
+                got[(child >> 3) as usize] |= 1 << (child & 7);
             }
-            same_symbols &= ctx == *value;
+            same_symbols &= got == want;
         }
+        let mut got = vec![[0; 3]; colors.len()];
+        model.colors(&mut dec, &mut got, |syms| syms);
+        same_symbols &= got == *colors;
         Ok(Decoded {
             same_symbols,
             exhausted: dec.is_exhausted(),
@@ -878,6 +983,37 @@ mod tests {
             "{unnoticed} of {} flips decoded to a clean end",
             8 * block.len()
         );
+    }
+
+    /// The last group's window always runs past the end of a stream, and
+    /// reads zeros there: a stream cut one to eight bytes short reads them
+    /// where its last bytes were, runs past its end, and — by the rule
+    /// `LayeredDecoder` applies, an exhausted or unclean stream is corrupt
+    /// — is refused. Level 5 carries `masks - ceil(masks / 4)` masks, so the
+    /// last group is three masks, a tail of one or two, or a color value,
+    /// and the cuts reach back through all six bytes a group can take.
+    #[test]
+    fn a_stream_cut_inside_its_last_window_is_corrupt() {
+        let mut rng = Rng::seed_from_u64(0xc07);
+        let mut model = DecModel::new();
+        for (masks, colors) in [(700, 0), (702, 0), (703, 0), (900, 301)] {
+            let stream = random_stream(&mut rng, masks, colors);
+            let mut block = Vec::new();
+            encode_stream(&stream, &mut block);
+            let clean = decode_stream(&mut model, &block, &stream);
+            assert!(clean.is_ok_and(|d| d.same_symbols && d.clean_end));
+            for cut in 1..=8 {
+                let got = decode_stream(&mut model, &block[..block.len() - cut], &stream);
+                let verdict = got.and_then(|d| match d.exhausted || !d.clean_end {
+                    true => Err(CodecError::CorruptPayload("unclean end")),
+                    false => Ok(d),
+                });
+                assert!(
+                    matches!(verdict, Err(CodecError::CorruptPayload(_))),
+                    "{masks} masks, {colors} colors, cut {cut}: {verdict:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -53,6 +53,15 @@ if grep -rnE 'proptest!|prop_assert|ProptestConfig|prop::prelude|prop::collectio
     exit 1
 fi
 
+echo "==> the decoder takes symbols three at a time, not forked per symbol"
+# One path (codec::rans): a level's masks go through DecModel::expand_level,
+# a color run through DecModel::colors, both over one state step; no
+# one-symbol-at-a-time twin stands beside them.
+if grep -rnE 'fn (advance|mask|color)\(|ColorReader::read\b' crates/pointcloud/src/codec/; then
+    echo "ERROR: the per-symbol decoder methods survive under codec/" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -206,6 +215,7 @@ echo "==> benchmark workloads at full size: outcome hashes pinned"
 # Replacing the AVX2 / NEON intrinsics with one quantize kernel compiled
 # twice moved none either, nor did porting the property suites from the
 # proptest-compatible DSL to run_cases (and sharing the wire head parser).
+# Decoding three rANS symbols per window moved none: the bytes are the same.
 for pin in codec_ladder:0x97b4ac0961eaafb1 codec_layered:0xb00dbeed38dc616e \
     session_single:0x338effbe7f8a1bb5 session_layered_faulted:0x3f96d14ae75d2245 \
     campus:0x22ab495ca9fac58d server:0xa52a4b03a0514405; do
