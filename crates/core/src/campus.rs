@@ -27,7 +27,7 @@
 //! # The hot path
 //!
 //! Everything inside an epoch is epoch-invariant except the per-frame
-//! fault masks, so each room owns a persistent `RoomSlot` arena:
+//! fault bits, so each room owns a persistent `RoomSlot` arena:
 //! prepared receivers, group buffers, transmission-plan skeletons, fault
 //! plans, and simulator scratch all survive across epochs, and the
 //! per-(room, epoch) association runs on the pruned
@@ -68,8 +68,8 @@ use crate::multi_ap::EpochCoordinator;
 use volcast_geom::Vec3;
 use volcast_mmwave::{Channel, Codebook, McsTable, PlanarArray, Room, SweepEngine};
 use volcast_net::{
-    AdMac, BacklogPolicy, FaultConfig, FaultPlan, FrameOutcome, MacModel, SimScratch, SimTime,
-    Simulator, TransmissionPlan, TxItem, TxKind,
+    AdMac, BacklogPolicy, Fault, FaultConfig, FaultPlan, FrameOutcome, MacModel, SimScratch,
+    SimTime, Simulator, TransmissionPlan, TxItem, TxKind,
 };
 use volcast_pointcloud::Ladder;
 use volcast_util::{obs, par};
@@ -654,21 +654,15 @@ impl Campus {
             let n_active = ap_members.len();
             let sim_index = |gid: usize| ap_members.binary_search(&gid).expect("ap member");
 
-            let quiet;
-            let fp: &FaultPlan = match &self.params.faults {
-                Some(cfg) => {
-                    let mut cfg = *cfg;
-                    cfg.seed = Self::domain_fault_seed(cfg.seed, room, epoch, ap);
-                    fault_plan
-                        .regenerate(cfg, frames_in_epoch, n_active)
-                        .expect("validated at Campus::new");
-                    fault_plan
-                }
-                None => {
-                    quiet = FaultPlan::quiet();
-                    &quiet
-                }
-            };
+            // Without faults the slot's plan stays the quiet one it was
+            // built with.
+            if let Some(cfg) = &self.params.faults {
+                let seed = Self::domain_fault_seed(cfg.seed, room, epoch, ap);
+                fault_plan
+                    .regenerate(FaultConfig { seed, ..*cfg }, frames_in_epoch, n_active)
+                    .expect("validated at Campus::new");
+            }
+            let fp: &FaultPlan = fault_plan;
 
             let plan_span = obs::span("campus.room.plan");
             // Rung-1 quality clamp: compute the AP's *nominal* per-frame
@@ -716,7 +710,7 @@ impl Campus {
             // MAC goodput is hoisted — it depends only on the member's
             // rate and the epoch-frozen contender count) and per-group
             // reachable receiver lists. Frames below only filter by the
-            // frame's outage mask and re-run the admission arithmetic,
+            // frame's outage bits and re-run the admission arithmetic,
             // preserving the original per-item float accumulation order.
             let full_bytes = quality_scale * FRAME_BYTES;
             let residual_bytes = quality_scale * (1.0 - MULTICAST_SHARE) * FRAME_BYTES;
@@ -794,7 +788,7 @@ impl Campus {
                     stats.unreachable_user_frames += meta.unreachable;
                     rx_tmp.clear();
                     for &si in &base_rx[meta.rx_start..meta.rx_end] {
-                        if faults.outage_for(si) {
+                        if faults.has(si, Fault::Outage) {
                             stats.regroup_exclusions += 1;
                         } else {
                             rx_tmp.push(si);
@@ -832,7 +826,7 @@ impl Campus {
                     }
                 }
                 for si in 0..n_active {
-                    if faults.outage_for(si) || faults.loss_for(si) {
+                    if faults.has(si, Fault::Outage) || faults.has(si, Fault::Loss) {
                         stats.fault_user_frames += 1;
                     }
                 }

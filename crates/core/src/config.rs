@@ -1,7 +1,5 @@
 //! System-wide configuration.
 
-use volcast_geom::CameraIntrinsics;
-
 /// Per-frame airtime admission budget, in frame intervals. A burst (or a
 /// frame's plan plus a retransmit) slower than this can never catch up —
 /// the client buffer is shallower than the backlog it creates — while
@@ -23,9 +21,6 @@ pub struct SystemConfig {
     pub predictor_window: usize,
     /// Minimum pairwise IoU for two groups to be considered for merging.
     pub min_merge_iou: f64,
-    /// Camera intrinsics used for visibility (per-device overrides happen
-    /// in the session when traces carry a device class).
-    pub intrinsics: CameraIntrinsics,
     /// Client playback buffer capacity in frames. Kept small on purpose:
     /// content is viewport-dependent, so frames prefetched more than a few
     /// prediction horizons ahead would render the wrong cells
@@ -41,7 +36,6 @@ impl Default for SystemConfig {
             prediction_horizon: 10,
             predictor_window: 15,
             min_merge_iou: 0.25,
-            intrinsics: CameraIntrinsics::default(),
             buffer_capacity_frames: 3,
         }
     }

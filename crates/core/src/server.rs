@@ -66,7 +66,7 @@ use crate::bandwidth::CrossLayerInputs;
 use crate::error::VolcastError;
 use crate::rate_adapt::{AbrPolicy, Distress, FecRung, GroupState, RateAdapter};
 use volcast_net::wire::{StreamReader, CHUNK_HEADER_LEN, STREAM_HEADER_LEN};
-use volcast_net::{FaultConfig, FaultPlan, FrameFaults};
+use volcast_net::{Fault, FaultConfig, FaultPlan};
 use volcast_util::hash::Fnv1a;
 use volcast_util::obs;
 use volcast_util::par::par_for_each_mut;
@@ -507,13 +507,9 @@ impl SessionServer {
             let frame_now = (t / fi) as usize;
             let live = frame_now < frames;
             let end = ((frame_now as u64 + 1) * fi).min(sim_ticks);
-            let faults: &FrameFaults = if live {
-                plan.at(frame_now)
-            } else {
-                FrameFaults::quiet()
-            };
-            let outage = faults.outage_for(id);
-            let loss = faults.loss_for(id);
+            let faults = plan.at(frame_now);
+            let outage = faults.has(id, Fault::Outage);
+            let loss = faults.has(id, Fault::Loss);
             let stall = faults.ap_stall;
 
             // Publish: the server enqueues each new frame for every
@@ -658,7 +654,7 @@ impl SessionServer {
                             // Decode-deadline overrun: bytes arrived, the
                             // decoder missed its slot; completion lands on
                             // the next frame boundary.
-                            let done = if faults.decode_overrun_for(id) {
+                            let done = if faults.has(id, Fault::DecodeOverrun) {
                                 (frame_now as u64 + 1) * fi
                             } else {
                                 tick
@@ -823,11 +819,7 @@ mod tests {
 
             for t in arrival..sim_ticks {
                 let frame_now = (t / fi) as usize;
-                let faults: &FrameFaults = if frame_now < frames {
-                    plan.at(frame_now)
-                } else {
-                    FrameFaults::quiet()
-                };
+                let faults = plan.at(frame_now);
 
                 // Publish: the server enqueues each new frame for every
                 // subscribed session, connected or not — a reconnecting
@@ -844,7 +836,9 @@ mod tests {
 
                 // Outage: a mid-transfer disconnect. The interrupted chunk
                 // (or manifest) restarts from byte zero after the reconnect.
-                if faults.outage_for(id) && matches!(phase, Phase::Manifest | Phase::Streaming) {
+                if faults.has(id, Fault::Outage)
+                    && matches!(phase, Phase::Manifest | Phase::Streaming)
+                {
                     if let Some((frame, left)) = in_flight {
                         if left < in_flight_total {
                             in_flight = Some((frame, in_flight_total));
@@ -883,7 +877,7 @@ mod tests {
                         }
                         let sent = budget.min(manifest_left);
                         out.bytes_sent += sent;
-                        if !faults.loss_for(id) {
+                        if !faults.has(id, Fault::Loss) {
                             manifest_left -= sent;
                         }
                         if manifest_left == 0 {
@@ -951,7 +945,7 @@ mod tests {
                             // delivery under distress), the first loss tick of
                             // the in-flight frame repairs locally: progress is
                             // credited and the shield is consumed.
-                            let left = if faults.loss_for(id) {
+                            let left = if faults.has(id, Fault::Loss) {
                                 if fec_shield {
                                     fec_shield = false;
                                     out.fec_absorbed_ticks += 1;
@@ -968,7 +962,7 @@ mod tests {
                                 // Decode-deadline overrun: bytes arrived, the
                                 // decoder missed its slot; completion lands on
                                 // the next frame boundary.
-                                let done = if faults.decode_overrun_for(id) {
+                                let done = if faults.has(id, Fault::DecodeOverrun) {
                                     (t / fi + 1) * fi
                                 } else {
                                     t
@@ -993,7 +987,7 @@ mod tests {
                     Phase::Reconnecting => {
                         if phase_timer > 0 {
                             phase_timer -= 1;
-                        } else if !faults.outage_for(id) {
+                        } else if !faults.has(id, Fault::Outage) {
                             // Session resume: the manifest (if it completed)
                             // is cached client-side; otherwise restart it.
                             phase = if subscribed {

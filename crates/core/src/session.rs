@@ -40,7 +40,7 @@ use std::sync::Arc;
 use volcast_geom::{Complex, Pose, Vec3};
 use volcast_mmwave::{BeamDesign, Blocker, Channel, Codebook, McsTable, SweepEngine, SweepRx};
 use volcast_net::{
-    AcMac, AdMac, BacklogPolicy, FaultConfig, FaultPlan, FrameFaults, MacModel, PlanTiming,
+    AcMac, AdMac, BacklogPolicy, Fault, FaultConfig, FaultPlan, FrameFaults, MacModel, PlanTiming,
     SimTime, Simulator, TransmissionPlan, TxItem, Wifi5Channel,
 };
 use volcast_pointcloud::{CellGrid, CellInfo, DecodeModel, QualityLevel, VideoSequence};
@@ -237,8 +237,9 @@ impl SessionParams {
     /// Validates the parameters, surfacing what used to be deep-loop
     /// panics (or silent nonsense) as errors: a session needs at least one
     /// frame, a positive frame interval, a nonzero analysis density, a
-    /// positive finite cell size, a similarity gate that can compare, and
-    /// a well-formed fault configuration.
+    /// positive finite cell size, a predictor window of at least two
+    /// samples, a similarity gate that can compare, and a well-formed fault
+    /// configuration.
     pub fn validate(&self) -> Result<(), VolcastError> {
         if self.frames == 0 {
             return Err(VolcastError::InvalidParams("frames must be >= 1".into()));
@@ -259,6 +260,13 @@ impl SessionParams {
         if !(cell_size > 0.0 && cell_size.is_finite()) {
             return Err(VolcastError::InvalidParams(format!(
                 "cell_size {cell_size} m must be positive and finite"
+            )));
+        }
+        let window = self.config.predictor_window;
+        if window < 2 {
+            // A line through fewer than two samples has no slope.
+            return Err(VolcastError::InvalidParams(format!(
+                "predictor_window {window} must hold at least 2 samples"
             )));
         }
         if self.config.min_merge_iou.is_nan() {
@@ -617,17 +625,17 @@ fn classify(t_eff: f64, buf: f64, interval: f64, buf_cap: f64) -> Playout {
 /// shared-byte figure is kept (the overlap of a subset is a superset — the
 /// planner's price is a safe underestimate of the sharing). Groups stay a
 /// partition of the users, in canonical (member-sorted) order.
-fn sever_outaged(groups: &mut Vec<Group>, faults: &FrameFaults) {
-    if faults.outage.is_empty() {
-        return;
-    }
+fn sever_outaged(groups: &mut Vec<Group>, outaged: impl Fn(usize) -> bool) {
     let mut severed: Vec<usize> = Vec::new();
     for g in groups.iter_mut() {
-        if g.members.iter().any(|&u| faults.outage_for(u)) {
-            severed.extend(g.members.iter().filter(|&&u| faults.outage_for(u)));
-            g.members.retain(|&u| !faults.outage_for(u));
+        if g.members.iter().any(|&u| outaged(u)) {
+            severed.extend(g.members.iter().filter(|&&u| outaged(u)));
+            g.members.retain(|&u| !outaged(u));
             obs::inc("session.degrade.regrouped_groups");
         }
+    }
+    if severed.is_empty() {
+        return;
     }
     groups.retain(|g| !g.members.is_empty());
     severed.sort_unstable();
@@ -733,25 +741,17 @@ impl<'a> Pipeline<'a> {
     }
 
     /// The faults injected this frame (the quiet frame on fault-free runs).
-    fn frame_faults(&self, f: usize) -> &'a FrameFaults {
+    fn frame_faults(&self, f: usize) -> FrameFaults<'a> {
         let faults = self.fault_plan.at(f);
         if obs::enabled() && !faults.is_quiet() {
-            obs::add(
-                "session.faults.outage_user_frames",
-                faults.outage.count() as u64,
-            );
-            obs::add(
-                "session.faults.blockage_user_frames",
-                faults.blockage.count() as u64,
-            );
-            obs::add(
-                "session.faults.loss_user_frames",
-                faults.loss.count() as u64,
-            );
-            obs::add(
-                "session.faults.decode_overruns",
-                faults.decode_overrun.count() as u64,
-            );
+            for (name, fault) in [
+                ("session.faults.outage_user_frames", Fault::Outage),
+                ("session.faults.blockage_user_frames", Fault::Blockage),
+                ("session.faults.loss_user_frames", Fault::Loss),
+                ("session.faults.decode_overruns", Fault::DecodeOverrun),
+            ] {
+                obs::add(name, faults.count(fault) as u64);
+            }
             if faults.ap_stall {
                 obs::inc("session.faults.ap_stall_frames");
             }
@@ -783,7 +783,7 @@ impl<'a> Pipeline<'a> {
     /// Stage 2 — forecast and mitigate: planning poses one horizon ahead
     /// (or, as fallback, the observed ones), who is body-blocked right
     /// now, and what the mitigation mode does about each onset.
-    fn forecast(&self, f: usize, faults: &FrameFaults, a: &mut Arena) {
+    fn forecast(&self, f: usize, faults: FrameFaults<'_>, a: &mut Arena) {
         let horizon = self.cfg.prediction_horizon;
         let have_prediction = self.s.params.use_prediction
             && a.joint.predict_frame_into(horizon, &mut a.planning_poses);
@@ -813,7 +813,7 @@ impl<'a> Pipeline<'a> {
             self.s.params.body_blockage
                 && ((0..self.n).any(|v| v != u && blocked_by(poses[v].position))
                     || walkers.iter().any(|&w| blocked_by(w)))
-                || faults.blockage_for(u)
+                || faults.has(u, Fault::Blockage)
         }));
         let blocked_count = a.blocked_now.iter().filter(|&&b| b).count();
         a.tally.blocked_user_frames += blocked_count;
@@ -857,12 +857,12 @@ impl<'a> Pipeline<'a> {
     /// per user. Proactive users are already on the best surviving path;
     /// reactive users spend the first blocked frame on the stale LoS beam
     /// before re-searching.
-    fn link_rates(&self, faults: &FrameFaults, a: &mut Arena) {
+    fn link_rates(&self, faults: FrameFaults<'_>, a: &mut Arena) {
         let (s, ap) = (self.s, self.s.channel.array.position);
         a.rss.clear();
         for (u, pose) in a.poses.iter().enumerate() {
             let pos = pose.position;
-            let injected_blockage = faults.blockage_for(u);
+            let injected_blockage = faults.has(u, Fault::Blockage);
             // Everyone's body but the user's own. The channel's endpoint
             // guard alone is not enough: it spares the leg that ends at the
             // receiver, not a reflection's first leg passing over them.
@@ -901,7 +901,7 @@ impl<'a> Pipeline<'a> {
         // admission control defers their bursts and the degradation ladder
         // (buffer playback, regrouping) takes over.
         for (u, r) in a.rss.iter_mut().enumerate() {
-            if faults.outage_for(u) {
+            if faults.has(u, Fault::Outage) {
                 *r = -100.0;
             }
         }
@@ -1074,7 +1074,7 @@ impl<'a> Pipeline<'a> {
     /// similarity, multicasts what each group shares and unicasts the
     /// rest — as one single-stream payload per user or as base +
     /// enhancement layers, the only place the delivery mode matters.
-    fn plan(&self, faults: &FrameFaults, a: &mut Arena) {
+    fn plan(&self, faults: FrameFaults<'_>, a: &mut Arena) {
         a.effective_quality.clear();
         a.effective_quality.extend_from_slice(&a.qualities);
         a.unserved.fill(false);
@@ -1149,7 +1149,7 @@ impl<'a> Pipeline<'a> {
         };
         let rate_cap = |members: &[usize]| self.group_rate_cap(members);
         let mut groups = self.planner.plan_capped(&inputs, &rate_cap).groups;
-        sever_outaged(&mut groups, faults);
+        sever_outaged(&mut groups, |u| faults.has(u, Fault::Outage));
         for g in &groups {
             arm(self, g, plan_quality, a);
         }
@@ -1305,7 +1305,7 @@ impl<'a> Pipeline<'a> {
 
     /// Stage 7 — recover: what the plan does about this frame's injected
     /// loss and AP stall.
-    fn recover(&self, faults: &FrameFaults, a: &mut Arena) {
+    fn recover(&self, faults: FrameFaults<'_>, a: &mut Arena) {
         // Graceful degradation, rung 2: bounded retransmit. A user whose
         // scheduled delivery will be lost (corrupted past the MAC's retry
         // budget) gets exactly one re-send, paid for with a backoff
@@ -1313,12 +1313,12 @@ impl<'a> Pipeline<'a> {
         // airtime budget. Beyond the budget, the loss stands and the
         // buffer absorbs it instead.
         a.retransmitted.fill(false);
-        if !faults.loss.is_empty() && !faults.ap_stall {
+        if faults.count(Fault::Loss) > 0 && !faults.ap_stall {
             let backoff_s = 0.1 * self.interval;
             let airtime = |i: &TxItem| self.mac.airtime_s(i.wire_bytes(), i.phy_mbps, self.n);
             for u in 0..self.n {
-                if !faults.loss_for(u)
-                    || faults.outage_for(u)
+                if !faults.has(u, Fault::Loss)
+                    || faults.has(u, Fault::Outage)
                     || a.unserved[u]
                     || a.needed_bytes[u] <= 0.0
                 {
@@ -1419,13 +1419,13 @@ impl<'a> Pipeline<'a> {
     /// buffer (on time, stalled, or rendered from the base layer), the
     /// distress ladder's bookkeeping, and the ABR's throughput feedback.
     /// The frame's plan then joins the replay log.
-    fn playout(&self, faults: &FrameFaults, timing: &PlanTiming, a: &mut Arena) {
+    fn playout(&self, faults: FrameFaults<'_>, timing: &PlanTiming, a: &mut Arena) {
         for u in 0..self.n {
             // An injected loss without a successful retransmit means the
             // airtime was burned but nothing decodable arrived — unless
             // the burst carried proactive parity: a single erasure then
             // rebuilds locally and the frame completes.
-            let lost = faults.loss_for(u) && !a.retransmitted[u] && !a.fec_protected[u];
+            let lost = faults.has(u, Fault::Loss) && !a.retransmitted[u] && !a.fec_protected[u];
             let on_time = self.render(u, lost, faults, timing, a);
             if self.have_faults {
                 self.roll_distress(u, lost, on_time, faults, a);
@@ -1441,7 +1441,7 @@ impl<'a> Pipeline<'a> {
         &self,
         u: usize,
         lost: bool,
-        faults: &FrameFaults,
+        faults: FrameFaults<'_>,
         timing: &PlanTiming,
         a: &mut Arena,
     ) -> bool {
@@ -1464,7 +1464,7 @@ impl<'a> Pipeline<'a> {
         } else {
             timing.user_completion_s[u].unwrap_or(f64::INFINITY)
         };
-        let overrun = faults.decode_overrun_for(u);
+        let overrun = faults.has(u, Fault::DecodeOverrun);
         let play = |t_eff: f64| classify(t_eff, buf, self.interval, self.buf_cap);
         let mut rendered_q = a.effective_quality[u];
         let mut out = play(delivery.max(self.decode_time(rendered_q, overrun)));
@@ -1504,14 +1504,14 @@ impl<'a> Pipeline<'a> {
         u: usize,
         lost: bool,
         on_time: bool,
-        faults: &FrameFaults,
+        faults: FrameFaults<'_>,
         a: &mut Arena,
     ) {
         let hit = faults.ap_stall
-            || faults.outage_for(u)
-            || faults.blockage_for(u)
-            || faults.loss_for(u)
-            || faults.decode_overrun_for(u);
+            || faults.has(u, Fault::Outage)
+            || faults.has(u, Fault::Blockage)
+            || faults.has(u, Fault::Loss)
+            || faults.has(u, Fault::DecodeOverrun);
         if hit {
             a.tally.fault_user_frames += 1;
             if on_time {
@@ -1520,7 +1520,7 @@ impl<'a> Pipeline<'a> {
         }
         // Hard faults raise distress even when absorbed (the link has not
         // proven itself); soft ones only when they actually cost a stall.
-        let hard = faults.ap_stall || faults.outage_for(u) || lost;
+        let hard = faults.ap_stall || faults.has(u, Fault::Outage) || lost;
         if hard || (hit && !on_time) {
             a.distress[u].raise(2);
         } else {
@@ -1891,7 +1891,7 @@ mod tests {
     /// showing `inspect` every frame's arena once its plan is final.
     fn drive(
         s: &StreamingSession,
-        mut inspect: impl FnMut(&Pipeline<'_>, &FrameFaults, &Arena),
+        mut inspect: impl FnMut(&Pipeline<'_>, FrameFaults<'_>, &Arena),
     ) -> SessionOutcome {
         let fault_plan = s.checked_fault_plan().unwrap();
         let p = Pipeline::new(s, &fault_plan);
@@ -1969,9 +1969,9 @@ mod tests {
                 assert_eq!(sorted, [0, 1, 2], "groups {:?}", a.groups);
                 assert!(a.groups.windows(2).all(|w| w[0].members < w[1].members));
                 for g in a.groups.iter().filter(|g| g.members.len() > 1) {
-                    assert!(!g.members.iter().any(|&u| faults.outage_for(u)));
+                    assert!(!g.members.iter().any(|&u| faults.has(u, Fault::Outage)));
                 }
-                outaged_frames += !faults.outage.is_empty() as usize;
+                outaged_frames += (faults.count(Fault::Outage) > 0) as usize;
             });
         }
         assert!(outaged_frames > 0, "the fault schedule injected no outage");
@@ -2051,18 +2051,13 @@ mod tests {
             group(&[1, 2], 5e4),
             group(&[5], 0.0),
         ];
-        let mut faults = FrameFaults::default();
-
         // No outage: untouched.
         let mut groups = planned.clone();
-        sever_outaged(&mut groups, &faults);
+        sever_outaged(&mut groups, |_| false);
         assert_eq!(groups, planned);
 
         // Users 1, 2 (a whole group) and 3 (one of three) go dark.
-        for u in [1, 2, 3] {
-            faults.outage.insert(u);
-        }
-        sever_outaged(&mut groups, &faults);
+        sever_outaged(&mut groups, |u| [1, 2, 3].contains(&u));
         let members: Vec<&[usize]> = groups.iter().map(|g| &g.members[..]).collect();
         assert_eq!(members, [&[0, 4][..], &[1], &[2], &[3], &[5]]);
         // Survivors keep the planner's price; the severed ride alone at

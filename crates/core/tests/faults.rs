@@ -158,6 +158,17 @@ fn invalid_inputs_are_errors_not_panics() {
         );
     }
 
+    // predictor_window < 2: the linear predictor needs two samples
+    for window in [0, 1] {
+        let mut s = quick_session(PlayerKind::Volcast, 2, 10, 1);
+        s.params.config.predictor_window = window;
+        let out = s.run();
+        assert!(
+            matches!(out, Err(VolcastError::InvalidParams(_))),
+            "predictor_window {window}: {out:?}"
+        );
+    }
+
     // min_merge_iou = NaN would switch the similarity gate off
     let mut s = quick_session(PlayerKind::Volcast, 2, 10, 1);
     s.params.config.min_merge_iou = f64::NAN;

@@ -7,7 +7,7 @@
 //! combinations they miss. Thread count and tracing are process-global, so
 //! the tests share one lock.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use volcast_core::session::{quick_session_with_device, DeliveryMode, RadioKind};
 use volcast_core::{PlayerKind, StreamingSession};
 use volcast_net::FaultConfig;
@@ -18,6 +18,25 @@ use volcast_util::{obs, par};
 use volcast_viewport::DeviceClass;
 
 static GLOBAL_KNOBS: Mutex<()> = Mutex::new(());
+
+/// The knobs, held for a test's length. Releasing them flushes the
+/// thread's `obs` sink first: a test thread's sink otherwise flushes when
+/// the thread exits, which can land after the next holder's `obs::reset`.
+struct Knobs {
+    _held: MutexGuard<'static, ()>,
+}
+
+impl Drop for Knobs {
+    fn drop(&mut self) {
+        obs::snapshot();
+    }
+}
+
+fn knobs() -> Knobs {
+    Knobs {
+        _held: GLOBAL_KNOBS.lock().unwrap_or_else(|e| e.into_inner()),
+    }
+}
 
 /// Four clustered phone users: real multicast groups every frame.
 fn session(radio: RadioKind, delivery: DeliveryMode, custom_beams: bool) -> StreamingSession {
@@ -33,7 +52,7 @@ fn session(radio: RadioKind, delivery: DeliveryMode, custom_beams: bool) -> Stre
 fn outcomes_match_the_exhaustive_designer_era() {
     use DeliveryMode::{Layered, Single};
     use RadioKind::{MmWave, Wifi5};
-    let _guard = GLOBAL_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
+    let _knobs = knobs();
     let orig = par::thread_count();
     // (name, radio, delivery, custom beams, 5 GHz groupcast rate, hash)
     for (name, radio, delivery, custom_beams, groupcast_mbps, want) in [
@@ -106,7 +125,7 @@ fn outcomes_match_the_exhaustive_designer_era() {
 /// the same — in both delivery modes, at either thread count.
 #[test]
 fn a_warm_cell_manifest_changes_no_outcome() {
-    let _guard = GLOBAL_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
+    let _knobs = knobs();
     let orig = par::thread_count();
     let faults = "seed=17,outage=0.02:4,blockage=0.05:3,stall=0.02:2,loss=0.04,decode=0.03";
     for (delivery, faults) in [
@@ -147,7 +166,7 @@ fn a_warm_cell_manifest_changes_no_outcome() {
 /// reports (or, with tracing on, runs) a 60 GHz beam design.
 #[test]
 fn wifi5_has_no_customized_beams() {
-    let _guard = GLOBAL_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
+    let _knobs = knobs();
     let was_enabled = obs::enabled();
     obs::set_enabled(true);
     for delivery in [DeliveryMode::Single, DeliveryMode::Layered] {
@@ -185,7 +204,7 @@ fn wifi5_has_no_customized_beams() {
 #[test]
 fn every_member_set_is_designed_once_per_frame() {
     const EAGER_DESIGNS: u64 = 108;
-    let _guard = GLOBAL_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
+    let _knobs = knobs();
     let was_enabled = obs::enabled();
     obs::set_enabled(true);
     let orig = par::thread_count();

@@ -26,14 +26,15 @@
 //! - **decode-deadline overruns** — a client misses its decode slot even
 //!   though bytes arrived on time (thermal throttling, background work).
 //!
-//! Schedules are materialized once at generation time into per-frame
-//! per-user bit sets ([`FrameFaults`], backed by the growable
-//! [`BitSet`]), so queries in the hot loop
-//! are word-indexed bit tests and the schedule cannot drift with
-//! evaluation order. Each fault class and user draws from its own
-//! [`Rng::for_stream`] stream, so enabling one class never perturbs
-//! another's schedule, and plans scale to campus-sized populations —
-//! there is no fixed user ceiling.
+//! Schedules are materialized once at generation time into one table of
+//! one byte per `(frame, user)`, frame-major, whose bits are the four
+//! per-user classes ([`Fault`]), plus one AP-stall flag per frame. A
+//! frame's faults are a [`FrameFaults`] view of its row, so every query
+//! in the hot loop is an indexed bit test, the schedule cannot drift with
+//! evaluation order, and a plan is two allocations at any population
+//! size. Each fault class and user draws from its own [`Rng::for_stream`]
+//! stream, so enabling one class never perturbs another's schedule, and a
+//! user's schedule does not depend on how many users share the plan.
 //!
 //! ```
 //! use volcast_net::{FaultConfig, FaultPlan};
@@ -90,7 +91,6 @@
 //! ```
 
 use crate::error::NetError;
-use volcast_util::bitset::BitSet;
 use volcast_util::obs;
 use volcast_util::rng::Rng;
 
@@ -131,26 +131,29 @@ pub struct FaultConfig {
 }
 
 impl Default for FaultConfig {
-    /// A quiet plan: every rate zero, episode lengths at their defaults so
-    /// that turning a single rate on gives sensible bursts.
+    /// [`FaultConfig::QUIET`].
     fn default() -> Self {
-        FaultConfig {
-            seed: 0,
-            outage_rate: 0.0,
-            outage_frames: 6,
-            blockage_rate: 0.0,
-            blockage_frames: 4,
-            ap_stall_rate: 0.0,
-            ap_stall_frames: 3,
-            loss_rate: 0.0,
-            decode_overrun_rate: 0.0,
-            blackout_start: 0,
-            blackout_frames: 0,
-        }
+        FaultConfig::QUIET
     }
 }
 
 impl FaultConfig {
+    /// A quiet plan: every rate zero, episode lengths at their defaults so
+    /// that turning a single rate on gives sensible bursts.
+    pub const QUIET: FaultConfig = FaultConfig {
+        seed: 0,
+        outage_rate: 0.0,
+        outage_frames: 6,
+        blockage_rate: 0.0,
+        blockage_frames: 4,
+        ap_stall_rate: 0.0,
+        ap_stall_frames: 3,
+        loss_rate: 0.0,
+        decode_overrun_rate: 0.0,
+        blackout_start: 0,
+        blackout_frames: 0,
+    };
+
     /// `true` when no fault class is active (the generated plan is empty).
     pub fn is_quiet(&self) -> bool {
         self.outage_rate == 0.0
@@ -275,85 +278,70 @@ impl FaultConfig {
     }
 }
 
-/// The faults active during one frame: per-user bit sets plus the global
-/// AP-stall flag. The default value is the quiet frame. Membership sets
-/// are growable [`BitSet`]s, so a frame scales to any population size.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FrameFaults {
-    /// Users whose link is in a total outage this frame.
-    pub outage: BitSet,
-    /// Users with an injected blockage on their LoS this frame.
-    pub blockage: BitSet,
-    /// Users whose transmitted items are lost this frame.
-    pub loss: BitSet,
-    /// Users whose decoder misses its deadline this frame.
-    pub decode_overrun: BitSet,
+/// One injected per-user fault class: a bit of a plan's per-`(frame,
+/// user)` byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub enum Fault {
+    /// The user's link is in a total outage.
+    Outage = 1,
+    /// A phantom body stands on the user's LoS.
+    Blockage = 2,
+    /// The user's transmitted items are lost.
+    Loss = 4,
+    /// The user's decoder misses its deadline.
+    DecodeOverrun = 8,
+}
+
+/// The faults active during one frame: a view of the plan's row for the
+/// frame (one byte of [`Fault`] bits per user) plus the global AP-stall
+/// flag. The default value is the quiet frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct FrameFaults<'a> {
+    users: &'a [u8],
     /// The AP transmits nothing this frame.
     pub ap_stall: bool,
 }
 
-/// The quiet frame, shared by out-of-schedule and fault-free queries.
-/// (`BitSet::new` is `const`, so this allocates nothing.)
-static QUIET_FRAME: FrameFaults = FrameFaults {
-    outage: BitSet::new(),
-    blockage: BitSet::new(),
-    loss: BitSet::new(),
-    decode_overrun: BitSet::new(),
-    ap_stall: false,
-};
+impl FrameFaults<'_> {
+    /// `true` when `fault` hits `user` this frame (never for a user past
+    /// the plan's population).
+    pub fn has(&self, user: usize, fault: Fault) -> bool {
+        self.users.get(user).is_some_and(|&b| b & fault as u8 != 0)
+    }
 
-impl FrameFaults {
-    /// A `'static` reference to the quiet frame — the allocation-free
-    /// answer for queries beyond a plan's schedule or without any plan.
-    pub fn quiet() -> &'static FrameFaults {
-        &QUIET_FRAME
+    /// How many users `fault` hits this frame.
+    pub fn count(&self, fault: Fault) -> usize {
+        self.users.iter().filter(|&&b| b & fault as u8 != 0).count()
     }
 
     /// `true` when nothing is injected this frame.
     pub fn is_quiet(&self) -> bool {
-        self.outage.is_empty()
-            && self.blockage.is_empty()
-            && self.loss.is_empty()
-            && self.decode_overrun.is_empty()
-            && !self.ap_stall
-    }
-
-    /// Link outage for `user` this frame.
-    pub fn outage_for(&self, user: usize) -> bool {
-        self.outage.contains(user)
-    }
-
-    /// Injected blockage for `user` this frame.
-    pub fn blockage_for(&self, user: usize) -> bool {
-        self.blockage.contains(user)
-    }
-
-    /// Transmission loss for `user` this frame.
-    pub fn loss_for(&self, user: usize) -> bool {
-        self.loss.contains(user)
-    }
-
-    /// Decode-deadline overrun for `user` this frame.
-    pub fn decode_overrun_for(&self, user: usize) -> bool {
-        self.decode_overrun.contains(user)
+        !self.ap_stall && self.users.iter().all(|&b| b == 0)
     }
 }
 
-/// Seed-stream ids for the fault classes (see [`Rng::for_stream`]): each
-/// class and user owns stream `CLASS_BASE + user`, so schedules are stable
-/// under any evaluation order and any thread count.
-const STREAM_OUTAGE: u64 = 0x0100;
-const STREAM_BLOCKAGE: u64 = 0x0200;
+/// Seed-stream ids (see [`Rng::for_stream`]): each per-user class and user
+/// owns stream `base + user`, so schedules are stable under any evaluation
+/// order and any thread count.
+const STREAMS: [(Fault, u64); 4] = [
+    (Fault::Outage, 0x0100),
+    (Fault::Blockage, 0x0200),
+    (Fault::Loss, 0x0400),
+    (Fault::DecodeOverrun, 0x0500),
+];
+/// The AP-stall stream, one for the whole plan.
 const STREAM_AP_STALL: u64 = 0x0300;
-const STREAM_LOSS: u64 = 0x0400;
-const STREAM_DECODE: u64 = 0x0500;
 
-/// A materialized fault schedule: one [`FrameFaults`] per frame.
+/// A materialized fault schedule: one byte of [`Fault`] bits per `(frame,
+/// user)`, frame-major, and one AP-stall flag per frame.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// The configuration the plan was generated from.
     pub config: FaultConfig,
-    frames: Vec<FrameFaults>,
+    users: usize,
+    table: Vec<u8>,
+    ap_stall: Vec<bool>,
 }
 
 impl Default for FaultPlan {
@@ -363,12 +351,38 @@ impl Default for FaultPlan {
     }
 }
 
+/// Walks one seed stream's episodes over `frames` frames: while no episode
+/// runs, each frame draws an onset with probability `rate`, and an onset
+/// marks that frame and the `len - 1` after it. Returns the onsets.
+fn episodes(
+    mut rng: Rng,
+    rate: f64,
+    len: usize,
+    frames: usize,
+    mut mark: impl FnMut(usize),
+) -> u64 {
+    let (mut events, mut remaining) = (0u64, 0usize);
+    for f in 0..frames {
+        if remaining == 0 && rng.gen_bool(rate) {
+            remaining = len;
+            events += 1;
+        }
+        if remaining > 0 {
+            mark(f);
+            remaining -= 1;
+        }
+    }
+    events
+}
+
 impl FaultPlan {
     /// An empty plan: no faults, any frame queries return the quiet frame.
-    pub fn quiet() -> FaultPlan {
+    pub const fn quiet() -> FaultPlan {
         FaultPlan {
-            config: FaultConfig::default(),
-            frames: Vec::new(),
+            config: FaultConfig::QUIET,
+            users: 0,
+            table: Vec::new(),
+            ap_stall: Vec::new(),
         }
     }
 
@@ -376,11 +390,8 @@ impl FaultPlan {
     ///
     /// Deterministic in `(config, frames, n_users)`: per-class, per-user
     /// seed streams are drawn serially at generation time, never in the
-    /// hot loop. Errors on invalid configs. Populations of any size are
-    /// supported — membership sets grow with `n_users`, and for 64 or
-    /// fewer users the schedule is bit-identical to the plans generated by
-    /// the historical fixed-width `u64` masks (the per-class, per-user RNG
-    /// streams are consumed in the same order).
+    /// hot loop. Errors on invalid configs and on a `frames x n_users`
+    /// table that does not fit a `usize`.
     pub fn generate(
         config: FaultConfig,
         frames: usize,
@@ -393,9 +404,8 @@ impl FaultPlan {
 
     /// Regenerates the schedule in place for a new `(config, frames,
     /// n_users)` domain. Produces exactly the schedule
-    /// [`FaultPlan::generate`] would, but reuses the frame vector and the
-    /// per-frame bit-set words — steady-state regeneration over domains of
-    /// similar size allocates nothing.
+    /// [`FaultPlan::generate`] would, but reuses the table — regeneration
+    /// onto a domain no larger than one the plan held allocates nothing.
     pub fn regenerate(
         &mut self,
         config: FaultConfig,
@@ -403,105 +413,80 @@ impl FaultPlan {
         n_users: usize,
     ) -> Result<(), NetError> {
         config.validate()?;
+        let cells = frames.checked_mul(n_users).ok_or_else(|| {
+            NetError::InvalidFaultConfig(format!("{frames} frames x {n_users} users overflow"))
+        })?;
         self.config = config;
-        self.frames.truncate(frames);
-        for mask in self.frames.iter_mut() {
-            mask.outage.clear();
-            mask.blockage.clear();
-            mask.loss.clear();
-            mask.decode_overrun.clear();
-            mask.ap_stall = false;
-        }
-        self.frames.resize_with(frames, FrameFaults::default);
-        let masks = &mut self.frames;
+        self.users = n_users;
+        self.table.clear();
+        self.table.resize(cells, 0);
+        self.ap_stall.clear();
+        self.ap_stall.resize(frames, false);
+        let (table, seed) = (&mut self.table, config.seed);
 
-        // Episodic per-user classes: walk each user's own stream once.
-        let mut episodes =
-            |stream_base: u64, rate: f64, len: usize, pick: fn(&mut FrameFaults) -> &mut BitSet| {
-                if rate <= 0.0 {
-                    return 0u64;
-                }
-                let mut events = 0u64;
+        // Per-user classes, as `(rate, episode length)` in `STREAMS` order:
+        // walk each user's own stream once.
+        let episodic = [
+            (config.outage_rate, config.outage_frames),
+            (config.blockage_rate, config.blockage_frames),
+            (config.loss_rate, 1),
+            (config.decode_overrun_rate, 1),
+        ];
+        let mut events = [0u64; 4];
+        for (((fault, stream), (rate, len)), events) in
+            STREAMS.into_iter().zip(episodic).zip(&mut events)
+        {
+            if rate > 0.0 {
                 for u in 0..n_users {
-                    let mut rng = Rng::for_stream(config.seed, stream_base + u as u64);
-                    let mut remaining = 0usize;
-                    for mask in masks.iter_mut() {
-                        if remaining == 0 && rng.gen_bool(rate) {
-                            remaining = len;
-                            events += 1;
-                        }
-                        if remaining > 0 {
-                            pick(mask).insert(u);
-                            remaining -= 1;
-                        }
-                    }
-                }
-                events
-            };
-        let outage_events = episodes(
-            STREAM_OUTAGE,
-            config.outage_rate,
-            config.outage_frames,
-            |m| &mut m.outage,
-        );
-        let blockage_events = episodes(
-            STREAM_BLOCKAGE,
-            config.blockage_rate,
-            config.blockage_frames,
-            |m| &mut m.blockage,
-        );
-        let loss_events = episodes(STREAM_LOSS, config.loss_rate, 1, |m| &mut m.loss);
-        let decode_events = episodes(STREAM_DECODE, config.decode_overrun_rate, 1, |m| {
-            &mut m.decode_overrun
-        });
-
-        // AP stalls: one global stream.
-        let mut stall_events = 0u64;
-        if config.ap_stall_rate > 0.0 {
-            let mut rng = Rng::for_stream(config.seed, STREAM_AP_STALL);
-            let mut remaining = 0usize;
-            for mask in masks.iter_mut() {
-                if remaining == 0 && rng.gen_bool(config.ap_stall_rate) {
-                    remaining = config.ap_stall_frames;
-                    stall_events += 1;
-                }
-                if remaining > 0 {
-                    mask.ap_stall = true;
-                    remaining -= 1;
+                    let rng = Rng::for_stream(seed, stream + u as u64);
+                    let mark = |f: usize| table[f * n_users + u] |= fault as u8;
+                    *events += episodes(rng, rate, len, frames, mark);
                 }
             }
         }
 
+        // AP stalls: one global stream.
+        let mut stall_events = 0;
+        if config.ap_stall_rate > 0.0 {
+            let (rng, stalls) = (Rng::for_stream(seed, STREAM_AP_STALL), &mut self.ap_stall);
+            let (rate, len) = (config.ap_stall_rate, config.ap_stall_frames);
+            stall_events = episodes(rng, rate, len, frames, |f| stalls[f] = true);
+        }
+
         // Scripted blackout window: a total outage for every user.
-        if config.blackout_frames > 0 && n_users > 0 {
+        if config.blackout_frames > 0 {
             let end = config.blackout_start.saturating_add(config.blackout_frames);
-            for mask in masks
-                .iter_mut()
-                .take(end.min(frames))
-                .skip(config.blackout_start)
-            {
-                mask.outage.insert_range(0..n_users);
+            let window = config.blackout_start.min(frames)..end.min(frames);
+            for cell in &mut table[window.start * n_users..window.end * n_users] {
+                *cell |= Fault::Outage as u8;
             }
         }
 
         if obs::enabled() {
-            obs::add("faults.plan.outage_episodes", outage_events);
-            obs::add("faults.plan.blockage_episodes", blockage_events);
+            let [outage, blockage, loss, decode] = events;
+            obs::add("faults.plan.outage_episodes", outage);
+            obs::add("faults.plan.blockage_episodes", blockage);
             obs::add("faults.plan.ap_stalls", stall_events);
-            obs::add("faults.plan.loss_frames", loss_events);
-            obs::add("faults.plan.decode_overruns", decode_events);
+            obs::add("faults.plan.loss_frames", loss);
+            obs::add("faults.plan.decode_overruns", decode);
         }
         Ok(())
     }
 
     /// The faults active at `frame` (the quiet frame beyond the schedule).
-    pub fn at(&self, frame: usize) -> &FrameFaults {
-        self.frames.get(frame).unwrap_or(FrameFaults::quiet())
+    pub fn at(&self, frame: usize) -> FrameFaults<'_> {
+        match self.ap_stall.get(frame) {
+            Some(&ap_stall) => FrameFaults {
+                users: &self.table[frame * self.users..(frame + 1) * self.users],
+                ap_stall,
+            },
+            None => FrameFaults::default(),
+        }
     }
 
     /// `true` when the schedule injects nothing at all.
     pub fn is_quiet(&self) -> bool {
-        self.frames.iter().all(FrameFaults::is_quiet)
+        self.table.iter().all(|&b| b == 0) && !self.ap_stall.contains(&true)
     }
 }
 
@@ -558,7 +543,14 @@ mod tests {
         with_loss.loss_rate = 0.5;
         let with = FaultPlan::generate(with_loss, 200, 4).unwrap();
         for f in 0..200 {
-            assert_eq!(without.at(f).outage, with.at(f).outage, "frame {f}");
+            for u in 0..4 {
+                let (a, b) = (without.at(f), with.at(f));
+                assert_eq!(
+                    a.has(u, Fault::Outage),
+                    b.has(u, Fault::Outage),
+                    "frame {f}"
+                );
+            }
         }
     }
 
@@ -575,7 +567,7 @@ mod tests {
         let mut run = 0usize;
         let mut runs = Vec::new();
         for f in 0..=400 {
-            if f < 400 && plan.at(f).outage_for(0) {
+            if f < 400 && plan.at(f).has(0, Fault::Outage) {
                 run += 1;
             } else if run > 0 {
                 runs.push(run);
@@ -597,7 +589,11 @@ mod tests {
         for f in 0..30 {
             let expect = (10..15).contains(&f);
             for u in 0..3 {
-                assert_eq!(plan.at(f).outage_for(u), expect, "frame {f} user {u}");
+                assert_eq!(
+                    plan.at(f).has(u, Fault::Outage),
+                    expect,
+                    "frame {f} user {u}"
+                );
             }
         }
         // Recovery: nothing after the window.
@@ -612,6 +608,17 @@ mod tests {
         let generated = FaultPlan::generate(FaultConfig::default(), 50, 4).unwrap();
         assert!(generated.is_quiet());
         assert!(generated.at(999).is_quiet());
+    }
+
+    #[test]
+    fn an_oversized_table_is_an_error_not_a_wrap() {
+        let mut plan = FaultPlan::generate(stress(), 10, 3).unwrap();
+        let before = plan.clone();
+        for (frames, users) in [(usize::MAX, 2), (2, usize::MAX), (1 << 40, 1 << 40)] {
+            let err = plan.regenerate(stress(), frames, users);
+            assert!(matches!(err, Err(NetError::InvalidFaultConfig(_))));
+        }
+        assert_eq!(plan, before, "a refused domain leaves the plan as it was");
     }
 
     #[test]
@@ -668,11 +675,9 @@ mod tests {
 
     #[test]
     fn large_populations_are_supported() {
-        // The historical u64 masks capped plans at 64 users; the growable
-        // BitSet removes the ceiling. A campus-scale population generates,
-        // the blackout window covers every user, and the schedule for the
-        // first 64 users is unchanged by the extra population (each user
-        // owns its own RNG stream).
+        // A campus-scale population generates, the blackout window covers
+        // every user, and the schedule for the first 64 users is unchanged
+        // by the extra population (each user owns its own RNG stream).
         let cfg = FaultConfig {
             outage_rate: 0.1,
             outage_frames: 2,
@@ -681,14 +686,20 @@ mod tests {
             ..FaultConfig::default()
         };
         let big = FaultPlan::generate(cfg, 40, 500).unwrap();
-        assert!(big.at(0).outage_for(499), "blackout must hit user 499");
-        assert!(!big.at(0).outage_for(500), "user 500 does not exist");
+        assert!(
+            big.at(0).has(499, Fault::Outage),
+            "blackout must hit user 499"
+        );
+        assert!(
+            !big.at(0).has(500, Fault::Outage),
+            "user 500 does not exist"
+        );
         let small = FaultPlan::generate(cfg, 40, 64).unwrap();
         for f in 0..40 {
             for u in 0..64 {
                 assert_eq!(
-                    small.at(f).outage_for(u),
-                    big.at(f).outage_for(u),
+                    small.at(f).has(u, Fault::Outage),
+                    big.at(f).has(u, Fault::Outage),
                     "frame {f} user {u}: schedule must not depend on population"
                 );
             }

@@ -51,7 +51,7 @@ pub mod wifi5;
 pub mod wire;
 
 pub use error::NetError;
-pub use faults::{FaultConfig, FaultPlan, FrameFaults};
+pub use faults::{Fault, FaultConfig, FaultPlan, FrameFaults};
 pub use link::LinkState;
 pub use mac::{AcMac, AdMac, MacModel};
 pub use plan::{PlanTiming, TransmissionPlan, TxItem, TxKind};

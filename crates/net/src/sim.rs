@@ -16,7 +16,7 @@
 //!   is useless once its display slot passed).
 
 use crate::error::NetError;
-use crate::faults::{FaultPlan, FrameFaults};
+use crate::faults::{Fault, FaultPlan};
 use crate::mac::MacModel;
 use crate::plan::TransmissionPlan;
 use crate::time::SimTime;
@@ -80,9 +80,12 @@ pub struct Simulator<'a, M: MacModel> {
     pub interval: SimTime,
     /// Backlog policy.
     pub policy: BacklogPolicy,
-    /// Injected fault schedule, if any.
-    faults: Option<&'a FaultPlan>,
+    /// Injected fault schedule (the quiet plan unless one is attached).
+    faults: &'a FaultPlan,
 }
+
+/// The schedule of a simulator without injected faults.
+static QUIET: FaultPlan = FaultPlan::quiet();
 
 impl<'a, M: MacModel> Simulator<'a, M> {
     /// Creates a simulator. Errors on degenerate setups that used to panic
@@ -108,7 +111,7 @@ impl<'a, M: MacModel> Simulator<'a, M> {
             n_users,
             interval,
             policy,
-            faults: None,
+            faults: &QUIET,
         })
     }
 
@@ -116,14 +119,8 @@ impl<'a, M: MacModel> Simulator<'a, M> {
     /// transmission for the stalled frames' slots, and receivers flagged
     /// with loss or outage burn airtime without completing.
     pub fn with_faults(mut self, plan: &'a FaultPlan) -> Self {
-        self.faults = Some(plan);
+        self.faults = plan;
         self
-    }
-
-    fn faults_at(&self, frame: usize) -> &'a FrameFaults {
-        self.faults
-            .map(|p| p.at(frame))
-            .unwrap_or(FrameFaults::quiet())
     }
 
     /// Runs one plan per frame, frame `f` released at `f * interval`.
@@ -214,7 +211,7 @@ impl<'a, M: MacModel> Simulator<'a, M> {
                         outcomes[f.saturating_sub(1)].dropped_items += dropped;
                     }
                 }
-                if self.faults_at(f).ap_stall {
+                if self.faults.at(f).ap_stall {
                     // The AP is down for this frame's slot: nothing new
                     // airs until the slot ends (the item already on the
                     // air completes — the stall hits the transmit path,
@@ -248,18 +245,18 @@ impl<'a, M: MacModel> Simulator<'a, M> {
             } else if t_done.is_some() && t_resume.is_none_or(|t| done_at <= t) {
                 let now = done_at;
                 let (frame, idx) = transmitting.take().expect("in-flight burst");
-                let faults = self.faults_at(frame);
+                let faults = self.faults.at(frame);
                 for &u in plans[frame].items[idx].receivers() {
                     if u >= self.n_users {
                         continue;
                     }
-                    if faults.outage_for(u) {
+                    if faults.has(u, Fault::Outage) {
                         // Airtime was burned, but this receiver got
                         // nothing usable.
                         obs::inc("net.sim.faults.lost_receptions");
                         continue;
                     }
-                    if faults.loss_for(u) {
+                    if faults.has(u, Fault::Loss) {
                         // A chunk-loss fault: with XOR parity riding the
                         // burst the receiver rebuilds the missing chunk in
                         // place (see crate::fec); without it the reception

@@ -1,40 +1,32 @@
 //! A growable bit set over `u64` words.
 //!
-//! [`BitSet`] replaces the fixed-width `u64` membership masks that used to
-//! cap fault plans (and anything else indexing users by small integers) at
-//! 64 members. It is a dense, dependency-free set of `usize` indices:
-//! insertion grows the word vector on demand, queries outside the allocated
-//! range simply answer `false`, and equality ignores trailing zero words so
-//! a set's history of growth never leaks into comparisons or hashes.
-//!
-//! Semantically it is a drop-in upgrade of the old masks:
-//!
-//! - `mask >> u & 1 == 1` becomes [`BitSet::contains`],
-//! - `mask |= 1 << u` becomes [`BitSet::insert`],
-//! - `mask.count_ones()` becomes [`BitSet::count`],
-//! - `mask != 0` becomes `!set.is_empty()`,
-//! - the blackout all-users mask `(1 << n) - 1` becomes
-//!   [`BitSet::insert_range`].
+//! [`BitSet`] is a dense, dependency-free set of `usize` indices: the
+//! visible and seen cells of a visibility map, by partition rank.
+//! Insertion grows the word vector on demand; intersection, union and
+//! their counts work a word at a time; and equality ignores trailing zero
+//! words, so a set's history of growth (an intersection keeps the shorter
+//! operand's length) never leaks into comparisons.
 //!
 //! ```
 //! use volcast_util::bitset::BitSet;
 //!
-//! let mut faulted = BitSet::new();
-//! faulted.insert(3);
-//! faulted.insert(200); // far past the old 64-user ceiling
-//! assert!(faulted.contains(200));
-//! assert!(!faulted.contains(199));
-//! assert_eq!(faulted.count(), 2);
-//! assert_eq!(faulted.iter().collect::<Vec<_>>(), vec![3, 200]);
+//! let mut seen = BitSet::new();
+//! seen.insert(3);
+//! seen.insert(200);
+//! let other: BitSet = [3, 7].into_iter().collect();
+//! assert_eq!(seen.count(), 2);
+//! assert_eq!(seen.intersection_count(&other), 1);
+//! assert_eq!(seen.union_count(&other), 3);
+//! assert_eq!(seen.iter().collect::<Vec<_>>(), vec![3, 200]);
 //! ```
 
 const WORD_BITS: usize = 64;
 
 /// A growable set of `usize` indices backed by a vector of `u64` words.
 ///
-/// Equality, ordering of iteration, and hashing are all independent of the
-/// set's allocated capacity: two sets holding the same indices compare
-/// equal even if one grew further and shrank back via [`BitSet::remove`].
+/// Equality and the order of iteration are independent of the set's
+/// allocated length: two sets holding the same indices compare equal even
+/// if one grew further than the other.
 #[derive(Debug, Clone, Default)]
 pub struct BitSet {
     words: Vec<u64>,
@@ -44,13 +36,6 @@ impl BitSet {
     /// An empty set. Allocates nothing until the first insertion.
     pub const fn new() -> BitSet {
         BitSet { words: Vec::new() }
-    }
-
-    /// An empty set with room for indices `0..capacity_bits` preallocated.
-    pub fn with_capacity(capacity_bits: usize) -> BitSet {
-        BitSet {
-            words: Vec::with_capacity(capacity_bits.div_ceil(WORD_BITS)),
-        }
     }
 
     /// Adds `index` to the set, growing storage as needed. Returns `true`
@@ -65,34 +50,6 @@ impl BitSet {
         fresh
     }
 
-    /// Adds every index in `range` to the set (the growable replacement
-    /// for the old `(1 << n) - 1` all-users mask).
-    pub fn insert_range(&mut self, range: std::ops::Range<usize>) {
-        for index in range {
-            self.insert(index);
-        }
-    }
-
-    /// Removes `index` from the set. Returns `true` if it was present.
-    /// Out-of-range indices are a no-op.
-    pub fn remove(&mut self, index: usize) -> bool {
-        let (word, bit) = (index / WORD_BITS, index % WORD_BITS);
-        match self.words.get_mut(word) {
-            Some(w) if *w >> bit & 1 == 1 => {
-                *w &= !(1 << bit);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// `true` when `index` is in the set. Indices past the allocated words
-    /// are simply absent — no growth, no panic.
-    pub fn contains(&self, index: usize) -> bool {
-        let (word, bit) = (index / WORD_BITS, index % WORD_BITS);
-        self.words.get(word).is_some_and(|w| w >> bit & 1 == 1)
-    }
-
     /// Number of indices in the set.
     pub fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -101,11 +58,6 @@ impl BitSet {
     /// `true` when the set holds no indices.
     pub fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Removes every index, keeping the allocation for reuse.
-    pub fn clear(&mut self) {
-        self.words.fill(0);
     }
 
     /// Union with `other`: adds every index of `other` to `self`.
@@ -164,7 +116,7 @@ impl BitSet {
     }
 
     /// The allocated words, with trailing zero words stripped — the
-    /// canonical form used by `PartialEq` and `Hash`.
+    /// canonical form `PartialEq` compares.
     fn normalized(&self) -> &[u64] {
         let end = self
             .words
@@ -183,12 +135,6 @@ impl PartialEq for BitSet {
 
 impl Eq for BitSet {}
 
-impl std::hash::Hash for BitSet {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.normalized().hash(state);
-    }
-}
-
 impl FromIterator<usize> for BitSet {
     fn from_iter<I: IntoIterator<Item = usize>>(iter: I) -> BitSet {
         let mut set = BitSet::new();
@@ -204,58 +150,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn insert_contains_remove() {
+    fn insert_reports_fresh_indices_and_counts() {
         let mut s = BitSet::new();
-        assert!(!s.contains(0));
+        assert!(s.is_empty());
         assert!(s.insert(0));
         assert!(!s.insert(0), "double insert reports not-fresh");
         assert!(s.insert(63));
         assert!(s.insert(64));
         assert!(s.insert(1000));
-        assert!(s.contains(0) && s.contains(63) && s.contains(64) && s.contains(1000));
-        assert!(!s.contains(65) && !s.contains(999) && !s.contains(100_000));
         assert_eq!(s.count(), 4);
-        assert!(s.remove(64));
-        assert!(!s.remove(64), "double remove reports absent");
-        assert!(!s.remove(1_000_000), "out-of-range remove is a no-op");
-        assert_eq!(s.count(), 3);
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 63, 64, 1000]);
     }
 
     #[test]
     fn equality_ignores_trailing_zero_words() {
-        let mut grown = BitSet::new();
-        grown.insert(5);
-        grown.insert(500);
-        grown.remove(500);
-        let mut small = BitSet::new();
-        small.insert(5);
+        // The intersection keeps the shorter operand's words: word 7 of
+        // `grown` survives, emptied.
+        let mut grown: BitSet = [5, 500].into_iter().collect();
+        grown.intersect_with(&[5, 600].into_iter().collect());
+        let small: BitSet = [5].into_iter().collect();
         assert_eq!(grown, small);
-        assert_eq!(
-            volcast_util_hash(&grown),
-            volcast_util_hash(&small),
-            "hash must match equality"
-        );
-        grown.clear();
+        grown.intersect_with(&BitSet::new());
         assert_eq!(grown, BitSet::new());
         assert!(grown.is_empty());
-    }
-
-    fn volcast_util_hash(s: &BitSet) -> u64 {
-        use std::hash::{Hash, Hasher};
-        struct Fnv(u64);
-        impl Hasher for Fnv {
-            fn finish(&self) -> u64 {
-                self.0
-            }
-            fn write(&mut self, bytes: &[u8]) {
-                for &b in bytes {
-                    self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
-                }
-            }
-        }
-        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-        s.hash(&mut h);
-        h.finish()
     }
 
     #[test]
@@ -263,17 +180,6 @@ mod tests {
         let indices = [0usize, 1, 63, 64, 65, 127, 128, 700];
         let s: BitSet = indices.iter().copied().collect();
         assert_eq!(s.iter().collect::<Vec<_>>(), indices);
-    }
-
-    #[test]
-    fn insert_range_matches_individual_inserts() {
-        let mut ranged = BitSet::new();
-        ranged.insert_range(3..130);
-        let individual: BitSet = (3..130).collect();
-        assert_eq!(ranged, individual);
-        assert_eq!(ranged.count(), 127);
-        assert!(!ranged.contains(2) && ranged.contains(3));
-        assert!(ranged.contains(129) && !ranged.contains(130));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   the case index, and reports a failing case's seed for replay. Bodies
 //!   draw their own inputs; there is no shrinking.
 //! - [`par`] — a scoped-thread data-parallel substrate standing in for
-//!   `rayon` (`par_map` / `par_map_indexed` / `par_for_each_mut`), sized by
+//!   `rayon` (`par_map` / `par_for_each_mut`), sized by
 //!   `VOLCAST_THREADS` and bit-for-bit deterministic across thread counts.
 //! - [`obs`] — an observability layer (counters, gauges, log-scale
 //!   histograms, wall-clock spans) gated by `VOLCAST_TRACE`, with
@@ -28,9 +28,9 @@
 //! - [`hash`] — frozen 64-bit FNV-1a hashing ([`hash::fnv1a`]) for stable
 //!   fingerprints of serialized output (property-test seeds, the
 //!   fault-scenario harness's `SessionOutcome` FNVs).
-//! - [`bitset`] — a growable [`bitset::BitSet`] over `u64` words, the
-//!   population-scale replacement for fixed 64-bit membership masks
-//!   (fault plans, multicast group membership).
+//! - [`bitset`] — a growable [`bitset::BitSet`] over `u64` words: the
+//!   visible and seen cells of a visibility map, intersected and counted
+//!   a word at a time.
 //! - [`scratch`] — reusable scratch buffers ([`scratch::ScratchVec`]) with
 //!   high-watermark gauges, plus a counting global allocator
 //!   ([`scratch::counting`]) for pinning zero-allocation steady states in

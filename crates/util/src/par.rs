@@ -5,9 +5,9 @@
 //! replication — are embarrassingly parallel, but the workspace is
 //! intentionally
 //! dependency-free (`DESIGN.md` §5), so `rayon` is not an option. This
-//! module is the in-tree substitute: [`par_map`], [`par_map_indexed`] and
-//! [`par_for_each_mut`] fan work out over `std::thread::scope` workers and
-//! return (or write) results **in input order**.
+//! module is the in-tree substitute: [`par_map`] and [`par_for_each_mut`]
+//! fan work out over `std::thread::scope` workers and return (or write)
+//! results **in input order**.
 //!
 //! ## The determinism contract
 //!
@@ -55,8 +55,9 @@
 //! let squares = par::par_map(&[1u64, 2, 3, 4], |&x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //!
-//! let labeled = par::par_map_indexed(&["a", "b"], |i, s| format!("{i}:{s}"));
-//! assert_eq!(labeled, vec!["0:a", "1:b"]);
+//! let mut slots = vec![10u64; 3];
+//! par::par_for_each_mut(&mut slots, |i, x| *x += i as u64);
+//! assert_eq!(slots, vec![10, 11, 12]);
 //! ```
 
 use std::cell::Cell;
@@ -122,25 +123,10 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_map_indexed(items, |_, item| f(item))
-}
-
-/// [`par_map`] with the item index passed to the closure.
-///
-/// The index is the key to deterministic per-item randomness: derive each
-/// item's seed from `(base_seed, index)` via
-/// [`crate::rng::Rng::for_stream`] and the output is independent of the
-/// worker budget.
-pub fn par_map_indexed<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
     let n = items.len();
     let workers = thread_count().min(n);
     if workers <= 1 || in_parallel_region() {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+        return items.iter().map(f).collect();
     }
 
     let next = AtomicUsize::new(0);
@@ -159,7 +145,7 @@ where
                         if i >= n {
                             break;
                         }
-                        local.push((i, f(i, &items[i])));
+                        local.push((i, f(&items[i])));
                     }
                     local
                 })
@@ -189,7 +175,7 @@ where
 }
 
 /// Applies `f` to every item of `items` **in place**, in parallel: the
-/// mutable analogue of [`par_map_indexed`] for pre-allocated slots (e.g. a
+/// mutable analogue of [`par_map`] for pre-allocated slots (e.g. a
 /// GOP of per-frame codec arenas, each owning its scratch and output
 /// buffers).
 ///
@@ -253,15 +239,6 @@ pub(crate) mod tests {
             assert_eq!(par_map(&items, |&x| x.wrapping_mul(x) ^ 7), serial);
         }
         set_thread_count(4);
-    }
-
-    #[test]
-    fn par_map_indexed_passes_indices_in_order() {
-        let _knob = knob_lock();
-        set_thread_count(4);
-        let items = vec!["x"; 100];
-        let out = par_map_indexed(&items, |i, _| i);
-        assert_eq!(out, (0..100).collect::<Vec<_>>());
     }
 
     #[test]

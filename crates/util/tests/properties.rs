@@ -166,47 +166,34 @@ fn int_ranges_are_roughly_uniform() {
 #[test]
 fn bitset_matches_bool_vec_model() {
     run_cases("bitset_matches_bool_vec_model", |rng| {
-        let n = rng.gen_range(0..120usize);
-        let ops: Vec<(usize, bool)> = (0..n).map(|_| (rng.gen_range(0..200), rng.gen())).collect();
-        // Drive a BitSet and a Vec<bool> model through the same random
-        // insert/remove script; every observable must agree afterwards.
-        let mut set = BitSet::new();
-        let mut model = [false; 200];
-        for &(index, insert) in &ops {
-            if insert {
+        // Two BitSets and their Vec<bool> models, filled by the same random
+        // inserts; every observable, alone and combined, must agree.
+        let draw = |rng: &mut Rng| {
+            let mut set = BitSet::new();
+            let mut model = [false; 200];
+            for _ in 0..rng.gen_range(0..120usize) {
+                let index = rng.gen_range(0..200usize);
                 assert_eq!(set.insert(index), !model[index]);
                 model[index] = true;
-            } else {
-                assert_eq!(set.remove(index), model[index]);
-                model[index] = false;
             }
-        }
-        let expect: Vec<usize> = (0..model.len()).filter(|&i| model[i]).collect();
-        assert_eq!(set.iter().collect::<Vec<_>>(), expect.clone());
-        assert_eq!(set.count(), expect.len());
-        assert_eq!(set.is_empty(), expect.is_empty());
-        for (i, &b) in model.iter().enumerate() {
-            assert_eq!(set.contains(i), b, "index {}", i);
-        }
-        // Rebuilding from the surviving indices yields an equal set even
-        // though this one never grew past its high-water mark.
-        let rebuilt: BitSet = expect.into_iter().collect();
-        assert_eq!(set.clone(), rebuilt);
-        set.clear();
-        assert!(set.is_empty());
-        assert_eq!(set, BitSet::new());
-    });
-}
-
-#[test]
-fn bitset_insert_range_matches_model() {
-    run_cases("bitset_insert_range_matches_model", |rng| {
-        let (lo, len) = (rng.gen_range(0..150usize), rng.gen_range(0..150usize));
-        let mut ranged = BitSet::new();
-        ranged.insert_range(lo..lo + len);
-        let individual: BitSet = (lo..lo + len).collect();
-        assert_eq!(&ranged, &individual);
-        assert_eq!(ranged.count(), len);
+            (set, model)
+        };
+        let ((a, ma), (b, mb)) = (draw(rng), draw(rng));
+        let ones = |m: &[bool]| (0..m.len()).filter(|&i| m[i]).collect::<Vec<usize>>();
+        let both: Vec<bool> = ma.iter().zip(&mb).map(|(x, y)| *x && *y).collect();
+        let either: Vec<bool> = ma.iter().zip(&mb).map(|(x, y)| *x || *y).collect();
+        assert_eq!(a.iter().collect::<Vec<_>>(), ones(&ma));
+        assert_eq!(a.count(), ones(&ma).len());
+        assert_eq!(a.is_empty(), ones(&ma).is_empty());
+        assert_eq!(a.iter_masked(&b).collect::<Vec<_>>(), ones(&both));
+        assert_eq!(a.intersection_count(&b), ones(&both).len());
+        assert_eq!(a.union_count(&b), ones(&either).len());
+        let mut meet = a.clone();
+        meet.intersect_with(&b);
+        assert_eq!(meet, ones(&both).into_iter().collect::<BitSet>());
+        let mut join = a.clone();
+        join.union_with(&b);
+        assert_eq!(join, ones(&either).into_iter().collect::<BitSet>());
     });
 }
 

@@ -97,11 +97,6 @@ impl BlockageForecaster {
         events.sort_by_key(|e| (e.onset_frames, e.victim, e.blocker));
         events
     }
-
-    /// Convenience: which links are blocked *right now* given current poses.
-    pub fn blocked_now(&self, poses: &[Pose]) -> Vec<BlockageEvent> {
-        self.forecast(std::slice::from_ref(&poses.to_vec()))
-    }
 }
 
 #[cfg(test)]
@@ -191,19 +186,8 @@ mod tests {
     }
 
     #[test]
-    fn blocked_now_matches_first_frame_forecast() {
-        let f = forecaster();
-        let poses = vec![pose_at(0.0, 1.6, -2.0), pose_at(0.0, 1.7, -1.0)];
-        let now = f.blocked_now(&poses);
-        assert_eq!(now.len(), 1);
-        assert_eq!(now[0].victim, 0);
-        assert_eq!(now[0].blocker, 1);
-    }
-
-    #[test]
     fn self_blockage_is_not_reported() {
         let f = forecaster();
-        let poses = vec![pose_at(0.0, 1.6, -2.0)];
-        assert!(f.blocked_now(&poses).is_empty());
+        assert!(f.forecast(&[vec![pose_at(0.0, 1.6, -2.0)]]).is_empty());
     }
 }

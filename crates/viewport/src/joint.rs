@@ -75,11 +75,6 @@ impl JointPredictor {
         }
     }
 
-    /// Number of users tracked.
-    pub fn users(&self) -> usize {
-        self.bases.len()
-    }
-
     /// Observes one frame of poses, one entry per user.
     pub fn observe_frame(&mut self, poses: &[Pose]) {
         assert_eq!(poses.len(), self.bases.len(), "pose count != user count");
@@ -176,14 +171,6 @@ impl JointPredictor {
 
         out.extend(preds.iter().copied().map(Pose::from_sixdof));
         true
-    }
-
-    /// Resets all per-user state.
-    pub fn reset(&mut self) {
-        for b in &mut self.bases {
-            b.reset();
-        }
-        self.last.iter_mut().for_each(|l| *l = None);
     }
 }
 
@@ -299,15 +286,5 @@ mod tests {
         // panic in the correction pass.
         jp.last[0] = None;
         assert!(predict(&mut jp, 5).is_none());
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut jp = JointPredictor::new(2, 5, JointConfig::default());
-        feed_collision_course(&mut jp, 10);
-        assert!(predict(&mut jp, 1).is_some());
-        jp.reset();
-        assert!(predict(&mut jp, 1).is_none());
-        assert_eq!(jp.users(), 2);
     }
 }

@@ -62,6 +62,17 @@ if grep -rnE 'fn (advance|mask|color)\(|ColorReader::read\b' crates/pointcloud/s
     exit 1
 fi
 
+echo "==> the fault schedule has one layout, not forked"
+# One byte of Fault bits per (frame, user) behind the FrameFaults view
+# (net::faults): no per-class bit sets or their accessors, no quiet-frame
+# static, no per-reader "no plan here" helper.
+# (`\b`: `blockage_forecast` is a bandwidth-model input, not an accessor.)
+if grep -rnE '\b(outage|blockage|loss|decode_overrun)_for\b|QUIET_FRAME|faults_at\(|FrameFaults::quiet|insert_range' \
+    crates/ DESIGN.md README.md; then
+    echo "ERROR: names of the per-frame fault bit sets survive" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -104,6 +115,11 @@ echo "==> warm link evaluations are allocation-free under the counting allocator
 # Same arrangement for what the session's link_rates stage runs per user
 # per frame: SweepRx::prepare_paths plus both link beams.
 VOLCAST_TRACE=1 cargo test --release -q -p volcast-mmwave --test link_alloc
+
+echo "==> fault plans allocate their table once and regenerate in place"
+# Same arrangement for FaultPlan: a fresh plan at the server workload's
+# shape is at most two allocations, a warm regenerate none.
+VOLCAST_TRACE=1 cargo test --release -q -p volcast-net --test fault_alloc
 
 echo "==> the cap-led grouping search and its rate cap, 2000 cases each"
 # The planner adopts what the all-pairs referee adopts whatever the caps,
@@ -216,6 +232,8 @@ echo "==> benchmark workloads at full size: outcome hashes pinned"
 # twice moved none either, nor did porting the property suites from the
 # proptest-compatible DSL to run_cases (and sharing the wire head parser).
 # Decoding three rANS symbols per window moved none: the bytes are the same.
+# Storing a fault plan as one byte per (frame, user) moved none: every draw,
+# draw order and stream id is the same (crates/net/tests/fault_reference.rs).
 for pin in codec_ladder:0x97b4ac0961eaafb1 codec_layered:0xb00dbeed38dc616e \
     session_single:0x338effbe7f8a1bb5 session_layered_faulted:0x3f96d14ae75d2245 \
     campus:0x22ab495ca9fac58d server:0xa52a4b03a0514405; do
