@@ -92,16 +92,18 @@ impl MacModel for MacDispatch<'_> {
 }
 
 /// Frame-scoped multicast beam state of a mmWave Volcast session: every
-/// user's receiver is prepared once per frame, and every distinct member
-/// set is designed at most once per frame — and only when the grouping
-/// search, led by `rate_caps`, finds its merge can win; the scheduler
-/// afterwards reads the winners' `customized` bit from the same memo.
+/// user's receiver is located once per frame (enough for its rate cap) and
+/// steered and swept only when a design first needs it, and every distinct
+/// member set is designed at most once per frame — and only when the
+/// grouping search, led by `rate_caps`, finds its merge can win; the
+/// scheduler afterwards reads the winners' `customized` bit from the same
+/// memo.
 struct GroupBeams<'a> {
     engine: SweepEngine<'a>,
     mcs: &'a McsTable,
     /// `false` (ablation): groups ride the best common default sector.
     custom_beams: bool,
-    /// One receiver slot per user, re-prepared in place every frame.
+    /// One receiver slot per user, re-located in place every frame.
     rxs: Vec<SweepRx>,
     /// Per user, the PHY rate at [`SweepRx::rss_cap_dbm`]: no group beam,
     /// designed or default, serves a set faster than its slowest member's.
@@ -128,17 +130,20 @@ impl<'a> GroupBeams<'a> {
         }
     }
 
-    /// Starts a frame: prepares user `u`'s receiver at `positions[u]`
+    /// Starts a frame: locates user `u`'s receiver at `positions[u]`
     /// against *all* bodies, group members included (joining a group does
-    /// not move anyone's body), and forgets last frame's designs. The
-    /// channel's endpoint guard drops each receiver's own cylinder from
-    /// the legs that end at them — but not from a reflection's first leg,
-    /// which a receiver standing between the AP and the bounce point
-    /// shadows with their own body here (`link_rates` filters it out).
+    /// not move anyone's body), takes its rate cap, and forgets last frame's
+    /// designs. The channel's endpoint guard drops each receiver's own
+    /// cylinder from the legs that end at them — but not from a
+    /// reflection's first leg, which a receiver standing between the AP and
+    /// the bounce point shadows with their own body here (`link_rates`
+    /// filters it out). Books the `path_cache_misses` a full prepare would.
     fn begin_frame(&mut self, positions: impl Iterator<Item = Vec3>, bodies: &[Blocker]) {
         self.rate_caps.clear();
+        let channel = self.engine.channel();
         for (rx, pos) in self.rxs.iter_mut().zip(positions) {
-            rx.prepare(&self.engine, pos, bodies);
+            obs::inc("mmwave.designer.path_cache_misses");
+            rx.locate(channel, pos, bodies);
             self.rate_caps
                 .push(self.mcs.phy_rate_mbps(rx.rss_cap_dbm()));
         }
@@ -154,10 +159,18 @@ impl<'a> GroupBeams<'a> {
     }
 
     /// `(multicast rate, customized)` of a member set under its group
-    /// beam, designed on the first request of the frame.
+    /// beam, designed on the first request of the frame — which first
+    /// steers and sweeps any member no earlier design has.
     fn group(&mut self, members: &[usize]) -> (f64, bool) {
         if let Some(&known) = self.memo.get(members) {
             return known;
+        }
+        for &u in members {
+            let rx = &mut self.rxs[u];
+            if !rx.is_steered() {
+                rx.steer(self.engine.channel());
+                rx.sweep(&self.engine);
+            }
         }
         let design = &mut self.design;
         if self.custom_beams {
@@ -1984,13 +1997,25 @@ mod tests {
     /// say — the memo would be larger than the replay's list.
     #[test]
     fn a_frame_designs_what_its_search_asks_and_nothing_else() {
-        for (delivery, custom_beams) in [
-            (DeliveryMode::Single, true),
-            (DeliveryMode::Layered, true),
-            (DeliveryMode::Single, false),
+        // Four phones, where groups form, and four phones beside two
+        // headsets, where some users are in no designed set.
+        let mut undesigned = 0;
+        for (delivery, custom_beams, mixed) in [
+            (DeliveryMode::Single, true, false),
+            (DeliveryMode::Layered, true, false),
+            (DeliveryMode::Single, false, false),
+            (DeliveryMode::Single, true, true),
         ] {
-            let mut s =
-                quick_session_with_device(PlayerKind::Volcast, 4, 12, 42, DeviceClass::Phone);
+            let mut s = if mixed {
+                let traces = volcast_viewport::UserStudy::generate_with(42, 12, 4, 2).traces;
+                let params = SessionParams {
+                    frames: 12,
+                    ..Default::default()
+                };
+                StreamingSession::new(params, traces)
+            } else {
+                quick_session_with_device(PlayerKind::Volcast, 4, 12, 42, DeviceClass::Phone)
+            };
             s.params.analysis_points = 4_000;
             s.params.delivery = delivery;
             s.params.custom_beams = custom_beams;
@@ -2030,12 +2055,75 @@ mod tests {
                 }
                 designed += memo.len();
                 candidates += capped.into_inner();
+                // A receiver is steered exactly when a design touched it.
+                for (u, rx) in beams.borrow().rxs.iter().enumerate() {
+                    let touched = memo.keys().any(|m| m.contains(&u));
+                    assert_eq!(rx.is_steered(), touched, "user {u}");
+                    undesigned += !touched as usize;
+                }
             });
-            // Groups do form, and not every candidate the eager search
-            // would have designed (each one capped) is.
-            assert!(multicasts > 0 && designed > 0, "{delivery:?}");
-            assert!(designed < candidates, "{designed} of {candidates}");
+            // Designs happen, and not every candidate the eager search
+            // would have designed (each one capped) is; among the phones,
+            // groups form.
+            assert!(
+                designed > 0 && designed < candidates,
+                "{designed} of {candidates}"
+            );
+            assert!(multicasts > 0 || mixed, "{delivery:?}");
         }
+        assert!(undesigned > 0, "every user was designed every frame");
+    }
+
+    /// Staging changes no design: over random sessions, at every frame,
+    /// random member sets get the same `(rate, customized)` and the same
+    /// member RSS bits from receivers located per frame and steered and
+    /// swept on first design as from receivers fully prepared up front —
+    /// with custom beams and without.
+    #[test]
+    fn staged_receivers_design_what_prepared_ones_do() {
+        use volcast_util::prop::run_cases_n;
+        run_cases_n("staged_receivers_design_what_prepared_ones_do", 6, |rng| {
+            let users = rng.gen_range(2..7usize);
+            let seed = rng.gen_range(0..1000u64);
+            let mut s =
+                quick_session_with_device(PlayerKind::Volcast, users, 8, seed, DeviceClass::Phone);
+            s.params.analysis_points = 4_000;
+            let (channel, codebook, mcs) = (&s.channel, &s.codebook, &s.mcs);
+            let beams =
+                |custom| GroupBeams::new(SweepEngine::new(channel, codebook), mcs, custom, users);
+            let mut sets = Vec::new();
+            drive(&s, |_, _, a| {
+                let positions = || a.planning_poses.iter().map(|p| p.position);
+                for custom in [true, false] {
+                    let (mut staged, mut eager) = (beams(custom), beams(custom));
+                    staged.begin_frame(positions(), &a.all_blockers);
+                    eager.begin_frame(positions(), &a.all_blockers);
+                    for (rx, pos) in eager.rxs.iter_mut().zip(positions()) {
+                        rx.prepare_paths(channel, pos, &a.all_blockers);
+                        rx.sweep(&eager.engine);
+                    }
+                    assert_eq!(staged.rate_caps, eager.rate_caps);
+                    sets.clear();
+                    for _ in 0..8 {
+                        let mut set: Vec<usize> =
+                            (0..users).filter(|_| rng.gen_bool(0.5)).collect();
+                        if set.is_empty() {
+                            set.push(rng.gen_range(0..users));
+                        }
+                        sets.push(set);
+                    }
+                    for set in &sets {
+                        let (got, want) = (staged.group(set), eager.group(set));
+                        assert_eq!((got.0.to_bits(), got.1), (want.0.to_bits(), want.1));
+                        let bits = |b: &GroupBeams| {
+                            let rss = b.design.member_rss_dbm.iter();
+                            rss.map(|r| r.to_bits()).collect::<Vec<_>>()
+                        };
+                        assert_eq!(bits(&staged), bits(&eager), "{set:?}");
+                    }
+                }
+            });
+        });
     }
 
     #[test]

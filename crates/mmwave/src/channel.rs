@@ -191,12 +191,30 @@ impl Channel {
     /// ignored — their device is above their shoulders, not behind their
     /// torso. This lets callers pass the full room population without
     /// manually excluding each receiver.
+    ///
+    /// A body whose circle, widened by 1 mm, misses the segment's xz
+    /// bounding box is skipped before the guard's square root and the
+    /// quadratic: in exact arithmetic it can neither stand on `b` nor be
+    /// hit strictly inside the segment, and 1 mm dwarfs any rounding of
+    /// either test.
     fn segment_blocked(&self, a: Vec3, b: Vec3, blockers: &[Blocker]) -> bool {
+        let (x_lo, x_hi) = (a.x.min(b.x), a.x.max(b.x));
+        let (z_lo, z_hi) = (a.z.min(b.z), a.z.max(b.z));
+        let mut near = (blockers.iter())
+            .filter(|bl| {
+                let r = bl.radius + 1e-3;
+                let (x, z) = (bl.center.x, bl.center.z);
+                x + r >= x_lo && x - r <= x_hi && z + r >= z_lo && z - r <= z_hi
+            })
+            .peekable();
+        if near.peek().is_none() {
+            return false;
+        }
         let Some(ray) = Ray::between(a, b) else {
             return false;
         };
         let dist = a.distance(b);
-        blockers.iter().any(|bl| {
+        near.any(|bl| {
             // Own-body exclusion: axis within the cylinder radius of the
             // receiving endpoint.
             let horiz = ((bl.center.x - b.x).powi(2) + (bl.center.z - b.z).powi(2)).sqrt();
@@ -401,6 +419,109 @@ mod tests {
         let ch = setup();
         let u = Vec3::new(1.3, 1.5, -0.7);
         assert_eq!(ch.rss_dedicated_beam(u, &[]), ch.rss_dedicated_beam(u, &[]));
+    }
+
+    /// `segment_blocked` with every body through the guard and the
+    /// quadratic, verbatim.
+    fn unboxed_segment_blocked(a: Vec3, b: Vec3, blockers: &[Blocker]) -> bool {
+        let Some(ray) = Ray::between(a, b) else {
+            return false;
+        };
+        let dist = a.distance(b);
+        blockers.iter().any(|bl| {
+            let horiz = ((bl.center.x - b.x).powi(2) + (bl.center.z - b.z).powi(2)).sqrt();
+            if horiz <= bl.radius + 1e-6 {
+                return false;
+            }
+            match ray.intersect_vertical_cylinder(
+                bl.center.x,
+                bl.center.z,
+                bl.radius,
+                0.0,
+                bl.height,
+            ) {
+                Some(t) => t > 1e-6 && t < dist - bl.radius.min(dist * 0.5),
+                None => false,
+            }
+        })
+    }
+
+    /// Blockage verdicts, body by body, against the unboxed loop: random,
+    /// vertical and zero-length legs; bodies at random, centred on either
+    /// endpoint, and tangent to the leg's line to within 1e-9 m down to an
+    /// ULP (on axis-aligned legs, where the leg is its box's edge).
+    #[test]
+    fn segment_blocked_matches_the_unboxed_loop() {
+        use volcast_util::prop::run_cases_n;
+        use volcast_util::rng::Rng;
+        let ch = setup();
+        let point = |rng: &mut Rng| {
+            Vec3::new(
+                rng.gen_range(-4.0..4.0),
+                rng.gen_range(0.0..3.0),
+                rng.gen_range(-4.0..4.0),
+            )
+        };
+        let (mut blocked, mut tangent_blocked) = (0usize, 0usize);
+        run_cases_n("segment_blocked_matches_the_unboxed_loop", 256, |rng| {
+            for _ in 0..8 {
+                let a = point(rng);
+                let mut b = match rng.gen_range(0..6u32) {
+                    0 => Vec3::new(a.x, rng.gen_range(0.0..3.0), a.z),
+                    1 => a,
+                    2 => Vec3::new(rng.gen_range(-4.0..4.0), rng.gen_range(0.0..3.0), a.z),
+                    3 => Vec3::new(a.x, rng.gen_range(0.0..3.0), rng.gen_range(-4.0..4.0)),
+                    _ => point(rng),
+                };
+                if rng.gen_bool(0.1) {
+                    b = a.lerp(b, rng.gen_range(0.0..0.01));
+                }
+                let body = |center: Vec3, rng: &mut Rng| Blocker {
+                    center: Vec3::new(center.x, 0.0, center.z),
+                    radius: rng.gen_range(0.02..0.6),
+                    height: rng.gen_range(0.1..3.0),
+                };
+                let mut bodies = vec![body(a, rng), body(b, rng)];
+                for _ in 0..rng.gen_range(0..6usize) {
+                    let c = point(rng);
+                    bodies.push(body(c, rng));
+                }
+                // Tangent to the leg's xz line, at a point a little before,
+                // along or a little past it.
+                let (dx, dz) = (b.x - a.x, b.z - a.z);
+                let len = (dx * dx + dz * dz).sqrt();
+                if len > 0.0 {
+                    for _ in 0..4 {
+                        let s = rng.gen_range(-0.1..1.1);
+                        let side = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+                        let gap = 10f64.powf(-rng.gen_range(9.0f64..17.0));
+                        let gap = if rng.gen_bool(0.5) { gap } else { -gap };
+                        let mut bl = body(a, rng);
+                        let off = side * (bl.radius + gap) / len;
+                        bl.center.x = a.x + s * dx - off * dz;
+                        bl.center.z = a.z + s * dz + off * dx;
+                        bodies.push(bl);
+                    }
+                }
+                for (i, bl) in bodies.iter().enumerate() {
+                    let one = std::slice::from_ref(bl);
+                    let want = unboxed_segment_blocked(a, b, one);
+                    assert_eq!(
+                        ch.segment_blocked(a, b, one),
+                        want,
+                        "{a:?} -> {b:?}, {bl:?}"
+                    );
+                    blocked += want as usize;
+                    tangent_blocked += (want && i >= bodies.len() - 4 && len > 0.0) as usize;
+                }
+                let want = unboxed_segment_blocked(a, b, &bodies);
+                assert_eq!(ch.segment_blocked(a, b, &bodies), want);
+            }
+        });
+        assert!(
+            blocked > 100 && tangent_blocked > 10,
+            "{blocked}, {tangent_blocked}"
+        );
     }
 }
 

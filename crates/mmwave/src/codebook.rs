@@ -63,8 +63,15 @@ impl Codebook {
     /// A codebook of arbitrary sector weights, each listed with its nominal
     /// direction. Nothing is assumed about the weights: sweeps over it
     /// evaluate every sector exactly.
+    ///
+    /// # Panics
+    ///
+    /// If the two lists differ in length, or are empty: a sweep must have a
+    /// sector to return, as [`Codebook::dft`] (which panics on a zero
+    /// count) ensures too.
     pub fn from_parts(sectors: Vec<AntennaWeights>, directions: Vec<Spherical>) -> Self {
         assert_eq!(sectors.len(), directions.len(), "one direction per sector");
+        assert!(!sectors.is_empty(), "a codebook needs at least one sector");
         Codebook {
             sectors,
             directions,
@@ -160,6 +167,13 @@ mod tests {
         let cb = Codebook::dft(&array, 1, 1, 1.0, 1.0);
         assert_eq!(cb.len(), 1);
         assert_eq!(cb.directions()[0], Spherical::new(0.0, 0.0));
+    }
+
+    /// Rejected where it is built, not at the first sweep's cache lookup.
+    #[test]
+    #[should_panic(expected = "at least one sector")]
+    fn an_empty_codebook_is_refused() {
+        Codebook::from_parts(Vec::new(), Vec::new());
     }
 
     #[test]

@@ -14,8 +14,10 @@
 //!   ψx = (k·d/2)·(u_p - u_s),  ψy = (k·d/2)·(v_p - v_s)
 //! ```
 //!
-//! [`SweepEngine`] precomputes per-sector trig tables once per codebook;
-//! [`SweepRx::prepare`] takes each path's half-angle sines and cosines once
+//! [`SweepEngine`] precomputes per-sector trig tables once per codebook —
+//! the y-axis ones once per run of sectors sharing an elevation, so the
+//! y kernel takes one value per path and elevation row;
+//! [`SweepRx::sweep`] takes each path's half-angle sines and cosines once
 //! and turns each (sector, path) amplitude bound into ~20 flops with no
 //! transcendentals. The bounds carry explicit floating-point safety margins
 //! so a pruned sector is *guaranteed* (not just likely) to lose against the
@@ -24,23 +26,36 @@
 //! test-only `reference` module keeps as the oracle and the pinned session
 //! and campus outcome hashes pin down.
 //!
-//! [`SweepRx`] is the crate's one prepared receiver, in two halves.
-//! [`SweepRx::prepare_paths`] resolves the geometry — usable paths, their
-//! steering rows, losses and element factors — and is all a link
-//! evaluation ([`SweepRx::rss_dedicated_beam`], [`SweepRx::rss_best_beam`],
-//! [`SweepRx::eval_weights`]) needs; [`SweepRx::prepare`] adds the sweep
-//! state on top (sector bounds, the exact-RSS cache). The `Channel::rss_*`
-//! conveniences are allocating fronts over the path half; the test-only
-//! `reference` module keeps a per-call, full-element `PreparedRx` as the
-//! oracle of both.
+//! [`SweepRx`] is the crate's one prepared receiver, in three stages (a
+//! new location empties the later two):
 //!
-//! Everything here reuses caller-owned buffers: after warm-up, prepares,
-//! link evaluations, sweeps and designs allocate nothing, which the campus
+//! 1. [`SweepRx::locate`] resolves the geometry — usable paths, their
+//!    losses, element factors and direction cosines — which is all
+//!    [`SweepRx::rss_cap_dbm`] reads;
+//! 2. [`SweepRx::steer`] adds each path's steering row, which every exact
+//!    evaluation ([`SweepRx::eval_weights`], the link beams
+//!    [`SweepRx::rss_dedicated_beam`] and [`SweepRx::rss_best_beam`])
+//!    reads — evaluating a receiver that was never steered trips a
+//!    `debug_assert`;
+//! 3. [`SweepRx::sweep`] adds the sector bounds and resets the exact-RSS
+//!    cache, which sector sweeps read.
+//!
+//! [`SweepRx::prepare_paths`] is stages 1–2 (what links need),
+//! [`SweepRx::prepare`] all three; a caller that may never sweep a receiver
+//! (the session's group beams) runs the stages itself. An exact evaluation
+//! runs up to four paths' dot products as independent chains in one pass
+//! over the weights, each chain summing in element order. The
+//! `Channel::rss_*` conveniences are allocating fronts over stages 1–2; the
+//! test-only `reference` module keeps a per-call, full-element `PreparedRx`
+//! as the oracle of all of it.
+//!
+//! Everything here reuses caller-owned buffers: after warm-up, every stage,
+//! link evaluation, sweep and design allocates nothing, which the campus
 //! epoch loop's and the link path's counting-allocator gates rely on.
 //!
 //! [`MultiLobeDesigner`]: crate::MultiLobeDesigner
 
-use crate::array::{conj_normalize, element_pattern, normalize, response};
+use crate::array::{conj_normalize, element_pattern, normalize};
 use crate::calib;
 use crate::channel::{Blocker, Channel, Path};
 use crate::codebook::Codebook;
@@ -49,8 +64,11 @@ use volcast_util::obs;
 
 /// Per-sector trig tables: sin/cos of `ψ`-halves at each sector direction,
 /// plus the sector's maximum per-element weight magnitude (the `s` in the
-/// Dirichlet product, rounded up). One column per quantity, so the bound
-/// loop reads every table at unit stride across sectors.
+/// Dirichlet product, rounded up). The x quantities are one column each,
+/// so the bound loop reads them at unit stride across sectors; the y
+/// quantities depend on the elevation alone and are kept once per run of
+/// consecutive sectors where all four are bit-equal — one run per
+/// elevation row of a [`Codebook::dft`], which is elevation-major.
 #[derive(Debug, Clone, Default)]
 struct SectorTrig {
     /// `max_i |w_i|`, scaled up by a relative margin.
@@ -59,10 +77,34 @@ struct SectorTrig {
     cos_bx: Vec<f64>,
     sin_bxn: Vec<f64>,
     cos_bxn: Vec<f64>,
-    sin_by: Vec<f64>,
-    cos_by: Vec<f64>,
-    sin_byn: Vec<f64>,
-    cos_byn: Vec<f64>,
+    y_runs: Vec<YRun>,
+}
+
+/// Sectors `..end` (from the previous run's `end`) share these y values.
+#[derive(Debug, Clone, Copy)]
+struct YRun {
+    end: usize,
+    /// `[sin_by, cos_by, sin_byn, cos_byn]`.
+    y: [f64; 4],
+}
+
+impl SectorTrig {
+    /// Appends one sector: its `s`, its x quantities
+    /// `[sin_bx, cos_bx, sin_bxn, cos_bxn]` and its y quantities, which
+    /// extend the last run if all four match it bit for bit.
+    fn push(&mut self, s_rt: f64, x: [f64; 4], y: [f64; 4]) {
+        let [sin_bx, cos_bx, sin_bxn, cos_bxn] = x;
+        self.s_rt.push(s_rt);
+        self.sin_bx.push(sin_bx);
+        self.cos_bx.push(cos_bx);
+        self.sin_bxn.push(sin_bxn);
+        self.cos_bxn.push(cos_bxn);
+        let end = self.s_rt.len();
+        match self.y_runs.last_mut() {
+            Some(run) if run.y.map(f64::to_bits) == y.map(f64::to_bits) => run.end = end,
+            _ => self.y_runs.push(YRun { end, y }),
+        }
+    }
 }
 
 /// A pruned-sweep evaluator for one `(channel, codebook)` pair.
@@ -111,15 +153,11 @@ impl<'a> SweepEngine<'a> {
                 let (sin_bxn, cos_bxn) = (array.nx as f64 * half_kd * u).sin_cos();
                 let (sin_by, cos_by) = (half_kd * v).sin_cos();
                 let (sin_byn, cos_byn) = (array.ny as f64 * half_kd * v).sin_cos();
-                sectors.s_rt.push(s2_max.sqrt() * (1.0 + 1e-9));
-                sectors.sin_bx.push(sin_bx);
-                sectors.cos_bx.push(cos_bx);
-                sectors.sin_bxn.push(sin_bxn);
-                sectors.cos_bxn.push(cos_bxn);
-                sectors.sin_by.push(sin_by);
-                sectors.cos_by.push(cos_by);
-                sectors.sin_byn.push(sin_byn);
-                sectors.cos_byn.push(cos_byn);
+                sectors.push(
+                    s2_max.sqrt() * (1.0 + 1e-9),
+                    [sin_bx, cos_bx, sin_bxn, cos_bxn],
+                    [sin_by, cos_by, sin_byn, cos_byn],
+                );
             }
         }
         SweepEngine {
@@ -312,7 +350,8 @@ impl<'a> SweepEngine<'a> {
                 obs::inc("mmwave.designer.customized");
             }
             // Every member was served from an already-prepared receiver
-            // (the misses are counted by `SweepRx::prepare`).
+            // (the misses are counted where receivers are located:
+            // `SweepRx::prepare`, or a caller running the stages itself).
             obs::add("mmwave.designer.path_cache_hits", members.len() as u64);
             Self::emit_counts(members.iter().map(|&mi| rxs[mi].take_counts()));
         }
@@ -367,22 +406,20 @@ fn unit_gain_mw(loss_db: f64) -> f64 {
     calib::dbm_to_mw(calib::TX_POWER_DBM + calib::RX_GAIN_DBI - loss_db)
 }
 
-/// The prepared receiver: flattened paths (the path half), and on top of
-/// them per-sector upper bounds and a lazily-filled exact-RSS cache (the
-/// sweep half). One instance per `(AP, user)` pair — or one per session for
-/// link evaluations — reused across frames: preparing only rewrites
-/// contents, so steady-state reuse allocates nothing.
+/// The prepared receiver, in three stages: the located paths, their
+/// steering rows, and on top of them per-sector upper bounds and a
+/// lazily-filled exact-RSS cache. One instance per `(AP, user)` pair — or
+/// one per session for link evaluations — reused across frames: each stage
+/// only rewrites contents, so steady-state reuse allocates nothing.
 #[derive(Debug, Default)]
 pub struct SweepRx {
-    // --- path half: written by `prepare_paths` ---
+    // --- locate: written by `locate` ---
     n_paths: usize,
     /// Elements per steering row.
     elements: usize,
     /// Whether row 0 is the line-of-sight path (it is enumerated first, but
     /// a receiver at the array position has no LoS direction).
     los_first: bool,
-    /// Path steering vectors, row-major `n_paths × elements`.
-    steer: Vec<Complex>,
     /// Per-path total loss (dB).
     loss_db: Vec<f64>,
     /// Per-path element-pattern factor.
@@ -391,7 +428,12 @@ pub struct SweepRx {
     uv: Vec<(f64, f64)>,
     /// Scratch for path enumeration.
     paths_tmp: Vec<Path>,
-    // --- sweep half: written by `prepare`, emptied by `prepare_paths` ---
+    // --- steer: written by `steer`, emptied by `locate` ---
+    /// Whether `steer` holds this location's rows.
+    steered: bool,
+    /// Path steering vectors, row-major `n_paths × elements`.
+    steer: Vec<Complex>,
+    // --- sweep: written by `sweep`, emptied by `locate` ---
     /// Per-sector RSS upper bound in linear mW, margins folded in.
     bounds: Vec<f64>,
     /// Per-sector exact RSS cache (dBm); `NaN` = not yet evaluated. Real
@@ -413,26 +455,28 @@ impl SweepRx {
         SweepRx::default()
     }
 
-    /// The path half: (re)prepares the receiver at `pos` with the given
+    /// Stage 1, *locate*: (re)places the receiver at `pos` with the given
     /// blockers — enumerates paths, drops those with a degenerate departure
-    /// direction (they contribute zero gain), resolves blockage, and caches
-    /// each survivor's steering row, loss and element factor. Enough for
-    /// [`SweepRx::eval_weights`] and the link beams; sector sweeps need
-    /// [`SweepRx::prepare`], whose state this empties. Books no metric.
+    /// direction (they contribute zero gain), resolves blockage, and keeps
+    /// each survivor's loss, element factor and direction cosines. Enough
+    /// for [`SweepRx::rss_cap_dbm`]; empties the later stages. Books no
+    /// metric.
     ///
     /// Each path's azimuth and elevation pay for one `sin_cos` apiece; the
-    /// direction cosines, the element pattern and (in `prepare`) the
-    /// Dirichlet half-angles are all fed from that pair.
-    pub fn prepare_paths(&mut self, channel: &Channel, pos: Vec3, blockers: &[Blocker]) {
+    /// direction cosines, the element pattern and (through the cosines) the
+    /// steering rows and the Dirichlet half-angles are all fed from that
+    /// pair.
+    pub fn locate(&mut self, channel: &Channel, pos: Vec3, blockers: &[Blocker]) {
         let array = &channel.array;
         channel.paths_into(pos, &mut self.paths_tmp);
         self.n_paths = 0;
         self.elements = array.elements();
         self.los_first = false;
-        self.steer.clear();
         self.loss_db.clear();
         self.element.clear();
         self.uv.clear();
+        self.steered = false;
+        self.steer.clear();
         self.bounds.clear();
         self.cache.clear();
         self.best = None;
@@ -442,24 +486,41 @@ impl SweepRx {
             };
             let (sin_az, cos_az) = dir.azimuth.sin_cos();
             let (sin_el, cos_el) = dir.elevation.sin_cos();
-            let (u, v) = (sin_az * cos_el, sin_el);
             if self.n_paths == 0 {
                 self.los_first = path.is_los;
             }
-            array.steering_uv_into(u, v, &mut self.steer);
             self.loss_db.push(channel.path_loss_db(path, pos, blockers));
             self.element.push(element_pattern(cos_az, cos_el));
-            self.uv.push((u, v));
+            self.uv.push((sin_az * cos_el, sin_el));
             self.n_paths += 1;
         }
     }
 
-    /// The sweep half on top of [`SweepRx::prepare_paths`]: computes every
-    /// sector's RSS upper bound and resets the exact cache.
-    pub fn prepare(&mut self, engine: &SweepEngine, pos: Vec3, blockers: &[Blocker]) {
-        obs::inc("mmwave.designer.path_cache_misses");
-        self.prepare_paths(engine.channel, pos, blockers);
+    /// Stage 2, *steer*: each located path's steering row on `channel`'s
+    /// array (the one [`SweepRx::locate`] ran on) — what every exact
+    /// evaluation reads.
+    pub fn steer(&mut self, channel: &Channel) {
+        self.steer.clear();
+        for &(u, v) in &self.uv {
+            channel.array.steering_uv_into(u, v, &mut self.steer);
+        }
+        self.steered = true;
+    }
+
+    /// Whether [`SweepRx::steer`] has run since the last
+    /// [`SweepRx::locate`].
+    pub fn is_steered(&self) -> bool {
+        self.steered
+    }
+
+    /// Stage 3, *sweep*: every sector's RSS upper bound from the located
+    /// paths, and a reset exact cache — what sector sweeps read (their exact
+    /// evaluations read the steering rows too).
+    pub fn sweep(&mut self, engine: &SweepEngine) {
         let nsec = engine.codebook.len();
+        self.bounds.clear();
+        self.cache.clear();
+        self.best = None;
         self.cache.resize(nsec, f64::NAN);
         let st = &engine.sectors;
         if st.s_rt.is_empty() {
@@ -470,13 +531,9 @@ impl SweepRx {
         // Paths outer, sectors inner: each sector still accumulates its
         // path terms in ascending path order (the sums, hence what gets
         // pruned, depend on it), while the inner loop runs at unit stride
-        // over the sector tables with no loop-carried dependency.
+        // over the sector tables with no loop-carried dependency. The y
+        // factor is one value per run of sectors.
         self.bounds.resize(nsec, 0.0);
-        let bounds = &mut self.bounds[..nsec];
-        let (s_rt, sin_bx, cos_bx) = (&st.s_rt[..nsec], &st.sin_bx[..nsec], &st.cos_bx[..nsec]);
-        let (sin_bxn, cos_bxn) = (&st.sin_bxn[..nsec], &st.cos_bxn[..nsec]);
-        let (sin_by, cos_by) = (&st.sin_by[..nsec], &st.cos_by[..nsec]);
-        let (sin_byn, cos_byn) = (&st.sin_byn[..nsec], &st.cos_byn[..nsec]);
         let (nxf, nyf) = (engine.nxf, engine.nyf);
         for p in 0..self.n_paths {
             let (u, v) = self.uv[p];
@@ -487,53 +544,117 @@ impl SweepRx {
             // Scaled up by a margin.
             let c_mw = unit_gain_mw(self.loss_db[p]) * (1.0 + 1e-9);
             let element = self.element[p];
-            for s in 0..nsec {
+            let mut start = 0;
+            for run in &st.y_runs {
                 // sin(a - b) = sin a · cos b - cos a · sin b, per axis, for
                 // both the denominator (ψ) and numerator (n·ψ) angles. The
                 // quotient is computed unconditionally and selected away
                 // near ψ ≈ 0, where the kernel is at its peak `n`.
-                let dx_den = (sin_ax * cos_bx[s] - cos_ax * sin_bx[s]).abs();
-                let dx_num = (sin_axn * cos_bxn[s] - cos_axn * sin_bxn[s]).abs();
-                let dx_quot = (dx_num / dx_den).min(nxf);
-                let dx = if dx_den < 1e-9 { nxf } else { dx_quot };
-                let dy_den = (sin_ay * cos_by[s] - cos_ay * sin_by[s]).abs();
-                let dy_num = (sin_ayn * cos_byn[s] - cos_ayn * sin_byn[s]).abs();
+                let [sin_by, cos_by, sin_byn, cos_byn] = run.y;
+                let dy_den = (sin_ay * cos_by - cos_ay * sin_by).abs();
+                let dy_num = (sin_ayn * cos_byn - cos_ayn * sin_byn).abs();
                 let dy_quot = (dy_num / dy_den).min(nyf);
                 let dy = if dy_den < 1e-9 { nyf } else { dy_quot };
-                // Amplitude bound with a relative margin for the Dirichlet
-                // identity's own rounding and an absolute margin for the
-                // catastrophic-cancellation regime near ψ ≈ 0 (den cut off
-                // at 1e-9, so absolute trig error can reach ~1e-7 on the
-                // quotient — 1e-5 dominates it with room to spare).
-                let amp = s_rt[s] * dx * dy * (1.0 + 1e-6) + 1e-5;
-                bounds[s] += c_mw * amp * amp * element * (1.0 + 1e-6);
+                let bounds = &mut self.bounds[start..run.end];
+                let n = bounds.len();
+                let s_rt = &st.s_rt[start..][..n];
+                let (sin_bx, cos_bx) = (&st.sin_bx[start..][..n], &st.cos_bx[start..][..n]);
+                let (sin_bxn, cos_bxn) = (&st.sin_bxn[start..][..n], &st.cos_bxn[start..][..n]);
+                for s in 0..n {
+                    let dx_den = (sin_ax * cos_bx[s] - cos_ax * sin_bx[s]).abs();
+                    let dx_num = (sin_axn * cos_bxn[s] - cos_axn * sin_bxn[s]).abs();
+                    let dx_quot = (dx_num / dx_den).min(nxf);
+                    let dx = if dx_den < 1e-9 { nxf } else { dx_quot };
+                    // Amplitude bound with a relative margin for the
+                    // Dirichlet identity's own rounding and an absolute
+                    // margin for the catastrophic-cancellation regime near
+                    // ψ ≈ 0 (den cut off at 1e-9, so absolute trig error can
+                    // reach ~1e-7 on the quotient — 1e-5 dominates it with
+                    // room to spare).
+                    let amp = s_rt[s] * dx * dy * (1.0 + 1e-6) + 1e-5;
+                    bounds[s] += c_mw * amp * amp * element * (1.0 + 1e-6);
+                }
+                start = run.end;
             }
         }
-        for b in bounds.iter_mut() {
+        for b in self.bounds.iter_mut() {
             *b *= 1.0 + 1e-9;
         }
     }
 
-    /// Exact RSS (dBm) of an arbitrary weight vector against the prepared
+    /// [`SweepRx::locate`] then [`SweepRx::steer`]: enough for
+    /// [`SweepRx::eval_weights`] and the link beams; sector sweeps need
+    /// [`SweepRx::prepare`]. Books no metric.
+    pub fn prepare_paths(&mut self, channel: &Channel, pos: Vec3, blockers: &[Blocker]) {
+        self.locate(channel, pos, blockers);
+        self.steer(channel);
+    }
+
+    /// All three stages, booking one `mmwave.designer.path_cache_misses`.
+    pub fn prepare(&mut self, engine: &SweepEngine, pos: Vec3, blockers: &[Blocker]) {
+        obs::inc("mmwave.designer.path_cache_misses");
+        self.prepare_paths(engine.channel, pos, blockers);
+        self.sweep(engine);
+    }
+
+    /// Exact RSS (dBm) of an arbitrary weight vector against the steered
     /// paths: the non-coherent power sum of the beam's gain toward each
-    /// path's departure direction.
+    /// path's departure direction. The dot products run as up to four
+    /// independent chains per pass over the weights, each summing its
+    /// elements in index order; the powers are added in path order.
     pub fn eval_weights(&self, weights: &[Complex]) -> f64 {
+        debug_assert!(self.steered, "evaluating a receiver that was never steered");
         debug_assert!(self.n_paths == 0 || weights.len() == self.elements);
         let mut total_mw = 0.0f64;
-        for p in 0..self.n_paths {
-            let gain = response(weights, self.row(p)).norm_sq() * self.element[p];
-            if gain <= 0.0 {
-                continue;
+        let mut acc = [Complex::ZERO; 4];
+        let mut p = 0;
+        while p < self.n_paths {
+            let k = match self.n_paths - p {
+                1 => self.responses::<1>(weights, p, &mut acc),
+                2 => self.responses::<2>(weights, p, &mut acc),
+                3 => self.responses::<3>(weights, p, &mut acc),
+                _ => self.responses::<4>(weights, p, &mut acc),
+            };
+            for (r, (&element, &loss_db)) in acc[..k]
+                .iter()
+                .zip(self.element[p..].iter().zip(&self.loss_db[p..]))
+            {
+                let gain = r.norm_sq() * element;
+                if gain <= 0.0 {
+                    continue;
+                }
+                let rx_dbm =
+                    calib::TX_POWER_DBM + 10.0 * gain.log10() + calib::RX_GAIN_DBI - loss_db;
+                total_mw += calib::dbm_to_mw(rx_dbm);
             }
-            let rx_dbm =
-                calib::TX_POWER_DBM + 10.0 * gain.log10() + calib::RX_GAIN_DBI - self.loss_db[p];
-            total_mw += calib::dbm_to_mw(rx_dbm);
+            p += k;
         }
         calib::mw_to_dbm(total_mw)
     }
 
+    /// `wᵀa` toward paths `first..first + K` into `acc[..K]`, returning `K`:
+    /// `array::response` of each row, as `K` chains in one pass.
+    fn responses<const K: usize>(
+        &self,
+        weights: &[Complex],
+        first: usize,
+        acc: &mut [Complex; 4],
+    ) -> usize {
+        let n = weights.len().min(self.elements);
+        let weights = &weights[..n];
+        let rows: [&[Complex]; K] = std::array::from_fn(|k| &self.row(first + k)[..n]);
+        let mut sums = [Complex::ZERO; K];
+        for (e, &w) in weights.iter().enumerate() {
+            for (sum, row) in sums.iter_mut().zip(&rows) {
+                *sum += w * row[e];
+            }
+        }
+        acc[..K].copy_from_slice(&sums);
+        K
+    }
+
     /// An upper bound (dBm) on this receiver's RSS under *any* unit-power
-    /// beam, from the path half alone: steering entries have unit
+    /// beam, from the located paths alone: steering entries have unit
     /// magnitude, so `|wᵀa|² ≤ ‖w‖²·‖a‖² = N` (Cauchy–Schwarz) and path
     /// `p` delivers at most `dbm_to_mw(TX + RX − loss_p) · N · element_p`.
     /// Carries the sector bounds' `1 + 1e-9` margin over the rounding of
@@ -584,7 +705,7 @@ impl SweepRx {
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
-    /// Exact RSS of codebook sector `s`, memoized per prepare.
+    /// Exact RSS of codebook sector `s`, memoized per sweep.
     pub fn eval_sector(&mut self, engine: &SweepEngine, s: usize) -> f64 {
         let v = self.cache[s];
         if !v.is_nan() {
@@ -604,7 +725,7 @@ impl SweepRx {
         )
     }
 
-    /// Number of usable paths found by the last `prepare`.
+    /// Number of usable paths found by the last `locate`.
     pub fn n_paths(&self) -> usize {
         self.n_paths
     }
@@ -1050,5 +1171,217 @@ mod tests {
             ),
             "steady-state prepare must not reallocate"
         );
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The bound loop with one trig column entry per sector for both axes,
+    /// verbatim: the columns as `SweepEngine::new` built them, then paths
+    /// outer, sectors inner, every term in the same order.
+    fn per_sector_bounds(engine: &SweepEngine, rx: &SweepRx) -> Vec<f64> {
+        let (codebook, array) = (engine.codebook, &engine.channel.array);
+        let (half_kd, nxf, nyf) = (engine.half_kd, engine.nxf, engine.nyf);
+        let mut cols: [Vec<f64>; 9] = Default::default();
+        for (sec, dir) in codebook.sectors().iter().zip(codebook.directions()) {
+            let s2_max = sec.w.iter().map(|c| c.norm_sq()).fold(0.0f64, f64::max);
+            let u = dir.azimuth.sin() * dir.elevation.cos();
+            let v = dir.elevation.sin();
+            let (sin_bx, cos_bx) = (half_kd * u).sin_cos();
+            let (sin_bxn, cos_bxn) = (array.nx as f64 * half_kd * u).sin_cos();
+            let (sin_by, cos_by) = (half_kd * v).sin_cos();
+            let (sin_byn, cos_byn) = (array.ny as f64 * half_kd * v).sin_cos();
+            let row = [
+                s2_max.sqrt() * (1.0 + 1e-9),
+                sin_bx,
+                cos_bx,
+                sin_bxn,
+                cos_bxn,
+                sin_by,
+                cos_by,
+                sin_byn,
+                cos_byn,
+            ];
+            for (col, x) in cols.iter_mut().zip(row) {
+                col.push(x);
+            }
+        }
+        let [s_rt, sin_bx, cos_bx, sin_bxn, cos_bxn, sin_by, cos_by, sin_byn, cos_byn] = &cols;
+        let mut bounds = vec![0.0; codebook.len()];
+        for p in 0..rx.n_paths {
+            let (u, v) = rx.uv[p];
+            let (sin_ax, cos_ax) = (half_kd * u).sin_cos();
+            let (sin_axn, cos_axn) = (nxf * half_kd * u).sin_cos();
+            let (sin_ay, cos_ay) = (half_kd * v).sin_cos();
+            let (sin_ayn, cos_ayn) = (nyf * half_kd * v).sin_cos();
+            let c_mw = unit_gain_mw(rx.loss_db[p]) * (1.0 + 1e-9);
+            let element = rx.element[p];
+            for s in 0..bounds.len() {
+                let dx_den = (sin_ax * cos_bx[s] - cos_ax * sin_bx[s]).abs();
+                let dx_num = (sin_axn * cos_bxn[s] - cos_axn * sin_bxn[s]).abs();
+                let dx_quot = (dx_num / dx_den).min(nxf);
+                let dx = if dx_den < 1e-9 { nxf } else { dx_quot };
+                let dy_den = (sin_ay * cos_by[s] - cos_ay * sin_by[s]).abs();
+                let dy_num = (sin_ayn * cos_byn[s] - cos_ayn * sin_byn[s]).abs();
+                let dy_quot = (dy_num / dy_den).min(nyf);
+                let dy = if dy_den < 1e-9 { nyf } else { dy_quot };
+                let amp = s_rt[s] * dx * dy * (1.0 + 1e-6) + 1e-5;
+                bounds[s] += c_mw * amp * amp * element * (1.0 + 1e-6);
+            }
+        }
+        for b in bounds.iter_mut() {
+            *b *= 1.0 + 1e-9;
+        }
+        bounds
+    }
+
+    /// Exact evaluations read the steering rows: a receiver that was only
+    /// located has none, and must not answer as if it had no path.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "never steered")]
+    fn an_unsteered_receiver_is_not_evaluated() {
+        let channel = Channel::default_setup();
+        let codebook = Codebook::default_for(&channel.array);
+        let mut rx = SweepRx::new();
+        rx.locate(&channel, Vec3::new(0.5, 1.5, -1.0), &[]);
+        assert!(!rx.is_steered() && rx.rss_cap_dbm().is_finite());
+        rx.eval_weights(&codebook.sectors()[0].w);
+    }
+
+    /// A run of y values extends only while all four match bit for bit: a
+    /// change in any one column, a sign of zero included, starts a new run.
+    /// The default codebook has one run per elevation row.
+    #[test]
+    fn y_runs_split_on_any_column() {
+        let base = [0.0, 0.5, -0.75, 1.0];
+        for col in 0..4 {
+            for changed in [0.125, -base[col]] {
+                let mut y = base;
+                y[col] = changed;
+                let mut st = SectorTrig::default();
+                for y in [base, base, y, y, y, base] {
+                    st.push(1.0, [0.0; 4], y);
+                }
+                let ends: Vec<usize> = st.y_runs.iter().map(|r| r.end).collect();
+                assert_eq!(ends, [2, 5, 6], "column {col} set to {changed}");
+            }
+        }
+        let channel = Channel::default_setup();
+        let codebook = Codebook::default_for(&channel.array);
+        let engine = SweepEngine::new(&channel, &codebook);
+        let ends: Vec<usize> = engine.sectors.y_runs.iter().map(|r| r.end).collect();
+        assert_eq!(ends, [16, 32, 48]);
+    }
+
+    /// Every sector bound, bit for bit, against the per-sector loop: random
+    /// DFT grids and spans (one case in four the default codebook), each
+    /// room with and without its floor bounce, 0–8 bodies.
+    #[test]
+    fn sector_bounds_match_the_per_sector_loop() {
+        let setups = setups();
+        run_cases_n("sector_bounds_match_the_per_sector_loop", 256, |rng| {
+            let mut channel = setups[rng.gen_range(0..setups.len())].clone();
+            channel.room.floor_reflection = rng.gen_bool(0.5);
+            let codebook = if rng.gen_bool(0.25) {
+                Codebook::default_for(&channel.array)
+            } else {
+                let (n_az, n_el) = (rng.gen_range(1..17usize), rng.gen_range(1..5usize));
+                let (az, el) = (rng.gen_range(0.0..1.5), rng.gen_range(0.0..1.5));
+                Codebook::dft(&channel.array, n_az, n_el, az, el)
+            };
+            let engine = SweepEngine::new(&channel, &codebook);
+            assert!(!engine.sectors.s_rt.is_empty());
+            let n_bodies = rng.gen_range(0..9usize);
+            let bodies: Vec<Blocker> = (random_positions(&channel, rng, n_bodies).into_iter())
+                .map(Blocker::person)
+                .collect();
+            let mut rx = SweepRx::new();
+            for pos in random_positions(&channel, rng, 6) {
+                rx.prepare(&engine, pos, &bodies);
+                let want = per_sector_bounds(&engine, &rx);
+                assert_eq!(bits(&rx.bounds), bits(&want), "at {pos:?}");
+            }
+        });
+    }
+
+    /// `eval_weights` as one serial chain per path, verbatim.
+    fn serial_eval(rx: &SweepRx, weights: &[Complex]) -> f64 {
+        let mut total_mw = 0.0f64;
+        for p in 0..rx.n_paths {
+            let gain = crate::array::response(weights, rx.row(p)).norm_sq() * rx.element[p];
+            if gain <= 0.0 {
+                continue;
+            }
+            let rx_dbm =
+                calib::TX_POWER_DBM + 10.0 * gain.log10() + calib::RX_GAIN_DBI - rx.loss_db[p];
+            total_mw += calib::dbm_to_mw(rx_dbm);
+        }
+        calib::mw_to_dbm(total_mw)
+    }
+
+    /// Exact evaluations, bit for bit, against one serial chain per path:
+    /// receivers with 0–7 paths (none at all for an array outside its
+    /// room, seven with the floor bounce; a prefix of the paths otherwise)
+    /// under codebook sectors, dedicated beams, random and zero weights.
+    #[test]
+    fn eval_weights_matches_the_serial_chains() {
+        let setups = setups();
+        let outside = Vec3::new(20.0, 10.0, 0.0);
+        let lost = Channel::new(
+            Room::default(),
+            PlanarArray::airfide(outside, Vec3::FORWARD),
+        );
+        let mut seen = [0usize; 8];
+        let mut rx = SweepRx::new();
+        let mut beam = Vec::new();
+        run_cases_n("eval_weights_matches_the_serial_chains", 256, |rng| {
+            let mut channel = setups[rng.gen_range(0..setups.len())].clone();
+            channel.room.floor_reflection = rng.gen_bool(0.5);
+            let codebook = Codebook::default_for(&channel.array);
+            let n_bodies = rng.gen_range(0..9usize);
+            let bodies: Vec<Blocker> = (random_positions(&channel, rng, n_bodies).into_iter())
+                .map(Blocker::person)
+                .collect();
+            if rng.gen_bool(0.1) {
+                rx.prepare_paths(&lost, outside, &bodies);
+            } else {
+                let pos = random_positions(&channel, rng, 1)[0];
+                rx.prepare_paths(&channel, pos, &bodies);
+                let keep = rng.gen_range(0..rx.n_paths + 1);
+                if keep < rx.n_paths {
+                    rx.n_paths = keep;
+                    rx.steer.truncate(keep * rx.elements);
+                    rx.loss_db.truncate(keep);
+                    rx.element.truncate(keep);
+                    rx.uv.truncate(keep);
+                }
+            }
+            seen[rx.n_paths] += 1;
+            let n = channel.array.elements();
+            let check = |w: &[Complex]| {
+                let (got, want) = (rx.eval_weights(w), serial_eval(&rx, w));
+                assert_eq!(got.to_bits(), want.to_bits(), "{got} vs {want}");
+            };
+            for sector in codebook.sectors().iter().step_by(5) {
+                check(&sector.w);
+            }
+            check(&vec![Complex::ZERO; n]);
+            for _ in 0..4 {
+                beam.clear();
+                beam.extend(
+                    (0..n)
+                        .map(|_| Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))),
+                );
+                normalize(&mut beam);
+                check(&beam);
+            }
+            for p in 0..rx.n_paths {
+                rx.rss_row_beam(p, &mut beam);
+                check(&beam);
+            }
+        });
+        assert!(seen.iter().all(|&k| k > 0), "path counts seen: {seen:?}");
     }
 }

@@ -1,30 +1,36 @@
-//! Pins the allocation-free steady state of the link-evaluation path.
+//! Pins the allocation-free steady state of the link-evaluation path and
+//! of the session's staged group-beam receivers.
 //!
 //! This is its own integration binary because the counting allocator is
 //! process-global: any sibling test allocating concurrently would make the
 //! counters move. Keep exactly one `#[test]` in this file.
 
 use volcast_geom::{Complex, Vec3};
-use volcast_mmwave::{Blocker, Channel, SweepRx};
+use volcast_mmwave::{Blocker, Channel, Codebook, SweepEngine, SweepRx};
 use volcast_util::obs;
 use volcast_util::scratch::counting;
 
 #[global_allocator]
 static ALLOC: counting::CountingAllocator = counting::CountingAllocator;
 
-/// What the session's `link_rates` stage does per user per frame —
-/// re-prepare one receiver's path half in place, then evaluate a link beam
-/// on caller-owned scratch — must not touch the allocator once the buffers
-/// have reached their high-watermark.
+/// What the session does per user per frame must not touch the allocator
+/// once the buffers have reached their high-watermark: its `link_rates`
+/// stage re-prepares one receiver's paths in place and evaluates a link
+/// beam on caller-owned scratch; its group beams locate a receiver, take
+/// its rate cap, and — for a designed member — steer it, sweep it and find
+/// its best sector.
 #[test]
 fn warm_link_evaluations_do_not_allocate() {
-    // `prepare_paths` books no metric, but keep the registry out of the
+    // No stage below books a metric, but keep the registry out of the
     // picture under VOLCAST_TRACE=1 all the same.
     obs::set_enabled(false);
 
     let mut channel = Channel::default_setup();
     channel.room.floor_reflection = true; // the longest path list
+    let codebook = Codebook::default_for(&channel.array);
+    let engine = SweepEngine::new(&channel, &codebook);
     let mut link = SweepRx::new();
+    let mut member = SweepRx::new();
     let mut beam: Vec<Complex> = Vec::new();
     let mut blockers: Vec<Blocker> = Vec::with_capacity(16);
 
@@ -40,6 +46,11 @@ fn warm_link_evaluations_do_not_allocate() {
                 }));
             link.prepare_paths(&channel, pos, &blockers);
             sum += link.rss_dedicated_beam(&mut beam) + link.rss_best_beam(&mut beam);
+            member.locate(&channel, pos, &blockers);
+            sum += member.rss_cap_dbm();
+            member.steer(&channel);
+            member.sweep(&engine);
+            sum += engine.best_sector(&mut member).1;
         }
         sum
     };

@@ -11,8 +11,8 @@
 //! 3. **Occlusion culling** — cells completely hidden behind dense closer
 //!    cells are dropped, using a 3D-DDA walk through the cell grid.
 
-use volcast_geom::{Aabb, CameraIntrinsics, Frustum, Pose, Ray, Vec3};
-use volcast_pointcloud::{CellCounter, CellGrid, CellId, CellInfo};
+use volcast_geom::{Aabb, CameraIntrinsics, Frustum, Pose, Vec3};
+use volcast_pointcloud::{CellGrid, CellId, CellInfo};
 use volcast_util::bitset::BitSet;
 use volcast_util::obs;
 
@@ -225,28 +225,107 @@ impl VisibilityComputer {
 }
 
 /// What every occlusion ray of one map shares: the eye, the cell it is in,
-/// and the partition's occluding cells by id.
+/// and the partition's occluding cells.
 struct OcclusionWalk<'a> {
     eye: Vec3,
     eye_cell: CellId,
     grid: &'a CellGrid,
-    dense: CellCounter,
+    dense: DenseCells<'a>,
     /// Dense cells that must cover the path.
     depth: usize,
 }
 
-impl<'a> OcclusionWalk<'a> {
-    fn new(eye: Vec3, grid: &'a CellGrid, partition: &[CellInfo], o: &VisibilityOptions) -> Self {
-        let mut dense = CellCounter::new();
-        let occluders = |c: &&CellInfo| c.point_count >= o.occluder_min_points;
-        for cell in partition.iter().filter(occluders) {
-            dense.add(cell.id, cell.point_count);
+/// The largest bit box [`DenseCells::new`] allocates (512 KiB).
+const MAX_BOX_BITS: u64 = 1 << 22;
+
+/// The partition's occluding cells, looked up at every DDA step.
+enum DenseCells<'a> {
+    /// One bit per cell of the occluders' id bounding box, `lo` its
+    /// corner and `dims` its extent per axis, x-major: one allocation per
+    /// map (none when nothing occludes, where every `dims` is 0).
+    Box {
+        lo: [i32; 3],
+        dims: [u64; 3],
+        bits: Vec<u64>,
+    },
+    /// Occluders whose box would exceed [`MAX_BOX_BITS`] (content strewn
+    /// over a huge grid): a binary search of the id-sorted partition.
+    Sorted {
+        partition: &'a [CellInfo],
+        min_points: usize,
+    },
+}
+
+impl<'a> DenseCells<'a> {
+    fn new(partition: &'a [CellInfo], min_points: usize) -> Self {
+        let dense = || partition.iter().filter(|c| c.point_count >= min_points);
+        let (mut lo, mut hi) = ([i32::MAX; 3], [i32::MIN; 3]);
+        for c in dense() {
+            for (a, v) in [c.id.x, c.id.y, c.id.z].into_iter().enumerate() {
+                lo[a] = lo[a].min(v);
+                hi[a] = hi[a].max(v);
+            }
         }
+        let dims: [u64; 3] =
+            std::array::from_fn(|a| (hi[a] as i64 - lo[a] as i64 + 1).max(0) as u64);
+        let volume = (dims.iter()).try_fold(1u64, |v, &d| v.checked_mul(d));
+        let Some(volume) = volume.filter(|&v| v <= MAX_BOX_BITS) else {
+            return DenseCells::Sorted {
+                partition,
+                min_points,
+            };
+        };
+        let mut bits = vec![0u64; volume.div_ceil(64) as usize];
+        for c in dense() {
+            let i = Self::index(lo, dims, [c.id.x, c.id.y, c.id.z])
+                .expect("an occluder lies in its own box");
+            bits[i / 64] |= 1 << (i % 64);
+        }
+        DenseCells::Box { lo, dims, bits }
+    }
+
+    /// Bit index of `cell` in the box, `None` outside it.
+    fn index(lo: [i32; 3], dims: [u64; 3], cell: [i32; 3]) -> Option<usize> {
+        let mut i = 0u64;
+        for a in 0..3 {
+            let off = cell[a] as i64 - lo[a] as i64;
+            if off < 0 || off as u64 >= dims[a] {
+                return None;
+            }
+            i = i * dims[a] + off as u64;
+        }
+        Some(i as usize)
+    }
+
+    fn contains(&self, cell: [i32; 3]) -> bool {
+        match self {
+            DenseCells::Box { lo, dims, bits } => {
+                Self::index(*lo, *dims, cell).is_some_and(|i| bits[i / 64] >> (i % 64) & 1 == 1)
+            }
+            DenseCells::Sorted {
+                partition,
+                min_points,
+            } => {
+                let id = CellId::new(cell[0], cell[1], cell[2]);
+                (partition.binary_search_by_key(&id, |c| c.id))
+                    .is_ok_and(|i| partition[i].point_count >= *min_points)
+            }
+        }
+    }
+}
+
+impl<'a> OcclusionWalk<'a> {
+    fn new(
+        eye: Vec3,
+        grid: &'a CellGrid,
+        partition: &'a [CellInfo],
+        o: &VisibilityOptions,
+    ) -> Self {
         OcclusionWalk {
             eye,
             eye_cell: grid.cell_of(eye),
             grid,
-            dense,
+            dense: DenseCells::new(partition, o.occluder_min_points),
             depth: o.occluder_depth,
         }
     }
@@ -272,10 +351,13 @@ impl<'a> OcclusionWalk<'a> {
     /// lie strictly between the eye and the target cell.
     fn point_occluded(&self, point: Vec3, target: CellId) -> bool {
         let (eye, grid) = (self.eye, self.grid);
-        let Some(ray) = Ray::between(eye, point) else {
+        // `Ray::between(eye, point)`, whose norm is the walk's length.
+        let delta = point - eye;
+        let total_dist = delta.norm();
+        if total_dist < volcast_geom::EPS {
             return false;
-        };
-        let total_dist = eye.distance(point);
+        }
+        let direction = delta / total_dist;
 
         // 3D DDA through the uniform grid.
         let mut cell = [self.eye_cell.x, self.eye_cell.y, self.eye_cell.z];
@@ -284,7 +366,7 @@ impl<'a> OcclusionWalk<'a> {
         let mut t_max = [f64::INFINITY; 3];
         let mut t_delta = [f64::INFINITY; 3];
         for a in 0..3 {
-            let dir = ray.direction[a];
+            let dir = direction[a];
             if dir > 0.0 {
                 step[a] = 1;
             }
@@ -318,7 +400,7 @@ impl<'a> OcclusionWalk<'a> {
             }
             cell[axis] += step[axis];
             t_max[axis] += t_delta[axis];
-            if cell != target && self.dense.count(CellId::new(cell[0], cell[1], cell[2])) > 0 {
+            if cell != target && self.dense.contains(cell) {
                 blockers += 1;
                 if blockers >= self.depth {
                     return true;
@@ -498,6 +580,48 @@ mod tests {
         assert!(map.is_empty());
         assert_eq!(map.cells(), 0);
         assert_eq!(map.required_bytes(&[]), 0.0);
+    }
+
+    /// The bit box answers what the partition says, over its whole id box
+    /// and a margin around it, negative ids included; occluders too strewn
+    /// for a box are searched in the partition instead, and a partition
+    /// with none gets an empty box that allocated nothing.
+    #[test]
+    fn dense_cells_answer_what_the_partition_says() {
+        let cell = |x, y, z, point_count| CellInfo {
+            id: CellId::new(x, y, z),
+            point_count,
+        };
+        let near = [
+            cell(-3, 0, 2, 80),
+            cell(-3, 1, -1, 10),
+            cell(-2, 0, 2, 60),
+            cell(0, 2, -2, 61),
+        ];
+        let far = [
+            cell(-3, 0, 2, 80),
+            cell(0, 1, 0, 7),
+            cell(2_000_000, 0, 0, 90),
+        ];
+        for (partition, boxed) in [(&near[..], true), (&far[..], false)] {
+            let dense = DenseCells::new(partition, 60);
+            assert_eq!(matches!(dense, DenseCells::Box { .. }), boxed);
+            for x in -5..3 {
+                for y in -2..4 {
+                    for z in -4..4 {
+                        let id = CellId::new(x, y, z);
+                        let want = partition.iter().any(|c| c.id == id && c.point_count >= 60);
+                        assert_eq!(dense.contains([x, y, z]), want, "{id:?}");
+                    }
+                }
+            }
+            assert_eq!(dense.contains([2_000_000, 0, 0]), !boxed);
+            assert!(!dense.contains([i32::MIN, i32::MAX, 0]));
+        }
+        let DenseCells::Box { dims, bits, .. } = DenseCells::new(&near, 1000) else {
+            panic!("nothing occludes: an empty box");
+        };
+        assert_eq!((dims, bits.capacity()), ([0; 3], 0));
     }
 
     #[test]

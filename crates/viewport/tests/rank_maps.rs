@@ -311,13 +311,22 @@ mod reference {
     }
 }
 
-/// A viewer somewhere in the room, looking at (or near) the body.
+/// A viewer somewhere in the room — one in four inside the body's box,
+/// among its dense cells — looking at (or near) the body.
 fn arb_pose(rng: &mut Rng) -> Pose {
-    let eye = Vec3::new(
-        rng.gen_range(-3.0..3.0),
-        rng.gen_range(0.4..2.2),
-        rng.gen_range(-3.0..3.0),
-    );
+    let eye = if rng.gen_bool(0.25) {
+        Vec3::new(
+            rng.gen_range(-0.4..0.4),
+            rng.gen_range(0.5..1.6),
+            rng.gen_range(-0.4..0.4),
+        )
+    } else {
+        Vec3::new(
+            rng.gen_range(-3.0..3.0),
+            rng.gen_range(0.4..2.2),
+            rng.gen_range(-3.0..3.0),
+        )
+    };
     let target = Vec3::new(
         rng.gen_range(-0.8..0.8),
         rng.gen_range(0.2..1.8),
@@ -332,18 +341,20 @@ fn rank_maps_equal_reference_maps() {
     run_cases_n("rank_maps_equal_reference_maps", 192, |rng| {
         let case = rng.gen_range(0..usize::MAX);
         let cell_size = [0.25, 0.5, 1.0][case % 3];
-        let grid = if case / 3 % 2 == 0 {
-            CellGrid::new(cell_size)
-        } else {
-            CellGrid::with_origin(cell_size, Vec3::new(0.13, -0.31, 0.07))
+        // The last origin puts every cell of the body at negative ids.
+        let grid = match rng.gen_range(0..3u32) {
+            0 => CellGrid::new(cell_size),
+            1 => CellGrid::with_origin(cell_size, Vec3::new(0.13, -0.31, 0.07)),
+            _ => CellGrid::with_origin(cell_size, Vec3::new(4.3, 2.9, 3.7)),
         };
         let options = VisibilityOptions {
             viewport: case / 6 % 2 == 0,
             distance: case / 12 % 2 == 0,
             occlusion: case / 24 % 2 == 0,
             intrinsics: [DeviceClass::Phone, DeviceClass::Headset][case / 48 % 2].intrinsics(),
-            // The default threshold and one every cell of the body passes.
-            occluder_min_points: [60, 3][case / 96 % 2],
+            // The default threshold, one every cell of the body passes and
+            // one none does.
+            occluder_min_points: [60, 3, usize::MAX][rng.gen_range(0..3usize)],
             occluder_depth: 1 + case / 192 % 2,
             ..VisibilityOptions::default()
         };

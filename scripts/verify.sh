@@ -129,6 +129,14 @@ echo "==> the cap-led grouping search and its rate cap, 2000 cases each"
 VOLCAST_PROP_CASES=2000 cargo test --release -q -p volcast-core --test plan_reference
 VOLCAST_PROP_CASES=2000 cargo test --release -q -p volcast-mmwave --lib rss_cap_dominates
 
+echo "==> the session frame's shortcuts against the loops they replaced, 2000 cases each"
+# Sector bounds with one y factor per elevation run, exact evaluations as
+# independent chains, and the box test before every body: each against a
+# verbatim copy of the loop it replaced, bit for bit, in release.
+VOLCAST_PROP_CASES=2000 cargo test --release -q -p volcast-mmwave --lib -- \
+    sector_bounds_match_the_per_sector_loop eval_weights_matches_the_serial_chains \
+    segment_blocked_matches_the_unboxed_loop
+
 echo "==> every results/<bin>.txt regenerates byte-identically"
 # Each committed capture is the stdout of the bin it is named after; a
 # change that moves any of them must say so by regenerating the file.
@@ -234,6 +242,10 @@ echo "==> benchmark workloads at full size: outcome hashes pinned"
 # Decoding three rANS symbols per window moved none: the bytes are the same.
 # Storing a fault plan as one byte per (frame, user) moved none: every draw,
 # draw order and stream id is the same (crates/net/tests/fault_reference.rs).
+# Locating receivers per frame and steering and sweeping them on first
+# design, sweep bounds per elevation run, chained exact evaluations, the
+# box test before every body and the bit-box occlusion walk moved none:
+# every float keeps its operands and its order.
 for pin in codec_ladder:0x97b4ac0961eaafb1 codec_layered:0xb00dbeed38dc616e \
     session_single:0x338effbe7f8a1bb5 session_layered_faulted:0x3f96d14ae75d2245 \
     campus:0x22ab495ca9fac58d server:0xa52a4b03a0514405; do
