@@ -26,9 +26,9 @@
 //! default fault spec.
 
 use std::time::Instant;
-use volcast_bench::Flags;
 use volcast_core::campus::{Campus, CampusParams};
 use volcast_net::FaultConfig;
+use volcast_util::flags::Flags;
 use volcast_util::hash::fnv1a;
 use volcast_util::json::ToJson;
 

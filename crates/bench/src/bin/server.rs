@@ -26,11 +26,11 @@
 //! `--faults ''` disables the default fault spec.
 
 use std::time::Instant;
-use volcast_bench::Flags;
 use volcast_core::{ServerParams, SessionServer};
 use volcast_net::{FaultConfig, StreamWriter};
 use volcast_pointcloud::codec::{CodecConfig, GopEncoder};
 use volcast_pointcloud::synthetic::SyntheticBody;
+use volcast_util::flags::Flags;
 use volcast_viewport::UserStudy;
 
 /// Default fault spec: enough churn to exercise reconnects, loss

@@ -73,68 +73,6 @@ pub fn dump_obs(name: &str) {
     eprintln!("# obs snapshot written to {path}");
 }
 
-/// The `--flag value` arguments of the `campus` and `server` binaries,
-/// checked against the binary's usage line: a flag is known iff the usage
-/// line names it, and every flag takes exactly one value.
-pub struct Flags {
-    pairs: Vec<(String, String)>,
-    usage: &'static str,
-}
-
-impl Flags {
-    /// Parses `args` (the command line without the program name).
-    fn parse(args: &[String], usage: &'static str) -> Result<Flags, String> {
-        let known = |flag: &str| {
-            flag.starts_with("--")
-                && usage
-                    .split(|c: char| c == '[' || c == ']' || c.is_whitespace())
-                    .any(|token| token == flag)
-        };
-        let mut pairs = Vec::new();
-        let mut args = args.iter();
-        while let Some(flag) = args.next() {
-            if !known(flag) {
-                return Err(format!("unknown argument '{flag}'"));
-            }
-            let value = args
-                .next()
-                .ok_or_else(|| format!("missing value for {flag}"))?;
-            pairs.push((flag.clone(), value.clone()));
-        }
-        Ok(Flags { pairs, usage })
-    }
-
-    /// Parses the process arguments; on a bad command line prints the
-    /// error and the usage line to stderr and exits with code 2.
-    pub fn from_env(usage: &'static str) -> Flags {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        Flags::parse(&args, usage).unwrap_or_else(|e| exit_usage(&e, usage))
-    }
-
-    /// The value given for `flag` (the first, if repeated).
-    pub fn get(&self, flag: &str) -> Option<&str> {
-        let pair = self.pairs.iter().find(|(f, _)| f == flag)?;
-        Some(&pair.1)
-    }
-
-    /// The value given for `flag` parsed as `T`, or `default` when the
-    /// flag is absent; a value that does not parse exits like
-    /// [`Flags::from_env`].
-    pub fn value<T: std::str::FromStr>(&self, flag: &str, default: T) -> T {
-        match self.get(flag) {
-            None => default,
-            Some(v) => v.parse().unwrap_or_else(|_| {
-                exit_usage(&format!("bad value for {flag}: '{v}'"), self.usage)
-            }),
-        }
-    }
-}
-
-fn exit_usage(error: &str, usage: &str) -> ! {
-    eprintln!("error: {error}\n{usage}");
-    std::process::exit(2)
-}
-
 /// The CDF value at `x`: fraction of samples <= x.
 pub fn cdf_at(samples: &[f64], x: f64) -> f64 {
     if samples.is_empty() {
@@ -236,29 +174,6 @@ mod tests {
         for pair in &c {
             assert!(pair[0] < pair[1]);
         }
-    }
-
-    #[test]
-    fn flags_reject_what_the_usage_line_does_not_name() {
-        const USAGE: &str = "usage: campus [--users N] [--faults SPEC]";
-        let parse = |args: &[&str]| {
-            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-            Flags::parse(&args, USAGE)
-        };
-        let err = |args: &[&str]| parse(args).err().expect("rejected");
-        // A typo, a trailing flag with no value, a flag deleted in PR 13.
-        assert_eq!(err(&["--user", "500"]), "unknown argument '--user'");
-        assert_eq!(
-            err(&["--faults", "", "--users"]),
-            "missing value for --users"
-        );
-        assert_eq!(err(&["--report", ""]), "unknown argument '--report'");
-        assert_eq!(err(&["500"]), "unknown argument '500'");
-        // What it does name parses, empty values included.
-        let flags = parse(&["--users", "500", "--faults", ""]).expect("accepted");
-        assert_eq!(flags.value("--users", 10_000usize), 500);
-        assert_eq!(flags.get("--faults"), Some(""));
-        assert_eq!(parse(&[]).expect("accepted").value("--users", 7usize), 7);
     }
 
     #[test]

@@ -48,8 +48,6 @@ pub struct BlockageMitigator {
     pub beam_search: BeamSearch,
     /// Codebook size (for the full-sweep cost in reactive mode).
     pub codebook_sectors: usize,
-    /// Candidate subset size for the proactive partial sweep.
-    pub proactive_candidates: usize,
     /// Frames of prefetch issued per proactive event.
     pub prefetch_frames: usize,
 }
@@ -61,7 +59,6 @@ impl BlockageMitigator {
             mode,
             beam_search: BeamSearch::default(),
             codebook_sectors: 48,
-            proactive_candidates: 8,
             prefetch_frames: 8,
         }
     }

@@ -76,21 +76,6 @@ pub enum DeliveryMode {
     Layered,
 }
 
-/// `MacModel` dispatch over the session's radio.
-enum MacDispatch<'a> {
-    Ad(&'a AdMac),
-    Ac(&'a AcMac),
-}
-
-impl MacModel for MacDispatch<'_> {
-    fn goodput_mbps(&self, phy_mbps: f64, n_active: usize) -> f64 {
-        match self {
-            MacDispatch::Ad(m) => m.goodput_mbps(phy_mbps, n_active),
-            MacDispatch::Ac(m) => m.goodput_mbps(phy_mbps, n_active),
-        }
-    }
-}
-
 /// Frame-scoped multicast beam state of a mmWave Volcast session: every
 /// user's receiver is located once per frame (enough for its rate cap) and
 /// steered and swept only when a design first needs it, and every distinct
@@ -673,7 +658,8 @@ struct Pipeline<'a> {
     /// deeply faded MCS0-trickle bursts are deferred instead of poisoning
     /// every other user's frame.
     airtime_budget_s: f64,
-    mac: MacDispatch<'a>,
+    /// The session radio's MAC.
+    mac: &'a dyn MacModel,
     is_wifi5: bool,
     mcs_table: &'a McsTable,
     fault_plan: &'a FaultPlan,
@@ -692,12 +678,6 @@ struct Pipeline<'a> {
     /// argument, and the mechanism by which the FEC ladder's goodput
     /// savings convert into stall headroom.
     buf_cap: f64,
-    /// Layered delivery feeds the ABR the unicast path only: the
-    /// multicast base is server-scheduled (not an ABR-controlled flow) and
-    /// rides the group's slowest common beam, so blending it in would
-    /// anchor every member's throughput estimate to the group floor and
-    /// starve the enhancement budget.
-    feedback_unicast_only: bool,
     grid: CellGrid,
     planner: GroupPlanner,
     mitigator: BlockageMitigator,
@@ -722,11 +702,7 @@ impl<'a> Pipeline<'a> {
             cfg,
             interval,
             airtime_budget_s: AIRTIME_BUDGET_INTERVALS * interval,
-            mac: if is_wifi5 {
-                MacDispatch::Ac(&s.ac_mac)
-            } else {
-                MacDispatch::Ad(&s.mac)
-            },
+            mac: if is_wifi5 { &s.ac_mac } else { &s.mac },
             is_wifi5,
             mcs_table: if is_wifi5 { &s.vht } else { &s.mcs },
             fault_plan,
@@ -737,7 +713,6 @@ impl<'a> Pipeline<'a> {
             } else {
                 buffer_capacity
             },
-            feedback_unicast_only: layered,
             grid: CellGrid::new(cfg.cell_size),
             planner: GroupPlanner::new(cfg),
             mitigator: BlockageMitigator::new(s.params.mitigation),
@@ -1383,7 +1358,7 @@ impl<'a> Pipeline<'a> {
     /// Stage 8 — replay: the plan's airtime on the MAC model, and the
     /// frame's share of the outcome tallies.
     fn replay(&self, a: &mut Arena) -> PlanTiming {
-        let timing = a.plan.execute(&self.mac, self.n, self.n);
+        let timing = a.plan.execute(self.mac, self.n, self.n);
         if obs::enabled() {
             obs::add("session.scheduled_items", a.plan.items.len() as u64);
             obs::add(
@@ -1548,7 +1523,12 @@ impl<'a> Pipeline<'a> {
     /// *delivery rate* (bytes over the airtime actually spent on their
     /// items), the quantity an ABR can measure.
     fn feed_adapter(&self, u: usize, a: &mut Arena) {
-        let unicast_only = self.feedback_unicast_only;
+        // Layered delivery feeds the ABR the unicast path only: the
+        // multicast base is server-scheduled (not an ABR-controlled flow)
+        // and rides the group's slowest common beam, so blending it in
+        // would anchor every member's throughput estimate to the group
+        // floor and starve the enhancement budget.
+        let unicast_only = self.layered;
         let (user_bytes, user_airtime): (f64, f64) = (a.plan.items.iter())
             .filter(|i| i.receivers().contains(&u) && (!unicast_only || i.receivers().len() == 1))
             .map(|i| {
@@ -1577,7 +1557,7 @@ impl<'a> Pipeline<'a> {
         let frames = self.s.params.frames;
         a.qoe.duration_s = frames as f64 * self.interval;
         let deadline = SimTime::from_secs(self.interval);
-        let sim = Simulator::new(&self.mac, self.n, self.n, deadline, BacklogPolicy::Drop)
+        let sim = Simulator::new(self.mac, self.n, self.n, deadline, BacklogPolicy::Drop)
             .map_err(VolcastError::Net)?
             .with_faults(self.fault_plan);
         let (mut on_time, mut addressed) = (0usize, 0usize);

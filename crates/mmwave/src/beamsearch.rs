@@ -9,6 +9,7 @@
 
 use crate::channel::{Blocker, Channel};
 use crate::codebook::Codebook;
+use crate::sweep::{SweepEngine, SweepRx};
 use volcast_geom::Vec3;
 use volcast_util::obs;
 
@@ -35,8 +36,8 @@ pub struct BeamSearch {
 }
 
 impl Default for BeamSearch {
-    /// Calibrated so a full 48-sector sweep costs ~12 ms and a focused
-    /// partial sweep a few ms — inside the paper's 5-20 ms window.
+    /// Calibrated so a full 48-sector sweep costs ~12 ms — inside the
+    /// paper's 5-20 ms window.
     fn default() -> Self {
         BeamSearch {
             per_sector_s: 230e-6,
@@ -46,7 +47,9 @@ impl Default for BeamSearch {
 }
 
 impl BeamSearch {
-    /// Full sweep: probe every sector, return the best for `user`.
+    /// Full sweep: probe every sector, return the best for `user`. Every
+    /// sector is on the air, so each is booked as probed and timed; the
+    /// [`SweepEngine`] finds the exhaustive scan's first winner bit for bit.
     pub fn full_sweep(
         &self,
         channel: &Channel,
@@ -54,47 +57,28 @@ impl BeamSearch {
         user: Vec3,
         blockers: &[Blocker],
     ) -> SweepResult {
-        self.sweep_subset(
-            channel,
-            codebook,
-            user,
-            blockers,
-            &Vec::from_iter(0..codebook.len()),
-        )
-    }
-
-    /// Partial sweep over an explicit subset of sector indices (used for
-    /// proactive re-steering where prediction narrows the candidates).
-    pub fn sweep_subset(
-        &self,
-        channel: &Channel,
-        codebook: &Codebook,
-        user: Vec3,
-        blockers: &[Blocker],
-        sectors: &[usize],
-    ) -> SweepResult {
-        assert!(!sectors.is_empty(), "cannot sweep zero sectors");
         obs::inc("mmwave.beamsearch.sweeps");
-        obs::add("mmwave.beamsearch.sectors_probed", sectors.len() as u64);
-        let mut best = SweepResult {
-            sector: sectors[0],
-            rss_dbm: f64::NEG_INFINITY,
-            duration_s: self.overhead_s + self.per_sector_s * sectors.len() as f64,
-        };
-        for &i in sectors {
-            let rss = channel.rss_dbm(&codebook.sectors()[i], user, blockers);
-            if rss > best.rss_dbm {
-                best.sector = i;
-                best.rss_dbm = rss;
-            }
+        obs::add("mmwave.beamsearch.sectors_probed", codebook.len() as u64);
+        let engine = SweepEngine::new(channel, codebook);
+        let mut rx = SweepRx::new();
+        rx.prepare_paths(channel, user, blockers);
+        rx.sweep(&engine);
+        let (sector, rss_dbm) = engine.best_sector(&mut rx);
+        SweepResult {
+            sector,
+            rss_dbm,
+            duration_s: self.overhead_s + self.per_sector_s * codebook.len() as f64,
         }
-        best
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::Room;
+    use crate::sweep::tests::{random_positions, setups};
+    use crate::PlanarArray;
+    use volcast_util::prop::run_cases_n;
 
     fn setup() -> (Channel, Codebook, BeamSearch) {
         let ch = Channel::default_setup();
@@ -111,17 +95,6 @@ mod tests {
             "full sweep {} s outside 5-20 ms",
             r.duration_s
         );
-    }
-
-    #[test]
-    fn partial_sweep_is_faster() {
-        let (ch, cb, bs) = setup();
-        let user = Vec3::new(1.0, 1.5, -1.0);
-        let full = bs.full_sweep(&ch, &cb, user, &[]);
-        let subset: Vec<usize> = (0..8).collect();
-        let partial = bs.sweep_subset(&ch, &cb, user, &[], &subset);
-        assert!(partial.duration_s < full.duration_s / 2.0);
-        assert!(partial.rss_dbm <= full.rss_dbm);
     }
 
     #[test]
@@ -148,10 +121,80 @@ mod tests {
         assert!(blocked.rss_dbm < clear.rss_dbm);
     }
 
+    /// The scan `full_sweep` ran before it became a front over the engine,
+    /// verbatim: every sector through `Channel::rss_dbm`, the first
+    /// strictly-better one kept.
+    fn scan_every_sector(
+        search: &BeamSearch,
+        channel: &Channel,
+        codebook: &Codebook,
+        user: Vec3,
+        blockers: &[Blocker],
+    ) -> SweepResult {
+        let sectors = &Vec::from_iter(0..codebook.len());
+        assert!(!sectors.is_empty(), "cannot sweep zero sectors");
+        let mut best = SweepResult {
+            sector: sectors[0],
+            rss_dbm: f64::NEG_INFINITY,
+            duration_s: search.overhead_s + search.per_sector_s * sectors.len() as f64,
+        };
+        for &i in sectors {
+            let rss = channel.rss_dbm(&codebook.sectors()[i], user, blockers);
+            if rss > best.rss_dbm {
+                best.sector = i;
+                best.rss_dbm = rss;
+            }
+        }
+        best
+    }
+
+    /// `full_sweep` against the per-sector scan, bit for bit: the three
+    /// sweep setups with the floor bounce on or off, 0–8 bodies, DFT
+    /// codebooks of random shape and the exact-only `from_parts` one, and
+    /// a receiver no path reaches (an array outside its room).
     #[test]
-    #[should_panic]
-    fn empty_subset_panics() {
-        let (ch, cb, bs) = setup();
-        let _ = bs.sweep_subset(&ch, &cb, Vec3::ZERO, &[], &[]);
+    fn full_sweep_matches_the_per_sector_scan() {
+        let setups = setups();
+        let outside = Vec3::new(20.0, 10.0, 0.0);
+        let lost = Channel::new(
+            Room::default(),
+            PlanarArray::airfide(outside, Vec3::FORWARD),
+        );
+        let search = BeamSearch::default();
+        let (mut unreachable, mut exact_only) = (0usize, 0usize);
+        run_cases_n("full_sweep_matches_the_per_sector_scan", 256, |rng| {
+            let mut channel = setups[rng.gen_range(0..setups.len())].clone();
+            channel.room.floor_reflection = rng.gen_bool(0.5);
+            let mut user = random_positions(&channel, rng, 1)[0];
+            if rng.gen_bool(0.1) {
+                (channel, user) = (lost.clone(), outside);
+            }
+            let dft = if rng.gen_bool(0.5) {
+                Codebook::default_for(&channel.array)
+            } else {
+                let (n_az, n_el) = (rng.gen_range(1..17usize), rng.gen_range(1..5usize));
+                let (az, el) = (rng.gen_range(0.0..1.5), rng.gen_range(0.0..1.5));
+                Codebook::dft(&channel.array, n_az, n_el, az, el)
+            };
+            let codebook = if rng.gen_bool(0.2) {
+                exact_only += 1;
+                Codebook::from_parts(dft.sectors().to_vec(), dft.directions().to_vec())
+            } else {
+                dft
+            };
+            let n_bodies = rng.gen_range(0..9usize);
+            let bodies: Vec<Blocker> = (random_positions(&channel, rng, n_bodies).into_iter())
+                .map(Blocker::person)
+                .collect();
+            let got = search.full_sweep(&channel, &codebook, user, &bodies);
+            let want = scan_every_sector(&search, &channel, &codebook, user, &bodies);
+            unreachable += (want.rss_dbm == f64::NEG_INFINITY) as usize;
+            let key = |r: SweepResult| (r.sector, r.rss_dbm.to_bits(), r.duration_s.to_bits());
+            assert_eq!(key(got), key(want), "at {user:?} with {n_bodies} bodies");
+        });
+        assert!(
+            unreachable > 0 && exact_only > 0,
+            "{unreachable} / {exact_only}"
+        );
     }
 }

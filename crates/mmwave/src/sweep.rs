@@ -732,7 +732,7 @@ impl SweepRx {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::array::AntennaWeights;
     use crate::channel::Room;
@@ -741,7 +741,7 @@ mod tests {
     use volcast_util::prop::run_cases_n;
     use volcast_util::rng::Rng;
 
-    fn setups() -> Vec<Channel> {
+    pub(crate) fn setups() -> Vec<Channel> {
         let mut reflective = Channel::default_setup();
         reflective.room.floor_reflection = true;
         let campus_like = Channel {
@@ -759,7 +759,7 @@ mod tests {
         vec![Channel::default_setup(), reflective, campus_like]
     }
 
-    fn random_positions(channel: &Channel, rng: &mut Rng, n: usize) -> Vec<Vec3> {
+    pub(crate) fn random_positions(channel: &Channel, rng: &mut Rng, n: usize) -> Vec<Vec3> {
         (0..n)
             .map(|_| {
                 Vec3::new(

@@ -2,8 +2,10 @@
 
 use volcast_geom::{Spherical, Vec3};
 use volcast_mmwave::{
-    combine_weights_multi, Channel, Codebook, McsTable, MultiLobeDesigner, PlanarArray,
+    combine_weights_multi, BeamSearch, Blocker, Channel, Codebook, McsTable, MultiLobeDesigner,
+    PlanarArray,
 };
+use volcast_util::obs;
 use volcast_util::prop::run_cases_n;
 use volcast_util::rng::Rng;
 
@@ -130,4 +132,37 @@ fn multicast_rate_never_exceeds_any_member() {
             assert!(group <= t.phy_rate_mbps(r) + 1e-9);
         }
     });
+}
+
+/// A full sweep books one sweep and every codebook sector as probed — the
+/// SLS puts each on the air — however few the engine evaluates exactly.
+/// No other test in this binary sweeps, so the counters move by exactly
+/// that.
+#[test]
+fn full_sweep_books_every_sector_as_probed() {
+    let was_enabled = obs::enabled();
+    obs::set_enabled(true);
+    let counter = |name: &str| {
+        let snap = obs::snapshot();
+        snap.counters
+            .iter()
+            .find(|c| c.name == name)
+            .map_or(0, |c| c.value)
+    };
+    let search = BeamSearch::default();
+    run_cases_n("full_sweep_books_every_sector_as_probed", 32, |rng| {
+        let ch = Channel::default_setup();
+        let (n_az, n_el) = (rng.gen_range(1..17usize), rng.gen_range(1..5usize));
+        let cb = Codebook::dft(&ch.array, n_az, n_el, 1.2, 0.6);
+        let bodies = [Blocker::person(arb_room_pos(rng))];
+        let (sweeps, probed) = (
+            counter("mmwave.beamsearch.sweeps"),
+            counter("mmwave.beamsearch.sectors_probed"),
+        );
+        search.full_sweep(&ch, &cb, arb_room_pos(rng), &bodies);
+        assert_eq!(counter("mmwave.beamsearch.sweeps"), sweeps + 1);
+        let probed_now = counter("mmwave.beamsearch.sectors_probed");
+        assert_eq!(probed_now, probed + cb.len() as u64);
+    });
+    obs::set_enabled(was_enabled);
 }

@@ -36,18 +36,13 @@ pub trait MacModel {
         }
     }
 
-    /// Aggregate network capacity when `n` stations run at `phy_mbps` each
-    /// with fair time sharing.
-    fn aggregate_capacity_mbps(&self, phy_mbps: f64, n: usize) -> f64 {
-        self.goodput_mbps(phy_mbps, n)
-    }
-
-    /// Fair-share per-user rate.
+    /// Fair-share per-user rate: the aggregate goodput of `n` stations at
+    /// `phy_mbps` each, split evenly.
     fn per_user_rate_mbps(&self, phy_mbps: f64, n: usize) -> f64 {
         if n == 0 {
             0.0
         } else {
-            self.aggregate_capacity_mbps(phy_mbps, n) / n as f64
+            self.goodput_mbps(phy_mbps, n) / n as f64
         }
     }
 }
@@ -177,7 +172,7 @@ mod tests {
         let phy = 2502.5;
         let mut prev = f64::INFINITY;
         for n in 1..=8 {
-            let agg = mac.aggregate_capacity_mbps(phy, n);
+            let agg = mac.goodput_mbps(phy, n);
             assert!(agg < prev, "aggregate should decline at n={n}");
             prev = agg;
         }
@@ -206,6 +201,6 @@ mod tests {
     fn overhead_floor_prevents_negative_capacity() {
         let mac = AdMac::default();
         // Absurd user count: capacity floors at 5% airtime, stays positive.
-        assert!(mac.aggregate_capacity_mbps(2502.5, 100) > 0.0);
+        assert!(mac.goodput_mbps(2502.5, 100) > 0.0);
     }
 }

@@ -136,7 +136,10 @@ impl TransmissionPlan {
     /// Executes the plan sequentially on `mac`. `n_active` is the number of
     /// stations sharing the medium (for per-station MAC overhead);
     /// `n_users` sizes the per-user completion vector.
-    pub fn execute<M: MacModel>(&self, mac: &M, n_active: usize, n_users: usize) -> PlanTiming {
+    pub fn execute<M>(&self, mac: &M, n_active: usize, n_users: usize) -> PlanTiming
+    where
+        M: MacModel + ?Sized,
+    {
         let mut t = 0.0f64;
         let mut item_completion_s = Vec::with_capacity(self.items.len());
         let mut user_completion_s = vec![None; n_users];

@@ -70,7 +70,7 @@ pub struct SimScratch {
 
 /// Event-driven pipelined executor over per-frame plans.
 #[derive(Debug)]
-pub struct Simulator<'a, M: MacModel> {
+pub struct Simulator<'a, M: MacModel + ?Sized> {
     mac: &'a M,
     /// Stations sharing the medium (for MAC overhead).
     pub n_active: usize,
@@ -87,7 +87,7 @@ pub struct Simulator<'a, M: MacModel> {
 /// The schedule of a simulator without injected faults.
 static QUIET: FaultPlan = FaultPlan::quiet();
 
-impl<'a, M: MacModel> Simulator<'a, M> {
+impl<'a, M: MacModel + ?Sized> Simulator<'a, M> {
     /// Creates a simulator. Errors on degenerate setups that used to panic
     /// (or hang) deep inside the event loop: a zero frame interval (every
     /// frame released at t=0) or zero active stations (the MAC overhead

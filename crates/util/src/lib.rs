@@ -31,6 +31,7 @@
 //! - [`bitset`] — a growable [`bitset::BitSet`] over `u64` words: the
 //!   visible and seen cells of a visibility map, intersected and counted
 //!   a word at a time.
+//! - [`flags`] — the binaries' `--flag value` parser.
 //! - [`scratch`] — reusable scratch buffers ([`scratch::ScratchVec`]) with
 //!   high-watermark gauges, plus a counting global allocator
 //!   ([`scratch::counting`]) for pinning zero-allocation steady states in
@@ -70,6 +71,7 @@
 #![warn(missing_docs)]
 
 pub mod bitset;
+pub mod flags;
 pub mod hash;
 pub mod json;
 pub mod obs;

@@ -135,13 +135,9 @@ fn bucket_index(v: u64) -> usize {
 
 impl Hist {
     fn record(&mut self, v: u64) {
-        if self.count == 0 {
-            self.min = v;
-            self.max = v;
-        } else {
-            self.min = self.min.min(v);
-            self.max = self.max.max(v);
-        }
+        // Both start at 0, at or below every value: only `min` needs a guard.
+        self.min = if self.count == 0 { v } else { self.min.min(v) };
+        self.max = self.max.max(v);
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
         let idx = bucket_index(v);
@@ -155,13 +151,12 @@ impl Hist {
         if other.count == 0 {
             return;
         }
-        if self.count == 0 {
-            self.min = other.min;
-            self.max = other.max;
+        self.min = if self.count == 0 {
+            other.min
         } else {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
+            self.min.min(other.min)
+        };
+        self.max = self.max.max(other.max);
         self.count += other.count;
         self.sum = self.sum.saturating_add(other.sum);
         if other.buckets.len() > self.buckets.len() {
@@ -173,17 +168,23 @@ impl Hist {
     }
 }
 
-/// Per-thread staging area; merged into [`REGISTRY`] when the thread
-/// terminates (or explicitly, from [`snapshot`] / [`reset`]).
-#[derive(Default)]
-struct LocalSink {
+/// The four metric maps: each thread's staging sink and the merged
+/// process-wide registry are both one of these.
+struct Store {
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, f64>,
     hists: BTreeMap<&'static str, Hist>,
     spans: BTreeMap<&'static str, Hist>,
 }
 
-impl LocalSink {
+const EMPTY: Store = Store {
+    counters: BTreeMap::new(),
+    gauges: BTreeMap::new(),
+    hists: BTreeMap::new(),
+    spans: BTreeMap::new(),
+};
+
+impl Store {
     fn is_empty(&self) -> bool {
         self.counters.is_empty()
             && self.gauges.is_empty()
@@ -191,69 +192,68 @@ impl LocalSink {
             && self.spans.is_empty()
     }
 
-    /// Moves everything into the global registry, leaving `self` empty.
-    fn flush(&mut self) {
-        if self.is_empty() {
-            return;
+    /// Merges `other` in: counters add, gauges keep the maximum,
+    /// histograms merge.
+    fn absorb(&mut self, other: Store) {
+        for (name, v) in other.counters {
+            *self.counters.entry(name).or_insert(0) += v;
         }
-        let mut reg = lock_registry();
-        for (name, v) in std::mem::take(&mut self.counters) {
-            *reg.counters.entry(name).or_insert(0) += v;
-        }
-        for (name, v) in std::mem::take(&mut self.gauges) {
-            let slot = reg.gauges.entry(name).or_insert(f64::NEG_INFINITY);
+        for (name, v) in other.gauges {
+            let slot = self.gauges.entry(name).or_insert(f64::NEG_INFINITY);
             if v > *slot {
                 *slot = v;
             }
         }
-        for (name, h) in std::mem::take(&mut self.hists) {
-            reg.hists.entry(name).or_default().merge(&h);
+        for (name, h) in other.hists {
+            self.hists.entry(name).or_default().merge(&h);
         }
-        for (name, h) in std::mem::take(&mut self.spans) {
-            reg.spans.entry(name).or_default().merge(&h);
+        for (name, h) in other.spans {
+            self.spans.entry(name).or_default().merge(&h);
+        }
+    }
+
+    fn clear(&mut self) {
+        *self = EMPTY;
+    }
+
+    /// Moves everything into [`REGISTRY`], leaving `self` empty.
+    fn flush(&mut self) {
+        if !self.is_empty() {
+            lock_registry().absorb(std::mem::replace(self, EMPTY));
         }
     }
 }
 
-impl Drop for LocalSink {
+/// A thread's store, flushed into [`REGISTRY`] when the thread exits (the
+/// `Drop` lives here so a store absorbed elsewhere never flushes itself).
+struct Sink(Store);
+
+impl Drop for Sink {
     fn drop(&mut self) {
-        self.flush();
+        self.0.flush();
     }
 }
 
 thread_local! {
-    static SINK: RefCell<LocalSink> = RefCell::new(LocalSink::default());
+    static SINK: RefCell<Sink> = const { RefCell::new(Sink(EMPTY)) };
 }
 
 /// Runs `f` on this thread's sink; a no-op during thread teardown (after
 /// the sink's destructor has already flushed).
-fn with_sink(f: impl FnOnce(&mut LocalSink)) {
+fn with_sink(f: impl FnOnce(&mut Store)) {
     let _ = SINK.try_with(|s| {
         if let Ok(mut sink) = s.try_borrow_mut() {
-            f(&mut sink);
+            f(&mut sink.0);
         }
     });
 }
 
 /// Merged process-wide totals.
-#[derive(Default)]
-struct Registry {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, f64>,
-    hists: BTreeMap<&'static str, Hist>,
-    spans: BTreeMap<&'static str, Hist>,
-}
-
-static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
-    counters: BTreeMap::new(),
-    gauges: BTreeMap::new(),
-    hists: BTreeMap::new(),
-    spans: BTreeMap::new(),
-});
+static REGISTRY: Mutex<Store> = Mutex::new(EMPTY);
 
 /// Poison-tolerant registry lock (a panicking worker must not wedge the
 /// whole process's metrics).
-fn lock_registry() -> std::sync::MutexGuard<'static, Registry> {
+fn lock_registry() -> std::sync::MutexGuard<'static, Store> {
     REGISTRY.lock().unwrap_or_else(|p| p.into_inner())
 }
 
@@ -437,7 +437,7 @@ fn hist_snapshot(name: &str, h: &Hist) -> HistogramSnapshot {
 /// workload (outside any parallel region) and the snapshot covers every
 /// recording made so far.
 pub fn snapshot() -> MetricsSnapshot {
-    with_sink(|s| s.flush());
+    with_sink(Store::flush);
     let reg = lock_registry();
     MetricsSnapshot {
         counters: reg
@@ -465,17 +465,8 @@ pub fn snapshot() -> MetricsSnapshot {
 /// sink). Call from outside any parallel region, e.g. between the warm-up
 /// and measured phases of a bench, or between tests.
 pub fn reset() {
-    with_sink(|s| {
-        s.counters.clear();
-        s.gauges.clear();
-        s.hists.clear();
-        s.spans.clear();
-    });
-    let mut reg = lock_registry();
-    reg.counters.clear();
-    reg.gauges.clear();
-    reg.hists.clear();
-    reg.spans.clear();
+    with_sink(Store::clear);
+    lock_registry().clear();
 }
 
 #[cfg(test)]

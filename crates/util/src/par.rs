@@ -105,88 +105,39 @@ pub fn set_thread_count(n: usize) {
     THREADS.store(n.max(1), Ordering::Relaxed);
 }
 
-/// `true` when the calling thread is itself a worker of an enclosing
-/// parallel region (nested regions run serially).
-fn in_parallel_region() -> bool {
-    IN_PARALLEL_REGION.with(|f| f.get())
-}
-
 /// Maps `f` over `items` in parallel, returning results in input order.
 ///
 /// Equivalent to `items.iter().map(f).collect()` — same values, same
-/// order — but computed by up to [`thread_count`] scoped workers. Panics
-/// in `f` are propagated to the caller (the first observed panic payload
-/// is resumed after all workers have been joined).
+/// order — computed through [`par_for_each_mut`] over one result slot per
+/// item, so it shares that function's blocks and panic propagation.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let n = items.len();
-    let workers = thread_count().min(n);
-    if workers <= 1 || in_parallel_region() {
-        return items.iter().map(f).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    IN_PARALLEL_REGION.with(|flag| flag.set(true));
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, f(&items[i])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for handle in handles {
-            match handle.join() {
-                Ok(pairs) => {
-                    for (i, r) in pairs {
-                        slots[i] = Some(r);
-                    }
-                }
-                Err(payload) => {
-                    panic.get_or_insert(payload);
-                }
-            }
-        }
-    });
-
-    if let Some(payload) = panic {
-        std::panic::resume_unwind(payload);
-    }
+    let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    par_for_each_mut(&mut slots, |i, slot| *slot = Some(f(&items[i])));
     slots
         .into_iter()
         .map(|slot| slot.expect("par_map: worker skipped an item"))
         .collect()
 }
 
-/// Applies `f` to every item of `items` **in place**, in parallel: the
-/// mutable analogue of [`par_map`] for pre-allocated slots (e.g. a
-/// GOP of per-frame codec arenas, each owning its scratch and output
-/// buffers).
+/// Applies `f` to every item of `items` **in place**, in parallel: the one
+/// scheduler of this module ([`par_map`] runs on it too), for pre-allocated
+/// slots such as a GOP of per-frame codec arenas, each owning its scratch
+/// and output buffers.
 ///
-/// Work is split into contiguous chunks of `ceil(n / workers)` items, one
-/// chunk per scoped worker, so each slot is touched by exactly one thread
+/// Work is split into contiguous blocks of `ceil(n / workers)` items, one
+/// block per scoped worker, so each slot is touched by exactly one thread
 /// and no result collection or copying happens. Determinism follows the
 /// module contract: `f` must be a pure function of `(index, item)`, and
 /// then the final slot states are independent of the worker budget —
-/// chunking only decides *who* runs an item, never *what* it computes.
+/// blocking only decides *who* runs an item, never *what* it computes.
 /// Nested calls from inside a parallel region run serially on the calling
-/// worker; panics in `f` propagate to the caller after all workers joined.
+/// worker. A panic in `f` reaches the caller after every worker has been
+/// joined, as the first panicking worker's own payload.
 pub fn par_for_each_mut<T, F>(items: &mut [T], f: F)
 where
     T: Send,
@@ -194,26 +145,32 @@ where
 {
     let n = items.len();
     let workers = thread_count().min(n);
-    if workers <= 1 || in_parallel_region() {
+    if workers <= 1 || IN_PARALLEL_REGION.with(Cell::get) {
         for (i, item) in items.iter_mut().enumerate() {
             f(i, item);
         }
         return;
     }
-    let chunk = n.div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (ci, run) in items.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                IN_PARALLEL_REGION.with(|flag| flag.set(true));
-                for (j, item) in run.iter_mut().enumerate() {
-                    f(ci * chunk + j, item);
-                }
-            });
-        }
-        // `scope` joins every worker before returning and re-raises the
-        // first panic, matching par_map's propagation behaviour.
+    let block = n.div_ceil(workers);
+    let f = &f;
+    let panic = std::thread::scope(|scope| {
+        let handles: Vec<_> = (items.chunks_mut(block).enumerate())
+            .map(|(b, run)| {
+                scope.spawn(move || {
+                    IN_PARALLEL_REGION.with(|flag| flag.set(true));
+                    for (j, item) in run.iter_mut().enumerate() {
+                        f(b * block + j, item);
+                    }
+                })
+            })
+            .collect();
+        // Every handle is joined here, not by `scope`, which would re-raise
+        // a generic message in place of the first worker's payload.
+        (handles.into_iter()).fold(None, |first, handle| first.or(handle.join().err()))
     });
+    if let Some(payload) = panic {
+        std::panic::resume_unwind(payload);
+    }
 }
 
 #[cfg(test)]
@@ -284,7 +241,7 @@ pub(crate) mod tests {
         let out = par_map(&outer, |&x| {
             let mut inner: Vec<u32> = (0..4).collect();
             par_for_each_mut(&mut inner, |_, y| {
-                assert!(in_parallel_region());
+                assert!(IN_PARALLEL_REGION.with(Cell::get));
                 *y += x * 10;
             });
             inner.iter().sum::<u32>()
@@ -305,7 +262,9 @@ pub(crate) mod tests {
                 }
             })
         }));
-        assert!(result.is_err(), "panic must propagate");
+        let payload = result.expect_err("panic must propagate");
+        let msg = payload.downcast_ref::<String>().expect("string payload");
+        assert!(msg.contains("boom at 33"), "unexpected payload {msg}");
     }
 
     #[test]
@@ -336,7 +295,7 @@ pub(crate) mod tests {
             // The nested region must take the serial path on this worker.
             let inner: Vec<u32> = (0..4).collect();
             let nested = par_map(&inner, |&y| {
-                assert!(in_parallel_region());
+                assert!(IN_PARALLEL_REGION.with(Cell::get));
                 x * 10 + y
             });
             nested.iter().sum::<u32>()
@@ -344,7 +303,7 @@ pub(crate) mod tests {
         let expect: Vec<u32> = (0..8).map(|x| 4 * (x * 10) + 6).collect();
         assert_eq!(out, expect);
         // Back on the caller: not inside a region anymore.
-        assert!(!in_parallel_region());
+        assert!(!IN_PARALLEL_REGION.with(Cell::get));
     }
 
     #[test]

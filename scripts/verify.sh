@@ -73,6 +73,16 @@ if grep -rnE '\b(outage|blockage|loss|decode_overrun)_for\b|QUIET_FRAME|faults_a
     exit 1
 fi
 
+echo "==> the sector scan, fan-out, metric store, flag parser and MAC dispatch are not forked"
+# One of each: BeamSearch::full_sweep is a front over SweepEngine, par_map
+# runs on par_for_each_mut, obs keeps one Store type for sinks and registry,
+# every binary parses flags with volcast_util::flags, and the session holds
+# its radio's MAC as a `dyn MacModel`.
+if grep -rnE 'sweep_subset|LocalSink|MacDispatch|fn parse_flags|fn get_parse' crates/ src/; then
+    echo "ERROR: a second copy of a one-of-each idea survives" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -129,13 +139,14 @@ echo "==> the cap-led grouping search and its rate cap, 2000 cases each"
 VOLCAST_PROP_CASES=2000 cargo test --release -q -p volcast-core --test plan_reference
 VOLCAST_PROP_CASES=2000 cargo test --release -q -p volcast-mmwave --lib rss_cap_dominates
 
-echo "==> the session frame's shortcuts against the loops they replaced, 2000 cases each"
+echo "==> the session frame's shortcuts and the sector sweep against the loops they replaced, 2000 cases each"
 # Sector bounds with one y factor per elevation run, exact evaluations as
-# independent chains, and the box test before every body: each against a
-# verbatim copy of the loop it replaced, bit for bit, in release.
+# independent chains, the box test before every body, and BeamSearch's
+# full sweep over the engine: each against a verbatim copy of the loop it
+# replaced, bit for bit, in release.
 VOLCAST_PROP_CASES=2000 cargo test --release -q -p volcast-mmwave --lib -- \
     sector_bounds_match_the_per_sector_loop eval_weights_matches_the_serial_chains \
-    segment_blocked_matches_the_unboxed_loop
+    segment_blocked_matches_the_unboxed_loop full_sweep_matches_the_per_sector_scan
 
 echo "==> every results/<bin>.txt regenerates byte-identically"
 # Each committed capture is the stdout of the bin it is named after; a
@@ -246,6 +257,9 @@ echo "==> benchmark workloads at full size: outcome hashes pinned"
 # design, sweep bounds per elevation run, chained exact evaluations, the
 # box test before every body and the bit-box occlusion walk moved none:
 # every float keeps its operands and its order.
+# Keeping one copy each of the sector scan, the thread fan-out, the metric
+# store, the flag parser and the MAC dispatch moved none: the same methods
+# compute the same floats, and results stay positional.
 for pin in codec_ladder:0x97b4ac0961eaafb1 codec_layered:0xb00dbeed38dc616e \
     session_single:0x338effbe7f8a1bb5 session_layered_faulted:0x3f96d14ae75d2245 \
     campus:0x22ab495ca9fac58d server:0xa52a4b03a0514405; do

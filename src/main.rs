@@ -9,27 +9,34 @@
 //! volcast info
 //! ```
 
-use std::collections::HashMap;
 use std::process::ExitCode;
 use volcast::core::session::DeliveryMode;
 use volcast::core::{quick_session_with_device, AbrPolicy, MitigationMode, PlayerKind};
 use volcast::net::FaultConfig;
 use volcast::pointcloud::QualityLevel;
 use volcast::viewport::{save_study, DeviceClass, UserStudy};
+use volcast_util::flags::Flags;
 
-fn usage() -> &'static str {
-    "volcast — multi-user volumetric video streaming simulator (HotNets'21)
-
-USAGE:
-  volcast session [--player vanilla|vivo|volcast] [--users N] [--frames N]
+/// Each subcommand's usage line: the flags it names are the flags it takes.
+const SESSION_USAGE: &str =
+    "volcast session [--player vanilla|vivo|volcast] [--users N] [--frames N]
                   [--device phone|headset] [--quality low|medium|high|auto]
                   [--abr buffer|throughput|crosslayer]
                   [--delivery single|layered]
                   [--mitigation reactive|proactive] [--seed N]
-                  [--faults SPEC]
-  volcast study   [--seed N] [--frames N] [--phones N] [--headsets N]
-                  --out FILE.json
-  volcast info
+                  [--faults SPEC]";
+const STUDY_USAGE: &str = "volcast study   [--seed N] [--frames N] [--phones N] [--headsets N]
+                  --out FILE.json";
+const INFO_USAGE: &str = "volcast info";
+
+fn usage() -> String {
+    format!(
+        "volcast — multi-user volumetric video streaming simulator (HotNets'21)
+
+USAGE:
+  {SESSION_USAGE}
+  {STUDY_USAGE}
+  {INFO_USAGE}
 
 Fault injection: --faults (or the VOLCAST_FAULTS env var) takes a spec like
   seed=7,outage=0.02:6,loss=0.03,blackout=30:10
@@ -38,58 +45,29 @@ the `volcast_net::faults` module (`cargo doc --open`).
 
 Run the paper's experiments with `cargo run -p volcast-bench --bin <name>`
 (table1, fig2a, fig2b, fig3b, fig3d, fig3e, ext_*, faults, campus)."
+    )
 }
 
-/// Parses `--key value` pairs after the subcommand.
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i]
-            .strip_prefix("--")
-            .ok_or_else(|| format!("expected --flag, got '{}'", args[i]))?;
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| format!("--{key} needs a value"))?;
-        flags.insert(key.to_string(), value.clone());
-        i += 2;
-    }
-    Ok(flags)
-}
-
-fn get_parse<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, String> {
-    match flags.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("bad value for --{key}: '{v}'")),
-    }
-}
-
-fn cmd_session(flags: HashMap<String, String>) -> Result<(), String> {
-    let player = match flags.get("player").map(String::as_str).unwrap_or("volcast") {
+fn cmd_session(flags: Flags) -> Result<(), String> {
+    let player = match flags.get("--player").unwrap_or("volcast") {
         "vanilla" => PlayerKind::Vanilla,
         "vivo" => PlayerKind::Vivo,
         "volcast" => PlayerKind::Volcast,
         other => return Err(format!("unknown player '{other}'")),
     };
-    let device = match flags.get("device").map(String::as_str).unwrap_or("headset") {
+    let device = match flags.get("--device").unwrap_or("headset") {
         "phone" => DeviceClass::Phone,
         "headset" => DeviceClass::Headset,
         other => return Err(format!("unknown device '{other}'")),
     };
-    let quality = match flags.get("quality").map(String::as_str).unwrap_or("auto") {
+    let quality = match flags.get("--quality").unwrap_or("auto") {
         "low" => Some(QualityLevel::Low),
         "medium" => Some(QualityLevel::Medium),
         "high" => Some(QualityLevel::High),
         "auto" => None,
         other => return Err(format!("unknown quality '{other}'")),
     };
-    let abr = match flags.get("abr").map(String::as_str).unwrap_or("crosslayer") {
+    let abr = match flags.get("--abr").unwrap_or("crosslayer") {
         "buffer" => AbrPolicy::BufferOnly,
         "throughput" => AbrPolicy::ThroughputOnly,
         "crosslayer" => AbrPolicy::CrossLayer,
@@ -97,31 +75,23 @@ fn cmd_session(flags: HashMap<String, String>) -> Result<(), String> {
     };
     // Layered delivery: multicast base layer + per-user unicast
     // enhancements + the proactive XOR-parity FEC rung (DESIGN.md §4).
-    let delivery = match flags
-        .get("delivery")
-        .map(String::as_str)
-        .unwrap_or("single")
-    {
+    let delivery = match flags.get("--delivery").unwrap_or("single") {
         "single" => DeliveryMode::Single,
         "layered" => DeliveryMode::Layered,
         other => return Err(format!("unknown delivery '{other}'")),
     };
-    let mitigation = match flags
-        .get("mitigation")
-        .map(String::as_str)
-        .unwrap_or("proactive")
-    {
+    let mitigation = match flags.get("--mitigation").unwrap_or("proactive") {
         "reactive" => MitigationMode::Reactive,
         "proactive" => MitigationMode::Proactive,
         other => return Err(format!("unknown mitigation '{other}'")),
     };
-    let users: usize = get_parse(&flags, "users", 3)?;
-    let frames: usize = get_parse(&flags, "frames", 90)?;
-    let seed: u64 = get_parse(&flags, "seed", 42)?;
+    let users: usize = flags.try_value("--users", 3)?;
+    let frames: usize = flags.try_value("--frames", 90)?;
+    let seed: u64 = flags.try_value("--seed", 42)?;
     // --faults wins over the VOLCAST_FAULTS environment variable.
     let fault_spec = flags
-        .get("faults")
-        .cloned()
+        .get("--faults")
+        .map(str::to_string)
         .or_else(|| std::env::var("VOLCAST_FAULTS").ok());
     let faults = match fault_spec {
         Some(spec) if !spec.trim().is_empty() => {
@@ -173,13 +143,13 @@ fn cmd_session(flags: HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_study(flags: HashMap<String, String>) -> Result<(), String> {
-    let seed: u64 = get_parse(&flags, "seed", 42)?;
-    let frames: usize = get_parse(&flags, "frames", 300)?;
-    let phones: usize = get_parse(&flags, "phones", 16)?;
-    let headsets: usize = get_parse(&flags, "headsets", 16)?;
+fn cmd_study(flags: Flags) -> Result<(), String> {
+    let seed: u64 = flags.try_value("--seed", 42)?;
+    let frames: usize = flags.try_value("--frames", 300)?;
+    let phones: usize = flags.try_value("--phones", 16)?;
+    let headsets: usize = flags.try_value("--headsets", 16)?;
     let out = flags
-        .get("out")
+        .get("--out")
         .ok_or_else(|| "--out FILE.json is required".to_string())?;
     let study = UserStudy::generate_with(seed, frames, phones, headsets);
     save_study(&study, out).map_err(|e| e.to_string())?;
@@ -201,13 +171,11 @@ fn cmd_info() {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let flags = |usage| Flags::parse(&args[1..], usage);
     let result = match args.first().map(String::as_str) {
-        Some("session") => parse_flags(&args[1..]).and_then(cmd_session),
-        Some("study") => parse_flags(&args[1..]).and_then(cmd_study),
-        Some("info") => {
-            cmd_info();
-            Ok(())
-        }
+        Some("session") => flags(SESSION_USAGE).and_then(cmd_session),
+        Some("study") => flags(STUDY_USAGE).and_then(cmd_study),
+        Some("info") => flags(INFO_USAGE).map(|_| cmd_info()),
         Some("--help") | Some("-h") | None => {
             println!("{}", usage());
             Ok(())
