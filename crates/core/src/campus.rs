@@ -15,14 +15,19 @@
 //! associations, multicast groups, and fault schedules are frozen at the
 //! epoch boundary, so rooms share no mutable state and are advanced in
 //! parallel on [`volcast_util::par`]. At the barrier between epochs the
-//! sequential driver:
+//! sequential driver re-bins every user to the room under their feet.
+//! Each room then runs its epoch as:
 //!
-//! 1. re-bins every user to the room under their feet,
-//! 2. severs movers from their old room's multicast groups (the PR-5
-//!    regrouping idiom: retain survivors, re-sort canonically),
-//! 3. lets each room's coordinator re-associate its members to the best
-//!    AP by RSS and admit arrivals as singleton groups, which then merge
-//!    into under-capacity groups on the same AP.
+//! 1. **reconcile** — the coordinator re-associates the room's members to
+//!    the best AP by RSS; carried multicast groups drop members who left
+//!    the room or switched AP, and arrivals join the smallest
+//!    under-capacity group on their AP;
+//! 2. **one walk per AP** — the AP's stations, their rates, each group's
+//!    reachable receivers and burst rate, and the AP's nominal airtime
+//!    demand, from which the quality clamp scales every payload;
+//! 3. **frames** — each frame's plan, admitted item by item against the
+//!    AP's airtime budget;
+//! 4. **replay** — the epoch's plans on the AP's simulator.
 //!
 //! # The hot path
 //!
@@ -33,8 +38,7 @@
 //! per-(room, epoch) association runs on the pruned
 //! [`SweepEngine`] instead of exhaustive
 //! sector sweeps. Steady-state epochs allocate nothing (enforced by the
-//! `campus_alloc` gate test), and outcomes are bit-identical to the
-//! historical per-epoch-allocating driver.
+//! `campus_alloc` gate test).
 //!
 //! # Determinism contract
 //!
@@ -63,7 +67,6 @@
 
 use crate::config::AIRTIME_BUDGET_INTERVALS;
 use crate::error::VolcastError;
-use crate::grouping::Group;
 use crate::multi_ap::EpochCoordinator;
 use volcast_geom::Vec3;
 use volcast_mmwave::{Channel, Codebook, McsTable, PlanarArray, Room, SweepEngine};
@@ -87,6 +90,20 @@ const FRAME_BYTES: f64 = Ladder::PLANNING_FRAME_BYTES;
 /// Fraction of a member's payload covered by the group's multicast burst
 /// (nominal §4.2 viewport overlap for co-located viewers).
 const MULTICAST_SHARE: f64 = 0.6;
+
+/// Nominal bytes of one multicast burst.
+const MULTICAST_BYTES: f64 = MULTICAST_SHARE * FRAME_BYTES;
+
+/// The frame interval (s) at 30 fps.
+const INTERVAL_S: f64 = 1.0 / 30.0;
+
+/// Airtime (s) one AP may admit for one frame.
+const BUDGET_S: f64 = AIRTIME_BUDGET_INTERVALS * INTERVAL_S;
+
+/// Fault domains pack the epoch into 20 bits (see
+/// [`Campus::domain_fault_seed`]), so a faulted campus runs at most this
+/// many epochs.
+const MAX_FAULTED_EPOCHS: usize = 1 << 20;
 
 /// Configuration of a campus run.
 #[derive(Debug, Clone, PartialEq)]
@@ -156,6 +173,11 @@ impl CampusParams {
         }
         if let Some(cfg) = &self.faults {
             cfg.validate().map_err(VolcastError::Net)?;
+            if self.frames.div_ceil(self.epoch_frames) > MAX_FAULTED_EPOCHS {
+                return bad(
+                    "a faulted campus runs at most 2^20 epochs (frames / epoch_frames, rounded up)",
+                );
+            }
         }
         Ok(())
     }
@@ -247,17 +269,51 @@ struct RoomEpochStats {
     unreachable_user_frames: u64,
 }
 
-/// Per-group, per-epoch plan-skeleton cache: the slice of reachable
-/// receivers in [`RoomSlot::base_rx`], plus the admission constants every
-/// frame re-uses (airtime is a pure function of epoch-invariant inputs,
-/// so caching the value preserves bit-identical float accumulation).
+impl RoomEpochStats {
+    fn new() -> Self {
+        RoomEpochStats {
+            interference_margin_db: f64::INFINITY,
+            ..RoomEpochStats::default()
+        }
+    }
+
+    /// Admits one item of `bytes` and `airtime` into AP `ap`'s frame if it
+    /// fits the frame's budget beside the `spent_s` already admitted,
+    /// booking it as it goes; a refused item counts as over budget.
+    fn admit(
+        &mut self,
+        ap: usize,
+        spent_s: &mut f64,
+        bytes: f64,
+        airtime: f64,
+        multicast: bool,
+    ) -> bool {
+        if !airtime.is_finite() || *spent_s + airtime > BUDGET_S {
+            self.over_budget_items += 1;
+            return false;
+        }
+        *spent_s += airtime;
+        self.ap_airtime_s[ap] += airtime;
+        self.total_bytes += bytes;
+        if multicast {
+            self.multicast_bytes += bytes;
+        }
+        true
+    }
+}
+
+/// One group's epoch-invariant share of the plan skeleton: its reachable
+/// stations in [`RoomSlot::base_rx`] and its burst's rate and airtime
+/// (airtime is a pure function of epoch-invariant inputs, so caching the
+/// value preserves bit-identical float accumulation).
 #[derive(Debug, Clone, Copy, Default)]
 struct GroupMeta {
     rx_start: usize,
     rx_end: usize,
     unreachable: u64,
+    /// The slowest reachable member's rate; 0 below two reachable members.
+    mc_rate_mbps: f64,
     mc_airtime_s: f64,
-    mc_bytes: f64,
 }
 
 /// One room's persistent arena: carried multicast-group state plus every
@@ -265,8 +321,9 @@ struct GroupMeta {
 /// epochs allocate nothing.
 #[derive(Debug, Default)]
 struct RoomSlot {
-    /// Carried multicast groups per AP (members are global user ids).
-    groups: [Vec<Group>; APS_PER_ROOM],
+    /// Carried multicast groups per AP: member lists (global user ids,
+    /// ascending), the lists in ascending order.
+    groups: [Vec<Vec<usize>>; APS_PER_ROOM],
     /// This epoch's members (global ids, ascending), filled at the barrier.
     members: Vec<usize>,
     /// Room-local positions aligned with `members`.
@@ -275,24 +332,22 @@ struct RoomSlot {
     stats: RoomEpochStats,
     /// Scratch-backed RSS / association / beam-design engine.
     coord: EpochCoordinator,
-    /// Per-member unicast PHY rate (Mbps), aligned with `members`.
-    rate_of: Vec<f64>,
     /// Reconcile marker per member.
     grouped: Vec<bool>,
-    /// Double buffer for group reconciliation; swapped into `groups` at
-    /// the end of the epoch, recycling last epoch's vectors.
-    next_groups: [Vec<Group>; APS_PER_ROOM],
-    /// Pool of retired member vectors, refilled by severing and swapping.
+    /// Pool of retired member vectors.
     member_pool: Vec<Vec<usize>>,
-    /// Current AP's members (global ids, ascending).
+    /// The current AP's stations (global ids, ascending); a station's
+    /// index here is its simulator index.
     ap_members: Vec<usize>,
-    /// Per-sim-index PHY rate for the current AP.
-    rate_of_si: Vec<f64>,
-    /// Per-sim-index full-payload airtime (s) for the current AP.
+    /// Per-station PHY rate (Mbps) for the current AP.
+    rate: Vec<f64>,
+    /// Per-station MAC goodput (Mbps) among the current AP's stations.
+    goodput: Vec<f64>,
+    /// Per-station full-payload airtime (s) for the current AP.
     full_air: Vec<f64>,
-    /// Per-sim-index residual-payload airtime (s) for the current AP.
+    /// Per-station residual-payload airtime (s) for the current AP.
     residual_air: Vec<f64>,
-    /// Flattened per-group reachable sim indices (see [`GroupMeta`]).
+    /// Flattened per-group reachable stations (see [`GroupMeta`]).
     base_rx: Vec<usize>,
     /// Per-group skeleton cache, aligned with the current AP's groups.
     group_meta: Vec<GroupMeta>,
@@ -326,28 +381,75 @@ impl RoomSlot {
     /// Retires every carried group, recycling member vectors.
     fn clear_groups(&mut self) {
         for groups in self.groups.iter_mut() {
-            for g in groups.drain(..) {
-                self.member_pool.push(g.members);
-            }
+            self.member_pool.append(groups);
         }
     }
 
-    /// Severs user `u` from every carried group: drop the mover, prune
-    /// empties (recycling their vectors), restore canonical order.
-    fn sever(&mut self, u: usize) {
-        for groups in self.groups.iter_mut() {
-            for g in groups.iter_mut() {
-                g.members.retain(|&m| m != u);
-            }
-            let mut i = 0;
-            while i < groups.len() {
-                if groups[i].members.is_empty() {
-                    self.member_pool.push(groups.swap_remove(i).members);
-                } else {
-                    i += 1;
+    /// Carries the groups into this epoch's association: members who left
+    /// the room drop out, members whose AP changed drop out as
+    /// reassociations, emptied groups retire to the pool, and every member
+    /// left ungrouped joins the smallest group under `cap` on its AP (or
+    /// opens one). Each AP's groups end sorted.
+    fn reconcile(&mut self, cap: usize) {
+        let RoomSlot {
+            groups,
+            members,
+            stats,
+            coord,
+            grouped,
+            member_pool,
+            ..
+        } = self;
+        let ap_of = &coord.user_ap;
+        grouped.clear();
+        grouped.resize(members.len(), false);
+        for (ap, carried) in groups.iter_mut().enumerate() {
+            let mut kept = 0;
+            for i in 0..carried.len() {
+                carried[i].retain(|gid| match members.binary_search(gid) {
+                    Ok(li) if ap_of[li] == ap => {
+                        grouped[li] = true;
+                        true
+                    }
+                    Ok(_) => {
+                        stats.reassociations += 1;
+                        false
+                    }
+                    Err(_) => false,
+                });
+                if !carried[i].is_empty() {
+                    carried.swap(kept, i);
+                    kept += 1;
                 }
             }
-            groups.sort_unstable_by(|a, b| a.members.cmp(&b.members));
+            member_pool.extend(carried.drain(kept..));
+        }
+        for (li, &gid) in members.iter().enumerate() {
+            if grouped[li] {
+                continue;
+            }
+            let ap_groups = &mut groups[ap_of[li]];
+            let target = ap_groups
+                .iter_mut()
+                .filter(|g| g.len() < cap)
+                .min_by_key(|g| (g.len(), g[0]));
+            match target {
+                Some(g) => {
+                    g.push(gid);
+                    g.sort_unstable();
+                }
+                None => {
+                    let mut g = take_pooled(member_pool, cap);
+                    g.push(gid);
+                    ap_groups.push(g);
+                }
+            }
+        }
+        for ap_groups in groups.iter_mut() {
+            // Unstable sort: group member sets are disjoint and nonempty,
+            // so the keys are unique and the result matches a stable sort
+            // without its temporary allocation.
+            ap_groups.sort_unstable();
         }
     }
 }
@@ -381,8 +483,6 @@ pub struct CampusRunner<'a> {
     prev_room: Vec<Option<usize>>,
     epoch: usize,
     n_epochs: usize,
-    epoch_len: usize,
-    interval_s: f64,
     handoffs: u64,
     totals: RoomEpochStats,
     per_ap_airtime_s: Vec<f64>,
@@ -444,7 +544,9 @@ impl Campus {
     }
 
     /// Derived fault seed for one (room, epoch, AP) domain: every domain
-    /// owns disjoint fault streams regardless of scheduling order.
+    /// owns disjoint fault streams regardless of scheduling order, as long
+    /// as the epoch fits its 20 bits ([`CampusParams`] validation rejects
+    /// a faulted campus with more epochs).
     fn domain_fault_seed(base: u64, room: usize, epoch: usize, ap: usize) -> u64 {
         let domain = (room as u64) << 24 | (epoch as u64) << 4 | ap as u64;
         base ^ domain.wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -472,52 +574,57 @@ impl Campus {
             prev_room: vec![None; p.users],
             epoch: 0,
             n_epochs: p.frames.div_ceil(p.epoch_frames),
-            epoch_len: p.epoch_frames,
-            interval_s: 1.0 / 30.0,
             handoffs: 0,
-            totals: RoomEpochStats {
-                interference_margin_db: f64::INFINITY,
-                ..RoomEpochStats::default()
-            },
+            totals: RoomEpochStats::new(),
             per_ap_airtime_s: vec![0.0f64; p.n_aps()],
         }
     }
 
     /// Advances one room through one epoch, entirely inside its slot's
-    /// arena: re-associate members to APs, reconcile multicast groups,
-    /// build per-frame transmission plans from the epoch's skeleton
-    /// caches, and execute them on one simulator per AP.
-    #[allow(clippy::too_many_arguments)]
+    /// arena: re-associate members to APs, reconcile the multicast groups,
+    /// then serve each AP.
     fn step_room(
         &self,
         engines: &[SweepEngine<'_>; APS_PER_ROOM],
         slot: &mut RoomSlot,
         room: usize,
         epoch: usize,
-        frames_in_epoch: usize,
-        interval_s: f64,
     ) {
-        slot.stats = RoomEpochStats {
-            interference_margin_db: f64::INFINITY,
-            ..RoomEpochStats::default()
-        };
+        slot.stats = RoomEpochStats::new();
         if slot.members.is_empty() {
             slot.clear_groups();
             return;
         }
+        // Pure-RSS assignment (roamers carry no shared subject, so
+        // viewport similarity is left to the grouping step).
+        {
+            let _span = obs::span("campus.room.rss");
+            slot.coord.assign(engines, &slot.local_pos);
+        }
+        slot.stats.interference_margin_db = slot.coord.min_interference_margin_db;
+        {
+            let _span = obs::span("campus.room.grouping");
+            slot.reconcile(self.params.group_cap);
+        }
+        let p = &self.params;
+        let frames = p.epoch_frames.min(p.frames - epoch * p.epoch_frames);
+        for ap in 0..APS_PER_ROOM {
+            self.serve_ap(slot, ap, room, epoch, frames);
+        }
+    }
 
+    /// Serves AP `ap` of a reconciled room for the epoch's `frames`: one
+    /// walk over its stations and groups, the quality clamp, one admitted
+    /// plan per frame, and the replay on the AP's simulator.
+    fn serve_ap(&self, slot: &mut RoomSlot, ap: usize, room: usize, epoch: usize, frames: usize) {
         let RoomSlot {
             groups,
             members,
-            local_pos,
             stats,
             coord,
-            rate_of,
-            grouped,
-            next_groups,
-            member_pool,
             ap_members,
-            rate_of_si,
+            rate,
+            goodput,
             full_air,
             residual_air,
             base_rx,
@@ -528,337 +635,167 @@ impl Campus {
             plans,
             sim_scratch,
             outcomes,
+            ..
         } = slot;
+        let mac = &self.mac;
+        let groups = &groups[ap];
+        let n_active = coord.user_ap.iter().filter(|&&a| a == ap).count();
+        if n_active == 0 {
+            return;
+        }
+        // Without faults the slot's plan stays the quiet one it was built
+        // with.
+        if let Some(cfg) = &self.params.faults {
+            let seed = Self::domain_fault_seed(cfg.seed, room, epoch, ap);
+            fault_plan
+                .regenerate(FaultConfig { seed, ..*cfg }, frames, n_active)
+                .expect("validated at Campus::new");
+        }
+        let fp: &FaultPlan = fault_plan;
 
-        // Re-associate: pure-RSS assignment (roamers carry no shared
-        // subject, so viewport similarity is left to the grouping step).
-        {
-            let _span = obs::span("campus.room.rss");
-            coord.assign(engines, local_pos);
-        }
-        stats.interference_margin_db = coord.min_interference_margin_db;
-        let ap_of = &coord.user_ap;
-        rate_of.clear();
-        rate_of.extend(
-            coord
-                .user_rss_dbm
-                .iter()
-                .map(|&rss| self.mcs.phy_rate_mbps(rss)),
-        );
-        // Map global user id -> local index.
-        let local_of = |gid: usize| members.binary_search(&gid).expect("member");
-
-        // --- Reconcile groups with this epoch's membership. ---
-        // Carry over surviving groups; members whose AP changed are
-        // severed and re-admitted as singletons on the new AP.
-        let grouping_span = obs::span("campus.room.grouping");
-        grouped.clear();
-        grouped.resize(members.len(), false);
-        for ng in next_groups.iter_mut() {
-            for g in ng.drain(..) {
-                member_pool.push(g.members);
-            }
-        }
-        for (ap, carried) in groups.iter().enumerate() {
-            for g in carried {
-                let mut survivors = take_pooled(member_pool, self.params.group_cap);
-                for &gid in &g.members {
-                    // Members may have left the room (severed at the
-                    // barrier) — or switched AP here.
-                    let Ok(li) = members.binary_search(&gid) else {
-                        continue;
-                    };
-                    if ap_of[li] == ap {
-                        survivors.push(gid);
-                        grouped[li] = true;
-                    } else {
-                        stats.reassociations += 1;
-                    }
-                }
-                if !survivors.is_empty() {
-                    next_groups[ap].push(Group::unpriced(survivors));
-                } else {
-                    member_pool.push(survivors);
-                }
-            }
-        }
-        // Arrivals (and re-associated members) join as singletons, then
-        // merge into the smallest under-capacity group on their AP.
+        let plan_span = obs::span("campus.room.plan");
+        ap_members.clear();
+        rate.clear();
+        goodput.clear();
         for (li, &gid) in members.iter().enumerate() {
-            if grouped[li] {
-                continue;
-            }
-            let ap = ap_of[li];
-            let target = next_groups[ap]
-                .iter_mut()
-                .filter(|g| g.members.len() < self.params.group_cap)
-                .min_by_key(|g| (g.members.len(), g.members[0]));
-            match target {
-                Some(g) => {
-                    g.members.push(gid);
-                    g.members.sort_unstable();
-                }
-                None => {
-                    let mut m = take_pooled(member_pool, self.params.group_cap);
-                    m.push(gid);
-                    next_groups[ap].push(Group::unpriced(m));
-                }
+            if coord.user_ap[li] == ap {
+                let r = self.mcs.phy_rate_mbps(coord.user_rss_dbm[li]);
+                ap_members.push(gid);
+                rate.push(r);
+                goodput.push(mac.goodput_mbps(r, n_active));
             }
         }
-        for ng in next_groups.iter_mut() {
-            // Unstable sort: group member sets are disjoint and nonempty,
-            // so the keys are unique and the result matches a stable sort
-            // without its temporary allocation.
-            ng.sort_unstable_by(|a, b| a.members.cmp(&b.members));
+        // Each group's reachable stations and burst rate, and the AP's
+        // nominal per-frame airtime demand: the burst at the slowest
+        // reachable member's rate plus a residual unicast per reachable
+        // member, or a full unicast each below two reachable members.
+        // Members below MCS sensitivity (rate 0) ride nothing and count as
+        // unreachable.
+        base_rx.clear();
+        group_meta.clear();
+        let mut demand_s = 0.0f64;
+        for g in groups {
+            stats.group_members += g.len() as u64;
+            stats.group_count += 1;
+            let rx_start = base_rx.len();
+            let mut min_rate = f64::INFINITY;
+            for gid in g {
+                let si = ap_members.binary_search(gid).expect("ap member");
+                if rate[si] > 0.0 {
+                    base_rx.push(si);
+                    min_rate = min_rate.min(rate[si]);
+                }
+            }
+            let n_rx = base_rx.len() - rx_start;
+            let (mc_rate_mbps, member_bytes) = if n_rx >= 2 {
+                demand_s += mac.airtime_s(MULTICAST_BYTES, min_rate, n_active);
+                (min_rate, (1.0 - MULTICAST_SHARE) * FRAME_BYTES)
+            } else {
+                (0.0, FRAME_BYTES)
+            };
+            for &si in &base_rx[rx_start..] {
+                demand_s += mac.airtime_from_goodput_s(member_bytes, goodput[si]);
+            }
+            group_meta.push(GroupMeta {
+                rx_start,
+                rx_end: base_rx.len(),
+                unreachable: (g.len() - n_rx) as u64,
+                mc_rate_mbps,
+                mc_airtime_s: 0.0,
+            });
+        }
+        // Rung-1 quality clamp, the campus analogue of the session's rate
+        // adaptation: scale every payload so that one frame's demand fits
+        // the frame interval, so that under oversubscription everybody
+        // drops to a lower quality instead of most users receiving nothing.
+        let quality_scale = Ladder::sustainable_scale(INTERVAL_S, demand_s);
+        stats.quality_scale_weighted += quality_scale * n_active as f64;
+        stats.quality_scale_weight += n_active as u64;
+        let full_bytes = quality_scale * FRAME_BYTES;
+        let residual_bytes = quality_scale * (1.0 - MULTICAST_SHARE) * FRAME_BYTES;
+        let mc_bytes = quality_scale * MULTICAST_BYTES;
+        full_air.clear();
+        residual_air.clear();
+        for &gp in goodput.iter() {
+            full_air.push(mac.airtime_from_goodput_s(full_bytes, gp));
+            residual_air.push(mac.airtime_from_goodput_s(residual_bytes, gp));
+        }
+        for meta in group_meta.iter_mut() {
+            meta.mc_airtime_s = mac.airtime_s(mc_bytes, meta.mc_rate_mbps, n_active);
         }
 
-        // Price the groups: multicast burst at the worst *reachable*
-        // member's rate, residual unicast at each member's own rate.
-        // Members below MCS sensitivity (rate 0) ride no burst — they are
-        // excluded per frame and counted as unreachable.
-        for ng in next_groups.iter_mut() {
-            for g in ng.iter_mut() {
-                stats.group_members += g.members.len() as u64;
-                stats.group_count += 1;
-                let mut n_reachable = 0usize;
-                let mut min_rate = f64::INFINITY;
-                for &gid in &g.members {
-                    let r = rate_of[local_of(gid)];
-                    if r > 0.0 {
-                        n_reachable += 1;
-                        min_rate = min_rate.min(r);
-                    }
-                }
-                if n_reachable >= 2 {
-                    g.multicast_bytes = MULTICAST_SHARE * FRAME_BYTES;
-                    g.multicast_rate_mbps = min_rate;
-                } else {
-                    g.multicast_bytes = 0.0;
-                    g.multicast_rate_mbps = 0.0;
-                }
-            }
+        // Frames only filter the cached receivers by the frame's outage
+        // bits and admit items in plan order against the budget.
+        while plans.len() < frames {
+            plans.push(TransmissionPlan::new());
         }
-        drop(grouping_span);
-
-        // --- Per-AP fault plans, plan skeletons, and simulation. ---
-        for (ap, ap_groups) in next_groups.iter().enumerate() {
-            ap_members.clear();
-            for (li, &gid) in members.iter().enumerate() {
-                if ap_of[li] == ap {
-                    ap_members.push(gid);
+        for (f, plan) in plans[..frames].iter_mut().enumerate() {
+            let faults = fp.at(f);
+            for item in plan.items.drain(..) {
+                if let TxKind::Multicast { members } = item.kind {
+                    item_pool.push(members);
                 }
             }
-            if ap_members.is_empty() {
-                continue;
-            }
-            let n_active = ap_members.len();
-            let sim_index = |gid: usize| ap_members.binary_search(&gid).expect("ap member");
-
-            // Without faults the slot's plan stays the quiet one it was
-            // built with.
-            if let Some(cfg) = &self.params.faults {
-                let seed = Self::domain_fault_seed(cfg.seed, room, epoch, ap);
-                fault_plan
-                    .regenerate(FaultConfig { seed, ..*cfg }, frames_in_epoch, n_active)
-                    .expect("validated at Campus::new");
-            }
-            let fp: &FaultPlan = fault_plan;
-
-            let plan_span = obs::span("campus.room.plan");
-            // Rung-1 quality clamp: compute the AP's *nominal* per-frame
-            // airtime demand (multicast bursts + residual/singleton
-            // unicasts for every reachable member) and scale payload bytes
-            // so that one frame's demand fits inside the frame interval.
-            // This is the campus analogue of the session's rate adaptation:
-            // under oversubscription everybody drops to a proportionally
-            // lower quality level instead of most users receiving nothing.
-            let mut demand_s = 0.0f64;
-            for g in ap_groups {
-                let n_rx = g
-                    .members
-                    .iter()
-                    .filter(|&&gid| rate_of[local_of(gid)] > 0.0)
-                    .count();
-                if n_rx >= 2 && g.multicast_rate_mbps > 0.0 {
-                    demand_s +=
-                        self.mac
-                            .airtime_s(g.multicast_bytes, g.multicast_rate_mbps, n_active);
-                    for &gid in &g.members {
-                        let r = rate_of[local_of(gid)];
-                        if r > 0.0 {
-                            demand_s += self.mac.airtime_s(
-                                (1.0 - MULTICAST_SHARE) * FRAME_BYTES,
-                                r,
-                                n_active,
-                            );
-                        }
-                    }
-                } else {
-                    for &gid in &g.members {
-                        let r = rate_of[local_of(gid)];
-                        if r > 0.0 {
-                            demand_s += self.mac.airtime_s(FRAME_BYTES, r, n_active);
-                        }
-                    }
-                }
-            }
-            let quality_scale = Ladder::sustainable_scale(interval_s, demand_s);
-            stats.quality_scale_weighted += quality_scale * n_active as f64;
-            stats.quality_scale_weight += n_active as u64;
-
-            // Epoch-invariant skeleton caches: per-member airtimes (the
-            // MAC goodput is hoisted — it depends only on the member's
-            // rate and the epoch-frozen contender count) and per-group
-            // reachable receiver lists. Frames below only filter by the
-            // frame's outage bits and re-run the admission arithmetic,
-            // preserving the original per-item float accumulation order.
-            let full_bytes = quality_scale * FRAME_BYTES;
-            let residual_bytes = quality_scale * (1.0 - MULTICAST_SHARE) * FRAME_BYTES;
-            rate_of_si.clear();
-            full_air.clear();
-            residual_air.clear();
-            for &gid in ap_members.iter() {
-                let r = rate_of[local_of(gid)];
-                let goodput = self.mac.goodput_mbps(r, n_active);
-                rate_of_si.push(r);
-                full_air.push(self.mac.airtime_from_goodput_s(full_bytes, goodput));
-                residual_air.push(self.mac.airtime_from_goodput_s(residual_bytes, goodput));
-            }
-            base_rx.clear();
-            group_meta.clear();
-            for g in ap_groups {
-                let rx_start = base_rx.len();
-                let mut unreachable = 0u64;
-                for &gid in &g.members {
-                    if rate_of[local_of(gid)] > 0.0 {
-                        base_rx.push(sim_index(gid));
+            let mut spent_s = 0.0f64;
+            for (g, meta) in groups.iter().zip(group_meta.iter()) {
+                // Rung-3 inside the epoch: members under an injected
+                // outage are excluded from the burst for this frame.
+                stats.scheduled_user_frames += g.len() as u64;
+                stats.unreachable_user_frames += meta.unreachable;
+                rx_tmp.clear();
+                for &si in &base_rx[meta.rx_start..meta.rx_end] {
+                    if faults.has(si, Fault::Outage) {
+                        stats.regroup_exclusions += 1;
                     } else {
-                        unreachable += 1;
+                        rx_tmp.push(si);
                     }
                 }
-                let mc_bytes = quality_scale * g.multicast_bytes;
-                group_meta.push(GroupMeta {
-                    rx_start,
-                    rx_end: base_rx.len(),
-                    unreachable,
-                    mc_airtime_s: self
-                        .mac
-                        .airtime_s(mc_bytes, g.multicast_rate_mbps, n_active),
-                    mc_bytes,
-                });
-            }
-
-            let budget_s = AIRTIME_BUDGET_INTERVALS * interval_s;
-            while plans.len() < frames_in_epoch {
-                plans.push(TransmissionPlan::new());
-            }
-            for (f, plan) in plans.iter_mut().enumerate().take(frames_in_epoch) {
-                let faults = fp.at(f);
-                for item in plan.items.drain(..) {
-                    if let TxKind::Multicast { members } = item.kind {
-                        item_pool.push(members);
-                    }
+                // Two receivers imply two reachable members, so a burst rate.
+                let multicast = rx_tmp.len() > 1;
+                if multicast && stats.admit(ap, &mut spent_s, mc_bytes, meta.mc_airtime_s, true) {
+                    let mut mv = take_pooled(item_pool, self.params.group_cap);
+                    mv.extend_from_slice(rx_tmp);
+                    plan.items
+                        .push(TxItem::multicast(mv, mc_bytes, meta.mc_rate_mbps));
                 }
-                let mut spent_s = 0.0f64;
-                // The admission arithmetic of the historical per-frame
-                // `admit` closure, fed from the skeleton caches.
-                macro_rules! admit {
-                    ($bytes:expr, $airtime:expr, $multicast:expr) => {{
-                        let airtime: f64 = $airtime;
-                        if !airtime.is_finite() || spent_s + airtime > budget_s {
-                            stats.over_budget_items += 1;
-                            false
-                        } else {
-                            spent_s += airtime;
-                            stats.ap_airtime_s[ap] += airtime;
-                            stats.total_bytes += $bytes;
-                            if $multicast {
-                                stats.multicast_bytes += $bytes;
-                            }
-                            true
-                        }
-                    }};
-                }
-                for (g, meta) in ap_groups.iter().zip(group_meta.iter()) {
-                    // Rung-3 inside the epoch: members under an injected
-                    // outage are excluded from the burst for this frame;
-                    // members below MCS sensitivity (rate 0) cannot be
-                    // served at any quality and are counted as unreachable.
-                    stats.scheduled_user_frames += g.members.len() as u64;
-                    stats.unreachable_user_frames += meta.unreachable;
-                    rx_tmp.clear();
-                    for &si in &base_rx[meta.rx_start..meta.rx_end] {
-                        if faults.has(si, Fault::Outage) {
-                            stats.regroup_exclusions += 1;
-                        } else {
-                            rx_tmp.push(si);
-                        }
-                    }
-                    if rx_tmp.is_empty() {
-                        continue;
-                    }
-                    if rx_tmp.len() > 1 && g.multicast_rate_mbps > 0.0 {
-                        if admit!(meta.mc_bytes, meta.mc_airtime_s, true) {
-                            let mut mv = take_pooled(item_pool, self.params.group_cap);
-                            mv.extend_from_slice(rx_tmp);
-                            plan.items.push(TxItem::multicast(
-                                mv,
-                                meta.mc_bytes,
-                                g.multicast_rate_mbps,
-                            ));
-                        }
-                        for &si in rx_tmp.iter() {
-                            if admit!(residual_bytes, residual_air[si], false) {
-                                plan.items.push(TxItem::unicast(
-                                    si,
-                                    residual_bytes,
-                                    rate_of_si[si],
-                                ));
-                            }
-                        }
-                    } else {
-                        for &si in rx_tmp.iter() {
-                            if admit!(full_bytes, full_air[si], false) {
-                                plan.items
-                                    .push(TxItem::unicast(si, full_bytes, rate_of_si[si]));
-                            }
-                        }
-                    }
-                }
-                for si in 0..n_active {
-                    if faults.has(si, Fault::Outage) || faults.has(si, Fault::Loss) {
-                        stats.fault_user_frames += 1;
+                let (bytes, air) = if multicast {
+                    (residual_bytes, &*residual_air)
+                } else {
+                    (full_bytes, &*full_air)
+                };
+                for &si in rx_tmp.iter() {
+                    if stats.admit(ap, &mut spent_s, bytes, air[si], false) {
+                        plan.items.push(TxItem::unicast(si, bytes, rate[si]));
                     }
                 }
             }
-            drop(plan_span);
-
-            let _sim_span = obs::span("campus.room.sim");
-            let sim = Simulator::new(
-                &self.mac,
-                n_active,
-                n_active,
-                SimTime::from_secs(interval_s),
-                BacklogPolicy::Drop,
-            )
-            .expect("nonzero stations and interval")
-            .with_faults(fp);
-            sim.run_into(&plans[..frames_in_epoch], sim_scratch, outcomes);
-            for outcome in outcomes.iter() {
-                let deadline = outcome.start + SimTime::from_secs(interval_s);
-                for completion in outcome.user_completion.iter().flatten() {
-                    stats.delivered_user_frames += 1;
-                    if *completion <= deadline {
-                        stats.on_time_user_frames += 1;
-                    }
+            for si in 0..n_active {
+                if faults.has(si, Fault::Outage) || faults.has(si, Fault::Loss) {
+                    stats.fault_user_frames += 1;
                 }
             }
         }
+        drop(plan_span);
 
-        // The priced groups become the carried state; the retired state's
-        // vectors are recycled at the next reconcile.
-        for ap in 0..APS_PER_ROOM {
-            std::mem::swap(&mut groups[ap], &mut next_groups[ap]);
+        let _sim_span = obs::span("campus.room.sim");
+        let sim = Simulator::new(
+            mac,
+            n_active,
+            n_active,
+            SimTime::from_secs(INTERVAL_S),
+            BacklogPolicy::Drop,
+        )
+        .expect("nonzero stations and interval")
+        .with_faults(fp);
+        sim.run_into(&plans[..frames], sim_scratch, outcomes);
+        for outcome in outcomes.iter() {
+            let deadline = outcome.start + SimTime::from_secs(INTERVAL_S);
+            for completion in outcome.user_completion.iter().flatten() {
+                stats.delivered_user_frames += 1;
+                if *completion <= deadline {
+                    stats.on_time_user_frames += 1;
+                }
+            }
         }
     }
 }
@@ -871,10 +808,7 @@ impl CampusRunner<'_> {
     pub fn reset(&mut self) {
         self.epoch = 0;
         self.handoffs = 0;
-        self.totals = RoomEpochStats {
-            interference_margin_db: f64::INFINITY,
-            ..RoomEpochStats::default()
-        };
+        self.totals = RoomEpochStats::new();
         self.per_ap_airtime_s.fill(0.0);
         self.prev_room.fill(None);
         for slot in self.slots.iter_mut() {
@@ -891,11 +825,10 @@ impl CampusRunner<'_> {
             return false;
         }
         let epoch = self.epoch;
-        let p = &self.campus.params;
-        let start_frame = epoch * self.epoch_len;
-        let frames_in_epoch = self.epoch_len.min(p.frames - start_frame);
+        let start_frame = epoch * self.campus.params.epoch_frames;
 
-        // --- Barrier: re-bin users, sever movers from old groups. ---
+        // --- Barrier: re-bin users (their old rooms drop them at the
+        // next reconcile). ---
         let mut epoch_handoffs = 0u64;
         {
             let _span = obs::span("campus.epoch.barrier");
@@ -905,13 +838,8 @@ impl CampusRunner<'_> {
             }
             for (u, prev) in self.prev_room.iter_mut().enumerate() {
                 let (r, local) = self.campus.locate(self.campus.positions[u][start_frame]);
-                if let Some(old) = *prev {
-                    if old != r {
-                        epoch_handoffs += 1;
-                        // PR-5 sever: drop the mover from its old room's
-                        // groups, prune empties, restore canonical order.
-                        self.slots[old].sever(u);
-                    }
+                if prev.is_some_and(|old| old != r) {
+                    epoch_handoffs += 1;
                 }
                 *prev = Some(r);
                 self.slots[r].members.push(u);
@@ -924,9 +852,8 @@ impl CampusRunner<'_> {
             let _span = obs::span("campus.epoch.rooms");
             let campus = self.campus;
             let engines = &self.engines;
-            let interval_s = self.interval_s;
             par::par_for_each_mut(&mut self.slots, |r, slot| {
-                campus.step_room(engines, slot, r, epoch, frames_in_epoch, interval_s);
+                campus.step_room(engines, slot, r, epoch);
             });
         }
 
@@ -1078,6 +1005,24 @@ mod tests {
             },
         ] {
             assert!(Campus::new(params).is_err());
+        }
+    }
+
+    #[test]
+    fn a_faulted_campus_past_2_20_epochs_is_rejected() {
+        // Past 2^20 epochs two fault domains would share one seed.
+        let params = CampusParams {
+            grid_w: 1,
+            grid_h: 1,
+            users: 1,
+            frames: (1 << 20) + 1,
+            epoch_frames: 1,
+            faults: Some(FaultConfig::from_spec("loss=0.1").unwrap()),
+            ..small()
+        };
+        match Campus::new(params) {
+            Err(e) => assert!(e.to_string().contains("2^20 epochs"), "{e}"),
+            Ok(_) => panic!("a faulted campus of 2^20 + 1 epochs was accepted"),
         }
     }
 

@@ -42,8 +42,8 @@ pub struct Group {
 impl Group {
     /// An unpriced group over `members` — pricing (`multicast_bytes`,
     /// `multicast_rate_mbps`, `iou`) is zeroed until a planner fills it
-    /// in. Takes the member vector by value so arena-based callers (the
-    /// campus reconcile loop) can hand in recycled buffers.
+    /// in. The planner starts its search from such singletons, and the
+    /// session re-admits the members it severs as them.
     pub fn unpriced(members: Vec<usize>) -> Group {
         Group {
             members,

@@ -108,6 +108,188 @@ fn campus_is_invariant_at_odd_thread_counts_and_rect_grids() {
     );
 }
 
+/// The campus's corners, each row pinned by the FNV-1a of its outcome's
+/// JSON and checked at 1 and 3 workers: grid shapes, crowding, the group
+/// cap, ragged and oversized epochs, and every fault class alone and
+/// together. The crowded rows engage the quality clamp, so the order in
+/// which a room's per-frame airtime demand is summed shows in their bits.
+/// Blockage and decode overruns pin the quiet row's hash: the campus
+/// replay reads only outages, losses and stalls.
+#[test]
+fn campus_golden_table() {
+    let base = CampusParams {
+        grid_w: 2,
+        grid_h: 1,
+        users: 24,
+        frames: 24,
+        epoch_frames: 6,
+        seed: 3,
+        group_cap: 4,
+        faults: None,
+    };
+    let faulted = |spec: &str| CampusParams {
+        faults: Some(FaultConfig::from_spec(spec).unwrap()),
+        ..base.clone()
+    };
+    let rows: [(&str, CampusParams, u64); 18] = [
+        ("no faults", base.clone(), 0xdba2_2694_0446_ebbf),
+        (
+            "1x1 grid",
+            CampusParams {
+                grid_w: 1,
+                users: 10,
+                ..base.clone()
+            },
+            0x2215_4852_3f4e_8410,
+        ),
+        (
+            "1x3 grid",
+            CampusParams {
+                grid_w: 1,
+                grid_h: 3,
+                ..base.clone()
+            },
+            0x5002_3ef5_9aad_6bd5,
+        ),
+        (
+            "fewer users than rooms",
+            CampusParams {
+                grid_w: 3,
+                grid_h: 2,
+                users: 4,
+                ..base.clone()
+            },
+            0x56df_4c4c_90c5_f445,
+        ),
+        (
+            "crowded room",
+            CampusParams {
+                grid_w: 1,
+                users: 48,
+                group_cap: 8,
+                ..base.clone()
+            },
+            0x3c8f_953f_ff8b_5d33,
+        ),
+        (
+            "group_cap 1",
+            CampusParams {
+                group_cap: 1,
+                ..base.clone()
+            },
+            0xe47a_51a8_8491_d514,
+        ),
+        (
+            "one group per AP",
+            CampusParams {
+                group_cap: 64,
+                ..base.clone()
+            },
+            0x4a53_f317_511f_6f7a,
+        ),
+        (
+            "epoch_frames 1",
+            CampusParams {
+                frames: 12,
+                epoch_frames: 1,
+                ..base.clone()
+            },
+            0x9b6c_3fa2_0ab7_50b7,
+        ),
+        (
+            "epoch longer than the run",
+            CampusParams {
+                frames: 20,
+                epoch_frames: 50,
+                ..base.clone()
+            },
+            0x30d4_80f3_3497_0bec,
+        ),
+        (
+            "ragged last epoch",
+            CampusParams {
+                frames: 23,
+                ..base.clone()
+            },
+            0x7c6a_3db4_470d_88c8,
+        ),
+        (
+            "roaming",
+            CampusParams {
+                users: 12,
+                frames: 300,
+                epoch_frames: 15,
+                ..base.clone()
+            },
+            0x10a8_cc42_e6d6_c4ca,
+        ),
+        (
+            "heavy outage",
+            faulted("seed=1,outage=0.7:3"),
+            0x4041_68ff_9887_cc99,
+        ),
+        (
+            "loss only",
+            faulted("seed=2,loss=0.3"),
+            0xafa3_c71d_79b2_8802,
+        ),
+        (
+            "blockage only",
+            faulted("seed=3,blockage=0.3:2"),
+            0xdba2_2694_0446_ebbf,
+        ),
+        (
+            "stall only",
+            faulted("seed=4,stall=0.2:2"),
+            0xe73b_c12c_a893_0f4b,
+        ),
+        (
+            "decode only",
+            faulted("seed=5,decode=0.3"),
+            0xdba2_2694_0446_ebbf,
+        ),
+        (
+            "blackout",
+            faulted("seed=6,blackout=2:3"),
+            0xa406_24ea_64e6_7760,
+        ),
+        (
+            "every class",
+            faulted(
+                "seed=7,outage=0.1:3,blockage=0.1:2,stall=0.05:2,loss=0.1,decode=0.1,blackout=1:2",
+            ),
+            0x30e9_9628_fa97_2977,
+        ),
+    ];
+    let _guard = THREAD_KNOB.lock().unwrap_or_else(|e| e.into_inner());
+    let orig = par::thread_count();
+    let mut drifted = Vec::new();
+    for (name, params, want) in rows {
+        let run = |threads| {
+            par::set_thread_count(threads);
+            Campus::new(params.clone())
+                .unwrap()
+                .run()
+                .unwrap()
+                .to_json()
+                .to_json_string()
+        };
+        let serial = run(1);
+        let three = run(3);
+        assert_eq!(serial, three, "{name}: output depends on VOLCAST_THREADS");
+        let got = fnv1a(serial.as_bytes());
+        if got != want {
+            drifted.push(format!("{name}: {got:#018x} (pinned {want:#018x})"));
+        }
+    }
+    par::set_thread_count(orig);
+    assert!(
+        drifted.is_empty(),
+        "campus rows drifted:\n{}",
+        drifted.join("\n")
+    );
+}
+
 /// Long roaming runs must actually cross room boundaries — a campus where
 /// nobody hands off is not exercising the barrier at all.
 #[test]

@@ -5,11 +5,14 @@
 //!
 //! This is its own integration binary because the counting allocator is
 //! process-global: any sibling test allocating concurrently would make the
-//! counters move. Keep exactly one `#[test]` in this file.
+//! counters move. Keep exactly one `#[test]` in this file. Even alone, the
+//! harness's own threads may allocate while the test measures, so both
+//! gates read the calling thread's counters, and the generator runs on
+//! that thread alone.
 
 use volcast_net::{FaultConfig, FaultPlan};
-use volcast_util::obs;
 use volcast_util::scratch::counting;
+use volcast_util::{obs, par};
 
 #[global_allocator]
 static ALLOC: counting::CountingAllocator = counting::CountingAllocator;
@@ -19,14 +22,16 @@ fn fault_plans_allocate_once_and_regenerate_in_place() {
     // The generator books obs counters when tracing is on; keep the
     // registry out of the picture under VOLCAST_TRACE=1.
     obs::set_enabled(false);
+    par::set_thread_count(1);
+    assert_eq!(par::thread_count(), 1);
 
     // The server workload's shape and fault classes: 150 clients, 60 frames.
     let server =
         FaultConfig::from_spec("seed=42,outage=0.01:3,loss=0.02,stall=0.005:2,decode=0.01")
             .unwrap();
-    let before = counting::allocations();
+    let before = counting::thread_allocations();
     let mut plan = FaultPlan::generate(server, 60, 150).unwrap();
-    let fresh = counting::allocations() - before;
+    let fresh = counting::thread_allocations() - before;
     assert!(fresh <= 2, "a fresh 60 x 150 plan made {fresh} allocations");
     assert!(!plan.is_quiet());
 
@@ -36,8 +41,8 @@ fn fault_plans_allocate_once_and_regenerate_in_place() {
         "outage=0.3:4,blockage=0.3:2,stall=0.3:3,loss=0.3,decode=0.3,blackout=5:20",
     )
     .unwrap();
-    let allocs_before = counting::allocations();
-    let deallocs_before = counting::deallocations();
+    let allocs_before = counting::thread_allocations();
+    let deallocs_before = counting::thread_deallocations();
     for (seed, frames, users) in [
         (1u64, 60, 150),
         (2, 30, 150),
@@ -51,12 +56,12 @@ fn fault_plans_allocate_once_and_regenerate_in_place() {
             .unwrap();
     }
     assert_eq!(
-        counting::allocations() - allocs_before,
+        counting::thread_allocations() - allocs_before,
         0,
         "a warm regenerate allocated"
     );
     assert_eq!(
-        counting::deallocations() - deallocs_before,
+        counting::thread_deallocations() - deallocs_before,
         0,
         "a warm regenerate deallocated"
     );

@@ -102,9 +102,15 @@ impl<T> ScratchVec<T> {
 /// assert_eq!(volcast_util::scratch::counting::allocations(), before);
 /// ```
 ///
-/// The counters are process-global: such a test must run in its own test
-/// binary (one `#[test]` per file, or serialized), because the harness and
-/// sibling tests allocate concurrently.
+/// The process-wide counters see every thread: such a test must run in its
+/// own test binary (one `#[test]` per file, or serialized), because the
+/// harness and sibling tests allocate concurrently. Even then the harness
+/// may allocate on its own threads while the test measures; a gate on
+/// work that runs on the calling thread reads [`thread_allocations`]
+/// and [`thread_deallocations`] instead, which count that thread alone.
+///
+/// [`thread_allocations`]: counting::thread_allocations
+/// [`thread_deallocations`]: counting::thread_deallocations
 pub mod counting {
     // The one `unsafe` impl in the workspace (the codec's call into its
     // AVX2 kernel copy is the one `unsafe` block): implementing
@@ -113,11 +119,24 @@ pub mod counting {
     #![allow(unsafe_code)]
 
     use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
     static DEALLOCATIONS: AtomicU64 = AtomicU64::new(0);
     static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
+
+    // Const-initialised and without a destructor, so touching them never
+    // allocates; `try_with` keeps the allocator from panicking while a
+    // thread's locals are torn down.
+    thread_local! {
+        static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+        static THREAD_DEALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn bump(counter: &'static std::thread::LocalKey<Cell<u64>>) {
+        let _ = counter.try_with(|c| c.set(c.get() + 1));
+    }
 
     /// Forwards to the system allocator, counting every allocation.
     #[derive(Debug, Default, Clone, Copy)]
@@ -130,11 +149,13 @@ pub mod counting {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
             ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
             ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+            bump(&THREAD_ALLOCATIONS);
             System.alloc(layout)
         }
 
         unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
             DEALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+            bump(&THREAD_DEALLOCATIONS);
             System.dealloc(ptr, layout)
         }
 
@@ -142,6 +163,7 @@ pub mod counting {
             // A realloc is a fresh acquisition of memory: count it.
             ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
             ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+            bump(&THREAD_ALLOCATIONS);
             System.realloc(ptr, layout, new_size)
         }
     }
@@ -159,6 +181,16 @@ pub mod counting {
     /// Total bytes requested so far (allocs + reallocs), process-wide.
     pub fn allocated_bytes() -> u64 {
         ALLOCATED_BYTES.load(Ordering::Relaxed)
+    }
+
+    /// Heap acquisitions so far (allocs + reallocs) by the calling thread.
+    pub fn thread_allocations() -> u64 {
+        THREAD_ALLOCATIONS.with(Cell::get)
+    }
+
+    /// Deallocations so far by the calling thread.
+    pub fn thread_deallocations() -> u64 {
+        THREAD_DEALLOCATIONS.with(Cell::get)
     }
 }
 
@@ -183,12 +215,15 @@ mod tests {
     fn counting_allocator_counters_are_monotonic() {
         // The counting allocator is not installed in this binary (its
         // counters would race with the parallel test harness); just pin
-        // that the accessors exist and never go backwards.
+        // that the accessors exist, never go backwards, and that a thread
+        // the allocator never counted reads zero.
         let a0 = counting::allocations();
         let d0 = counting::deallocations();
         let b0 = counting::allocated_bytes();
         assert!(counting::allocations() >= a0);
         assert!(counting::deallocations() >= d0);
         assert!(counting::allocated_bytes() >= b0);
+        assert_eq!(counting::thread_allocations(), 0);
+        assert_eq!(counting::thread_deallocations(), 0);
     }
 }

@@ -83,6 +83,17 @@ if grep -rnE 'sweep_subset|LocalSink|MacDispatch|fn parse_flags|fn get_parse' cr
     exit 1
 fi
 
+echo "==> the campus room epoch is one walk per AP, not forked"
+# core::campus runs reconcile -> one walk per AP -> frames -> replay: groups
+# are member lists reconciled in place (no double buffer, no grouping::Group),
+# stations are looked up under one indexing, and admission is a method
+# (RoomEpochStats::admit), not a macro over a seven-argument function.
+if grep -nE 'macro_rules!|too_many_arguments|next_groups|local_of|grouping::Group' \
+    crates/core/src/campus.rs; then
+    echo "ERROR: names of the three-pass campus room epoch survive" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -128,7 +139,8 @@ VOLCAST_TRACE=1 cargo test --release -q -p volcast-mmwave --test link_alloc
 
 echo "==> fault plans allocate their table once and regenerate in place"
 # Same arrangement for FaultPlan: a fresh plan at the server workload's
-# shape is at most two allocations, a warm regenerate none.
+# shape is at most two allocations, a warm regenerate none, both counted
+# on the test's own thread (the harness may allocate on others).
 VOLCAST_TRACE=1 cargo test --release -q -p volcast-net --test fault_alloc
 
 echo "==> the cap-led grouping search and its rate cap, 2000 cases each"
@@ -260,6 +272,9 @@ echo "==> benchmark workloads at full size: outcome hashes pinned"
 # Keeping one copy each of the sector scan, the thread fan-out, the metric
 # store, the flag parser and the MAC dispatch moved none: the same methods
 # compute the same floats, and results stay positional.
+# Restructuring the campus room epoch (groups reconciled in place, one walk
+# per AP, admission as a method) moved none: every float keeps its operands
+# and its order.
 for pin in codec_ladder:0x97b4ac0961eaafb1 codec_layered:0xb00dbeed38dc616e \
     session_single:0x338effbe7f8a1bb5 session_layered_faulted:0x3f96d14ae75d2245 \
     campus:0x22ab495ca9fac58d server:0xa52a4b03a0514405; do
