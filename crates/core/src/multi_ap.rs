@@ -11,7 +11,8 @@
 #![allow(clippy::needless_range_loop)]
 
 use volcast_geom::Vec3;
-use volcast_mmwave::{BeamDesign, SweepEngine, SweepRx};
+use volcast_mmwave::{BeamDesign, Channel, Codebook, SweepEngine, SweepRx};
+use volcast_util::obs;
 use volcast_viewport::{iou, VisibilityMap};
 
 /// Scratch-backed AP-association engine: per-(AP, user) best-sector RSS
@@ -30,8 +31,18 @@ pub struct EpochCoordinator {
     /// minus the strongest cross-AP leakage at any victim user. Positive
     /// and large = clean spatial reuse.
     pub min_interference_margin_db: f64,
-    /// Prepared receivers, AP-major: `rxs[a * n_users + u]`.
-    rxs: Vec<SweepRx>,
+    /// Prepared receivers, one row per AP: `rxs[a][u]` is user `u`'s at AP
+    /// `a`. Rows grow to the largest user count seen.
+    rxs: Vec<Vec<SweepRx>>,
+    /// The last call's `(channel, codebook)` per AP and positions per user:
+    /// what the receivers in `rxs[a][..prev_pos.len()]` were prepared for.
+    engines_seen: Vec<(Channel, Codebook)>,
+    prev_pos: Vec<Vec3>,
+    /// [`Self::keep_receivers`] scratch: `prev_pos` slots sorted by position
+    /// bits, each slot's destination, and whether each user kept receivers.
+    by_pos: Vec<usize>,
+    dest: Vec<usize>,
+    kept: Vec<bool>,
     /// Best-sector RSS matrix, AP-major flattened.
     rss: Vec<f64>,
     /// Per-AP member lists (local user indices): in attachment order
@@ -70,6 +81,11 @@ impl EpochCoordinator {
     /// computed and `maps` is not read.
     ///
     /// `engines[a]` wraps AP `a`'s `(channel, codebook)` pair.
+    ///
+    /// # Panics
+    ///
+    /// If `engines` is empty, or if `similarity_weight` is non-zero and
+    /// `maps` is not one per user.
     pub fn assign_similar(
         &mut self,
         engines: &[SweepEngine<'_>],
@@ -80,14 +96,11 @@ impl EpochCoordinator {
         let n_aps = engines.len();
         let n_users = positions.len();
         let w = similarity_weight;
+        assert!(n_aps > 0, "EpochCoordinator needs at least one AP engine");
         assert!(w == 0.0 || maps.len() == n_users);
         if self.ap_users.len() < n_aps {
             self.ap_users.resize_with(n_aps, Vec::new);
             self.beams.resize_with(n_aps, BeamDesign::default);
-        }
-        let need = n_aps * n_users;
-        if self.rxs.len() < need {
-            self.rxs.resize_with(need, SweepRx::default);
         }
         for list in self.ap_users.iter_mut() {
             list.clear();
@@ -104,10 +117,13 @@ impl EpochCoordinator {
 
         // Per (ap, user) best-sector RSS via the pruned sweep, normalized
         // into [0,1] for scoring.
+        self.keep_receivers(engines, positions);
         for (a, engine) in engines.iter().enumerate() {
             for (u, &pos) in positions.iter().enumerate() {
-                let rx = &mut self.rxs[a * n_users + u];
-                rx.prepare(engine, pos, &[]);
+                let rx = &mut self.rxs[a][u];
+                if !self.kept[u] {
+                    rx.prepare(engine, pos, &[]);
+                }
                 let (_, r) = engine.best_sector(rx);
                 self.rss.push(r);
             }
@@ -186,8 +202,7 @@ impl EpochCoordinator {
                 continue; // idle AP
             }
             members.sort_unstable();
-            let row = &mut self.rxs[a * n_users..(a + 1) * n_users];
-            engine.design(row, members, &mut self.beams[a]);
+            engine.design(&mut self.rxs[a], members, &mut self.beams[a]);
         }
 
         // Interference margin: for every victim user, desired signal minus
@@ -204,7 +219,7 @@ impl EpochCoordinator {
                     if a == b || self.ap_users[b].is_empty() {
                         continue;
                     }
-                    let rx = &mut self.rxs[b * n_users + victim];
+                    let rx = &mut self.rxs[b][victim];
                     let beam = &self.beams[b];
                     let leak = if beam.customized {
                         rx.eval_weights(&beam.weights)
@@ -219,9 +234,61 @@ impl EpochCoordinator {
             min_margin = f64::INFINITY;
         }
         self.min_interference_margin_db = min_margin;
-        // The association sweeps and leakage evals above ran outside any
-        // design: book their tallies once per epoch.
-        SweepEngine::flush_counts(&mut self.rxs[..need]);
+        // The association sweeps and leakage evals ran outside any design:
+        // book their tallies once per epoch (kept and idle slots hold none).
+        (self.rxs.iter_mut()).for_each(|row| SweepEngine::flush_counts(row));
+    }
+
+    /// Moves, in place in every row, the receivers of each user standing bit
+    /// for bit where one stood last call (the first such slot unclaimed) to
+    /// its slot and marks it `kept`: a receiver is a pure function of engine
+    /// and position, so an unequal engine forgets them all.
+    fn keep_receivers(&mut self, engines: &[SweepEngine<'_>], positions: &[Vec3]) {
+        let seen = self.engines_seen.iter().map(|(c, b)| (c, b));
+        if !seen.eq(engines.iter().map(|e| (e.channel(), e.codebook()))) {
+            let clone = |e: &SweepEngine| (e.channel().clone(), e.codebook().clone());
+            self.engines_seen = engines.iter().map(clone).collect();
+            self.prev_pos.clear();
+        }
+        let n_rows = self.rxs.len().max(engines.len());
+        self.rxs.resize_with(n_rows, Vec::new);
+        let width = self.rxs[0].len().max(positions.len());
+        for row in &mut self.rxs {
+            row.resize_with(width, SweepRx::default);
+        }
+        let key = |p: Vec3| (p.x.to_bits(), p.y.to_bits(), p.z.to_bits());
+        let prev = &self.prev_pos;
+        let (by_pos, dest, kept) = (&mut self.by_pos, &mut self.dest, &mut self.kept);
+        by_pos.clear();
+        by_pos.extend(0..prev.len());
+        by_pos.sort_unstable_by_key(|&o| (key(prev[o]), o));
+        dest.clear();
+        dest.resize(width, usize::MAX);
+        kept.clear();
+        kept.resize(width, false);
+        for (u, &p) in positions.iter().enumerate() {
+            let first = by_pos.partition_point(|&o| key(prev[o]) < key(p));
+            let mut spot = (by_pos[first..].iter()).take_while(|&&o| key(prev[o]) == key(p));
+            if let Some(&o) = spot.find(|&&o| dest[o] == usize::MAX) {
+                (dest[o], kept[u]) = (u, true);
+            }
+        }
+        // Unclaimed slots pair with unkept users in order; apply by cycles.
+        let mut free = (0..width).filter(|&u| !kept[u]);
+        for d in dest.iter_mut().filter(|d| **d == usize::MAX) {
+            *d = free.next().unwrap();
+        }
+        for i in 0..width {
+            while dest[i] != i {
+                let j = dest[i];
+                self.rxs.iter_mut().for_each(|row| row.swap(i, j));
+                dest.swap(i, j);
+            }
+        }
+        let n_kept = kept.iter().filter(|&&k| k).count();
+        obs::add("multi_ap.receivers_kept", (n_kept * engines.len()) as u64);
+        self.prev_pos.clear();
+        self.prev_pos.extend_from_slice(positions);
     }
 
     /// Common RSS (dBm) of AP `ap`'s designed group beam over its assigned
@@ -235,7 +302,9 @@ impl EpochCoordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use volcast_mmwave::{Channel, Codebook, PlanarArray, Room};
+    use volcast_mmwave::{PlanarArray, Room};
+    use volcast_util::prop::run_cases_n;
+    use volcast_util::rng::Rng;
 
     fn two_ap_setup() -> (Channel, Channel) {
         let room = Room::default();
@@ -350,5 +419,134 @@ mod tests {
         let a = assigned(&positions, &maps, 0.4, true);
         assert!(a.user_ap.iter().all(|&ap| ap == 0));
         assert_eq!(a.min_interference_margin_db, f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs at least one AP")]
+    fn no_aps_is_refused_by_name() {
+        EpochCoordinator::new().assign(&[], &[Vec3::new(0.0, 1.5, 0.0)]);
+    }
+
+    /// Everything a call leaves readable, as bits.
+    type Readout = (Vec<usize>, Vec<u64>, u64, Vec<Option<u64>>);
+
+    fn readout(c: &EpochCoordinator) -> Readout {
+        (
+            c.user_ap.clone(),
+            c.user_rss_dbm.iter().map(|r| r.to_bits()).collect(),
+            c.min_interference_margin_db.to_bits(),
+            (0..3)
+                .map(|a| c.ap_common_rss_dbm(a).map(f64::to_bits))
+                .collect(),
+        )
+    }
+
+    fn random_position(rng: &mut Rng) -> Vec3 {
+        let room = Room::default();
+        Vec3::new(
+            (rng.gen_range(0.0..1.0) - 0.5) * room.width * 0.9,
+            0.5 + rng.gen_range(0.0..1.5),
+            (rng.gen_range(0.0..1.0) - 0.5) * room.depth * 0.9,
+        )
+    }
+
+    /// The next call's users, drawn from the last call's: most stand still
+    /// (bit for bit), some move (sometimes along one axis only), drop out,
+    /// are duplicated or are joined by a newcomer; the survivors are
+    /// shuffled so kept receivers change slots, and now and then nobody is
+    /// left.
+    fn next_positions(rng: &mut Rng, prev: &[Vec3]) -> Vec<Vec3> {
+        if rng.gen_range(0..12u32) == 0 {
+            return Vec::new();
+        }
+        let mut next = Vec::new();
+        for &p in prev {
+            match rng.gen_range(0..12u32) {
+                0..=5 => next.push(p),
+                6 => next.push(random_position(rng)),
+                7 => {
+                    let q = random_position(rng);
+                    next.push(match rng.gen_range(0..3u32) {
+                        0 => Vec3::new(q.x, p.y, p.z),
+                        1 => Vec3::new(p.x, q.y, p.z),
+                        _ => Vec3::new(p.x, p.y, q.z),
+                    });
+                }
+                8 => {}
+                9 => next.extend([p, p]),
+                _ => next.extend([p, random_position(rng)]),
+            }
+        }
+        if next.is_empty() || rng.gen_bool(0.2) {
+            next.push(random_position(rng));
+        }
+        for i in (1..next.len()).rev() {
+            next.swap(i, rng.gen_range(0..=i));
+        }
+        next
+    }
+
+    /// A coordinator reused across calls — whatever receivers it keeps from
+    /// earlier ones — reads out exactly what a fresh one does, through
+    /// moves, drop-outs, duplicates, empty calls and engine swaps.
+    #[test]
+    fn a_reused_coordinator_matches_a_fresh_one() {
+        let (c1, c2) = two_ap_setup();
+        let depth = Room::default().depth;
+        let moved = PlanarArray::airfide(
+            Vec3::new(1.5, 2.6, -depth / 2.0 + 0.1),
+            Vec3::new(-1.5, -1.3, depth / 2.0 - 0.1),
+        );
+        let c3 = Channel::new(c2.room, moved);
+        let (cb1, cb2) = (
+            Codebook::default_for(&c1.array),
+            Codebook::default_for(&c2.array),
+        );
+        let coarse = Codebook::dft(&c1.array, 8, 2, 60f64.to_radians(), 30f64.to_radians());
+        let cb3 = Codebook::default_for(&c3.array);
+        let pairs = [
+            [SweepEngine::new(&c1, &cb1), SweepEngine::new(&c2, &cb2)],
+            [SweepEngine::new(&c1, &coarse), SweepEngine::new(&c3, &cb3)],
+        ];
+        run_cases_n("a_reused_coordinator_matches_a_fresh_one", 256, |rng| {
+            let mut coord = EpochCoordinator::new();
+            let first = rng.gen_range(0..8usize);
+            let mut positions: Vec<Vec3> = (0..first).map(|_| random_position(rng)).collect();
+            let mut other = false;
+            for call in 0..rng.gen_range(4..=8usize) {
+                if call > 0 {
+                    positions = next_positions(rng, &positions);
+                }
+                // About every third call swaps the second pair in; the
+                // call after swaps it back.
+                other = !other && rng.gen_range(0..3u32) == 0;
+                let pair = &pairs[other as usize];
+                let engines = if rng.gen_range(0..8u32) == 0 {
+                    &pair[..1]
+                } else {
+                    &pair[..]
+                };
+                let maps: Vec<VisibilityMap> = (positions.iter())
+                    .map(|_| map_of(&[rng.gen_range(0..4usize), rng.gen_range(3..10usize)]))
+                    .collect();
+                let similar = rng.gen_bool(0.5);
+                let run = |c: &mut EpochCoordinator| {
+                    if similar {
+                        c.assign_similar(engines, &positions, &maps, 0.4);
+                    } else {
+                        c.assign(engines, &positions);
+                    }
+                };
+                let mut fresh = EpochCoordinator::new();
+                run(&mut coord);
+                run(&mut fresh);
+                let ctx = format!(
+                    "call {call}: {} users, {} APs",
+                    positions.len(),
+                    engines.len()
+                );
+                assert_eq!(readout(&coord), readout(&fresh), "{ctx}");
+            }
+        });
     }
 }

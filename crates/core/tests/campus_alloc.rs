@@ -42,10 +42,10 @@ fn steady_state_epoch_loop_does_not_allocate() {
     let mut runner = campus.runner();
 
     // Warm passes: every buffer's capacity growth is monotone, but one
-    // pass is not a fixed point — the group double-buffers swap parity
-    // per epoch and the coordinator's receiver slots re-index when a
-    // room's population changes, so a few capacities still grow early in
-    // a first re-run. Two passes reach the high-watermark fixed point.
+    // pass is not a fixed point — pooled member vectors change hands and
+    // the coordinator's kept receivers move between slots as rooms'
+    // populations change, so a few capacities still grow early in a first
+    // re-run. Two passes reach the high-watermark fixed point.
     for _ in 0..2 {
         let mut warm_epochs = 0;
         while runner.step_epoch() {

@@ -335,12 +335,14 @@ impl<'a> SweepEngine<'a> {
         if members.len() >= 2 {
             let default_min = out.common_rss_dbm();
             self.combine_into(rxs, members, &mut out.weights);
+            // The custom beam must beat the default at every member: stop at its first loss.
             out.scratch.clear();
-            out.scratch
-                .extend(members.iter().map(|&mi| rxs[mi].eval_weights(&out.weights)));
-            let custom_min = out.scratch.iter().copied().fold(f64::INFINITY, f64::min);
-            if custom_min > default_min {
-                out.customized = true;
+            out.customized = members.iter().all(|&mi| {
+                let v = rxs[mi].eval_weights(&out.weights);
+                out.scratch.push(v);
+                v > default_min
+            });
+            if out.customized {
                 std::mem::swap(&mut out.scratch, &mut out.member_rss_dbm);
             }
         }
@@ -386,7 +388,7 @@ pub struct BeamDesign {
     pub weights: Vec<Complex>,
     /// Per-member RSS (dBm) under the chosen beam, in member order.
     pub member_rss_dbm: Vec<f64>,
-    /// The losing beam's per-member RSS / joint-sweep scratch.
+    /// Joint-sweep scratch / a losing custom beam's RSS up to its first loss.
     scratch: Vec<f64>,
 }
 
@@ -1031,6 +1033,73 @@ pub(crate) mod tests {
         }
         // Both outcomes of the decision must have been exercised.
         assert!(customized > 4 && customized < 40, "{customized} customized");
+    }
+
+    /// Groups of campus size (20–120 members, no bodies): the design
+    /// equals the exhaustive reference bit for bit whichever beam wins. On a
+    /// one-sector codebook of a single live element the custom beam is that
+    /// sector's weights exactly whenever its normalisation rounds back to
+    /// 1, so each member's custom RSS *ties* its default RSS — the weakest
+    /// member's included — and the default must be kept.
+    #[test]
+    fn design_matches_the_reference_at_campus_group_sizes() {
+        let mut e0 = vec![Complex::ZERO; Channel::default_setup().array.elements()];
+        e0[0] = Complex::new(1.0, 0.0);
+        let tie = Codebook::from_parts(
+            vec![AntennaWeights { w: e0 }],
+            vec![Codebook::default_for(&Channel::default_setup().array).directions()[0]],
+        );
+        let mut cases: Vec<(Channel, Codebook)> = (setups().into_iter())
+            .map(|ch| {
+                let cb = Codebook::default_for(&ch.array);
+                (ch, cb)
+            })
+            .collect();
+        cases.push((Channel::default_setup(), tie));
+        let (mut customized, mut ties) = (0usize, 0usize);
+        for (ci, (channel, codebook)) in cases.iter().enumerate() {
+            let engine = SweepEngine::new(channel, codebook);
+            let mut rng = Rng::seed_from_u64(0xCA4D + ci as u64);
+            let mut out = BeamDesign::default();
+            for round in 0..4 {
+                let size = rng.gen_range(20..=120usize);
+                // Half the groups stand in one corner: similar bests, so
+                // the custom beam can win.
+                let mut positions = random_positions(channel, &mut rng, size);
+                if round % 2 == 1 {
+                    for p in positions.iter_mut() {
+                        *p = Vec3::new(p.x * 0.15 + 1.0, p.y, p.z * 0.15 - 1.0);
+                    }
+                }
+                let want = reference::design(channel, codebook, &positions, &[]);
+                customized += want.customized as usize;
+                let mut rxs: Vec<SweepRx> = (positions.iter())
+                    .map(|&p| {
+                        let mut rx = SweepRx::new();
+                        rx.prepare(&engine, p, &[]);
+                        rx
+                    })
+                    .collect();
+                let members: Vec<usize> = (0..size).collect();
+                engine.design(&mut rxs, &members, &mut out);
+                let ctx = format!("setup {ci} round {round} size {size}");
+                assert_eq!(out.customized, want.customized, "{ctx}");
+                if !want.customized {
+                    let (sector, _) =
+                        reference::best_common_sector(channel, codebook, &positions, &[]);
+                    assert_eq!(out.sector, sector, "{ctx}");
+                    let custom = reference::custom_beam(channel, codebook, &positions, &[]);
+                    ties += (custom == codebook.sectors()[sector]) as usize;
+                }
+                assert_eq!(
+                    bits(&out.member_rss_dbm),
+                    bits(&want.member_rss_dbm),
+                    "{ctx}"
+                );
+            }
+        }
+        assert!(customized >= 2, "{customized} customized");
+        assert!(ties >= 1, "{ties} ties");
     }
 
     /// The planner's rate cap rests on this: no unit-power beam — a codebook

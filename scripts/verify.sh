@@ -160,6 +160,15 @@ VOLCAST_PROP_CASES=2000 cargo test --release -q -p volcast-mmwave --lib -- \
     sector_bounds_match_the_per_sector_loop eval_weights_matches_the_serial_chains \
     segment_blocked_matches_the_unboxed_loop full_sweep_matches_the_per_sector_scan
 
+echo "==> a reused campus coordinator against a fresh one, 2000 cases"
+# EpochCoordinator keeps the receivers of users who stood still, matched by
+# position bits and permuted in place, under engines that compare equal:
+# after every call of a random sequence (moves, drop-outs, duplicates,
+# empty calls, engine swaps) it must read out what a fresh one does, bit
+# for bit, in release.
+VOLCAST_PROP_CASES=2000 cargo test --release -q -p volcast-core --lib \
+    a_reused_coordinator_matches_a_fresh_one
+
 echo "==> every results/<bin>.txt regenerates byte-identically"
 # Each committed capture is the stdout of the bin it is named after; a
 # change that moves any of them must say so by regenerating the file.
@@ -225,7 +234,9 @@ echo "==> campus smoke is byte-identical at VOLCAST_THREADS=1 and 8, hash pinned
 # A fast campus configuration (500 users, 8 APs, 30 frames; ~50 ms) with
 # the outcome hash pinned: the room-epoch hot path — epoch-invariant RSS
 # caching, plan-skeleton reuse, the flattened simulator core — cannot
-# drift without failing this diff. The bin writes no file.
+# drift without failing this diff. The bin writes no file. Keeping the
+# receivers of users who stood still and stopping a design's custom-beam
+# pricing at its first losing member moved no pin.
 tmp_cmp1="$(mktemp)"
 tmp_cmp8="$(mktemp)"
 VOLCAST_THREADS=1 cargo run -q --release -p volcast-bench --bin campus -- \
@@ -275,6 +286,9 @@ echo "==> benchmark workloads at full size: outcome hashes pinned"
 # Restructuring the campus room epoch (groups reconciled in place, one walk
 # per AP, admission as a method) moved none: every float keeps its operands
 # and its order.
+# Keeping the campus receivers of users who stood still (a receiver is a
+# pure function of engine and position) and stopping a design's custom-beam
+# pricing at the first member it cannot beat moved none.
 for pin in codec_ladder:0x97b4ac0961eaafb1 codec_layered:0xb00dbeed38dc616e \
     session_single:0x338effbe7f8a1bb5 session_layered_faulted:0x3f96d14ae75d2245 \
     campus:0x22ab495ca9fac58d server:0xa52a4b03a0514405; do
