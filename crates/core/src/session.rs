@@ -1641,6 +1641,9 @@ volcast_util::impl_json_struct!(SessionOutcome {
 });
 
 #[cfg(test)]
+mod referee;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use volcast_net::TxKind;
@@ -1882,7 +1885,7 @@ mod tests {
 
     /// Drives the stages exactly as [`StreamingSession::run`] does,
     /// showing `inspect` every frame's arena once its plan is final.
-    fn drive(
+    pub(super) fn drive(
         s: &StreamingSession,
         mut inspect: impl FnMut(&Pipeline<'_>, FrameFaults<'_>, &Arena),
     ) -> SessionOutcome {
