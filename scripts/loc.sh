@@ -2,7 +2,8 @@
 # Live lines of Rust: per file, then a total. A file's live region ends at
 # the first `#[cfg(test)]` whose next line opens a `mod ... {` (a cfg(test)
 # on a fn or a field is live code); a file declared only as
-# `#[cfg(test)] mod name;` counts zero.
+# `#[cfg(test)] mod name;` counts zero, whether it sits beside its parent
+# (`name.rs`, `name/mod.rs`) or under it (`parent/name.rs`).
 # Usage: scripts/loc.sh [FILE|DIR]...   (default: crates/*/src)
 set -eu
 [ $# -gt 0 ] || set -- crates/*/src
@@ -17,6 +18,8 @@ find "$@" -name '*.rs' | xargs awk '
             name = substr($0, RSTART + 4, RLENGTH - 5)
             test_only[dir(FILENAME) "/" name ".rs"] = 1
             test_only[dir(FILENAME) "/" name "/mod.rs"] = 1
+            stem = FILENAME; sub(/\.rs$/, "", stem)
+            test_only[stem "/" name ".rs"] = 1
         }
     }
     /^[[:space:]]*#\[cfg\(test\)\]/ { held = 1; next }
