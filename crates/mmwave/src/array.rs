@@ -194,6 +194,29 @@ impl PlanarArray {
         }
     }
 
+    /// `U_{n−1}(x)`, the Chebyshev polynomial of the second kind of degree
+    /// `n − 1`: the closed-form response of one `n`-element axis.
+    ///
+    /// The conjugate beam toward direction cosine `c` (a DFT sector, or a
+    /// link's dedicated beam) responds toward `c'` along an axis with the
+    /// Dirichlet kernel `Σᵢ e^{2jψ(i − (n−1)/2)} = sin(nψ)/sin ψ =
+    /// U_{n−1}(cos ψ)`, `ψ = (k·d/2)(c' − c)`, and over the whole array
+    /// `wᵀa = U_{nx−1}(cos ψx) · U_{ny−1}(cos ψy) / √N` — real, with no
+    /// steering row in sight. Evaluated by the three-term recurrence
+    /// `U_{i+1} = 2x·U_i − U_{i−1}` from `U_{−1} = 0`, `U_0 = 1`: no
+    /// division, so no special case at `ψ = 0`, where it is exactly `n`;
+    /// `n = 1` gives 1 and `n = 0` gives 0.
+    pub fn chebyshev_u(n: usize, x: f64) -> f64 {
+        if n == 0 {
+            return 0.0;
+        }
+        let (mut prev, mut cur) = (0.0, 1.0);
+        for _ in 1..n {
+            (prev, cur) = (cur, 2.0 * x * cur - prev);
+        }
+        cur
+    }
+
     /// The conjugate-beamforming weights that maximize gain toward `dir`,
     /// normalized to unit transmit power.
     pub fn beam_toward(&self, dir: Spherical) -> AntennaWeights {
