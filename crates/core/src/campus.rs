@@ -35,9 +35,8 @@
 //! fault bits, so each room owns a persistent `RoomSlot` arena:
 //! prepared receivers, group buffers, transmission-plan skeletons, fault
 //! plans, and simulator scratch all survive across epochs, and the
-//! per-(room, epoch) association runs on the pruned
-//! [`SweepEngine`] instead of exhaustive
-//! sector sweeps. Steady-state epochs allocate nothing (enforced by the
+//! per-(room, epoch) association runs on the closed-form
+//! [`SweepEngine`] table instead of element sums per sector. Steady-state epochs allocate nothing (enforced by the
 //! `campus_alloc` gate test).
 //!
 //! # Determinism contract

@@ -16,7 +16,7 @@ use volcast_util::obs;
 use volcast_viewport::{iou, VisibilityMap};
 
 /// Scratch-backed AP-association engine: per-(AP, user) best-sector RSS
-/// through the pruned [`SweepEngine`], a greedy assignment scored
+/// through the [`SweepEngine`], a greedy assignment scored
 /// `(1-w)·rss_norm + w·viewport-similarity`, per-AP group-beam design and
 /// the inter-AP interference margin. Every buffer is reused across calls —
 /// steady-state calls allocate nothing.
@@ -115,7 +115,7 @@ impl EpochCoordinator {
             return;
         }
 
-        // Per (ap, user) best-sector RSS via the pruned sweep, normalized
+        // Per (ap, user) best-sector RSS via the sweep, normalized
         // into [0,1] for scoring.
         self.keep_receivers(engines, positions);
         for (a, engine) in engines.iter().enumerate() {
@@ -208,14 +208,15 @@ impl EpochCoordinator {
         // Interference margin: for every victim user, desired signal minus
         // the strongest leakage from other APs' beams (victim APs
         // ascending, members ascending, aggressor APs ascending). Leakage
-        // re-uses the already-prepared receivers — a memoized sector eval
-        // for default beams, a direct weight eval for custom ones.
+        // re-uses the already-prepared receivers — the swept table for
+        // default beams, element sums (which build the victim's steering
+        // rows) for custom ones.
         let mut min_margin = f64::INFINITY;
         for a in 0..n_aps {
             for idx in 0..self.ap_users[a].len() {
                 let victim = self.ap_users[a][idx];
                 let desired = self.beams[a].member_rss_dbm[idx];
-                for (b, engine) in engines.iter().enumerate() {
+                for b in 0..n_aps {
                     if a == b || self.ap_users[b].is_empty() {
                         continue;
                     }
@@ -224,7 +225,7 @@ impl EpochCoordinator {
                     let leak = if beam.customized {
                         rx.eval_weights(&beam.weights)
                     } else {
-                        rx.eval_sector(engine, beam.sector)
+                        rx.eval_sector(beam.sector)
                     };
                     min_margin = min_margin.min(desired - leak);
                 }
@@ -234,9 +235,6 @@ impl EpochCoordinator {
             min_margin = f64::INFINITY;
         }
         self.min_interference_margin_db = min_margin;
-        // The association sweeps and leakage evals ran outside any design:
-        // book their tallies once per epoch (kept and idle slots hold none).
-        (self.rxs.iter_mut()).for_each(|row| SweepEngine::flush_counts(row));
     }
 
     /// Moves, in place in every row, the receivers of each user standing bit

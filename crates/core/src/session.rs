@@ -37,7 +37,7 @@ use crate::rate_adapt::{AbrPolicy, Distress, FecRung, GroupState, RateAdapter};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
-use volcast_geom::{Complex, Pose, Vec3};
+use volcast_geom::{Pose, Vec3};
 use volcast_mmwave::{BeamDesign, Blocker, Channel, Codebook, McsTable, SweepEngine, SweepRx};
 use volcast_net::{
     AcMac, AdMac, BacklogPolicy, Fault, FaultConfig, FaultPlan, FrameFaults, MacModel, PlanTiming,
@@ -78,7 +78,7 @@ pub enum DeliveryMode {
 
 /// Frame-scoped multicast beam state of a mmWave Volcast session: every
 /// user's receiver is located once per frame (enough for its rate cap) and
-/// steered and swept only when a design first needs it, and every distinct
+/// swept only when a design first needs it, and every distinct
 /// member set is designed at most once per frame — and only when the
 /// grouping search, led by `rate_caps`, finds its merge can win; the
 /// scheduler afterwards reads the winners' `customized` bit from the same
@@ -145,15 +145,14 @@ impl<'a> GroupBeams<'a> {
 
     /// `(multicast rate, customized)` of a member set under its group
     /// beam, designed on the first request of the frame — which first
-    /// steers and sweeps any member no earlier design has.
+    /// sweeps any member no earlier design has.
     fn group(&mut self, members: &[usize]) -> (f64, bool) {
         if let Some(&known) = self.memo.get(members) {
             return known;
         }
         for &u in members {
             let rx = &mut self.rxs[u];
-            if !rx.is_steered() {
-                rx.steer(self.engine.channel());
+            if !rx.is_swept() {
                 rx.sweep(&self.engine);
             }
         }
@@ -166,7 +165,6 @@ impl<'a> GroupBeams<'a> {
             design.sector = self
                 .engine
                 .best_joint(&mut self.rxs, members, &mut self.tmp, rss);
-            SweepEngine::flush_counts(&mut self.rxs);
         }
         let entry = (
             self.mcs.multicast_rate_mbps(&design.member_rss_dbm),
@@ -462,12 +460,11 @@ struct Arena {
     /// goes out on the stale beam at the old MCS and is lost.
     wasted_tx: Vec<bool>,
     // --- link rates ---
-    /// The one prepared receiver every link evaluation (serving beams
-    /// here, the reactive stale-beam probe in `plan`) re-prepares in
-    /// place, with the blocker list and beam scratch it runs on.
+    /// The one receiver every link evaluation (serving beams here, the
+    /// reactive stale-beam probe in `plan`) re-locates in place, with the
+    /// blocker list it runs on.
     link_rx: SweepRx,
     link_blockers: Vec<Blocker>,
-    link_beam: Vec<Complex>,
     rss: Vec<f64>,
     unicast_phy: Vec<f64>,
     // --- visibility ---
@@ -547,7 +544,6 @@ impl Arena {
             wasted_tx: vec![false; n],
             link_rx: SweepRx::new(),
             link_blockers: Vec::new(),
-            link_beam: Vec::new(),
             rss: Vec::new(),
             unicast_phy: Vec::with_capacity(n),
             partition: Arc::from(Vec::new()),
@@ -873,15 +869,15 @@ impl<'a> Pipeline<'a> {
                 // user: guaranteed LoS intersection.
                 a.link_blockers.push(Blocker::person(ap.lerp(pos, 0.5)));
             }
-            a.link_rx.prepare_paths(&s.channel, pos, &a.link_blockers);
+            a.link_rx.locate(&s.channel, pos, &a.link_blockers);
             let searched = match s.params.mitigation {
                 MitigationMode::Proactive => true,
                 MitigationMode::Reactive => a.blocked_prev[u],
             };
             a.rss.push(if a.blocked_now[u] && searched {
-                a.link_rx.rss_best_beam(&mut a.link_beam)
+                a.link_rx.rss_best_beam()
             } else {
-                a.link_rx.rss_dedicated_beam(&mut a.link_beam)
+                a.link_rx.rss_dedicated_beam()
             });
         }
         // Injected link outage: the PHY collapses outright, below every
@@ -1076,9 +1072,8 @@ impl<'a> Pipeline<'a> {
         // (stale beam, clear-channel MCS) but never received. They are
         // queued first — the AP doesn't yet know the link is dead.
         for u in (0..self.n).filter(|&u| a.wasted_tx[u]) {
-            a.link_rx
-                .prepare_paths(&self.s.channel, a.poses[u].position, &[]);
-            let clear_rss = a.link_rx.rss_dedicated_beam(&mut a.link_beam);
+            a.link_rx.locate(&self.s.channel, a.poses[u].position, &[]);
+            let clear_rss = a.link_rx.rss_dedicated_beam();
             let stale_phy = self.mcs_table.phy_rate_mbps(clear_rss);
             // Conservative: the AP aborts after ~a quarter of the frame's
             // worth of unacknowledged MPDUs.
@@ -2038,10 +2033,10 @@ mod tests {
                 }
                 designed += memo.len();
                 candidates += capped.into_inner();
-                // A receiver is steered exactly when a design touched it.
+                // A receiver is swept exactly when a design touched it.
                 for (u, rx) in beams.borrow().rxs.iter().enumerate() {
                     let touched = memo.keys().any(|m| m.contains(&u));
-                    assert_eq!(rx.is_steered(), touched, "user {u}");
+                    assert_eq!(rx.is_swept(), touched, "user {u}");
                     undesigned += !touched as usize;
                 }
             });
@@ -2059,8 +2054,8 @@ mod tests {
 
     /// Staging changes no design: over random sessions, at every frame,
     /// random member sets get the same `(rate, customized)` and the same
-    /// member RSS bits from receivers located per frame and steered and
-    /// swept on first design as from receivers fully prepared up front —
+    /// member RSS bits from receivers located per frame and swept on first
+    /// design as from receivers fully prepared up front —
     /// with custom beams and without.
     #[test]
     fn staged_receivers_design_what_prepared_ones_do() {
@@ -2082,7 +2077,7 @@ mod tests {
                     staged.begin_frame(positions(), &a.all_blockers);
                     eager.begin_frame(positions(), &a.all_blockers);
                     for (rx, pos) in eager.rxs.iter_mut().zip(positions()) {
-                        rx.prepare_paths(channel, pos, &a.all_blockers);
+                        rx.locate(channel, pos, &a.all_blockers);
                         rx.sweep(&eager.engine);
                     }
                     assert_eq!(staged.rate_caps, eager.rate_caps);

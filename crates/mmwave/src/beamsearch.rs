@@ -61,7 +61,7 @@ impl BeamSearch {
         obs::add("mmwave.beamsearch.sectors_probed", codebook.len() as u64);
         let engine = SweepEngine::new(channel, codebook);
         let mut rx = SweepRx::new();
-        rx.prepare_paths(channel, user, blockers);
+        rx.locate(channel, user, blockers);
         rx.sweep(&engine);
         let (sector, rss_dbm) = engine.best_sector(&mut rx);
         SweepResult {
@@ -76,6 +76,7 @@ impl BeamSearch {
 mod tests {
     use super::*;
     use crate::channel::Room;
+    use crate::reference;
     use crate::sweep::tests::{random_positions, setups};
     use crate::PlanarArray;
     use volcast_util::prop::run_cases_n;
@@ -148,10 +149,14 @@ mod tests {
         best
     }
 
-    /// `full_sweep` against the per-sector scan, bit for bit: the three
-    /// sweep setups with the floor bounce on or off, 0–8 bodies, DFT
-    /// codebooks of random shape and the exact-only `from_parts` one, and
-    /// a receiver no path reaches (an array outside its room).
+    /// `full_sweep` against the oracle's exhaustive scan bit for bit, and
+    /// against the per-sector scan of element sums it ran before sectors
+    /// had a closed form within the closed-form referee's RSS bound: the
+    /// same sector unless the two winners are within that bound of each
+    /// other, and `−∞` exactly together. The three sweep setups with the
+    /// floor bounce on or off, 0–8 bodies, DFT codebooks of random shape
+    /// and the element-sum `from_parts` one, and a receiver no path reaches
+    /// (an array outside its room).
     #[test]
     fn full_sweep_matches_the_per_sector_scan() {
         let setups = setups();
@@ -187,10 +192,26 @@ mod tests {
                 .map(Blocker::person)
                 .collect();
             let got = search.full_sweep(&channel, &codebook, user, &bodies);
+            let (sector, rss) =
+                reference::best_common_sector(&channel, &codebook, &[user], &bodies);
+            let ctx = format!("at {user:?} with {n_bodies} bodies");
+            assert_eq!(
+                (got.sector, got.rss_dbm.to_bits()),
+                (sector, rss[0].to_bits()),
+                "{ctx}"
+            );
             let want = scan_every_sector(&search, &channel, &codebook, user, &bodies);
-            unreachable += (want.rss_dbm == f64::NEG_INFINITY) as usize;
-            let key = |r: SweepResult| (r.sector, r.rss_dbm.to_bits(), r.duration_s.to_bits());
-            assert_eq!(key(got), key(want), "at {user:?} with {n_bodies} bodies");
+            assert_eq!(got.duration_s.to_bits(), want.duration_s.to_bits());
+            if want.rss_dbm == f64::NEG_INFINITY {
+                unreachable += 1;
+                assert_eq!(got.rss_dbm, want.rss_dbm, "{ctx}");
+            } else {
+                assert!((got.rss_dbm - want.rss_dbm).abs() <= 1e-11, "{ctx}");
+                // Another sector only where element sums tie it with theirs.
+                let ours = channel.rss_dbm(&codebook.sectors()[got.sector], user, &bodies);
+                let tied = (ours - want.rss_dbm).abs() <= 1e-11;
+                assert!(got.sector == want.sector || tied, "{ctx}");
+            }
         });
         assert!(
             unreachable > 0 && exact_only > 0,

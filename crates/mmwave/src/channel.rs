@@ -234,12 +234,12 @@ impl Channel {
         })
     }
 
-    /// A one-shot prepared receiver at `rx`: the allocating front the
+    /// A one-shot located receiver at `rx`: the allocating front the
     /// `rss_*` conveniences below share. Frame loops keep a [`SweepRx`] of
-    /// their own and re-prepare it in place instead.
+    /// their own and re-locate it in place instead.
     fn link_rx(&self, rx: Vec3, blockers: &[Blocker]) -> SweepRx {
         let mut link = SweepRx::new();
-        link.prepare_paths(self, rx, blockers);
+        link.locate(self, rx, blockers);
         link
     }
 
@@ -274,14 +274,13 @@ impl Channel {
     /// RSS using the best dedicated (conjugate) beam toward `rx`: see
     /// [`SweepRx::rss_dedicated_beam`].
     pub fn rss_dedicated_beam(&self, rx: Vec3, blockers: &[Blocker]) -> f64 {
-        self.link_rx(rx, blockers)
-            .rss_dedicated_beam(&mut Vec::new())
+        self.link_rx(rx, blockers).rss_dedicated_beam()
     }
 
     /// RSS with the best beam over *all* propagation paths: see
     /// [`SweepRx::rss_best_beam`].
     pub fn rss_best_beam(&self, rx: Vec3, blockers: &[Blocker]) -> f64 {
-        self.link_rx(rx, blockers).rss_best_beam(&mut Vec::new())
+        self.link_rx(rx, blockers).rss_best_beam()
     }
 }
 

@@ -130,7 +130,6 @@ impl<'a> MultiLobeDesigner<'a> {
         let (mut rxs, idx) = self.prepare(members, blockers);
         let (mut tmp, mut rss) = (Vec::new(), Vec::new());
         let sector = self.engine.best_joint(&mut rxs, &idx, &mut tmp, &mut rss);
-        SweepEngine::flush_counts(&mut rxs);
         (sector, rss)
     }
 

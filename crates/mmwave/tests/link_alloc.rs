@@ -6,7 +6,7 @@
 //! counters move. Keep exactly one `#[test]` in this file.
 
 use volcast_geom::{Complex, Vec3};
-use volcast_mmwave::{Blocker, Channel, Codebook, SweepEngine, SweepRx};
+use volcast_mmwave::{combine_weights, Blocker, Channel, Codebook, SweepEngine, SweepRx};
 use volcast_util::obs;
 use volcast_util::scratch::counting;
 
@@ -15,10 +15,10 @@ static ALLOC: counting::CountingAllocator = counting::CountingAllocator;
 
 /// What the session does per user per frame must not touch the allocator
 /// once the buffers have reached their high-watermark: its `link_rates`
-/// stage re-prepares one receiver's paths in place and evaluates a link
-/// beam on caller-owned scratch; its group beams locate a receiver, take
-/// its rate cap, and — for a designed member — steer it, sweep it and find
-/// its best sector.
+/// stage re-locates one receiver in place and evaluates both link beams;
+/// its group beams locate a receiver, take its rate cap, and — for a
+/// designed member — sweep it, find its best sector and price a custom
+/// beam, which builds the member's steering rows.
 #[test]
 fn warm_link_evaluations_do_not_allocate() {
     // No stage below books a metric, but keep the registry out of the
@@ -31,7 +31,8 @@ fn warm_link_evaluations_do_not_allocate() {
     let engine = SweepEngine::new(&channel, &codebook);
     let mut link = SweepRx::new();
     let mut member = SweepRx::new();
-    let mut beam: Vec<Complex> = Vec::new();
+    let sectors = codebook.sectors();
+    let custom: Vec<Complex> = combine_weights(&sectors[3], 1e-6, &sectors[40], 2e-6).w;
     let mut blockers: Vec<Blocker> = Vec::with_capacity(16);
 
     let mut pass = || {
@@ -44,13 +45,12 @@ fn warm_link_evaluations_do_not_allocate() {
                 .extend((0..i % 13).map(|b| {
                     Blocker::person(Vec3::new(-2.0 + 0.4 * b as f64, 0.0, 0.3 * t - 3.0))
                 }));
-            link.prepare_paths(&channel, pos, &blockers);
-            sum += link.rss_dedicated_beam(&mut beam) + link.rss_best_beam(&mut beam);
+            link.locate(&channel, pos, &blockers);
+            sum += link.rss_dedicated_beam() + link.rss_best_beam();
             member.locate(&channel, pos, &blockers);
             sum += member.rss_cap_dbm();
-            member.steer(&channel);
             member.sweep(&engine);
-            sum += engine.best_sector(&mut member).1;
+            sum += engine.best_sector(&mut member).1 + member.eval_weights(&custom);
         }
         sum
     };

@@ -6,7 +6,7 @@
 //! substrate that lets a run *explain itself*: hot paths record counters,
 //! high-watermark gauges, log-scale histograms and wall-clock spans under
 //! hierarchical names (`session.frames`, `net.sim.dropped_items`,
-//! `mmwave.sweep.sector_evals`, `codec.cells_encoded`), and a
+//! `mmwave.designer.customized`, `codec.cells_encoded`), and a
 //! [`MetricsSnapshot`] exports the totals through the in-tree JSON layer.
 //!
 //! ## Enablement and disabled-path cost
