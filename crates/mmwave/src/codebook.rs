@@ -13,7 +13,7 @@ use volcast_geom::Spherical;
 /// The fields are private so the codebook can vouch for its own structure:
 /// one built by [`Codebook::dft`] records the array geometry its sectors
 /// are the conjugate beams of, which is what lets
-/// [`SweepEngine`](crate::SweepEngine) prune by Dirichlet bounds without
+/// [`SweepEngine`](crate::SweepEngine) price them in closed form without
 /// re-deriving every sector.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Codebook {
@@ -62,7 +62,7 @@ impl Codebook {
 
     /// A codebook of arbitrary sector weights, each listed with its nominal
     /// direction. Nothing is assumed about the weights: sweeps over it
-    /// evaluate every sector exactly.
+    /// price every sector by element sums.
     ///
     /// # Panics
     ///

@@ -16,7 +16,7 @@
 //! - [`multilobe`]: the paper's customized multi-lobe beam synthesis
 //!   (`w = (Δ2·w1 + Δ1·w2) / (Δ1 + Δ2)`, power-normalized, generalized to
 //!   k users),
-//! - [`sweep`]: the bound-pruned, allocation-free sector sweeps and the
+//! - [`sweep`]: the closed-form, allocation-free sector sweeps and the
 //!   group-beam design decision every caller runs,
 //! - [`beamsearch`]: sector-sweep beam search with its latency model
 //!   (5-20 ms re-search cost on blockage).
