@@ -371,6 +371,15 @@ impl StreamingSession {
     /// traces (no users, an empty trace), or an out-of-range fault
     /// configuration.
     pub fn run(&mut self) -> Result<SessionOutcome, VolcastError> {
+        self.run_with(|_, _, _| {})
+    }
+
+    /// [`run`](Self::run), showing `played` every frame's arena once it has
+    /// played out: the one frame loop, each stage in a span in the frame's.
+    fn run_with(
+        &self,
+        mut played: impl FnMut(&Pipeline<'_>, FrameFaults<'_>, &Arena),
+    ) -> Result<SessionOutcome, VolcastError> {
         let fault_plan = self.checked_fault_plan()?;
         let p = Pipeline::new(self, &fault_plan);
         let mut a = Arena::new(&p);
@@ -387,6 +396,7 @@ impl StreamingSession {
             staged("session.recover", || p.recover(faults, &mut a));
             let timing = staged("session.replay", || p.replay(&mut a));
             staged("session.playout", || p.playout(faults, &timing, &mut a));
+            played(&p, faults, &a);
         }
         p.finish(a)
     }
@@ -425,10 +435,10 @@ fn staged<T>(name: &'static str, stage: impl FnOnce() -> T) -> T {
 }
 
 /// Everything a run owns that changes: the state carried from frame to
-/// frame, the per-frame scratch each stage hands to the next, and the
-/// outcome tallies. Allocated once; the per-frame vectors are cleared
-/// (never freed) every frame, so the steady-state loop does not churn the
-/// allocator.
+/// frame, the frame's rows and the scratch each stage hands to the next,
+/// and the outcome tallies. Allocated once; the per-frame vectors are
+/// cleared (never freed) every frame, so the steady-state loop does not
+/// churn the allocator.
 struct Arena {
     // --- carried across frames ---
     joint: JointPredictor,
@@ -436,14 +446,15 @@ struct Arena {
     qoe: QoeReport,
     /// Client buffer depth in frames (starts with a 2-frame startup buffer).
     buffers: Vec<f64>,
-    /// Last frame's `blocked_now` (the two swap after `decide`).
+    /// Last frame's `UserFrame::blocked` (copied after `decide`).
     blocked_prev: Vec<bool>,
     /// Degradation-ladder state (see DESIGN.md): per-user distress drives
     /// the quality fall-down, the FEC rung and the enhancement watermark.
     distress: Vec<Distress>,
     /// Every frame's plan, for the pipelined replay.
     plans: Vec<TransmissionPlan>,
-
+    /// One row per user, reset when the frame starts.
+    rows: Vec<UserFrame>,
     // --- observe ---
     poses: Vec<Pose>,
     walker_pos: Vec<Vec3>,
@@ -451,21 +462,15 @@ struct Arena {
     all_blockers: Vec<Blocker>,
     // --- forecast ---
     planning_poses: Vec<Pose>,
-    blocked_now: Vec<bool>,
     blockage_events: Vec<BlockageEvent>,
     mitigation_actions: Vec<MitigationAction>,
-    beam_outage: Vec<f64>,
-    extra_prefetch: Vec<usize>,
-    /// Reactive systems detect a blockage by failing: the victim's burst
-    /// goes out on the stale beam at the old MCS and is lost.
-    wasted_tx: Vec<bool>,
     // --- link rates ---
     /// The one receiver every link evaluation (serving beams here, the
     /// reactive stale-beam probe in `plan`) re-locates in place, with the
     /// blocker list it runs on.
     link_rx: SweepRx,
     link_blockers: Vec<Blocker>,
-    rss: Vec<f64>,
+    /// Per user: a vector, because `GroupingInputs` reads it as a slice.
     unicast_phy: Vec<f64>,
     // --- visibility ---
     /// The frame's entry of the video's cell manifest (shared, not owned).
@@ -475,36 +480,86 @@ struct Arena {
     unit_sizes: Vec<f64>,
     /// `unit_sizes` at the quality the planner prices the frame at.
     cell_sizes: Vec<f64>,
-    /// Analysis-density bytes each user's viewport needs.
-    member_unit: Vec<f64>,
-    needed_fraction: Vec<f64>,
-    // --- decide ---
-    qualities: Vec<QualityLevel>,
-    fec_rungs: Vec<FecRung>,
     // --- plan ---
     plan: TransmissionPlan,
     groups: Vec<Group>,
-    /// Quality actually delivered (grouped users may be pulled down to
-    /// group quality, deferred enhancements to the base).
-    effective_quality: Vec<QualityLevel>,
-    /// Users the scheduler could not serve this frame.
-    unserved: Vec<bool>,
-    needed_bytes: Vec<f64>,
-    /// Beam-switch outage not yet charged to one of the user's bursts.
-    outage_pending: Vec<f64>,
-    /// Whether any of the user's scheduled bursts carries parity: such
-    /// users repair a single loss locally and skip the retransmit rung.
-    fec_protected: Vec<bool>,
-    /// Which plan item holds the user's base layer, for base-only partial
-    /// rendering. Only the layered plan arm ever sets one.
-    base_item_idx: Vec<Option<usize>>,
-    // --- recover ---
-    retransmitted: Vec<bool>,
 
     tally: Tally,
 }
 
-/// Running sums behind the [`SessionOutcome`] aggregates.
+/// What happened to one user in one frame. Each stage writes the fields
+/// under its name; later stages, the tallies and the pipeline referee read
+/// them.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct UserFrame {
+    // --- forecast ---
+    /// LoS blocked right now, by a body or an injected episode.
+    blocked: bool,
+    beam_outage: f64,
+    extra_prefetch: usize,
+    /// Reactive mode: the burst goes out on the stale beam and is lost.
+    wasted_tx: bool,
+    // --- link rates ---
+    rss: f64,
+    // --- visibility ---
+    /// Analysis-density bytes the user's viewport needs.
+    member_unit: f64,
+    needed_fraction: f64,
+    // --- decide ---
+    quality: QualityLevel,
+    fec_rung: FecRung,
+    // --- plan ---
+    /// Index into the frame's `groups` (the unicast baselines form none).
+    group: Option<usize>,
+    /// Quality delivered: pulled down to the group's, or to the base.
+    effective_quality: QualityLevel,
+    unserved: bool,
+    needed_bytes: f64,
+    /// Beam-switch outage not yet charged to one of the user's bursts.
+    outage_pending: f64,
+    /// Some scheduled burst carries parity: a single loss repairs locally.
+    fec_protected: bool,
+    /// The plan item holding the user's base layer (layered arm only).
+    base_item: Option<usize>,
+    // --- recover ---
+    retransmitted: bool,
+    // --- replay ---
+    /// Some item of the frame's plan reached the user.
+    addressed: bool,
+    // --- playout ---
+    /// An injected fault hit the user: one of theirs, or an AP stall.
+    faulted: bool,
+    outcome: Outcome,
+}
+
+impl Default for UserFrame {
+    fn default() -> Self {
+        UserFrame {
+            blocked: false,
+            beam_outage: 0.0,
+            extra_prefetch: 0,
+            wasted_tx: false,
+            rss: 0.0,
+            member_unit: 0.0,
+            needed_fraction: 0.0,
+            quality: QualityLevel::Low,
+            fec_rung: FecRung::Off,
+            group: None,
+            effective_quality: QualityLevel::Low,
+            unserved: false,
+            needed_bytes: 0.0, // zero-need users are trivially served
+            outage_pending: 0.0,
+            fec_protected: false,
+            base_item: None,
+            retransmitted: false,
+            addressed: false,
+            faulted: false,
+            outcome: Outcome::InSlot,
+        }
+    }
+}
+
+/// Running sums behind the [`SessionOutcome`] aggregates; per-user counts fold rows.
 #[derive(Default)]
 struct Tally {
     total_bytes: f64,
@@ -519,6 +574,7 @@ struct Tally {
     pred_err_count: usize,
     fault_user_frames: usize,
     recovered_user_frames: usize,
+    addressed_user_frames: usize,
 }
 
 impl Arena {
@@ -532,46 +588,52 @@ impl Arena {
             blocked_prev: vec![false; n],
             distress: vec![Distress::calm(); n],
             plans: Vec::with_capacity(p.s.params.frames),
+            rows: vec![UserFrame::default(); n],
             poses: Vec::with_capacity(n),
             walker_pos: Vec::with_capacity(p.s.walkers.len()),
             all_blockers: Vec::new(),
             planning_poses: Vec::with_capacity(n),
-            blocked_now: Vec::with_capacity(n),
             blockage_events: Vec::with_capacity(n),
             mitigation_actions: Vec::with_capacity(n),
-            beam_outage: vec![0.0; n],
-            extra_prefetch: vec![0; n],
-            wasted_tx: vec![false; n],
             link_rx: SweepRx::new(),
             link_blockers: Vec::new(),
-            rss: Vec::new(),
             unicast_phy: Vec::with_capacity(n),
             partition: Arc::from(Vec::new()),
             maps: Vec::new(),
             unit_sizes: Vec::new(),
             cell_sizes: Vec::new(),
-            member_unit: Vec::with_capacity(n),
-            needed_fraction: Vec::with_capacity(n),
-            qualities: Vec::with_capacity(n),
-            fec_rungs: Vec::with_capacity(n),
             plan: TransmissionPlan::new(),
             groups: Vec::new(),
-            effective_quality: Vec::with_capacity(n),
-            unserved: vec![false; n],
-            needed_bytes: vec![0.0; n],
-            outage_pending: Vec::with_capacity(n),
-            fec_protected: vec![false; n],
-            base_item_idx: vec![None; n],
-            retransmitted: vec![false; n],
             tally: Tally::default(),
         }
+    }
+}
+
+/// `classify`'s five branches: how a frame meets the client's buffer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Outcome {
+    /// Ready within its slot: the spare airtime prefetches ahead.
+    InSlot,
+    /// Late, and the buffer covers the deficit.
+    Absorbed,
+    /// Late past what the buffer holds: a stall for the remainder.
+    Stalled,
+    /// Never arrives, and a buffered frame plays instead.
+    FromBuffer,
+    /// Never arrives, and the buffer is empty: a stall of a whole interval.
+    Starved,
+}
+
+impl Outcome {
+    fn on_time(self) -> bool {
+        matches!(self, Self::InSlot | Self::Absorbed | Self::FromBuffer)
     }
 }
 
 /// How one delivery candidate plays out against the client buffer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Playout {
-    on_time: bool,
+    outcome: Outcome,
     stall_s: f64,
     /// The buffer's next value, in frames.
     buffer: f64,
@@ -580,34 +642,23 @@ struct Playout {
 /// Playout bookkeeping for a frame that is ready `t_eff` seconds into its
 /// slot (infinite: it never arrives) at a client holding `buf` frames.
 fn classify(t_eff: f64, buf: f64, interval: f64, buf_cap: f64) -> Playout {
-    let played = |buffer: f64| Playout {
-        on_time: true,
-        stall_s: 0.0,
-        buffer,
-    };
-    let stalled = |stall_s: f64| Playout {
-        on_time: false,
-        stall_s,
-        buffer: 0.0,
-    };
-    if !t_eff.is_finite() {
-        // Undeliverable frame: play from buffer if possible.
-        if buf >= 1.0 {
-            played(buf - 1.0)
-        } else {
-            stalled(interval)
-        }
+    let deficit = (t_eff - interval) / interval; // frames
+    let (outcome, stall_s, buffer) = if !t_eff.is_finite() && buf >= 1.0 {
+        (Outcome::FromBuffer, 0.0, buf - 1.0)
+    } else if !t_eff.is_finite() {
+        (Outcome::Starved, interval, 0.0)
     } else if t_eff <= interval {
-        // Spare airtime prefetches ahead.
         let spare = (interval - t_eff) / interval;
-        played((buf + spare).min(buf_cap))
+        (Outcome::InSlot, 0.0, (buf + spare).min(buf_cap))
+    } else if buf >= deficit {
+        (Outcome::Absorbed, 0.0, buf - deficit)
     } else {
-        let deficit = (t_eff - interval) / interval; // frames
-        if buf >= deficit {
-            played(buf - deficit)
-        } else {
-            stalled((deficit - buf) * interval)
-        }
+        (Outcome::Stalled, (deficit - buf) * interval, 0.0)
+    };
+    Playout {
+        outcome,
+        stall_s,
+        buffer,
     }
 }
 
@@ -743,9 +794,10 @@ impl<'a> Pipeline<'a> {
         faults
     }
 
-    /// Stage 1 — observe: current poses into the joint predictor, and the
-    /// bodies (other users, ambient walkers) that can block a link.
+    /// Stage 1 — observe: blank rows, current poses into the joint
+    /// predictor, and the bodies (users, walkers) that can block a link.
     fn observe(&self, f: usize, a: &mut Arena) {
+        a.rows.fill(UserFrame::default());
         a.poses.clear();
         a.poses.extend(self.s.traces.iter().map(|t| t.pose(f)));
         a.joint.observe_frame(&a.poses);
@@ -771,17 +823,14 @@ impl<'a> Pipeline<'a> {
         let horizon = self.cfg.prediction_horizon;
         let have_prediction = self.s.params.use_prediction
             && a.joint.predict_frame_into(horizon, &mut a.planning_poses);
-        if have_prediction {
-            let future = f + horizon;
-            if future < self.s.params.frames {
-                for (p, trace) in a.planning_poses.iter().zip(&self.s.traces) {
-                    a.tally.pred_err_sum += (p.position - trace.pose(future).position).norm();
-                    a.tally.pred_err_count += 1;
-                }
-            }
-        } else {
+        if !have_prediction {
             a.planning_poses.clear();
             a.planning_poses.extend_from_slice(&a.poses);
+        } else if horizon < self.s.params.frames - f {
+            for (p, trace) in a.planning_poses.iter().zip(&self.s.traces) {
+                a.tally.pred_err_sum += (p.position - trace.pose(f + horizon).position).norm();
+                a.tally.pred_err_count += 1;
+            }
         }
 
         // Which users' LoS is blocked *right now* by another body
@@ -791,15 +840,14 @@ impl<'a> Pipeline<'a> {
         // drops a blocker onto the path), so the whole proactive /
         // reactive machinery reacts exactly as for an organic body.
         let (poses, walkers) = (&a.poses, &a.walker_pos);
-        a.blocked_now.clear();
-        a.blocked_now.extend((0..self.n).map(|u| {
+        for (u, row) in a.rows.iter_mut().enumerate() {
             let blocked_by = |body: Vec3| self.forecaster.is_blocked(poses[u].position, body);
-            self.s.params.body_blockage
+            row.blocked = self.s.params.body_blockage
                 && ((0..self.n).any(|v| v != u && blocked_by(poses[v].position))
                     || walkers.iter().any(|&w| blocked_by(w)))
-                || faults.has(u, Fault::Blockage)
-        }));
-        let blocked_count = a.blocked_now.iter().filter(|&&b| b).count();
+                || faults.has(u, Fault::Blockage);
+        }
+        let blocked_count = a.rows.iter().filter(|r| r.blocked).count();
         a.tally.blocked_user_frames += blocked_count;
         obs::add("session.blocked_user_frames", blocked_count as u64);
 
@@ -807,13 +855,10 @@ impl<'a> Pipeline<'a> {
         // transition, sized by the mode (full reactive sweep vs the small
         // proactive switch). Proactive mode also prefetched ahead of the
         // onset; model that as a buffer bonus at the transition.
-        a.beam_outage.fill(0.0);
-        a.extra_prefetch.fill(0);
-        a.wasted_tx.fill(false);
         a.blockage_events.clear();
         if !self.is_wifi5 {
             // No beams at 5 GHz: nothing to switch or waste.
-            let onsets = (0..self.n).filter(|&u| a.blocked_now[u] && !a.blocked_prev[u]);
+            let onsets = (0..self.n).filter(|&u| a.rows[u].blocked && !a.blocked_prev[u]);
             a.blockage_events.extend(onsets.map(|u| BlockageEvent {
                 victim: u,
                 blocker: usize::MAX, // unattributed (organic or injected)
@@ -823,14 +868,14 @@ impl<'a> Pipeline<'a> {
         self.mitigator
             .plan_into(&a.blockage_events, &mut a.mitigation_actions);
         for act in &a.mitigation_actions {
-            a.beam_outage[act.user] = act.beam_outage_s;
+            a.rows[act.user].beam_outage = act.beam_outage_s;
             match self.s.params.mitigation {
                 MitigationMode::Proactive => {
-                    a.extra_prefetch[act.user] = act.prefetch_frames;
+                    a.rows[act.user].extra_prefetch = act.prefetch_frames;
                     obs::add("session.prefetch_frames", act.prefetch_frames as u64);
                 }
                 MitigationMode::Reactive => {
-                    a.wasted_tx[act.user] = true;
+                    a.rows[act.user].wasted_tx = true;
                     obs::inc("session.wasted_tx");
                 }
             }
@@ -843,55 +888,48 @@ impl<'a> Pipeline<'a> {
     /// before re-searching.
     fn link_rates(&self, faults: FrameFaults<'_>, a: &mut Arena) {
         let (s, ap) = (self.s, self.s.channel.array.position);
-        a.rss.clear();
-        for (u, pose) in a.poses.iter().enumerate() {
+        a.unicast_phy.clear();
+        for (u, (pose, row)) in a.poses.iter().zip(&mut a.rows).enumerate() {
             let pos = pose.position;
             let injected_blockage = faults.has(u, Fault::Blockage);
             // Everyone's body but the user's own. The channel's endpoint
             // guard alone is not enough: it spares the leg that ends at the
             // receiver, not a reflection's first leg passing over them.
             let others = a.all_blockers.iter().enumerate().filter(|&(i, _)| i != u);
-            if self.is_wifi5 {
+            let rss = if self.is_wifi5 {
                 // Log-distance 5 GHz link; bodies shadow mildly.
                 let shadows = others
                     .filter(|(_, b)| self.forecaster.is_blocked(pos, b.center))
                     .count();
-                a.rss.push(
-                    s.wifi5
-                        .rss_dbm(ap.distance(pos), shadows + injected_blockage as usize),
-                );
-                continue;
-            }
-            a.link_blockers.clear();
-            a.link_blockers.extend(others.map(|(_, b)| *b));
-            if injected_blockage {
-                // The phantom body stands mid-path between the AP and the
-                // user: guaranteed LoS intersection.
-                a.link_blockers.push(Blocker::person(ap.lerp(pos, 0.5)));
-            }
-            a.link_rx.locate(&s.channel, pos, &a.link_blockers);
-            let searched = match s.params.mitigation {
-                MitigationMode::Proactive => true,
-                MitigationMode::Reactive => a.blocked_prev[u],
-            };
-            a.rss.push(if a.blocked_now[u] && searched {
-                a.link_rx.rss_best_beam()
+                s.wifi5
+                    .rss_dbm(ap.distance(pos), shadows + injected_blockage as usize)
             } else {
-                a.link_rx.rss_dedicated_beam()
-            });
+                a.link_blockers.clear();
+                a.link_blockers.extend(others.map(|(_, b)| *b));
+                if injected_blockage {
+                    // The phantom body stands mid-path between the AP and
+                    // the user: guaranteed LoS intersection.
+                    a.link_blockers.push(Blocker::person(ap.lerp(pos, 0.5)));
+                }
+                a.link_rx.locate(&s.channel, pos, &a.link_blockers);
+                let searched = match s.params.mitigation {
+                    MitigationMode::Proactive => true,
+                    MitigationMode::Reactive => a.blocked_prev[u],
+                };
+                if row.blocked && searched {
+                    a.link_rx.rss_best_beam()
+                } else {
+                    a.link_rx.rss_dedicated_beam()
+                }
+            };
+            // Injected link outage: the PHY collapses outright, below every
+            // MCS sensitivity. Downstream this zeroes the user's rate, so
+            // admission control defers their bursts and the degradation
+            // ladder (buffer playback, regrouping) takes over.
+            let outage = faults.has(u, Fault::Outage);
+            row.rss = if outage { -100.0 } else { rss };
+            a.unicast_phy.push(self.mcs_table.phy_rate_mbps(row.rss));
         }
-        // Injected link outage: the PHY collapses outright, below every
-        // MCS sensitivity. Downstream this zeroes the user's rate, so
-        // admission control defers their bursts and the degradation ladder
-        // (buffer playback, regrouping) takes over.
-        for (u, r) in a.rss.iter_mut().enumerate() {
-            if faults.has(u, Fault::Outage) {
-                *r = -100.0;
-            }
-        }
-        a.unicast_phy.clear();
-        a.unicast_phy
-            .extend(a.rss.iter().map(|&r| self.mcs_table.phy_rate_mbps(r)));
     }
 
     /// Stage 4 — visibility: the frame's cell partition (read from the
@@ -921,19 +959,13 @@ impl<'a> Pipeline<'a> {
         a.unit_sizes.clear();
         a.unit_sizes
             .extend(a.partition.iter().map(|c| c.point_count as f64));
-        a.member_unit.clear();
-        a.member_unit
-            .extend(a.maps.iter().map(|m| m.required_bytes(&a.unit_sizes)));
         let total_points: f64 = a.unit_sizes.iter().sum();
         let culls = !matches!(s.params.player, PlayerKind::Vanilla) && total_points > 0.0;
-        a.needed_fraction.clear();
-        a.needed_fraction.extend(a.member_unit.iter().map(|unit| {
-            if culls {
-                unit / total_points
-            } else {
-                1.0
-            }
-        }));
+        for (row, map) in a.rows.iter_mut().zip(&a.maps) {
+            let unit = map.required_bytes(&a.unit_sizes);
+            row.member_unit = unit;
+            row.needed_fraction = if culls { unit / total_points } else { 1.0 };
+        }
     }
 
     /// Stage 5 — decide: one unified delivery decision per user — the ABR
@@ -943,14 +975,12 @@ impl<'a> Pipeline<'a> {
     /// Fault-free runs have zero distress everywhere, so the clamp is the
     /// identity.
     fn decide(&self, a: &mut Arena) {
-        a.qualities.clear();
-        a.fec_rungs.clear();
-        for u in 0..self.n {
+        for (u, row) in a.rows.iter_mut().enumerate() {
             let inputs = CrossLayerInputs {
                 measured_throughput_mbps: 0.0,
                 buffer_frames: a.buffers[u],
                 blockage_forecast: match self.s.params.mitigation {
-                    MitigationMode::Proactive => a.blocked_now[u],
+                    MitigationMode::Proactive => row.blocked,
                     // Reactive ABRs only see the collapse after it has
                     // already cost them a frame.
                     MitigationMode::Reactive => a.blocked_prev[u],
@@ -966,22 +996,19 @@ impl<'a> Pipeline<'a> {
                     user: u,
                     inputs: &inputs,
                     share: 1.0 / self.n as f64,
-                    needed_fraction: a.needed_fraction[u],
+                    needed_fraction: row.needed_fraction,
                     layered: self.layered,
                     fixed: self.s.params.fixed_quality,
                 },
                 &a.distress[u],
             );
-            let delivered = decision.quality();
-            if self.have_faults && delivered != decision.target_quality {
+            row.quality = decision.quality();
+            row.fec_rung = decision.fec;
+            if self.have_faults && row.quality != decision.target_quality {
                 obs::inc("session.degrade.quality_clamps");
             }
-            a.qualities.push(delivered);
-            a.fec_rungs.push(decision.fec);
+            a.blocked_prev[u] = row.blocked; // the decision above read it last
         }
-        // The decisions were the last reader of both blockage buffers;
-        // this frame's `blocked_now` becomes next frame's `blocked_prev`.
-        std::mem::swap(&mut a.blocked_prev, &mut a.blocked_now);
     }
 
     /// Bytes per analysis-density point at quality `q`: cell byte sizes
@@ -993,8 +1020,8 @@ impl<'a> Pipeline<'a> {
     }
 
     /// The user's whole visible payload at their decided quality.
-    fn own_bytes(&self, a: &Arena, u: usize) -> f64 {
-        a.member_unit[u] * self.scale_for(a.qualities[u])
+    fn own_bytes(&self, row: &UserFrame) -> f64 {
+        row.member_unit * self.scale_for(row.quality)
     }
 
     fn admit(&self, bytes: f64, phy_mbps: f64) -> bool {
@@ -1026,16 +1053,14 @@ impl<'a> Pipeline<'a> {
     /// user's pending beam-switch outage is charged to the first burst
     /// only.
     fn push_unicast_leg(&self, a: &mut Arena, u: usize, bytes: f64) -> Option<usize> {
-        let parity = bytes * a.fec_rungs[u].overhead();
+        let parity = bytes * a.rows[u].fec_rung.overhead();
         if !self.admit(bytes + parity, a.unicast_phy[u]) {
             return None;
         }
         let mut item = TxItem::unicast(u, bytes, a.unicast_phy[u]).with_parity(parity);
-        item.beam_switch_s = std::mem::take(&mut a.outage_pending[u]);
+        item.beam_switch_s = std::mem::take(&mut a.rows[u].outage_pending);
         a.plan.items.push(item);
-        if parity > 0.0 {
-            a.fec_protected[u] = true;
-        }
+        a.rows[u].fec_protected |= parity > 0.0;
         Some(a.plan.items.len() - 1)
     }
 
@@ -1059,19 +1084,15 @@ impl<'a> Pipeline<'a> {
     /// rest — as one single-stream payload per user or as base +
     /// enhancement layers, the only place the delivery mode matters.
     fn plan(&self, faults: FrameFaults<'_>, a: &mut Arena) {
-        a.effective_quality.clear();
-        a.effective_quality.extend_from_slice(&a.qualities);
-        a.unserved.fill(false);
-        a.needed_bytes.fill(0.0); // zero-need users are trivially served
-        a.fec_protected.fill(false);
-        a.base_item_idx.fill(None);
-        a.outage_pending.clear();
-        a.outage_pending.extend_from_slice(&a.beam_outage);
+        for row in &mut a.rows {
+            row.effective_quality = row.quality;
+            row.outage_pending = row.beam_outage;
+        }
 
         // Lost reactive bursts: transmitted at the pre-blockage rate
         // (stale beam, clear-channel MCS) but never received. They are
         // queued first — the AP doesn't yet know the link is dead.
-        for u in (0..self.n).filter(|&u| a.wasted_tx[u]) {
+        for u in (0..self.n).filter(|&u| a.rows[u].wasted_tx) {
             a.link_rx.locate(&self.s.channel, a.poses[u].position, &[]);
             let clear_rss = a.link_rx.rss_dedicated_beam();
             let stale_phy = self.mcs_table.phy_rate_mbps(clear_rss);
@@ -1090,14 +1111,13 @@ impl<'a> Pipeline<'a> {
             // unicast. A burst admission rejects (outage, too slow) is
             // deferred and the user goes unserved.
             for u in 0..self.n {
+                let row = &a.rows[u];
                 let needed = match self.s.params.player {
-                    PlayerKind::Vanilla => self.s.video.quality(a.qualities[u]).full_frame_bytes(),
-                    _ => self.own_bytes(a, u),
+                    PlayerKind::Vanilla => self.s.video.quality(row.quality).full_frame_bytes(),
+                    _ => self.own_bytes(row),
                 };
-                a.needed_bytes[u] = needed;
-                if self.push_unicast_leg(a, u, needed).is_none() {
-                    a.unserved[u] = needed > 0.0;
-                }
+                a.rows[u].needed_bytes = needed;
+                a.rows[u].unserved = self.push_unicast_leg(a, u, needed).is_none() && needed > 0.0;
             }
             return;
         }
@@ -1114,7 +1134,7 @@ impl<'a> Pipeline<'a> {
         let (plan_quality, arm): (QualityLevel, GroupArm<'a>) = if self.layered {
             (QualityLevel::Low, Self::layered_group)
         } else {
-            let lowest = a.qualities.iter().copied().min();
+            let lowest = a.rows.iter().map(|r| r.quality).min();
             (lowest.unwrap_or(QualityLevel::Low), Self::single_group)
         };
         let scale = self.scale_for(plan_quality);
@@ -1133,7 +1153,10 @@ impl<'a> Pipeline<'a> {
         let rate_cap = |members: &[usize]| self.group_rate_cap(members);
         let mut groups = self.planner.plan_capped(&inputs, &rate_cap).groups;
         sever_outaged(&mut groups, |u| faults.has(u, Fault::Outage));
-        for g in &groups {
+        for (i, g) in groups.iter().enumerate() {
+            for &u in &g.members {
+                a.rows[u].group = Some(i);
+            }
             arm(self, g, plan_quality, a);
         }
         a.groups = groups;
@@ -1143,7 +1166,7 @@ impl<'a> Pipeline<'a> {
     /// members' minimum quality (they must be decodable by all), each
     /// member's residual rides unicast at their own quality.
     fn single_group(&self, g: &Group, plan_quality: QualityLevel, a: &mut Arena) {
-        let group_q = (g.members.iter().map(|&u| a.qualities[u]).min()).unwrap_or(plan_quality);
+        let group_q = (g.members.iter().map(|&u| a.rows[u].quality).min()).unwrap_or(plan_quality);
         let overlap_unit = g.multicast_bytes / self.scale_for(plan_quality).max(1e-12);
         let shared_bytes = overlap_unit * self.scale_for(group_q);
 
@@ -1160,11 +1183,11 @@ impl<'a> Pipeline<'a> {
                     phy if phy > 0.0 => bytes / phy,
                     _ => unreachable,
                 };
-                let residual = |u| (self.own_bytes(a, u) - shared_bytes).max(0.0);
+                let residual = |u: usize| (self.own_bytes(&a.rows[u]) - shared_bytes).max(0.0);
                 let merged_t = shared_bytes / g.multicast_rate_mbps
                     + (g.members.iter().map(|&u| air(u, residual(u), 0.0))).sum::<f64>();
                 let unicast_t = (g.members.iter())
-                    .map(|&u| air(u, self.own_bytes(a, u), f64::INFINITY))
+                    .map(|&u| air(u, self.own_bytes(&a.rows[u]), f64::INFINITY))
                     .sum::<f64>();
                 merged_t <= unicast_t
             };
@@ -1173,18 +1196,19 @@ impl<'a> Pipeline<'a> {
             self.push_multicast(a, g, shared_bytes, 0.0);
         }
         for &u in &g.members {
+            let row = &mut a.rows[u];
             if group_active {
-                a.effective_quality[u] = a.effective_quality[u].min(group_q);
+                row.effective_quality = row.effective_quality.min(group_q);
             }
-            let own_bytes = self.own_bytes(a, u);
+            let own_bytes = self.own_bytes(row);
             let shared = if group_active { shared_bytes } else { 0.0 };
-            a.needed_bytes[u] = own_bytes;
+            row.needed_bytes = own_bytes;
             // A residual of zero is fully covered by the multicast. One
             // that cannot complete this slot is not sent at all: no
             // airtime burned on a partial delivery they cannot render.
             let residual = (own_bytes - shared).max(0.0);
             if residual > 0.0 && self.push_unicast_leg(a, u, residual).is_none() {
-                a.unserved[u] = true;
+                a.rows[u].unserved = true;
             }
         }
     }
@@ -1199,17 +1223,9 @@ impl<'a> Pipeline<'a> {
     /// its airtime.
     fn layered_group(&self, g: &Group, base_quality: QualityLevel, a: &mut Arena) {
         let base_scale = self.scale_for(base_quality);
-        let base_fec = g
-            .members
-            .iter()
-            .map(|&u| a.fec_rungs[u])
-            .fold(FecRung::Off, |hi, rung| {
-                if rung.overhead() > hi.overhead() {
-                    rung
-                } else {
-                    hi
-                }
-            });
+        let rungs = g.members.iter().map(|&u| a.rows[u].fec_rung);
+        let base_fec = rungs.max_by(|x, y| x.overhead().total_cmp(&y.overhead()));
+        let base_fec = base_fec.unwrap_or(FecRung::Off);
         let shared_base = g.multicast_bytes;
         let base_parity = shared_base * base_fec.overhead();
         let group_active = g.members.len() >= 2
@@ -1224,37 +1240,36 @@ impl<'a> Pipeline<'a> {
             self.push_multicast(a, g, shared_base, base_parity)
         });
         for &u in &g.members {
-            let own_full = self.own_bytes(a, u);
-            a.needed_bytes[u] = own_full;
+            let row = &mut a.rows[u];
+            let own_full = self.own_bytes(row);
+            row.needed_bytes = own_full;
             if a.unicast_phy[u] <= 0.0 {
-                a.unserved[u] = own_full > 0.0;
+                row.unserved = own_full > 0.0;
                 continue;
             }
-            let base_own = a.member_unit[u] * base_scale;
+            let base_own = row.member_unit * base_scale;
             let base_shared = if group_active {
                 shared_base.min(base_own)
             } else {
                 0.0
             };
-            a.base_item_idx[u] = base_idx;
-            if group_active && base_parity > 0.0 {
-                a.fec_protected[u] = true;
-            }
+            row.base_item = base_idx;
+            row.fec_protected |= group_active && base_parity > 0.0;
             // Unshared remainder of the base, unicast.
             let base_rest = (base_own - base_shared).max(0.0);
             if base_rest > 0.0 {
                 match self.push_unicast_leg(a, u, base_rest) {
-                    Some(i) => a.base_item_idx[u] = a.base_item_idx[u].or(Some(i)),
+                    Some(i) => a.rows[u].base_item = a.rows[u].base_item.or(Some(i)),
                     None if group_active => {
                         // The shared slice still renders a coarse frame —
                         // degrade, don't drop.
-                        a.effective_quality[u] = base_quality;
-                        a.needed_bytes[u] = base_shared;
+                        a.rows[u].effective_quality = base_quality;
+                        a.rows[u].needed_bytes = base_shared;
                         obs::inc("session.layered.enhancements_deferred");
                         continue;
                     }
                     None => {
-                        a.unserved[u] = true;
+                        a.rows[u].unserved = true;
                         continue;
                     }
                 }
@@ -1277,8 +1292,8 @@ impl<'a> Pipeline<'a> {
             if a.buffers[u] < reserve || self.push_unicast_leg(a, u, enh_bytes).is_none() {
                 // The base still renders, so the user degrades instead of
                 // going unserved.
-                a.effective_quality[u] = base_quality;
-                a.needed_bytes[u] = base_own;
+                a.rows[u].effective_quality = base_quality;
+                a.rows[u].needed_bytes = base_own;
                 obs::inc("session.layered.enhancements_deferred");
             } else {
                 obs::inc("session.layered.enhancement_items");
@@ -1295,19 +1310,19 @@ impl<'a> Pipeline<'a> {
         // surcharge and admitted only while the whole frame still fits the
         // airtime budget. Beyond the budget, the loss stands and the
         // buffer absorbs it instead.
-        a.retransmitted.fill(false);
         if faults.count(Fault::Loss) > 0 && !faults.ap_stall {
             let backoff_s = 0.1 * self.interval;
             let airtime = |i: &TxItem| self.mac.airtime_s(i.wire_bytes(), i.phy_mbps, self.n);
             for u in 0..self.n {
+                let row = &a.rows[u];
                 if !faults.has(u, Fault::Loss)
                     || faults.has(u, Fault::Outage)
-                    || a.unserved[u]
-                    || a.needed_bytes[u] <= 0.0
+                    || row.unserved
+                    || row.needed_bytes <= 0.0
                 {
                     continue;
                 }
-                if a.fec_protected[u] {
+                if row.fec_protected {
                     // The FEC rung already paid for this loss up front:
                     // the parity riding with the user's bursts rebuilds
                     // the lost chunk locally — no retransmit airtime, no
@@ -1315,7 +1330,7 @@ impl<'a> Pipeline<'a> {
                     obs::inc("session.degrade.fec_recoveries");
                     continue;
                 }
-                let resend = TxItem::unicast(u, a.needed_bytes[u], a.unicast_phy[u]);
+                let resend = TxItem::unicast(u, row.needed_bytes, a.unicast_phy[u]);
                 let frame_air: f64 = (a.plan.items.iter())
                     .map(|i| i.beam_switch_s + airtime(i))
                     .sum();
@@ -1328,7 +1343,7 @@ impl<'a> Pipeline<'a> {
                         beam_switch_s: backoff_s, // MAC backoff before the re-send
                         ..resend
                     });
-                    a.retransmitted[u] = true;
+                    a.rows[u].retransmitted = true;
                     obs::inc("session.degrade.retransmits");
                 } else {
                     obs::inc("session.degrade.retransmits_deferred");
@@ -1342,18 +1357,21 @@ impl<'a> Pipeline<'a> {
         // never a wedged queue.
         if faults.ap_stall {
             a.plan.items.clear();
-            a.base_item_idx.fill(None);
-            a.fec_protected.fill(false);
-            for (unserved, &needed) in a.unserved.iter_mut().zip(&a.needed_bytes) {
-                *unserved = needed > 0.0;
+            for row in &mut a.rows {
+                row.base_item = None;
+                row.fec_protected = false;
+                row.unserved = row.needed_bytes > 0.0;
             }
         }
     }
 
-    /// Stage 8 — replay: the plan's airtime on the MAC model, and the
-    /// frame's share of the outcome tallies.
+    /// Stage 8 — replay: the plan's airtime on the MAC model, who it
+    /// reached, and the frame's share of the outcome tallies.
     fn replay(&self, a: &mut Arena) -> PlanTiming {
         let timing = a.plan.execute(self.mac, self.n, self.n);
+        for (row, done) in a.rows.iter_mut().zip(&timing.user_completion_s) {
+            row.addressed = done.is_some();
+        }
         if obs::enabled() {
             obs::add("session.scheduled_items", a.plan.items.len() as u64);
             obs::add(
@@ -1362,7 +1380,7 @@ impl<'a> Pipeline<'a> {
             );
             obs::add(
                 "session.unserved_user_frames",
-                a.unserved.iter().filter(|&&b| b).count() as u64,
+                a.rows.iter().filter(|r| r.unserved).count() as u64,
             );
             if timing.total_s.is_finite() {
                 obs::record("session.frame_airtime_us", (timing.total_s * 1e6) as u64);
@@ -1400,34 +1418,32 @@ impl<'a> Pipeline<'a> {
 
     /// Stage 9 — playout and adapt: every user's frame against their
     /// buffer (on time, stalled, or rendered from the base layer), the
-    /// distress ladder's bookkeeping, and the ABR's throughput feedback.
-    /// The frame's plan then joins the replay log.
+    /// distress ladder's bookkeeping and the ABR's throughput feedback;
+    /// then the rows join the per-user counts, the plan the replay log.
     fn playout(&self, faults: FrameFaults<'_>, timing: &PlanTiming, a: &mut Arena) {
         for u in 0..self.n {
             // An injected loss without a successful retransmit means the
             // airtime was burned but nothing decodable arrived — unless
             // the burst carried proactive parity: a single erasure then
             // rebuilds locally and the frame completes.
-            let lost = faults.has(u, Fault::Loss) && !a.retransmitted[u] && !a.fec_protected[u];
-            let on_time = self.render(u, lost, faults, timing, a);
+            let row = &a.rows[u];
+            let lost = faults.has(u, Fault::Loss) && !row.retransmitted && !row.fec_protected;
+            self.render(u, lost, faults.has(u, Fault::DecodeOverrun), timing, a);
             if self.have_faults {
-                self.roll_distress(u, lost, on_time, faults, a);
+                self.roll_distress(u, lost, faults, a);
             }
             self.feed_adapter(u, a);
+        }
+        for row in &a.rows {
+            a.tally.addressed_user_frames += row.addressed as usize;
+            a.tally.fault_user_frames += row.faulted as usize;
+            a.tally.recovered_user_frames += (row.faulted && row.outcome.on_time()) as usize;
         }
         a.plans.push(std::mem::take(&mut a.plan));
     }
 
-    /// Plays user `u`'s frame out of the buffer and records it; returns
-    /// whether it rendered on time.
-    fn render(
-        &self,
-        u: usize,
-        lost: bool,
-        faults: FrameFaults<'_>,
-        timing: &PlanTiming,
-        a: &mut Arena,
-    ) -> bool {
+    /// Plays user `u`'s frame out of the buffer and records it.
+    fn render(&self, u: usize, lost: bool, overrun: bool, timing: &PlanTiming, a: &mut Arena) {
         // Proactive mitigation prefetched ahead of the onset using earlier
         // frames' spare airtime (the paper: "prefetch the content and
         // schedule the future cells in the current time slot"). The
@@ -1436,75 +1452,65 @@ impl<'a> Pipeline<'a> {
         // predicted-viewport cells over a stall. Half the pushed frames
         // are credited (the other half render with out-of-date viewports
         // and are wasted).
-        let reserve = a.extra_prefetch[u] as f64 * 0.5;
+        let row = &mut a.rows[u];
+        let reserve = row.extra_prefetch as f64 * 0.5;
         let buf = (a.buffers[u] + reserve).min(self.buf_cap + reserve);
 
-        let broken = a.unserved[u] || a.wasted_tx[u] || lost;
-        let delivery = if a.needed_bytes[u] <= 0.0 {
+        let broken = row.unserved || row.wasted_tx || lost;
+        let delivery = if row.needed_bytes <= 0.0 {
             0.0 // nothing visible: trivially delivered
         } else if broken {
             f64::INFINITY
         } else {
             timing.user_completion_s[u].unwrap_or(f64::INFINITY)
         };
-        let overrun = faults.has(u, Fault::DecodeOverrun);
         let play = |t_eff: f64| classify(t_eff, buf, self.interval, self.buf_cap);
-        let mut rendered_q = a.effective_quality[u];
+        let mut rendered_q = row.effective_quality;
         let mut out = play(delivery.max(self.decode_time(rendered_q, overrun)));
         // Partial render: when the full layer stack misses its slot, fall
         // back to the base layer — a coarse frame on time beats a stall.
         // (A lost or wasted burst took the base down with it; those
         // cannot fall back.)
-        let can_fall_back = !out.on_time && a.needed_bytes[u] > 0.0 && !lost && !a.wasted_tx[u];
-        if let Some(i) = a.base_item_idx[u].filter(|_| can_fall_back) {
+        let can_fall_back =
+            !out.outcome.on_time() && row.needed_bytes > 0.0 && !lost && !row.wasted_tx;
+        if let Some(i) = row.base_item.filter(|_| can_fall_back) {
             let base_q = QualityLevel::Low;
             let base = play(timing.item_completion_s[i].max(self.decode_time(base_q, overrun)));
-            if base.on_time || base.stall_s < out.stall_s {
+            if base.outcome.on_time() || base.stall_s < out.stall_s {
                 out = base;
                 rendered_q = base_q;
-                if base.on_time {
+                if base.outcome.on_time() {
                     obs::inc("session.layered.partial_renders");
                 }
             }
         }
+        row.outcome = out.outcome;
         a.buffers[u] = out.buffer;
-        a.qoe.users[u].record_frame(out.on_time, out.stall_s, rendered_q);
+        let on_time = out.outcome.on_time();
+        a.qoe.users[u].record_frame(on_time, out.stall_s, rendered_q);
         if obs::enabled() {
-            if !out.on_time {
+            if !on_time {
                 obs::inc("session.stalls");
                 obs::record("session.stall_us", (out.stall_s * 1e6) as u64);
             }
             obs::gauge("session.buffer_frames_peak", a.buffers[u]);
         }
-        out.on_time
     }
 
-    /// Ladder bookkeeping: count fault hits and how many the degradation
-    /// machinery absorbed, and roll the per-user distress that drives next
-    /// frame's delivery decision.
-    fn roll_distress(
-        &self,
-        u: usize,
-        lost: bool,
-        on_time: bool,
-        faults: FrameFaults<'_>,
-        a: &mut Arena,
-    ) {
-        let hit = faults.ap_stall
+    /// Ladder bookkeeping: mark the user's row if a fault hit them, and
+    /// roll the per-user distress that drives next frame's delivery
+    /// decision.
+    fn roll_distress(&self, u: usize, lost: bool, faults: FrameFaults<'_>, a: &mut Arena) {
+        let row = &mut a.rows[u];
+        row.faulted = faults.ap_stall
             || faults.has(u, Fault::Outage)
             || faults.has(u, Fault::Blockage)
             || faults.has(u, Fault::Loss)
             || faults.has(u, Fault::DecodeOverrun);
-        if hit {
-            a.tally.fault_user_frames += 1;
-            if on_time {
-                a.tally.recovered_user_frames += 1;
-            }
-        }
         // Hard faults raise distress even when absorbed (the link has not
         // proven itself); soft ones only when they actually cost a stall.
         let hard = faults.ap_stall || faults.has(u, Fault::Outage) || lost;
-        if hard || (hit && !on_time) {
+        if hard || (row.faulted && !row.outcome.on_time()) {
             a.distress[u].raise(2);
         } else {
             a.distress[u].relax();
@@ -1536,12 +1542,13 @@ impl<'a> Pipeline<'a> {
         } else {
             0.0
         };
-        if user_airtime <= 0.0 && a.base_item_idx[u].is_some() {
+        let row = &a.rows[u];
+        if user_airtime <= 0.0 && row.base_item.is_some() {
             // Base-only frame: the unicast path was idle, not slow. Track
             // the RSS trend but keep the throughput EWMA.
-            a.adapter.predictors[u].link.observe(a.rss[u]);
+            a.adapter.predictors[u].link.observe(row.rss);
         } else {
-            a.adapter.observe(u, tput, a.rss[u]);
+            a.adapter.observe(u, tput, row.rss);
         }
     }
 
@@ -1555,36 +1562,27 @@ impl<'a> Pipeline<'a> {
         let sim = Simulator::new(self.mac, self.n, self.n, deadline, BacklogPolicy::Drop)
             .map_err(VolcastError::Net)?
             .with_faults(self.fault_plan);
-        let (mut on_time, mut addressed) = (0usize, 0usize);
-        for (plan, outcome) in a.plans.iter().zip(&sim.run(&a.plans)) {
-            for u in 0..self.n {
-                // Only count users the frame's plan actually addressed.
-                if plan.items.iter().any(|i| i.receivers().contains(&u)) {
-                    addressed += 1;
-                    on_time += outcome.on_time(u, deadline) as usize;
-                }
-            }
-        }
+        // A user the frame's plan did not address is never on time.
+        let on_time: usize = (sim.run(&a.plans).iter())
+            .map(|o| (0..self.n).filter(|&u| o.on_time(u, deadline)).count())
+            .sum();
         let ratio = |num: f64, den: f64, empty: f64| if den > 0.0 { num / den } else { empty };
+        let t = &a.tally;
         Ok(SessionOutcome {
             qoe: a.qoe,
-            mean_frame_time_s: a.tally.frame_time_sum / frames.max(1) as f64,
-            multicast_byte_fraction: ratio(a.tally.multicast_bytes, a.tally.total_bytes, 0.0),
-            mean_group_size: ratio(a.tally.group_size_sum, a.tally.group_count as f64, 1.0),
+            mean_frame_time_s: t.frame_time_sum / frames.max(1) as f64,
+            multicast_byte_fraction: ratio(t.multicast_bytes, t.total_bytes, 0.0),
+            mean_group_size: ratio(t.group_size_sum, t.group_count as f64, 1.0),
             customized_beam_fraction: ratio(
-                a.tally.customized_groups as f64,
-                a.tally.multicast_groups as f64,
+                t.customized_groups as f64,
+                t.multicast_groups as f64,
                 0.0,
             ),
-            blocked_user_frames: a.tally.blocked_user_frames,
-            mean_prediction_error_m: ratio(
-                a.tally.pred_err_sum,
-                a.tally.pred_err_count as f64,
-                0.0,
-            ),
-            pipelined_on_time_ratio: ratio(on_time as f64, addressed as f64, 1.0),
-            fault_user_frames: a.tally.fault_user_frames,
-            recovered_user_frames: a.tally.recovered_user_frames,
+            blocked_user_frames: t.blocked_user_frames,
+            mean_prediction_error_m: ratio(t.pred_err_sum, t.pred_err_count as f64, 0.0),
+            pipelined_on_time_ratio: ratio(on_time as f64, t.addressed_user_frames as f64, 1.0),
+            fault_user_frames: t.fault_user_frames,
+            recovered_user_frames: t.recovered_user_frames,
         })
     }
 }
@@ -1674,7 +1672,7 @@ mod tests {
             guarded < filtered,
             "the endpoint guard alone: {guarded} vs {filtered}"
         );
-        assert_eq!(a.rss[0].to_bits(), filtered.to_bits());
+        assert_eq!(a.rows[0].rss.to_bits(), filtered.to_bits());
     }
 
     #[test]
@@ -1878,29 +1876,13 @@ mod tests {
         );
     }
 
-    /// Drives the stages exactly as [`StreamingSession::run`] does,
-    /// showing `inspect` every frame's arena once its plan is final.
+    /// `s.run()`, showing `played` every frame's arena once it has played
+    /// out (the frame's plan is then the last in `plans`).
     pub(super) fn drive(
         s: &StreamingSession,
-        mut inspect: impl FnMut(&Pipeline<'_>, FrameFaults<'_>, &Arena),
+        played: impl FnMut(&Pipeline<'_>, FrameFaults<'_>, &Arena),
     ) -> SessionOutcome {
-        let fault_plan = s.checked_fault_plan().unwrap();
-        let p = Pipeline::new(s, &fault_plan);
-        let mut a = Arena::new(&p);
-        for f in 0..s.params.frames {
-            let faults = p.frame_faults(f);
-            p.observe(f, &mut a);
-            p.forecast(f, faults, &mut a);
-            p.link_rates(faults, &mut a);
-            p.visibility(f, &mut a);
-            p.decide(&mut a);
-            p.plan(faults, &mut a);
-            p.recover(faults, &mut a);
-            inspect(&p, faults, &a);
-            let timing = p.replay(&mut a);
-            p.playout(faults, &timing, &mut a);
-        }
-        p.finish(a).unwrap()
+        s.run_with(played).unwrap()
     }
 
     fn stormy() -> FaultConfig {
@@ -1916,9 +1898,9 @@ mod tests {
         }
     }
 
-    /// The post-plan stages read `base_item_idx` and `fec_protected`, not
-    /// the delivery mode: sound only while the single-stream arm never
-    /// sets either — under every fault class, all frames, all users.
+    /// The post-plan stages read `base_item` and `fec_protected`, not the
+    /// delivery mode: sound only while the single-stream arm never sets
+    /// either — under every fault class, all frames, all users.
     #[test]
     fn single_stream_plans_carry_no_base_item_and_no_parity() {
         let mut s = layered_session(Some(stormy()));
@@ -1926,20 +1908,21 @@ mod tests {
         let mut frames = 0;
         let driven = drive(&s, |_, _, a| {
             frames += 1;
-            assert!(a.base_item_idx.iter().all(Option::is_none));
-            assert!(a.fec_protected.iter().all(|&p| !p));
-            assert!(a.plan.items.iter().all(|i| i.parity_bytes == 0.0));
+            assert!(a.rows.iter().all(|r| r.base_item.is_none()));
+            assert!(a.rows.iter().all(|r| !r.fec_protected));
+            let plan = a.plans.last().unwrap();
+            assert!(plan.items.iter().all(|i| i.parity_bytes == 0.0));
         });
         assert_eq!(frames, 30);
-        // The test's stage list is the one `run` executes.
+        // Inspecting the frames changes nothing `run` computes.
         assert_eq!(driven, s.run().unwrap());
 
         // The layered arm does set both (so the asserts above can fail).
         let (mut based, mut protected) = (false, false);
         let layered = layered_session(Some(stormy()));
         let driven = drive(&layered, |_, _, a| {
-            based |= a.base_item_idx.iter().any(Option::is_some);
-            protected |= a.fec_protected.iter().any(|&p| p);
+            based |= a.rows.iter().any(|r| r.base_item.is_some());
+            protected |= a.rows.iter().any(|r| r.fec_protected);
         });
         assert!(based && protected);
         assert_eq!(driven, layered_session(Some(stormy())).run().unwrap());
@@ -2025,7 +2008,7 @@ mod tests {
                 let mut memoized: Vec<Vec<usize>> = memo.keys().cloned().collect();
                 memoized.sort();
                 assert_eq!(asked, memoized);
-                for item in &a.plan.items {
+                for item in &a.plans.last().unwrap().items {
                     if let TxKind::Multicast { members } = &item.kind {
                         assert!(memo.contains_key(members));
                         multicasts += 1;
@@ -2137,29 +2120,93 @@ mod tests {
 
     #[test]
     fn classify_covers_the_five_playout_outcomes() {
+        use Outcome::*;
         let (interval, cap) = (0.04, 3.0);
         let play = |t_eff: f64, buf: f64| classify(t_eff, buf, interval, cap);
-        let out = |on_time, stall_s, buffer| Playout {
-            on_time,
+        let out = |outcome, stall_s, buffer| Playout {
+            outcome,
             stall_s,
             buffer,
         };
         // Undeliverable: a buffered frame plays instead; an empty buffer
         // stalls a whole interval.
-        assert_eq!(play(f64::INFINITY, 1.5), out(true, 0.0, 0.5));
-        assert_eq!(play(f64::INFINITY, 0.9), out(false, interval, 0.0));
+        assert_eq!(play(f64::INFINITY, 1.5), out(FromBuffer, 0.0, 0.5));
+        assert_eq!(play(f64::INFINITY, 0.9), out(Starved, interval, 0.0));
         // Early: the spare airtime prefetches ahead, up to the cap.
-        assert_eq!(play(0.01, 1.0), out(true, 0.0, 1.75));
-        assert_eq!(play(0.01, 2.5), out(true, 0.0, cap));
-        assert_eq!(play(interval, 1.0), out(true, 0.0, 1.0));
+        assert_eq!(play(0.01, 1.0), out(InSlot, 0.0, 1.75));
+        assert_eq!(play(0.01, 2.5), out(InSlot, 0.0, cap));
+        assert_eq!(play(interval, 1.0), out(InSlot, 0.0, 1.0));
         // Late by half a frame: absorbed by a deep enough buffer...
         let absorbed = play(0.06, 2.0);
-        assert!(absorbed.on_time && absorbed.stall_s == 0.0);
+        assert!(absorbed.outcome == Absorbed && absorbed.stall_s == 0.0);
         assert!((absorbed.buffer - 1.5).abs() < 1e-12);
         // ...and a stall for the uncovered remainder otherwise.
         let stalled = play(0.06, 0.25);
-        assert!(!stalled.on_time && stalled.buffer == 0.0);
+        assert!(stalled.outcome == Stalled && stalled.buffer == 0.0);
         assert!((stalled.stall_s - 0.25 * interval).abs() < 1e-12);
+        // Three of the five play on time.
+        let on_time = [InSlot, Absorbed, Stalled, FromBuffer, Starved].map(Outcome::on_time);
+        assert_eq!(on_time, [true, true, false, true, false]);
+    }
+
+    /// Every played user-frame's row carries one playout outcome, and the
+    /// rows add up to what the outcome reports: over stormy sessions in
+    /// both delivery modes, each user's on-time and stalled rows are their
+    /// QoE's frame counts, the rows a fault hit (and the on-time ones among
+    /// them) are the fault and recovered counts, and a row is addressed
+    /// exactly when some item of its frame's plan reaches the user.
+    #[test]
+    fn the_rows_add_up_to_the_outcome() {
+        let faults_of = [
+            Fault::Outage,
+            Fault::Blockage,
+            Fault::Loss,
+            Fault::DecodeOverrun,
+        ];
+        for delivery in [DeliveryMode::Single, DeliveryMode::Layered] {
+            let mut s = layered_session(Some(stormy()));
+            s.params.delivery = delivery;
+            let n = s.traces.len();
+            let (mut on_time, mut stalled) = (vec![0; n], vec![0; n]);
+            let (mut hit, mut recovered) = (0, 0);
+            let out = drive(&s, |_, faults, a| {
+                assert_eq!(a.rows.len(), n);
+                let plan = a.plans.last().unwrap();
+                for (u, row) in a.rows.iter().enumerate() {
+                    let played = row.outcome.on_time();
+                    on_time[u] += played as usize;
+                    stalled[u] += !played as usize;
+                    let faulted = faults.ap_stall || faults_of.iter().any(|&f| faults.has(u, f));
+                    assert_eq!(row.faulted, faulted, "user {u}");
+                    hit += faulted as usize;
+                    recovered += (faulted && played) as usize;
+                    let reached = plan.items.iter().any(|i| i.receivers().contains(&u));
+                    assert_eq!(row.addressed, reached, "user {u}");
+                }
+            });
+            for (u, q) in out.qoe.users.iter().enumerate() {
+                assert_eq!(
+                    (q.frames_on_time, q.frames_stalled),
+                    (on_time[u], stalled[u])
+                );
+            }
+            assert_eq!(out.fault_user_frames, hit, "{delivery:?}");
+            assert_eq!(out.recovered_user_frames, recovered, "{delivery:?}");
+            // Not vacuous: faults hit, some absorbed and some not.
+            assert!(0 < recovered && recovered < hit, "{recovered} of {hit}");
+        }
+    }
+
+    /// A horizon past the session's end predicts poses the run never
+    /// scores: no overflow, no prediction error counted.
+    #[test]
+    fn a_horizon_past_the_session_runs_unscored() {
+        let mut s = quick_session(PlayerKind::Volcast, 2, 12, 7);
+        s.params.analysis_points = 4_000;
+        s.params.config.prediction_horizon = usize::MAX;
+        let out = s.run().unwrap();
+        assert_eq!(out.mean_prediction_error_m, 0.0);
+        assert_eq!(out.qoe.users[0].frames(), 12);
     }
 
     #[test]

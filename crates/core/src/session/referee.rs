@@ -21,12 +21,16 @@
 //!
 //! It shares with the shipped code only the steering function, the axis
 //! kernel, path enumeration and loss, the calibration constants and
-//! tables, and the stateful predictor, adapter and mitigator. [`drive`] runs the session's
-//! stages and shows every planned frame to the referee, which plays its
-//! own frame to the same point and compares them.
+//! tables, and the stateful predictor, adapter and mitigator. [`drive`]
+//! runs the session's own frame loop and shows every played frame to the
+//! referee, which plays its own frame and compares the two: every user's
+//! [`UserFrame`] row, the unicast rates, the groups and the plan.
 
 use super::tests::drive;
-use super::{DeliveryMode, RadioKind, SessionOutcome, SessionParams, StreamingSession, Tally};
+use super::{
+    DeliveryMode, Outcome, RadioKind, SessionOutcome, SessionParams, StreamingSession, Tally,
+    UserFrame,
+};
 use crate::bandwidth::CrossLayerInputs;
 use crate::config::AIRTIME_BUDGET_INTERVALS;
 use crate::grouping::Group;
@@ -437,39 +441,32 @@ fn plan_groups(
 
 // --- the frame loop ---
 
-/// What the referee's frame hands from its plan to its playout, and what
-/// it compares with the session's arena.
+/// One played frame, as the referee and the session both record it.
+///
+/// Rows are compared whole. Four fields keep their defaults here, as the
+/// session must too: `fec_protected`, `base_item`, `retransmitted` and
+/// `faulted` are set only by layered plans and injected faults, which the
+/// referee does not play.
 struct Frame {
-    rss: Vec<f64>,
+    rows: Vec<UserFrame>,
     unicast_phy: Vec<f64>,
-    qualities: Vec<QualityLevel>,
-    effective_quality: Vec<QualityLevel>,
-    needed_bytes: Vec<f64>,
-    unserved: Vec<bool>,
     groups: Vec<Group>,
     plan: TransmissionPlan,
-    extra_prefetch: Vec<usize>,
-    wasted_tx: Vec<bool>,
 }
 
 impl Frame {
-    /// The session's frame as it stands after `recover`.
+    /// The session's frame as it stands after playout.
     fn of(a: &super::Arena) -> Frame {
         Frame {
-            rss: a.rss.clone(),
+            rows: a.rows.clone(),
             unicast_phy: a.unicast_phy.clone(),
-            qualities: a.qualities.clone(),
-            effective_quality: a.effective_quality.clone(),
-            needed_bytes: a.needed_bytes.clone(),
-            unserved: a.unserved.clone(),
             groups: a.groups.clone(),
-            plan: a.plan.clone(),
-            extra_prefetch: a.extra_prefetch.clone(),
-            wasted_tx: a.wasted_tx.clone(),
+            plan: a.plans.last().cloned().unwrap_or_default(),
         }
     }
 
-    /// Every compared field, each float as its bits.
+    /// Every compared field, each float as its bits (`Debug` prints a
+    /// float's shortest round trip: equal strings are equal bits).
     fn bits(&self) -> String {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let groups: Vec<_> = (self.groups.iter())
@@ -485,16 +482,9 @@ impl Frame {
             })
             .collect();
         format!(
-            "rss {:?}\nunicast_phy {:?}\nqualities {:?}\neffective {:?}\nneeded {:?}\n\
-             unserved {:?}\nprefetch {:?}\nwasted {:?}\ngroups {groups:?}\nitems {items:?}",
-            bits(&self.rss),
+            "rows {:#?}\nunicast_phy {:?}\ngroups {groups:?}\nitems {items:?}",
+            self.rows,
             bits(&self.unicast_phy),
-            self.qualities,
-            self.effective_quality,
-            bits(&self.needed_bytes),
-            self.unserved,
-            self.extra_prefetch,
-            self.wasted_tx,
         )
     }
 }
@@ -580,7 +570,7 @@ impl<'a> Referee<'a> {
         let horizon = params.config.prediction_horizon;
         let mut planning = Vec::new();
         if params.use_prediction && self.joint.predict_frame_into(horizon, &mut planning) {
-            if f + horizon < params.frames {
+            if horizon < params.frames - f {
                 for (p, trace) in planning.iter().zip(&s.traces) {
                     self.tally.pred_err_sum +=
                         (p.position - trace.pose(f + horizon).position).norm();
@@ -590,17 +580,16 @@ impl<'a> Referee<'a> {
         } else {
             planning = poses.clone();
         }
-        let blocked_now: Vec<bool> = (0..n)
-            .map(|u| {
-                let blocked_by = |b: Vec3| self.forecaster.is_blocked(poses[u].position, b);
-                params.body_blockage
-                    && ((0..n).any(|v| v != u && blocked_by(poses[v].position))
-                        || walkers.iter().any(|&w| blocked_by(w)))
-            })
-            .collect();
-        self.tally.blocked_user_frames += blocked_now.iter().filter(|&&b| b).count();
+        let mut rows = vec![UserFrame::default(); n];
+        for (u, row) in rows.iter_mut().enumerate() {
+            let blocked_by = |b: Vec3| self.forecaster.is_blocked(poses[u].position, b);
+            row.blocked = params.body_blockage
+                && ((0..n).any(|v| v != u && blocked_by(poses[v].position))
+                    || walkers.iter().any(|&w| blocked_by(w)));
+            self.tally.blocked_user_frames += row.blocked as usize;
+        }
         let events: Vec<BlockageEvent> = (0..n)
-            .filter(|&u| !self.wifi5 && blocked_now[u] && !self.blocked_prev[u])
+            .filter(|&u| !self.wifi5 && rows[u].blocked && !self.blocked_prev[u])
             .map(|victim| BlockageEvent {
                 victim,
                 blocker: usize::MAX,
@@ -609,43 +598,39 @@ impl<'a> Referee<'a> {
             .collect();
         let mut actions: Vec<MitigationAction> = Vec::new();
         self.mitigator.plan_into(&events, &mut actions);
-        let (mut beam_outage, mut extra_prefetch, mut wasted_tx) =
-            (vec![0.0; n], vec![0; n], vec![false; n]);
         for act in &actions {
-            beam_outage[act.user] = act.beam_outage_s;
+            let row = &mut rows[act.user];
+            row.beam_outage = act.beam_outage_s;
             match params.mitigation {
-                MitigationMode::Proactive => extra_prefetch[act.user] = act.prefetch_frames,
-                MitigationMode::Reactive => wasted_tx[act.user] = true,
+                MitigationMode::Proactive => row.extra_prefetch = act.prefetch_frames,
+                MitigationMode::Reactive => row.wasted_tx = true,
             }
         }
 
         // Link rates.
         let ap = s.channel.array.position;
-        let rss: Vec<f64> = (0..n)
-            .map(|u| {
-                let pos = poses[u].position;
-                let others: Vec<Blocker> = (bodies.iter().enumerate())
-                    .filter(|&(i, _)| i != u)
-                    .map(|(_, b)| *b)
-                    .collect();
-                if self.wifi5 {
-                    let shadows = (others.iter())
-                        .filter(|b| self.forecaster.is_blocked(pos, b.center))
-                        .count();
-                    return s.wifi5.rss_dbm(ap.distance(pos), shadows);
-                }
-                let searched = match params.mitigation {
-                    MitigationMode::Proactive => true,
-                    MitigationMode::Reactive => self.blocked_prev[u],
-                };
-                if blocked_now[u] && searched {
-                    rss_best_beam(&s.channel, pos, &others)
-                } else {
-                    rss_dedicated_beam(&s.channel, pos, &others)
-                }
-            })
-            .collect();
-        let unicast_phy: Vec<f64> = rss.iter().map(|&r| self.phy_rate(r)).collect();
+        for (u, row) in rows.iter_mut().enumerate() {
+            let pos = poses[u].position;
+            let others: Vec<Blocker> = (bodies.iter().enumerate())
+                .filter(|&(i, _)| i != u)
+                .map(|(_, b)| *b)
+                .collect();
+            let searched = match params.mitigation {
+                MitigationMode::Proactive => true,
+                MitigationMode::Reactive => self.blocked_prev[u],
+            };
+            row.rss = if self.wifi5 {
+                let shadows = (others.iter())
+                    .filter(|b| self.forecaster.is_blocked(pos, b.center))
+                    .count();
+                s.wifi5.rss_dbm(ap.distance(pos), shadows)
+            } else if row.blocked && searched {
+                rss_best_beam(&s.channel, pos, &others)
+            } else {
+                rss_dedicated_beam(&s.channel, pos, &others)
+            };
+        }
+        let unicast_phy: Vec<f64> = rows.iter().map(|r| self.phy_rate(r.rss)).collect();
 
         // Visibility.
         let cloud = s.video.frame_with_density(f as u64, params.analysis_points);
@@ -663,63 +648,60 @@ impl<'a> Referee<'a> {
             })
             .collect();
         let unit_sizes: Vec<f64> = cells.iter().map(|c| c.point_count as f64).collect();
-        let member_unit: Vec<f64> = (maps.iter())
-            .map(|m| priced_bytes(&cells, &unit_sizes, m))
-            .collect();
         let total_points: f64 = unit_sizes.iter().sum();
         let culls = params.player != PlayerKind::Vanilla && total_points > 0.0;
+        for (row, map) in rows.iter_mut().zip(&maps) {
+            row.member_unit = priced_bytes(&cells, &unit_sizes, map);
+            row.needed_fraction = if culls {
+                row.member_unit / total_points
+            } else {
+                1.0
+            };
+        }
 
         // Decide.
-        let qualities: Vec<QualityLevel> = (0..n)
-            .map(|u| {
-                let inputs = CrossLayerInputs {
-                    measured_throughput_mbps: 0.0,
-                    buffer_frames: self.buffers[u],
-                    blockage_forecast: match params.mitigation {
-                        MitigationMode::Proactive => blocked_now[u],
-                        MitigationMode::Reactive => self.blocked_prev[u],
-                    },
-                    predicted_phy_rate_mbps: self.adapter.predictors[u]
-                        .link
-                        .predicted_rss_dbm(horizon)
-                        .map_or(unicast_phy[u], |r| self.phy_rate(r)),
-                    current_phy_rate_mbps: unicast_phy[u],
-                };
-                let state = GroupState {
-                    user: u,
-                    inputs: &inputs,
-                    share: 1.0 / n as f64,
-                    needed_fraction: if culls {
-                        member_unit[u] / total_points
-                    } else {
-                        1.0
-                    },
-                    layered: false,
-                    fixed: params.fixed_quality,
-                };
-                let decision = self.adapter.plan_delivery(&state, &Distress::calm());
-                decision.quality()
-            })
-            .collect();
-        self.blocked_prev = blocked_now;
+        for (u, row) in rows.iter_mut().enumerate() {
+            let inputs = CrossLayerInputs {
+                measured_throughput_mbps: 0.0,
+                buffer_frames: self.buffers[u],
+                blockage_forecast: match params.mitigation {
+                    MitigationMode::Proactive => row.blocked,
+                    MitigationMode::Reactive => self.blocked_prev[u],
+                },
+                predicted_phy_rate_mbps: self.adapter.predictors[u]
+                    .link
+                    .predicted_rss_dbm(horizon)
+                    .map_or(unicast_phy[u], |r| self.phy_rate(r)),
+                current_phy_rate_mbps: unicast_phy[u],
+            };
+            let state = GroupState {
+                user: u,
+                inputs: &inputs,
+                share: 1.0 / n as f64,
+                needed_fraction: row.needed_fraction,
+                layered: false,
+                fixed: params.fixed_quality,
+            };
+            let decision = self.adapter.plan_delivery(&state, &Distress::calm());
+            row.quality = decision.quality();
+            row.fec_rung = decision.fec;
+            // Plan starts from the decision and the onset's outage.
+            row.effective_quality = row.quality;
+            row.outage_pending = row.beam_outage;
+        }
+        self.blocked_prev = rows.iter().map(|r| r.blocked).collect();
 
         // Plan: the reactive victims' doomed bursts first, then every
         // payload on unicast and multicast bursts.
         let mut frame = Frame {
-            rss,
+            rows,
             unicast_phy,
-            effective_quality: qualities.clone(),
-            qualities,
-            needed_bytes: vec![0.0; n],
-            unserved: vec![false; n],
             groups: Vec::new(),
             plan: TransmissionPlan::new(),
-            extra_prefetch,
-            wasted_tx,
         };
         let (mac, budget_s) = (self.mac, self.budget_s);
         let admit = |bytes: f64, phy: f64| phy > 0.0 && mac.airtime_s(bytes, phy, n) <= budget_s;
-        for u in (0..n).filter(|&u| frame.wasted_tx[u]) {
+        for u in (0..n).filter(|&u| frame.rows[u].wasted_tx) {
             let stale_phy = self.phy_rate(rss_dedicated_beam(&s.channel, poses[u].position, &[]));
             let probe_bytes = stale_phy * 1e6 / 8.0 * (self.interval * 0.25);
             if admit(probe_bytes, stale_phy) {
@@ -727,33 +709,38 @@ impl<'a> Referee<'a> {
                 frame.plan.items.push(item);
             }
         }
-        let own = |frame: &Frame, u: usize| member_unit[u] * scale_for(s, frame.qualities[u]);
+        let own = |frame: &Frame, u: usize| {
+            let row = &frame.rows[u];
+            row.member_unit * scale_for(s, row.quality)
+        };
         // A unicast burst, or the user goes unserved; the beam-switch
         // outage rides the user's first burst.
-        let mut outage = beam_outage;
-        let mut unicast_leg = |frame: &mut Frame, u: usize, bytes: f64| {
+        let unicast_leg = |frame: &mut Frame, u: usize, bytes: f64| {
             let phy = frame.unicast_phy[u];
+            let row = &mut frame.rows[u];
             if admit(bytes, phy) {
                 let mut item = TxItem::unicast(u, bytes, phy);
-                item.beam_switch_s = std::mem::take(&mut outage[u]);
+                item.beam_switch_s = std::mem::take(&mut row.outage_pending);
                 frame.plan.items.push(item);
             } else {
-                frame.unserved[u] = true;
+                row.unserved = true;
             }
         };
         if params.player != PlayerKind::Volcast {
             for u in 0..n {
                 let needed = match params.player {
-                    PlayerKind::Vanilla => s.video.quality(frame.qualities[u]).full_frame_bytes(),
+                    PlayerKind::Vanilla => {
+                        s.video.quality(frame.rows[u].quality).full_frame_bytes()
+                    }
                     _ => own(&frame, u),
                 };
-                frame.needed_bytes[u] = needed;
+                frame.rows[u].needed_bytes = needed;
                 unicast_leg(&mut frame, u, needed);
-                frame.unserved[u] &= needed > 0.0;
+                frame.rows[u].unserved &= needed > 0.0;
             }
             return frame;
         }
-        let plan_quality = frame.qualities.iter().copied().min();
+        let plan_quality = frame.rows.iter().map(|r| r.quality).min();
         let plan_quality = plan_quality.unwrap_or(QualityLevel::Low);
         let plan_scale = scale_for(s, plan_quality);
         let cell_sizes: Vec<f64> = unit_sizes.iter().map(|u| u * plan_scale).collect();
@@ -775,11 +762,11 @@ impl<'a> Referee<'a> {
             &frame.unicast_phy,
             &|members| beam(members).0,
         );
-        for g in frame.groups.clone() {
+        for (i, g) in frame.groups.clone().into_iter().enumerate() {
             // Single stream: the shared cells multicast at the members'
             // lowest quality when that beats unicast and fits a slot, the
             // residuals unicast.
-            let group_q = g.members.iter().map(|&u| frame.qualities[u]).min();
+            let group_q = g.members.iter().map(|&u| frame.rows[u].quality).min();
             let group_q = group_q.unwrap_or(plan_quality);
             let shared_bytes = g.multicast_bytes / plan_scale.max(1e-12) * scale_for(s, group_q);
             let air = |u: usize, bytes: f64, unreachable: f64| match frame.unicast_phy[u] {
@@ -805,10 +792,12 @@ impl<'a> Referee<'a> {
                 self.tally.multicast_bytes += shared_bytes;
             }
             for &u in &g.members {
+                let row = &mut frame.rows[u];
+                row.group = Some(i);
                 if active {
-                    frame.effective_quality[u] = frame.effective_quality[u].min(group_q);
+                    row.effective_quality = row.effective_quality.min(group_q);
                 }
-                frame.needed_bytes[u] = own(&frame, u);
+                frame.rows[u].needed_bytes = own(&frame, u);
                 let shared = if active { shared_bytes } else { 0.0 };
                 let residual = (own(&frame, u) - shared).max(0.0);
                 if residual > 0.0 {
@@ -821,7 +810,7 @@ impl<'a> Referee<'a> {
     }
 
     /// Replay, playout and the adapter's feedback.
-    fn play_frame(&mut self, frame: Frame) {
+    fn play_frame(&mut self, frame: &mut Frame) {
         let (n, interval) = (self.n, self.interval);
         let timing: PlanTiming = frame.plan.execute(self.mac, n, n);
         self.tally.total_bytes += frame.plan.total_bytes();
@@ -839,47 +828,48 @@ impl<'a> Referee<'a> {
             self.tally.group_count += n;
         }
         for u in 0..n {
-            let reserve = frame.extra_prefetch[u] as f64 * 0.5;
+            let items = || (frame.plan.items.iter()).filter(|i| i.receivers().contains(&u));
+            let row = &mut frame.rows[u];
+            row.addressed = items().next().is_some();
+            let reserve = row.extra_prefetch as f64 * 0.5;
             let buf = (self.buffers[u] + reserve).min(self.buf_cap + reserve);
-            let ready = if frame.needed_bytes[u] <= 0.0 {
+            let ready = if row.needed_bytes <= 0.0 {
                 0.0
-            } else if frame.unserved[u] || frame.wasted_tx[u] {
+            } else if row.unserved || row.wasted_tx {
                 f64::INFINITY
             } else {
                 timing.user_completion_s[u].unwrap_or(f64::INFINITY)
             };
-            let q = frame.effective_quality[u];
+            let q = row.effective_quality;
             let points = self.s.video.quality(q).points_per_frame;
             let t = ready.max(self.s.decode.frame_decode_time(points));
             // On time with spare airtime prefetched ahead, late but
             // absorbed by the buffer, or stalled.
-            let (on_time, stall_s, buffer) = if !t.is_finite() {
+            let (outcome, stall_s, buffer) = if !t.is_finite() {
                 if buf >= 1.0 {
-                    (true, 0.0, buf - 1.0)
+                    (Outcome::FromBuffer, 0.0, buf - 1.0)
                 } else {
-                    (false, interval, 0.0)
+                    (Outcome::Starved, interval, 0.0)
                 }
             } else if t <= interval {
-                (
-                    true,
-                    0.0,
-                    (buf + (interval - t) / interval).min(self.buf_cap),
-                )
+                let buffer = (buf + (interval - t) / interval).min(self.buf_cap);
+                (Outcome::InSlot, 0.0, buffer)
             } else if buf >= (t - interval) / interval {
-                (true, 0.0, buf - (t - interval) / interval)
+                (Outcome::Absorbed, 0.0, buf - (t - interval) / interval)
             } else {
-                (false, ((t - interval) / interval - buf) * interval, 0.0)
+                let stall_s = ((t - interval) / interval - buf) * interval;
+                (Outcome::Stalled, stall_s, 0.0)
             };
+            row.outcome = outcome;
             self.buffers[u] = buffer;
+            let on_time = matches!(
+                outcome,
+                Outcome::InSlot | Outcome::Absorbed | Outcome::FromBuffer
+            );
             self.qoe.users[u].record_frame(on_time, stall_s, q);
 
             let (mut bytes, mut airtime) = (0.0, 0.0);
-            for item in frame
-                .plan
-                .items
-                .iter()
-                .filter(|i| i.receivers().contains(&u))
-            {
+            for item in items() {
                 bytes += item.bytes;
                 airtime += self.mac.airtime_s(item.wire_bytes(), item.phy_mbps, n);
             }
@@ -888,9 +878,9 @@ impl<'a> Referee<'a> {
             } else {
                 0.0
             };
-            self.adapter.observe(u, tput, frame.rss[u]);
+            self.adapter.observe(u, tput, row.rss);
         }
-        self.plans.push(frame.plan);
+        self.plans.push(frame.plan.clone());
     }
 
     fn outcome(self) -> SessionOutcome {
@@ -934,18 +924,13 @@ impl<'a> Referee<'a> {
 /// session's outcome.
 fn referee_session(s: &StreamingSession) -> SessionOutcome {
     let mut referee = Referee::new(s);
-    let mut played = 0;
-    let mut pending: Option<Frame> = None;
+    let mut f = 0;
     let driven = drive(s, |_, _, a| {
-        if let Some(done) = pending.take() {
-            referee.play_frame(done);
-        }
-        let want = referee.plan_frame(played);
-        assert_eq!(Frame::of(a).bits(), want.bits(), "frame {played}");
-        pending = Some(want);
-        played += 1;
+        let mut want = referee.plan_frame(f);
+        referee.play_frame(&mut want);
+        assert_eq!(Frame::of(a).bits(), want.bits(), "frame {f}");
+        f += 1;
     });
-    referee.play_frame(pending.expect("a session plays at least one frame"));
     // `Debug` prints every float's shortest round trip: equal strings are
     // equal bits.
     assert_eq!(format!("{driven:?}"), format!("{:?}", referee.outcome()));

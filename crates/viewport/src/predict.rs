@@ -104,7 +104,7 @@ impl Predictor for LinearPredictor {
                 .sum();
             let b = if t_var > 0.0 { cov / t_var } else { 0.0 };
             let a = y_mean - b * t_mean;
-            let t_pred = (n - 1 + horizon) as f64;
+            let t_pred = (n - 1) as f64 + horizon as f64;
             out[d] = a + b * t_pred;
         }
         Some(wrap_output(SixDof::new(out)))

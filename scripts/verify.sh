@@ -103,6 +103,18 @@ if grep -nE 'macro_rules!|too_many_arguments|next_groups|local_of|grouping::Grou
     exit 1
 fi
 
+echo "==> the per-user arena vectors are gone, not forked"
+# One UserFrame row per user per frame (core::session): each stage writes
+# its fields of the row, so none of the per-user vectors the rows replaced
+# may come back as an arena field (`name: Vec<`) or an arena read (`a.name`).
+arena_vecs='blocked_now|beam_outage|extra_prefetch|wasted_tx|rss|member_unit|needed_fraction'
+arena_vecs="$arena_vecs|qualities|fec_rungs|effective_quality|unserved|needed_bytes"
+arena_vecs="$arena_vecs|outage_pending|fec_protected|base_item_idx|retransmitted"
+if grep -nE "\ba\.($arena_vecs)\b|\b($arena_vecs): Vec<" crates/core/src/session.rs; then
+    echo "ERROR: per-user arena vectors survive beside the UserFrame rows" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
