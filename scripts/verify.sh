@@ -176,11 +176,15 @@ VOLCAST_PROP_CASES=2000 cargo test --release -q -p volcast-mmwave --lib rss_cap_
 echo "==> the session frame's shortcuts and the sector sweep against the loops they replaced, 2000 cases each"
 # Exact evaluations as independent chains and the box test before every
 # body, each against a verbatim copy of the loop it replaced, bit for bit;
-# BeamSearch's full sweep against the oracle's exhaustive scan bit for bit
-# and the per-sector element sums within the closed-form bound; in release.
+# the sector table, its x kernel run over blocks of sectors, against the
+# per-sector loop and every kernel lane against the serial recurrence, bit
+# for bit; BeamSearch's full sweep against the oracle's exhaustive scan bit
+# for bit and the per-sector element sums within the closed-form bound; in
+# release.
 VOLCAST_PROP_CASES=2000 cargo test --release -q -p volcast-mmwave --lib -- \
     eval_weights_matches_the_serial_chains \
-    segment_blocked_matches_the_unboxed_loop full_sweep_matches_the_per_sector_scan
+    segment_blocked_matches_the_unboxed_loop full_sweep_matches_the_per_sector_scan \
+    sweep_table_matches_the_scalar_loop lanes_match_the_scalar_recurrence
 
 echo "==> the closed-form codebook responses against element sums, 2000 cases"
 # DFT sectors and conjugate link beams are priced as a product of two
@@ -358,6 +362,8 @@ echo "==> benchmark workloads at full size: outcome hashes pinned"
 # the two outcomes of a pass): every other field, every session pin and
 # every results/*.txt stayed. reference.rs bounds the kernel by element
 # sums (closed_form_responses_match_the_element_sums_within_bounds).
+# Running the sweep's x kernel over blocks of eight sectors moved no pin:
+# every lane runs the serial recurrence's operations in its order.
 for pin in codec_ladder:0x97b4ac0961eaafb1 codec_layered:0xb00dbeed38dc616e \
     session_single:0x8ba5c8e0f1e35ba5 session_layered_faulted:0x8a432810abffb801 \
     campus:0xfecfa15c95533c00 server:0xa52a4b03a0514405; do
