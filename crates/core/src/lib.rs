@@ -60,7 +60,7 @@ pub use bandwidth::{BandwidthPredictor, CrossLayerInputs};
 pub use campus::{Campus, CampusOutcome, CampusParams};
 pub use config::SystemConfig;
 pub use error::VolcastError;
-pub use grouping::{Group, GroupPlan, GroupPlanner, GroupingInputs};
+pub use grouping::{Group, GroupPlan, GroupPlanner, GroupSearch, GroupingInputs};
 pub use mitigation::{BlockageMitigator, MitigationAction, MitigationMode};
 pub use multi_ap::EpochCoordinator;
 pub use player::{max_sustainable_fps, PlayerKind};

@@ -108,6 +108,12 @@ impl Channel {
         out
     }
 
+    /// The most paths [`Channel::paths_into`] finds: line of sight, four
+    /// walls and the ceiling, and the floor when it reflects.
+    pub fn max_paths(&self) -> usize {
+        6 + self.room.floor_reflection as usize
+    }
+
     /// [`Channel::paths`] into a caller-owned buffer (cleared first) — the
     /// single enumeration program behind every prepared receiver.
     pub fn paths_into(&self, rx: Vec3, out: &mut Vec<Path>) {
@@ -135,6 +141,7 @@ impl Channel {
                 out.push(p);
             }
         }
+        debug_assert!(out.len() <= self.max_paths());
     }
 
     /// Image-method reflection off the plane `coord[axis] = plane`.

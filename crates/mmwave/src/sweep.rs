@@ -160,6 +160,8 @@ impl<'a> SweepEngine<'a> {
         let mut y_runs = Vec::<(usize, [f64; 2])>::new();
         if codebook.is_dft_for(array) {
             let half_kd = half_kd(array);
+            let padded = codebook.len() + LANES - 1;
+            (sin_x, cos_x) = (Vec::with_capacity(padded), Vec::with_capacity(padded));
             for dir in codebook.directions() {
                 let u = dir.azimuth.sin() * dir.elevation.cos();
                 let [[sin, cos], y] = half_angles(half_kd, u, dir.elevation.sin());
@@ -314,6 +316,20 @@ pub struct BeamDesign {
 }
 
 impl BeamDesign {
+    /// A design whose buffers hold groups of up to `members` members on an
+    /// array of `elements` elements with a codebook of `sectors` sectors:
+    /// designing into it then allocates nothing. (A customized design swaps
+    /// the member RSS with the scratch, so both hold either.)
+    pub fn with_capacity(members: usize, elements: usize, sectors: usize) -> Self {
+        let rss = sectors.max(members);
+        BeamDesign {
+            weights: Vec::with_capacity(elements),
+            member_rss_dbm: Vec::with_capacity(rss),
+            scratch: Vec::with_capacity(rss),
+            ..BeamDesign::default()
+        }
+    }
+
     /// The group's common RSS: the minimum across members.
     pub fn common_rss_dbm(&self) -> f64 {
         self.member_rss_dbm
@@ -364,6 +380,22 @@ impl SweepRx {
     /// A fresh, empty receiver slot.
     pub fn new() -> Self {
         SweepRx::default()
+    }
+
+    /// An empty receiver slot with room for `paths` paths, steering rows of
+    /// `elements` elements and a table of `sectors` sectors: locating,
+    /// sweeping and pricing beams within those then allocate nothing.
+    /// [`Channel::max_paths`] bounds the paths of any location.
+    pub fn with_capacity(paths: usize, elements: usize, sectors: usize) -> Self {
+        SweepRx {
+            path_mw: Vec::with_capacity(paths),
+            uv: Vec::with_capacity(paths),
+            half: Vec::with_capacity(paths),
+            paths_tmp: Vec::with_capacity(paths),
+            rows: Vec::with_capacity(paths * elements),
+            table: Vec::with_capacity(sectors),
+            ..SweepRx::default()
+        }
     }
 
     /// Stage 1, *locate*: (re)places the receiver at `pos` with the given

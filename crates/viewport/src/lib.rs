@@ -50,4 +50,4 @@ pub use predict::{LinearPredictor, MlpPredictor, Predictor};
 pub use roam::RoamingTraceGenerator;
 pub use similarity::{group_iou, iou, overlap_bytes};
 pub use traces::{DeviceClass, Trace, TraceGenerator, UserStudy};
-pub use visibility::{VisibilityComputer, VisibilityMap, VisibilityOptions};
+pub use visibility::{Occluders, VisibilityComputer, VisibilityMap, VisibilityOptions};
