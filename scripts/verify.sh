@@ -115,6 +115,17 @@ if grep -nE "\ba\.($arena_vecs)\b|\b($arena_vecs): Vec<" crates/core/src/session
     exit 1
 fi
 
+echo "==> the session memo keys member sets by their bits, not forked"
+# GroupBeams' memo is one flat key arena of member-set bits, cleared each
+# frame; no map keyed by an owned member vector, nor a key copied per
+# design, may come back beside it in the live code (above the first
+# `#[cfg(test)]`; the tests record the sets they see).
+if sed '/^#\[cfg(test)\]$/q' crates/core/src/session.rs |
+    grep -nE 'HashMap<Vec<usize>|members\.to_vec\(\)'; then
+    echo "ERROR: a member-vector-keyed memo survives in the session" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -158,6 +169,13 @@ echo "==> warm link evaluations are allocation-free under the counting allocator
 # per frame (SweepRx::locate plus both link beams) and a designed member's
 # sweep, best sector and custom-beam price (its steering rows).
 VOLCAST_TRACE=1 cargo test --release -q -p volcast-mmwave --test link_alloc
+
+echo "==> a session run allocates the same at F and 2F frames"
+# Same arrangement for StreamingSession::run over periodic inputs, every
+# player, delivery mode, mitigation mode and radio, with and without
+# faults: its storage is sized at set-up, so the frame loop allocates
+# nothing (counted on the test's own thread).
+VOLCAST_TRACE=1 cargo test --release -q -p volcast-core --test session_alloc
 
 echo "==> fault plans allocate their table once and regenerate in place"
 # Same arrangement for FaultPlan: a fresh plan at the server workload's

@@ -10,6 +10,7 @@
 //! ```
 
 use std::process::ExitCode;
+use volcast::core::session::validate_traces;
 use volcast::core::session::DeliveryMode;
 use volcast::core::{quick_session_with_device, AbrPolicy, MitigationMode, PlayerKind};
 use volcast::net::FaultConfig;
@@ -152,6 +153,8 @@ fn cmd_study(flags: Flags) -> Result<(), String> {
         .get("--out")
         .ok_or_else(|| "--out FILE.json is required".to_string())?;
     let study = UserStudy::generate_with(seed, frames, phones, headsets);
+    // A study no session could replay is refused, not written.
+    validate_traces(&study.traces).map_err(|e| e.to_string())?;
     save_study(&study, out).map_err(|e| e.to_string())?;
     println!("wrote {} users x {} frames to {}", study.len(), frames, out);
     Ok(())
