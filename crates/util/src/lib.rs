@@ -28,6 +28,9 @@
 //! - [`hash`] — frozen 64-bit FNV-1a hashing ([`hash::fnv1a`]) for stable
 //!   fingerprints of serialized output (property-test seeds, the
 //!   fault-scenario harness's `SessionOutcome` FNVs).
+//! - [`pins`] — a pinned outcome as a canonical snapshot (one line per
+//!   field, floats as bits beside the decimal) and the report of what
+//!   moved, field by field, in ULP.
 //! - [`bitset`] — a growable [`bitset::BitSet`] over `u64` words: the
 //!   visible and seen cells of a visibility map, intersected and counted
 //!   a word at a time.
@@ -76,6 +79,7 @@ pub mod hash;
 pub mod json;
 pub mod obs;
 pub mod par;
+pub mod pins;
 pub mod prop;
 pub mod rng;
 pub mod scratch;
