@@ -15,7 +15,8 @@ pub enum VolcastError {
     /// `SessionParams` are out of range (zero frames, zero analysis
     /// points, a non-positive frame interval).
     InvalidParams(String),
-    /// The user traces cannot drive a session (no users, an empty trace).
+    /// The user traces cannot drive a session (no users, an empty trace, a
+    /// non-finite pose).
     InvalidTraces(String),
     /// The network substrate rejected its configuration (fault specs,
     /// fault configs, simulator setup).

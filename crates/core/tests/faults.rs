@@ -5,12 +5,15 @@
 //! input into a loud [`VolcastError`].
 
 use std::sync::Mutex;
-use volcast_core::session::{quick_session, quick_session_with_device, DeliveryMode};
+use volcast_core::session::{
+    quick_session, quick_session_with_device, validate_traces, DeliveryMode,
+};
 use volcast_core::{PlayerKind, SessionParams, StreamingSession, VolcastError};
 use volcast_net::FaultConfig;
 use volcast_util::json::ToJson;
 use volcast_util::par;
-use volcast_viewport::DeviceClass;
+use volcast_viewport::io::{read_study, write_study};
+use volcast_viewport::{DeviceClass, UserStudy};
 
 static THREAD_KNOB: Mutex<()> = Mutex::new(());
 
@@ -187,6 +190,49 @@ fn invalid_inputs_are_errors_not_panics() {
     let s = StreamingSession::new(SessionParams::default(), Vec::new());
     let mut s = s;
     assert!(matches!(s.run(), Err(VolcastError::InvalidTraces(_))));
+}
+
+/// A pose with a non-finite position or orientation component is refused
+/// before the frame loop, naming the user and the sample — NaN and `inf`
+/// set by hand, and the NaN a study file's `null` loads as. Such a session
+/// used to run and report every frame of every user on time.
+#[test]
+fn non_finite_poses_are_refused_naming_user_and_sample() {
+    let refused = |s: &mut StreamingSession| match s.run() {
+        Err(VolcastError::InvalidTraces(msg)) => msg,
+        other => panic!("expected InvalidTraces, got {other:?}"),
+    };
+    let mut s = quick_session(PlayerKind::Volcast, 3, 10, 1);
+    s.traces[1].poses[4].position.y = f64::NAN;
+    assert_eq!(refused(&mut s), "user 1 has a non-finite pose at sample 4");
+    let mut s = quick_session(PlayerKind::Vanilla, 3, 10, 1);
+    s.traces[2].poses[0].orientation.x = f64::INFINITY;
+    assert_eq!(refused(&mut s), "user 2 has a non-finite pose at sample 0");
+    let mut s = quick_session(PlayerKind::Volcast, 2, 10, 1);
+    s.walkers = vec![s.traces[0].clone()];
+    s.walkers[0].poses[7].position.z = f64::NEG_INFINITY;
+    assert_eq!(
+        refused(&mut s),
+        "walker 0 has a non-finite pose at sample 7"
+    );
+
+    // `null` in a study file loads as NaN.
+    let study = UserStudy::generate_with(3, 6, 1, 1);
+    let mut json = Vec::new();
+    write_study(&study, &mut json).unwrap();
+    let json = String::from_utf8(json).unwrap();
+    let key = "\"position\":{\"x\":";
+    let (first, _) = json.match_indices(key).nth(6 + 2).unwrap();
+    let at = first + key.len();
+    let end = at + json[at..].find(',').unwrap();
+    let json = format!("{}null{}", &json[..at], &json[end..]);
+    let loaded = read_study(json.as_bytes()).unwrap();
+    assert!(loaded.traces[1].poses[2].position.x.is_nan());
+    let err = validate_traces(&loaded.traces).unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "invalid traces: user 1 has a non-finite pose at sample 2"
+    );
 }
 
 /// A 1 mm cell size is valid and must stay cheap: every per-frame index
