@@ -20,7 +20,8 @@
 //!   through [`TransmissionPlan::execute`].
 //!
 //! It shares with the shipped code only the steering function, the axis
-//! kernel, path enumeration and loss, the calibration constants and
+//! kernel, the direction program ([`PlanarArray::cosines`]), path
+//! enumeration and loss, the calibration constants and
 //! tables, and the stateful predictor, adapter and mitigator. [`drive`]
 //! runs the session's own frame loop and shows every played frame to the
 //! referee, which plays its own frame and compares the two: every user's
@@ -39,7 +40,7 @@ use crate::player::PlayerKind;
 use crate::qoe::QoeReport;
 use crate::rate_adapt::{AbrPolicy, Distress, GroupState, RateAdapter};
 use std::collections::{BTreeMap, BTreeSet};
-use volcast_geom::{Frustum, Pose, Ray, Spherical, Vec3};
+use volcast_geom::{Frustum, Pose, Ray, Vec3};
 use volcast_mmwave::calib;
 use volcast_mmwave::{
     combine_weights_multi, AntennaWeights, Blocker, Channel, Codebook, PlanarArray,
@@ -56,14 +57,13 @@ use volcast_viewport::{
 
 // --- mmWave: receivers rebuilt per evaluation, exhaustive beams ---
 
-/// `[sin, cos]` of `k·d/2 · u` and of `k·d/2 · v` toward `dir`: what the
-/// closed form of a conjugate beam ([`PlanarArray::chebyshev_u`]) reads.
-fn half_angles(array: &PlanarArray, dir: Spherical) -> [f64; 4] {
+/// `[sin, cos]` of `k·d/2 · u` and of `k·d/2 · v` toward the direction
+/// with cosines `(u, v)`: what the closed form of a conjugate beam
+/// ([`PlanarArray::chebyshev_u`]) reads.
+fn half_angles(array: &PlanarArray, (u, v): (f64, f64)) -> [f64; 4] {
     let half_kd = 0.5
         * (2.0 * std::f64::consts::PI / calib::WAVELENGTH_M)
         * (array.spacing_wl * calib::WAVELENGTH_M);
-    let u = dir.azimuth.sin() * dir.elevation.cos();
-    let v = dir.elevation.sin();
     let (sin_a, cos_a) = (half_kd * u).sin_cos();
     let (sin_b, cos_b) = (half_kd * v).sin_cos();
     [sin_a, cos_a, sin_b, cos_b]
@@ -82,12 +82,13 @@ fn receiver(channel: &Channel, rx: Vec3, blockers: &[Blocker]) -> Vec<PathSample
     let array = &channel.array;
     let mut out = Vec::new();
     for path in channel.paths(rx) {
-        if let Some(dir) = array.local_direction(path.via - array.position) {
+        if let Some((u, v, element)) = array.cosines(path.via - array.position) {
             let loss_db = channel.path_loss_db(&path, rx, blockers);
-            let element = (dir.azimuth.cos() * dir.elevation.cos()).max(0.01);
+            let mut steering = Vec::new();
+            array.steering_uv_into(u, v, &mut steering);
             out.push(PathSample {
-                steering: array.steering(dir),
-                half: half_angles(array, dir),
+                steering: AntennaWeights { w: steering },
+                half: half_angles(array, (u, v)),
                 mw: calib::dbm_to_mw(calib::TX_POWER_DBM + calib::RX_GAIN_DBI - loss_db) * element,
             });
         }
@@ -129,8 +130,8 @@ fn conjugate_mw(array: &PlanarArray, paths: &[PathSample], toward: &[f64; 4]) ->
 /// the AP has no direction toward it.
 fn conjugate_beam_dbm(channel: &Channel, target: Vec3, paths: &[PathSample]) -> Option<f64> {
     let array = &channel.array;
-    let dir = array.local_direction(target - array.position)?;
-    let mw = conjugate_mw(array, paths, &half_angles(array, dir));
+    let (u, v, _) = array.cosines(target - array.position)?;
+    let mw = conjugate_mw(array, paths, &half_angles(array, (u, v)));
     Some(calib::mw_to_dbm(mw))
 }
 
@@ -165,7 +166,8 @@ fn scan(channel: &Channel, codebook: &Codebook, members: &[Vec<PathSample>]) -> 
     let (mut best_idx, mut best_min) = (0, 0.0);
     let mut best_mw = vec![0.0; members.len()];
     for (i, &dir) in codebook.directions().iter().enumerate() {
-        let toward = half_angles(&channel.array, dir);
+        let cosines = (dir.azimuth.sin() * dir.elevation.cos(), dir.elevation.sin());
+        let toward = half_angles(&channel.array, cosines);
         let mw: Vec<f64> = (members.iter())
             .map(|p| conjugate_mw(&channel.array, p, &toward))
             .collect();

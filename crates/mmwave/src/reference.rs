@@ -3,12 +3,13 @@
 //!
 //! Nothing here is shared with the live path beyond the steering rows
 //! ([`PlanarArray::steering_uv_into`]), the axis kernel
-//! ([`PlanarArray::chebyshev_u`]), path enumeration and the loss program:
-//! this module referees selection, not trig or the closed form — the
-//! steering and closed-form referees in its tests do that. A receiver is a
-//! [`PreparedRx`] rebuilt per call, one owned steering vector and one set
-//! of half-angle pairs per path, direction sines and cosines taken wherever
-//! they are needed. A factoring beam (a sector of a DFT codebook, a link's
+//! ([`PlanarArray::chebyshev_u`]), the direction program
+//! ([`PlanarArray::cosines`]), path enumeration and the loss program: this
+//! module referees selection, not trig or the closed form — the steering
+//! and closed-form referees in its tests, and `sweep.rs`'s spherical-locate
+//! referee, do that. A receiver is a [`PreparedRx`] rebuilt per call, one
+//! owned steering vector and one set of half-angle pairs per path, a
+//! sector's direction cosines taken wherever they are needed. A factoring beam (a sector of a DFT codebook, a link's
 //! conjugate beam) is priced by the kernel, any other by element sums, each
 //! as a power sum in milliwatts. Group-beam design evaluates every sector
 //! of the codebook against every member — no tables, no reused buffers —
@@ -30,13 +31,17 @@ fn beam_toward(array: &PlanarArray, dir: Spherical) -> AntennaWeights {
     .normalized()
 }
 
-/// `[sin, cos]` of `k·d/2 · u` and of `k·d/2 · v` toward `dir`.
-fn half_angles(array: &PlanarArray, dir: Spherical) -> [f64; 4] {
+/// Direction cosines `(u, v)` of an array-local direction: a codebook
+/// sector's, which is given by its angles.
+fn cosines(dir: Spherical) -> (f64, f64) {
+    (dir.azimuth.sin() * dir.elevation.cos(), dir.elevation.sin())
+}
+
+/// `[sin, cos]` of `k·d/2 · u` and of `k·d/2 · v`.
+fn half_angles(array: &PlanarArray, (u, v): (f64, f64)) -> [f64; 4] {
     let half_kd = 0.5
         * (2.0 * std::f64::consts::PI / calib::WAVELENGTH_M)
         * (array.spacing_wl * calib::WAVELENGTH_M);
-    let u = dir.azimuth.sin() * dir.elevation.cos();
-    let v = dir.elevation.sin();
     let (sin_a, cos_a) = (half_kd * u).sin_cos();
     let (sin_b, cos_b) = (half_kd * v).sin_cos();
     [sin_a, cos_a, sin_b, cos_b]
@@ -102,7 +107,7 @@ impl PreparedRx {
     /// for the array, element sums otherwise.
     fn sector_mw(&self, array: &PlanarArray, codebook: &Codebook, s: usize) -> f64 {
         if codebook.is_dft_for(array) {
-            self.conjugate_mw(&half_angles(array, codebook.directions()[s]))
+            self.conjugate_mw(&half_angles(array, cosines(codebook.directions()[s])))
         } else {
             self.power_mw(&codebook.sectors()[s])
         }
@@ -118,13 +123,15 @@ pub(crate) fn prepare_rx(channel: &Channel, rx: Vec3, blockers: &[Blocker]) -> P
         .filter_map(|path| {
             // A path whose departure direction is degenerate contributes
             // zero gain; dropping it here is equivalent.
-            let dir = array.local_direction(path.via - array.position)?;
+            let (u, v, element) = array.cosines(path.via - array.position)?;
             let loss_db = channel.path_loss_db(path, rx, blockers);
             let unit_gain_mw = calib::dbm_to_mw(calib::TX_POWER_DBM + calib::RX_GAIN_DBI - loss_db);
+            let mut steering = Vec::new();
+            array.steering_uv_into(u, v, &mut steering);
             Some(PathSample {
-                steering: array.steering(dir),
-                half: half_angles(array, dir),
-                mw: unit_gain_mw * (dir.azimuth.cos() * dir.elevation.cos()).max(0.01),
+                steering: AntennaWeights { w: steering },
+                half: half_angles(array, (u, v)),
+                mw: unit_gain_mw * element,
             })
         })
         .collect();
@@ -139,10 +146,10 @@ pub(crate) fn prepare_rx(channel: &Channel, rx: Vec3, blockers: &[Blocker]) -> P
 /// LoS direction, `-∞` when there is none.
 pub(crate) fn rss_dedicated_beam(channel: &Channel, rx: Vec3, blockers: &[Blocker]) -> f64 {
     let array = &channel.array;
-    match array.local_direction(rx - array.position) {
-        Some(dir) => {
+    match array.cosines(rx - array.position) {
+        Some((u, v, _)) => {
             let prepared = prepare_rx(channel, rx, blockers);
-            calib::mw_to_dbm(prepared.conjugate_mw(&half_angles(array, dir)))
+            calib::mw_to_dbm(prepared.conjugate_mw(&half_angles(array, (u, v))))
         }
         None => f64::NEG_INFINITY,
     }
@@ -157,9 +164,9 @@ pub(crate) fn rss_best_beam(channel: &Channel, rx: Vec3, blockers: &[Blocker]) -
         .paths(rx)
         .iter()
         .filter_map(|p| {
-            let dir = array.local_direction(p.via - array.position)?;
+            let (u, v, _) = array.cosines(p.via - array.position)?;
             Some(calib::mw_to_dbm(
-                prepared.conjugate_mw(&half_angles(array, dir)),
+                prepared.conjugate_mw(&half_angles(array, (u, v))),
             ))
         })
         .fold(f64::NEG_INFINITY, f64::max)
@@ -562,11 +569,6 @@ mod tests {
         }
     }
 
-    /// Direction cosines `(u, v)` of an array-local direction.
-    fn cosines(dir: Spherical) -> (f64, f64) {
-        (dir.azimuth.sin() * dir.elevation.cos(), dir.elevation.sin())
-    }
-
     /// `|wᵀa|²` of the conjugate beam toward `beam` at `path` in closed
     /// form: `(U_{nx−1}(cos ψx) · U_{ny−1}(cos ψy))² / N`.
     fn kernel_gain(array: &PlanarArray, path: (f64, f64), beam: (f64, f64)) -> f64 {
@@ -717,14 +719,12 @@ mod tests {
             }
             let located: Vec<Located> = (channel.paths(rx).iter())
                 .filter_map(|path| {
-                    let dir = array.local_direction(path.via - channel.array.position)?;
+                    let (u, v, element) = array.cosines(path.via - channel.array.position)?;
                     let loss_db = channel.path_loss_db(path, rx, &bodies);
                     blocked += (loss_db > channel.path_loss_db(path, rx, &[])) as usize;
-                    let element = (dir.azimuth.cos() * dir.elevation.cos()).max(0.01);
                     floored += (element == 0.01) as usize;
                     let mw = calib::dbm_to_mw(calib::TX_POWER_DBM + calib::RX_GAIN_DBI - loss_db)
                         * element;
-                    let (u, v) = cosines(dir);
                     let mut row = Vec::new();
                     array.steering_uv_into(u, v, &mut row);
                     Some(Located {
