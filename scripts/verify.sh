@@ -126,6 +126,25 @@ if sed '/^#\[cfg(test)\]$/q' crates/core/src/session.rs |
     exit 1
 fi
 
+echo "==> one direction program for every located receiver, not forked"
+# PlanarArray::cosines reads (u, v, element) off the array-local unit vector;
+# SweepRx::locate, reference.rs's oracle and the pipeline referee all call
+# it. No spherical round trip (azimuth and elevation, then their sines and
+# cosines) may come back on those paths, above each file's first
+# `#[cfg(test)]`: the spherical-locate referee in sweep.rs's tests keeps the
+# old program verbatim and is exempt.
+if grep -rn 'local_direction' crates/; then
+    echo "ERROR: PlanarArray::local_direction survives beside PlanarArray::cosines" >&2
+    exit 1
+fi
+for f in crates/mmwave/src/sweep.rs crates/mmwave/src/reference.rs crates/core/src/session/referee.rs; do
+    if sed '/^#\[cfg(test)\]$/q' "$f" |
+        grep -nE 'Spherical::from_vector|azimuth\.sin_cos|elevation\.sin_cos'; then
+        echo "ERROR: $f locates paths through a spherical direction program" >&2
+        exit 1
+    fi
+done
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -211,6 +230,15 @@ echo "==> the closed-form codebook responses against element sums, 2000 cases"
 # per path on |w^T a|^2, 1e-11 dB on RSS, -inf exactly together), in release.
 VOLCAST_PROP_CASES=2000 cargo test --release -q -p volcast-mmwave --lib \
     closed_form_responses_match_the_element_sums_within_bounds
+
+echo "==> the closed-form locate against the spherical program, 20000 cases"
+# SweepRx::locate reads u, v and the element pattern off the array-local unit
+# vector; sweep.rs keeps the asin/atan2 program it replaced and bounds per
+# path u, v, path_mw and |w^T a|^2, and the receiver's RSS, within bounds
+# scaled by 1/cos(el), over random array orientations and receivers behind,
+# above and at the array, in release.
+VOLCAST_PROP_CASES=20000 cargo test --release -q -p volcast-mmwave --lib \
+    closed_form_locate_matches_the_spherical_program_within_bounds
 
 echo "==> steering rows against the per-element loop, 2000 cases"
 # Rows are products of per-axis phasors, no longer bit-identical to the
@@ -305,11 +333,12 @@ echo "==> campus smoke is byte-identical at VOLCAST_THREADS=1 and 8, hash pinned
 # caching, plan-skeleton reuse, the flattened simulator core — cannot
 # drift without failing this diff. The bin writes no file. Keeping the
 # receivers of users who stood still and stopping a design's custom-beam
-# pricing at its first losing member moved no pin; nor did separable
-# steering rows (PR 36), which moved campus_roaming.rs's float-only pins.
-# Closed-form codebook responses moved it, 0x671fa175dde52bf0 ->
-# 0x56ba4f75d4dedf10, with every printed stat identical: see the campus
-# benchmark pin below.
+# pricing at its first losing member moved no pin. Closed-form codebook
+# responses moved it, 0x671fa175dde52bf0 -> 0x56ba4f75d4dedf10, with every
+# printed stat identical. What a campus re-pin moved is told field by field,
+# in ULP, by the snapshot report (volcast_util::pins, which backs
+# campus_roaming.rs's golden rows with results/pins/campus_golden/), pasted
+# into CHANGES.md with the re-pin.
 tmp_cmp1="$(mktemp)"
 tmp_cmp8="$(mktemp)"
 VOLCAST_THREADS=1 cargo run -q --release -p volcast-bench --bin campus -- \
@@ -375,13 +404,15 @@ echo "==> benchmark workloads at full size: outcome hashes pinned"
 # keep the default (2,076 -> 2,044 and 1,220 -> 1,198 customized designs
 # in one traced pass each); campus did not move.
 # DFT sectors and link beams in closed form (custom beams summed in mW)
-# moved campus alone, 0x22ab495ca9fac58d -> 0xfecfa15c95533c00, and
-# only through `min_interference_margin_db` (float-only, 8 and 12 ULP in
-# the two outcomes of a pass): every other field, every session pin and
-# every results/*.txt stayed. reference.rs bounds the kernel by element
-# sums (closed_form_responses_match_the_element_sums_within_bounds).
+# moved campus alone, 0x22ab495ca9fac58d -> 0xfecfa15c95533c00; its field
+# report is in CHANGES.md (PR 37), as is every later campus re-pin's.
+# reference.rs bounds the kernel by element sums
+# (closed_form_responses_match_the_element_sums_within_bounds).
 # Running the sweep's x kernel over blocks of eight sectors moved no pin:
 # every lane runs the serial recurrence's operations in its order.
+# Locating paths in closed form (u, v and the element pattern off the
+# array-local unit vector) moved none of these six either; it moved five
+# campus golden rows, reported in CHANGES.md (PR 42).
 for pin in codec_ladder:0x97b4ac0961eaafb1 codec_layered:0xb00dbeed38dc616e \
     session_single:0x8ba5c8e0f1e35ba5 session_layered_faulted:0x8a432810abffb801 \
     campus:0xfecfa15c95533c00 server:0xa52a4b03a0514405; do
