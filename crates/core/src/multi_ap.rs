@@ -208,9 +208,9 @@ impl EpochCoordinator {
         // Interference margin: for every victim user, desired signal minus
         // the strongest leakage from other APs' beams (victim APs
         // ascending, members ascending, aggressor APs ascending). Leakage
-        // re-uses the already-prepared receivers — the swept table for
-        // default beams, element sums (which build the victim's steering
-        // rows) for custom ones.
+        // re-uses the victim's already-prepared receiver at the aggressor:
+        // its swept table for a default beam, its kernels under the custom
+        // beam's terms for a custom one.
         let mut min_margin = f64::INFINITY;
         for a in 0..n_aps {
             for idx in 0..self.ap_users[a].len() {
@@ -220,13 +220,7 @@ impl EpochCoordinator {
                     if a == b || self.ap_users[b].is_empty() {
                         continue;
                     }
-                    let rx = &mut self.rxs[b][victim];
-                    let beam = &self.beams[b];
-                    let leak = if beam.customized {
-                        rx.eval_weights(&beam.weights)
-                    } else {
-                        rx.eval_sector(beam.sector)
-                    };
+                    let leak = engines[b].beam_dbm(&mut self.rxs[b][victim], &self.beams[b]);
                     min_margin = min_margin.min(desired - leak);
                 }
             }
@@ -417,6 +411,59 @@ mod tests {
         let a = assigned(&positions, &maps, 0.4, true);
         assert!(a.user_ap.iter().all(|&ap| ap == 0));
         assert_eq!(a.min_interference_margin_db, f64::INFINITY);
+    }
+
+    /// The interference margin against element sums: each AP's group beam
+    /// redesigned by `MultiLobeDesigner` (the same decision, with its
+    /// weights), priced at every victim of the other AP through
+    /// `Channel::rss_dbm`; within 1e-9 dB of the coordinator's, which
+    /// prices custom beams at victims from their terms.
+    #[test]
+    fn the_interference_margin_matches_element_sums_at_each_victim() {
+        let (c1, c2) = two_ap_setup();
+        let channels = [c1, c2];
+        let codebooks = channels.each_ref().map(|c| Codebook::default_for(&c.array));
+        let engines = [0, 1].map(|a| SweepEngine::new(&channels[a], &codebooks[a]));
+        let mut coord = EpochCoordinator::new();
+        let mut custom = 0;
+        let name = "the_interference_margin_matches_element_sums_at_each_victim";
+        run_cases_n(name, 64, |rng| {
+            let positions: Vec<Vec3> = (0..rng.gen_range(2..9usize))
+                .map(|_| {
+                    let at = |rng: &mut Rng, half: f64| rng.gen_range(-half..half);
+                    Vec3::new(at(rng, 2.8), 1.0 + at(rng, 0.6).abs(), at(rng, 2.8))
+                })
+                .collect();
+            coord.assign(&engines, &positions);
+            let mut want = f64::INFINITY;
+            for a in 0..2 {
+                let b = 1 - a;
+                let members: Vec<Vec3> =
+                    (coord.ap_users[b].iter()).map(|&u| positions[u]).collect();
+                if members.is_empty() {
+                    continue;
+                }
+                let designer = volcast_mmwave::MultiLobeDesigner::new(&channels[b], &codebooks[b]);
+                let beam = designer.design(&members, &[]);
+                assert_eq!(beam.customized, coord.beams[b].customized);
+                custom += beam.customized as usize;
+                for (i, &victim) in coord.ap_users[a].iter().enumerate() {
+                    let leak = channels[b].rss_dbm(&beam.weights, positions[victim], &[]);
+                    want = want.min(coord.beams[a].member_rss_dbm[i] - leak);
+                }
+            }
+            let got = coord.min_interference_margin_db;
+            let want = if want.is_finite() {
+                want
+            } else {
+                f64::INFINITY
+            };
+            assert!(
+                got == want || (got - want).abs() <= 1e-9,
+                "{got} dB against {want} at {positions:?}"
+            );
+        });
+        assert!(custom > 0, "no aggressor beam was custom");
     }
 
     #[test]

@@ -107,8 +107,8 @@ struct GroupBeams<'a> {
 impl<'a> GroupBeams<'a> {
     fn new(engine: SweepEngine<'a>, mcs: &'a McsTable, custom_beams: bool, users: usize) -> Self {
         let channel = engine.channel();
-        let (elements, sectors) = (channel.array.elements(), engine.codebook().len());
-        let rx = || SweepRx::with_capacity(channel.max_paths(), elements, sectors);
+        let sectors = engine.codebook().len();
+        let rx = || SweepRx::with_capacity(channel.max_paths(), sectors);
         let (words, sets) = (users.div_ceil(64).max(1), users * users + users);
         GroupBeams {
             rxs: (0..users).map(|_| rx()).collect(),
@@ -119,7 +119,7 @@ impl<'a> GroupBeams<'a> {
             memo_keys: Vec::with_capacity(sets * words),
             memo: Vec::with_capacity(sets),
             words,
-            design: BeamDesign::with_capacity(users, elements, sectors),
+            design: BeamDesign::with_capacity(users, sectors),
             tmp: Vec::with_capacity(sectors),
         }
     }
@@ -653,7 +653,7 @@ impl Arena {
             planning_poses: Vec::with_capacity(n),
             blockage_events: Vec::with_capacity(n),
             mitigation_actions: Vec::with_capacity(n),
-            link_rx: SweepRx::with_capacity(p.s.channel.max_paths(), 0, 0),
+            link_rx: SweepRx::with_capacity(p.s.channel.max_paths(), 0),
             link_blockers: Vec::with_capacity(bodies),
             unicast_phy: Vec::with_capacity(n),
             partition: Arc::from(Vec::new()),

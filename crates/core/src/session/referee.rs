@@ -5,12 +5,12 @@
 //! It walks the same nine stage boundaries with none of the shipped
 //! loop's shortcuts:
 //! - **mmWave:** a receiver is rebuilt for every evaluation (paths, losses,
-//!   one owned steering vector and one set of half-angle pairs per path);
-//!   a group beam is an exhaustive scan of every codebook sector against
-//!   every member, then (unless every member's best sector is the common
-//!   one) the multi-lobe combine and the custom-versus-default compare.
-//!   Sectors and link beams are priced by the closed form, custom beams by
-//!   element sums, both as power sums in mW. No rate caps, tables, memo or
+//!   one set of half-angle pairs per path); a group beam is an exhaustive
+//!   scan of every codebook sector against every member, then (unless
+//!   every member's best sector is the common one) the multi-lobe terms
+//!   and the custom-versus-default compare. Sectors, link beams and custom
+//!   beams are priced by the closed form (a custom beam from the kernels
+//!   of its terms), as power sums in mW. No rate caps, tables, memo or
 //!   staged receivers.
 //! - **grouping:** every pair of groups re-scored every merge round, its
 //!   multicast rate (a fresh beam design) asked eagerly.
@@ -19,7 +19,7 @@
 //! - **replay:** fresh vectors every frame; the airtime summed item by item
 //!   through [`TransmissionPlan::execute`].
 //!
-//! It shares with the shipped code only the steering function, the axis
+//! It shares with the shipped code only the axis
 //! kernel, the direction program ([`PlanarArray::cosines`]), path
 //! enumeration and loss, the calibration constants and
 //! tables, and the stateful predictor, adapter and mitigator. [`drive`]
@@ -42,9 +42,7 @@ use crate::rate_adapt::{AbrPolicy, Distress, GroupState, RateAdapter};
 use std::collections::{BTreeMap, BTreeSet};
 use volcast_geom::{Frustum, Pose, Ray, Vec3};
 use volcast_mmwave::calib;
-use volcast_mmwave::{
-    combine_weights_multi, AntennaWeights, Blocker, Channel, Codebook, PlanarArray,
-};
+use volcast_mmwave::{Blocker, Channel, Codebook, PlanarArray};
 use volcast_net::{
     BacklogPolicy, FaultPlan, MacModel, PlanTiming, SimTime, Simulator, TransmissionPlan, TxItem,
     TxKind,
@@ -69,11 +67,10 @@ fn half_angles(array: &PlanarArray, (u, v): (f64, f64)) -> [f64; 4] {
     [sin_a, cos_a, sin_b, cos_b]
 }
 
-/// One usable path of a receiver: the steering vector toward its
-/// departure direction, that direction's half-angle pairs, and the power
-/// (mW) it delivers at unit array gain, element pattern included.
+/// One usable path of a receiver: its departure direction's half-angle
+/// pairs, and the power (mW) it delivers at unit array gain, element
+/// pattern included.
 struct PathSample {
-    steering: AntennaWeights,
     half: [f64; 4],
     mw: f64,
 }
@@ -84,10 +81,7 @@ fn receiver(channel: &Channel, rx: Vec3, blockers: &[Blocker]) -> Vec<PathSample
     for path in channel.paths(rx) {
         if let Some((u, v, element)) = array.cosines(path.via - array.position) {
             let loss_db = channel.path_loss_db(&path, rx, blockers);
-            let mut steering = Vec::new();
-            array.steering_uv_into(u, v, &mut steering);
             out.push(PathSample {
-                steering: AntennaWeights { w: steering },
                 half: half_angles(array, (u, v)),
                 mw: calib::dbm_to_mw(calib::TX_POWER_DBM + calib::RX_GAIN_DBI - loss_db) * element,
             });
@@ -96,18 +90,11 @@ fn receiver(channel: &Channel, rx: Vec3, blockers: &[Blocker]) -> Vec<PathSample
     out
 }
 
-/// RSS (mW) of `weights` at a receiver, by element sums: the
-/// non-coherent power sum `Σ |wᵀa|² · mw` over its paths.
-fn power_mw(paths: &[PathSample], weights: &AntennaWeights) -> f64 {
-    let mut total_mw = 0.0f64;
-    for p in paths {
-        let mut acc = volcast_geom::Complex::ZERO;
-        for (wi, ai) in weights.w.iter().zip(&p.steering.w) {
-            acc += *wi * *ai;
-        }
-        total_mw += acc.norm_sq() * p.mw;
-    }
-    total_mw
+/// `U_{nx−1}(cos ψx) · U_{ny−1}(cos ψy)`, `√N · wᵀa` of the conjugate beam
+/// toward the direction with half-angle pairs `b` at the one with `a`.
+fn kernel(array: &PlanarArray, a: &[f64; 4], b: &[f64; 4]) -> f64 {
+    PlanarArray::chebyshev_u(array.nx, a[1] * b[1] + a[0] * b[0])
+        * PlanarArray::chebyshev_u(array.ny, a[3] * b[3] + a[2] * b[2])
 }
 
 /// RSS (mW) at a receiver of the conjugate beam toward the direction with
@@ -118,10 +105,8 @@ fn conjugate_mw(array: &PlanarArray, paths: &[PathSample], toward: &[f64; 4]) ->
     let inv_n = 1.0 / (array.nx * array.ny) as f64;
     let mut total_mw = 0.0f64;
     for p in paths {
-        let [sin_x, cos_x, sin_y, cos_y] = p.half;
-        let ux = PlanarArray::chebyshev_u(array.nx, cos_x * toward[1] + sin_x * toward[0]);
-        let uy = PlanarArray::chebyshev_u(array.ny, cos_y * toward[3] + sin_y * toward[2]);
-        total_mw += p.mw * inv_n * ((ux * uy) * (ux * uy));
+        let k = kernel(array, &p.half, toward);
+        total_mw += p.mw * inv_n * (k * k);
     }
     total_mw
 }
@@ -183,8 +168,10 @@ fn scan(channel: &Channel, codebook: &Codebook, members: &[Vec<PathSample>]) -> 
 /// `(member RSS, customized)` of a member set's group beam: the best
 /// common sector, or — with custom beams, unless every member's own best
 /// sector is the common one, and when it raises the common RSS — each
-/// member's best sector combined into one multi-lobe beam, priced by
-/// element sums.
+/// member's best sector combined into one multi-lobe beam `Σ c·w` (one
+/// term per distinct sector, `c` its members' `1/mw` summed in member
+/// order), priced by the kernels of its terms: `Σ mw·(Σ c·K)² / G`, with
+/// `G = Σ_i c_i·(c_i·K_ii + 2·Σ_{j<i} c_j·K_ij)`, and nothing where `G = 0`.
 fn design(s: &StreamingSession, members: &[Vec3], bodies: &[Blocker]) -> (Vec<f64>, bool) {
     let (channel, codebook) = (&s.channel, &s.codebook);
     let rxs: Vec<Vec<PathSample>> = (members.iter())
@@ -201,13 +188,39 @@ fn design(s: &StreamingSession, members: &[Vec3], bodies: &[Blocker]) -> (Vec<f6
         if bests.iter().all(|(idx, _)| *idx == common) {
             return (default_rss, false);
         }
-        let per_user: Vec<(AntennaWeights, f64)> = (bests.iter())
-            .map(|(idx, mw)| (codebook.sectors()[*idx].clone(), mw[0]))
+        let mut terms: Vec<(usize, f64)> = Vec::new();
+        for (idx, mw) in &bests {
+            let c = 1.0 / mw[0].max(1e-15);
+            match terms.iter_mut().find(|t| t.0 == *idx) {
+                Some(t) => t.1 += c,
+                None => terms.push((*idx, c)),
+            }
+        }
+        let lobes: Vec<(f64, [f64; 4])> = (terms.iter())
+            .map(|&(idx, c)| {
+                let dir = codebook.directions()[idx];
+                let cosines = (dir.azimuth.sin() * dir.elevation.cos(), dir.elevation.sin());
+                (c, half_angles(&channel.array, cosines))
+            })
             .collect();
-        let custom = combine_weights_multi(&per_user);
-        let custom_rss: Vec<f64> = rxs
-            .iter()
-            .map(|rx| calib::mw_to_dbm(power_mw(rx, &custom)))
+        let mut gram = 0.0;
+        for (i, (c, h)) in lobes.iter().enumerate() {
+            let mut cross = 0.0;
+            for (cj, hj) in &lobes[..i] {
+                cross += cj * kernel(&channel.array, h, hj);
+            }
+            gram += c * (c * kernel(&channel.array, h, h) + 2.0 * cross);
+        }
+        let custom_rss: Vec<f64> = (rxs.iter())
+            .map(|paths| {
+                let mut total_mw = 0.0f64;
+                for p in paths.iter().filter(|_| gram > 0.0) {
+                    let r: f64 = (lobes.iter())
+                        .fold(0.0, |r, (c, h)| r + c * kernel(&channel.array, &p.half, h));
+                    total_mw += p.mw * (r * r / gram);
+                }
+                calib::mw_to_dbm(total_mw)
+            })
             .collect();
         if min_of(&custom_rss) > min_of(&default_rss) {
             return (custom_rss, true);

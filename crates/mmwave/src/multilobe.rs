@@ -134,14 +134,17 @@ impl<'a> MultiLobeDesigner<'a> {
     }
 
     /// Full group beam design: returns whichever of (best common default
-    /// sector, customized multi-lobe beam) yields the higher common RSS.
+    /// sector, customized multi-lobe beam) yields the higher common RSS,
+    /// with its weights — the one design that builds them.
     pub fn design(&self, members: &[Vec3], blockers: &[Blocker]) -> GroupBeam {
         let (mut rxs, idx) = self.prepare(members, blockers);
         let mut design = BeamDesign::default();
         self.engine.design(&mut rxs, &idx, &mut design);
         GroupBeam {
             weights: if design.customized {
-                AntennaWeights { w: design.weights }
+                let mut w = Vec::new();
+                self.engine.combine_into(&design.terms, &mut w);
+                AntennaWeights { w }
             } else {
                 self.engine.codebook().sectors()[design.sector].clone()
             },

@@ -10,8 +10,9 @@
 //! referee, do that. A receiver is a [`PreparedRx`] rebuilt per call, one
 //! owned steering vector and one set of half-angle pairs per path, a
 //! sector's direction cosines taken wherever they are needed. A factoring beam (a sector of a DFT codebook, a link's
-//! conjugate beam) is priced by the kernel, any other by element sums, each
-//! as a power sum in milliwatts. Group-beam design evaluates every sector
+//! conjugate beam) is priced by the kernel, a custom beam over a DFT
+//! codebook by the kernels of its terms, any other beam by element sums,
+//! each as a power sum in milliwatts. Group-beam design evaluates every sector
 //! of the codebook against every member — no tables, no reused buffers —
 //! and takes the first-best argmax serially. This is the only exhaustive
 //! scan in the tree; it is compiled for tests only.
@@ -20,8 +21,8 @@ use crate::array::{AntennaWeights, PlanarArray};
 use crate::calib;
 use crate::channel::{Blocker, Channel};
 use crate::codebook::Codebook;
-use crate::multilobe::{combine_weights_multi, GroupBeam};
-use volcast_geom::{Spherical, Vec3};
+use crate::multilobe::GroupBeam;
+use volcast_geom::{Complex, Spherical, Vec3};
 
 /// Conjugate-beamforming weights toward `dir`, unit power.
 fn beam_toward(array: &PlanarArray, dir: Spherical) -> AntennaWeights {
@@ -45,6 +46,13 @@ fn half_angles(array: &PlanarArray, (u, v): (f64, f64)) -> [f64; 4] {
     let (sin_a, cos_a) = (half_kd * u).sin_cos();
     let (sin_b, cos_b) = (half_kd * v).sin_cos();
     [sin_a, cos_a, sin_b, cos_b]
+}
+
+/// `U_{nx−1}(cos ψx) · U_{ny−1}(cos ψy)` between the directions with
+/// half-angle pairs `a` and `b`.
+fn kernel(nx: usize, ny: usize, a: &[f64; 4], b: &[f64; 4]) -> f64 {
+    PlanarArray::chebyshev_u(nx, a[1] * b[1] + a[0] * b[0])
+        * PlanarArray::chebyshev_u(ny, a[3] * b[3] + a[2] * b[2])
 }
 
 /// One usable path of a prepared receiver.
@@ -95,10 +103,25 @@ impl PreparedRx {
         let inv_n = 1.0 / (self.nx * self.ny) as f64;
         let mut total_mw = 0.0f64;
         for path in &self.paths {
-            let [sin_x, cos_x, sin_y, cos_y] = path.half;
-            let ux = PlanarArray::chebyshev_u(self.nx, cos_x * toward[1] + sin_x * toward[0]);
-            let uy = PlanarArray::chebyshev_u(self.ny, cos_y * toward[3] + sin_y * toward[2]);
-            total_mw += path.mw * inv_n * ((ux * uy) * (ux * uy));
+            let k = kernel(self.nx, self.ny, &path.half, toward);
+            total_mw += path.mw * inv_n * (k * k);
+        }
+        total_mw
+    }
+
+    /// RSS (mW) of the unit-power custom beam `Σ c·w` of conjugate beams
+    /// toward `lobes` (`(c, half-angle pairs)`) with Gram `gram`, in closed
+    /// form: `Σ mw · (Σ c·K)² / G` over the paths, 0 where `G` is.
+    fn lobes_mw(&self, lobes: &[(f64, [f64; 4])], gram: f64) -> f64 {
+        let mut total_mw = 0.0f64;
+        if gram > 0.0 {
+            for path in &self.paths {
+                let mut r = 0.0;
+                for (c, toward) in lobes {
+                    r += c * kernel(self.nx, self.ny, &path.half, toward);
+                }
+                total_mw += path.mw * (r * r / gram);
+            }
         }
         total_mw
     }
@@ -234,14 +257,63 @@ fn bests(array: &PlanarArray, codebook: &Codebook, prepared: &[PreparedRx]) -> V
         .collect()
 }
 
-fn combine(codebook: &Codebook, bests: &[(usize, f64)]) -> AntennaWeights {
-    let per_user: Vec<(AntennaWeights, f64)> = (bests.iter())
-        .map(|&(idx, mw)| (codebook.sectors()[idx].clone(), mw))
-        .collect();
-    combine_weights_multi(&per_user)
+/// The custom beam's terms: each member's best sector with `1/mw`, one
+/// term per distinct sector in first-member order, coefficients summed in
+/// member order.
+fn terms(bests: &[(usize, f64)]) -> Vec<(usize, f64)> {
+    let mut terms: Vec<(usize, f64)> = Vec::new();
+    for &(s, mw) in bests {
+        let c = 1.0 / mw.max(1e-15);
+        match terms.iter_mut().find(|t| t.0 == s) {
+            Some(t) => t.1 += c,
+            None => terms.push((s, c)),
+        }
+    }
+    terms
 }
 
-/// Exhaustive [`SweepEngine::combine_into`](crate::SweepEngine::combine_into).
+/// The weights `Σ c·w_s` of `terms`, at unit power.
+fn combine(codebook: &Codebook, terms: &[(usize, f64)]) -> AntennaWeights {
+    let mut w = vec![Complex::ZERO; codebook.sectors()[0].len()];
+    for &(s, c) in terms {
+        for (a, b) in w.iter_mut().zip(&codebook.sectors()[s].w) {
+            *a += b.scale(c);
+        }
+    }
+    AntennaWeights { w }.normalized()
+}
+
+/// Each member's RSS (dBm) under the custom beam of `terms`: by the
+/// kernels over a DFT codebook — `G = Σ_i c_i·(c_i·K_ii + 2·Σ_{j<i}
+/// c_j·K_ij)` — and by element sums under its weights otherwise.
+fn custom_rss(
+    array: &PlanarArray,
+    codebook: &Codebook,
+    terms: &[(usize, f64)],
+    prepared: &[PreparedRx],
+) -> Vec<f64> {
+    if !codebook.is_dft_for(array) {
+        let weights = combine(codebook, terms);
+        return prepared.iter().map(|p| p.rss_dbm(&weights)).collect();
+    }
+    let lobes: Vec<(f64, [f64; 4])> = (terms.iter())
+        .map(|&(s, c)| (c, half_angles(array, cosines(codebook.directions()[s]))))
+        .collect();
+    let mut gram = 0.0;
+    for (i, (c, h)) in lobes.iter().enumerate() {
+        let mut cross = 0.0;
+        for (cj, hj) in &lobes[..i] {
+            cross += cj * kernel(array.nx, array.ny, h, hj);
+        }
+        gram += c * (c * kernel(array.nx, array.ny, h, h) + 2.0 * cross);
+    }
+    (prepared.iter())
+        .map(|p| calib::mw_to_dbm(p.lobes_mw(&lobes, gram)))
+        .collect()
+}
+
+/// Exhaustive [`MultiLobeDesigner::design`]'s custom beam: the weights of
+/// the members' terms.
 pub(crate) fn custom_beam(
     channel: &Channel,
     codebook: &Codebook,
@@ -249,7 +321,10 @@ pub(crate) fn custom_beam(
     blockers: &[Blocker],
 ) -> AntennaWeights {
     let prepared = prepare(channel, members, blockers);
-    combine(codebook, &bests(&channel.array, codebook, &prepared))
+    combine(
+        codebook,
+        &terms(&bests(&channel.array, codebook, &prepared)),
+    )
 }
 
 /// Exhaustive [`MultiLobeDesigner::design`](crate::MultiLobeDesigner::design).
@@ -267,11 +342,11 @@ pub(crate) fn design(
         let bests = bests(array, codebook, &prepared);
         // A tie: every member's own best sector is the common one.
         if bests.iter().any(|&(own, _)| own != idx) {
-            let custom = combine(codebook, &bests);
-            let custom_rss: Vec<f64> = prepared.iter().map(|p| p.rss_dbm(&custom)).collect();
+            let terms = terms(&bests);
+            let custom_rss = custom_rss(array, codebook, &terms, &prepared);
             if min_of(&custom_rss) > min_of(&default_rss) {
                 return GroupBeam {
-                    weights: custom,
+                    weights: combine(codebook, &terms),
                     member_rss_dbm: custom_rss,
                     customized: true,
                 };
@@ -293,7 +368,6 @@ mod tests {
     use crate::channel::Room;
     use crate::sweep::SweepRx;
     use std::f64::consts::{FRAC_PI_2, PI};
-    use volcast_geom::Complex;
     use volcast_util::prop::run_cases_n;
     use volcast_util::rng::Rng;
 
