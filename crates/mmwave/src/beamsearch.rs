@@ -154,9 +154,8 @@ mod tests {
     /// had a closed form within the closed-form referee's RSS bound: the
     /// same sector unless the two winners are within that bound of each
     /// other, and `−∞` exactly together. The three sweep setups with the
-    /// floor bounce on or off, 0–8 bodies, DFT codebooks of random shape
-    /// and the element-sum `from_parts` one, and a receiver no path reaches
-    /// (an array outside its room).
+    /// floor bounce on or off, 0–8 bodies, DFT codebooks of random shape,
+    /// and a receiver no path reaches (an array outside its room).
     #[test]
     fn full_sweep_matches_the_per_sector_scan() {
         let setups = setups();
@@ -166,7 +165,7 @@ mod tests {
             PlanarArray::airfide(outside, Vec3::FORWARD),
         );
         let search = BeamSearch::default();
-        let (mut unreachable, mut exact_only) = (0usize, 0usize);
+        let mut unreachable = 0usize;
         run_cases_n("full_sweep_matches_the_per_sector_scan", 256, |rng| {
             let mut channel = setups[rng.gen_range(0..setups.len())].clone();
             channel.room.floor_reflection = rng.gen_bool(0.5);
@@ -174,18 +173,12 @@ mod tests {
             if rng.gen_bool(0.1) {
                 (channel, user) = (lost.clone(), outside);
             }
-            let dft = if rng.gen_bool(0.5) {
+            let codebook = if rng.gen_bool(0.5) {
                 Codebook::default_for(&channel.array)
             } else {
                 let (n_az, n_el) = (rng.gen_range(1..17usize), rng.gen_range(1..5usize));
                 let (az, el) = (rng.gen_range(0.0..1.5), rng.gen_range(0.0..1.5));
                 Codebook::dft(&channel.array, n_az, n_el, az, el)
-            };
-            let codebook = if rng.gen_bool(0.2) {
-                exact_only += 1;
-                Codebook::from_parts(dft.sectors().to_vec(), dft.directions().to_vec())
-            } else {
-                dft
             };
             let n_bodies = rng.gen_range(0..9usize);
             let bodies: Vec<Blocker> = (random_positions(&channel, rng, n_bodies).into_iter())
@@ -213,9 +206,6 @@ mod tests {
                 assert!(got.sector == want.sector || tied, "{ctx}");
             }
         });
-        assert!(
-            unreachable > 0 && exact_only > 0,
-            "{unreachable} / {exact_only}"
-        );
+        assert!(unreachable > 0, "no receiver was unreachable");
     }
 }

@@ -4,36 +4,37 @@
 //! beams that the sector-level sweep (SLS) scans. The paper's point (Fig.
 //! 3b) is that these single-lobe sectors were never designed for multicast:
 //! one sector rarely covers two spread-out users with high RSS.
+//!
+//! Every codebook is a [`Codebook::dft`] one: conjugate beams toward a grid
+//! of directions on the array it was built for, priced in closed form.
 
 use crate::array::{AntennaWeights, PlanarArray};
 use std::sync::OnceLock;
 use volcast_geom::{Spherical, Vec3};
 
-/// A set of sector beams over the array's field of view.
+/// A set of DFT sector beams over the array's field of view.
 ///
 /// The fields are private so the codebook can vouch for its own structure:
-/// one built by [`Codebook::dft`] records the array geometry its sectors
-/// are the conjugate beams of, which is what lets
-/// [`SweepEngine`](crate::SweepEngine) price them in closed form without
-/// building them: its weights are built on the first [`Codebook::sectors`]
-/// call, which `==`, clones and `Debug` do not tell from an eager build.
+/// [`Codebook::dft`] records the array geometry its sectors are the
+/// conjugate beams of, which is what lets [`SweepEngine`](crate::SweepEngine)
+/// price them in closed form without building them: its weights are built
+/// on the first [`Codebook::sectors`] call, which `==`, clones and `Debug`
+/// do not tell from an eager build.
 #[derive(Clone)]
 pub struct Codebook {
-    /// Sector beams (unit transmit power each); a `dft` one's built lazily.
+    /// Sector beams (unit transmit power each), built on request.
     sectors: OnceLock<Vec<AntennaWeights>>,
     /// The steering direction of each sector (same indexing).
     directions: Vec<Spherical>,
     /// `(nx, ny, spacing_wl)` of the array every sector is
-    /// `beam_toward(direction)` of — all a conjugate beam depends on;
-    /// `None` for a codebook of arbitrary weights.
-    dft_of: Option<(usize, usize, f64)>,
+    /// `beam_toward(direction)` of — all a conjugate beam depends on.
+    dft_of: (usize, usize, f64),
 }
 
 /// Equal DFT records and directions make equal sectors: not compared.
 impl PartialEq for Codebook {
     fn eq(&self, other: &Self) -> bool {
         (self.dft_of, &self.directions) == (other.dft_of, &other.directions)
-            && (self.dft_of.is_some() || self.sectors() == other.sectors())
     }
 }
 
@@ -53,7 +54,7 @@ impl Codebook {
     ///
     /// Defaults mirror commercial devices: ~32-64 sectors.
     pub fn dft(array: &PlanarArray, n_az: usize, n_el: usize, az_span: f64, el_span: f64) -> Self {
-        assert!(n_az >= 1 && n_el >= 1);
+        assert!(n_az * n_el > 0, "a codebook needs at least one sector");
         let at = |i: usize, n: usize, span: f64| match n {
             1 => 0.0,
             _ => -span + 2.0 * span * i as f64 / (n - 1) as f64,
@@ -66,35 +67,16 @@ impl Codebook {
         Codebook {
             sectors: OnceLock::new(),
             directions,
-            dft_of: Some((array.nx, array.ny, array.spacing_wl)),
+            dft_of: (array.nx, array.ny, array.spacing_wl),
         }
     }
 
-    /// A codebook of arbitrary sector weights, each listed with its nominal
-    /// direction. Nothing is assumed about the weights: sweeps over it
-    /// price every sector by element sums.
-    ///
-    /// # Panics
-    ///
-    /// If the two lists differ in length, or are empty: a sweep must have a
-    /// sector to return, as [`Codebook::dft`] (which panics on a zero
-    /// count) ensures too.
-    pub fn from_parts(sectors: Vec<AntennaWeights>, directions: Vec<Spherical>) -> Self {
-        assert_eq!(sectors.len(), directions.len(), "one direction per sector");
-        assert!(!sectors.is_empty(), "a codebook needs at least one sector");
-        Codebook {
-            sectors: OnceLock::from(sectors),
-            directions,
-            dft_of: None,
-        }
-    }
-
-    /// Sector beams (unit transmit power each), built by the first call
-    /// over a DFT codebook: `beam_toward` each direction.
+    /// Sector beams (unit transmit power each), built by the first call:
+    /// `beam_toward` each direction.
     pub fn sectors(&self) -> &[AntennaWeights] {
         self.sectors.get_or_init(|| {
             let mut array = PlanarArray::airfide(Vec3::ZERO, Vec3::FORWARD);
-            (array.nx, array.ny, array.spacing_wl) = self.dft_of.expect("a DFT codebook");
+            (array.nx, array.ny, array.spacing_wl) = self.dft_of;
             let beam = |&d: &Spherical| array.beam_toward(d);
             self.directions.iter().map(beam).collect()
         })
@@ -108,7 +90,7 @@ impl Codebook {
     /// Whether every sector is `array.beam_toward` of its direction, by the
     /// record [`Codebook::dft`] left.
     pub(crate) fn is_dft_for(&self, array: &PlanarArray) -> bool {
-        self.dft_of == Some((array.nx, array.ny, array.spacing_wl))
+        self.dft_of == (array.nx, array.ny, array.spacing_wl)
     }
 
     /// The standard commercial configuration for the 8x4 array: 16 azimuth
@@ -225,14 +207,6 @@ mod tests {
                 }));
                 assert_eq!(w.len(), want.len());
             }
-            let parts = Codebook::from_parts(lazy.sectors().to_vec(), lazy.directions().to_vec());
-            assert!(parts != lazy && parts == parts.clone());
-            let mut other = lazy.sectors().to_vec();
-            other[1].w[0] = other[1].w[0].scale(0.5);
-            assert_ne!(
-                parts,
-                Codebook::from_parts(other, lazy.directions().to_vec())
-            );
             assert_eq!(lazy.clone(), built);
         }
     }
@@ -241,7 +215,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one sector")]
     fn an_empty_codebook_is_refused() {
-        Codebook::from_parts(Vec::new(), Vec::new());
+        let array = PlanarArray::airfide(Vec3::ZERO, Vec3::FORWARD);
+        Codebook::dft(&array, 0, 3, 1.0, 0.5);
     }
 
     #[test]

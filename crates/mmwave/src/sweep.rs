@@ -45,9 +45,9 @@
 //! and a custom beam `Σ_t c_t·w_{s_t}` (unit power) is priced from them:
 //! toward path `p`, `|wᵀa|² = (Σ_t c_t·K(s_t, p))² / G` with
 //! `G = Σ_t Σ_t' c_t·c_t'·K(s_t, s_t')`.
-//! Only beams over a [`Codebook::from_parts`] codebook, whose sectors need
-//! not factor, are priced by [`SweepRx::eval_weights`]: element sums over
-//! the receiver's steering rows, built on its first call after a location.
+//! Only arbitrary weight vectors are priced by [`SweepRx::eval_weights`]:
+//! element sums over the receiver's steering rows, built on its first call
+//! after a location.
 //! The `Channel::rss_*` conveniences are allocating fronts over a located
 //! receiver; the test-only `reference` module keeps a per-call
 //! `PreparedRx` and the exhaustive scan as the oracle of all of it.
@@ -127,19 +127,16 @@ fn argmax(values: &[f64]) -> (usize, f64) {
 /// Immutable and `Sync` once built: all per-receiver mutable state lives in
 /// [`SweepRx`], so one engine can serve many parallel room workers.
 ///
-/// If the codebook does not vouch for its sectors being the
-/// conjugate-beamforming weights of its listed directions on this array (a
-/// [`Codebook::from_parts`] one), the kernel does not apply and every
-/// sector and custom beam is priced by [`SweepRx::eval_weights`]: the same
-/// numbers up to rounding, slower.
+/// Every sector and custom beam is priced by the kernel, which holds
+/// because a [`Codebook::dft`] built for the channel's array geometry
+/// vouches for its sectors being the conjugate beams of its directions.
 #[derive(Debug, Clone)]
 pub struct SweepEngine<'a> {
     channel: &'a Channel,
     codebook: &'a Codebook,
     /// Each sector's x half-angle pair (see [`half_angles`]) as two
     /// columns, sines and cosines, padded by `LANES − 1` zeros so that a
-    /// step of the x kernel may read a full block from any sector; empty
-    /// when the kernel does not apply.
+    /// step of the x kernel may read a full block from any sector.
     sin_x: Vec<f64>,
     cos_x: Vec<f64>,
     /// `(end, y pair)`: sectors up to `end` (from the previous run's)
@@ -150,33 +147,33 @@ pub struct SweepEngine<'a> {
 }
 
 impl<'a> SweepEngine<'a> {
-    /// Builds the engine. The kernel depends on each codebook sector being
-    /// `beam_toward(direction)`, which a [`Codebook::dft`] built for this
-    /// array's geometry vouches for; over any other codebook the engine
-    /// prices sectors by element sums.
+    /// Builds the engine over a [`Codebook::dft`] of `channel`'s array. A
+    /// codebook built for another array geometry panics: its sectors are
+    /// not this array's conjugate beams, which the kernel prices.
     pub fn new(channel: &'a Channel, codebook: &'a Codebook) -> Self {
         let array = &channel.array;
-        let (mut sin_x, mut cos_x) = (Vec::new(), Vec::new());
+        assert!(
+            codebook.is_dft_for(array),
+            "the codebook was built for another array geometry"
+        );
+        let half_kd = half_kd(array);
+        let padded = codebook.len() + LANES - 1;
+        let (mut sin_x, mut cos_x) = (Vec::with_capacity(padded), Vec::with_capacity(padded));
         let mut y_runs = Vec::<(usize, [f64; 2])>::new();
-        if codebook.is_dft_for(array) {
-            let half_kd = half_kd(array);
-            let padded = codebook.len() + LANES - 1;
-            (sin_x, cos_x) = (Vec::with_capacity(padded), Vec::with_capacity(padded));
-            for dir in codebook.directions() {
-                let u = dir.azimuth.sin() * dir.elevation.cos();
-                let [[sin, cos], y] = half_angles(half_kd, u, dir.elevation.sin());
-                sin_x.push(sin);
-                cos_x.push(cos);
-                match y_runs.last_mut() {
-                    Some((end, run)) if run.map(f64::to_bits) == y.map(f64::to_bits) => {
-                        *end = sin_x.len()
-                    }
-                    _ => y_runs.push((sin_x.len(), y)),
+        for dir in codebook.directions() {
+            let u = dir.azimuth.sin() * dir.elevation.cos();
+            let [[sin, cos], y] = half_angles(half_kd, u, dir.elevation.sin());
+            sin_x.push(sin);
+            cos_x.push(cos);
+            match y_runs.last_mut() {
+                Some((end, run)) if run.map(f64::to_bits) == y.map(f64::to_bits) => {
+                    *end = sin_x.len()
                 }
+                _ => y_runs.push((sin_x.len(), y)),
             }
-            sin_x.resize(sin_x.len() + LANES - 1, 0.0);
-            cos_x.resize(sin_x.len(), 0.0);
         }
+        sin_x.resize(sin_x.len() + LANES - 1, 0.0);
+        cos_x.resize(sin_x.len(), 0.0);
         SweepEngine {
             channel,
             codebook,
@@ -264,7 +261,7 @@ impl<'a> SweepEngine<'a> {
     }
 
     /// The custom beam of swept members into `out`: terms (best sector and
-    /// `1/mw`, summed per sector in member order), Gram `G` or its weights.
+    /// `1/mw`, summed per sector in member order) and their Gram `G`.
     fn lobes(&self, rxs: &[SweepRx], members: &[usize], out: &mut BeamDesign) {
         out.terms.clear();
         for &mi in members {
@@ -274,9 +271,6 @@ impl<'a> SweepEngine<'a> {
                 Some(t) => t.1 += c,
                 None => out.terms.push((s, c)),
             }
-        }
-        if self.sin_x.is_empty() {
-            return self.combine_into(&out.terms, &mut out.weights);
         }
         let (nx, ny) = (self.channel.array.nx, self.channel.array.ny);
         out.gram = 0.0;
@@ -289,7 +283,7 @@ impl<'a> SweepEngine<'a> {
     }
 
     /// The unit-power weights `Σ_t c_t·w_{s_t}` of custom-beam terms into
-    /// `acc`, for a `from_parts` design and `MultiLobeDesigner::design`.
+    /// `acc`, for `MultiLobeDesigner::design`.
     pub(crate) fn combine_into(&self, terms: &[(usize, f64)], acc: &mut Vec<Complex>) {
         acc.clear();
         acc.resize(self.channel.array.elements(), Complex::ZERO);
@@ -303,11 +297,8 @@ impl<'a> SweepEngine<'a> {
 
     /// RSS (mW) at a receiver swept here of the custom beam `lobes` wrote:
     /// `Σ_p path_mw·(Σ_t c_t·K(s_t, p))² / G`, 0 where `G = 0` (not `0/0`),
-    /// the kernels kept on first use; element sums under `w` for `from_parts`.
-    fn custom_mw(&self, rx: &mut SweepRx, terms: &[(usize, f64)], g: f64, w: &[Complex]) -> f64 {
-        if self.sin_x.is_empty() {
-            return rx.power_mw(w);
-        }
+    /// the kernels kept on first use.
+    fn custom_mw(&self, rx: &mut SweepRx, terms: &[(usize, f64)], g: f64) -> f64 {
         let (n, mut total_mw) = (self.codebook.len(), 0.0f64);
         if g > 0.0 {
             if rx.kern.is_empty() {
@@ -328,7 +319,7 @@ impl<'a> SweepEngine<'a> {
         if !beam.customized {
             return rx.eval_sector(beam.sector);
         }
-        calib::mw_to_dbm(self.custom_mw(rx, &beam.terms, beam.gram, &beam.weights))
+        calib::mw_to_dbm(self.custom_mw(rx, &beam.terms, beam.gram))
     }
 
     /// Full group beam design (§4.2) over swept receivers: whichever of
@@ -353,9 +344,9 @@ impl<'a> SweepEngine<'a> {
             self.lobes(rxs, members, out);
             // The custom beam must beat the default at every member: stop at its first loss.
             out.scratch.clear();
-            let (terms, gram, weights) = (&out.terms, out.gram, &out.weights);
+            let (terms, gram) = (&out.terms, out.gram);
             out.customized = members.iter().all(|&mi| {
-                let v = calib::mw_to_dbm(self.custom_mw(&mut rxs[mi], terms, gram, weights));
+                let v = calib::mw_to_dbm(self.custom_mw(&mut rxs[mi], terms, gram));
                 out.scratch.push(v);
                 v > default_min
             });
@@ -385,11 +376,10 @@ pub struct BeamDesign {
     pub customized: bool,
     /// Best common sector: the transmit beam when `!customized`.
     pub sector: usize,
-    /// The custom beam's `(sector, c)` terms, one per sector, their Gram
-    /// and (`from_parts` only) weights: the transmit beam when `customized`.
+    /// The custom beam's `(sector, c)` terms, one per sector, and their
+    /// Gram: the transmit beam when `customized`.
     pub(crate) terms: Vec<(usize, f64)>,
     gram: f64,
-    weights: Vec<Complex>,
     /// Per-member RSS (dBm) under the chosen beam, in member order.
     pub member_rss_dbm: Vec<f64>,
     /// Joint-sweep scratch / a losing custom beam's RSS up to its first loss.
@@ -428,7 +418,7 @@ fn unit_gain_mw(loss_db: f64) -> f64 {
 
 /// The prepared receiver, in two stages: the located paths, and on top of
 /// them the per-sector table of linear RSS (and kernels, once a custom beam
-/// is priced). Rows are built only for a beam that does not factor. One per `(AP,
+/// is priced). Rows are built only for arbitrary weights. One per `(AP,
 /// user)` pair — or one per session for link evaluations — reused across
 /// frames: each stage only rewrites contents, so steady-state reuse
 /// allocates nothing.
@@ -455,7 +445,7 @@ pub struct SweepRx {
     // --- sweep: written by `sweep`, emptied by `locate` ---
     /// Per-sector RSS (mW).
     table: Vec<f64>,
-    /// Per path, each sector's `K`, kept by the first custom price (DFT).
+    /// Per path, each sector's `K`, kept by the first custom price.
     kern: Vec<f64>,
 }
 
@@ -513,21 +503,12 @@ impl SweepRx {
         }
     }
 
-    /// Stage 2, *sweep*: every sector's RSS (mW) into the table — the
-    /// closed form over a DFT codebook (`SweepEngine::each_kernel`), one
-    /// [`SweepRx::eval_weights`] sum per sector otherwise. Paths outer,
-    /// sectors inner: each sector adds its path terms in ascending path
-    /// order.
+    /// Stage 2, *sweep*: every sector's RSS (mW) into the table, in closed
+    /// form (`SweepEngine::each_kernel`). Paths outer, sectors inner: each
+    /// sector adds its path terms in ascending path order.
     pub fn sweep(&mut self, engine: &SweepEngine) {
         self.table.clear();
         self.kern.clear();
-        if engine.sin_x.is_empty() {
-            for sector in engine.codebook.sectors() {
-                let mw = self.power_mw(&sector.w);
-                self.table.push(mw);
-            }
-            return;
-        }
         self.table.resize(engine.codebook.len(), 0.0);
         let axes = self.axes();
         let inv_n = inv_elements(axes.0, axes.1);
@@ -566,16 +547,10 @@ impl SweepRx {
     }
 
     /// Exact RSS (dBm) of an arbitrary weight vector against the located
-    /// paths: the non-coherent power sum of the beam's gain toward each
-    /// path's departure direction, by element sums over the steering rows
-    /// (built here on first use).
+    /// paths: the non-coherent power sum `Σ |wᵀa|² · path_mw` in path
+    /// order, each dot product summing its elements in index order over
+    /// the steering rows (built here on first use).
     pub fn eval_weights(&mut self, weights: &[Complex]) -> f64 {
-        calib::mw_to_dbm(self.power_mw(weights))
-    }
-
-    /// [`SweepRx::eval_weights`] in mW: `Σ |wᵀa|² · path_mw` in path order,
-    /// each dot product summing its elements in index order.
-    fn power_mw(&mut self, weights: &[Complex]) -> f64 {
         if self.rows.is_empty() {
             if let Some(array) = &self.array {
                 for &(u, v) in &self.uv {
@@ -589,7 +564,7 @@ impl SweepRx {
         for (p, &mw) in self.path_mw.iter().enumerate() {
             total_mw += crate::array::response(weights, &self.rows[p * n..][..n]).norm_sq() * mw;
         }
-        total_mw
+        calib::mw_to_dbm(total_mw)
     }
 
     /// An upper bound (dBm) on this receiver's RSS under *any* unit-power
@@ -697,7 +672,6 @@ pub(crate) mod tests {
         for (ci, channel) in setups().into_iter().enumerate() {
             let codebook = Codebook::default_for(&channel.array);
             let engine = SweepEngine::new(&channel, &codebook);
-            assert!(!engine.sin_x.is_empty(), "setup {ci} should be DFT");
             let mut rng = Rng::seed_from_u64(0xC0FFEE + ci as u64);
             let mut rx = SweepRx::new();
             for pos in random_positions(&channel, &mut rng, 80) {
@@ -755,13 +729,8 @@ pub(crate) mod tests {
 
     #[test]
     fn joint_sweep_is_bit_identical() {
-        // The default codebook listed twice ties every sector exactly with
-        // its copy: both argmaxes must keep the first.
-        let twice = |array: &PlanarArray| {
-            let dft = Codebook::default_for(array);
-            let sectors = [dft.sectors(), dft.sectors()].concat();
-            Codebook::from_parts(sectors, [dft.directions(), dft.directions()].concat())
-        };
+        // A zero-span codebook points every sector the same way, so all of
+        // them tie exactly: both argmaxes must keep the first.
         let mut cases: Vec<(Channel, Codebook)> = (setups().into_iter())
             .map(|ch| {
                 let cb = Codebook::default_for(&ch.array);
@@ -769,7 +738,8 @@ pub(crate) mod tests {
             })
             .collect();
         let channel = Channel::default_setup();
-        cases.push((channel.clone(), twice(&channel.array)));
+        let tie = Codebook::dft(&channel.array, 6, 2, 0.0, 0.0);
+        cases.push((channel.clone(), tie));
         for (ci, (channel, codebook)) in cases.into_iter().enumerate() {
             let engine = SweepEngine::new(&channel, &codebook);
             let mut rng = Rng::seed_from_u64(0xBEEF + ci as u64);
@@ -836,52 +806,17 @@ pub(crate) mod tests {
         }
     }
 
-    /// The default codebook with one sector zeroed: not DFT any more, and
-    /// built through `from_parts`, so it does not claim to be.
-    fn unstructured_codebook(array: &PlanarArray) -> Codebook {
-        let dft = Codebook::default_for(array);
-        let mut sectors = dft.sectors().to_vec();
-        sectors[5] = AntennaWeights {
-            w: vec![Complex::ZERO; sectors[5].w.len()],
-        };
-        Codebook::from_parts(sectors, dft.directions().to_vec())
-    }
-
-    /// The engine applies the kernel only on a codebook's own record: the
-    /// same weights through `from_parts`, or a DFT codebook of another
-    /// geometry, are priced by element sums.
+    /// The kernel holds only for the array a codebook was built for: a DFT
+    /// codebook of another geometry is refused, not priced.
     #[test]
-    fn only_a_matching_dft_record_is_trusted() {
+    #[should_panic(expected = "another array geometry")]
+    fn a_codebook_for_another_array_is_refused() {
         let channel = Channel::default_setup();
-        let dft = Codebook::default_for(&channel.array);
-        let same_weights = Codebook::from_parts(dft.sectors().to_vec(), dft.directions().to_vec());
         let other_array = PlanarArray {
             spacing_wl: 0.45,
             ..channel.array.clone()
         };
-        assert!(!SweepEngine::new(&channel, &dft).cos_x.is_empty());
-        for untrusted in [same_weights, Codebook::default_for(&other_array)] {
-            let engine = SweepEngine::new(&channel, &untrusted);
-            assert!(engine.sin_x.is_empty() && engine.cos_x.is_empty());
-        }
-    }
-
-    #[test]
-    fn unstructured_codebook_falls_back_to_exact() {
-        let channel = Channel::default_setup();
-        let codebook = unstructured_codebook(&channel.array);
-        let engine = SweepEngine::new(&channel, &codebook);
-        assert!(engine.sin_x.is_empty(), "nothing vouches for it");
-        let mut rng = Rng::seed_from_u64(3);
-        let mut rx = SweepRx::new();
-        for pos in random_positions(&channel, &mut rng, 20) {
-            let (want_idx, want_rss) =
-                reference::best_common_sector(&channel, &codebook, &[pos], &[]);
-            rx.prepare(&engine, pos, &[]);
-            let (got_idx, got_dbm) = engine.best_sector(&mut rx);
-            assert_eq!(got_idx, want_idx);
-            assert_eq!(got_dbm.to_bits(), want_rss[0].to_bits());
-        }
+        SweepEngine::new(&channel, &Codebook::default_for(&other_array));
     }
 
     /// The session's inputs: random member positions plus an "all bodies"
@@ -892,15 +827,13 @@ pub(crate) mod tests {
     /// place after serving an unrelated group.
     #[test]
     fn design_is_bit_identical_to_reference_with_member_bodies() {
-        let unstructured = unstructured_codebook(&Channel::default_setup().array);
-        let mut cases: Vec<(Channel, Codebook)> = setups()
+        let cases: Vec<(Channel, Codebook)> = setups()
             .into_iter()
             .map(|ch| {
                 let cb = Codebook::default_for(&ch.array);
                 (ch, cb)
             })
             .collect();
-        cases.push((Channel::default_setup(), unstructured));
 
         let mut customized = 0usize;
         for (ci, (channel, codebook)) in cases.iter().enumerate() {
@@ -964,25 +897,22 @@ pub(crate) mod tests {
 
     /// Groups of campus size (20–120 members, no bodies): the design
     /// equals the exhaustive reference bit for bit whichever beam wins. On a
-    /// one-sector codebook of a single live element the custom beam is that
-    /// sector's weights exactly whenever its normalisation rounds back to
-    /// 1, so each member's custom RSS *ties* its default RSS — the weakest
-    /// member's included — and the default must be kept.
+    /// one-sector codebook of a 1×1 array the custom beam is that sector's
+    /// weights exactly whenever its normalisation rounds back to 1, so each
+    /// member's custom RSS *ties* its default RSS — the weakest member's
+    /// included — and the default must be kept.
     #[test]
     fn design_matches_the_reference_at_campus_group_sizes() {
-        let mut e0 = vec![Complex::ZERO; Channel::default_setup().array.elements()];
-        e0[0] = Complex::new(1.0, 0.0);
-        let tie = Codebook::from_parts(
-            vec![AntennaWeights { w: e0 }],
-            vec![Codebook::default_for(&Channel::default_setup().array).directions()[0]],
-        );
+        let mut single = Channel::default_setup();
+        (single.array.nx, single.array.ny) = (1, 1);
+        let tie = Codebook::dft(&single.array, 1, 1, 0.0, 0.0);
         let mut cases: Vec<(Channel, Codebook)> = (setups().into_iter())
             .map(|ch| {
                 let cb = Codebook::default_for(&ch.array);
                 (ch, cb)
             })
             .collect();
-        cases.push((Channel::default_setup(), tie));
+        cases.push((single, tie));
         let (mut customized, mut ties) = (0usize, 0usize);
         for (ci, (channel, codebook)) in cases.iter().enumerate() {
             let engine = SweepEngine::new(channel, codebook);
@@ -1208,7 +1138,7 @@ pub(crate) mod tests {
 
     /// A run of y pairs extends only while both values match bit for bit:
     /// one run per elevation row of a DFT codebook (one row for a zero
-    /// elevation span), none for a `from_parts` one.
+    /// elevation span).
     #[test]
     fn y_runs_follow_the_elevation_rows() {
         let channel = Channel::default_setup();
@@ -1223,8 +1153,6 @@ pub(crate) mod tests {
         );
         let flat = Codebook::dft(&channel.array, 3, 2, 0.5, 0.0);
         assert_eq!(runs(&flat), [6]);
-        let parts = Codebook::from_parts(flat.sectors().to_vec(), flat.directions().to_vec());
-        assert!(runs(&parts).is_empty());
     }
 
     /// Sector sweeps read the table: a receiver that was only located has
@@ -1430,7 +1358,7 @@ pub(crate) mod tests {
             for (i, rx) in rxs.iter_mut().enumerate() {
                 pathless += (rx.n_paths() == 0) as usize;
                 let (gains, want_mw) = element_sums(rx, &w.w);
-                let got = engine.custom_mw(rx, &out.terms, out.gram, &out.weights);
+                let got = engine.custom_mw(rx, &out.terms, out.gram);
                 let (got, want) = (calib::mw_to_dbm(got), calib::mw_to_dbm(want_mw));
                 for (p, want) in gains.iter().enumerate() {
                     let k = &rx.kern[p * codebook.len()..][..codebook.len()];

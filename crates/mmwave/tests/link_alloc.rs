@@ -17,9 +17,9 @@ static ALLOC: counting::CountingAllocator = counting::CountingAllocator;
 /// once the buffers have reached their high-watermark: its `link_rates`
 /// stage re-locates one receiver in place and evaluates both link beams;
 /// its group beams locate a receiver, take its rate cap, and — for a
-/// designed member — sweep it and find its best sector. Pricing a beam by
-/// element sums (`eval_weights`, what a `from_parts` codebook's beams
-/// take) builds the member's steering rows, in place too.
+/// designed member — sweep it and find its best sector. Pricing arbitrary
+/// weights by element sums (`eval_weights`, what `Channel::rss_dbm` runs)
+/// builds the member's steering rows, in place too.
 /// `design_alloc.rs` pins the custom-beam design itself.
 #[test]
 fn warm_link_evaluations_do_not_allocate() {
