@@ -73,12 +73,16 @@ if grep -rnE '\b(outage|blockage|loss|decode_overrun)_for\b|QUIET_FRAME|faults_a
     exit 1
 fi
 
-echo "==> the bound sweep is gone, not forked"
-# One exact table per receiver (mmwave::sweep): DFT sectors and link beams
-# in closed form, everything else by element sums into the same table; no
-# bounds, pruning, exact-evaluation cache or their counters survive.
-if grep -rnE 'sectors_pruned|sector_evals|flush_counts' crates/; then
-    echo "ERROR: names of the bound-pruned sector sweep survive under crates/" >&2
+echo "==> the bound sweep and the element-sum sweep are gone, not forked"
+# One exact table per receiver (mmwave::sweep): every codebook is a
+# Codebook::dft of its own array, whose sectors and custom beams are priced
+# in closed form like the link beams; SweepEngine::new refuses any other.
+# No codebook of arbitrary weights (`from_parts`) may come back to be swept
+# by element sums, nor the engine's empty-kernel branches, and no bounds,
+# pruning, exact-evaluation cache or their counters survive.
+if grep -rnE 'sectors_pruned|sector_evals|flush_counts|from_parts|sin_x\.is_empty' \
+    crates/ DESIGN.md README.md; then
+    echo "ERROR: names of the bound-pruned or element-sum sector sweep survive" >&2
     exit 1
 fi
 
