@@ -231,6 +231,13 @@ echo "==> the cap-led grouping search and its rate cap, 2000 cases each"
 VOLCAST_PROP_CASES=2000 cargo test --release -q -p volcast-core --test plan_reference
 VOLCAST_PROP_CASES=2000 cargo test --release -q -p volcast-mmwave --lib rss_cap_dominates
 
+echo "==> the occlusion certificate against the walk-only reference maps, 2000 cases"
+# rank_maps.rs keeps the pre-rank visibility pass, which decides every
+# occluded cell by nine DDA walks; compute_into decides most of them from
+# the target's eye-side neighbours instead and must agree bit for bit, in
+# release and well past the default case count.
+VOLCAST_PROP_CASES=2000 cargo test --release -q -p volcast-viewport --test rank_maps
+
 echo "==> the session frame's shortcuts and the sector sweep against the loops they replaced"
 # The box test before every body against a verbatim copy of the loop it
 # replaced, bit for bit;
