@@ -36,9 +36,9 @@
 //! working memory persists across frames, making steady-state encode and
 //! decode allocation-free. The free [`encode`]/[`decode`] functions are
 //! one-shot: a fresh instance per call, same bytes. Whole groups of frames
-//! batch through [`GopEncoder`], which sweeps one private [`Encoder`] per
-//! frame across the `volcast_util::par` workers — same bitstreams as the
-//! serial loop at any thread count.
+//! batch through [`GopEncoder`], which gives each `volcast_util::par`
+//! worker one private [`Encoder`] for its run of frames — same bitstreams
+//! as the serial loop at any thread count.
 //!
 //! ```
 //! use volcast_pointcloud::codec::{encode, decode, CodecConfig};

@@ -128,10 +128,10 @@ fn steady_state_frame_path_does_not_allocate() {
     );
 
     // --- GOP-batched path ------------------------------------------------
-    // Same contract for `GopEncoder`: once slots and the output-buffer pool
+    // Same contract for `GopEncoder`: once its arenas and output buffers
     // are warm, whole-GOP encode sweeps over clouds generated out here are
     // allocation-free. Pin the worker count to 1 — spawning workers
-    // allocates by design, and the zero-alloc claim is about the per-slot
+    // allocates by design, and the zero-alloc claim is about the codec
     // arenas, not thread plumbing (this also keeps the gate meaningful
     // under VOLCAST_THREADS=4 runs).
     par::set_thread_count(1);
@@ -167,5 +167,30 @@ fn steady_state_frame_path_does_not_allocate() {
         counting::deallocations() - gop_deallocs_before,
         0,
         "steady-state GOP batched path deallocated"
+    );
+
+    // --- Cold GOP memory -------------------------------------------------
+    // A GOP's codec scratch is bounded by the worker budget, not by its
+    // length: at one worker, the first encode of a 60-frame GOP may request
+    // at most 25 % more heap than one cold `Encoder` encoding the same
+    // frames into 60 fresh outputs (an arena per frame requests over 10x).
+    let long: Vec<PointCloud> = (0..60).map(|f| body.frame(f, POINTS)).collect();
+    let before = counting::allocated_bytes();
+    let mut enc = Encoder::new();
+    let outputs: Vec<Vec<u8>> = (long.iter())
+        .map(|cloud| {
+            let mut data = Vec::new();
+            enc.encode_into(cloud, &cfg10, &mut data);
+            data
+        })
+        .collect();
+    let serial_bytes = counting::allocated_bytes() - before;
+    drop((enc, outputs));
+    let before = counting::allocated_bytes();
+    GopEncoder::new().encode_gop_into(&long, &cfg10);
+    let gop_bytes = counting::allocated_bytes() - before;
+    assert!(
+        gop_bytes * 4 <= serial_bytes * 5,
+        "a cold 60-frame GOP requested {gop_bytes} B, one cold encoder {serial_bytes} B"
     );
 }

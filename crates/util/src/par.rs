@@ -1,13 +1,13 @@
 //! Deterministic data parallelism over scoped threads.
 //!
-//! The workspace's coarse loops — campus rooms, server clients, GOP slots,
-//! the figure bins' frame and trial sweeps, multi-config experiment
-//! replication — are embarrassingly parallel, but the workspace is
-//! intentionally
-//! dependency-free (`DESIGN.md` §5), so `rayon` is not an option. This
-//! module is the in-tree substitute: [`par_map`] and [`par_for_each_mut`]
-//! fan work out over `std::thread::scope` workers and return (or write)
-//! results **in input order**.
+//! The workspace's coarse loops — campus rooms, server clients, a GOP's
+//! runs of frames, the figure bins' frame and trial sweeps, multi-config
+//! experiment replication — are embarrassingly parallel, but the
+//! workspace is intentionally dependency-free (`DESIGN.md` §5), so
+//! `rayon` is not an option. This module is the in-tree substitute:
+//! [`par_map`] and [`par_for_each_mut`] fan work out over
+//! `std::thread::scope` workers and return (or write) results **in input
+//! order**.
 //!
 //! ## The determinism contract
 //!
@@ -126,8 +126,8 @@ where
 
 /// Applies `f` to every item of `items` **in place**, in parallel: the one
 /// scheduler of this module ([`par_map`] runs on it too), for pre-allocated
-/// slots such as a GOP of per-frame codec arenas, each owning its scratch
-/// and output buffers.
+/// slots such as a GOP's per-worker codec arenas, each owning its scratch
+/// and its run of output buffers.
 ///
 /// Work is split into contiguous blocks of `ceil(n / workers)` items, one
 /// block per scoped worker, so each slot is touched by exactly one thread
