@@ -33,8 +33,8 @@
 //!
 //! Everything inside an epoch is epoch-invariant except the per-frame
 //! fault bits, so each room owns a persistent `RoomSlot` arena:
-//! prepared receivers, group buffers, transmission-plan skeletons, fault
-//! plans, and simulator scratch all survive across epochs, and the
+//! prepared receivers, group buffers, the plan log, fault plans, and
+//! simulator scratch all survive across epochs, and the
 //! per-(room, epoch) association runs on the closed-form
 //! [`SweepEngine`] table instead of element sums per sector. Steady-state epochs allocate nothing (enforced by the
 //! `campus_alloc` gate test).
@@ -70,8 +70,8 @@ use crate::multi_ap::EpochCoordinator;
 use volcast_geom::Vec3;
 use volcast_mmwave::{Channel, Codebook, McsTable, PlanarArray, Room, SweepEngine};
 use volcast_net::{
-    AdMac, BacklogPolicy, Fault, FaultConfig, FaultPlan, FrameOutcome, MacModel, SimScratch,
-    SimTime, Simulator, TransmissionPlan, TxItem, TxKind,
+    AdMac, BacklogPolicy, Fault, FaultConfig, FaultPlan, MacModel, PlanLog, SimScratch, SimTime,
+    Simulator, TxItem,
 };
 use volcast_pointcloud::Ladder;
 use volcast_util::{obs, par};
@@ -352,20 +352,18 @@ struct RoomSlot {
     group_meta: Vec<GroupMeta>,
     /// Per-frame receiver list under construction.
     rx_tmp: Vec<usize>,
-    /// Pool of retired multicast receiver vectors from old plan items.
-    item_pool: Vec<Vec<usize>>,
     /// Reusable fault schedule, regenerated per (room, epoch, AP) domain.
     fault_plan: FaultPlan,
-    /// Transmission-plan skeletons, one per frame of the epoch.
-    plans: Vec<TransmissionPlan>,
+    /// The current AP's plans, one frame of the epoch each.
+    log: PlanLog,
     /// Simulator scratch.
     sim_scratch: SimScratch,
-    /// Simulator outcomes.
-    outcomes: Vec<FrameOutcome>,
+    /// Completion per `(frame, station)` of the current AP's replay.
+    completion: Vec<Option<SimTime>>,
 }
 
 /// Pops a recycled vector (or makes one) with capacity for `cap` items,
-/// so member/receiver vectors sized by the group cap never reallocate
+/// so member vectors sized by the group cap never reallocate
 /// mid-epoch once warm.
 fn take_pooled(pool: &mut Vec<Vec<usize>>, cap: usize) -> Vec<usize> {
     let mut v = pool.pop().unwrap_or_default();
@@ -629,11 +627,10 @@ impl Campus {
             base_rx,
             group_meta,
             rx_tmp,
-            item_pool,
             fault_plan,
-            plans,
+            log,
             sim_scratch,
-            outcomes,
+            completion,
             ..
         } = slot;
         let mac = &self.mac;
@@ -725,16 +722,10 @@ impl Campus {
 
         // Frames only filter the cached receivers by the frame's outage
         // bits and admit items in plan order against the budget.
-        while plans.len() < frames {
-            plans.push(TransmissionPlan::new());
-        }
-        for (f, plan) in plans[..frames].iter_mut().enumerate() {
+        log.clear();
+        for f in 0..frames {
             let faults = fp.at(f);
-            for item in plan.items.drain(..) {
-                if let TxKind::Multicast { members } = item.kind {
-                    item_pool.push(members);
-                }
-            }
+            log.begin_frame();
             let mut spent_s = 0.0f64;
             for (g, meta) in groups.iter().zip(group_meta.iter()) {
                 // Rung-3 inside the epoch: members under an injected
@@ -752,10 +743,8 @@ impl Campus {
                 // Two receivers imply two reachable members, so a burst rate.
                 let multicast = rx_tmp.len() > 1;
                 if multicast && stats.admit(ap, &mut spent_s, mc_bytes, meta.mc_airtime_s, true) {
-                    let mut mv = take_pooled(item_pool, self.params.group_cap);
-                    mv.extend_from_slice(rx_tmp);
-                    plan.items
-                        .push(TxItem::multicast(mv, mc_bytes, meta.mc_rate_mbps));
+                    let item = TxItem::multicast(Vec::new(), mc_bytes, meta.mc_rate_mbps);
+                    log.push(item, rx_tmp);
                 }
                 let (bytes, air) = if multicast {
                     (residual_bytes, &*residual_air)
@@ -764,7 +753,7 @@ impl Campus {
                 };
                 for &si in rx_tmp.iter() {
                     if stats.admit(ap, &mut spent_s, bytes, air[si], false) {
-                        plan.items.push(TxItem::unicast(si, bytes, rate[si]));
+                        log.push(TxItem::unicast(si, bytes, rate[si]), &[si]);
                     }
                 }
             }
@@ -786,12 +775,12 @@ impl Campus {
         )
         .expect("nonzero stations and interval")
         .with_faults(fp);
-        sim.run_into(&plans[..frames], sim_scratch, outcomes);
-        for outcome in outcomes.iter() {
-            let deadline = outcome.start + SimTime::from_secs(INTERVAL_S);
-            for completion in outcome.user_completion.iter().flatten() {
+        sim.replay_into(log, sim_scratch, completion);
+        for (f, row) in completion.chunks_exact(n_active).enumerate() {
+            let deadline = sim.frame_start(f) + SimTime::from_secs(INTERVAL_S);
+            for done in row.iter().flatten() {
                 stats.delivered_user_frames += 1;
-                if *completion <= deadline {
+                if *done <= deadline {
                     stats.on_time_user_frames += 1;
                 }
             }

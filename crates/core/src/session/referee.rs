@@ -44,8 +44,8 @@ use volcast_geom::{Frustum, Pose, Ray, Vec3};
 use volcast_mmwave::calib;
 use volcast_mmwave::{Blocker, Channel, Codebook, PlanarArray};
 use volcast_net::{
-    BacklogPolicy, FaultPlan, MacModel, PlanTiming, SimTime, Simulator, TransmissionPlan, TxItem,
-    TxKind,
+    BacklogPolicy, FaultPlan, MacModel, PlanTiming, SimScratch, SimTime, Simulator,
+    TransmissionPlan, TxItem, TxKind,
 };
 use volcast_pointcloud::{CellGrid, CellId, CellInfo, QualityLevel};
 use volcast_util::prop::run_cases_n;
@@ -916,14 +916,17 @@ impl<'a> Referee<'a> {
         qoe.duration_s = frames as f64 * self.interval;
         let deadline = SimTime::from_secs(self.interval);
         let quiet = FaultPlan::quiet();
-        let sim = Simulator::new(self.mac, n, n, deadline, BacklogPolicy::Drop).unwrap();
-        let outcomes = sim.with_faults(&quiet).run(&self.plans);
+        let sim = Simulator::new(self.mac, n, n, deadline, BacklogPolicy::Drop)
+            .unwrap()
+            .with_faults(&quiet);
+        let mut completion = Vec::new();
+        sim.run_into(&self.plans, &mut SimScratch::default(), &mut completion);
         let (mut on_time, mut addressed) = (0usize, 0usize);
-        for (plan, outcome) in self.plans.iter().zip(&outcomes) {
+        for (f, plan) in self.plans.iter().enumerate() {
             for u in (0..n).filter(|&u| plan.items.iter().any(|i| i.receivers().contains(&u))) {
                 addressed += 1;
-                let done = outcome.user_completion[u];
-                on_time += done.is_some_and(|t| t <= outcome.start + deadline) as usize;
+                let done = completion[f * n + u];
+                on_time += done.is_some_and(|t| t <= sim.frame_start(f) + deadline) as usize;
             }
         }
         let ratio = |num: f64, den: f64, empty: f64| if den > 0.0 { num / den } else { empty };

@@ -55,7 +55,7 @@ pub use faults::{Fault, FaultConfig, FaultPlan, FrameFaults};
 pub use link::LinkState;
 pub use mac::{AcMac, AdMac, MacModel};
 pub use plan::{PlanLog, PlanTiming, TransmissionPlan, TxItem, TxKind};
-pub use sim::{BacklogPolicy, FrameOutcome, SimScratch, Simulator};
+pub use sim::{BacklogPolicy, SimScratch, Simulator};
 pub use time::SimTime;
 pub use wifi5::Wifi5Channel;
 pub use wire::{StreamManifest, StreamReader, StreamWriter, WireCursor, WireError, WireEvent};

@@ -223,13 +223,23 @@ impl PlanLog {
         }
     }
 
+    /// Empties the log, keeping its capacity.
+    #[inline]
+    pub fn clear(&mut self) {
+        self.items.clear();
+        self.receivers.clear();
+        self.starts.clear();
+    }
+
     /// Opens a new, empty last frame.
+    #[inline]
     pub fn begin_frame(&mut self) {
         self.starts.push(self.items.len());
     }
 
     /// Appends `item`, reaching `receivers`, to the last frame, returning
     /// its index there.
+    #[inline]
     pub fn push(&mut self, item: TxItem, receivers: &[usize]) -> usize {
         debug_assert!(item.receivers().is_empty() || item.receivers() == receivers);
         self.items.push((item, self.receivers.len()));
@@ -258,6 +268,7 @@ impl PlanLog {
     }
 
     /// Item `i` of the log, with its receivers.
+    #[inline]
     pub(crate) fn item(&self, i: usize) -> (&TxItem, &[usize]) {
         let next = self.items.get(i + 1).map_or(self.receivers.len(), |n| n.1);
         (&self.items[i].0, &self.receivers[self.items[i].1..next])

@@ -18,7 +18,7 @@
 use crate::error::NetError;
 use crate::faults::{Fault, FaultPlan};
 use crate::mac::MacModel;
-use crate::plan::{PlanLog, TransmissionPlan, TxItem};
+use crate::plan::{PlanLog, TransmissionPlan, TxItem, TxKind};
 use crate::time::SimTime;
 use volcast_util::obs;
 
@@ -31,30 +31,19 @@ pub enum BacklogPolicy {
     Drop,
 }
 
-/// Per-frame outcome of a simulated run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrameOutcome {
-    /// Frame index.
-    pub frame: usize,
-    /// When this frame's slot began.
-    pub start: SimTime,
-    /// Absolute completion time of each user's last item in this frame
-    /// (`None`: nothing addressed to them, or their items were dropped).
-    pub user_completion: Vec<Option<SimTime>>,
-    /// Items of this frame that were dropped by [`BacklogPolicy::Drop`].
-    pub dropped_items: usize,
-}
-
-/// Reusable buffers for [`Simulator::run_into`] and
-/// [`Simulator::replay_into`]: the flattened pending queue. Steady-state
-/// reuse allocates nothing once the high-watermark capacity is reached.
+/// Reusable buffers for [`Simulator::replay_into`]: the flattened pending
+/// queue, and the log [`Simulator::run_into`] copies its plans into.
+/// Steady-state reuse allocates nothing once the high-watermark capacity
+/// is reached.
 #[derive(Debug, Default)]
 pub struct SimScratch {
-    /// Pending bursts as `(frame, item index, airtime)`, referencing the
-    /// caller's plans instead of cloning receiver lists. Consumed by a
-    /// head cursor — frames start in time order, so the `Drop` policy's
+    /// Pending bursts as `(frame, log index, airtime)`, referencing the
+    /// log's items instead of cloning receiver lists. Consumed by a head
+    /// cursor — frames start in time order, so the `Drop` policy's
     /// stale-frame purge is a prefix advance, never a `retain`.
     pending: Vec<(usize, usize, SimTime)>,
+    /// The plans [`Simulator::run_into`] last replayed.
+    log: PlanLog,
 }
 
 /// Event-driven pipelined executor over per-frame plans.
@@ -63,7 +52,7 @@ pub struct Simulator<'a, M: MacModel + ?Sized> {
     mac: &'a M,
     /// Stations sharing the medium (for MAC overhead).
     pub n_active: usize,
-    /// Users (sizes the per-user completion vectors).
+    /// Users (the width of a completion table's row).
     pub n_users: usize,
     /// Frame interval.
     pub interval: SimTime,
@@ -75,47 +64,6 @@ pub struct Simulator<'a, M: MacModel + ?Sized> {
 
 /// The schedule of a simulator without injected faults.
 static QUIET: FaultPlan = FaultPlan::quiet();
-
-/// The per-frame plans the event loop replays: frame count, items per
-/// frame, and an item with its receivers.
-trait Frames {
-    fn frames(&self) -> usize;
-    fn items(&self, frame: usize) -> usize;
-    fn item(&self, frame: usize, item: usize) -> (&TxItem, &[usize]);
-}
-
-impl Frames for [TransmissionPlan] {
-    fn frames(&self) -> usize {
-        self.len()
-    }
-    fn items(&self, frame: usize) -> usize {
-        self[frame].items.len()
-    }
-    fn item(&self, frame: usize, item: usize) -> (&TxItem, &[usize]) {
-        let item = &self[frame].items[item];
-        (item, item.receivers())
-    }
-}
-
-impl Frames for PlanLog {
-    fn frames(&self) -> usize {
-        PlanLog::frames(self)
-    }
-    fn items(&self, frame: usize) -> usize {
-        self.frame(frame).len()
-    }
-    fn item(&self, frame: usize, item: usize) -> (&TxItem, &[usize]) {
-        PlanLog::item(self, self.start(frame) + item)
-    }
-}
-
-/// What the event loop reports about a frame.
-enum Event {
-    /// An item of the frame completed at a receiver.
-    Reached { user: usize, at: SimTime },
-    /// Items of the frame were dropped.
-    Dropped(usize),
-}
 
 impl<'a, M: MacModel + ?Sized> Simulator<'a, M> {
     /// Creates a simulator. Errors on degenerate setups that used to panic
@@ -153,16 +101,40 @@ impl<'a, M: MacModel + ?Sized> Simulator<'a, M> {
         self
     }
 
-    /// Runs one plan per frame, frame `f` released at `f * interval`.
-    /// Items with infinite airtime (outage) are dropped immediately.
-    pub fn run(&self, plans: &[TransmissionPlan]) -> Vec<FrameOutcome> {
-        let mut scratch = SimScratch::default();
-        let mut outcomes = Vec::new();
-        self.run_into(plans, &mut scratch, &mut outcomes);
-        outcomes
+    /// [`Simulator::replay_into`] over one plan per frame, kept for
+    /// callers that hold [`TransmissionPlan`]s: logs them into `scratch`
+    /// (a multicast's members into the log's arena, not cloned with the
+    /// item) and replays that log into the flat `completion` table.
+    pub fn run_into(
+        &self,
+        plans: &[TransmissionPlan],
+        scratch: &mut SimScratch,
+        completion: &mut Vec<Option<SimTime>>,
+    ) {
+        let mut log = std::mem::take(&mut scratch.log);
+        log.clear();
+        for plan in plans {
+            log.begin_frame();
+            for item in &plan.items {
+                let kind = match item.kind {
+                    TxKind::Multicast { .. } => TxKind::Multicast {
+                        members: Vec::new(),
+                    },
+                    TxKind::Unicast { user } => TxKind::Unicast { user },
+                };
+                log.push(TxItem { kind, ..*item }, item.receivers());
+            }
+        }
+        self.replay_into(&log, scratch, completion);
+        scratch.log = log;
     }
 
-    /// [`Simulator::run`] into caller-owned buffers.
+    /// Replays every frame of `log`, frame `f` released at `f * interval`,
+    /// into one flat table: `completion[f * n_users + u]` is when user
+    /// `u`'s last item of frame `f` completed (`None`: nothing reached
+    /// them, or their items were dropped). Items with infinite airtime
+    /// (outage) are dropped on release. Allocates nothing once `scratch`
+    /// and `completion` have held a log this long.
     ///
     /// The event loop is flattened: at most three future events can exist
     /// at once — the next frame release, the in-flight burst's completion,
@@ -174,39 +146,6 @@ impl<'a, M: MacModel + ?Sized> Simulator<'a, M> {
     /// completion/resume order is interchangeable (a resume while a burst
     /// is on the air is a no-op; a completion at the resume instant starts
     /// the next burst itself).
-    pub fn run_into(
-        &self,
-        plans: &[TransmissionPlan],
-        scratch: &mut SimScratch,
-        outcomes: &mut Vec<FrameOutcome>,
-    ) {
-        outcomes.truncate(plans.len());
-        for (frame, o) in outcomes.iter_mut().enumerate() {
-            o.frame = frame;
-            o.start = self.frame_start(frame);
-            o.user_completion.clear();
-            o.user_completion.resize(self.n_users, None);
-            o.dropped_items = 0;
-        }
-        for frame in outcomes.len()..plans.len() {
-            outcomes.push(FrameOutcome {
-                frame,
-                start: self.frame_start(frame),
-                user_completion: vec![None; self.n_users],
-                dropped_items: 0,
-            });
-        }
-        self.events(plans, scratch, |frame, event| match event {
-            Event::Reached { user, at } => outcomes[frame].user_completion[user] = Some(at),
-            Event::Dropped(items) => outcomes[frame].dropped_items += items,
-        });
-    }
-
-    /// [`Simulator::run_into`] over a [`PlanLog`], into one flat table:
-    /// `completion[f * n_users + u]` is when user `u`'s last item of frame
-    /// `f` completed (`None`: nothing reached them). Builds no per-frame
-    /// vector; allocates nothing once `scratch` and `completion` have held
-    /// a log this long.
     pub fn replay_into(
         &self,
         log: &PlanLog,
@@ -216,34 +155,14 @@ impl<'a, M: MacModel + ?Sized> Simulator<'a, M> {
         let n = self.n_users;
         completion.clear();
         completion.resize(log.frames() * n, None);
-        self.events(log, scratch, |frame, event| {
-            if let Event::Reached { user, at } = event {
-                completion[frame * n + user] = Some(at);
-            }
-        });
-    }
-
-    /// When frame `frame`'s slot begins.
-    pub fn frame_start(&self, frame: usize) -> SimTime {
-        SimTime(self.interval.0 * frame as u64)
-    }
-
-    /// The one event loop under [`Simulator::run_into`] and
-    /// [`Simulator::replay_into`], reporting to `on` as `(frame, event)`.
-    fn events<P: Frames + ?Sized>(
-        &self,
-        plans: &P,
-        scratch: &mut SimScratch,
-        mut on: impl FnMut(usize, Event),
-    ) {
         let pending = &mut scratch.pending;
         pending.clear();
         // Every item may queue: one allocation for a longer run than any
         // before, not one per doubling.
-        pending.reserve((0..plans.frames()).map(|f| plans.items(f)).sum());
+        pending.reserve((0..log.frames()).map(|f| log.frame(f).len()).sum());
         let mut head = 0usize;
         let mut next_frame = 0usize;
-        // The in-flight burst as (frame, item index), finishing at `done_at`.
+        // The in-flight burst as (frame, log index), finishing at `done_at`.
         let mut transmitting: Option<(usize, usize)> = None;
         let mut done_at = SimTime(0);
         // The AP transmits nothing before this time (injected stalls);
@@ -254,7 +173,7 @@ impl<'a, M: MacModel + ?Sized> Simulator<'a, M> {
         let mut resume_pending = false;
 
         loop {
-            let t_frame = (next_frame < plans.frames()).then(|| self.frame_start(next_frame));
+            let t_frame = (next_frame < log.frames()).then(|| self.frame_start(next_frame));
             let t_done = transmitting.map(|_| done_at);
             let t_resume = resume_pending.then_some(stalled_until);
 
@@ -274,13 +193,7 @@ impl<'a, M: MacModel + ?Sized> Simulator<'a, M> {
                     while head < pending.len() && pending[head].0 < f {
                         head += 1;
                     }
-                    let dropped = head - before;
-                    obs::add("net.sim.dropped_items", dropped as u64);
-                    if dropped > 0 {
-                        // Attribution is approximate: count the drops
-                        // against the newest stale frame.
-                        on(f.saturating_sub(1), Event::Dropped(dropped));
-                    }
+                    obs::add("net.sim.dropped_items", (head - before) as u64);
                 }
                 if self.faults.at(f).ap_stall {
                     // The AP is down for this frame's slot: nothing new
@@ -294,18 +207,17 @@ impl<'a, M: MacModel + ?Sized> Simulator<'a, M> {
                         resume_pending = true;
                     }
                 }
-                for idx in 0..plans.items(f) {
-                    let (item, _) = plans.item(f, idx);
+                let first = log.start(f);
+                for (idx, (item, _)) in log.frame(f).enumerate() {
                     let airtime_s = item.beam_switch_s
                         + self
                             .mac
                             .airtime_s(item.wire_bytes(), item.phy_mbps, self.n_active);
                     if !airtime_s.is_finite() {
-                        on(f, Event::Dropped(1));
                         obs::inc("net.sim.dropped_items");
                         continue;
                     }
-                    pending.push((f, idx, SimTime::from_secs(airtime_s)));
+                    pending.push((f, first + idx, SimTime::from_secs(airtime_s)));
                 }
                 if transmitting.is_none() && now >= stalled_until {
                     if let Some(&(pf, pi, airtime)) = pending.get(head) {
@@ -318,9 +230,9 @@ impl<'a, M: MacModel + ?Sized> Simulator<'a, M> {
                 let now = done_at;
                 let (frame, idx) = transmitting.take().expect("in-flight burst");
                 let faults = self.faults.at(frame);
-                let (item, receivers) = plans.item(frame, idx);
+                let (item, receivers) = log.item(idx);
                 for &u in receivers {
-                    if u >= self.n_users {
+                    if u >= n {
                         continue;
                     }
                     if faults.has(u, Fault::Outage) {
@@ -341,7 +253,7 @@ impl<'a, M: MacModel + ?Sized> Simulator<'a, M> {
                             continue;
                         }
                     }
-                    on(frame, Event::Reached { user: u, at: now });
+                    completion[frame * n + u] = Some(now);
                 }
                 if now >= stalled_until {
                     if let Some(&(pf, pi, airtime)) = pending.get(head) {
@@ -365,13 +277,17 @@ impl<'a, M: MacModel + ?Sized> Simulator<'a, M> {
             }
         }
     }
+
+    /// When frame `frame`'s slot begins.
+    pub fn frame_start(&self, frame: usize) -> SimTime {
+        SimTime(self.interval.0 * frame as u64)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mac::AdMac;
-    use crate::plan::TxItem;
 
     fn ideal_mac() -> AdMac {
         AdMac {
@@ -393,21 +309,24 @@ mod tests {
         Simulator::new(mac, 2, 2, SimTime::from_millis(33.333), policy).unwrap()
     }
 
+    /// `plans` replayed on `s`, as rows of per-user completions, one per
+    /// frame.
+    fn replay(s: &Simulator<'_, AdMac>, plans: &[TransmissionPlan]) -> Vec<Vec<Option<SimTime>>> {
+        let mut completion = Vec::new();
+        s.run_into(plans, &mut SimScratch::default(), &mut completion);
+        assert_eq!(completion.len(), plans.len() * s.n_users);
+        completion.chunks(s.n_users).map(<[_]>::to_vec).collect()
+    }
+
     #[test]
     fn light_load_matches_per_slot_execution() {
         let mac = ideal_mac();
         let s = sim(&mac, BacklogPolicy::Queue);
         // 10 ms per frame: always finishes inside the 33 ms slot.
         let plans: Vec<_> = (0..5).map(|_| plan_ms(0, 10.0)).collect();
-        let outcomes = s.run(&plans);
-        for o in &outcomes {
-            let t = o.user_completion[0].unwrap();
-            let offset = (t - o.start).as_millis();
-            assert!(
-                (offset - 10.0).abs() < 0.01,
-                "frame {} offset {offset}",
-                o.frame
-            );
+        for (f, row) in replay(&s, &plans).iter().enumerate() {
+            let offset = (row[0].unwrap() - s.frame_start(f)).as_millis();
+            assert!((offset - 10.0).abs() < 0.01, "frame {f} offset {offset}");
             assert!(offset <= 33.333);
         }
     }
@@ -418,10 +337,9 @@ mod tests {
         let s = sim(&mac, BacklogPolicy::Queue);
         // 50 ms of airtime per 33 ms slot: each frame lands ~17 ms later.
         let plans: Vec<_> = (0..6).map(|_| plan_ms(0, 50.0)).collect();
-        let outcomes = s.run(&plans);
         let mut prev_lateness = -1.0;
-        for o in &outcomes {
-            let lateness = (o.user_completion[0].unwrap() - o.start).as_millis();
+        for (f, row) in replay(&s, &plans).iter().enumerate() {
+            let lateness = (row[0].unwrap() - s.frame_start(f)).as_millis();
             assert!(lateness > prev_lateness, "backlog must grow");
             prev_lateness = lateness;
         }
@@ -429,25 +347,24 @@ mod tests {
         assert!(prev_lateness > 100.0);
     }
 
+    /// The dropped-item count is `net.sim.dropped_items`, checked in
+    /// `tests/sim_drops.rs`.
     #[test]
     fn drop_policy_bounds_backlog() {
         let mac = ideal_mac();
         let s = sim(&mac, BacklogPolicy::Drop);
         let plans: Vec<_> = (0..6).map(|_| plan_ms(0, 50.0)).collect();
-        let outcomes = s.run(&plans);
         // Some frames get dropped entirely; those that complete do so
         // within a bounded delay (one in-flight item + own airtime).
         let mut completed = 0;
-        let mut dropped = 0;
-        for o in &outcomes {
-            if let Some(t) = o.user_completion[0] {
+        for (f, row) in replay(&s, &plans).iter().enumerate() {
+            if let Some(t) = row[0] {
                 completed += 1;
-                assert!((t - o.start).as_millis() < 100.0);
+                assert!((t - s.frame_start(f)).as_millis() < 100.0);
             }
-            dropped += o.dropped_items;
         }
         assert!(completed >= 2, "some frames must complete");
-        assert!(dropped >= 1, "overload must drop items");
+        assert!(completed < plans.len(), "overload must drop items");
     }
 
     #[test]
@@ -457,9 +374,8 @@ mod tests {
         let mut p = TransmissionPlan::new();
         p.items
             .push(TxItem::multicast(vec![0, 1], 1e6 / 8.0, 1000.0));
-        let outcomes = s.run(&[p]);
-        let t0 = outcomes[0].user_completion[0].unwrap();
-        let t1 = outcomes[0].user_completion[1].unwrap();
+        let rows = replay(&s, &[p]);
+        let (t0, t1) = (rows[0][0].unwrap(), rows[0][1].unwrap());
         assert_eq!(t0, t1);
         assert!((t0.as_millis() - 1.0).abs() < 0.01);
     }
@@ -471,22 +387,19 @@ mod tests {
         let mut p = TransmissionPlan::new();
         p.items.push(TxItem::unicast(0, 1e6, 0.0)); // outage
         p.items.push(TxItem::unicast(1, 1e6 / 8.0, 1000.0));
-        let outcomes = s.run(&[p]);
-        assert_eq!(outcomes[0].user_completion[0], None);
-        assert_eq!(outcomes[0].dropped_items, 1);
+        let rows = replay(&s, &[p]);
+        assert_eq!(rows[0][0], None);
         // User 1 still served.
-        assert!(outcomes[0].user_completion[1].is_some());
+        assert!(rows[0][1].is_some());
     }
 
     #[test]
     fn empty_plans_produce_empty_outcomes() {
         let mac = ideal_mac();
         let s = sim(&mac, BacklogPolicy::Queue);
-        let outcomes = s.run(&[TransmissionPlan::new(), TransmissionPlan::new()]);
-        assert_eq!(outcomes.len(), 2);
-        assert!(outcomes
-            .iter()
-            .all(|o| o.user_completion.iter().all(|c| c.is_none())));
+        let rows = replay(&s, &[TransmissionPlan::new(), TransmissionPlan::new()]);
+        assert_eq!(rows.len(), 2);
+        assert!(rows.iter().flatten().all(|c| c.is_none()));
     }
 
     #[test]
@@ -511,11 +424,10 @@ mod tests {
         };
         let plan = FaultPlan::generate(cfg, 1, 2).unwrap();
         let s = sim(&mac, BacklogPolicy::Queue).with_faults(&plan);
-        let plans = [plan_ms(0, 10.0), plan_ms(0, 10.0)];
-        let outcomes = s.run(&plans);
+        let rows = replay(&s, &[plan_ms(0, 10.0), plan_ms(0, 10.0)]);
         // Frame 0 is inside the schedule (loss), frame 1 beyond it (quiet).
-        assert_eq!(outcomes[0].user_completion[0], None);
-        assert!(outcomes[1].user_completion[0].is_some());
+        assert_eq!(rows[0][0], None);
+        assert!(rows[1][0].is_some());
     }
 
     #[test]
@@ -534,10 +446,9 @@ mod tests {
         p.items
             .push(TxItem::unicast(0, bytes, 1000.0).with_parity(bytes / 4.0));
         let s = sim(&mac, BacklogPolicy::Queue).with_faults(&faults);
-        let outcomes = s.run(&[p]);
-        let t = outcomes[0].user_completion[0].expect("FEC must recover the loss");
+        let t = replay(&s, &[p])[0][0].expect("FEC must recover the loss");
         // 12.5 ms: payload + 25% parity overhead on the air.
-        assert!(((t - outcomes[0].start).as_millis() - 12.5).abs() < 0.01);
+        assert!(((t - s.frame_start(0)).as_millis() - 12.5).abs() < 0.01);
 
         // An outage is a dead link, not an erasure: parity cannot help.
         let cfg = FaultConfig {
@@ -550,8 +461,7 @@ mod tests {
         p.items
             .push(TxItem::unicast(0, bytes, 1000.0).with_parity(bytes / 4.0));
         let s = sim(&mac, BacklogPolicy::Queue).with_faults(&faults);
-        let outcomes = s.run(&[p]);
-        assert_eq!(outcomes[0].user_completion[0], None);
+        assert_eq!(replay(&s, &[p])[0][0], None);
     }
 
     #[test]
@@ -566,15 +476,14 @@ mod tests {
         // Stall frame 0 only.
         let plan = FaultPlan::generate(cfg, 1, 2).unwrap();
         let s = sim(&mac, BacklogPolicy::Queue).with_faults(&plan);
-        let plans = [plan_ms(0, 10.0), plan_ms(0, 10.0)];
-        let outcomes = s.run(&plans);
+        let rows = replay(&s, &[plan_ms(0, 10.0), plan_ms(0, 10.0)]);
         // Frame 0's item airs only once the stall lifts at the frame-1
         // boundary (33.333 ms), finishing 10 ms later.
-        let t0 = outcomes[0].user_completion[0].unwrap();
+        let t0 = rows[0][0].unwrap();
         assert!((t0.as_millis() - 43.333).abs() < 0.05, "{}", t0.as_millis());
-        assert!((t0 - outcomes[0].start).as_millis() > 33.333);
+        assert!((t0 - s.frame_start(0)).as_millis() > 33.333);
         // Frame 1 queues behind it but still completes.
-        assert!(outcomes[1].user_completion[0].is_some());
+        assert!(rows[1][0].is_some());
     }
 
     #[test]
@@ -585,8 +494,7 @@ mod tests {
         let mut item = TxItem::unicast(0, 1e6 / 8.0, 1000.0);
         item.beam_switch_s = 5e-3;
         p.items.push(item);
-        let outcomes = s.run(&[p]);
-        let t = outcomes[0].user_completion[0].unwrap();
+        let t = replay(&s, &[p])[0][0].unwrap();
         assert!((t.as_millis() - 6.0).abs() < 0.01);
     }
 }

@@ -70,13 +70,14 @@ fn simulator_queue_completions_never_before_per_slot() {
         let mac = AdMac::default();
         let interval = SimTime::from_millis(33.333);
         let sim = Simulator::new(&mac, 4, 4, interval, BacklogPolicy::Queue).unwrap();
-        let outcomes = sim.run(&plans);
-        for (f, o) in outcomes.iter().enumerate() {
+        let mut completion = Vec::new();
+        sim.run_into(&plans, &mut SimScratch::default(), &mut completion);
+        for (f, row) in completion.chunks(4).enumerate() {
             let iso = plans[f].execute(&mac, 4, 4);
-            for u in 0..4 {
-                if let (Some(abs), Some(rel)) = (o.user_completion[u], iso.user_completion_s[u]) {
+            for (u, (&done, &alone)) in row.iter().zip(&iso.user_completion_s).enumerate() {
+                if let (Some(abs), Some(rel)) = (done, alone) {
                     if rel.is_finite() {
-                        let earliest = o.start + SimTime::from_secs(rel);
+                        let earliest = sim.frame_start(f) + SimTime::from_secs(rel);
                         assert!(
                             abs + SimTime(1_000) >= earliest,
                             "frame {f} user {u} finished before physically possible"
@@ -96,92 +97,97 @@ fn simulator_is_deterministic() {
         let mac = AdMac::default();
         let interval = SimTime::from_millis(33.333);
         let sim = Simulator::new(&mac, 4, 4, interval, BacklogPolicy::Drop).unwrap();
-        let a = sim.run(&plans);
-        let b = sim.run(&plans);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        sim.run_into(&plans, &mut SimScratch::default(), &mut a);
+        sim.run_into(&plans, &mut SimScratch::default(), &mut b);
         assert_eq!(a, b);
     });
 }
 
-/// The log replay reads what the batch `run` reads off the same plans, bit
-/// for bit, and a log holds what was pushed into it: every case reuses one
-/// scratch and one completion table, over frame, item and user
-/// counts that shrink and grow in turn, with multicasts, parity, beam
-/// switches, outage items, a frame's items dropped and pushed again, both
-/// backlog policies and faults of every class.
+/// A log pushed by hand replays bit for bit as `run_into` does from the
+/// same plans, and a log holds what was pushed into it. One log, one
+/// scratch and one completion table serve every case (the log through
+/// `clear`), over frame, item and user counts that shrink and grow in
+/// turn, with multicasts, parity, beam switches, outage items, a frame's
+/// items dropped and pushed again, both backlog policies and faults of
+/// every class.
 #[test]
-fn replay_into_matches_run_through_reused_storage() {
+fn replay_into_matches_run_into_through_reused_storage() {
     let mac = AdMac::default();
+    let mut log = PlanLog::default();
     let (mut scratch, mut completion) = (SimScratch::default(), Vec::new());
-    run_cases("replay_into_matches_run_through_reused_storage", |rng| {
-        let users = rng.gen_range(1..6usize);
-        let frames = rng.gen_range(0..9usize);
-        let (mut log, mut plans) = (PlanLog::default(), Vec::new());
-        for _ in 0..frames {
-            log.begin_frame();
-            let mut plan = TransmissionPlan::new();
-            for _ in 0..rng.gen_range(0..7) {
-                if rng.gen_bool(0.1) {
-                    log.clear_last();
-                    plan.items.clear();
+    run_cases(
+        "replay_into_matches_run_into_through_reused_storage",
+        |rng| {
+            let users = rng.gen_range(1..6usize);
+            let frames = rng.gen_range(0..9usize);
+            let mut plans = Vec::new();
+            log.clear();
+            for _ in 0..frames {
+                log.begin_frame();
+                let mut plan = TransmissionPlan::new();
+                for _ in 0..rng.gen_range(0..7) {
+                    if rng.gen_bool(0.1) {
+                        log.clear_last();
+                        plan.items.clear();
+                    }
+                    let mut item = if rng.gen_bool(0.3) {
+                        let members = (0..users).filter(|_| rng.gen_bool(0.6)).collect();
+                        TxItem::multicast(members, rng.gen_range(1.0..4e5), 1251.25)
+                    } else {
+                        let phy = [0.0, 385.0, 2502.5][rng.gen_range(0..3usize)];
+                        TxItem::unicast(rng.gen_range(0..users), rng.gen_range(1.0..4e5), phy)
+                    };
+                    item.parity_bytes = [0.0, 1e4][rng.gen_range(0..2usize)];
+                    item.beam_switch_s = [0.0, 2e-3][rng.gen_range(0..2usize)];
+                    // Logged as the session logs it: a multicast's members in
+                    // the log's arena only.
+                    let kind = match item.kind {
+                        TxKind::Multicast { .. } => TxKind::Multicast {
+                            members: Vec::new(),
+                        },
+                        TxKind::Unicast { user } => TxKind::Unicast { user },
+                    };
+                    let logged = TxItem {
+                        kind,
+                        ..item.clone()
+                    };
+                    assert_eq!(log.push(logged, item.receivers()), plan.items.len());
+                    plan.items.push(item);
                 }
-                let mut item = if rng.gen_bool(0.3) {
-                    let members = (0..users).filter(|_| rng.gen_bool(0.6)).collect();
-                    TxItem::multicast(members, rng.gen_range(1.0..4e5), 1251.25)
-                } else {
-                    let phy = [0.0, 385.0, 2502.5][rng.gen_range(0..3usize)];
-                    TxItem::unicast(rng.gen_range(0..users), rng.gen_range(1.0..4e5), phy)
-                };
-                item.parity_bytes = [0.0, 1e4][rng.gen_range(0..2usize)];
-                item.beam_switch_s = [0.0, 2e-3][rng.gen_range(0..2usize)];
-                // Logged as the session logs it: a multicast's members in
-                // the log's arena only.
-                let logged = match item.kind {
-                    TxKind::Multicast { .. } => TxItem::multicast(Vec::new(), 0.0, 0.0),
-                    TxKind::Unicast { user } => TxItem::unicast(user, 0.0, 0.0),
-                };
-                let logged = TxItem {
-                    kind: logged.kind,
-                    ..item.clone()
-                };
-                assert_eq!(log.push(logged, item.receivers()), plan.items.len());
-                plan.items.push(item);
+                plans.push(plan);
             }
-            plans.push(plan);
-        }
-        for (f, plan) in plans.iter().enumerate() {
-            let logged = log.frame(f).map(|(item, to)| match &item.kind {
-                TxKind::Multicast { .. } => (item.bytes, to.to_vec()),
-                TxKind::Unicast { user } => (item.bytes, vec![*user]),
-            });
-            let planned = plan.items.iter().map(|i| (i.bytes, i.receivers().to_vec()));
-            assert!(logged.eq(planned), "frame {f}");
-        }
-        let faults = match rng.gen_bool(0.5) {
-            true => FaultPlan::quiet(),
-            false => {
-                let spec = "outage=0.2:2,blockage=0.2:2,stall=0.2:1,loss=0.3,decode=0.2";
-                let cfg = FaultConfig::from_spec(spec).unwrap();
-                let cfg = FaultConfig {
-                    seed: rng.next_u64(),
-                    ..cfg
-                };
-                FaultPlan::generate(cfg, frames, users).unwrap()
+            assert_eq!(log.frames(), frames);
+            for (f, plan) in plans.iter().enumerate() {
+                let logged = log.frame(f).map(|(item, to)| match &item.kind {
+                    TxKind::Multicast { .. } => (item.bytes, to.to_vec()),
+                    TxKind::Unicast { user } => (item.bytes, vec![*user]),
+                });
+                let planned = plan.items.iter().map(|i| (i.bytes, i.receivers().to_vec()));
+                assert!(logged.eq(planned), "frame {f}");
             }
-        };
-        let policy = [BacklogPolicy::Queue, BacklogPolicy::Drop][rng.gen_range(0..2usize)];
-        let interval = SimTime::from_millis(33.333);
-        let sim = Simulator::new(&mac, users, users, interval, policy)
-            .unwrap()
-            .with_faults(&faults);
-        let batch = sim.run(&plans);
-        sim.replay_into(&log, &mut scratch, &mut completion);
-        assert_eq!(completion.len(), frames * users);
-        for (f, outcome) in batch.iter().enumerate() {
-            assert_eq!(outcome.start, sim.frame_start(f));
-            assert_eq!(
-                completion[f * users..][..users],
-                outcome.user_completion[..]
-            );
-        }
-    });
+            let faults = match rng.gen_bool(0.5) {
+                true => FaultPlan::quiet(),
+                false => {
+                    let spec = "outage=0.2:2,blockage=0.2:2,stall=0.2:1,loss=0.3,decode=0.2";
+                    let cfg = FaultConfig::from_spec(spec).unwrap();
+                    let cfg = FaultConfig {
+                        seed: rng.next_u64(),
+                        ..cfg
+                    };
+                    FaultPlan::generate(cfg, frames, users).unwrap()
+                }
+            };
+            let policy = [BacklogPolicy::Queue, BacklogPolicy::Drop][rng.gen_range(0..2usize)];
+            let interval = SimTime::from_millis(33.333);
+            let sim = Simulator::new(&mac, users, users, interval, policy)
+                .unwrap()
+                .with_faults(&faults);
+            let mut batch = Vec::new();
+            sim.run_into(&plans, &mut SimScratch::default(), &mut batch);
+            sim.replay_into(&log, &mut scratch, &mut completion);
+            assert_eq!(completion.len(), frames * users);
+            assert_eq!(completion, batch);
+        },
+    );
 }

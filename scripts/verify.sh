@@ -107,6 +107,17 @@ if grep -nE 'macro_rules!|too_many_arguments|next_groups|local_of|grouping::Grou
     exit 1
 fi
 
+echo "==> the airtime replay has one front end, not forked"
+# One event loop (Simulator::replay_into) over a PlanLog: the campus and the
+# session log their plans, and run_into is only the plans front the
+# benchmark calls, logging into SimScratch. No per-frame outcome type, no
+# trait over two plan representations, no pool of multicast member vectors
+# beside the log.
+if grep -rnE 'FrameOutcome|trait Frames|impl Frames|item_pool' crates/ DESIGN.md README.md; then
+    echo "ERROR: a second front end of the airtime replay survives" >&2
+    exit 1
+fi
+
 echo "==> the per-user arena vectors are gone, not forked"
 # One UserFrame row per user per frame (core::session): each stage writes
 # its fields of the row, so none of the per-user vectors the rows replaced
@@ -363,7 +374,7 @@ rm -f "$tmp_srv1" "$tmp_srv8"
 echo "==> campus smoke is byte-identical at VOLCAST_THREADS=1 and 8, hash pinned"
 # A fast campus configuration (500 users, 8 APs, 30 frames; ~50 ms) with
 # the outcome hash pinned: the room-epoch hot path — epoch-invariant RSS
-# caching, plan-skeleton reuse, the flattened simulator core — cannot
+# caching, the retained plan log, the flattened simulator core — cannot
 # drift without failing this diff. The bin writes no file. Keeping the
 # receivers of users who stood still and stopping a design's custom-beam
 # pricing at its first losing member moved no pin. Closed-form codebook
