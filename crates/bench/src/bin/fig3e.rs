@@ -30,8 +30,7 @@ fn main() {
     let video = VideoSequence::default();
     let quality = video.quality(QualityLevel::High);
     let analysis_points = 20_000usize;
-    let byte_scale =
-        quality.points_per_frame as f64 / analysis_points as f64 * quality.bytes_per_point();
+    let byte_scale = quality.bytes_per_analysis_point(analysis_points);
     let mut rng = Rng::seed_from_u64(1005);
 
     let trials = 200usize;

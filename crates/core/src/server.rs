@@ -750,7 +750,7 @@ impl SessionServer {
             },
             distress,
         );
-        let send = 1 + (d.enhancements as usize).min(layers - 1);
+        let send = 1 + adapter.ladder.enhancement_layers(d.quality).min(layers - 1);
         let payload: u64 = self.chunk_bytes[frame * layers..][..send].iter().sum();
         let parity = (payload as f64 * d.fec.overhead()) as u64;
         Transfer {
@@ -915,7 +915,10 @@ mod tests {
                                         },
                                         &distress,
                                     );
-                                    let send = 1 + (d.enhancements as usize).min(layers - 1);
+                                    let send = 1 + adapter
+                                        .ladder
+                                        .enhancement_layers(d.quality)
+                                        .min(layers - 1);
                                     let payload: u64 =
                                         (0..send).map(|l| chunk_bytes[frame * layers + l]).sum();
                                     let parity = (payload as f64 * d.fec.overhead()) as u64;

@@ -516,7 +516,8 @@ fn owned(item: &TxItem, receivers: &[usize]) -> TxItem {
     item
 }
 
-/// Bytes per analysis-density point at quality `q`.
+/// Bytes per analysis-density point at quality `q` (single stream), written
+/// out as the reference for `Quality::bytes_per_analysis_point`.
 fn scale_for(s: &StreamingSession, q: QualityLevel) -> f64 {
     let quality = s.video.quality(q);
     quality.points_per_frame as f64 / s.params.analysis_points as f64 * quality.bytes_per_point()
@@ -710,7 +711,7 @@ impl<'a> Referee<'a> {
                 fixed: params.fixed_quality,
             };
             let decision = self.adapter.plan_delivery(&state, &Distress::calm());
-            row.quality = decision.quality();
+            row.quality = decision.quality;
             row.fec_rung = decision.fec;
             // Plan starts from the decision and the onset's outage.
             row.effective_quality = row.quality;
